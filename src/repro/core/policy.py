@@ -154,9 +154,13 @@ class ControlPolicy(abc.ABC):
         arrivals, shared-queue dispatch, create-one-when-empty,
         per-completion observation) returns a plan and the
         ``data_plane="columnar"`` runner executes its requests in the
-        vectorized kernel.  The default ``None`` keeps the event-level
-        path — correct for any policy with a bespoke data path (e.g.
-        the OpenWhisk compatibility policy).
+        vectorized kernel.  Returning a plan also asserts that the
+        policy's container-warm hook does nothing but
+        ``dispatcher.drain(container.function_name)``: the kernel
+        synchronizes only that function around a warm-up.  The default
+        ``None`` keeps the event-level path — correct for any policy
+        with a bespoke data path or a richer warm hook (e.g. the
+        OpenWhisk compatibility policy).
         """
         return None
 

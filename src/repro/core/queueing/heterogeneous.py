@@ -110,24 +110,42 @@ class HeterogeneousMMcQueue:
 
     def log_p0(self) -> float:
         """Log of the normalising constant's inverse (``log P_0``)."""
+        return self._log_p0(self.log_unnormalised(self.c))
+
+    def _log_p0(self, log_weights: np.ndarray) -> float:
+        """``log P_0`` from weights already computed for (at least) ``n = 0..c``."""
         if not self.is_stable:
             raise ValueError("unstable system: lambda >= aggregate service rate")
         if self.lam == 0:
             return 0.0
         # finite part up to n = c, then a closed-form geometric tail
-        log_weights = self.log_unnormalised(self.c)
+        c = self.c
         tail_ratio = self.lam / self.aggregate_rate
+        a = np.empty(c + 2)
+        a[: c + 1] = log_weights[: c + 1]
         # sum_{n=c+1}^{inf} w_c * ratio^{n-c} = w_c * ratio / (1 - ratio)
-        log_tail = log_weights[self.c] + math.log(tail_ratio) - math.log(1.0 - tail_ratio)
-        from scipy.special import logsumexp
-
-        log_norm = logsumexp(np.append(log_weights, log_tail))
-        return float(-log_norm)
+        a[c + 1] = log_weights[c] + math.log(tail_ratio) - math.log(1.0 - tail_ratio)
+        # scipy.special.logsumexp's reduction, inlined (its array-API
+        # wrapper costs ~20x the arithmetic on a c+2 element vector):
+        # the maxima are pulled out of the sum and counted, the rest is
+        # summed shifted.  numpy ufuncs throughout — math.log1p rounds
+        # differently — so the result is bit-identical (property-tested).
+        a_max = a.max()
+        is_max = a == a_max
+        m = np.count_nonzero(is_max)
+        a[is_max] = -np.inf
+        a -= a_max
+        s = np.exp(a, out=a).sum() / m
+        return float(-(np.log1p(s) + np.log(m) + a_max))
 
     def state_probabilities(self, n_max: int) -> np.ndarray:
         """Upper-bound probabilities ``P_0 .. P_{n_max}``."""
-        log_p0 = self.log_p0()
-        return np.exp(self.log_unnormalised(n_max) + log_p0)
+        if n_max < 0:
+            raise ValueError("n_max must be non-negative")
+        # one cumulative-sum pass serves both the normaliser (n <= c) and
+        # the requested states: np.cumsum is prefix-stable
+        log_weights = self.log_unnormalised(max(n_max, self.c))
+        return np.exp(log_weights[: n_max + 1] + self._log_p0(log_weights))
 
     # ------------------------------------------------------------------
     # Waiting time bound

@@ -36,15 +36,37 @@ Control plane at boundaries
 Everything that is *not* the per-request hot path still runs the real
 code: controller epoch/rate ticks, container warm-ups, node
 failures/recoveries, and draining-container completions are ordinary
-engine events.  Before each such boundary the kernel *flushes* folded
-metrics and *materializes* its columns back into real objects
-(queued ``Request`` deques, busy containers with scheduled completion
-events, the dispatcher's idle index), lets the engine execute every
-event at that timestamp, then *absorbs* the resulting object state
-back into columns and continues.  Container crash-on-dispatch faults
-are handled the same way at request granularity: the kernel draws from
-the injector's own RNG at every dispatch and hands confirmed crashes
-to the injector's real crash path.
+engine events.  Each is a *boundary*: the kernel *flushes* folded
+metrics and *materializes* columns back into real objects (queued
+``Request`` deques, busy containers with scheduled completion events,
+the dispatcher's idle index) for the functions the event can touch —
+its *scope* — lets the engine execute it, then *absorbs* the resulting
+object state of those functions back into columns and continues.
+Container crash-on-dispatch faults are handled the same way at request
+granularity: the kernel draws from the injector's own RNG at every
+dispatch and hands confirmed crashes to the injector's real crash path.
+
+Boundary scopes
+---------------
+The scope is read off the next engine event.  A container warm-up
+(``EdgeCluster._finish_cold_start(container)``) reaches only that
+container's function — ``mark_warm`` → the dispatcher's idle index for
+the function → the policy's warm hook, which the :class:`ColumnarPlan`
+contract limits to draining that function's queue — so only that
+function is flushed, materialized and absorbed, exactly one event is
+stepped, and every other function's columns, slots and completion-heap
+entries stay untouched.  Their pending folds ride to the next full
+boundary in larger batches, which is exact because per-function
+estimators are independent and their batch folds are split-invariant.
+Every other event (epoch tick, fault, draining completion) gets the
+full scope and, as before, every event at its timestamp runs inside
+one boundary; same-timestamp warm-ups are taken one scope at a time in
+engine order.  Two things widen a scoped boundary to the full one: a
+crash-on-dispatch drawn while the warm hook drains (the policy's crash
+hook may read and resize any function, so the rest is flushed and
+materialized before it runs), and streaming-percentile mode, where the
+global completion order feeds one RNG-consuming reservoir and no fold
+may be deferred.
 
 Fallback conditions
 -------------------
@@ -96,8 +118,12 @@ class ColumnarPlan:
     submit through the shared-queue dispatcher, create one container
     when the function has none (``create_on_empty``), and observe
     completions via ``fold_completions`` — which is precisely what the
-    kernel replays columnar.  Policies with richer per-request hooks
-    must return ``None`` and keep the event-level path.
+    kernel replays columnar.  It also asserts that its container-warm
+    hook does nothing but ``dispatcher.drain(container.function_name)``:
+    the kernel synchronizes only that function's state around a warm-up
+    (see "Boundary scopes" in the module docstring).  Policies with
+    richer per-request or warm hooks must return ``None`` and keep the
+    event-level path.
     """
 
     #: The policy's live :class:`~repro.core.dispatch.SharedQueueDispatcher`.
@@ -120,9 +146,11 @@ class ColumnarPlan:
 class _Slot:
     """The kernel's per-container mirror: hot fields of one warm container.
 
-    Rebuilt from the live :class:`~repro.cluster.container.Container`
-    objects at every absorb, so sizes/speeds picked up here are always
-    current (deflation only happens at engine boundaries).
+    A function's slots are rebuilt from its live
+    :class:`~repro.cluster.container.Container` objects whenever a
+    boundary's scope includes the function.  Sizes and speeds only
+    change at full-scope boundaries (deflation is a controller action),
+    so the values snapshotted here are always current.
     """
 
     __slots__ = (
@@ -158,7 +186,7 @@ class _FnState:
         "name", "slo", "times", "works", "rid", "status", "start",
         "finish", "cold", "ccid", "cnode", "obj", "pos", "flush_pos",
         "queue", "idle", "idle_ids", "scores", "prune_pending",
-        "has_containers", "done_rows", "done_fracs",
+        "has_containers", "done_rows", "done_fracs", "slots", "live",
     )
 
     def __init__(self, name: str, slo_deadline: Optional[float]) -> None:
@@ -188,6 +216,8 @@ class _FnState:
         self.has_containers = False
         self.done_rows: List[int] = []     # completions since last flush
         self.done_fracs: List[float] = []  # their containers' CPU fractions
+        self.slots: List[_Slot] = []       # every warm container's mirror
+        self.live: List[int] = []          # rows whose Request object may still change
 
     def _allocate(self) -> None:
         """Size the per-row state columns once all arrivals are known."""
@@ -298,21 +328,33 @@ class ColumnarKernel:
                 fs._allocate()
 
         self._fn_list = fn_list
+        self._fn_by_name = {fs.name: fs for fs in fn_list}
         self._g_times = g_times
         self._g_fs = g_fs
         self._g_row = g_row
         self._gpos = 0
         self._comp: List[Tuple[float, int, _Slot]] = []
-        self._seq = 0
-        self._slots: List[_Slot] = []
+        # completion-heap tie-break: dispatch order, across boundaries
+        self._seq = itertools.count()
         # streaming percentiles need completions in cross-function order,
         # which only the global buffer preserves; otherwise completions
         # accumulate in the cheaper per-function buffers
         self._streaming = bool(plan.collector.streaming_percentiles)
         self._comp_buffer: List[Tuple[_FnState, int, float]] = []
-        self._attached_live: List[Tuple[_FnState, int]] = []
+        self._has_live = False
         self._row_by_rid: Dict[int, Tuple[_FnState, int]] = {}
-        self._absorb()
+        # whose state is object-side during a boundary (full list outside one)
+        self._scope: List[_FnState] = fn_list
+        self._warm_up = cluster._finish_cold_start
+        #: Exact counts of the protocol's work: engine boundaries by the
+        #: scope they ended with and, over every synchronization (crash
+        #: syncs and the final one included), functions absorbed, slots
+        #: rebuilt, queued + running rows written back into live objects.
+        #: Repeatable, but deliberately not part of any results envelope.
+        self.stats: Dict[str, int] = dict.fromkeys(
+            ("boundaries_full", "boundaries_scoped", "functions_visited",
+             "slots_rebuilt", "rows_materialized"), 0)
+        self._absorb(fn_list)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -322,29 +364,74 @@ class ColumnarKernel:
 
         Alternates columnar draining with real engine boundaries: every
         pending engine event (control tick, warm-up, fault, draining
-        completion) executes against fully materialized object state,
-        exactly as on the event-level plane.
+        completion) executes against materialized object state for
+        everything it can touch, exactly as on the event-level plane.
         """
         engine = self.engine
-        while True:
-            boundary = engine.peek_time()
-            if boundary is None or boundary > until:
-                if self._drain(until, inclusive=True):
-                    continue  # a sync scheduled new engine events; re-peek
-                break
-            if self._drain(boundary, inclusive=False):
-                continue
-            self._flush()
-            self._materialize()
-            while engine.peek_time() == boundary:
+        fn_list = self._fn_list
+        dispatcher = self.dispatcher
+        interceptor = dispatcher.interceptor
+        if self.injector is not None:
+            dispatcher.interceptor = self._intercept
+        try:
+            while True:
+                event = engine.peek()
+                if event is None or event[0] > until:
+                    if self._drain(until, inclusive=True):
+                        continue  # a sync scheduled new engine events; re-peek
+                    break
+                boundary = event[0]
+                if self._drain(boundary, inclusive=False):
+                    continue
+                scope = self._scope = self._event_scope(event)
+                self._flush(scope)
+                self._materialize(scope)
+                # a scoped boundary is exactly its one event; the full scope
+                # (from the start, or widened by a crash) takes the timestamp
                 engine.step()
-            self._absorb()
-        self._flush()
-        self._materialize()
+                while self._scope is fn_list and engine.peek_time() == boundary:
+                    engine.step()
+                full = self._scope is fn_list
+                self.stats["boundaries_full" if full else "boundaries_scoped"] += 1
+                self._absorb(self._scope)
+                self._scope = fn_list
+        finally:
+            dispatcher.interceptor = interceptor
+        self._flush(fn_list)
+        self._materialize(fn_list)
         if self.collector.store_requests:
             self.collector.defer_requests(self._fill)
         # settle the clock (and any past-horizon events) like the event plane
         engine.run(until=until)
+
+    def _event_scope(self, event: Tuple[float, Callable[..., Any], tuple]) -> List[_FnState]:
+        """The functions the next engine event can touch (the full list if unknown)."""
+        if self._streaming or event[1] != self._warm_up:
+            return self._fn_list
+        fs = self._fn_by_name.get(event[2][0].function_name)
+        return [] if fs is None else [fs]
+
+    def _widen(self) -> None:
+        """Turn the boundary in progress into a full one, mid-event."""
+        scope = self._scope
+        if scope is not self._fn_list:
+            rest = [fs for fs in self._fn_list if fs not in scope]
+            self._scope = self._fn_list
+            self._flush(rest)
+            self._materialize(rest)
+
+    def _intercept(self, request: Request, container: Any) -> bool:
+        """The injector's dispatch interceptor, widening the scope before a crash.
+
+        Installed while the kernel runs: a crash drawn inside a scoped
+        boundary (the warm hook's drain) reaches the policy's crash
+        hook, which may read estimators and resize any function.
+        """
+        if not self.injector.crash_decision(request.function_name):
+            return True
+        self._widen()
+        self.injector.apply_crash(request, container)
+        return False
 
     # ------------------------------------------------------------------
     # Columnar draining
@@ -372,13 +459,13 @@ class ColumnarKernel:
         streaming = self._streaming
         buffer_append = self._comp_buffer.append
         pick = self._pick
-        seq = self._seq
+        next_seq = self._seq.__next__
         running = RequestStatus.RUNNING
         completed_status = RequestStatus.COMPLETED
         # rows only carry live Request objects after a boundary
         # materialized them; in the steady state between boundaries the
         # object-sync branches are dead and skipped wholesale
-        has_live = bool(self._attached_live)
+        has_live = self._has_live
         try:
             at = g_times[pos] if pos < n_total else inf
             ct = comp[0][0] if comp else inf
@@ -423,8 +510,7 @@ class ColumnarKernel:
                         duration = fs.works[i] / slot.speed
                         if duration < 1e-9:
                             duration = 1e-9
-                        heappush(comp, (at + duration, seq, slot))
-                        seq += 1
+                        heappush(comp, (at + duration, next_seq(), slot))
                         ct = comp[0][0]
                         slot.busy_fs = fs
                         slot.busy_row = i
@@ -485,8 +571,7 @@ class ColumnarKernel:
                         duration = fs.works[j] / slot.speed
                         if duration < 1e-9:
                             duration = 1e-9
-                        heappush(comp, (t + duration, seq, slot))
-                        seq += 1
+                        heappush(comp, (t + duration, next_seq(), slot))
                         slot.busy_fs = fs
                         slot.busy_row = j
                         slot.busy_since = t
@@ -506,7 +591,6 @@ class ColumnarKernel:
                     ct = comp[0][0] if comp else inf
         finally:
             self._gpos = pos
-            self._seq = seq
 
     def _pick(self, fs: _FnState) -> _Slot:
         """Smooth-WRR pick over the function's idle slots (exact replica).
@@ -594,18 +678,20 @@ class ColumnarKernel:
     # ------------------------------------------------------------------
     # Metric folds
     # ------------------------------------------------------------------
-    def _flush(self) -> None:
-        """Fold pending arrivals and completions into policy/collector state.
+    def _flush(self, fns: List[_FnState]) -> None:
+        """Fold the pending arrivals and completions of ``fns`` into policy/collector state.
 
-        Runs before every engine boundary, so everything the control
-        plane can observe (rate estimators, epoch arrival counts,
-        counters, streaming summaries) is exactly as the event-level
-        plane would have left it at that timestamp.
+        Runs before every engine boundary over the boundary's scope, so
+        everything its event can observe (rate estimators, epoch arrival
+        counts, counters, streaming summaries) is exactly as the
+        event-level plane would have left it at that timestamp; what a
+        scoped boundary leaves pending folds at the next full one.  (The
+        streaming buffer is global: streaming mode only flushes the full list.)
         """
         plan = self.plan
         collector = self.collector
         fold_arrivals = plan.fold_arrivals
-        for fs in self._fn_list:
+        for fs in fns:
             pos = fs.pos
             start = fs.flush_pos
             if pos > start:
@@ -639,7 +725,7 @@ class ColumnarKernel:
         if not self._streaming:
             count = 0
             cold = 0
-            for fs in self._fn_list:
+            for fs in fns:
                 rows = fs.done_rows
                 if not rows:
                     continue
@@ -676,22 +762,26 @@ class ColumnarKernel:
                 obj.status = RequestStatus.QUEUED
             fs.obj[i] = obj
             self._row_by_rid[obj.request_id] = (fs, i)
-            self._attached_live.append((fs, i))
+            fs.live.append(i)
         return obj
 
-    def _materialize(self) -> None:
-        """Write columnar state back into the real objects.
+    def _materialize(self, fns: List[_FnState]) -> None:
+        """Write the columnar state of ``fns`` back into the real objects.
 
-        After this, the dispatcher's queues and idle index, every
-        container's in-flight request + scheduled completion event, and
-        the per-container counters look exactly as if the event-level
-        plane had run — so any engine event may execute real code.
+        After this, those functions' dispatcher queues and idle index,
+        their containers' in-flight requests + scheduled completion
+        events, and the per-container counters look exactly as if the
+        event-level plane had run — so an engine event that touches
+        only them may execute real code.  Their completion-heap entries
+        leave the heap (the engine owns them until the absorb); every
+        other function's entries stay where they are.
         """
         dispatcher = self.dispatcher
         engine = self.engine
         queues = dispatcher._queues
         idle_index = dispatcher._idle
-        for fs in self._fn_list:
+        rows = 0
+        for fs in fns:
             if fs.queue:
                 dq = queues.get(fs.name)
                 if dq is None:
@@ -700,13 +790,22 @@ class ColumnarKernel:
                     dq.clear()
                 for j in fs.queue:
                     dq.append(self._request_for(fs, j))
+                rows += len(fs.queue)
             else:
                 dq = queues.get(fs.name)
                 if dq:
                     dq.clear()
             idle_index[fs.name] = {slot.cid: slot.container for slot in fs.idle}
-        busy = sorted(self._comp)
+        scope = set(fns)
+        busy = []
+        rest = []
+        for entry in self._comp:
+            (busy if entry[2].busy_fs in scope else rest).append(entry)
         if busy:
+            busy.sort()
+            heapify(rest)
+            self._comp = rest
+            rows += len(busy)
             entries = []
             completion_hook = dispatcher._completion_hook
             for finish, _, slot in busy:
@@ -727,62 +826,64 @@ class ColumnarKernel:
             events = engine.schedule_many_events(entries)
             for (_, _, slot), event in zip(busy, events):
                 slot.container._completion_event = event
-        for slot in self._slots:
-            container = slot.container
-            container.completed_requests = slot.completed
-            container.busy_time = slot.busy_time
+        for fs in fns:
+            for slot in fs.slots:
+                container = slot.container
+                container.completed_requests = slot.completed
+                container.busy_time = slot.busy_time
+        self.stats["rows_materialized"] += rows
 
-    def _absorb(self) -> None:
-        """Re-adopt object state into columns after an engine boundary.
+    def _absorb(self, fns: List[_FnState]) -> None:
+        """Re-adopt the object state of ``fns`` into columns after an engine boundary.
 
-        Syncs every previously materialized request's status back into
-        the columns, takes over each warm container (cancelling its
-        pending completion event in favour of the kernel's heap), and
-        rebuilds queues and idle sets from the live dispatcher state.
-        Containers in STARTING or DRAINING states stay object-side —
-        their transitions are real engine events and therefore future
-        boundaries.
+        Syncs their previously materialized requests' status back into
+        the columns, takes over each of their warm containers
+        (cancelling its pending completion event in favour of the
+        kernel's heap), and rebuilds their queues, idle sets and slots
+        from the live dispatcher state.  Containers in STARTING or
+        DRAINING states stay object-side — their transitions are real
+        engine events and therefore future boundaries.
         """
         completed = RequestStatus.COMPLETED
         running = RequestStatus.RUNNING
         queued = RequestStatus.QUEUED
-        still_live: List[Tuple[_FnState, int]] = []
-        for fs, i in self._attached_live:
-            obj = fs.obj[i]
-            status = obj.status
-            if status is completed:
-                fs.status[i] = _COMPLETED
-                fs.start[i] = obj.start_time
-                fs.finish[i] = obj.completion_time
-                fs.ccid[i] = obj.container_id
-                fs.cnode[i] = obj.node_name
-                fs.cold[i] = 1 if obj.cold_start else 0
-            elif status is running:
-                fs.status[i] = _RUNNING
-                fs.start[i] = obj.start_time
-                fs.ccid[i] = obj.container_id
-                fs.cnode[i] = obj.node_name
-                fs.cold[i] = 1 if obj.cold_start else 0
-                still_live.append((fs, i))
-            elif status is queued:
-                fs.status[i] = _QUEUED
-                still_live.append((fs, i))
-            elif status is RequestStatus.PENDING:
-                still_live.append((fs, i))
-            else:  # dropped / timed out
-                fs.status[i] = _DROPPED
-        self._attached_live = still_live
-
         row_by_rid = self._row_by_rid
         queues = self.dispatcher._queues
         scores = self.dispatcher.balancer._scores
         cluster = self.cluster
-        comp: List[Tuple[float, int, _Slot]] = []
-        slots: List[_Slot] = []
-        seq = 0
+        comp = self._comp
+        next_seq = self._seq.__next__
         warm = ContainerState.WARM
-        for fs in self._fn_list:
+        for fs in fns:
+            still_live: List[int] = []
+            for i in fs.live:
+                obj = fs.obj[i]
+                status = obj.status
+                if status is completed:
+                    fs.status[i] = _COMPLETED
+                    fs.start[i] = obj.start_time
+                    fs.finish[i] = obj.completion_time
+                    fs.ccid[i] = obj.container_id
+                    fs.cnode[i] = obj.node_name
+                    fs.cold[i] = 1 if obj.cold_start else 0
+                elif status is running:
+                    fs.status[i] = _RUNNING
+                    fs.start[i] = obj.start_time
+                    fs.ccid[i] = obj.container_id
+                    fs.cnode[i] = obj.node_name
+                    fs.cold[i] = 1 if obj.cold_start else 0
+                    still_live.append(i)
+                elif status is queued:
+                    fs.status[i] = _QUEUED
+                    still_live.append(i)
+                elif status is RequestStatus.PENDING:
+                    still_live.append(i)
+                else:  # dropped / timed out
+                    fs.status[i] = _DROPPED
+            fs.live = still_live
+
             idle: List[_Slot] = []
+            slots: List[_Slot] = []
             for container in cluster.containers_of(fs.name):
                 if container.state is not warm:
                     continue
@@ -800,8 +901,7 @@ class ColumnarKernel:
                     slot.busy_fs = busy_fs
                     slot.busy_row = busy_row
                     slot.busy_since = busy_since
-                    comp.append((finish, seq, slot))
-                    seq += 1
+                    comp.append((finish, next_seq(), slot))
                     slots.append(slot)
                 elif container.is_dispatchable:
                     slot = _Slot(container)
@@ -810,6 +910,8 @@ class ColumnarKernel:
             idle.sort()
             fs.idle = idle
             fs.idle_ids = {slot.cid for slot in idle}
+            fs.slots = slots
+            self.stats["slots_rebuilt"] += len(slots)
             fs.queue = deque()
             dq = queues.get(fs.name)
             if dq:
@@ -821,9 +923,12 @@ class ColumnarKernel:
             # every key is suspect until the next pick prunes
             fs.prune_pending = set(fs.scores)
         heapify(comp)
-        self._comp = comp
-        self._slots = slots
-        self._seq = seq
+        self.stats["functions_visited"] += len(fns)
+        # out-of-scope rows that finished in-kernel since their last absorb
+        # are still listed; they must not keep _drain's object-sync branch on
+        self._has_live = any(
+            fs.status[i] < _COMPLETED for fs in self._fn_list for i in fs.live
+        )
 
     def _crash_sync(self, fs: _FnState, i: int, slot: _Slot, time: float,
                     queued: bool) -> None:
@@ -839,15 +944,15 @@ class ColumnarKernel:
         estimators, queues, and container state.
         """
         self.engine._now = time
-        self._flush()
-        self._materialize()
+        self._flush(self._fn_list)
+        self._materialize(self._fn_list)
         obj = self._request_for(fs, i)
         self.injector.apply_crash(obj, slot.container)
         if not queued:
             create = self.plan.create_on_empty
             if create is not None and not self.cluster.has_containers(fs.name):
                 create(fs.name)
-        self._absorb()
+        self._absorb(self._fn_list)
 
     # ------------------------------------------------------------------
     # Deferred per-request records

@@ -383,24 +383,34 @@ class SimulationEngine:
             self._running = False
         return self._now
 
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or ``None`` if the queue is empty.
+    def peek(self) -> Optional[Tuple[float, Callable[..., Any], tuple]]:
+        """``(time, callback, args)`` of the next live event, or ``None`` if the queue is empty.
 
         Cancelled :class:`Event` records sitting at the top of the heap
         are discarded (and counted) exactly as :meth:`run` would discard
-        them, so the returned time is the time :meth:`step` would execute
-        at.  The clock is not advanced and no callback runs.
+        them, so the returned event is the one :meth:`step` would
+        execute.  The clock is not advanced and no callback runs.  Both
+        entry shapes read the same way (an :class:`Event` record's
+        keyword arguments are not reported).
         """
         queue = self._queue
         while queue:
             entry = queue[0]
             target = entry[3]
-            if entry[4] is None and target.cancelled:
+            args = entry[4]
+            if args is not None:
+                return entry[0], target, args
+            if target.cancelled:
                 heapq.heappop(queue)
                 self._events_cancelled += 1
                 continue
-            return entry[0]
+            return entry[0], target.callback, target.args
         return None
+
+    def peek_time(self) -> Optional[float]:
+        """Timestamp of the next live event (see :meth:`peek`), or ``None``."""
+        event = self.peek()
+        return None if event is None else event[0]
 
     def step(self) -> bool:
         """Execute a single event.  Returns ``False`` if the queue is empty.

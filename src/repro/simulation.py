@@ -42,7 +42,11 @@ class SimulationResult:
     ``controller`` is the run's control-plane policy — a
     :class:`~repro.core.controller.LassController` by default, or
     whichever registered :class:`~repro.core.policy.ControlPolicy` the
-    runner was asked for.
+    runner was asked for.  ``kernel_stats`` holds the columnar kernel's
+    exact boundary counts
+    (:attr:`~repro.sim.columnar.ColumnarKernel.stats`), or ``None`` when
+    the run executed on the event plane; it describes how the run was
+    executed, not what it simulated, and never enters a results envelope.
     """
 
     metrics: MetricsCollector
@@ -50,6 +54,7 @@ class SimulationResult:
     controller: ControlPolicy
     duration: float
     generated_requests: Dict[str, int] = field(default_factory=dict)
+    kernel_stats: Optional[Dict[str, int]] = None
 
     def waiting_summary(self, function_name: Optional[str] = None, warmup: float = 0.0) -> WaitingTimeSummary:
         """Waiting-time percentiles for one function (or all)."""
@@ -294,6 +299,7 @@ class SimulationRunner:
             controller=self.controller,
             duration=duration,
             generated_requests=generated,
+            kernel_stats=None if kernel is None else dict(kernel.stats),
         )
 
 
@@ -390,6 +396,7 @@ def run_fixed_allocation(
         controller=policy,
         duration=duration,
         generated_requests={binding.profile.name: generator.generated},
+        kernel_stats=None if kernel is None else dict(kernel.stats),
     )
 
 

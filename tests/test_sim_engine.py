@@ -254,3 +254,26 @@ class TestCancellationAndReset:
         assert engine.events_cancelled == 1
         engine.reset()
         assert engine.events_cancelled == 0
+
+
+class TestPeek:
+    def test_peek_reads_both_entry_shapes_without_running_them(self, engine):
+        fired = []
+        engine.call_at(2.0, fired.append, "bare")
+        engine.schedule(1.0, fired.append, "record")
+        assert engine.peek() == (1.0, fired.append, ("record",))
+        assert engine.peek_time() == 1.0
+        assert engine.now == 0.0 and fired == [] and engine.events_processed == 0
+        engine.step()
+        assert engine.peek() == (2.0, fired.append, ("bare",))
+        engine.step()
+        assert engine.peek() is None and engine.peek_time() is None
+        assert fired == ["record", "bare"]
+
+    def test_peek_discards_and_counts_cancelled_heads_like_run(self, engine):
+        engine.schedule(1.0, lambda: None).cancel()
+        engine.schedule(1.5, lambda: None).cancel()
+        engine.call_later(2.0, print)
+        assert engine.peek() == (2.0, print, ())
+        assert engine.events_cancelled == 2
+        assert engine.pending_events == 1

@@ -21,6 +21,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from repro.core.queueing.heterogeneous import HeterogeneousMMcQueue
 from repro.core.queueing.mmc import MMcQueue
@@ -385,3 +388,78 @@ class TestHeterogeneous:
         for n in range(1, 51):
             expected = expected + log_lam - log_s[min(n, 3) - 1]
             assert log_weights[n] == pytest.approx(expected, rel=1e-12)
+
+
+    def test_matches_reference_over_equivalence_grid(self):
+        # the homogeneous oracle grid (λ = 0 and ρ → 1 included), each point
+        # over three deflated fleets; [λ/2, λ/2] puts λ exactly on S_2, so
+        # the chain's two largest weights tie (duplicated maxima)
+        solver = SizingSolver()
+        for lam, mu, budget, percentile in grid():
+            fleets = ([0.7 * mu] * 3, [0.5 * mu, 0.9 * mu, mu])
+            if lam:
+                fleets += ([lam / 2.0, lam / 2.0],)
+            for existing in fleets:
+                reference = required_containers_heterogeneous(
+                    lam, existing, mu, budget, percentile
+                )
+                got = solver.solve_heterogeneous(
+                    lam, existing, mu, budget, percentile, key="fn"
+                )
+                assert got.containers == reference.containers
+                assert got.achieved_probability == reference.achieved_probability
+
+
+def _scipy_log_p0(queue: HeterogeneousMMcQueue) -> float:
+    """``log P_0`` through ``scipy.special.logsumexp`` — the pre-inlining oracle."""
+    log_weights = queue.log_unnormalised(queue.c)
+    ratio = queue.lam / queue.aggregate_rate
+    log_tail = log_weights[queue.c] + math.log(ratio) - math.log(1.0 - ratio)
+    return float(-logsumexp(np.append(log_weights, log_tail)))
+
+
+class TestInlinedLogSumExp:
+    """The hand-inlined reduction in ``log_p0`` is scipy's, bit for bit."""
+
+    @given(
+        mus=st.lists(st.floats(min_value=0.05, max_value=200.0), min_size=1, max_size=40),
+        rho=st.floats(min_value=1e-6, max_value=1.0 - 1e-9),
+        tie_at=st.none() | st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_log_p0_equals_scipy_bitwise(self, mus, rho, tie_at):
+        lam = rho * sum(mus)
+        if tie_at is not None:
+            # λ == S_k makes weights k-1 and k equal: duplicated maxima
+            # when the mode sits there
+            partial = float(np.cumsum(sorted(mus))[min(tie_at, len(mus)) - 1])
+            if partial < sum(mus):
+                lam = partial
+        queue = HeterogeneousMMcQueue(lam, mus)
+        if not queue.is_stable:
+            return
+        assert queue.log_p0() == _scipy_log_p0(queue)
+
+    def test_duplicated_maxima_and_near_instability(self):
+        for lam, mus in (
+            (2.0, [2.0, 3.0]),             # w_0 == w_1: two maxima
+            (5.0, [2.0, 3.0, 4.0]),        # w_1 == w_2
+            (10.0, [10.0, 10.0]),          # maxima at n = 0, 1
+            (29.97, [10.0, 10.0, 10.0]),   # ρ = 0.999
+            (1e-9, [1.0]),                 # tail ≪ head
+        ):
+            queue = HeterogeneousMMcQueue(lam, mus)
+            assert queue.log_p0() == _scipy_log_p0(queue)
+
+    def test_state_probabilities_share_one_weight_pass(self):
+        # the weights computed once to max(L, c) are a prefix-stable
+        # superset of the two passes they replaced
+        queue = HeterogeneousMMcQueue(15.0, [10.0, 7.0, 5.0])
+        for n_max in (0, 1, 3, 4, 40):
+            expected = np.exp(queue.log_unnormalised(n_max) + _scipy_log_p0(queue))
+            assert np.array_equal(queue.state_probabilities(n_max), expected)
+        with pytest.raises(ValueError):
+            HeterogeneousMMcQueue(30.0, [10.0, 7.0, 5.0]).state_probabilities(3)
+        with pytest.raises(ValueError):
+            queue.state_probabilities(-1)
+        assert HeterogeneousMMcQueue(0.0, [1.0]).state_probabilities(2).tolist() == [1.0, 0.0, 0.0]
