@@ -127,24 +127,11 @@ def run_all(quick: bool, repeats: Optional[int] = None) -> dict:
 
     recorded_dispatch = seed_baseline.get("dispatch", {}).get("dispatches_per_sec")
     dispatch = _best_of(
-        repeats, scenarios.bench_dispatch, n_dispatch,
-        incremental=True, key="dispatches_per_sec",
+        repeats, scenarios.bench_dispatch, n_dispatch, key="dispatches_per_sec",
     )
     rows.append(
         _bench_row(
             "dispatch_incremental", "dispatches_per_sec", dispatch["dispatches_per_sec"],
-            None if quick else recorded_dispatch, "recorded seed_baseline.json",
-            {"n_requests": n_dispatch},
-        )
-    )
-    dispatch_legacy = _best_of(
-        repeats, scenarios.bench_dispatch, n_dispatch,
-        incremental=False, key="dispatches_per_sec",
-    )
-    rows.append(
-        _bench_row(
-            "dispatch_explicit_list", "dispatches_per_sec",
-            dispatch_legacy["dispatches_per_sec"],
             None if quick else recorded_dispatch, "recorded seed_baseline.json",
             {"n_requests": n_dispatch},
         )

@@ -106,19 +106,12 @@ def bench_schedule_many(
     return {"events": float(n_events), "seconds": elapsed, "events_per_sec": n_events / elapsed}
 
 
-def bench_dispatch(
-    n_requests: int = 100_000, n_containers: int = 16, incremental: bool = True
-) -> Dict[str, float]:
+def bench_dispatch(n_requests: int = 100_000, n_containers: int = 16) -> Dict[str, float]:
     """Dispatcher throughput: submit/complete cycles over warm containers.
 
     Requests are injected faster than the containers can serve them, so
     the shared queue is continuously exercised (submit, queue, drain on
     completion) — the controller data path minus rate estimation.
-
-    ``incremental=True`` uses the cluster-attached idle index (the PR-1
-    fast path) when the dispatcher supports it; ``incremental=False``
-    forces the seed calling convention of passing the container list on
-    every submit.  On the seed dispatcher the flag is ignored.
     """
     engine = SimulationEngine()
     dispatcher = SharedQueueDispatcher(engine)
@@ -126,24 +119,14 @@ def bench_dispatch(
     for _ in range(n_containers):
         c = Container("fn", "node-0", standard_cpu=1.0, memory_mb=128.0)
         c.mark_warm(0.0)
+        dispatcher.watch_container(c)
         containers.append(c)
-
-    use_index = incremental and hasattr(dispatcher, "watch_container")
-    if use_index:
-        for c in containers:
-            dispatcher.watch_container(c)
 
     service = 1e-4
     gap = service / (n_containers * 2)  # 2x overload: the queue stays busy
 
-    if use_index:
-        def inject(i: int) -> None:
-            dispatcher.submit(Request(function_name="fn", arrival_time=engine.now, work=service))
-    else:
-        def inject(i: int) -> None:
-            dispatcher.submit(
-                Request(function_name="fn", arrival_time=engine.now, work=service), containers
-            )
+    def inject(i: int) -> None:
+        dispatcher.submit(Request(function_name="fn", arrival_time=engine.now, work=service))
 
     start = time.perf_counter()
     for i in range(n_requests):

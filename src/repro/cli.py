@@ -219,7 +219,8 @@ def _emit_json(payload, output: Optional[str], pretty: bool) -> None:
 def _cmd_scenario(args: argparse.Namespace) -> int:
     """Run one scenario (or a registered sweep, serially) and emit results JSON."""
     from repro.scenarios import describe, run_scenario
-    from repro.scenarios.sweep import SweepRunner, SweepSpec
+    from repro.scenarios.executor import ResilientSweepRunner, ShardError
+    from repro.scenarios.sweep import SweepSpec
 
     if args.list:
         for name, tags, summary in describe():
@@ -228,12 +229,10 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     if args.spec is None:
         print("a scenario name or spec.json path is required (see --list)", file=sys.stderr)
         return 2
-    from repro.scenarios.executor import ShardError
-
     try:
         spec = _load_spec_argument(args.spec, expect="scenario")
         if isinstance(spec, SweepSpec):
-            payload = SweepRunner(spec, workers=1).run()
+            payload = ResilientSweepRunner(spec, on_failure="raise").run()
         else:
             payload = run_scenario(spec).data
     except (KeyError, ValueError, OSError, ShardError) as error:

@@ -29,10 +29,10 @@ request.  Entries are validated lazily at pick time, so code that
 bypasses the dispatcher (tests submitting to containers directly) can
 never corrupt a dispatch, only leave a stale entry to be discarded.
 
-The explicit ``containers=[...]`` calling convention of the seed API is
-still supported for callers that manage their own container lists
-(unit tests and ad-hoc harnesses; every built-in control-plane policy
-now attaches to the cluster and uses the incremental index).
+The index is the only source of candidates: a dispatcher that was never
+attached (nor given a container through
+:meth:`SharedQueueDispatcher.watch_container`) sees no containers and
+queues everything.
 """
 
 from __future__ import annotations
@@ -82,10 +82,9 @@ class SharedQueueDispatcher:
         self.interceptor: Optional[Callable[[Request, Container], bool]] = None
         # function name -> container id -> container (insertion-ordered)
         self._idle: Dict[str, Dict[str, Container]] = {}
-        #: True once container state notifications are wired up; without
-        #: them the idle index must stay empty — an unattached dispatcher
-        #: would insert containers on completion but never learn about
-        #: their termination, pinning dead containers forever
+        #: True once container state notifications are wired up; until
+        #: then the idle index is empty and every request queues (the
+        #: columnar kernel refuses such a dispatcher)
         self._attached = False
 
     # ------------------------------------------------------------------
@@ -94,9 +93,7 @@ class SharedQueueDispatcher:
     def attach_cluster(self, cluster) -> None:
         """Maintain idle sets from the cluster's container state changes.
 
-        After attaching, ``submit``/``drain`` may be called without an
-        explicit container list.  Containers that already exist are
-        indexed immediately.
+        Containers that already exist are indexed immediately.
         """
         self._attached = True
         cluster.on_container_state(self._on_container_state)
@@ -123,7 +120,7 @@ class SharedQueueDispatcher:
         self._on_container_state(container)
 
     def _on_container_state(self, container: Container) -> None:
-        """Observer hook: keep the per-function idle set in sync."""
+        """Observer hook, also run after each completion: keep the idle set in sync."""
         if container.is_dispatchable:
             self._idle.setdefault(container.function_name, {})[container.container_id] = container
         else:
@@ -136,15 +133,6 @@ class SharedQueueDispatcher:
         index = self._idle.get(container.function_name)
         if index is not None:
             index.pop(container.container_id, None)
-
-    def _mark_idle_if_free(self, container: Container) -> None:
-        """Re-add a container to the idle set if it can take more work."""
-        if not self._attached:
-            return
-        if container.is_dispatchable:
-            self._idle.setdefault(container.function_name, {})[container.container_id] = container
-        else:
-            self._mark_busy(container)
 
     def _idle_candidates(self, function_name: str) -> List[Container]:
         """Validated idle containers of a function, in the seed's sort order."""
@@ -201,22 +189,15 @@ class SharedQueueDispatcher:
         container.submit(request, self.engine, self._completion_hook)
         return True
 
-    def submit(self, request: Request, containers: Optional[Sequence[Container]] = None) -> bool:
-        """Dispatch a new request.
-
-        With ``containers=None`` the incremental idle index is used
-        (requires :meth:`attach_cluster`); passing an explicit container
-        list preserves the seed behaviour of filtering it on the spot.
+    def submit(self, request: Request) -> bool:
+        """Dispatch a new request onto an idle container of its function.
 
         Returns ``True`` if the request started on an idle container
         immediately, ``False`` if it was queued — or if the chosen
         container crashed on dispatch (fault injection), in which case
         the request was failed, not queued.
         """
-        if containers is None:
-            idle = self._idle_candidates(request.function_name)
-        else:
-            idle = [c for c in containers if c.is_dispatchable]
+        idle = self._idle_candidates(request.function_name)
         chosen = self.balancer.pick(request.function_name, idle) if idle else None
         if chosen is None:
             queue = self._queues.get(request.function_name)
@@ -227,7 +208,7 @@ class SharedQueueDispatcher:
             return False
         return self._dispatch_to(chosen, request)
 
-    def drain(self, function_name: str, containers: Optional[Sequence[Container]] = None) -> int:
+    def drain(self, function_name: str) -> int:
         """Move as many queued requests as possible onto idle containers.
 
         Returns the number of requests that started executing.
@@ -235,10 +216,7 @@ class SharedQueueDispatcher:
         queue = self._queues.get(function_name)
         if not queue:
             return 0
-        if containers is None:
-            idle = self._idle_candidates(function_name)
-        else:
-            idle = [c for c in containers if c.is_dispatchable]
+        idle = self._idle_candidates(function_name)
         started = 0
         while queue and idle:
             request = queue.popleft()
@@ -278,7 +256,7 @@ class SharedQueueDispatcher:
             if next_request.status is not RequestStatus.QUEUED:
                 continue
             self._dispatch_to(container, next_request)
-        self._mark_idle_if_free(container)
+        self._on_container_state(container)
 
 
 __all__ = ["SharedQueueDispatcher"]

@@ -223,8 +223,8 @@ class PolicyDescriptor:
         When true, the :class:`~repro.simulation.SimulationRunner` wires
         the workload generators without a dedicated ``work:`` RNG stream
         (work draws interleave with arrival draws) — the wiring the
-        historical ``kind="openwhisk"`` harness used, kept so the alias
-        stays byte-identical to its pre-policy output.
+        OpenWhisk baseline was first measured with, kept because a
+        dedicated stream would change every number its arms report.
     """
 
     name: str

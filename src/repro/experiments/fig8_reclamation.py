@@ -175,7 +175,7 @@ def run_fig8(
     openwhisk: Optional[Fig8BaselineOutcome] = None
     for spec in sweep.expand():
         outcome = run_scenario(spec)
-        if spec.kind == "openwhisk":
+        if spec.controller.policy == "openwhisk":
             ow = outcome.data["openwhisk"]
             openwhisk = Fig8BaselineOutcome(
                 failed_invokers=ow["failed_invokers"],

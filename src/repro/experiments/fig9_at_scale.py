@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Dict
 
 from repro.scenarios import build
-from repro.scenarios.sweep import SweepRunner
+from repro.scenarios.executor import ResilientSweepRunner
 from repro.scenarios.trace_shard import merge_trace_shards
 
 
@@ -63,7 +63,7 @@ def run_fig9_at_scale(
                   duration_minutes=duration_minutes, shards=shards,
                   chunk_minutes=chunk_minutes, sketch_size=sketch_size,
                   seed=seed)
-    envelope = SweepRunner(sweep, workers=workers).run()
+    envelope = ResilientSweepRunner(sweep, workers=workers, on_failure="raise").run()
     merged = merge_trace_shards(envelope)
     totals = merged["totals"]
     return Fig9AtScaleResult(

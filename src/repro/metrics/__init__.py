@@ -15,21 +15,14 @@ from repro.metrics.availability import AvailabilityTracker, RecoveryRecord
 from repro.metrics.collector import MetricsCollector, EpochSnapshot, FunctionEpochStats
 from repro.metrics.percentiles import percentile, summarize_waiting_times, WaitingTimeSummary
 from repro.metrics.slo import SloReport, slo_report
-from repro.metrics.streaming import (
-    P2Quantile,
-    ReservoirQuantiles,
-    StreamingSummary,
-    UnsafeSketchError,
-)
+from repro.metrics.streaming import ReservoirQuantiles, StreamingSummary
 from repro.metrics.utilization import UtilizationTracker, time_weighted_mean
 from repro.metrics.timeline import AllocationTimeline, TimelinePoint
 
 __all__ = [
     "AvailabilityTracker",
     "RecoveryRecord",
-    "UnsafeSketchError",
     "MetricsCollector",
-    "P2Quantile",
     "ReservoirQuantiles",
     "StreamingSummary",
     "EpochSnapshot",

@@ -69,33 +69,18 @@ class MetricsCollector:
         :meth:`completed_requests` / :meth:`dropped_requests` /
         :meth:`slo` then see only the requests recorded while storage
         was on (i.e. none).
-    percentile_sketch:
-        Which quantile sketch the streaming summaries use:
-        ``"reservoir"`` (the default — safe for waiting times, which
-        carry a heavy zero atom) or ``"p2"`` (five-marker P², for
-        continuous-valued streams only).  Selecting ``"p2"`` for a
-        zero-atom stream does not silently return stranded estimates:
-        percentile queries raise
-        :class:`~repro.metrics.streaming.UnsafeSketchError` once the
-        zero fraction crosses the documented threshold.
     """
 
     def __init__(
         self,
         streaming_percentiles: bool = False,
         store_requests: bool = True,
-        percentile_sketch: str = "reservoir",
     ) -> None:
-        """Choose the storage mode: full request objects, constant-memory streaming summaries (see :mod:`repro.metrics.streaming` for the P² zero-wait caveat), or both."""
+        """Choose the storage mode: full request objects, constant-memory streaming summaries (see :mod:`repro.metrics.streaming`), or both."""
         if not store_requests and not streaming_percentiles:
             raise ValueError(
                 "store_requests=False requires streaming_percentiles=True, "
                 "otherwise no waiting-time statistics would survive"
-            )
-        if percentile_sketch not in ("reservoir", "p2"):
-            raise ValueError(
-                f"unknown percentile_sketch {percentile_sketch!r}; "
-                "valid: 'reservoir', 'p2'"
             )
         self._requests: List[Request] = []
         self._deferred_fill: Optional[Callable[[], List[Request]]] = None
@@ -105,10 +90,8 @@ class MetricsCollector:
         self.counters: Counter = Counter()
         self.streaming_percentiles = bool(streaming_percentiles)
         self.store_requests = bool(store_requests)
-        self.percentile_sketch = percentile_sketch
         self._streaming_all: Optional[StreamingSummary] = (
-            StreamingSummary(sketch=percentile_sketch)
-            if streaming_percentiles else None
+            StreamingSummary() if streaming_percentiles else None
         )
         self._streaming_by_function: Dict[str, StreamingSummary] = {}
 
@@ -165,7 +148,7 @@ class MetricsCollector:
                 per_function = self._streaming_by_function.get(request.function_name)
                 if per_function is None:
                     per_function = self._streaming_by_function[request.function_name] = (
-                        StreamingSummary(sketch=self.percentile_sketch)
+                        StreamingSummary()
                     )
                 per_function.add(wait)
 
@@ -190,7 +173,7 @@ class MetricsCollector:
             per_function = self._streaming_by_function.get(function_name)
             if per_function is None:
                 per_function = self._streaming_by_function[function_name] = (
-                    StreamingSummary(sketch=self.percentile_sketch)
+                    StreamingSummary()
                 )
             per_function.add(waiting_time)
 

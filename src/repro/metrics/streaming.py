@@ -8,152 +8,26 @@ instead feeds each completed request's waiting time into a
 :class:`StreamingSummary` — running moments plus a bounded quantile
 sketch — and drops the request.
 
-Two sketches are provided:
-
-* :class:`P2Quantile` — the P² algorithm (Jain & Chlamtac, CACM 1985):
-  five markers per quantile, O(1) memory, piecewise-parabolic marker
-  updates.  Excellent for *continuous* distributions, but its local
-  updates cannot cross a heavy atom: simulated waiting times are
-  typically >50 % exact zeros (requests that started on an idle
-  container), and with that much point mass below the tracked quantile
-  the marker gets stranded orders of magnitude below the true p95
-  (observed on real runs).  Exported for continuous-valued streams.
-* :class:`ReservoirQuantiles` — a deterministic fixed-size reservoir
-  (Vitter's algorithm R with a seeded stdlib RNG): constant memory,
-  exact handling of atoms and arbitrary query quantiles, accuracy
-  limited only by sampling error (±~0.3 % of rank at the default 4096
-  samples).  This is what :class:`StreamingSummary` uses by default.
-
-:class:`StreamingSummary` can be constructed with ``sketch="p2"`` for
-continuous-valued streams where the five-marker footprint matters.  The
-zero-wait caveat is then enforced, not just documented: once the
-fraction of exact-zero observations reaches
-:data:`ZERO_ATOM_UNSAFE_FRACTION`, quantile queries raise
-:class:`UnsafeSketchError` instead of silently returning a stranded
-marker value.
+The sketch is :class:`ReservoirQuantiles` — a deterministic fixed-size
+reservoir (Vitter's algorithm R with a seeded stdlib RNG): constant
+memory, arbitrary query quantiles, accuracy limited only by sampling
+error (±~0.3 % of rank at 4096 samples), and — what decides the choice
+— exact handling of atoms.  Simulated waiting times are typically
+>50 % exact zeros (requests that started on an idle container);
+marker-based estimators such as P² cannot cross that much point mass
+and strand orders of magnitude below the true p95 (observed on real
+runs), while a reservoir represents the atom with its true mass.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping
 
 import numpy as np
 
 from repro.metrics.percentiles import WaitingTimeSummary
-
-#: Zero-observation fraction at which the P² markers are considered
-#: stranded for waiting-time-like streams.  The documented failure mode
-#: needs a *heavy* atom (>50 % zeros in real runs); 25 % is a
-#: conservative trip point well below where the estimate degrades.
-ZERO_ATOM_UNSAFE_FRACTION = 0.25
-
-
-class UnsafeSketchError(RuntimeError):
-    """The selected streaming sketch cannot answer safely for this stream.
-
-    Raised (loudly, at query time) when the P² sketch was selected for a
-    stream carrying a heavy zero atom — the exact situation the module
-    docstring documents as producing silently wrong percentiles.  Switch
-    to the default reservoir sketch, which represents atoms with their
-    true mass.
-    """
-
-
-class P2Quantile:
-    """P² streaming estimator of a single quantile.
-
-    Parameters
-    ----------
-    p:
-        The tracked quantile, in (0, 1) — e.g. 0.95.
-    """
-
-    __slots__ = ("p", "_heights", "_positions", "_desired", "_increments", "_count")
-
-    def __init__(self, p: float) -> None:
-        """Initialise the five P² markers for quantile ``p``."""
-        if not 0.0 < p < 1.0:
-            raise ValueError("p must be in (0, 1)")
-        self.p = float(p)
-        self._heights: List[float] = []   # marker heights (the first 5 observations, then q_i)
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-        self._increments = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        """Number of observations seen."""
-        return self._count
-
-    def add(self, value: float) -> None:
-        """Feed one observation."""
-        value = float(value)
-        self._count += 1
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(value)
-            if len(heights) == 5:
-                heights.sort()
-            return
-
-        # locate the cell k such that q[k] <= value < q[k+1]
-        if value < heights[0]:
-            heights[0] = value
-            k = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            k = 3
-        else:
-            k = 0
-            while k < 3 and value >= heights[k + 1]:
-                k += 1
-
-        positions = self._positions
-        for i in range(k + 1, 5):
-            positions[i] += 1.0
-        desired = self._desired
-        for i in range(5):
-            desired[i] += self._increments[i]
-
-        # adjust the three middle markers with the P2 parabolic formula
-        for i in (1, 2, 3):
-            n_i = positions[i]
-            delta = desired[i] - n_i
-            n_prev = positions[i - 1]
-            n_next = positions[i + 1]
-            if (delta >= 1.0 and n_next - n_i > 1.0) or (delta <= -1.0 and n_prev - n_i < -1.0):
-                step = 1.0 if delta >= 1.0 else -1.0
-                q_i = heights[i]
-                q_prev = heights[i - 1]
-                q_next = heights[i + 1]
-                # piecewise-parabolic prediction
-                candidate = q_i + step / (n_next - n_prev) * (
-                    (n_i - n_prev + step) * (q_next - q_i) / (n_next - n_i)
-                    + (n_next - n_i - step) * (q_i - q_prev) / (n_i - n_prev)
-                )
-                if q_prev < candidate < q_next:
-                    heights[i] = candidate
-                else:  # parabolic prediction left the cell: fall back to linear
-                    if step > 0:
-                        heights[i] = q_i + step * (q_next - q_i) / (n_next - n_i)
-                    else:
-                        heights[i] = q_i + step * (q_prev - q_i) / (n_prev - n_i)
-                positions[i] = n_i + step
-
-    def value(self) -> float:
-        """The current quantile estimate (exact while fewer than 5 samples)."""
-        if self._count == 0:
-            return 0.0
-        heights = self._heights
-        if len(heights) < 5:
-            ordered = sorted(heights)
-            # nearest-rank on the tiny prefix
-            rank = min(len(ordered) - 1, max(0, round(self.p * (len(ordered) - 1))))
-            return ordered[int(rank)]
-        return heights[2]
 
 
 class ReservoirQuantiles:
@@ -277,52 +151,29 @@ class StreamingSummary:
     """Constant-memory replacement for a stored-sample waiting-time summary.
 
     Tracks count / mean / min / max exactly and answers quantile queries
-    from a bounded sketch.  The default (``sketch="reservoir"``) is one
-    shared :class:`ReservoirQuantiles` — robust to the zero-wait atom
-    that breaks P² (see the module docstring).  ``sketch="p2"`` keeps
-    one :class:`P2Quantile` per tracked quantile instead; it is only
-    safe for continuous streams, and quantile queries **fail loudly**
-    with :class:`UnsafeSketchError` once the stream's exact-zero
-    fraction reaches :data:`ZERO_ATOM_UNSAFE_FRACTION`.
+    from one shared :class:`ReservoirQuantiles` — robust to the
+    zero-wait atom (see the module docstring).
     """
 
-    QUANTILES = (0.5, 0.90, 0.95, 0.99)
-
-    __slots__ = ("_count", "_mean", "_min", "_max", "_reservoir", "_p2",
-                 "_zero_count", "sketch")
+    __slots__ = ("_count", "_mean", "_min", "_max", "_reservoir")
 
     #: 16 k samples ≈ 128 KB: rank error ±0.17 % at p95, which matters when
     #: the wait CDF is nearly flat around the tracked percentile (large
     #: value jumps for small rank errors, as in overloaded scenarios)
     DEFAULT_MAX_SAMPLES = 16384
 
-    def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES,
-                 sketch: str = "reservoir") -> None:
-        """Start an empty summary using the chosen quantile sketch."""
-        if sketch not in ("reservoir", "p2"):
-            raise ValueError(f"unknown sketch {sketch!r}; valid: 'reservoir', 'p2'")
-        self.sketch = sketch
+    def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES) -> None:
+        """Start an empty summary over a ``max_samples`` reservoir."""
         self._count = 0
         self._mean = 0.0
         self._min = 0.0
         self._max = 0.0
-        self._zero_count = 0
-        self._reservoir: Optional[ReservoirQuantiles] = None
-        self._p2: Optional[Dict[float, P2Quantile]] = None
-        if sketch == "reservoir":
-            self._reservoir = ReservoirQuantiles(max_samples)
-        else:
-            self._p2 = {q: P2Quantile(q) for q in self.QUANTILES}
+        self._reservoir = ReservoirQuantiles(max_samples)
 
     @property
     def count(self) -> int:
         """Number of observations."""
         return self._count
-
-    @property
-    def zero_fraction(self) -> float:
-        """Fraction of observations that were exactly zero (the wait atom)."""
-        return self._zero_count / self._count if self._count else 0.0
 
     def add(self, value: float) -> None:
         """Feed one observation (running moments + the quantile sketch)."""
@@ -336,13 +187,7 @@ class StreamingSummary:
             if value > self._max:
                 self._max = value
         self._mean += (value - self._mean) / self._count
-        if value == 0.0:
-            self._zero_count += 1
-        if self._reservoir is not None:
-            self._reservoir.add(value)
-        else:
-            for estimator in self._p2.values():
-                estimator.add(value)
+        self._reservoir.add(value)
 
     def extend(self, values: Iterable[float]) -> None:
         """Feed many observations."""
@@ -350,31 +195,8 @@ class StreamingSummary:
             self.add(value)
 
     def quantile(self, p: float) -> float:
-        """Current estimate of a quantile in (0, 1).
-
-        The reservoir sketch answers any quantile; the P² sketch only
-        the tracked :data:`QUANTILES`, and raises
-        :class:`UnsafeSketchError` once the stream's zero atom makes its
-        markers untrustworthy — silently returning a stranded estimate
-        is exactly the failure mode this guard exists to prevent.
-        """
-        if self._reservoir is not None:
-            return self._reservoir.quantile(p)
-        if self._count and self.zero_fraction >= ZERO_ATOM_UNSAFE_FRACTION:
-            raise UnsafeSketchError(
-                f"P² sketch selected but {self.zero_fraction:.0%} of the "
-                f"{self._count} observations are exact zeros (>= "
-                f"{ZERO_ATOM_UNSAFE_FRACTION:.0%}): the P² markers cannot "
-                "cross a heavy atom and the estimate would be silently "
-                "wrong. Use the default sketch='reservoir' for "
-                "waiting-time streams."
-            )
-        estimator = self._p2.get(p)
-        if estimator is None:
-            raise ValueError(
-                f"sketch='p2' only tracks quantiles {self.QUANTILES}, not {p}"
-            )
-        return estimator.value()
+        """Current estimate of a quantile in (0, 1)."""
+        return self._reservoir.quantile(p)
 
     def summary(self) -> WaitingTimeSummary:
         """Render as the same record the stored-sample path produces."""
@@ -393,10 +215,7 @@ class StreamingSummary:
 
 
 __all__ = [
-    "P2Quantile",
     "ReservoirQuantiles",
     "StreamingSummary",
-    "UnsafeSketchError",
-    "ZERO_ATOM_UNSAFE_FRACTION",
     "merge_reservoir_states",
 ]

@@ -13,9 +13,6 @@ policy     behaviour                                              paper role
 ``hybrid`` reactive scale-up with an M/M/c floor on scale-down    extension
 ``noop``   no control loop at all (Figures 3/4 fixed-allocation)  measurement atom
 ========== ====================================================== ==============
-
-The historical import path :mod:`repro.baselines` still works as a thin
-re-export shim over this package.
 """
 
 from repro.core.controller import LassController

@@ -1,27 +1,28 @@
-"""Declarative scenarios: specs, a registry, an executor, and a sweep runner.
+"""Declarative scenarios: specs, a registry, a scenario runner, and a sweep executor.
 
 This package turns experiment scripts into data.  A
 :class:`~repro.scenarios.spec.ScenarioSpec` describes one run (workloads,
 cluster, controller, metrics, seed) and round-trips through JSON; the
 :mod:`~repro.scenarios.registry` re-expresses every paper experiment and
 example workload as such specs; :func:`~repro.scenarios.runner.run_scenario`
-executes any spec into a unified results schema; and
-:class:`~repro.scenarios.sweep.SweepRunner` expands parameter grids and
-runs the shards across worker processes with results byte-identical to
-a serial run.  The crash-safe execution layer underneath —
-:class:`~repro.scenarios.executor.ResilientSweepRunner` plus
-:class:`~repro.scenarios.journal.RunJournal` — adds per-shard retries,
-timeouts, dead-worker respawn, fsync'd lifecycle journaling, and
-resume-from-journal with the same byte-identity guarantee.
+executes any spec into a unified results schema; a
+:class:`~repro.scenarios.sweep.SweepSpec` expands a parameter grid into
+shards; and :class:`~repro.scenarios.executor.ResilientSweepRunner` — the
+one sweep executor — runs them serially or across supervised worker
+processes with results byte-identical either way, plus per-shard
+retries, timeouts, dead-worker respawn, fsync'd lifecycle journaling
+(:class:`~repro.scenarios.journal.RunJournal`), and resume-from-journal
+under the same byte-identity guarantee.
 
 Typical use::
 
-    from repro.scenarios import build, run_scenario, SweepRunner, SweepSpec
+    from repro.scenarios import ResilientSweepRunner, build, run_scenario
 
     outcome = run_scenario(build("quickstart"))     # a registered scenario
     print(outcome.data["metrics"]["functions"]["squeezenet"]["waiting"]["p95"])
 
-    results = SweepRunner(build("fig3"), workers=4).run()   # a registered sweep
+    # a registered sweep; on_failure="raise" = first failed shard raises ShardError
+    results = ResilientSweepRunner(build("fig3"), workers=4, on_failure="raise").run()
 """
 
 from repro.scenarios.executor import (
@@ -60,11 +61,9 @@ from repro.scenarios.sweep import (
     SWEEP_RESULT_SCHEMA,
     SWEEP_SCHEMA,
     SweepAxis,
-    SweepRunner,
     SweepSpec,
     apply_overrides,
     derive_shard_seed,
-    run_sweep,
 )
 
 __all__ = [
@@ -87,7 +86,6 @@ __all__ = [
     "ScenarioSpec",
     "ScheduleSpec",
     "SweepAxis",
-    "SweepRunner",
     "SweepSpec",
     "WorkloadSpec",
     "apply_overrides",
@@ -102,6 +100,5 @@ __all__ = [
     "names",
     "register",
     "run_scenario",
-    "run_sweep",
     "shard_ranges",
 ]

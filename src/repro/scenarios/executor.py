@@ -1,9 +1,9 @@
 """Fault-tolerant sweep execution: retries, timeouts, journaling, resume.
 
-:class:`ResilientSweepRunner` is the crash-safe replacement for the old
-``Pool.map`` execution path.  Each shard is submitted to its own worker
-process (fork where available, spawn otherwise) and supervised
-individually:
+:class:`ResilientSweepRunner` is the one sweep executor.  ``workers=1``
+with no timeout runs the shards in this process; otherwise each shard
+is submitted to its own worker process (fork where available, spawn
+otherwise) and supervised individually:
 
 * **timeouts** — a per-shard wall-clock budget; an overrunning worker is
   SIGKILLed and the attempt recorded as ``timeout``;
@@ -50,7 +50,9 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.scenarios.chaos import maybe_inject
 from repro.scenarios.journal import RunJournal, shard_spec_hash
+from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec, canonical_json
+from repro.scenarios.sweep import SWEEP_RESULT_SCHEMA
 from repro.sim.rng import _stable_hash
 
 
@@ -155,6 +157,15 @@ class _ShardState:
         }
 
 
+def _run_shard(spec_dict: Mapping[str, Any]) -> Dict[str, Any]:
+    """Run one shard from its serialised spec.
+
+    Takes and returns plain dicts so a worker process only ever pickles
+    JSON-safe data, never live simulator objects.
+    """
+    return run_scenario(ScenarioSpec.from_dict(spec_dict)).data
+
+
 def _attempt_shard(conn: Any, spec_dict: Dict[str, Any], attempt: int) -> None:
     """Worker-process entry point: run one shard attempt, report via pipe.
 
@@ -167,8 +178,6 @@ def _attempt_shard(conn: Any, spec_dict: Dict[str, Any], attempt: int) -> None:
     """
     try:
         maybe_inject(shard_spec_hash(spec_dict), attempt)
-        from repro.scenarios.sweep import _run_shard
-
         conn.send(("ok", _run_shard(spec_dict)))
     except BaseException as error:  # noqa: BLE001 - structured worker report
         import traceback
@@ -206,7 +215,7 @@ class ResilientSweepRunner:
         ``"continue"`` (default) degrades gracefully — exhausted shards
         become placeholder entries and the envelope gains ``incomplete``;
         ``"raise"`` raises :class:`ShardError` at the first exhausted
-        shard (the legacy contract, now with shard identity attached).
+        shard — what a library caller that wants all-or-nothing passes.
     """
 
     def __init__(self, sweep: Any, workers: int = 1,
@@ -305,8 +314,6 @@ class ResilientSweepRunner:
         would take down the coordinator, so only worker processes honour
         kill faults).
         """
-        from repro.scenarios.sweep import _run_shard
-
         for state in to_run:
             while state.status == "pending":
                 state.attempts += 1
@@ -537,7 +544,7 @@ class ResilientSweepRunner:
                                   overrides=state.overrides),
                 })
         envelope: Dict[str, Any] = {
-            "schema": "repro/sweep-result@1",
+            "schema": SWEEP_RESULT_SCHEMA,
             "sweep": {
                 "name": self.sweep.name,
                 "description": self.sweep.description,

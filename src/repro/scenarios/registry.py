@@ -443,7 +443,8 @@ def _fig8(phase_duration: float = 180.0, seed: int = 8,
         {"controller.reclamation": "deflation", "name": "fig8-deflation"},
     ]
     if include_openwhisk:
-        points.append({"kind": "openwhisk", "name": "fig8-openwhisk",
+        # vanilla OpenWhisk has no prewarming and reports counters only
+        points.append({"controller.policy": "openwhisk", "name": "fig8-openwhisk",
                        "warm_start": {}, "metrics": ["counters"]})
     return SweepSpec(
         name="fig8",

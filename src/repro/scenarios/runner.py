@@ -2,10 +2,11 @@
 
 :func:`run_scenario` is the single entry point every scenario kind goes
 through — the experiment renderers, the ``python -m repro scenario`` CLI
-verb, and the parallel :class:`~repro.scenarios.sweep.SweepRunner` all
-call it.  It returns a :class:`ScenarioOutcome` holding both the
-JSON-safe results dict (``data``, the unified results schema) and, for
-in-process simulation runs, the rich :class:`~repro.simulation.SimulationResult`
+verb, and every shard of a
+:class:`~repro.scenarios.executor.ResilientSweepRunner` sweep all call
+it.  It returns a :class:`ScenarioOutcome` holding both the JSON-safe
+results dict (``data``, the unified results schema) and, for in-process
+simulation runs, the rich :class:`~repro.simulation.SimulationResult`
 (``sim``) for analyses that want the live objects.
 
 Results schema (``repro/scenario-result@1``)
@@ -25,8 +26,8 @@ Results schema (``repro/scenario-result@1``)
       },
       "allocation": {...}      # kind="fixed" only: resolved container plan
       "rows": [...]            # table-like kinds (sizing/deflation/catalogue)
-      "openwhisk": {...}       # openwhisk policy (or the kind alias) only:
-                               # invoker failures (ControlPolicy.results_extra)
+      "openwhisk": {...}       # openwhisk policy only: invoker failures
+                               # (ControlPolicy.results_extra)
       "faults": {...}          # only when the spec carries a FaultSpec:
                                # availability, failed/requeued requests,
                                # per-failure recovery times
@@ -316,35 +317,6 @@ def _run_fixed(spec: ScenarioSpec) -> ScenarioOutcome:
 
 
 # ----------------------------------------------------------------------
-# kind = "openwhisk"
-# ----------------------------------------------------------------------
-def _run_openwhisk(spec: ScenarioSpec) -> ScenarioOutcome:
-    """Alias executor: fold ``kind="openwhisk"`` into simulate + policy.
-
-    The alias is kept for backwards compatibility; it rewrites the spec
-    to ``kind="simulate"`` with ``controller.policy="openwhisk"`` and
-    runs the unified executor.  Two normalisations keep the output
-    byte-identical to the historical bespoke harness: metrics are
-    reduced to the counters group (all the old harness ever reported)
-    and ``warm_start`` is cleared (the old harness ignored it).  The
-    results envelope echoes the *original* alias spec.
-    """
-    import dataclasses
-
-    folded = dataclasses.replace(
-        spec,
-        kind="simulate",
-        controller=dataclasses.replace(spec.controller, policy="openwhisk"),
-        metrics=("counters",),
-        warm_start={},
-    )
-    outcome = _run_simulate(folded)
-    data = dict(outcome.data)
-    data["scenario"] = spec.to_dict()
-    return ScenarioOutcome(spec=spec, data=data, sim=outcome.sim)
-
-
-# ----------------------------------------------------------------------
 # kind = "sizing_benchmark"
 # ----------------------------------------------------------------------
 def _workload_for_containers(containers: int, mu: float, wait_budget: float,
@@ -512,7 +484,6 @@ def _run_catalogue(spec: ScenarioSpec) -> ScenarioOutcome:
 _EXECUTORS: Dict[str, Callable[[ScenarioSpec], ScenarioOutcome]] = {
     "simulate": _run_simulate,
     "fixed": _run_fixed,
-    "openwhisk": _run_openwhisk,
     "sizing_benchmark": _run_sizing_benchmark,
     "deflation_curve": _run_deflation_curve,
     "catalogue": _run_catalogue,

@@ -24,12 +24,6 @@ Scenario kinds
     count either given explicitly or derived from a queueing model at
     run time.  The model-validation experiments (Figures 3 and 4) are
     sweeps of this kind.
-``openwhisk``
-    Backwards-compatible alias for ``simulate`` with
-    ``controller.policy="openwhisk"`` (the third arm of Figure 8).  The
-    runner folds it into the simulate executor; its results envelope —
-    counters plus the ``openwhisk`` invoker-failure group — is
-    byte-identical to the historical bespoke harness.
 ``sizing_benchmark``
     No simulation: time the container-sizing implementations against
     each other (Figure 5).
@@ -74,7 +68,6 @@ SCENARIO_SCHEMA = "repro/scenario@1"
 SCENARIO_KINDS = (
     "simulate",
     "fixed",
-    "openwhisk",
     "sizing_benchmark",
     "deflation_curve",
     "catalogue",
@@ -82,7 +75,7 @@ SCENARIO_KINDS = (
 )
 
 #: Kinds that drive the discrete-event simulator (and therefore need workloads).
-SIMULATION_KINDS = ("simulate", "fixed", "openwhisk")
+SIMULATION_KINDS = ("simulate", "fixed")
 
 #: Metric groups a scenario may request in its results.
 KNOWN_METRICS = (
@@ -532,7 +525,7 @@ class ScenarioSpec:
     cluster / controller:
         Cluster sizing and controller parameters.  ``cluster=None`` means
         the kind's default: the paper's 3-node testbed for
-        ``simulate``/``openwhisk``, and an auto-sized isolation cluster
+        ``simulate``, and an auto-sized isolation cluster
         (big enough that placement never constrains the queueing
         behaviour) for ``fixed``.
     allocation:
@@ -603,7 +596,16 @@ class ScenarioSpec:
         if not self.name:
             raise ValueError("scenario name must be non-empty")
         if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}; valid: {SCENARIO_KINDS}")
+            from repro.core.policy import policy_names
+
+            hint = ""
+            if self.kind in policy_names():
+                # a control plane is a policy of the simulate kind, not a kind
+                hint = (f'; {self.kind!r} is a control-plane policy: use '
+                        f'kind="simulate" with controller.policy="{self.kind}"')
+            raise ValueError(
+                f"unknown scenario kind {self.kind!r}; valid: {SCENARIO_KINDS}{hint}"
+            )
         if self.data_plane not in ("event", "columnar"):
             raise ValueError(
                 f"unknown data_plane {self.data_plane!r}; valid: 'event', 'columnar'"
@@ -631,13 +633,6 @@ class ScenarioSpec:
             if self.workloads:
                 raise ValueError("kind 'trace_replay' synthesises its own workloads")
             _validate_trace_replay_params(self.params)
-        if self.kind == "openwhisk" and self.controller.policy not in ("lass", "openwhisk"):
-            # the alias always runs the openwhisk policy; naming another
-            # one is a contradiction ("lass" — the default — means unset)
-            raise ValueError(
-                f"kind 'openwhisk' cannot run policy {self.controller.policy!r}; "
-                "use kind 'simulate' with controller.policy instead"
-            )
         if self.faults is not None:
             if self.faults.is_empty():
                 # normalise: an empty schedule IS the healthy scenario, and

@@ -1,4 +1,4 @@
-"""Parameter sweeps: expand a grid over a base scenario and run the shards.
+"""Parameter sweeps: a base scenario plus the grid that expands it into shards.
 
 A :class:`SweepSpec` is a base :class:`~repro.scenarios.spec.ScenarioSpec`
 plus either a declarative grid (``axes``, expanded as a cartesian
@@ -8,12 +8,12 @@ mapping from a dotted path into the spec's dict form (e.g.
 to the value that shard should use — so a sweep is itself plain data
 and round-trips through JSON like a scenario does.
 
-:class:`SweepRunner` executes the expanded shards either serially or
-across supervised worker processes (it fronts the fault-tolerant
-:class:`~repro.scenarios.executor.ResilientSweepRunner`, which adds
-per-shard retries, timeouts, journaling, and resume for callers that
-want them).  Three properties make all execution modes byte-identical
-(``workers=1`` ≡ ``workers=N`` ≡ interrupted-then-resumed):
+This module is spec and expansion only; the shards are executed —
+serially or across supervised worker processes, with optional retries,
+timeouts, journaling, and resume — by
+:class:`~repro.scenarios.executor.ResilientSweepRunner`.  Three
+properties make all execution modes byte-identical (``workers=1`` ≡
+``workers=N`` ≡ interrupted-then-resumed):
 
 1. expansion order is deterministic (axes in declaration order, points
    in list order) and the executor assembles results in expansion order
@@ -274,64 +274,6 @@ class SweepSpec:
         return cls.from_dict(json.loads(text))
 
 
-def _run_shard(spec_dict: Mapping[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: run one shard from its serialised spec.
-
-    Takes and returns plain dicts so the multiprocessing pool only ever
-    pickles JSON-safe data, never live simulator objects.
-    """
-    from repro.scenarios.runner import run_scenario
-
-    spec = ScenarioSpec.from_dict(spec_dict)
-    return run_scenario(spec).data
-
-
-class SweepRunner:
-    """Execute every shard of a sweep, serially or across worker processes.
-
-    This is the simple front door: it delegates to
-    :class:`~repro.scenarios.executor.ResilientSweepRunner` with the
-    legacy contract (no retries, no timeout, raise on the first shard
-    failure — now as a :class:`~repro.scenarios.executor.ShardError`
-    naming the shard instead of a bare worker traceback).  Callers who
-    want retries, timeouts, journaling, or resume use the resilient
-    runner directly.
-
-    Parameters
-    ----------
-    sweep:
-        The sweep to run.
-    workers:
-        Maximum concurrent worker processes; ``1`` (the default) runs
-        in-process.  Both modes produce byte-identical results JSON
-        (see the module docstring for why).
-    """
-
-    def __init__(self, sweep: SweepSpec, workers: int = 1) -> None:
-        """Bind the sweep and worker count."""
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.sweep = sweep
-        self.workers = workers
-
-    def run(self) -> Dict[str, Any]:
-        """Run all shards and return the sweep results envelope."""
-        from repro.scenarios.executor import ResilientSweepRunner
-
-        return ResilientSweepRunner(
-            self.sweep, workers=self.workers, on_failure="raise"
-        ).run()
-
-    def run_json(self) -> str:
-        """Run the sweep and return the canonical JSON bytes (as text)."""
-        return canonical_json(self.run())
-
-
-def run_sweep(sweep: SweepSpec, workers: int = 1) -> Dict[str, Any]:
-    """Convenience wrapper: ``SweepRunner(sweep, workers).run()``."""
-    return SweepRunner(sweep, workers=workers).run()
-
-
 __all__ = [
     "DEFAULT_MAX_SHARDS",
     "MAX_SHARDS_ENV",
@@ -339,9 +281,7 @@ __all__ = [
     "SWEEP_RESULT_SCHEMA",
     "SweepAxis",
     "SweepSpec",
-    "SweepRunner",
     "apply_overrides",
     "derive_shard_seed",
-    "run_sweep",
     "shard_cap",
 ]

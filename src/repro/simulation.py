@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.cluster.cluster import ClusterConfig, EdgeCluster
 from repro.core.controller import ControllerConfig
-from repro.core.policy import ControlPolicy, PolicyContext, build_policy, get_policy
+from repro.core.policy import ControlPolicy, PolicyContext, get_policy
 from repro.core.estimation.service_time import ServiceTimeProfile
 from repro.core.allocation.hierarchy import SchedulingTree
 from repro.faults.injector import FaultInjector
@@ -222,10 +222,9 @@ class SimulationRunner:
                 rng=self.rng.stream(f"arrivals:{binding.profile.name}"),
                 slo_deadline=binding.slo_deadline,
                 batch_size=arrival_batch_size,
-                # the openwhisk policy keeps the historical wiring (work
-                # interleaved with arrivals) so the kind="openwhisk"
-                # scenario alias stays byte-identical to its pre-policy
-                # output; every other policy gets the dedicated stream
+                # the openwhisk policy keeps its original wiring (work
+                # drawn from the arrival stream) so its published numbers
+                # stand; every other policy gets the dedicated stream
                 work_rng=(None if legacy_workload_rng
                           else self.rng.stream(f"work:{binding.profile.name}")),
             )
@@ -248,9 +247,15 @@ class SimulationRunner:
     # Execution
     # ------------------------------------------------------------------
     def prewarm(self) -> None:
-        """Create the requested warm-start containers and let them finish cold start."""
+        """Create the requested warm-start containers and let them finish cold start.
+
+        Idempotent: the request is consumed, so a caller may prewarm
+        explicitly, adjust the warm fleet, and :meth:`run` creates
+        nothing more.
+        """
+        warm_start, self._warm_start = self._warm_start, {}
         created = []
-        for name, count in self._warm_start.items():
+        for name, count in warm_start.items():
             for _ in range(count):
                 created.append(self.cluster.create_container(name))
         if not created:
@@ -318,6 +323,8 @@ def run_fixed_allocation(
     Used by the model-validation experiments (Figures 3 and 4): the model
     chooses ``containers`` ahead of time, the allocation stays fixed, and
     the measured waiting-time percentiles are compared against the SLO.
+    It is a :class:`SimulationRunner` under the ``"noop"`` policy (pure
+    WRR dispatch, no control loop) with ``containers`` warm-started.
 
     Parameters
     ----------
@@ -334,70 +341,28 @@ def run_fixed_allocation(
     """
     if containers < 1:
         raise ValueError("containers must be >= 1")
-    if data_plane not in ("event", "columnar"):
-        raise ValueError(
-            f"unknown data_plane {data_plane!r}; valid: 'event', 'columnar'"
-        )
-    engine = SimulationEngine()
-    rng = RngStreams(seed)
-    # size the "cluster" generously: these experiments isolate the queueing
-    # behaviour from placement constraints
-    config = cluster_config or ClusterConfig(
-        node_count=max(3, containers), cpu_per_node=8.0, memory_per_node_mb=32 * 1024.0
+    name = binding.profile.name
+    runner = SimulationRunner(
+        workloads=[binding],
+        # size the "cluster" generously: these experiments isolate the queueing
+        # behaviour from placement constraints
+        cluster_config=cluster_config or ClusterConfig(
+            node_count=max(3, containers), cpu_per_node=8.0,
+            memory_per_node_mb=32 * 1024.0,
+        ),
+        seed=seed,
+        warm_start_containers={name: containers},
+        policy="noop",
+        data_plane=data_plane,
     )
-    cluster = EdgeCluster(engine, config)
-    metrics = MetricsCollector()
-    deployment = binding.profile.to_deployment(
-        weight=binding.weight, user=binding.user, slo_deadline=binding.slo_deadline
-    )
-    cluster.deploy(deployment)
-
-    # the explicit no-control-loop policy: pure WRR dispatch over the
-    # fixed fleet (replaces the historical disabled-LassController trick,
-    # with a byte-identical event stream)
-    policy = build_policy(
-        "noop", PolicyContext(engine=engine, cluster=cluster, metrics=metrics)
-    )
-
-    for _ in range(containers):
-        cluster.create_container(binding.profile.name)
-    engine.run(until=config.cold_start_latency + 1e-6)
-
+    runner.prewarm()
     if deflation_plan is not None:
-        live = cluster.containers_of(binding.profile.name)
+        live = runner.cluster.containers_of(name)
         if len(deflation_plan) != len(live):
             raise ValueError("deflation_plan length must match the container count")
         for container, fraction in zip(live, deflation_plan):
             container.deflate_to(container.standard_cpu * fraction)
-
-    generator = ArrivalGenerator(
-        engine=engine,
-        profile=binding.profile,
-        schedule=binding.schedule,
-        dispatch=policy.dispatch,
-        rng=rng.stream(f"arrivals:{binding.profile.name}"),
-        slo_deadline=binding.slo_deadline,
-        horizon=duration,
-        work_rng=rng.stream(f"work:{binding.profile.name}"),
-    )
-    kernel = None
-    if data_plane == "columnar":
-        from repro.sim.columnar import build_kernel
-
-        kernel = build_kernel(engine, cluster, policy, [generator])
-    if kernel is not None:
-        kernel.run(until=duration + extra_drain)
-    else:
-        generator.start()
-        engine.run(until=duration + extra_drain)
-    return SimulationResult(
-        metrics=metrics,
-        cluster=cluster,
-        controller=policy,
-        duration=duration,
-        generated_requests={binding.profile.name: generator.generated},
-        kernel_stats=None if kernel is None else dict(kernel.stats),
-    )
+    return runner.run(duration, extra_drain=extra_drain)
 
 
 __all__ = ["SimulationRunner", "SimulationResult", "run_fixed_allocation"]

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.baselines.openwhisk import OpenWhiskConfig, VanillaOpenWhiskController
-from repro.baselines.reactive import ConcurrencyAutoscaler, ReactiveControllerConfig
-from repro.baselines.static_allocation import StaticAllocationController
+from repro.policies.openwhisk import OpenWhiskConfig, VanillaOpenWhiskController
+from repro.policies.reactive import ConcurrencyAutoscaler, ReactiveControllerConfig
+from repro.policies.static_allocation import StaticAllocationController
 from repro.cluster.cluster import ClusterConfig, EdgeCluster
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import SimulationEngine

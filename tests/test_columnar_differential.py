@@ -18,18 +18,30 @@ stream — and diffs the results.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.sim.request as request_module
+from repro.scenarios.executor import ResilientSweepRunner
 from repro.scenarios.registry import SHOOTOUT_POLICIES, build
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec, canonical_json
-from repro.scenarios.sweep import SweepRunner, SweepSpec, apply_overrides
+from repro.scenarios.sweep import apply_overrides
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from envelope_digests import (  # noqa: E402
+    FEDERATED_CASES,
+    REGISTRY_CASES,
+    TIMING_SCENARIOS,
+    reset_request_ids,
+    shards_of,
+    strip_timing,
+)
 
 #: Simulation-backed hypothesis examples are expensive; keep the count
 #: modest and derandomized so CI time is predictable.
@@ -39,11 +51,6 @@ SIM_PROPERTY_SETTINGS = settings(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-def _reset_request_ids() -> None:
-    """Rewind the global request-id stream so both planes see the same ids."""
-    request_module._request_counter = itertools.count(0)
 
 
 def _columnar(spec: ScenarioSpec) -> ScenarioSpec:
@@ -65,22 +72,11 @@ def _record_rows(outcome):
     return rows
 
 
-def _strip_timing(obj):
-    """Drop host-dependent wall-clock fields (the sizing benchmark's)."""
-    if isinstance(obj, dict):
-        return {
-            k: _strip_timing(v) for k, v in obj.items() if "second" not in k
-        }
-    if isinstance(obj, list):
-        return [_strip_timing(v) for v in obj]
-    return obj
-
-
 def assert_planes_identical(spec: ScenarioSpec, timing_free: bool = False) -> None:
     """Run ``spec`` through both planes and require byte-identical output."""
-    _reset_request_ids()
+    reset_request_ids()
     event = run_scenario(spec)
-    _reset_request_ids()
+    reset_request_ids()
     columnar = run_scenario(_columnar(spec))
 
     event_data = dict(event.data)
@@ -89,8 +85,8 @@ def assert_planes_identical(spec: ScenarioSpec, timing_free: bool = False) -> No
     assert columnar_data["scenario"].pop("data_plane", "event") == "columnar"
     assert "data_plane" not in event_data["scenario"]
     if timing_free:
-        event_data = _strip_timing(event_data)
-        columnar_data = _strip_timing(columnar_data)
+        event_data = strip_timing(event_data)
+        columnar_data = strip_timing(columnar_data)
     assert canonical_json(columnar_data) == canonical_json(event_data), (
         f"envelope mismatch for scenario {spec.name!r}"
     )
@@ -101,60 +97,12 @@ def assert_planes_identical(spec: ScenarioSpec, timing_free: bool = False) -> No
         )
 
 
-def _shards(built):
-    """A builder's shards: the sweep expansion, or the single spec."""
-    if isinstance(built, SweepSpec):
-        return built.expand()
-    return [built]
-
-
 # ----------------------------------------------------------------------
 # Every registered scenario, scaled down but structurally intact
 # ----------------------------------------------------------------------
-#: name -> builder kwargs.  Durations are shrunk so the whole gauntlet
-#: stays CI-sized, but every kind, fault arm, policy, workload shape and
-#: metric group of the full-size scenarios is exercised.
-REGISTRY_CASES = {
-    "table1": {},
-    "fig3": {"mus": (10.0,), "slo_deadlines": (0.1,),
-             "arrival_rates": (10.0, 30.0), "duration": 40.0},
-    "fig4": {"proportions": (0.5,), "arrival_rates": (20.0,), "duration": 40.0},
-    "fig5": {"container_counts": (10, 25), "repeats": 1},
-    "fig6": {"step_duration": 20.0},
-    "fig7": {},
-    "fig8": {"phase_duration": 30.0},
-    "fig9": {"duration_minutes": 2},
-    # trace_replay never touches the request lifecycle, so both planes
-    # run the identical streaming kernel — the case pins that the spec
-    # round-trips and the envelope stays plane-independent
-    "fig9-at-scale": {"functions": 12, "duration_minutes": 4, "shards": 3,
-                      "chunk_minutes": 3, "sketch_size": 16},
-    "fig10": {"duration": 120.0, "fail_at": 30.0, "recover_at": 60.0},
-    "fig11": {"duration": 40.0},
-    "node-failure-recovery": {"duration": 120.0, "fail_at": 30.0,
-                              "recover_at": 60.0},
-    "rolling-node-churn": {"phase": 20.0},
-    "flaky-containers": {"duration": 60.0},
-    "policy-shootout": {"duration": 40.0},
-    "quickstart": {"duration": 30.0},
-    "video-analytics-burst": {"bursts": 1, "burst_length": 20.0,
-                              "idle_length": 30.0},
-    "overload-fair-share": {"phase_duration": 20.0},
-    "azure-replay": {"duration_minutes": 2},
-}
-
-#: Federated scenarios run only on the event-level plane — the spec
-#: layer rejects ``data_plane="columnar"`` with a federation — so the
-#: gauntlet asserts that rejection instead of diffing the planes.
-FEDERATED_CASES = {
-    "fig12": {"duration": 40.0},
-    "site-outage-failover": {"duration": 60.0},
-    "partitioned-control-plane": {"duration": 60.0},
-    "flash-crowd-one-region": {"duration": 60.0},
-}
-
-#: Scenario kinds whose envelopes embed host wall-clock measurements.
-TIMING_SCENARIOS = {"fig5"}
+# REGISTRY_CASES / FEDERATED_CASES / TIMING_SCENARIOS — the CI-size build
+# of every registered scenario — live in tools/envelope_digests.py, which
+# hashes the same runs for cross-commit comparison.
 
 
 def test_every_registered_scenario_has_a_differential_case():
@@ -169,7 +117,7 @@ def test_every_registered_scenario_has_a_differential_case():
 def test_federated_scenarios_reject_the_columnar_plane(name):
     """Every federated shard refuses the columnar plane at spec level."""
     built = build(name, **FEDERATED_CASES[name])
-    shards = _shards(built)
+    shards = shards_of(built)
     assert shards, name
     for spec in shards:
         assert spec.federation is not None
@@ -181,7 +129,7 @@ def test_federated_scenarios_reject_the_columnar_plane(name):
 def test_columnar_matches_event_plane(name):
     """Columnar ≡ event-level on every shard of every registered scenario."""
     built = build(name, **REGISTRY_CASES[name])
-    shards = _shards(built)
+    shards = shards_of(built)
     assert shards, name
     for spec in shards:
         assert_planes_identical(spec, timing_free=name in TIMING_SCENARIOS)
@@ -189,7 +137,7 @@ def test_columnar_matches_event_plane(name):
 
 def test_policy_shootout_covers_all_policies_and_fault_arms():
     """The shootout case really is the policies × faults cross product."""
-    shards = _shards(build("policy-shootout", duration=40.0))
+    shards = shards_of(build("policy-shootout", duration=40.0))
     arms = {(s.controller.policy, s.faults is not None) for s in shards}
     for policy in SHOOTOUT_POLICIES:
         assert (policy, False) in arms
@@ -219,11 +167,11 @@ def test_columnar_sweep_workers_byte_identical():
     columnar_sweep = dataclasses.replace(
         sweep, base=apply_overrides(sweep.base, {"data_plane": "columnar"})
     )
-    serial = SweepRunner(columnar_sweep, workers=1).run_json()
-    parallel = SweepRunner(columnar_sweep, workers=4).run_json()
+    serial = ResilientSweepRunner(columnar_sweep, workers=1, on_failure="raise").run_json()
+    parallel = ResilientSweepRunner(columnar_sweep, workers=4, on_failure="raise").run_json()
     assert serial == parallel
 
-    event_results = json.loads(SweepRunner(sweep, workers=1).run_json())["results"]
+    event_results = json.loads(ResilientSweepRunner(sweep, workers=1, on_failure="raise").run_json())["results"]
     columnar_results = json.loads(serial)["results"]
     assert len(event_results) == len(columnar_results) == 3
     for event_shard, columnar_shard in zip(event_results, columnar_results):

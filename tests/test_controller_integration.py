@@ -102,6 +102,30 @@ class TestFixedAllocationHarness:
         fractions = sorted(c.cpu_fraction for c in result.cluster.containers_of("squeezenet"))
         assert fractions[0] == pytest.approx(0.7)
 
+    def test_deflation_plan_run_creates_each_container_once(self):
+        # the plan is applied between an explicit prewarm() and run(); prewarm
+        # must be idempotent or run() would warm-start a second fleet
+        binding = WorkloadBinding(get_function("squeezenet"), StaticRate(10.0, duration=30.0))
+        result = run_fixed_allocation(
+            binding, containers=3, duration=30.0, deflation_plan=[0.7, 0.7, 1.0]
+        )
+        # noop never terminates, so a second fleet would still be standing
+        assert len(result.cluster.all_containers()) == 3
+        assert sorted(c.cpu_fraction for c in result.cluster.all_containers()) == \
+            pytest.approx([0.7, 0.7, 1.0])
+
+    def test_prewarm_is_idempotent(self):
+        binding = WorkloadBinding(microbenchmark(0.1), StaticRate(5.0, duration=10.0))
+        runner = SimulationRunner(workloads=[binding], policy="noop",
+                                  warm_start_containers={"microbenchmark": 2})
+        runner.prewarm()
+        warmed_at = runner.engine.now
+        runner.prewarm()
+        assert runner.engine.now == warmed_at
+        assert runner.cluster.container_count("microbenchmark") == 2
+        runner.run(duration=10.0)
+        assert runner.cluster.container_count("microbenchmark") == 2
+
     def test_deflation_plan_length_mismatch_rejected(self):
         binding = WorkloadBinding(get_function("squeezenet"), StaticRate(10.0, duration=30.0))
         with pytest.raises(ValueError):

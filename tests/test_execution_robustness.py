@@ -43,7 +43,6 @@ from repro.scenarios.spec import canonical_json
 from repro.scenarios.sweep import (
     MAX_SHARDS_ENV,
     SweepAxis,
-    SweepRunner,
     SweepSpec,
 )
 
@@ -59,7 +58,7 @@ def tiny_sweep(n: int = 3, name: str = "tiny") -> SweepSpec:
 @pytest.fixture(scope="module")
 def tiny_baseline() -> str:
     """Canonical bytes of the tiny sweep's uninterrupted workers=1 run."""
-    return SweepRunner(tiny_sweep(), workers=1).run_json()
+    return ResilientSweepRunner(tiny_sweep(), workers=1, on_failure="raise").run_json()
 
 
 def fast_retry(**kwargs) -> dict:
@@ -198,7 +197,7 @@ class TestHealthyByteIdentity:
         assert all("status" not in result for result in envelope["results"])
 
     def test_subprocess_workers_identical_bytes(self, tiny_baseline):
-        assert SweepRunner(tiny_sweep(), workers=3).run_json() == tiny_baseline
+        assert ResilientSweepRunner(tiny_sweep(), workers=3, on_failure="raise").run_json() == tiny_baseline
 
     def test_journaling_does_not_change_bytes(self, tiny_baseline, tmp_path):
         runner = ResilientSweepRunner(tiny_sweep(), workers=2,
@@ -287,7 +286,7 @@ class TestDegradation:
     def test_legacy_runner_raises_shard_error_with_identity(self, monkeypatch):
         chaos_env(monkeypatch, poison_probability=1.0, max_attempt=10**6, seed=7)
         with pytest.raises(ShardError) as excinfo:
-            SweepRunner(tiny_sweep(), workers=1).run()
+            ResilientSweepRunner(tiny_sweep(), workers=1, on_failure="raise").run()
         error = excinfo.value
         assert error.index == 0
         assert error.scenario == "table1#0000"

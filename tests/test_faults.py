@@ -25,7 +25,8 @@ from repro.cluster.node import InsufficientCapacityError
 from repro.faults import ColdStartSpec, FaultSpec, NodeFailureSpec, node_outage
 from repro.scenarios import build, run_scenario
 from repro.scenarios.spec import ScenarioSpec, ScheduleSpec, WorkloadSpec, canonical_json
-from repro.scenarios.sweep import SweepRunner, SweepSpec
+from repro.scenarios.executor import ResilientSweepRunner
+from repro.scenarios.sweep import SweepSpec
 from repro.sim.engine import SimulationEngine
 from repro.sim.request import Request, RequestStatus
 
@@ -398,8 +399,8 @@ class TestFaultDeterminism:
 
     def test_sweep_workers_identity_with_faults(self):
         sweep = build("fig10", duration=90.0, fail_at=30.0, recover_at=60.0)
-        serial = SweepRunner(sweep, workers=1).run()
-        parallel = SweepRunner(sweep, workers=2).run()
+        serial = ResilientSweepRunner(sweep, workers=1, on_failure="raise").run()
+        parallel = ResilientSweepRunner(sweep, workers=2, on_failure="raise").run()
         assert canonical_json(serial) == canonical_json(parallel)
 
     def test_fig10_healthy_arm_is_truly_healthy(self):

@@ -33,10 +33,10 @@ from repro.federation.router import (
 )
 from repro.federation.spec import FederationSpec
 from repro.metrics.availability import AvailabilityTracker, RecoveryRecord
+from repro.scenarios.executor import ResilientSweepRunner
 from repro.scenarios.registry import FIG12_ROUTERS, build
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec, canonical_json
-from repro.scenarios.sweep import SweepRunner
 from repro.sim.request import RequestStatus
 
 #: Simulation-backed hypothesis examples are expensive; keep the count
@@ -404,8 +404,8 @@ def test_fig12_arm_bytes_are_run_to_run_identical(index):
 
 def test_federated_sweep_bytes_identical_across_workers():
     sweep = build("fig12", duration=30.0)
-    serial = SweepRunner(sweep, workers=1).run_json()
-    parallel = SweepRunner(sweep, workers=4).run_json()
+    serial = ResilientSweepRunner(sweep, workers=1, on_failure="raise").run_json()
+    parallel = ResilientSweepRunner(sweep, workers=4, on_failure="raise").run_json()
     assert serial == parallel
 
 

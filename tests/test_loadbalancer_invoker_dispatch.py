@@ -16,6 +16,13 @@ def warm_container(cpu=1.0, name="fn") -> Container:
     return container
 
 
+def watched_container(dispatcher, cpu=1.0) -> Container:
+    """A warm standalone container tracked in ``dispatcher``'s idle index."""
+    container = warm_container(cpu=cpu)
+    dispatcher.watch_container(container)
+    return container
+
+
 def make_request(name="fn", work=0.1, arrival=0.0) -> Request:
     return Request(function_name=name, arrival_time=arrival, work=work)
 
@@ -138,19 +145,19 @@ class TestInvokers:
 class TestSharedQueueDispatcher:
     def test_dispatches_to_idle_container_immediately(self, engine):
         dispatcher = SharedQueueDispatcher(engine)
-        container = warm_container()
+        watched_container(dispatcher)
         request = make_request()
-        assert dispatcher.submit(request, [container]) is True
+        assert dispatcher.submit(request) is True
         engine.run()
         assert request.status is RequestStatus.COMPLETED
         assert request.waiting_time == 0.0
 
     def test_queues_when_all_containers_busy(self, engine):
         dispatcher = SharedQueueDispatcher(engine)
-        container = warm_container()
+        watched_container(dispatcher)
         first, second = make_request(work=0.2), make_request(work=0.2)
-        dispatcher.submit(first, [container])
-        assert dispatcher.submit(second, [container]) is False
+        dispatcher.submit(first)
+        assert dispatcher.submit(second) is False
         assert dispatcher.queue_length("fn") == 1
         engine.run()
         assert second.status is RequestStatus.COMPLETED
@@ -160,20 +167,21 @@ class TestSharedQueueDispatcher:
         # with 2 containers and 3 requests, the third runs on whichever
         # container frees first — total makespan 2 service times, not 3
         dispatcher = SharedQueueDispatcher(engine)
-        containers = [warm_container(), warm_container()]
+        watched_container(dispatcher)
+        watched_container(dispatcher)
         requests = [make_request(work=0.1) for _ in range(3)]
         for request in requests:
-            dispatcher.submit(request, containers)
+            dispatcher.submit(request)
         engine.run()
         assert max(r.completion_time for r in requests) == pytest.approx(0.2)
 
     def test_drain_moves_queued_work_to_new_containers(self, engine):
         dispatcher = SharedQueueDispatcher(engine)
         request = make_request()
-        dispatcher.submit(request, [])          # nothing warm yet
+        dispatcher.submit(request)              # nothing warm yet
         assert dispatcher.queue_length("fn") == 1
-        container = warm_container()
-        started = dispatcher.drain("fn", [container])
+        watched_container(dispatcher)
+        started = dispatcher.drain("fn")
         assert started == 1
         engine.run()
         assert request.status is RequestStatus.COMPLETED
@@ -181,28 +189,30 @@ class TestSharedQueueDispatcher:
     def test_completion_callback_fires(self, engine):
         seen = []
         dispatcher = SharedQueueDispatcher(engine, on_complete=lambda r, c: seen.append(r))
-        dispatcher.submit(make_request(), [warm_container()])
+        watched_container(dispatcher)
+        dispatcher.submit(make_request())
         engine.run()
         assert len(seen) == 1
 
     def test_skips_requests_dropped_while_queued(self, engine):
         dispatcher = SharedQueueDispatcher(engine)
         request = make_request()
-        dispatcher.submit(request, [])
+        dispatcher.submit(request)
         request.mark_dropped(1.0)
-        started = dispatcher.drain("fn", [warm_container()])
+        watched_container(dispatcher)
+        started = dispatcher.drain("fn")
         assert started == 0
 
     def test_total_queued_counts_all_functions(self, engine):
         dispatcher = SharedQueueDispatcher(engine)
-        dispatcher.submit(make_request(name="a"), [])
-        dispatcher.submit(make_request(name="b"), [])
+        dispatcher.submit(make_request(name="a"))
+        dispatcher.submit(make_request(name="b"))
         assert dispatcher.total_queued() == 2
 
     def test_larger_containers_get_more_dispatches(self, engine):
         dispatcher = SharedQueueDispatcher(engine)
-        big = warm_container(cpu=2.0)
-        small = warm_container(cpu=1.0)
+        big = watched_container(dispatcher, cpu=2.0)
+        small = watched_container(dispatcher, cpu=1.0)
         small.deflate_to(1.0)
         # submit many short requests with gaps so both are idle each time
         completions = {big.container_id: 0, small.container_id: 0}
@@ -213,7 +223,7 @@ class TestSharedQueueDispatcher:
         dispatcher._on_complete = count
         for i in range(30):
             request = make_request(work=0.001, arrival=i * 1.0)
-            engine.schedule_at(i * 1.0, lambda r=request: dispatcher.submit(r, [big, small]))
+            engine.schedule_at(i * 1.0, lambda r=request: dispatcher.submit(r))
         engine.run()
         assert completions[big.container_id] == 20
         assert completions[small.container_id] == 10
@@ -238,7 +248,7 @@ class TestIncrementalIdleSets:
         dispatcher.attach_cluster(cluster)
         [container] = self._warm(engine, cluster)
         request = make_request()
-        assert dispatcher.submit(request) is True  # no container list needed
+        assert dispatcher.submit(request) is True
         engine.run()
         assert request.status is RequestStatus.COMPLETED
         assert request.container_id == container.container_id
@@ -311,6 +321,7 @@ class TestIncrementalIdleSets:
         assert dispatcher.queue_length("fn") == 1
 
     def test_drain_without_explicit_list(self, engine, cluster):
+        """``drain`` takes its candidates from the idle index."""
         dispatcher = SharedQueueDispatcher(engine)
         dispatcher.attach_cluster(cluster)
         request = make_request()
@@ -340,14 +351,13 @@ class TestIncrementalIdleSets:
 
 class TestUnattachedDispatcherHygiene:
     def test_unattached_dispatcher_does_not_pin_containers(self, engine):
-        """Baseline controllers pass explicit lists and never attach a cluster;
-        the idle index must stay empty or terminated containers leak."""
+        """A dispatcher nobody attached sees no containers: it indexes
+        nothing (so nothing can leak) and queues every request."""
         dispatcher = SharedQueueDispatcher(engine)
-        for _ in range(5):
-            container = warm_container()
-            dispatcher.submit(make_request(work=0.01), [container])
-            engine.run()
-            container.terminate(engine.now)
+        container = warm_container()
+        assert dispatcher.submit(make_request(work=0.01)) is False
+        container.terminate(engine.now)
+        assert dispatcher.drain("fn") == 0
         assert all(not index for index in dispatcher._idle.values())
 
     def test_watch_container_tracks_standalone_container(self, engine):
@@ -355,7 +365,7 @@ class TestUnattachedDispatcherHygiene:
         container = warm_container()
         dispatcher.watch_container(container)
         request = make_request()
-        assert dispatcher.submit(request) is True   # no explicit list needed
+        assert dispatcher.submit(request) is True
         engine.run()
         assert request.status is RequestStatus.COMPLETED
         container.terminate(engine.now)

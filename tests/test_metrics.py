@@ -223,40 +223,10 @@ class TestCollector:
 class TestStreamingPercentiles:
     """Opt-in constant-memory percentile mode (PR-1)."""
 
-    def test_p2_quantile_converges(self):
-        import numpy as np
-        from repro.metrics.streaming import P2Quantile
-
-        rng = np.random.default_rng(42)
-        data = rng.exponential(0.1, 30_000)
-        for p in (0.5, 0.9, 0.95, 0.99):
-            estimator = P2Quantile(p)
-            for value in data:
-                estimator.add(value)
-            exact = float(np.quantile(data, p))
-            assert estimator.value() == pytest.approx(exact, rel=0.05)
-
-    def test_p2_small_sample_exact(self):
-        from repro.metrics.streaming import P2Quantile
-
-        estimator = P2Quantile(0.5)
-        assert estimator.value() == 0.0
-        for value in (3.0, 1.0, 2.0):
-            estimator.add(value)
-        assert estimator.value() == 2.0
-
-    def test_p2_validation(self):
-        from repro.metrics.streaming import P2Quantile
-
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
     def test_streaming_summary_robust_to_zero_wait_atom(self):
         # >50% of simulated waits are exactly zero (idle-container hits); the
         # quantile sketch must not get stranded below the true p95 the way a
-        # pure P2 estimator does on such an atom
+        # marker-based (P²) estimator does on such an atom
         import numpy as np
         from repro.metrics.streaming import StreamingSummary
 
@@ -269,77 +239,6 @@ class TestStreamingPercentiles:
         exact95 = float(np.quantile(waits, 0.95))
         assert streaming.summary().p95 == pytest.approx(exact95, rel=0.15)
         assert streaming.summary().median == 0.0
-
-    def test_p2_sketch_fails_loudly_on_the_zero_wait_atom(self):
-        # Regression for the documented P² caveat: selecting the unsafe
-        # estimator for a zero-atom stream must raise, never silently
-        # return a stranded marker value.
-        import numpy as np
-        from repro.metrics.streaming import (
-            StreamingSummary,
-            UnsafeSketchError,
-            ZERO_ATOM_UNSAFE_FRACTION,
-        )
-
-        rng = np.random.default_rng(13)
-        positives = rng.exponential(1.0, 5_000)
-        waits = np.concatenate([np.zeros(6_000), positives])
-        rng.shuffle(waits)
-        streaming = StreamingSummary(sketch="p2")
-        streaming.extend(waits)
-        assert streaming.zero_fraction >= ZERO_ATOM_UNSAFE_FRACTION
-        with pytest.raises(UnsafeSketchError, match="zero"):
-            streaming.quantile(0.95)
-        with pytest.raises(UnsafeSketchError):
-            streaming.summary()
-
-    def test_p2_sketch_still_works_on_continuous_streams(self):
-        # The P² mode stays usable for what it is safe for: continuous
-        # distributions with no heavy atom.
-        import numpy as np
-        from repro.metrics.streaming import StreamingSummary
-
-        rng = np.random.default_rng(42)
-        data = rng.exponential(0.1, 30_000)
-        streaming = StreamingSummary(sketch="p2")
-        streaming.extend(data)
-        assert streaming.zero_fraction == 0.0
-        exact95 = float(np.quantile(data, 0.95))
-        assert streaming.quantile(0.95) == pytest.approx(exact95, rel=0.05)
-        # untracked quantiles are a usage error, not a silent fallback
-        with pytest.raises(ValueError):
-            streaming.quantile(0.42)
-
-    def test_sketch_selection_validation(self):
-        from repro.metrics.streaming import StreamingSummary
-
-        with pytest.raises(ValueError):
-            StreamingSummary(sketch="nope")
-        with pytest.raises(ValueError):
-            MetricsCollector(streaming_percentiles=True, percentile_sketch="nope")
-
-    def test_collector_with_p2_sketch_raises_on_zero_atom_query(self):
-        # End-to-end: a collector configured with the unsafe sketch fails
-        # loudly at waiting_summary() time for waiting-time-shaped data.
-        from repro.metrics.streaming import UnsafeSketchError
-
-        collector = MetricsCollector(streaming_percentiles=True,
-                                     store_requests=False,
-                                     percentile_sketch="p2")
-        for i in range(200):
-            wait = 0.0 if i % 2 == 0 else 0.05  # 50% zero-wait atom
-            request = completed_request(name="fn", wait=wait)
-            collector.record_request(request)
-            collector.record_completion(request)
-        with pytest.raises(UnsafeSketchError):
-            collector.waiting_summary("fn")
-        # the safe default keeps working on the same stream
-        safe = MetricsCollector(streaming_percentiles=True, store_requests=False)
-        for i in range(200):
-            request = completed_request(name="fn", wait=0.0 if i % 2 == 0 else 0.05)
-            safe.record_request(request)
-            safe.record_completion(request)
-        assert safe.waiting_summary("fn").p95 == pytest.approx(0.05)
 
     def test_reservoir_quantiles_validation(self):
         from repro.metrics.streaming import ReservoirQuantiles

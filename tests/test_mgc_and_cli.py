@@ -142,6 +142,21 @@ class TestCli:
         assert code == 0
         assert "policy              : static" in output
 
+    def test_scenario_refuses_the_removed_openwhisk_kind(self, capsys, tmp_path):
+        import json
+
+        from repro.scenarios import build
+
+        spec = dict(build("quickstart").to_dict(), kind="openwhisk")
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(spec))
+        assert main(["scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert 'kind="simulate"' in captured.err
+        assert 'controller.policy="openwhisk"' in captured.err
+        assert "Traceback" not in captured.err
+
     def test_size_command_rejects_missing_args(self):
         with pytest.raises(SystemExit):
             main(["size", "--rate", "30"])

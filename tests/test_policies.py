@@ -15,10 +15,9 @@ Every registered policy must behave as a well-formed
    serialised form of a default (LaSS) controller is unchanged from the
    pre-policy layout.
 
-Plus the specific compatibility contracts of the refactor: the
-``kind="openwhisk"`` alias produces the same payload as
-``kind="simulate"`` + ``policy="openwhisk"``, and ``repro.baselines``
-imports still resolve.
+Plus the one spelling of the OpenWhisk baseline: ``kind="simulate"`` +
+``controller.policy="openwhisk"`` (``kind="openwhisk"`` is refused with
+an error that says so).
 """
 
 import dataclasses
@@ -167,11 +166,14 @@ class TestControllerSpecRoundTrip:
         assert not hasattr(config, "policy")
         assert config.epoch_length == 10.0
 
-    def test_openwhisk_kind_rejects_other_policies(self):
+    def test_policy_name_as_kind_is_refused_with_the_right_spelling(self):
         spec = build("fig8", phase_duration=10.0).expand()[2]
-        assert spec.kind == "openwhisk"
-        with pytest.raises(ValueError, match="cannot run policy"):
-            apply_overrides(spec, {"controller.policy": "reactive"})
+        assert (spec.kind, spec.controller.policy) == ("simulate", "openwhisk")
+        with pytest.raises(ValueError) as excinfo:
+            ScenarioSpec.from_dict(dict(spec.to_dict(), kind="openwhisk"))
+        message = str(excinfo.value)
+        assert 'kind="simulate"' in message
+        assert 'controller.policy="openwhisk"' in message
 
 
 class TestConformance:
@@ -231,24 +233,12 @@ class TestConformance:
 
 
 class TestOpenWhiskAlias:
-    def test_alias_payload_matches_simulate_plus_policy(self):
-        sweep = build("fig8", phase_duration=20.0)
-        alias = [s for s in sweep.expand() if s.kind == "openwhisk"][0]
-        folded = apply_overrides(alias, {"kind": "simulate",
-                                         "controller.policy": "openwhisk"})
-        a = run_scenario(alias).data
-        b = run_scenario(folded).data
-        # the envelopes differ only in the spec echo
-        assert a["scenario"]["kind"] == "openwhisk"
-        assert b["scenario"]["kind"] == "simulate"
-        a.pop("scenario")
-        b.pop("scenario")
-        assert canonical_json(a) == canonical_json(b)
+    """Figure 8's OpenWhisk arm (once a scenario kind of its own, now a policy override)."""
 
     def test_alias_reports_the_openwhisk_group(self):
         sweep = build("fig8", phase_duration=20.0)
-        alias = [s for s in sweep.expand() if s.kind == "openwhisk"][0]
-        data = run_scenario(alias).data
+        arm = [s for s in sweep.expand() if s.controller.policy == "openwhisk"][0]
+        data = run_scenario(arm).data
         assert set(data) == {"schema", "scenario", "metrics", "openwhisk"}
         assert set(data["metrics"]) == {"counters"}
         for key in ("failed_invokers", "all_invokers_failed", "completions",
@@ -326,24 +316,6 @@ class TestRunnerPolicyParameter:
 
 
 class TestBaselineShims:
-    def test_legacy_imports_resolve_to_the_policy_classes(self):
-        from repro import baselines
-        from repro.policies.openwhisk import VanillaOpenWhiskController
-        from repro.policies.reactive import ConcurrencyAutoscaler
-        from repro.policies.static_allocation import StaticAllocationController
-
-        assert baselines.VanillaOpenWhiskController is VanillaOpenWhiskController
-        assert baselines.ConcurrencyAutoscaler is ConcurrencyAutoscaler
-        assert baselines.StaticAllocationController is StaticAllocationController
-
-        from repro.baselines.openwhisk import VanillaOpenWhiskController as ShimOW
-        from repro.baselines.reactive import ConcurrencyAutoscaler as ShimRA
-        from repro.baselines.static_allocation import StaticAllocationController as ShimSA
-
-        assert ShimOW is VanillaOpenWhiskController
-        assert ShimRA is ConcurrencyAutoscaler
-        assert ShimSA is StaticAllocationController
-
     def test_every_builtin_policy_is_a_control_policy(self):
         from repro.core.controller import LassController
         from repro.policies import (

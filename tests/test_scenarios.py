@@ -20,9 +20,9 @@ import pytest
 from repro.experiments import RENDERERS
 from repro.scenarios import (
     AllocationSpec,
+    ResilientSweepRunner,
     ScenarioSpec,
     ScheduleSpec,
-    SweepRunner,
     SweepSpec,
     WorkloadSpec,
     apply_overrides,
@@ -124,9 +124,10 @@ class TestRegistry:
         sweep = build("fig8", phase_duration=10.0)
         shards = sweep.expand()
         assert len(shards) == 3
-        kinds = [s.kind for s in shards]
-        assert kinds.count("simulate") == 2 and kinds.count("openwhisk") == 1
-        policies = {s.controller.reclamation for s in shards if s.kind == "simulate"}
+        assert [s.kind for s in shards] == ["simulate"] * 3
+        assert [s.controller.policy for s in shards] == ["lass", "lass", "openwhisk"]
+        policies = {s.controller.reclamation for s in shards
+                    if s.controller.policy == "lass"}
         assert policies == {"termination", "deflation"}
 
     def test_fig9_arms_share_the_base_seed(self):
@@ -247,12 +248,12 @@ class TestSweepDeterminism:
                      arrival_rates=(10.0, 20.0, 30.0, 40.0), duration=30.0, seed=3)
 
     def test_parallel_equals_serial_bytes(self, sweep):
-        serial = SweepRunner(sweep, workers=1).run_json()
-        parallel = SweepRunner(sweep, workers=4).run_json()
+        serial = ResilientSweepRunner(sweep, workers=1, on_failure="raise").run_json()
+        parallel = ResilientSweepRunner(sweep, workers=4, on_failure="raise").run_json()
         assert serial == parallel
 
     def test_results_arrive_in_expansion_order(self, sweep):
-        results = SweepRunner(sweep, workers=4).run()["results"]
+        results = ResilientSweepRunner(sweep, workers=4, on_failure="raise").run()["results"]
         rates = [r["scenario"]["workloads"][0]["schedule"]["params"]["rate"]
                  for r in results]
         assert rates == [10.0, 20.0, 30.0, 40.0]
@@ -274,9 +275,9 @@ class TestSolverCacheDeterminism:
         from repro.core.queueing.solver import caches_disabled
 
         sweep = self._controller_sweep()
-        cached = SweepRunner(sweep, workers=1).run_json()
+        cached = ResilientSweepRunner(sweep, workers=1, on_failure="raise").run_json()
         with caches_disabled():
-            cold = SweepRunner(sweep, workers=1).run_json()
+            cold = ResilientSweepRunner(sweep, workers=1, on_failure="raise").run_json()
         assert cached == cold
 
     def test_scenario_json_identical_with_config_flags_off(self):

@@ -31,8 +31,8 @@ from hypothesis import strategies as st
 
 from repro.metrics.streaming import ReservoirQuantiles, merge_reservoir_states
 from repro.scenarios import build, canonical_json
+from repro.scenarios.executor import ResilientSweepRunner
 from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.sweep import SweepRunner
 from repro.scenarios.trace_shard import (
     TRACE_MERGE_SCHEMA,
     merge_trace_shards,
@@ -139,8 +139,8 @@ def test_poisson_batch_split_invariance(lams, chunk):
 def test_workers_one_equals_four_bytes():
     """The standard runner guarantee holds for trace_replay shards."""
     sweep = _small_sweep(shards=4)
-    serial = SweepRunner(sweep, workers=1).run()
-    parallel = SweepRunner(sweep, workers=4).run()
+    serial = ResilientSweepRunner(sweep, workers=1, on_failure="raise").run()
+    parallel = ResilientSweepRunner(sweep, workers=4, on_failure="raise").run()
     assert canonical_json(serial) == canonical_json(parallel)
     assert canonical_json(merge_trace_shards(serial)) == \
         canonical_json(merge_trace_shards(parallel))
@@ -148,8 +148,8 @@ def test_workers_one_equals_four_bytes():
 
 def test_run_twice_is_byte_stable():
     """Two independent builds+runs produce identical merged bytes."""
-    first = merge_trace_shards(SweepRunner(_small_sweep(shards=3), workers=1).run())
-    second = merge_trace_shards(SweepRunner(_small_sweep(shards=3), workers=1).run())
+    first = merge_trace_shards(ResilientSweepRunner(_small_sweep(shards=3), workers=1, on_failure="raise").run())
+    second = merge_trace_shards(ResilientSweepRunner(_small_sweep(shards=3), workers=1, on_failure="raise").run())
     assert canonical_json(first) == canonical_json(second)
 
 
@@ -164,7 +164,7 @@ def test_shard_decomposition_invariance_with_exhaustive_sketch():
     merged = {}
     for shards in (1, 4):
         sweep = _small_sweep(shards=shards, sketch_size=10_000)
-        merged[shards] = merge_trace_shards(SweepRunner(sweep, workers=1).run())
+        merged[shards] = merge_trace_shards(ResilientSweepRunner(sweep, workers=1, on_failure="raise").run())
     for group in ("totals", "rates", "percentiles", "minutes"):
         assert canonical_json(merged[1][group]) == canonical_json(merged[4][group])
     assert merged[4]["percentiles"]["per_minute_invocations"]["exact"] is True
@@ -176,7 +176,7 @@ def test_sampled_sketch_counters_still_invariant():
     merged = {}
     for shards in (1, 4):
         sweep = _small_sweep(shards=shards, sketch_size=16)
-        merged[shards] = merge_trace_shards(SweepRunner(sweep, workers=1).run())
+        merged[shards] = merge_trace_shards(ResilientSweepRunner(sweep, workers=1, on_failure="raise").run())
     assert merged[1]["totals"] == merged[4]["totals"]
     assert merged[1]["percentiles"]["per_minute_invocations"]["exact"] is False
 
@@ -292,7 +292,7 @@ def test_merge_flags_sampled_states_and_validates_quantiles():
 
 def test_merge_trace_shards_permutation_regression():
     """Shuffling the sweep's results list never changes merged bytes."""
-    envelope = SweepRunner(_small_sweep(shards=4), workers=1).run()
+    envelope = ResilientSweepRunner(_small_sweep(shards=4), workers=1, on_failure="raise").run()
     reference = canonical_json(merge_trace_shards(envelope))
     shuffled = dict(envelope)
     results = list(envelope["results"])
@@ -304,7 +304,7 @@ def test_merge_trace_shards_permutation_regression():
 
 
 def test_merge_rejects_bad_envelopes():
-    envelope = SweepRunner(_small_sweep(shards=2), workers=1).run()
+    envelope = ResilientSweepRunner(_small_sweep(shards=2), workers=1, on_failure="raise").run()
     assert merge_trace_shards(envelope)["schema"] == TRACE_MERGE_SCHEMA
 
     with pytest.raises(ValueError, match="envelope"):
