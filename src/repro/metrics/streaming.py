@@ -17,6 +17,20 @@ error (±~0.3 % of rank at 4096 samples), and — what decides the choice
 marker-based estimators such as P² cannot cross that much point mass
 and strand orders of magnitude below the true p95 (observed on real
 runs), while a reservoir represents the atom with its true mass.
+
+Batch ingestion and its RNG contract
+------------------------------------
+:meth:`ReservoirQuantiles.add_many` is the bulk form of
+:meth:`~ReservoirQuantiles.add` for callers that already hold a block
+of observations (the trace replay feeds one chunk of per-minute counts
+at a time).  It is the same acceptance rule, not a second algorithm:
+no RNG draw while the reservoir is filling; afterwards exactly one
+``random()`` per observation for the accept test and a second one,
+for the evicted slot, only when the observation is accepted.  Samples,
+count and RNG state therefore end identical to ``add`` called once per
+element, for every way of cutting the stream into batches — pinned by
+a hypothesis property in ``tests/test_trace_replay.py`` — so the two
+may be mixed on one sketch.
 """
 
 from __future__ import annotations
@@ -66,6 +80,34 @@ class ReservoirQuantiles:
             self._sorted.pop(int(self._rng.random() * len(self._sorted)))
             bisect.insort(self._sorted, value)
 
+    def add_many(self, values: Iterable[float]) -> None:
+        """Feed a batch of observations; equal to :meth:`add` on each in turn.
+
+        The retained samples, the count and the RNG state all end where
+        the one-at-a-time loop would leave them, however the stream is
+        cut into batches.  While the reservoir is filling, a batch is
+        appended and sorted once (no RNG draw, as in :meth:`add`); past
+        that, each observation costs one draw for the accept test and a
+        second only when it is accepted.
+        """
+        values = list(values)
+        samples = self._sorted
+        size = self.max_samples
+        room = size - len(samples)
+        if room > 0:
+            samples.extend(values[:room])
+            samples.sort()
+            self._count += min(room, len(values))
+            values = values[room:]
+        count = self._count
+        draw = self._rng.random
+        for value in values:
+            count += 1
+            if draw() * count < size:
+                samples.pop(int(draw() * size))
+                bisect.insort(samples, value)
+        self._count = count
+
     def quantile(self, p: float) -> float:
         """The ``p``-th quantile of the observations seen so far."""
         if not 0.0 < p < 1.0:
@@ -113,7 +155,8 @@ def merge_reservoir_states(
       bytes.  Otherwise the merge is the standard weighted-sample
       estimate and only identical decompositions are byte-comparable.
     """
-    pairs: List[tuple] = []
+    value_parts: List[np.ndarray] = []
+    weight_parts: List[np.ndarray] = []
     total_count = 0
     exact = True
     for state in states:
@@ -123,27 +166,25 @@ def merge_reservoir_states(
         if count != len(samples):
             exact = False
         if samples:
-            weight = count / len(samples)
-            pairs.extend((float(v), weight) for v in samples)
+            value_parts.append(np.asarray(samples, dtype=float))
+            weight_parts.append(np.full(len(samples), count / len(samples)))
     result: Dict[str, Any] = {"count": total_count, "exact": exact}
-    pairs.sort()
-    total_weight = sum(w for _, w in pairs)
+    if value_parts:
+        values = np.concatenate(value_parts)
+        weights = np.concatenate(weight_parts)
+        order = np.lexsort((weights, values))  # by value, ties by weight
+        values = values[order]
+        # running sums taken once, left to right — the float additions a
+        # walk over the sorted pairs makes — then one bisection a quantile
+        cumulative = np.cumsum(weights[order])
     for p in quantiles:
         if not 0.0 < p < 1.0:
             raise ValueError("quantiles must be in (0, 1)")
-        key = f"p{round(p * 100)}"
-        if not pairs:
-            result[key] = 0.0
-            continue
-        target = p * total_weight
-        cumulative = 0.0
-        value = pairs[-1][0]
-        for v, w in pairs:
-            cumulative += w
-            if cumulative >= target:
-                value = v
-                break
-        result[key] = float(value)
+        merged = 0.0
+        if value_parts:
+            # first sample whose cumulative weight reaches p of the total
+            merged = float(values[np.searchsorted(cumulative, p * cumulative[-1])])
+        result[f"p{round(p * 100)}"] = merged
     return result
 
 

@@ -14,7 +14,12 @@ ints), the running integer counters, and one bounded reservoir sketch
 (``sketch_size`` floats).  Nothing scales with the number of functions
 or invocations — a shard of 10 functions and a shard of 10,000 have the
 same resident footprint, which is what makes a week-long replay
-journal-resumable without spilling.
+journal-resumable without spilling.  The per-minute work is batched
+*within* one function only — its rate series in block draws, each chunk
+into the sketch through one ``ReservoirQuantiles.add_many`` call — and
+each function is sized on its own with the scalar
+``required_containers`` (one M/M/c evaluation concludes c* = 1 for
+nearly the whole population); nothing is batched across functions.
 
 Determinism contract
 --------------------
@@ -24,6 +29,10 @@ Determinism contract
 * Within a shard, functions are replayed in ascending global index and
   every per-minute count is fed to the shard sketch in that order, so a
   shard's result is a pure function of its ``function_range``.
+  ``add_many`` consumes the sketch's RNG exactly as one ``add`` per
+  count would (one draw per observation once the reservoir is full, a
+  second per accepted one), so ``chunk_minutes`` never reaches the
+  sketch either.
 * Across shards, :func:`merge_trace_shards` sorts shard results by
   ``function_range`` and merges reservoir sketches with the
   order-insensitive weighted quantile of
@@ -85,7 +94,7 @@ def run_trace_replay(spec: ScenarioSpec) -> ScenarioOutcome:
     :func:`merge_trace_shards` produce identical totals for *any* shard
     decomposition of the same population.
     """
-    from repro.core.queueing.sizing import required_containers_fast
+    from repro.core.queueing.sizing import required_containers
 
     params = dict(spec.params)
     population = dict(params["population"])
@@ -105,7 +114,7 @@ def run_trace_replay(spec: ScenarioSpec) -> ScenarioOutcome:
     for index in range(lo, hi):
         fn = population_function(index, population)
         sporadic_functions += int(fn.config.sporadic)
-        sizing = required_containers_fast(
+        sizing = required_containers(
             lam=fn.config.mean_rate,
             mu=1.0 / fn.service_time,
             wait_budget=fn.slo_deadline,
@@ -121,8 +130,7 @@ def run_trace_replay(spec: ScenarioSpec) -> ScenarioOutcome:
             zero_minutes += int((chunk == 0).sum())
             overload_minutes += int((chunk > capacity_per_minute).sum())
             peak_per_minute = max(peak_per_minute, int(chunk.max()))
-            for count in chunk.tolist():
-                sketch.add(float(count))
+            sketch.add_many(chunk.astype(float).tolist())
 
     replay = {
         "function_range": [lo, hi],

@@ -83,10 +83,15 @@ def azure_rate_series(
 
     This is the first of the two RNG passes of
     :func:`synthesize_azure_trace`: it consumes exactly the burst /
-    modulation draws (one ``uniform`` per minute plus an occasional
-    ``geometric`` for sporadic functions; one phase ``uniform`` plus one
-    ``normal`` per minute for steady ones) and returns the non-negative
-    expected-arrivals-per-minute array the Poisson pass then samples.
+    modulation draws (one uniform per idle minute plus a ``geometric``
+    at each burst start for sporadic functions; one phase ``uniform``
+    plus one block of ``duration_minutes - 1`` normals for steady ones)
+    and returns the non-negative expected-arrivals-per-minute array the
+    Poisson pass then samples.  Values, draw order and the generator's
+    end state are those of one scalar draw per simulated minute
+    (``tests/test_trace_replay.py`` keeps that loop as the oracle); only
+    the order-free arithmetic — the burst shape, the AR(1) clip — runs
+    as array operations after the draws.
     Splitting the passes is what lets
     :func:`repro.workloads.stream.iter_azure_trace_chunks` draw the
     Poisson counts chunk by chunk while staying byte-identical to the
@@ -94,35 +99,44 @@ def azure_rate_series(
     """
     if duration_minutes <= 0:
         raise ValueError("duration_minutes must be positive")
-    minutes = np.arange(duration_minutes)
     base_per_minute = config.mean_rate * 60.0
 
     if config.sporadic:
         # on/off burst process: mostly zero, occasional multi-minute bursts
         rates = np.zeros(duration_minutes)
-        in_burst = False
+        burst_probability = config.burst_probability
+        draw = rng.random
+        burst_minutes = []
+        burst_progress = []
         burst_left = 0
         for m in range(duration_minutes):
-            if not in_burst and rng.uniform() < config.burst_probability:
-                in_burst = True
+            if burst_left <= 0:
+                if not draw() < burst_probability:
+                    continue
                 burst_left = max(1, int(rng.geometric(1.0 / config.burst_duration_minutes)))
-            if in_burst:
-                shape = np.sin(np.pi * min(1.0, (1 + m % max(burst_left, 1)) / max(burst_left, 1)))
-                rates[m] = base_per_minute * config.burst_multiplier * max(0.3, shape)
-                burst_left -= 1
-                if burst_left <= 0:
-                    in_burst = False
+            burst_minutes.append(m)
+            burst_progress.append(min(1.0, (1 + m % burst_left) / burst_left))
+            burst_left -= 1
+        if burst_minutes:
+            # the draws above are order-dependent; the burst shape is not
+            shape = np.sin(np.pi * np.array(burst_progress))
+            rates[burst_minutes] = (base_per_minute * config.burst_multiplier
+                                    * np.maximum(0.3, shape))
         # a trickle of background invocations so the function is not always cold
         rates += base_per_minute * 0.05
     else:
         # steady base load: slow sinusoidal modulation + AR(1) noise
         phase = rng.uniform(0, 2 * np.pi)
-        modulation = 1.0 + 0.25 * np.sin(2 * np.pi * minutes / max(duration_minutes, 1) + phase)
-        noise = np.zeros(duration_minutes)
-        sigma = config.variability
-        for m in range(1, duration_minutes):
-            noise[m] = 0.7 * noise[m - 1] + rng.normal(0, sigma)
-        rates = base_per_minute * modulation * np.clip(1.0 + noise, 0.2, 3.0)
+        minutes = np.arange(duration_minutes)
+        modulation = 1.0 + 0.25 * np.sin(2 * np.pi * minutes / duration_minutes + phase)
+        # one block draw, then the recursion over plain floats: the same
+        # normals in the same order as one scalar draw per minute
+        level = 0.0
+        noise = [level]
+        for innovation in rng.normal(0, config.variability, duration_minutes - 1).tolist():
+            level = 0.7 * level + innovation
+            noise.append(level)
+        rates = base_per_minute * modulation * np.clip(1.0 + np.array(noise), 0.2, 3.0)
     return np.clip(rates, 0.0, None)
 
 

@@ -72,13 +72,16 @@ def iter_azure_trace_chunks(
     :func:`~repro.workloads.azure.synthesize_azure_trace` byte-for-byte
     for every chunk size (including 1 and anything ≥ the trace length):
     the rate pass runs once up front, then each chunk draws its Poisson
-    counts from the same generator in minute order.
+    counts from the same generator in minute order.  A plain function,
+    so bad arguments raise at the call rather than on the first
+    ``next()``; the rate pass (which checks ``duration_minutes``) runs
+    at the call too.
     """
     if chunk_minutes <= 0:
         raise ValueError("chunk_minutes must be positive")
     rates = azure_rate_series(config, duration_minutes, rng)
-    for start in range(0, duration_minutes, chunk_minutes):
-        yield rng.poisson(rates[start:start + chunk_minutes]).astype(int)
+    return (rng.poisson(rates[start:start + chunk_minutes]).astype(int)
+            for start in range(0, duration_minutes, chunk_minutes))
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ class PopulationFunction:
 
     ``config`` drives the trace generator; ``service_time`` /
     ``slo_deadline`` feed the per-function capacity model of the replay
-    (one fast M/M/c solve per function).
+    (one scalar M/M/c sizing per function).
     """
 
     name: str

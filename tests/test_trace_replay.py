@@ -99,14 +99,106 @@ def test_chunk_count_and_sizes():
 
 
 def test_chunk_minutes_must_be_positive():
+    """Bad arguments raise at the call, before the first ``next()``."""
     with pytest.raises(ValueError, match="chunk_minutes"):
-        list(iter_azure_trace_chunks(CHUNK_CONFIGS["steady"], 10,
-                                     np.random.default_rng(1), 0))
+        iter_azure_trace_chunks(CHUNK_CONFIGS["steady"], 10,
+                                np.random.default_rng(1), 0)
+    with pytest.raises(ValueError, match="duration_minutes"):
+        iter_azure_trace_chunks(CHUNK_CONFIGS["steady"], 0,
+                                np.random.default_rng(1), 4)
 
 
 def test_rate_series_rejects_bad_duration():
     with pytest.raises(ValueError, match="duration_minutes"):
         azure_rate_series(CHUNK_CONFIGS["steady"], 0, np.random.default_rng(1))
+
+
+def _scalar_loop_rate_series(config, duration_minutes, rng):
+    """The rate series as it was before the block draws, kept verbatim.
+
+    One ``rng.uniform()`` / ``rng.normal()`` call and one scalar
+    ``np.sin`` per simulated minute: the oracle the batched
+    :func:`azure_rate_series` must match in values and in RNG end state.
+    """
+    minutes = np.arange(duration_minutes)
+    base_per_minute = config.mean_rate * 60.0
+
+    if config.sporadic:
+        rates = np.zeros(duration_minutes)
+        in_burst = False
+        burst_left = 0
+        for m in range(duration_minutes):
+            if not in_burst and rng.uniform() < config.burst_probability:
+                in_burst = True
+                burst_left = max(1, int(rng.geometric(1.0 / config.burst_duration_minutes)))
+            if in_burst:
+                shape = np.sin(np.pi * min(1.0, (1 + m % max(burst_left, 1)) / max(burst_left, 1)))
+                rates[m] = base_per_minute * config.burst_multiplier * max(0.3, shape)
+                burst_left -= 1
+                if burst_left <= 0:
+                    in_burst = False
+        rates += base_per_minute * 0.05
+    else:
+        phase = rng.uniform(0, 2 * np.pi)
+        modulation = 1.0 + 0.25 * np.sin(2 * np.pi * minutes / max(duration_minutes, 1) + phase)
+        noise = np.zeros(duration_minutes)
+        sigma = config.variability
+        for m in range(1, duration_minutes):
+            noise[m] = 0.7 * noise[m - 1] + rng.normal(0, sigma)
+        rates = base_per_minute * modulation * np.clip(1.0 + noise, 0.2, 3.0)
+    return np.clip(rates, 0.0, None)
+
+
+def _assert_matches_scalar_loop(config, duration, seed_rng):
+    """Same array bytes and same generator end state as the frozen loop."""
+    oracle_rng, batched_rng = seed_rng(), seed_rng()
+    expected = _scalar_loop_rate_series(config, duration, oracle_rng)
+    actual = azure_rate_series(config, duration, batched_rng)
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+    assert batched_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+RATE_SERIES_CONFIGS = {
+    **CHUNK_CONFIGS,
+    # a burst every few minutes, long enough to run off the end of the trace
+    "bursty": AzureTraceConfig(mean_rate=3.0, sporadic=True,
+                               burst_probability=0.6,
+                               burst_duration_minutes=9.0),
+    "always-bursting": AzureTraceConfig(mean_rate=1.0, sporadic=True,
+                                        burst_probability=1.0,
+                                        burst_duration_minutes=1.0),
+    "never-bursting": AzureTraceConfig(mean_rate=1.0, sporadic=True,
+                                       burst_probability=0.0),
+    "noiseless": AzureTraceConfig(mean_rate=4.0, variability=0.0),
+}
+
+
+@pytest.mark.parametrize("label", sorted(RATE_SERIES_CONFIGS))
+@pytest.mark.parametrize("duration", [1, 2, 3, 59, 720])
+def test_rate_series_equals_scalar_loop(label, duration):
+    """Block draws move no value and leave the generator where the loop did.
+
+    ``duration == 1`` is the steady branch drawing no normal at all.
+    """
+    config = RATE_SERIES_CONFIGS[label]
+    for seed in (7, 2019):
+        _assert_matches_scalar_loop(config, duration,
+                                    lambda: np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("duration", [1, 2, 3, 59, 720])
+def test_rate_series_equals_scalar_loop_over_the_population(duration):
+    """The first few hundred default-population functions, seeded as the replay seeds them."""
+    from repro.workloads.stream import DEFAULT_POPULATION
+
+    sporadic = 0
+    for index in range(300):
+        fn = population_function(index, DEFAULT_POPULATION)
+        sporadic += fn.config.sporadic
+        _assert_matches_scalar_loop(fn.config, duration,
+                                    lambda: trace_rng(2019, index))
+    assert 0 < sporadic < 300
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -216,6 +308,23 @@ def test_population_function_is_pure():
     assert counts_a.tobytes() == counts_b.tobytes()
 
 
+def test_scalar_sizing_equals_the_solver_path_over_the_population():
+    """The replay sizes with the scalar oracle; the vectorised search agrees."""
+    from repro.core.queueing.sizing import (
+        required_containers,
+        required_containers_fast,
+    )
+    from repro.scenarios.trace_shard import SIZING_PERCENTILE
+    from repro.workloads.stream import DEFAULT_POPULATION
+
+    for index in range(300):
+        fn = population_function(index, DEFAULT_POPULATION)
+        query = dict(lam=fn.config.mean_rate, mu=1.0 / fn.service_time,
+                     wait_budget=fn.slo_deadline, percentile=SIZING_PERCENTILE)
+        assert required_containers(**query).containers == \
+            required_containers_fast(**query).containers
+
+
 def test_shard_ranges_tile_exactly():
     for functions, shards in ((10, 3), (24, 4), (7, 7), (1, 1), (100, 1)):
         ranges = shard_ranges(functions, shards)
@@ -251,6 +360,90 @@ def test_reservoir_state_snapshot():
     assert overflowed["samples"] == sorted(overflowed["samples"])
 
 
+def _reference_reservoir(values, max_samples, seed=2029):
+    """Algorithm R written out independently of the sketch class.
+
+    Keep the first ``max_samples``; observation ``n`` after that is
+    accepted when ``U1 * n < max_samples`` and then evicts the resident
+    at sorted position ``int(U2 * max_samples)``.  Returns the sorted
+    sample and the RNG end state.
+    """
+    rng = random.Random(seed)
+    kept = []
+    for n, value in enumerate(values, start=1):
+        if n > max_samples:
+            if not rng.random() * n < max_samples:
+                continue
+            del kept[int(rng.random() * max_samples)]
+        kept.append(value)
+        kept.sort()
+    return kept, rng.getstate()
+
+
+#: Per-minute counts are >60 % zeros: draw mostly from a handful of
+#: small integers so ties dominate, with the odd continuous value.
+_TIED_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 7.0]),
+    st.floats(min_value=0.0, max_value=50.0),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    values=st.lists(_TIED_VALUES, max_size=80),
+    max_samples=st.integers(min_value=10, max_value=30),
+    cuts=st.lists(st.integers(min_value=0, max_value=80), max_size=6),
+)
+def test_add_many_equals_add_loop(values, max_samples, cuts):
+    """``add_many`` over any split of the stream ≡ ``add`` per element.
+
+    Samples, count *and* the stdlib RNG state agree — so the two can be
+    interleaved freely — for batches that are empty, end exactly on
+    ``max_samples``, or straddle it, and both agree with an independent
+    reference on a sampled (overflowed) sketch.
+    """
+    one_by_one = ReservoirQuantiles(max_samples=max_samples)
+    for value in values:
+        one_by_one.add(value)
+
+    batched = ReservoirQuantiles(max_samples=max_samples)
+    edges = [0] + sorted(min(c, len(values)) for c in cuts) + [len(values)]
+    for lo, hi in zip(edges, edges[1:]):
+        batched.add_many(values[lo:hi])
+    batched.add_many([])
+
+    assert batched.state() == one_by_one.state()
+    assert batched._rng.getstate() == one_by_one._rng.getstate()
+    assert batched.count == one_by_one.count == len(values)
+    for p in (0.5, 0.95, 0.99):
+        assert batched.quantile(p) == one_by_one.quantile(p)
+
+    # the cut that lands exactly on the fill boundary, every example
+    at_boundary = ReservoirQuantiles(max_samples=max_samples)
+    at_boundary.add_many(values[:max_samples])
+    at_boundary.add_many(values[max_samples:])
+    assert at_boundary.state() == one_by_one.state()
+    assert at_boundary._rng.getstate() == one_by_one._rng.getstate()
+
+    kept, rng_state = _reference_reservoir(values, max_samples)
+    assert batched.state()["samples"] == kept
+    assert batched._rng.getstate() == rng_state
+
+
+def test_add_many_accepts_any_iterable_and_interleaves_with_add():
+    """A generator is consumed once; ``add`` and ``add_many`` share one stream."""
+    values = [float(v % 7) for v in range(200)]
+    reference = _reservoir_state(values, max_samples=16)
+    mixed = ReservoirQuantiles(max_samples=16)
+    mixed.add_many(v for v in values[:5])
+    mixed.add(values[5])
+    mixed.add_many(iter(values[6:150]))
+    for value in values[150:]:
+        mixed.add(value)
+    assert mixed.state() == reference
+    assert reference["count"] == 200 and len(reference["samples"]) == 16
+
+
 def test_merge_is_order_insensitive():
     """Permuting shard states can never change a merged byte."""
     rng = random.Random(5)
@@ -262,6 +455,50 @@ def test_merge_is_order_insensitive():
         rng.shuffle(states)
         assert canonical_json(merge_reservoir_states(states)) == \
             canonical_json(reference)
+
+
+def _walked_merge(states, quantiles):
+    """The weighted type-1 inverted CDF by a walk from the start per quantile.
+
+    What :func:`merge_reservoir_states` did before it took the running
+    sums once: the reference its vectorised form must match to the byte.
+    """
+    pairs = []
+    for state in states:
+        if state["samples"]:
+            weight = int(state["count"]) / len(state["samples"])
+            pairs.extend((float(v), weight) for v in state["samples"])
+    pairs.sort()
+    total_weight = sum(w for _, w in pairs)
+    merged = {}
+    for p in quantiles:
+        cumulative = 0.0
+        value = pairs[-1][0] if pairs else 0.0
+        for v, w in pairs:
+            cumulative += w
+            if cumulative >= p * total_weight:
+                value = v
+                break
+        merged[f"p{round(p * 100)}"] = float(value)
+    return merged
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    streams=st.lists(
+        st.tuples(st.lists(_TIED_VALUES, max_size=60),
+                  st.sampled_from([10, 16, 33])),
+        max_size=5),
+    extra=st.lists(st.floats(min_value=0.001, max_value=0.999), max_size=4),
+)
+def test_merge_equals_walked_reference(streams, extra):
+    """Shards with unequal weights, heavy ties, empty and unfilled sketches."""
+    states = [_reservoir_state(values, max_samples=k) for values, k in streams]
+    quantiles = (0.5, 0.90, 0.95, 0.99, *extra)
+    merged = merge_reservoir_states(states, quantiles)
+    assert merged.pop("count") == sum(len(values) for values, _ in streams)
+    assert merged.pop("exact") == all(len(v) <= k for v, k in streams)
+    assert canonical_json(merged) == canonical_json(_walked_merge(states, quantiles))
 
 
 def test_merge_exact_equals_any_decomposition():
