@@ -41,6 +41,15 @@ import numpy as np
 #: The paper's rate-sampling granularity; default bucket width.
 DEFAULT_BUCKET_SECONDS = 5.0
 
+#: Batch length at which :meth:`SlidingWindowCounter.record_many` switches
+#: to the numpy bucket fold.  Its fixed cost (``asarray`` + ``diff`` +
+#: ``floor_divide`` + ``unique`` + ``tolist``) is 13–19 µs up to this
+#: length, against 0.7 µs for two :meth:`~SlidingWindowCounter.record`
+#: calls, 3.7 µs for 16 and 16.7 µs for 64, where the two paths cross (at
+#: 128 the fold takes 21 µs and the loop 32 µs).  Function-scoped kernel
+#: boundaries keep a busy control plane's batches far below it (median 2).
+_VECTOR_RECORD_MIN = 64
+
 
 class SlidingWindowCounter:
     """Counts events whose timestamps fall within a trailing window.
@@ -116,16 +125,16 @@ class SlidingWindowCounter:
     def record_many(self, timestamps: "List[float]") -> None:
         """Record a batch of events; equivalent to :meth:`record` per element.
 
-        The fast path requires a non-decreasing batch (which per-element
-        recording would demand anyway) and folds the batch bucket by
-        bucket instead of event by event; an unsorted batch falls back
-        to per-element recording so error behaviour matches exactly.
+        Short batches are recorded per element.  From
+        ``_VECTOR_RECORD_MIN`` on, the fast path requires a
+        non-decreasing batch (which per-element recording would demand
+        anyway) and folds the batch bucket by bucket instead of event by
+        event; an unsorted batch falls back to per-element recording so
+        error behaviour matches exactly.
         """
-        n = len(timestamps)
-        if n == 0:
-            return
-        if n == 1:
-            self.record(timestamps[0])
+        if len(timestamps) < _VECTOR_RECORD_MIN:
+            for timestamp in timestamps:
+                self.record(timestamp)
             return
         first = float(timestamps[0])
         if first < self._last_timestamp - 1e-9:

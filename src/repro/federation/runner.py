@@ -109,6 +109,7 @@ class FederatedSimulationResult:
             requests.extend(site.metrics.requests)
             merged.counters.update(site.metrics.counters)
         merged.requests = requests
+        merged.seal_requests()
         self.metrics = merged
 
     def waiting_summary(self, function_name: Optional[str] = None,

@@ -1,7 +1,8 @@
 """The central metrics collector the controller and experiments write into.
 
 One :class:`MetricsCollector` instance accompanies each simulation run.
-It accumulates every request (for waiting-time and SLO analysis), an
+It accumulates every request (for waiting-time and SLO analysis, which
+reduce the run's :class:`~repro.metrics.table.RequestTable`), an
 allocation timeline point per function per epoch (for the Figure 6/8/9
 style plots), utilisation samples, and free-form counters (cold starts,
 drops, container operations).
@@ -11,11 +12,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
+
+import numpy as np
 
 from repro.metrics.percentiles import WaitingTimeSummary, summarize_waiting_times
 from repro.metrics.slo import SloReport, slo_report
 from repro.metrics.streaming import StreamingSummary
+from repro.metrics.table import COMPLETED, RequestTable
 from repro.metrics.timeline import AllocationTimeline, TimelinePoint
 from repro.metrics.utilization import UtilizationTracker
 from repro.sim.request import Request, RequestStatus
@@ -84,6 +88,7 @@ class MetricsCollector:
             )
         self._requests: List[Request] = []
         self._deferred_fill: Optional[Callable[[], List[Request]]] = None
+        self._table: Optional[RequestTable] = None
         self.timeline = AllocationTimeline()
         self.utilization = UtilizationTracker()
         self.epochs: List[EpochSnapshot] = []
@@ -105,8 +110,9 @@ class MetricsCollector:
         The columnar data plane registers a fill callback via
         :meth:`defer_requests` instead of appending per request; the
         first access reconstructs the full list (and drops the
-        callback), so analysis code is oblivious to which data plane
-        produced the run.
+        callback), so code that wants objects is oblivious to which
+        data plane produced the run.  The analysis helpers below never
+        come here on a finished run — they reduce :meth:`request_table`.
         """
         fill = self._deferred_fill
         if fill is not None:
@@ -116,24 +122,44 @@ class MetricsCollector:
 
     @requests.setter
     def requests(self, value: List[Request]) -> None:
-        """Replace the stored request list (drops any pending deferred fill)."""
+        """Replace the stored request list (drops any pending deferred fill and sealed table)."""
         self._deferred_fill = None
+        self._table = None
         self._requests = value
 
-    def defer_requests(self, fill: Callable[[], List[Request]]) -> None:
-        """Register a callback that reconstructs the request list on demand.
+    def defer_requests(self, fill: Callable[[], List[Request]], table: RequestTable) -> None:
+        """Register a finished run's request table and a callback that rebuilds the objects.
 
         Used by the columnar kernel so the hot loop never appends request
         objects; any previously stored requests are superseded (the
-        kernel's fill covers the whole run).
+        kernel's fill and table cover the whole run).  Analysis reads
+        ``table``; ``fill`` only runs if somebody asks for
+        :attr:`requests`.
         """
         self._requests = []
         self._deferred_fill = fill
+        self._table = table
+
+    def seal_requests(self) -> None:
+        """Extract the request table of a finished run, once, for every later query.
+
+        The runners call this where they hand back their result.  Until
+        then (and again after any further :meth:`record_request`) every
+        query extracts afresh, because a request going QUEUED → RUNNING →
+        COMPLETED mutates its fields without telling the collector.
+        """
+        self._table = RequestTable.from_requests(self.requests)
+
+    def request_table(self) -> RequestTable:
+        """The table the analysis helpers reduce: the sealed one, or a fresh extraction."""
+        table = self._table
+        return table if table is not None else RequestTable.from_requests(self.requests)
 
     def record_request(self, request: Request) -> None:
         """Register a request (typically at arrival; its fields keep updating)."""
         if self.store_requests:
             self.requests.append(request)
+            self._table = None
         self.counters["arrivals"] += 1
 
     def record_completion(self, request: Request) -> None:
@@ -236,9 +262,9 @@ class MetricsCollector:
     ) -> WaitingTimeSummary:
         """Waiting-time percentiles for (a function's) completed requests.
 
-        In streaming mode the summary comes from the P² estimators
-        (constant memory, no warmup filtering); otherwise it is computed
-        exactly from the stored requests.
+        In streaming mode the summary comes from the reservoir
+        summaries (constant memory, no warmup filtering); otherwise it
+        is computed exactly from the request table.
         """
         if self.streaming_percentiles:
             if warmup:
@@ -251,7 +277,7 @@ class MetricsCollector:
                 return self._streaming_all.summary()
             per_function = self._streaming_by_function.get(function_name)
             return per_function.summary() if per_function is not None else StreamingSummary().summary()
-        return summarize_waiting_times(self.requests, function_name, warmup)
+        return summarize_waiting_times(self.request_table(), function_name, warmup)
 
     def slo(
         self,
@@ -260,7 +286,7 @@ class MetricsCollector:
         warmup: float = 0.0,
     ) -> Dict[str, SloReport]:
         """SLO attainment per function."""
-        return slo_report(self.requests, deadlines, target_percentile, warmup=warmup)
+        return slo_report(self.request_table(), deadlines, target_percentile, warmup=warmup)
 
     def mean_utilization(self, start: float = 0.0, end: Optional[float] = None) -> float:
         """Time-weighted mean cluster utilisation."""
@@ -268,7 +294,8 @@ class MetricsCollector:
 
     def throughput(self, function_name: Optional[str] = None) -> int:
         """Number of completed requests."""
-        return len(self.completed_requests(function_name))
+        table = self.request_table()
+        return int(np.count_nonzero(table.rows_of(function_name) & (table.status == COMPLETED)))
 
     def summary(self, deadlines: Optional[Mapping[str, float]] = None) -> Dict[str, object]:
         """A compact dict summary of the whole run, used by examples and reports."""

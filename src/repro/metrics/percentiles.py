@@ -3,17 +3,18 @@
 The paper's model-validation experiments (Figures 3 and 4) report the
 95th percentile of the measured waiting time against the SLO deadline,
 along with box-and-whisker ranges; :func:`summarize_waiting_times`
-computes all of those numbers from a list of completed requests.
+computes all of those numbers from a run's request table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.sim.request import Request, RequestStatus
+from repro.metrics.table import COMPLETED, RequestTable
+from repro.sim.request import Request
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -72,8 +73,30 @@ def _empty_summary() -> WaitingTimeSummary:
     return WaitingTimeSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def _summarize(requests: Union[RequestTable, Iterable[Request]], column: str,
+               function_name: Optional[str], warmup: float) -> WaitingTimeSummary:
+    """Summarise ``column - arrival`` over the selected completed requests."""
+    table = RequestTable.from_requests(requests)
+    moments = getattr(table, column)
+    keep = (table.rows_of(function_name) & (table.status == COMPLETED)
+            & ~(table.arrival < warmup) & ~np.isnan(moments))
+    arr = moments[keep] - table.arrival[keep]
+    if not arr.size:
+        return _empty_summary()
+    return WaitingTimeSummary(
+        count=int(arr.size),
+        mean=float(arr.mean()),
+        median=float(np.quantile(arr, 0.5)),
+        p90=float(np.quantile(arr, 0.90)),
+        p95=float(np.quantile(arr, 0.95)),
+        p99=float(np.quantile(arr, 0.99)),
+        maximum=float(arr.max()),
+        minimum=float(arr.min()),
+    )
+
+
 def summarize_waiting_times(
-    requests: Iterable[Request],
+    requests: Union[RequestTable, Iterable[Request]],
     function_name: Optional[str] = None,
     warmup: float = 0.0,
 ) -> WaitingTimeSummary:
@@ -82,69 +105,24 @@ def summarize_waiting_times(
     Parameters
     ----------
     requests:
-        Any iterable of :class:`~repro.sim.request.Request`.
+        A :class:`~repro.metrics.table.RequestTable`, or any iterable of
+        :class:`~repro.sim.request.Request` (converted once).
     function_name:
         Restrict to a single function (``None`` keeps all).
     warmup:
         Ignore requests that arrived before this simulation time, so
         cold-start transients do not pollute steady-state percentiles.
     """
-    waits: List[float] = []
-    for request in requests:
-        if function_name is not None and request.function_name != function_name:
-            continue
-        if request.arrival_time < warmup:
-            continue
-        if request.status is not RequestStatus.COMPLETED:
-            continue
-        wait = request.waiting_time
-        if wait is not None:
-            waits.append(wait)
-    if not waits:
-        return _empty_summary()
-    arr = np.asarray(waits)
-    return WaitingTimeSummary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        median=float(np.quantile(arr, 0.5)),
-        p90=float(np.quantile(arr, 0.90)),
-        p95=float(np.quantile(arr, 0.95)),
-        p99=float(np.quantile(arr, 0.99)),
-        maximum=float(arr.max()),
-        minimum=float(arr.min()),
-    )
+    return _summarize(requests, "start", function_name, warmup)
 
 
 def summarize_response_times(
-    requests: Iterable[Request],
+    requests: Union[RequestTable, Iterable[Request]],
     function_name: Optional[str] = None,
     warmup: float = 0.0,
 ) -> WaitingTimeSummary:
     """Like :func:`summarize_waiting_times` but over end-to-end response times."""
-    values: List[float] = []
-    for request in requests:
-        if function_name is not None and request.function_name != function_name:
-            continue
-        if request.arrival_time < warmup:
-            continue
-        if request.status is not RequestStatus.COMPLETED:
-            continue
-        rt = request.response_time
-        if rt is not None:
-            values.append(rt)
-    if not values:
-        return _empty_summary()
-    arr = np.asarray(values)
-    return WaitingTimeSummary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        median=float(np.quantile(arr, 0.5)),
-        p90=float(np.quantile(arr, 0.90)),
-        p95=float(np.quantile(arr, 0.95)),
-        p99=float(np.quantile(arr, 0.99)),
-        maximum=float(arr.max()),
-        minimum=float(arr.min()),
-    )
+    return _summarize(requests, "completion", function_name, warmup)
 
 
 __all__ = ["percentile", "WaitingTimeSummary", "summarize_waiting_times", "summarize_response_times"]

@@ -11,9 +11,12 @@ interpretation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Union
 
-from repro.sim.request import Request, RequestStatus
+import numpy as np
+
+from repro.metrics.table import COMPLETED, DROPPED, RequestTable
+from repro.sim.request import Request
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,7 @@ class SloReport:
 
 
 def slo_report(
-    requests: Iterable[Request],
+    requests: Union[RequestTable, Iterable[Request]],
     deadlines: Mapping[str, float],
     target_percentile: float = 0.95,
     on_waiting_time: bool = True,
@@ -58,7 +61,9 @@ def slo_report(
     Parameters
     ----------
     requests:
-        Requests observed during the experiment (any status).
+        Requests observed during the experiment (any status): a
+        :class:`~repro.metrics.table.RequestTable`, or any iterable of
+        :class:`~repro.sim.request.Request` (converted once).
     deadlines:
         Relative SLO deadline per function name (seconds).
     target_percentile:
@@ -73,37 +78,38 @@ def slo_report(
     """
     if not 0 < target_percentile < 1:
         raise ValueError("target_percentile must be in (0, 1)")
-    per_function: Dict[str, Dict[str, int]] = {}
-    for request in requests:
-        if request.arrival_time < warmup:
-            continue
-        name = request.function_name
-        if name not in deadlines:
-            continue
-        stats = per_function.setdefault(
-            name, {"total": 0, "completed": 0, "dropped": 0, "within": 0}
-        )
-        stats["total"] += 1
-        if request.status is RequestStatus.COMPLETED:
-            stats["completed"] += 1
-            metric = request.waiting_time if on_waiting_time else request.response_time
-            if metric is not None and metric <= deadlines[name] + 1e-12:
-                stats["within"] += 1
-        elif request.status in (RequestStatus.DROPPED, RequestStatus.TIMED_OUT):
-            stats["dropped"] += 1
+    table = RequestTable.from_requests(requests)
+    names = table.names
+    tracked = np.fromiter((name in deadlines for name in names), bool, len(names))
+    keep = tracked[table.codes] & ~(table.arrival < warmup)
+    codes = table.codes[keep]
+    status = table.status[keep]
+    done = status == COMPLETED
+    limit = np.array([deadlines[name] + 1e-12 if name in deadlines else 0.0 for name in names])
+    moment = (table.start if on_waiting_time else table.completion)[keep]
+    # a moment that never came is NaN, and NaN <= limit is False
+    met = done & (moment - table.arrival[keep] <= limit[codes])
+    size = len(names)
+    total = np.bincount(codes, minlength=size).tolist()
+    completed = np.bincount(codes[done], minlength=size).tolist()
+    dropped = np.bincount(codes[status >= DROPPED], minlength=size).tolist()
+    within = np.bincount(codes[met], minlength=size).tolist()
 
+    # reports come in the order each function first appears among the kept rows
+    seen, first = np.unique(codes, return_index=True)
     reports: Dict[str, SloReport] = {}
-    for name, stats in per_function.items():
-        denominator = stats["total"] if count_drops_as_violations else stats["completed"]
-        attainment = stats["within"] / denominator if denominator else 1.0
+    for code in seen[np.argsort(first)].tolist():
+        name = names[code]
+        denominator = total[code] if count_drops_as_violations else completed[code]
+        attainment = within[code] / denominator if denominator else 1.0
         reports[name] = SloReport(
             function_name=name,
             deadline=deadlines[name],
             target_percentile=target_percentile,
-            total_requests=stats["total"],
-            completed_requests=stats["completed"],
-            dropped_requests=stats["dropped"],
-            within_deadline=stats["within"],
+            total_requests=total[code],
+            completed_requests=completed[code],
+            dropped_requests=dropped[code],
+            within_deadline=within[code],
             attainment=attainment,
             satisfied=attainment >= target_percentile,
         )

@@ -15,8 +15,12 @@ request state lives in parallel per-function columns
 merged arrival pointer against a completion heap instead of pumping
 per-request engine events.  Metrics are folded into the existing
 :class:`~repro.metrics.collector.MetricsCollector` at *epoch
-granularity* (right before every engine event boundary), and the full
-per-request record list is reconstructed lazily on first access.
+granularity* (right before every engine event boundary).  The
+per-request record leaves the kernel as columns too: :meth:`ColumnarKernel.run`
+ends by exporting a :class:`~repro.metrics.table.RequestTable`, which is
+what SLO, waiting-time and count analysis reduce; ``Request`` objects
+for the whole run are only rebuilt if somebody reads
+``collector.requests``.
 
 Oracle contract
 ---------------
@@ -91,6 +95,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.container import ContainerState
+from repro.metrics.table import RequestTable, code_dtype
 from repro.sim import request as request_module
 from repro.sim.request import Request, RequestStatus
 
@@ -295,7 +300,7 @@ class ColumnarKernel:
         # Reserve the exact request-id block the event-level plane would
         # hand out: _emit draws ids in global arrival-execution order,
         # which is the merged time order built here.
-        rid0 = next(request_module._request_counter)
+        rid0 = self._rid0 = next(request_module._request_counter)
         request_module._request_counter = itertools.count(rid0 + total)
 
         if total:
@@ -400,7 +405,7 @@ class ColumnarKernel:
         self._flush(fn_list)
         self._materialize(fn_list)
         if self.collector.store_requests:
-            self.collector.defer_requests(self._fill)
+            self.collector.defer_requests(self._fill, self._export())
         # settle the clock (and any past-horizon events) like the event plane
         engine.run(until=until)
 
@@ -957,46 +962,76 @@ class ColumnarKernel:
     # ------------------------------------------------------------------
     # Deferred per-request records
     # ------------------------------------------------------------------
+    def _export(self) -> RequestTable:
+        """The finished run's request table, straight from the columns.
+
+        Rows are in arrival order (``rid - rid0``), as :meth:`_fill`
+        lists them, and follow its precedence: a row that owns a live
+        ``Request`` — everything still queued or running at the end, and
+        every drop — reports the object's fields; a row that lived and
+        died inside the kernel reports its columns.  The column status
+        codes of object-less rows (unseen, completed) coincide with the
+        table's (pending, completed).
+        """
+        total = len(self._g_times)
+        rid0 = self._rid0
+        nan = np.nan
+        codes = np.empty(total, dtype=code_dtype(len(self._fn_list)))
+        status = np.empty(total, dtype=np.uint8)
+        start = np.empty(total)
+        completion = np.empty(total)
+        for code, fs in enumerate(self._fn_list):
+            if not fs.rid:
+                continue
+            at = np.asarray(fs.rid) - rid0
+            state = np.frombuffer(fs.status, dtype=np.uint8)
+            done = state == _COMPLETED
+            codes[at] = code
+            status[at] = state
+            start[at] = np.where(done, fs.start, nan)
+            completion[at] = np.where(done, fs.finish, nan)
+        live = [fs.obj[i] for fs, i in self._row_by_rid.values()]
+        if live:
+            at = np.fromiter((obj.request_id - rid0 for obj in live), np.intp, len(live))
+            held = RequestTable.from_requests(live)
+            status[at] = held.status
+            start[at] = held.start
+            completion[at] = held.completion
+        return RequestTable([fs.name for fs in self._fn_list], codes,
+                            np.array(self._g_times, dtype=np.float64),
+                            start, completion, status)
+
     def _fill(self) -> List[Request]:
         """Reconstruct the collector's per-request list in arrival order.
 
         Registered via ``MetricsCollector.defer_requests`` and invoked
-        lazily on first access to ``collector.requests`` — i.e. after
-        the timed portion of the run.  Rows that were materialized
-        return their live object; the rest (requests that lived and
-        died entirely inside the kernel) are rebuilt from columns.
+        only when somebody reads ``collector.requests`` — the analysis
+        helpers reduce the exported table (:meth:`_export`) and never
+        need an object.  Rows that were materialized return their live
+        object; the rest (requests that lived and died entirely inside
+        the kernel) are rebuilt from columns, one constructor call each.
         """
-        out: List[Request] = []
-        append = out.append
+        out: List[Optional[Request]] = [None] * len(self._g_times)
+        rid0 = self._rid0
         completed = RequestStatus.COMPLETED
-        queued = RequestStatus.QUEUED
-        g_fs = self._g_fs
-        g_row = self._g_row
-        for pos in range(len(self._g_times)):
-            fs = g_fs[pos]
-            i = g_row[pos]
-            obj = fs.obj[i]
-            if obj is None:
-                times = fs.times
-                obj = Request(
-                    function_name=fs.name,
-                    arrival_time=times[i],
-                    deadline=None if fs.slo is None else times[i] + fs.slo,
-                    work=fs.works[i],
-                    request_id=fs.rid[i],
-                )
-                status = fs.status[i]
-                if status == _COMPLETED:
-                    obj.status = completed
-                    obj.start_time = fs.start[i]
-                    obj.completion_time = fs.finish[i]
-                    obj.container_id = fs.ccid[i]
-                    obj.node_name = fs.cnode[i]
-                    obj.cold_start = bool(fs.cold[i])
-                elif status == _QUEUED:  # pragma: no cover - queued rows are materialized
-                    obj.status = queued
-                fs.obj[i] = obj
-            append(obj)
+        for fs in self._fn_list:
+            name = fs.name
+            slo = fs.slo
+            objs = fs.obj
+            rows = zip(fs.rid, objs, fs.times, fs.works, fs.status, fs.start,
+                       fs.finish, fs.ccid, fs.cnode, fs.cold)
+            for i, (rid, obj, time, work, status, start, finish, ccid, cnode, cold) in enumerate(rows):
+                if obj is None:
+                    deadline = None if slo is None else time + slo
+                    if status == _COMPLETED:
+                        obj = Request(name, time, deadline, work, rid, completed,
+                                      start, finish, ccid, cnode, bool(cold))
+                    else:
+                        obj = Request(name, time, deadline, work, rid)
+                        if status == _QUEUED:  # pragma: no cover - queued rows are materialized
+                            obj.status = RequestStatus.QUEUED
+                    objs[i] = obj
+                out[rid - rid0] = obj
         return out
 
 

@@ -297,6 +297,7 @@ class SimulationRunner:
             for generator in self.generators:
                 generator.start()
             self.engine.run(until=duration + extra_drain)
+            self.metrics.seal_requests()
         generated = {g.profile.name: g.generated for g in self.generators}
         return SimulationResult(
             metrics=self.metrics,

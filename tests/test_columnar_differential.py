@@ -22,10 +22,12 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.metrics.table import RequestTable
 from repro.scenarios.executor import ResilientSweepRunner
 from repro.scenarios.registry import SHOOTOUT_POLICIES, build
 from repro.scenarios.runner import run_scenario
@@ -72,12 +74,39 @@ def _record_rows(outcome):
     return rows
 
 
+def assert_table_is_the_request_record(outcome) -> None:
+    """The table the envelope was reduced from equals the request objects, row for row.
+
+    On the columnar plane that is the kernel's export against the list
+    its deferred fill builds; on the event plane (and a federation
+    merge) the table sealed when the run handed back its result against
+    the objects as they are now.
+    """
+    collector = outcome.sim.metrics
+    table = collector._table
+    assert table is not None, "the run handed back no request table"
+    fresh = RequestTable.from_requests(collector.requests)
+    assert len(table) == len(fresh) == len(collector.requests)
+    # codes number the functions differently (generator order against
+    # first appearance), so compare what they name
+    assert ([table.names[code] for code in table.codes.tolist()]
+            == [fresh.names[code] for code in fresh.codes.tolist()])
+    assert np.array_equal(table.status, fresh.status)
+    for column in ("arrival", "start", "completion"):
+        assert np.array_equal(getattr(table, column), getattr(fresh, column),
+                              equal_nan=True), column
+    assert table.status.dtype == np.uint8 and table.codes.dtype.itemsize <= 2
+
+
 def assert_planes_identical(spec: ScenarioSpec, timing_free: bool = False) -> None:
     """Run ``spec`` through both planes and require byte-identical output."""
     reset_request_ids()
     event = run_scenario(spec)
     reset_request_ids()
     columnar = run_scenario(_columnar(spec))
+    for outcome in (event, columnar):
+        if outcome.sim is not None:
+            assert_table_is_the_request_record(outcome)
 
     event_data = dict(event.data)
     columnar_data = dict(columnar.data)
@@ -133,6 +162,14 @@ def test_columnar_matches_event_plane(name):
     assert shards, name
     for spec in shards:
         assert_planes_identical(spec, timing_free=name in TIMING_SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(FEDERATED_CASES))
+def test_federated_merge_seals_the_table_of_its_merged_requests(name):
+    """A federation's envelope is reduced from one table over the site-ordered merge."""
+    for spec in shards_of(build(name, **FEDERATED_CASES[name])):
+        reset_request_ids()
+        assert_table_is_the_request_record(run_scenario(spec))
 
 
 def test_policy_shootout_covers_all_policies_and_fault_arms():
@@ -211,3 +248,88 @@ def test_random_faulted_workloads_byte_for_byte(crash_probability, rate, seed):
     spec = build("flaky-containers", crash_probability=crash_probability,
                  rate=rate, duration=45.0, seed=seed)
     assert_planes_identical(spec)
+
+
+# ----------------------------------------------------------------------
+# Results path: analysis reads the table, objects are built on request
+# ----------------------------------------------------------------------
+def _quickstart_runner(plane: str, metrics=None):
+    """A small LaSS run (two functions, queueing and cold starts) on ``plane``."""
+    from repro.simulation import SimulationRunner
+    from repro.workloads import StaticRate, WorkloadBinding, get_function
+
+    reset_request_ids()
+    bindings = [
+        WorkloadBinding(get_function(name), StaticRate(rate, duration=20.0), slo_deadline=0.1)
+        for name, rate in (("squeezenet", 30.0), ("mobilenet", 12.0))
+    ]
+    return SimulationRunner(workloads=bindings, seed=5, metrics=metrics, data_plane=plane)
+
+
+def test_columnar_analysis_builds_no_request_object():
+    """summary / slo / waiting_summary / throughput leave the deferred fill unrun."""
+    deadlines = {"squeezenet": 0.1, "mobilenet": 0.1}
+    event = _quickstart_runner("event").run(duration=20.0)
+    columnar = _quickstart_runner("columnar").run(duration=20.0)
+    assert columnar.kernel_stats is not None
+    collector = columnar.metrics
+
+    assert collector.summary(deadlines) == event.metrics.summary(deadlines)
+    assert columnar.slo(deadlines, warmup=5.0) == event.slo(deadlines, warmup=5.0)
+    for name in (None, "squeezenet", "mobilenet", "absent"):
+        assert columnar.waiting_summary(name, warmup=5.0) == event.waiting_summary(name, warmup=5.0)
+        assert collector.throughput(name) == len(event.metrics.completed_requests(name))
+    assert collector._deferred_fill is not None and collector._requests == []
+
+    # asking for objects still returns the list the event plane recorded
+    requests = collector.requests
+    assert collector._deferred_fill is None and collector.requests is requests
+    assert requests == event.metrics.requests and len(requests) > 400
+    assert collector.completed_requests() == event.metrics.completed_requests()
+    assert collector.dropped_requests() == event.metrics.dropped_requests()
+
+
+def test_event_plane_query_inside_the_run_sees_current_state():
+    """A collector queried from an engine callback extracts afresh; a finished run does not."""
+    from repro.metrics.slo import slo_report
+
+    runner = _quickstart_runner("event")
+    collector = runner.metrics
+    deadlines = {"squeezenet": 0.1, "mobilenet": 0.1}
+    seen = []
+
+    def probe():
+        assert collector._table is None
+        objects = list(collector.requests)
+        reports = collector.slo(deadlines)
+        # the reduction over a fresh extraction, not over an earlier one
+        assert reports == slo_report(objects, deadlines)
+        assert collector.throughput() == len(collector.completed_requests())
+        seen.append((sum(r.total_requests for r in reports.values()),
+                     collector.waiting_summary().count))
+
+    for at in (4.0, 9.0, 15.0):
+        runner.engine.call_at(at, probe)
+    result = runner.run(duration=20.0)
+    assert len(seen) == 3
+    assert seen[0][0] < seen[1][0] < seen[2][0] < len(collector.requests)
+    assert seen[0][1] < seen[1][1] < seen[2][1] < result.waiting_summary().count
+    # once the run has handed back its result, every query shares one table
+    assert collector._table is not None
+    assert collector.request_table() is collector.request_table()
+
+
+@pytest.mark.parametrize("plane", ("event", "columnar"))
+def test_streaming_collector_without_stored_requests_is_unchanged(plane):
+    """store_requests=False keeps no request record on either plane: no table, no fill."""
+    from repro.metrics.collector import MetricsCollector
+
+    metrics = MetricsCollector(streaming_percentiles=True, store_requests=False)
+    result = _quickstart_runner(plane, metrics).run(duration=20.0)
+    assert metrics.requests == [] and metrics._deferred_fill is None
+    assert len(metrics.request_table()) == 0
+    assert result.slo({"squeezenet": 0.1}) == {}
+    assert metrics.throughput() == 0
+    assert result.waiting_summary().count == metrics.counters["completions"] > 400
+    with pytest.raises(ValueError, match="warmup"):
+        result.waiting_summary(warmup=5.0)

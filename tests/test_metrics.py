@@ -1,6 +1,9 @@
 """Tests for the metrics package: percentiles, SLO reports, utilisation, timelines."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.collector import EpochSnapshot, FunctionEpochStats, MetricsCollector
 from repro.metrics.percentiles import (
@@ -8,10 +11,12 @@ from repro.metrics.percentiles import (
     summarize_response_times,
     summarize_waiting_times,
 )
-from repro.metrics.slo import overall_attainment, slo_report
+from repro.metrics.percentiles import WaitingTimeSummary
+from repro.metrics.slo import SloReport, overall_attainment, slo_report
+from repro.metrics.table import RequestTable
 from repro.metrics.timeline import AllocationTimeline, TimelinePoint
 from repro.metrics.utilization import UtilizationTracker, time_weighted_mean
-from repro.sim.request import Request
+from repro.sim.request import Request, RequestStatus
 
 
 def completed_request(name="fn", arrival=0.0, wait=0.05, service=0.1, deadline=0.1):
@@ -305,3 +310,217 @@ class TestStreamingPercentiles:
         assert percentile(arr, 0.95) == pytest.approx(0.95)
         assert percentile(iter(list(arr)), 0.5) == pytest.approx(0.5)
         assert percentile(arr.astype(np.float32), 0.5) == pytest.approx(0.5, abs=1e-6)
+
+
+# ----------------------------------------------------------------------
+# The table path against the object loops it replaced
+# ----------------------------------------------------------------------
+# The three functions below are the per-request loops of metrics/slo.py
+# and metrics/percentiles.py as they stood before the analysis moved
+# onto RequestTable, frozen verbatim as the reference.
+def _oracle_slo_report(requests, deadlines, target_percentile=0.95, on_waiting_time=True,
+                       warmup=0.0, count_drops_as_violations=True):
+    if not 0 < target_percentile < 1:
+        raise ValueError("target_percentile must be in (0, 1)")
+    per_function = {}
+    for request in requests:
+        if request.arrival_time < warmup:
+            continue
+        name = request.function_name
+        if name not in deadlines:
+            continue
+        stats = per_function.setdefault(
+            name, {"total": 0, "completed": 0, "dropped": 0, "within": 0}
+        )
+        stats["total"] += 1
+        if request.status is RequestStatus.COMPLETED:
+            stats["completed"] += 1
+            metric = request.waiting_time if on_waiting_time else request.response_time
+            if metric is not None and metric <= deadlines[name] + 1e-12:
+                stats["within"] += 1
+        elif request.status in (RequestStatus.DROPPED, RequestStatus.TIMED_OUT):
+            stats["dropped"] += 1
+
+    reports = {}
+    for name, stats in per_function.items():
+        denominator = stats["total"] if count_drops_as_violations else stats["completed"]
+        attainment = stats["within"] / denominator if denominator else 1.0
+        reports[name] = SloReport(
+            function_name=name,
+            deadline=deadlines[name],
+            target_percentile=target_percentile,
+            total_requests=stats["total"],
+            completed_requests=stats["completed"],
+            dropped_requests=stats["dropped"],
+            within_deadline=stats["within"],
+            attainment=attainment,
+            satisfied=attainment >= target_percentile,
+        )
+    return reports
+
+
+def _oracle_summary(values):
+    if not values:
+        return WaitingTimeSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    arr = np.asarray(values)
+    return WaitingTimeSummary(
+        count=int(arr.size),
+        mean=float(arr.mean()),
+        median=float(np.quantile(arr, 0.5)),
+        p90=float(np.quantile(arr, 0.90)),
+        p95=float(np.quantile(arr, 0.95)),
+        p99=float(np.quantile(arr, 0.99)),
+        maximum=float(arr.max()),
+        minimum=float(arr.min()),
+    )
+
+
+def _oracle_summarize_waiting_times(requests, function_name=None, warmup=0.0):
+    waits = []
+    for request in requests:
+        if function_name is not None and request.function_name != function_name:
+            continue
+        if request.arrival_time < warmup:
+            continue
+        if request.status is not RequestStatus.COMPLETED:
+            continue
+        wait = request.waiting_time
+        if wait is not None:
+            waits.append(wait)
+    return _oracle_summary(waits)
+
+
+def _oracle_summarize_response_times(requests, function_name=None, warmup=0.0):
+    values = []
+    for request in requests:
+        if function_name is not None and request.function_name != function_name:
+            continue
+        if request.arrival_time < warmup:
+            continue
+        if request.status is not RequestStatus.COMPLETED:
+            continue
+        rt = request.response_time
+        if rt is not None:
+            values.append(rt)
+    return _oracle_summary(values)
+
+
+def _population():
+    """Request lists with every status and every way a timestamp can be missing."""
+    moments = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
+
+    @st.composite
+    def request(draw):
+        arrival = draw(moments)
+        status = draw(st.sampled_from(list(RequestStatus)))
+        started = status in (RequestStatus.RUNNING, RequestStatus.COMPLETED)
+        if status in (RequestStatus.DROPPED, RequestStatus.TIMED_OUT):
+            started = draw(st.booleans())          # dropped in the queue, or after it started
+        item = Request(function_name=draw(st.sampled_from("abcd")), arrival_time=arrival)
+        item.status = status
+        if started:
+            # mostly an exact zero wait (the idle-container atom), else a spread
+            item.start_time = arrival + draw(st.sampled_from((0.0, 0.0, 0.05, 0.1, 0.1 + 1e-12, 3.0)))
+        if status in (RequestStatus.COMPLETED, RequestStatus.DROPPED, RequestStatus.TIMED_OUT):
+            item.completion_time = (item.start_time if started else arrival) + draw(moments)
+        if status is RequestStatus.COMPLETED and draw(st.integers(0, 19)) == 0:
+            # a completed record with a timestamp missing: not something a
+            # run produces, but the object loops tolerated it
+            if draw(st.booleans()):
+                item.start_time = None
+            else:
+                item.completion_time = None
+        return item
+
+    return st.lists(request(), max_size=60)
+
+
+class TestTablePathEqualsObjectLoops:
+    """`==` results and the same dict order, whatever the population looks like."""
+
+    @given(
+        requests=_population(),
+        # "e" never has requests; "d" (and sometimes more) has no deadline
+        deadlines=st.dictionaries(st.sampled_from("abce"), st.sampled_from((0.0, 0.1, 1, 2.5)),
+                                  max_size=4),
+        warmup=st.sampled_from((0.0, 10.0, 25.0, 1e9)),
+        on_waiting_time=st.booleans(),
+        count_drops=st.booleans(),
+        single_pass=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_slo_report(self, requests, deadlines, warmup, on_waiting_time, count_drops,
+                        single_pass):
+        expected = _oracle_slo_report(requests, deadlines, 0.9, on_waiting_time, warmup,
+                                      count_drops)
+        actual = slo_report(iter(requests) if single_pass else requests, deadlines, 0.9,
+                            on_waiting_time=on_waiting_time, warmup=warmup,
+                            count_drops_as_violations=count_drops)
+        assert actual == expected
+        assert list(actual) == list(expected)
+        for report in actual.values():
+            assert all(type(value) is int for value in (
+                report.total_requests, report.completed_requests,
+                report.dropped_requests, report.within_deadline))
+
+    @given(
+        requests=_population(),
+        function_name=st.sampled_from((None, "a", "b", "e")),
+        warmup=st.sampled_from((0.0, 10.0, 25.0, 1e9)),
+        single_pass=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_summaries(self, requests, function_name, warmup, single_pass):
+        for table_path, oracle in (
+            (summarize_waiting_times, _oracle_summarize_waiting_times),
+            (summarize_response_times, _oracle_summarize_response_times),
+        ):
+            source = iter(requests) if single_pass else requests
+            assert table_path(source, function_name, warmup) == oracle(
+                requests, function_name, warmup)
+
+    def test_empty_input_and_the_percentile_guard(self):
+        assert slo_report([], {"fn": 0.1}) == {}
+        assert slo_report(iter(()), {}) == {}
+        assert summarize_waiting_times([]) == _oracle_summarize_waiting_times([])
+        assert summarize_response_times(iter(())).count == 0
+        for bad in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="target_percentile"):
+                slo_report([completed_request()], {"fn": 0.1}, target_percentile=bad)
+
+    def test_deadline_tolerance_absorbs_float_rounding(self):
+        request = completed_request(arrival=0.3, wait=0.1)
+        assert request.waiting_time > 0.1                       # 0.4 - 0.3 rounds up
+        report = slo_report([request], {"fn": 0.1})
+        assert report == _oracle_slo_report([request], {"fn": 0.1})
+        assert report["fn"].within_deadline == 1
+
+    def test_a_table_passes_through_unconverted(self):
+        requests = [completed_request(name="a"), dropped_request(name="b"),
+                    completed_request(name="a", arrival=3.0, wait=0.4)]
+        table = RequestTable.from_requests(requests)
+        assert RequestTable.from_requests(table) is table
+        assert len(table) == 3 and table.names == ("a", "b")
+        assert slo_report(table, {"a": 0.1, "b": 0.1}) == _oracle_slo_report(
+            requests, {"a": 0.1, "b": 0.1})
+        assert summarize_waiting_times(table, "a") == _oracle_summarize_waiting_times(
+            requests, "a")
+
+    def test_collector_queries_follow_live_requests_until_sealed(self):
+        collector = MetricsCollector()
+        request = Request(function_name="fn", arrival_time=0.0)
+        collector.record_request(request)
+        assert collector.throughput() == 0
+        request.mark_running(0.02, "c", "n")
+        request.mark_completed(0.1)               # mutated without telling the collector
+        assert collector.throughput() == collector.throughput("fn") == 1
+        assert collector.throughput("other") == 0
+        assert collector.slo({"fn": 0.05})["fn"].within_deadline == 1
+        collector.seal_requests()
+        sealed = collector.request_table()
+        assert collector.request_table() is sealed             # one extraction per finished run
+        late = dropped_request(name="late")
+        collector.record_request(late)                          # a new request unseals it
+        assert collector.request_table() is not sealed
+        assert collector.slo({"late": 0.1})["late"].dropped_requests == 1
+        assert collector.requests == [request, late]

@@ -377,16 +377,19 @@ def test_observe_many_is_batch_split_invariant(observations, split):
     assert _estimator_state(batched) == _estimator_state(reference)
 
 
+_DELTAS = st.floats(min_value=0.0, max_value=12.0,
+                    allow_nan=False, allow_infinity=False)
+
+
 @PROPERTY_SETTINGS
 @given(
-    deltas=st.lists(
-        st.floats(min_value=0.0, max_value=12.0,
-                  allow_nan=False, allow_infinity=False),
-        min_size=0, max_size=60,
-    ),
+    # batches on both sides of sliding_window._VECTOR_RECORD_MIN (64): the
+    # per-element loop below it, the numpy bucket fold from it on
+    deltas=st.one_of(st.lists(_DELTAS, min_size=0, max_size=60),
+                     st.lists(_DELTAS, min_size=64, max_size=200)),
     window=st.floats(min_value=4.0, max_value=60.0,
                      allow_nan=False, allow_infinity=False),
-    split=st.integers(min_value=0, max_value=60),
+    split=st.integers(min_value=0, max_value=200),
 )
 def test_record_many_is_batch_split_invariant(deltas, window, split):
     """``record_many`` ≡ per-element ``record`` across arbitrary splits."""
