@@ -6,6 +6,9 @@
 * :mod:`repro.core.queueing.heterogeneous` — the Alves et al. upper
   bounds for M/M/c queues whose servers (containers) have different
   service rates, used after deflation.
+* :mod:`repro.core.queueing.logspace` — the log-factorial table and the
+  ``logsumexp`` reduction those two share (numpy only; scipy is the
+  tests' oracle for both).
 * :mod:`repro.core.queueing.sizing` — Algorithm 1: the iterative search
   for the smallest number of containers such that a high percentile of
   the waiting time stays below ``t = d − s_p``, plus a vectorised fast

@@ -145,9 +145,16 @@ class LogNormal(ServiceTimeDistribution):
         return rng.lognormal(self._mu, math.sqrt(self._sigma2), size=size)
 
     def percentile(self, p: float) -> float:
-        """The ``p``-th quantile."""
+        """The ``p``-th quantile (the one computation here that needs scipy)."""
         _check_percentile(p)
-        from scipy.stats import norm
+        try:
+            from scipy.stats import norm
+        except ImportError as exc:
+            raise ImportError(
+                "LogNormal.percentile needs scipy, which could not be imported: install it, "
+                "or leave ControllerConfig.subtract_service_percentile off for "
+                "functions with a log-normal profile"
+            ) from exc
 
         return math.exp(self._mu + math.sqrt(self._sigma2) * norm.ppf(p))
 

@@ -16,7 +16,9 @@ tail that converges when ``λ < S_c`` (the aggregate service capacity).
 
 The waiting-time bound mirrors the homogeneous case: an arrival that
 sees ``n >= c`` requests waits about ``(n − c + 1)/S_c``, so
-``P(Q <= t) >= Σ_{n=0}^{L} P_n`` with ``L = ⌊t·S_c + c − 1⌋``.
+``P(Q <= t) >= Σ_{n=0}^{L} P_n`` with ``L = ⌊t·S_c + c − 1⌋``.  The
+normalising constant is reduced by the ``logsumexp`` this module shares
+with the homogeneous model (:mod:`repro.core.queueing.logspace`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
+
+from repro.core.queueing.logspace import logsumexp
 
 
 @dataclass(frozen=True)
@@ -125,18 +129,7 @@ class HeterogeneousMMcQueue:
         a[: c + 1] = log_weights[: c + 1]
         # sum_{n=c+1}^{inf} w_c * ratio^{n-c} = w_c * ratio / (1 - ratio)
         a[c + 1] = log_weights[c] + math.log(tail_ratio) - math.log(1.0 - tail_ratio)
-        # scipy.special.logsumexp's reduction, inlined (its array-API
-        # wrapper costs ~20x the arithmetic on a c+2 element vector):
-        # the maxima are pulled out of the sum and counted, the rest is
-        # summed shifted.  numpy ufuncs throughout — math.log1p rounds
-        # differently — so the result is bit-identical (property-tested).
-        a_max = a.max()
-        is_max = a == a_max
-        m = np.count_nonzero(is_max)
-        a[is_max] = -np.inf
-        a -= a_max
-        s = np.exp(a, out=a).sum() / m
-        return float(-(np.log1p(s) + np.log(m) + a_max))
+        return float(-logsumexp(a))
 
     def state_probabilities(self, n_max: int) -> np.ndarray:
         """Upper-bound probabilities ``P_0 .. P_{n_max}``."""

@@ -17,7 +17,10 @@ probability that the wait is below ``t`` is ``Σ_{n=0}^{L} P_n`` with
 This module implements those formulas in a numerically careful way
 (log-space factorials, so ``c`` in the thousands is fine) and also the
 exact Erlang-C waiting-time distribution, which is used for comparison
-and in tests as an independent cross-check of the paper's bound.
+and in tests as an independent cross-check of the paper's bound.  The
+factorials are read from the shared table of
+:mod:`repro.core.queueing.logspace` — bit-equal to the ``gammaln`` calls
+they replace (frozen in ``tests/test_queueing_mmc.py`` as oracles).
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special
+
+from repro.core.queueing.logspace import log_factorials, logsumexp
 
 
 def _validate(lam: float, mu: float, c: int) -> None:
@@ -54,12 +58,11 @@ def mmc_log_p0(lam: float, mu: float, c: int) -> float:
         return 0.0
     # log of the two pieces of 1/P0
     log_r = math.log(r)
+    log_fact = log_factorials(c)
     # sum_{n=0}^{c-1} r^n / n!
-    n = np.arange(c)
-    log_terms = n * log_r - special.gammaln(n + 1)
-    log_sum_finite = special.logsumexp(log_terms)
+    log_sum_finite = logsumexp(np.arange(c) * log_r - log_fact[:c])
     # r^c / (c! (1-rho))
-    log_tail = c * log_r - special.gammaln(c + 1) - math.log(1.0 - rho)
+    log_tail = c * log_r - log_fact[c] - math.log(1.0 - rho)
     log_inv_p0 = np.logaddexp(log_sum_finite, log_tail)
     return float(-log_inv_p0)
 
@@ -79,16 +82,17 @@ def mmc_state_probabilities(lam: float, mu: float, c: int, n_max: int) -> np.nda
     r = lam / mu
     log_r = math.log(r)
     log_p0 = mmc_log_p0(lam, mu, c)
+    log_fact = log_factorials(c)
     n = np.arange(n_max + 1)
     log_pn = np.empty(n_max + 1)
     head = n <= c
-    log_pn[head] = n[head] * log_r - special.gammaln(n[head] + 1) + log_p0
+    log_pn[head] = n[head] * log_r - log_fact[n[head]] + log_p0
     tail = ~head
     if tail.any():
         log_pn[tail] = (
             n[tail] * log_r
             - (n[tail] - c) * math.log(c)
-            - special.gammaln(c + 1)
+            - log_fact[c]
             + log_p0
         )
     return np.exp(log_pn)
@@ -108,7 +112,7 @@ def erlang_c(lam: float, mu: float, c: int) -> float:
     if rho >= 1.0:
         return 1.0
     log_p0 = mmc_log_p0(lam, mu, c)
-    log_pw = c * math.log(r) - special.gammaln(c + 1) - math.log(1.0 - rho) + log_p0
+    log_pw = c * math.log(r) - log_factorials(c)[c] - math.log(1.0 - rho) + log_p0
     return float(min(1.0, math.exp(log_pw)))
 
 

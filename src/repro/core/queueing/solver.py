@@ -8,9 +8,10 @@ functions and shards.  The paper itself treats solver speed as
 first-class (the Julia-vs-Scala comparison of Algorithm 1, Figure 5),
 so this subsystem owns all wait-probability and sizing computations:
 
-1. a process-wide, grow-only log-factorial table
-   (:func:`log_factorials`), so probes stop recomputing ``gammaln``
-   over ``np.arange(c)`` from scratch;
+1. the process-wide, grow-only log-factorial table of
+   :mod:`repro.core.queueing.logspace` (bit-equal to ``gammaln``, built
+   without scipy), so probes index ``log(k!)`` instead of recomputing
+   it over ``np.arange(c)`` from scratch;
 2. a genuinely candidate-vectorised :func:`wait_probabilities` that
    evaluates the paper's bound for *all* candidate ``c`` values in one
    numpy pass over a shared triangular term matrix (no Python loop per
@@ -57,45 +58,15 @@ cold, the solver returns the same containers as the reference
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special
 
 from repro.core.queueing.heterogeneous import HeterogeneousMMcQueue
-
-
-# ----------------------------------------------------------------------
-# Process-wide grow-only log-factorial table
-# ----------------------------------------------------------------------
-_TABLE_LOCK = threading.Lock()
-_LOG_FACTORIALS = np.zeros(1)  # log(0!) = 0
-
-
-def log_factorials(n: int) -> np.ndarray:
-    """Table of ``log(k!)`` for ``k = 0 .. ≥ n``, grown once and shared.
-
-    The returned array has length at least ``n + 1`` and is shared
-    process-wide; callers index it, they must not write to it.  Growth
-    doubles to the next power of two and recomputes via ``gammaln``
-    (deterministic per value, so growth never changes existing entries).
-    """
-    global _LOG_FACTORIALS
-    table = _LOG_FACTORIALS
-    if n + 1 > table.shape[0]:
-        with _TABLE_LOCK:
-            table = _LOG_FACTORIALS
-            if n + 1 > table.shape[0]:
-                size = max(1024, table.shape[0])
-                while size < n + 1:
-                    size *= 2
-                table = special.gammaln(np.arange(size, dtype=float) + 1.0)
-                _LOG_FACTORIALS = table
-    return table
+from repro.core.queueing.logspace import log_factorials
 
 
 # ----------------------------------------------------------------------
@@ -1016,7 +987,6 @@ __all__ = [
     "SolverStats",
     "caches_disabled",
     "default_solver",
-    "log_factorials",
     "smallest_satisfying",
     "wait_probabilities",
 ]

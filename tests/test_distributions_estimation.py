@@ -1,6 +1,7 @@
 """Tests for service-time distributions and the estimation layer."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -66,6 +67,17 @@ class TestDistributions:
             ShiftedExponential(-0.1, 0.1)
         with pytest.raises(ValueError):
             Exponential(0.1).percentile(1.0)
+
+    def test_lognormal_percentile_without_scipy_says_what_to_do(self, monkeypatch):
+        # the one scipy call left in src/: reached only through
+        # ControllerConfig.subtract_service_percentile on a log-normal profile
+        dist = LogNormal(0.1, cv=0.3)
+        assert dist.percentile(0.5) == pytest.approx(0.1 / math.sqrt(1.09))
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        with pytest.raises(ImportError, match="scipy.*subtract_service_percentile") as caught:
+            dist.percentile(0.5)
+        assert type(caught.value) is ImportError  # not the bare ModuleNotFoundError
+        assert isinstance(caught.value.__cause__, ModuleNotFoundError)
 
 
 class TestEwma:

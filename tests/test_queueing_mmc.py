@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from repro.core.queueing.mmc import (
     MMcQueue,
@@ -13,6 +14,105 @@ from repro.core.queueing.mmc import (
     mmc_state_probabilities,
     mmc_wait_probability_vector,
 )
+
+
+# ----------------------------------------------------------------------
+# The scipy-based bodies these three functions had before the shared
+# log-factorial table, frozen verbatim (validation dropped) as oracles.
+# ----------------------------------------------------------------------
+def _scipy_mmc_log_p0(lam, mu, c):
+    r = lam / mu
+    rho = r / c
+    if lam == 0:
+        return 0.0
+    # log of the two pieces of 1/P0
+    log_r = math.log(r)
+    # sum_{n=0}^{c-1} r^n / n!
+    n = np.arange(c)
+    log_terms = n * log_r - special.gammaln(n + 1)
+    log_sum_finite = special.logsumexp(log_terms)
+    # r^c / (c! (1-rho))
+    log_tail = c * log_r - special.gammaln(c + 1) - math.log(1.0 - rho)
+    log_inv_p0 = np.logaddexp(log_sum_finite, log_tail)
+    return float(-log_inv_p0)
+
+
+def _scipy_mmc_state_probabilities(lam, mu, c, n_max):
+    if lam == 0:
+        probs = np.zeros(n_max + 1)
+        probs[0] = 1.0
+        return probs
+    r = lam / mu
+    log_r = math.log(r)
+    log_p0 = _scipy_mmc_log_p0(lam, mu, c)
+    n = np.arange(n_max + 1)
+    log_pn = np.empty(n_max + 1)
+    head = n <= c
+    log_pn[head] = n[head] * log_r - special.gammaln(n[head] + 1) + log_p0
+    tail = ~head
+    if tail.any():
+        log_pn[tail] = (
+            n[tail] * log_r
+            - (n[tail] - c) * math.log(c)
+            - special.gammaln(c + 1)
+            + log_p0
+        )
+    return np.exp(log_pn)
+
+
+def _scipy_erlang_c(lam, mu, c):
+    if lam == 0:
+        return 0.0
+    r = lam / mu
+    rho = r / c
+    if rho >= 1.0:
+        return 1.0
+    log_p0 = _scipy_mmc_log_p0(lam, mu, c)
+    log_pw = c * math.log(r) - special.gammaln(c + 1) - math.log(1.0 - rho) + log_p0
+    return float(min(1.0, math.exp(log_pw)))
+
+
+class TestBitIdenticalToScipyBodies:
+    """The table-indexed functions return what the ``gammaln`` ones did, bit for bit."""
+
+    #: utilisations from idle to a hair under instability
+    RHOS = (0.0, 1e-9, 0.05, 0.5, 0.9, 0.999, 1.0 - 1e-12)
+    CS = (1, 2, 3, 8, 12, 13, 64, 999, 1000, 1001, 5000)
+    MUS = (0.37, 1.0, 10.0)
+
+    def test_over_the_grid(self):
+        for c in self.CS:
+            for mu in self.MUS:
+                for rho in self.RHOS:
+                    lam = rho * c * mu
+                    if lam / mu / c >= 1.0:  # rounding pushed ρ → 1 over the edge
+                        lam = math.nextafter(c * mu, 0.0)
+                    where = (lam, mu, c)
+                    assert mmc_log_p0(lam, mu, c) == _scipy_mmc_log_p0(lam, mu, c), where
+                    assert erlang_c(lam, mu, c) == _scipy_erlang_c(lam, mu, c), where
+                    # below c, exactly c, and into the geometric tail
+                    for n_max in (0, c - 1, c, c + 7, 2 * c + 50):
+                        assert np.array_equal(
+                            mmc_state_probabilities(lam, mu, c, n_max),
+                            _scipy_mmc_state_probabilities(lam, mu, c, n_max),
+                        ), where + (n_max,)
+
+    @given(
+        rho=st.floats(min_value=1e-6, max_value=1.0 - 1e-9),
+        mu=st.floats(min_value=0.01, max_value=500.0),
+        c=st.integers(min_value=1, max_value=300),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property(self, rho, mu, c):
+        lam = rho * c * mu
+        if lam / mu / c >= 1.0:
+            return
+        assert mmc_log_p0(lam, mu, c) == _scipy_mmc_log_p0(lam, mu, c)
+        assert erlang_c(lam, mu, c) == _scipy_erlang_c(lam, mu, c)
+        assert np.array_equal(
+            mmc_state_probabilities(lam, mu, c, c + 20),
+            _scipy_mmc_state_probabilities(lam, mu, c, c + 20),
+        )
 
 
 class TestStateProbabilities:

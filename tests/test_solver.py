@@ -17,15 +17,18 @@ Three contracts are covered:
    positionally, and :func:`caches_disabled` forces cold solves.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy import special
 
+from repro.core.queueing import logspace
 from repro.core.queueing.heterogeneous import HeterogeneousMMcQueue
+from repro.core.queueing.logspace import log_factorials
 from repro.core.queueing.mmc import MMcQueue
 from repro.core.queueing.sizing import (
     SizingResult,
@@ -38,7 +41,6 @@ from repro.core.queueing.solver import (
     SizingQuery,
     SizingSolver,
     caches_disabled,
-    log_factorials,
     wait_probabilities,
 )
 
@@ -112,13 +114,47 @@ class TestKernel:
             wait_probabilities(1.0, 0.0, np.array([1]), 0.1)
 
     def test_log_factorial_table_grows_and_is_exact(self):
-        from scipy import special
-
-        table = log_factorials(5000)
-        assert table.shape[0] >= 5001
+        # scipy is the oracle, not the builder: every entry the table can
+        # serve equals gammaln bit for bit, across cephes' branch seams
+        top = 1 << 17
+        table = log_factorials(top)
+        assert table.shape[0] >= top + 1
+        expected = special.gammaln(np.arange(top + 1, dtype=float) + 1.0)
+        np.testing.assert_array_equal(table[:top + 1], expected)
+        # exact product below x = 13, polevl below x = 1000, short series from there
+        for seam in (0, 1, 11, 12, 998, 999, 1000, top):
+            assert table[seam] == expected[seam], seam
+        # q alone above x = 1e8: no table gets there, the builder does
+        far = np.arange(10**8 - 3, 10**8 + 3, dtype=float)
         np.testing.assert_array_equal(
-            table[:5001], special.gammaln(np.arange(5001, dtype=float) + 1.0)
+            logspace._stirling(10**8 - 3, 10**8 + 3), special.gammaln(far + 1.0)
         )
+
+    def test_log_factorial_growth_keeps_the_prefix(self, monkeypatch):
+        # growth computes only the new tail, from whatever size it starts at
+        full = log_factorials(5000).copy()
+        for start in (12, 13, 999, 1000, 1001, 1024, 3000):
+            seed = full[:start].copy()
+            seed.setflags(write=False)
+            monkeypatch.setattr(logspace, "_LOG_FACTORIALS", seed)
+            grown = log_factorials(5000)
+            assert grown.shape[0] >= 5001
+            np.testing.assert_array_equal(grown[:5001], full[:5001])
+            assert log_factorials(10) is grown  # never shrinks, never rebuilds
+
+    def test_log_factorials_match_the_exact_factorial(self):
+        # the scipy-independent anchor: a slow exact scalar oracle
+        table = log_factorials(20_000)
+        for k in itertools.chain(range(2000), range(2000, 20_001, 97)):
+            exact = math.log(math.factorial(k))
+            assert abs(table[k] - exact) <= 2 * math.ulp(exact), k
+
+    def test_log_factorial_table_is_read_only(self):
+        table = log_factorials(100)
+        with pytest.raises(ValueError, match="read-only"):
+            table[5] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            table -= 1.0
 
 
 class TestOracleEquivalence:
@@ -411,15 +447,44 @@ class TestHeterogeneous:
 
 
 def _scipy_log_p0(queue: HeterogeneousMMcQueue) -> float:
-    """``log P_0`` through ``scipy.special.logsumexp`` — the pre-inlining oracle."""
+    """``log P_0`` through ``scipy.special.logsumexp`` — the oracle for the shared helper."""
     log_weights = queue.log_unnormalised(queue.c)
     ratio = queue.lam / queue.aggregate_rate
     log_tail = log_weights[queue.c] + math.log(ratio) - math.log(1.0 - ratio)
-    return float(-logsumexp(np.append(log_weights, log_tail)))
+    return float(-special.logsumexp(np.append(log_weights, log_tail)))
 
 
 class TestInlinedLogSumExp:
-    """The hand-inlined reduction in ``log_p0`` is scipy's, bit for bit."""
+    """``logspace.logsumexp`` (once inlined in ``log_p0``) is scipy's reduction, bit for bit."""
+
+    @given(
+        values=st.lists(
+            st.floats(min_value=-800.0, max_value=800.0) | st.just(-math.inf),
+            min_size=1, max_size=60,
+        ),
+        ties=st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_shared_helper_equals_scipy_bitwise(self, values, ties):
+        assume(max(values) > -math.inf)  # the helper's one precondition
+        a = np.array(values + [max(values)] * ties)
+        before = a.copy()
+        assert logspace.logsumexp(a) == special.logsumexp(before)
+        assert np.array_equal(a, before)  # the argument is not consumed
+
+    def test_shared_helper_edge_vectors(self):
+        for values in (
+            [0.0],                               # a single element (c = 1)
+            [-3.5],
+            [1.0, 1.0],                          # ties at the maximum
+            [2.0, -1.0, 2.0, 2.0, 0.5],
+            [0.0, -math.inf],                    # −inf entries add nothing
+            [-math.inf, 4.0, -math.inf, 4.0],
+            [700.0, 700.0, -700.0],              # exp would overflow unshifted
+            [-745.0, -746.0],                    # ... and underflow
+        ):
+            a = np.array(values)
+            assert logspace.logsumexp(a) == special.logsumexp(a), values
 
     @given(
         mus=st.lists(st.floats(min_value=0.05, max_value=200.0), min_size=1, max_size=40),
