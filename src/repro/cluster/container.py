@@ -2,7 +2,9 @@
 
 A container hosts exactly one serverless function.  Requests dispatched
 to it by the load balancer are served in FCFS order, one at a time (the
-standard OpenWhisk model of one activation per container at a time).
+standard OpenWhisk model of one activation per container at a time).  An
+idle warm container starts a request in the call that hands it over; the
+FCFS deque holds only what arrives while it is starting, draining or busy.
 
 Deflation (paper §4.2) reduces the container's CPU allocation in place.
 The effect on performance is captured by a *speed factor*: a container
@@ -135,17 +137,15 @@ class Container:
     @property
     def is_available(self) -> bool:
         """Whether the load balancer may dispatch new requests to this container."""
-        return self.state == ContainerState.WARM
+        return self.state is ContainerState.WARM
 
     @property
     def is_idle(self) -> bool:
         """Warm and with no running or queued request."""
-        return self.state == ContainerState.WARM and self._current is None and not self._queue
-
-    @property
-    def is_dispatchable(self) -> bool:
-        """``is_available and is_idle`` in one attribute walk (hot path)."""
         return self.state is ContainerState.WARM and self._current is None and not self._queue
+
+    #: ``is_available and is_idle``; idle already implies warm, so it is the same test.
+    is_dispatchable = is_idle
 
     @property
     def queue_length(self) -> int:
@@ -285,23 +285,28 @@ class Container:
     ) -> None:
         """Accept a request for execution.
 
-        The request starts immediately if the container is idle, otherwise
-        it joins the FCFS queue.  Requests may arrive either fresh
-        (``PENDING``) or having already waited in a controller-level shared
-        queue (``QUEUED``).
+        An idle warm container starts it at once, without a pass through
+        the FCFS queue; a starting, draining or busy one queues it.
+        Requests may arrive either fresh (``PENDING``) or having already
+        waited in a controller-level shared queue (``QUEUED``).
         """
-        if self.state not in (ContainerState.WARM, ContainerState.STARTING, ContainerState.DRAINING):
+        state = self.state
+        if state is ContainerState.TERMINATED:
             raise ContainerError(
-                f"cannot submit to container {self.container_id} in state {self.state.value}"
+                f"cannot submit to container {self.container_id} in state {state.value}"
             )
-        if request.status is RequestStatus.PENDING:
+        status = request.status
+        if status is not RequestStatus.PENDING and status is not RequestStatus.QUEUED:
+            raise ContainerError(
+                f"cannot submit request in state {status.value} to {self.container_id}"
+            )
+        if state is ContainerState.WARM and self._current is None and not self._queue:
+            self._start(request, engine, on_complete)
+            return
+        if status is RequestStatus.PENDING:
             request.mark_queued()
-        elif request.status is not RequestStatus.QUEUED:
-            raise ContainerError(
-                f"cannot submit request in state {request.status.value} to {self.container_id}"
-            )
         self._queue.append(request)
-        if self.state == ContainerState.WARM:
+        if state is ContainerState.WARM:
             self._try_start_next(engine, on_complete)
 
     def on_warm_start(
@@ -318,16 +323,23 @@ class Container:
         on_complete: Optional[Callable[[Request, "Container"], None]],
     ) -> None:
         """Start the next queued request if the container has capacity for it."""
-        if self._current is not None or not self._queue:
-            return
-        request = self._queue.popleft()
+        if self._current is None and self._queue:
+            self._start(self._queue.popleft(), engine, on_complete)
+
+    def _start(
+        self,
+        request: Request,
+        engine: "SimulationEngine",
+        on_complete: Optional[Callable[[Request, "Container"], None]],
+    ) -> None:
+        """Begin executing ``request`` now; the caller has checked nothing is running."""
+        now = engine.now
         self._current = request
-        cold = self.warm_since is not None and self.completed_requests == 0 and engine.now == self.warm_since
-        request.mark_running(engine.now, self.container_id, self.node_name, cold_start=cold)
-        duration = max(1e-9, request.work / self.speed)
-        self._busy_since = engine.now
+        cold = self.warm_since is not None and self.completed_requests == 0 and now == self.warm_since
+        request.mark_running(now, self.container_id, self.node_name, cold_start=cold)
+        self._busy_since = now
         self._completion_event = engine.schedule(
-            duration, self._finish_current, engine, on_complete
+            max(1e-9, request.work / self.speed), self._finish_current, engine, on_complete
         )
 
     def _finish_current(
@@ -339,16 +351,18 @@ class Container:
         request = self._current
         if request is None:  # pragma: no cover - defensive
             return
-        request.mark_completed(engine.now)
+        now = engine.now
+        request.mark_completed(now)
         self.completed_requests += 1
         if self._busy_since is not None:
-            self.busy_time += engine.now - self._busy_since
+            self.busy_time += now - self._busy_since
             self._busy_since = None
         self._current = None
         self._completion_event = None
         if on_complete is not None:
             on_complete(request, self)
-        if self.state in (ContainerState.WARM, ContainerState.DRAINING):
+        # whatever ``on_complete`` handed over has started on its own
+        if self._queue and self.state in (ContainerState.WARM, ContainerState.DRAINING):
             self._try_start_next(engine, on_complete)
 
     def utilization(self, now: float) -> float:

@@ -47,18 +47,8 @@ class WeightedRoundRobinBalancer:
         if not eligible:
             return None
         if len(eligible) == 1:
-            # forced pick: smooth WRR would add the weight and immediately
-            # subtract the (equal) total, so the scores are unchanged —
-            # skipping the bookkeeping is behaviour-identical and removes
-            # the dominant cost on the single-idle-container fast path
-            only = eligible[0]
-            scores = self._scores.get(function_name)
-            if scores and (len(scores) > 1 or only.container_id not in scores):
-                kept = scores.get(only.container_id)
-                scores.clear()
-                if kept is not None:
-                    scores[only.container_id] = kept
-            return only
+            self.forced_pick(function_name, eligible[0])
+            return eligible[0]
         scores = self._scores.setdefault(function_name, {})
         # prune state for containers that no longer exist
         live_ids = {c.container_id for c in eligible}
@@ -79,6 +69,20 @@ class WeightedRoundRobinBalancer:
         assert best is not None
         scores[best.container_id] -= total_weight
         return best
+
+    def forced_pick(self, function_name: str, only: Container) -> None:
+        """Account for a pick among one candidate: prune every other score.
+
+        Smooth WRR would add the weight and immediately subtract the
+        (equal) total, so ``only``'s own score is unchanged; the
+        dispatcher's single-idle-container path calls this directly.
+        """
+        scores = self._scores.get(function_name)
+        if scores and (len(scores) > 1 or only.container_id not in scores):
+            kept = scores.get(only.container_id)
+            scores.clear()
+            if kept is not None:
+                scores[only.container_id] = kept
 
     def pick_least_loaded(
         self, function_name: str, containers: Sequence[Container]

@@ -293,10 +293,11 @@ class LassController(ControlPolicy):
     def _record_completion(self, request: Request, container: Container) -> None:
         """Completion callback: metrics plus optional online service-time learning."""
         self.metrics.record_completion(request)
-        if self.config.online_learning and request.service_time is not None:
+        if self.config.online_learning:
+            service_time = request.service_time
             state = self._functions.get(request.function_name)
-            if state is not None:
-                state.online_service.observe(container.cpu_fraction, request.service_time)
+            if service_time is not None and state is not None:
+                state.online_service.observe(container.cpu_fraction, service_time)
 
     def columnar_plan(self):
         """LaSS's per-request work, described for the columnar kernel.

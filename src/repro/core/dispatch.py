@@ -28,6 +28,10 @@ rebuilt the idle list with two full cluster scans per dispatched
 request.  Entries are validated lazily at pick time, so code that
 bypasses the dispatcher (tests submitting to containers directly) can
 never corrupt a dispatch, only leave a stale entry to be discarded.
+With exactly one idle container ``submit`` skips the candidate list, the
+sort and the scoring (``forced_pick``).  Every route still ends in
+:meth:`SharedQueueDispatcher._dispatch_to` — the single choke point, and
+the only place the crash-on-dispatch interceptor is consulted.
 
 The index is the only source of candidates: a dispatcher that was never
 attached (nor given a container through
@@ -38,6 +42,7 @@ queues everything.
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.cluster.container import Container
@@ -46,9 +51,8 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.request import Request, RequestStatus
 
 
-def _idle_sort_key(container: Container):
-    """Dispatch preference: smallest current CPU first (id as tie-break)."""
-    return (container.current_cpu, container.container_id)
+#: Dispatch preference: smallest current CPU first (id as tie-break).
+_idle_sort_key = attrgetter("current_cpu", "container_id")
 
 
 class SharedQueueDispatcher:
@@ -128,22 +132,10 @@ class SharedQueueDispatcher:
             if index is not None:
                 index.pop(container.container_id, None)
 
-    def _mark_busy(self, container: Container) -> None:
-        """Remove a container from its function's idle set."""
-        index = self._idle.get(container.function_name)
-        if index is not None:
-            index.pop(container.container_id, None)
-
     def _idle_candidates(self, function_name: str) -> List[Container]:
         """Validated idle containers of a function, in the seed's sort order."""
         index = self._idle.get(function_name)
         if not index:
-            return []
-        if len(index) == 1:  # the common steady-state case: skip the sort
-            (cid, container), = index.items()
-            if container.is_dispatchable:
-                return [container]
-            del index[cid]
             return []
         stale = [
             cid for cid, c in index.items() if not (c.is_dispatchable)
@@ -185,7 +177,9 @@ class SharedQueueDispatcher:
         interceptor = self.interceptor
         if interceptor is not None and not interceptor(request, container):
             return False
-        self._mark_busy(container)
+        index = self._idle.get(container.function_name)
+        if index is not None:
+            index.pop(container.container_id, None)
         container.submit(request, self.engine, self._completion_hook)
         return True
 
@@ -197,12 +191,21 @@ class SharedQueueDispatcher:
         container crashed on dispatch (fault injection), in which case
         the request was failed, not queued.
         """
-        idle = self._idle_candidates(request.function_name)
-        chosen = self.balancer.pick(request.function_name, idle) if idle else None
+        name = request.function_name
+        index = self._idle.get(name)
+        chosen = None
+        if index:
+            only = next(iter(index.values())) if len(index) == 1 else None
+            if only is not None and only.is_dispatchable:  # no list, no sort, no scoring
+                self.balancer.forced_pick(name, only)
+                chosen = only
+            else:
+                idle = self._idle_candidates(name)
+                chosen = self.balancer.pick(name, idle) if idle else None
         if chosen is None:
-            queue = self._queues.get(request.function_name)
+            queue = self._queues.get(name)
             if queue is None:
-                queue = self._queues[request.function_name] = deque()
+                queue = self._queues[name] = deque()
             request.mark_queued()
             queue.append(request)
             return False
@@ -253,9 +256,9 @@ class SharedQueueDispatcher:
         queue = self._queues.get(request.function_name)
         while queue and container.is_dispatchable:
             next_request = queue.popleft()
-            if next_request.status is not RequestStatus.QUEUED:
-                continue
-            self._dispatch_to(container, next_request)
+            if (next_request.status is RequestStatus.QUEUED
+                    and self._dispatch_to(container, next_request)):
+                return  # busy again, and _dispatch_to took it out of the idle index
         self._on_container_state(container)
 
 

@@ -14,7 +14,8 @@ times (and a distributional shape) per container size, interpolated for
 intermediate deflation levels.  :class:`OnlineServiceTimeEstimator` is
 the online path: it ingests ``(cpu_fraction, service_time)`` samples
 from completed requests and maintains running means and streaming
-quantiles per CPU bucket.
+quantiles per CPU bucket — noted at the completion, folded at the next
+read (see its pending-block contract).
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.queueing.distributions import Exponential, ServiceTimeDistribution
+
+#: Most completions :meth:`OnlineServiceTimeEstimator.observe` holds back
+#: before folding them itself: a memory bound for runs that never read the
+#: estimator, not a tuning knob (see ``sliding_window._PENDING_BLOCK``).
+_PENDING_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -210,6 +216,14 @@ class OnlineServiceTimeEstimator:
     the 95th/99th percentiles well within the noise floor of the
     simulated service-time distributions while bounding the fill-phase
     ``insort`` cost, which sits on the per-completion hot path.
+
+    Pending-block contract: :meth:`observe` validates its arguments at the
+    call and notes them; the block goes through :meth:`observe_many` —
+    state for state what per-observation folding leaves, reservoir RNG
+    included — when anything next reads ``_buckets`` or ``_totals`` (every
+    read method, and :meth:`observe_many` itself, so the two entry points
+    interleave), or by itself at ``_PENDING_BLOCK`` entries.  A rejected
+    call, on either entry point, leaves the estimator as it found it.
     """
 
     def __init__(self, bucket_width: float = 0.1, max_samples_per_bucket: int = 1024) -> None:
@@ -218,10 +232,32 @@ class OnlineServiceTimeEstimator:
             raise ValueError("bucket_width must be in (0, 1]")
         self.bucket_width = float(bucket_width)
         self.max_samples_per_bucket = int(max_samples_per_bucket)
-        self._buckets: Dict[int, StreamingQuantile] = {}
+        self._folded_buckets: Dict[int, StreamingQuantile] = {}
         # [count, total] mutated in place (a fresh tuple per observation
         # showed up in hot-path profiles)
-        self._totals: Dict[int, List[float]] = {}
+        self._folded_totals: Dict[int, List[float]] = {}
+        self._pending_fractions: List[float] = []
+        self._pending_times: List[float] = []
+
+    @property
+    def _buckets(self) -> Dict[int, StreamingQuantile]:
+        """Per-bucket reservoirs, with every noted observation folded in."""
+        if self._pending_times:
+            self._fold()
+        return self._folded_buckets
+
+    @property
+    def _totals(self) -> Dict[int, List[float]]:
+        """Per-bucket ``[count, total]``, with every noted observation folded in."""
+        if self._pending_times:
+            self._fold()
+        return self._folded_totals
+
+    def _fold(self) -> None:
+        """Move the pending block into the buckets."""
+        fractions, self._pending_fractions = self._pending_fractions, []
+        times, self._pending_times = self._pending_times, []
+        self.observe_many(fractions, times)
 
     def _bucket(self, cpu_fraction: float) -> int:
         """Bucket index for a CPU fraction."""
@@ -230,18 +266,16 @@ class OnlineServiceTimeEstimator:
         return int(round(min(1.0, cpu_fraction) / self.bucket_width))
 
     def observe(self, cpu_fraction: float, service_time: float) -> None:
-        """Record one completed request's service time at the given CPU fraction."""
-        if service_time < 0:
+        """Note one completed request's service time at the given CPU fraction."""
+        if not service_time >= 0:  # also rejects NaN
             raise ValueError("service_time must be non-negative")
-        key = self._bucket(cpu_fraction)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = self._buckets[key] = StreamingQuantile(self.max_samples_per_bucket)
-            self._totals[key] = [0, 0.0]
-        bucket.add(service_time)
-        totals = self._totals[key]
-        totals[0] += 1
-        totals[1] += service_time
+        if cpu_fraction <= 0:
+            raise ValueError("cpu_fraction must be positive")
+        self._pending_fractions.append(cpu_fraction)
+        times = self._pending_times
+        times.append(service_time)
+        if len(times) >= _PENDING_BLOCK:
+            self._fold()
 
     def observe_many(self, cpu_fractions: List[float],
                      service_times: List[float]) -> None:
@@ -252,7 +286,8 @@ class OnlineServiceTimeEstimator:
         can see) so each bucket is touched once per batch.  Running
         totals still accumulate element by element in order — float
         addition is not associative, and the totals must stay bit-equal
-        to the per-observation path.
+        to the per-observation path.  The whole batch is validated before
+        anything — pending block included — is folded.
         """
         bucket_width = self.bucket_width
         groups: Dict[int, List[float]]
@@ -261,14 +296,15 @@ class OnlineServiceTimeEstimator:
             # uniform fleet fast path: one bucket for the whole batch
             if first <= 0:
                 raise ValueError("cpu_fraction must be positive")
-            if min(service_times) < 0:
+            # a NaN can hide a negative from min() but never itself from sum()
+            if min(service_times) < 0 or math.isnan(sum(service_times)):
                 raise ValueError("service_time must be non-negative")
             key = int(round(min(1.0, first) / bucket_width))
             groups = {key: list(service_times)}
         else:
             groups = {}
             for cpu_fraction, service_time in zip(cpu_fractions, service_times):
-                if service_time < 0:
+                if not service_time >= 0:  # also rejects NaN
                     raise ValueError("service_time must be non-negative")
                 if cpu_fraction <= 0:
                     raise ValueError("cpu_fraction must be positive")
@@ -277,13 +313,14 @@ class OnlineServiceTimeEstimator:
                 if group is None:
                     group = groups[key] = []
                 group.append(service_time)
+        buckets, totals_of = self._buckets, self._totals  # older pending observations go first
         for key, values in groups.items():
-            bucket = self._buckets.get(key)
+            bucket = buckets.get(key)
             if bucket is None:
-                bucket = self._buckets[key] = StreamingQuantile(self.max_samples_per_bucket)
-                self._totals[key] = [0, 0.0]
+                bucket = buckets[key] = StreamingQuantile(self.max_samples_per_bucket)
+                totals_of[key] = [0, 0.0]
             bucket.add_many(values)
-            totals = self._totals[key]
+            totals = totals_of[key]
             totals[0] += len(values)
             running = totals[1]
             for value in values:

@@ -158,7 +158,8 @@ class MetricsCollector:
     def record_request(self, request: Request) -> None:
         """Register a request (typically at arrival; its fields keep updating)."""
         if self.store_requests:
-            self.requests.append(request)
+            # a columnar run's deferred objects, if any, are materialised first
+            (self._requests if self._deferred_fill is None else self.requests).append(request)
             self._table = None
         self.counters["arrivals"] += 1
 

@@ -258,14 +258,8 @@ class ArrivalGenerator:
     def _emit(self, arrival_time: float, work: float) -> None:
         """Create one request at its arrival time and hand it to dispatch."""
         deadline = None if self.slo_deadline is None else arrival_time + self.slo_deadline
-        request = Request(
-            function_name=self.profile.name,
-            arrival_time=arrival_time,
-            deadline=deadline,
-            work=work,
-        )
         self.generated += 1
-        self.dispatch(request)
+        self.dispatch(Request(self.profile.name, arrival_time, deadline, work))
 
     def materialize_arrivals(self) -> "tuple[List[float], List[float]]":
         """Sample the whole run's arrivals up front (columnar data plane).

@@ -208,6 +208,135 @@ class TestExecution:
         assert second.status is RequestStatus.COMPLETED
 
 
+class _NoQueue:
+    """Stands in for ``Container._queue``: empty, and any use of it beyond a truth test fails."""
+
+    def __bool__(self):
+        return False
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the idle hand-off touched _queue.{name}")
+
+
+class TestHandOff:
+    """An idle warm container starts a request in one hop; everything else queues FCFS."""
+
+    def test_idle_warm_submit_never_touches_the_queue(self, engine):
+        container = make_container()
+        container.mark_warm(0.0)
+        container._queue = _NoQueue()
+        seen = []
+        for _ in range(3):  # each submit finds the container idle again
+            request = make_request(work=0.1)
+            container.submit(request, engine, on_complete=lambda r, c: seen.append(r))
+            assert request.status is RequestStatus.RUNNING
+            assert container.current_request is request
+            engine.run()
+            assert request.status is RequestStatus.COMPLETED
+        assert len(seen) == 3 and container.completed_requests == 3
+
+    def test_queued_request_waiting_since_submitted_queued_is_started_directly(self, engine):
+        container = make_container()
+        container.mark_warm(0.0)
+        request = make_request()
+        request.mark_queued()  # waited in a controller-level queue first
+        container.submit(request, engine)
+        assert request.status is RequestStatus.RUNNING and container.queue_length == 0
+
+    @pytest.mark.parametrize("phase", ["starting", "draining", "busy"])
+    def test_other_containers_keep_fcfs_order_through_the_deque(self, engine, phase):
+        container = make_container()
+        if phase != "starting":
+            container.mark_warm(0.0)
+            container.submit(make_request(work=0.5), engine)  # now busy
+        if phase == "draining":
+            container.mark_draining()
+        waiting = [make_request(work=0.1) for _ in range(4)]
+        for request in waiting:
+            container.submit(request, engine)
+            assert request.status is RequestStatus.QUEUED
+        assert list(container._queue) == waiting
+        if phase == "starting":
+            container.mark_warm(1.0)
+            container.on_warm_start(engine)
+        engine.run()
+        starts = [r.start_time for r in waiting]
+        assert all(r.status is RequestStatus.COMPLETED for r in waiting)
+        assert starts == sorted(starts) and len(set(starts)) == 4
+
+    def test_idle_draining_container_queues_without_starting(self, engine):
+        container = make_container()
+        container.mark_warm(0.0)
+        container.mark_draining()
+        request = make_request()
+        container.submit(request, engine)
+        assert request.status is RequestStatus.QUEUED and container.current_request is None
+
+    def test_cold_start_flag_marks_exactly_the_first_request_started_at_warm_since(self, engine):
+        # through the deque: three requests wait out the cold start
+        container = make_container()
+        waited = [make_request(work=0.1) for _ in range(3)]
+        for request in waited:
+            container.submit(request, engine)
+        engine.schedule(1.0, lambda: (container.mark_warm(engine.now),
+                                      container.on_warm_start(engine)))
+        engine.run()
+        assert [r.cold_start for r in waited] == [True, False, False]
+
+        # in one hop: the first arrives at the very instant the container warms
+        container = make_container()
+        arriving = [make_request(work=0.1) for _ in range(3)]
+        engine.schedule(1.0, container.mark_warm, engine.now + 1.0)
+        for delay, request in zip((1.0, 1.5, 2.0), arriving):
+            engine.schedule(delay, container.submit, request, engine)
+        engine.run()
+        assert all(r.status is RequestStatus.COMPLETED for r in arriving)
+        assert [r.cold_start for r in arriving] == [True, False, False]
+
+    def test_request_arriving_after_warm_since_is_not_a_cold_start(self, engine):
+        container = make_container()
+        container.mark_warm(0.0)
+        engine.schedule(0.25, lambda: None)
+        engine.run()
+        request = make_request()
+        container.submit(request, engine)
+        assert request.status is RequestStatus.RUNNING and request.cold_start is False
+
+    @pytest.mark.parametrize("busy", [False, True])
+    def test_submitting_a_running_or_finished_request_raises(self, engine, busy):
+        container = make_container()
+        container.mark_warm(0.0)
+        if busy:
+            container.submit(make_request(work=5.0), engine)
+        running = make_request()
+        running.mark_running(0.0, "elsewhere", "n9")
+        finished = make_request()
+        finished.mark_running(0.0, "elsewhere", "n9")
+        finished.mark_completed(0.1)
+        before = (container.current_request, container.queue_length)
+        for request in (running, finished):
+            with pytest.raises(ContainerError):
+                container.submit(request, engine)
+        assert (container.current_request, container.queue_length) == before
+
+    def test_the_three_idle_predicates_agree(self, engine):
+        container = make_container()
+        states = []
+
+        def note():
+            states.append((container.is_available, container.is_idle, container.is_dispatchable))
+            assert container.is_dispatchable == (container.is_available and container.is_idle)
+
+        note()                                   # STARTING
+        container.mark_warm(0.0); note()         # WARM, idle
+        container.submit(make_request(), engine); note()   # busy
+        engine.run(); note()                     # idle again
+        container.mark_draining(); note()        # DRAINING
+        container.terminate(engine.now); note()  # TERMINATED
+        assert states == [(False, False, False), (True, True, True), (True, False, False),
+                          (True, True, True), (False, False, False), (False, False, False)]
+
+
 class TestValidation:
     def test_positive_sizes_required(self):
         with pytest.raises(ValueError):

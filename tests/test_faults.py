@@ -332,6 +332,32 @@ class TestCrashOnDispatch:
         assert counters["creations"] > faults["container_crashes"] / 2
         assert counters["completions"] > 0
 
+    def test_interceptor_is_consulted_once_per_dispatch_attempt(self, monkeypatch):
+        """Interceptor calls == requests started + crashes drawn, all from ``_dispatch_to``."""
+        import collections
+        import sys
+
+        from repro.faults.injector import FaultInjector
+
+        consulted = collections.Counter()
+        original = FaultInjector._intercept_dispatch
+
+        def counting(injector, request, container):
+            choke_point = sys._getframe(1)
+            consulted[choke_point.f_code.co_name, choke_point.f_back.f_code.co_name] += 1
+            return original(injector, request, container)
+
+        monkeypatch.setattr(FaultInjector, "_intercept_dispatch", counting)
+        out = run_scenario(build("flaky-containers", crash_probability=0.05, duration=60.0))
+        started = sum(r.start_time is not None for r in out.sim.metrics.requests)
+        crashes = out.data["faults"]["container_crashes"]
+        assert crashes > 0
+        assert sum(consulted.values()) == started + crashes
+        # every route onto a container was taken, and each went through the choke point
+        assert set(consulted) == {("_dispatch_to", "submit"),
+                                  ("_dispatch_to", "_completion_hook"),
+                                  ("_dispatch_to", "drain")}
+
     def test_crash_functions_filter(self):
         base = build("rolling-node-churn", phase=30.0)
         spec = ScenarioSpec.from_dict({

@@ -349,6 +349,87 @@ class TestIncrementalIdleSets:
         assert all(r.container_id == second.container_id for r in done)
 
 
+class TestSingleChokePoint:
+    """Every route onto a container consults the interceptor once, from ``_dispatch_to``."""
+
+    ROUTES = ("single-candidate submit", "multi-candidate submit", "completion pull", "drain")
+
+    def _dispatch_once(self, engine, route, crash):
+        """Set ``route`` up, arm the interceptor, make exactly one dispatch attempt."""
+        import sys
+
+        dispatcher = SharedQueueDispatcher(engine)
+        consulted = []
+
+        def interceptor(request, container):
+            consulted.append((sys._getframe(1).f_code.co_name, request, container))
+            if crash:  # what FaultInjector.apply_crash does to the two objects
+                request.mark_dropped(engine.now)
+                container.evict(engine.now)
+            return not crash
+
+        balancer = dispatcher.balancer
+        for method in ("pick", "forced_pick"):
+            def spy(*args, _name=method, _original=getattr(balancer, method)):
+                self.balancer_calls.append(_name)
+                return _original(*args)
+            setattr(balancer, method, spy)
+        self.balancer_calls = []
+
+        request = make_request(work=0.1)
+        if route == "single-candidate submit":
+            watched_container(dispatcher)
+            dispatcher.interceptor = interceptor
+            started = dispatcher.submit(request)
+        elif route == "multi-candidate submit":
+            watched_container(dispatcher, cpu=1.0)
+            watched_container(dispatcher, cpu=2.0)
+            dispatcher.interceptor = interceptor
+            started = dispatcher.submit(request)
+        elif route == "completion pull":
+            watched_container(dispatcher)
+            assert dispatcher.submit(make_request(work=0.1)) is True   # occupies it
+            assert dispatcher.submit(request) is False                 # waits
+            dispatcher.interceptor = interceptor
+            engine.run(until=0.15)                                     # first one completes
+            started = request.status is RequestStatus.RUNNING
+        else:
+            assert dispatcher.submit(request) is False                 # nothing to run on yet
+            watched_container(dispatcher)
+            dispatcher.interceptor = interceptor
+            started = dispatcher.drain("fn") == 1
+        return dispatcher, consulted, request, started
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_healthy_dispatch_consults_once(self, engine, route):
+        dispatcher, consulted, request, started = self._dispatch_once(engine, route, crash=False)
+        assert started and request.status is RequestStatus.RUNNING
+        assert [(caller, r) for caller, r, _ in consulted] == [("_dispatch_to", request)]
+        assert consulted[0][2].current_request is request
+        assert self.balancer_calls == {
+            "single-candidate submit": ["forced_pick"],      # straight from the idle index
+            "multi-candidate submit": ["pick"],
+            "completion pull": ["forced_pick"],              # only the set-up's own submit
+            "drain": ["pick", "forced_pick"],                # pick's single-eligible branch
+        }[route]
+        engine.run()
+        assert request.status is RequestStatus.COMPLETED and len(consulted) == 1
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_crash_fails_the_request_evicts_and_unindexes(self, engine, route):
+        dispatcher, consulted, request, started = self._dispatch_once(engine, route, crash=True)
+        assert not started
+        assert [(caller, r) for caller, r, _ in consulted] == [("_dispatch_to", request)]
+        crashed = consulted[0][2]
+        # the same end state on the fast path as on the three general ones
+        assert request.status is RequestStatus.DROPPED and request.start_time is None
+        assert crashed.state.value == "terminated" and crashed.current_request is None
+        assert crashed.container_id not in dispatcher._idle.get("fn", {})
+        assert dispatcher.queue_length("fn") == 0          # failed, not queued
+        engine.run()
+        assert len(consulted) == 1
+
+
 class TestUnattachedDispatcherHygiene:
     def test_unattached_dispatcher_does_not_pin_containers(self, engine):
         """A dispatcher nobody attached sees no containers: it indexes
