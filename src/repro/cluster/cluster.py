@@ -126,6 +126,13 @@ class EdgeCluster:
         #: per-function index of live containers so hot paths never scan
         #: the whole cluster (terminated containers are removed eagerly)
         self._by_function: Dict[str, Dict[str, Container]] = {}
+        #: :meth:`containers_of` as last sorted, per function: with draining
+        #: containers and without.  A control epoch asks four times per
+        #: function between two changes, so an entry lives until the function
+        #: gains a container or one of its containers has ``state`` or
+        #: ``current_cpu`` (the sort key) written.
+        self._sorted_all: Dict[str, List[Container]] = {}
+        self._sorted_live: Dict[str, List[Container]] = {}
         self._on_container_warm: List[Callable[[Container], None]] = []
         self._on_container_state: List[Callable[[Container], None]] = []
         #: Optional override for the constant cold-start latency: a
@@ -231,14 +238,21 @@ class EdgeCluster:
     # ------------------------------------------------------------------
     def containers_of(self, function_name: str, include_draining: bool = True) -> List[Container]:
         """Live containers of a function, sorted by current CPU (smallest first)."""
-        index = self._by_function.get(function_name)
-        if not index:
-            return []
-        if include_draining:
-            result = list(index.values())
-        else:
-            result = [c for c in index.values() if c.state != ContainerState.DRAINING]
-        return sorted(result, key=lambda c: (c.current_cpu, c.container_id))
+        cache = self._sorted_all if include_draining else self._sorted_live
+        result = cache.get(function_name)
+        if result is None:
+            index = self._by_function.get(function_name)
+            if not index:
+                return []
+            if include_draining:
+                result = sorted(index.values(), key=lambda c: (c.current_cpu, c.container_id))
+            else:
+                # the sort key is unique per container, so filtering the
+                # sorted list is sorting the filtered one
+                result = [c for c in self.containers_of(function_name)
+                          if c.state != ContainerState.DRAINING]
+            cache[function_name] = result
+        return list(result)
 
     def has_containers(self, function_name: str) -> bool:
         """O(1): whether the function has any live container (incl. draining)."""
@@ -268,7 +282,7 @@ class EdgeCluster:
         self._on_container_warm.append(callback)
 
     def on_container_state(self, callback: Callable[[Container], None]) -> None:
-        """Register a hook invoked after *every* container lifecycle transition.
+        """Register a hook invoked after *every* container lifecycle transition or resize.
 
         This is how derived indexes (the dispatcher's per-function idle
         sets) stay in sync incrementally instead of rescanning the
@@ -277,7 +291,9 @@ class EdgeCluster:
         self._on_container_state.append(callback)
 
     def _container_state_changed(self, container: Container) -> None:
-        """Observer hook: keep the per-function container index in sync."""
+        """Observer hook: drop the function's sorted lists, keep its index in sync."""
+        self._sorted_all.pop(container.function_name, None)
+        self._sorted_live.pop(container.function_name, None)
         if container.state == ContainerState.TERMINATED:
             self._containers.pop(container.container_id, None)
             index = self._by_function.get(container.function_name)
@@ -331,6 +347,8 @@ class EdgeCluster:
         node.add_container(container, enforce_cpu=enforce_cpu)
         self._containers[container.container_id] = container
         self._by_function.setdefault(function_name, {})[container.container_id] = container
+        self._sorted_all.pop(function_name, None)
+        self._sorted_live.pop(function_name, None)
         container.state_observer = self._container_state_changed
         sampler = self.cold_start_sampler
         latency = self.config.cold_start_latency if sampler is None else max(0.0, sampler())

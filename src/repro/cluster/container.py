@@ -26,6 +26,7 @@ from typing import Callable, Deque, List, Optional, Tuple, TYPE_CHECKING
 from repro.sim.request import Request, RequestStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from repro.cluster.node import Node
     from repro.sim.engine import SimulationEngine
 
 _container_counter = itertools.count()
@@ -96,10 +97,17 @@ class Container:
         #: cached speed; the response curve is a pure function of the CPU
         #: fraction, so it only needs re-evaluating after a resize
         self._speed: Optional[float] = None
-        #: invoked with the container after every lifecycle transition;
-        #: the owning cluster uses it to keep derived indexes (e.g. the
-        #: dispatcher's idle sets) in sync without scanning.
+        #: invoked with the container after every write to ``state`` or
+        #: ``current_cpu`` (a lifecycle transition or a resize); the owning
+        #: cluster uses it to keep derived indexes (its sorted per-function
+        #: lists, the dispatcher's idle sets) in sync without scanning.
+        #: Nothing but the methods below may assign either attribute (the
+        #: ledger invariant in docs/architecture.md, "Control path").
         self.state_observer: Optional[Callable[["Container"], None]] = None
+        #: the node hosting the container (``Node.add_container`` sets it,
+        #: ``remove_container`` clears it); the same writes drop its cached
+        #: allocation sums
+        self.host: Optional["Node"] = None
 
         self._queue: Deque[Request] = deque()
         self._current: Optional[Request] = None
@@ -166,7 +174,10 @@ class Container:
     # Lifecycle
     # ------------------------------------------------------------------
     def _notify_state(self) -> None:
-        """Invoke the state observer, if one is attached."""
+        """``state`` or ``current_cpu`` was written: tell the hosting node and the observer."""
+        host = self.host
+        if host is not None:
+            host.drop_sums()
         observer = self.state_observer
         if observer is not None:
             observer(self)
@@ -262,6 +273,7 @@ class Container:
         released = self.current_cpu - new_cpu
         self.current_cpu = new_cpu
         self._speed = None
+        self._notify_state()
         return released
 
     def deflate_by(self, ratio: float) -> float:

@@ -5,6 +5,15 @@ The paper's testbed is three nodes with 4 cores and 16 GB each.  A
 allocations and memory allocations never exceeds its capacity, and
 exposes the utilisation numbers reported in the evaluation (allocated
 vs. total capacity).
+
+The two allocation sums are a ledger kept at the write: placement reads
+them thousands of times between two changes, so each is computed once
+and dropped by whatever can change it — :meth:`Node.add_container`,
+:meth:`Node.remove_container`, and every write to a hosted container's
+``state`` or ``current_cpu`` (through ``Container.host``).  What is
+cached is the value the sum over the hosted containers returns, never a
+running total: float addition is not associative, and ``cpu_free``
+decides placements to within ``1e-9``.
 """
 
 from __future__ import annotations
@@ -47,6 +56,15 @@ class Node:
         #: accounting untouched), a failed node also drops out of the
         #: cluster's capacity totals — the controller must plan around it.
         self.failed = False
+        #: the allocation sums as last computed; ``None`` once a write has
+        #: made them stale
+        self._cpu_allocated: Optional[float] = None
+        self._memory_allocated_mb: Optional[float] = None
+
+    def drop_sums(self) -> None:
+        """A container came or went, or a hosted one's ``state`` / ``current_cpu`` was written."""
+        self._cpu_allocated = None
+        self._memory_allocated_mb = None
 
     @property
     def available(self) -> bool:
@@ -64,12 +82,18 @@ class Node:
     @property
     def cpu_allocated(self) -> float:
         """Sum of the *current* (possibly deflated) CPU allocations."""
-        return sum(c.current_cpu for c in self.containers)
+        allocated = self._cpu_allocated
+        if allocated is None:
+            allocated = self._cpu_allocated = sum(c.current_cpu for c in self.containers)
+        return allocated
 
     @property
     def memory_allocated_mb(self) -> float:
         """Sum of memory allocations of live containers."""
-        return sum(c.memory_mb for c in self.containers)
+        allocated = self._memory_allocated_mb
+        if allocated is None:
+            allocated = self._memory_allocated_mb = sum(c.memory_mb for c in self.containers)
+        return allocated
 
     @property
     def cpu_free(self) -> float:
@@ -124,10 +148,16 @@ class Node:
             )
         container.node_name = self.name
         self._containers[container.container_id] = container
+        container.host = self
+        self.drop_sums()
 
     def remove_container(self, container_id: str) -> Optional[Container]:
         """Forget a container (after termination); returns it if present."""
-        return self._containers.pop(container_id, None)
+        container = self._containers.pop(container_id, None)
+        if container is not None:
+            container.host = None
+            self.drop_sums()
+        return container
 
     def get_container(self, container_id: str) -> Optional[Container]:
         """Look up a hosted container by id."""

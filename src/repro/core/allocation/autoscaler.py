@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro.core.queueing.sizing import (
     SizingResult,
@@ -31,9 +31,12 @@ from repro.core.queueing.sizing import (
 from repro.core.queueing.solver import SizingQuery, SizingSolver, default_solver
 
 
-@dataclass(frozen=True)
-class ScalingQuery:
+class ScalingQuery(NamedTuple):
     """One function's inputs to the epoch sizing decision.
+
+    A row rather than a frozen dataclass: the controller builds one per
+    function per epoch, and a tuple costs no per-field
+    ``object.__setattr__``.
 
     Attributes
     ----------
@@ -218,71 +221,71 @@ class Autoscaler:
         budgets: List[float] = [0.0] * len(queries)
         solver_queries: List[SizingQuery] = []
         solver_slots: List[int] = []
+        percentile, max_containers = self.percentile, self.max_containers
 
-        for i, q in enumerate(queries):
-            if q.arrival_rate < 0:
+        for i, (name, rate, mu, deadline, current, existing, service_percentile,
+                min_containers) in enumerate(queries):
+            if rate < 0:
                 raise ValueError("arrival rate must be non-negative")
-            if q.service_rate <= 0:
+            if mu <= 0:
                 raise ValueError("service rate must be positive")
-            budget = self.wait_budget(q.slo_deadline, q.service_rate,
-                                      q.service_time_percentile)
-            budgets[i] = budget
+            budget = budgets[i] = self.wait_budget(deadline, mu, service_percentile)
 
-            if q.arrival_rate <= 0:
-                desired = max(q.min_containers, 0)
+            if rate <= 0:
                 decisions[i] = ScalingDecision(
-                    function_name=q.function_name,
-                    desired_containers=desired,
-                    current_containers=q.current_containers,
+                    function_name=name,
+                    desired_containers=max(min_containers, 0),
+                    current_containers=current,
                     arrival_rate=0.0,
-                    service_rate=q.service_rate,
+                    service_rate=mu,
                     wait_budget=budget,
                     achieved_probability=1.0,
                 )
-                continue
-
-            if self._is_heterogeneous(q):
+            elif existing is not None and len(existing) > 0 and (
+                    max(existing) - min(existing) > 1e-9
+                    or any(abs(m - mu) > 1e-9 for m in existing)):
+                # the existing fleet is not all at the standard speed: Alves et al.
                 if self.use_fast_sizing:
                     result = self.solver.solve_heterogeneous(
-                        lam=q.arrival_rate,
-                        existing_mus=list(q.existing_service_rates or ()),
-                        standard_mu=q.service_rate,
+                        lam=rate,
+                        existing_mus=existing,
+                        standard_mu=mu,
                         wait_budget=budget,
-                        percentile=self.percentile,
-                        max_additional=self.max_containers,
-                        key=(q.function_name, "heterogeneous"),
+                        percentile=percentile,
+                        max_additional=max_containers,
+                        key=(name, "heterogeneous"),
                     )
                 else:
                     result = required_containers_heterogeneous(
-                        lam=q.arrival_rate,
-                        existing_mus=list(q.existing_service_rates or ()),
-                        standard_mu=q.service_rate,
+                        lam=rate,
+                        existing_mus=existing,
+                        standard_mu=mu,
                         wait_budget=budget,
-                        percentile=self.percentile,
-                        max_additional=self.max_containers,
+                        percentile=percentile,
+                        max_additional=max_containers,
                     )
-                decisions[i] = self._decision(q, budget, result, heterogeneous=True)
+                decisions[i] = self._decision(queries[i], budget, result, heterogeneous=True)
             elif self.use_fast_sizing:
                 solver_queries.append(SizingQuery(
-                    lam=float(q.arrival_rate),
-                    mu=float(q.service_rate),
+                    lam=float(rate),
+                    mu=float(mu),
                     wait_budget=float(budget),
-                    percentile=self.percentile,
+                    percentile=percentile,
                     current_containers=0,
-                    max_containers=self.max_containers,
-                    key=q.function_name,
+                    max_containers=max_containers,
+                    key=name,
                 ))
                 solver_slots.append(i)
             else:
                 result = required_containers(
-                    lam=q.arrival_rate,
-                    mu=q.service_rate,
+                    lam=rate,
+                    mu=mu,
                     wait_budget=budget,
-                    percentile=self.percentile,
+                    percentile=percentile,
                     current_containers=0,
-                    max_containers=self.max_containers,
+                    max_containers=max_containers,
                 )
-                decisions[i] = self._decision(q, budget, result, heterogeneous=False)
+                decisions[i] = self._decision(queries[i], budget, result, heterogeneous=False)
 
         if solver_queries:
             results = self.solver.solve_batch(solver_queries)
@@ -292,25 +295,13 @@ class Autoscaler:
                 )
         return decisions  # type: ignore[return-value]
 
-    @staticmethod
-    def _is_heterogeneous(query: ScalingQuery) -> bool:
-        """Whether the query's existing fleet requires the Alves et al. model."""
-        rates = query.existing_service_rates
-        return (
-            rates is not None
-            and len(rates) > 0
-            and (max(rates) - min(rates) > 1e-9
-                 or any(abs(m - query.service_rate) > 1e-9 for m in rates))
-        )
-
     def _decision(self, query: ScalingQuery, budget: float, result: SizingResult,
                   heterogeneous: bool) -> ScalingDecision:
         """Wrap a sizing result in a :class:`ScalingDecision` (headroom + floor)."""
-        desired = max(result.containers + self.headroom_containers,
-                      query.min_containers)
         return ScalingDecision(
             function_name=query.function_name,
-            desired_containers=desired,
+            desired_containers=max(result.containers + self.headroom_containers,
+                                   query.min_containers),
             current_containers=query.current_containers,
             arrival_rate=query.arrival_rate,
             service_rate=query.service_rate,

@@ -343,7 +343,7 @@ class LassController(ControlPolicy):
     # ------------------------------------------------------------------
     def _epoch_tick(self) -> None:
         """Run one control epoch, then reschedule the next tick."""
-        self.run_epoch()
+        self._timed_epoch()
         self.engine.schedule(
             self.config.epoch_length, self._epoch_tick, priority=SimulationEngine.PRIORITY_CONTROL
         )
@@ -397,14 +397,14 @@ class LassController(ControlPolicy):
 
         # estimation first (stateful: EWMA updates, burst counters), then all
         # model solves in one epoch-batched call to the sizing solver
-        names = list(self._functions)
-        queries = [self._scaling_query(name, self._functions[name], now) for name in names]
-        batch = self.autoscaler.decide_batch(queries)
+        states = list(self._functions.items())
+        batch = self.autoscaler.decide_batch(
+            [self._scaling_query(name, state, now) for name, state in states]
+        )
 
         decisions: Dict[str, ScalingDecision] = {}
         demands_cpu: Dict[str, float] = {}
-        for name, decision in zip(names, batch):
-            state = self._functions[name]
+        for (name, state), decision in zip(states, batch):
             decisions[name] = decision
             state.last_decision = decision
             demands_cpu[name] = decision.desired_containers * state.deployment.cpu
@@ -451,8 +451,13 @@ class LassController(ControlPolicy):
 
         service_rate = self._service_rate(state, cpu_fraction=1.0)
         current = self.cluster.containers_of(name, include_draining=False)
-        existing_rates = [service_rate * c.speed for c in current]
-        heterogeneous = current and any(c.cpu_fraction < 1.0 - 1e-9 for c in current)
+        # the per-container rates matter only to the heterogeneous model,
+        # i.e. only once some live container is deflated
+        existing_rates = None
+        for container in current:
+            if container.current_cpu / container.standard_cpu < 1.0 - 1e-9:
+                existing_rates = [service_rate * c.speed for c in current]
+                break
 
         service_percentile = None
         if self.config.subtract_service_percentile:
@@ -464,7 +469,7 @@ class LassController(ControlPolicy):
             service_rate=service_rate,
             slo_deadline=state.deployment.slo_deadline or 1.0,
             current_containers=len(current),
-            existing_service_rates=existing_rates if heterogeneous else None,
+            existing_service_rates=existing_rates,
             service_time_percentile=service_percentile,
             min_containers=state.deployment.min_containers,
         )
@@ -733,16 +738,15 @@ class LassController(ControlPolicy):
     ) -> EpochSnapshot:
         """Build the epoch snapshot recorded into the metrics timeline."""
         functions: Dict[str, FunctionEpochStats] = {}
-        for name, state in self._functions.items():
+        for name, decision in decisions.items():
             live = self.cluster.containers_of(name, include_draining=False)
-            decision = decisions.get(name)
             functions[name] = FunctionEpochStats(
                 function_name=name,
                 containers=len(live),
-                cpu=sum(c.current_cpu for c in live),
-                desired_containers=decision.desired_containers if decision else len(live),
-                arrival_rate_estimate=decision.arrival_rate if decision else 0.0,
-                service_rate_estimate=decision.service_rate if decision else 0.0,
+                cpu=sum([c.current_cpu for c in live]),
+                desired_containers=decision.desired_containers,
+                arrival_rate_estimate=decision.arrival_rate,
+                service_rate_estimate=decision.service_rate,
             )
         return EpochSnapshot(
             time=now,

@@ -20,15 +20,14 @@ read (see its pending-block contract).
 
 from __future__ import annotations
 
-import bisect
 import math
-import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.queueing.distributions import Exponential, ServiceTimeDistribution
+from repro.metrics.streaming import ReservoirQuantiles
 
 #: Most completions :meth:`OnlineServiceTimeEstimator.observe` holds back
 #: before folding them itself: a memory bound for runs that never read the
@@ -117,76 +116,45 @@ class ServiceTimeProfile:
         return self.distribution.scaled(scale)
 
 
-class StreamingQuantile:
-    """A simple reservoir-based streaming quantile estimator.
+class StreamingQuantile(ReservoirQuantiles):
+    """A reservoir-based streaming quantile estimator that validates what it is fed.
 
-    Keeps a bounded, sorted sample of observations and answers quantile
-    queries from it.  For the request volumes in these experiments
-    (thousands to hundreds of thousands) the reservoir is effectively
-    exact; the bound exists so that memory stays constant in very long
-    runs.
+    The reservoir is :class:`~repro.metrics.streaming.ReservoirQuantiles`
+    (one acceptance rule and one RNG contract for both); this class adds
+    the checks an estimator fed from outside needs — every observation a
+    non-negative number, and a rejected call leaves the state as it found
+    it — and refuses quantile queries before the first observation.  For
+    the request volumes in these experiments (thousands to hundreds of
+    thousands) the reservoir is effectively exact; the bound exists so
+    that memory stays constant in very long runs.
     """
+
+    __slots__ = ()
 
     def __init__(self, max_samples: int = 4096, seed: int = 17) -> None:
         """Configure the reservoir size and its deterministic RNG seed."""
-        if max_samples < 10:
-            raise ValueError("max_samples must be at least 10")
-        self.max_samples = int(max_samples)
-        self._sorted: List[float] = []
-        self._count = 0
-        # stdlib RNG: an order of magnitude cheaper per draw than a numpy
-        # Generator for scalar uniforms, and this sits on the completion path
-        self._rng = random.Random(seed)
-
-    @property
-    def count(self) -> int:
-        """Total number of observations seen (not the reservoir size)."""
-        return self._count
+        super().__init__(max_samples, seed)
 
     def add(self, value: float) -> None:
         """Add one observation."""
         value = float(value)
         if math.isnan(value) or value < 0:
             raise ValueError("observations must be non-negative numbers")
-        self._count += 1
-        if len(self._sorted) < self.max_samples:
-            bisect.insort(self._sorted, value)
-        else:
-            # reservoir sampling: replace a random element with probability
-            # k/n.  A single uniform draw decides acceptance (acceptance
-            # probability shrinks as 1/n, so the common case is one cheap
-            # comparison per observation — this sits on the per-completion
-            # hot path via OnlineServiceTimeEstimator.observe).
-            if self._rng.random() * self._count < self.max_samples:
-                self._sorted.pop(int(self._rng.random() * len(self._sorted)))
-                bisect.insort(self._sorted, value)
+        super().add(value)
 
-    def add_many(self, values: List[float]) -> None:
+    def add_many(self, values: Iterable[float]) -> None:
         """Add a batch of observations, state-for-state identical to ``add``.
 
-        Same validation, reservoir decisions, and RNG consumption as
-        calling :meth:`add` per element — just with the per-call
-        overhead hoisted out of the loop, for the columnar data plane's
-        batched completion folds.
+        The whole batch is validated before any of it is folded, so a
+        rejected batch changes nothing; what passes goes through the
+        reservoir's bulk fill and draw loop, whose samples, count and RNG
+        consumption are :meth:`add`'s per element.
         """
-        sorted_values = self._sorted
-        max_samples = self.max_samples
-        count = self._count
-        rng_random = self._rng.random
-        insort = bisect.insort
-        isnan = math.isnan
-        for value in values:
-            value = float(value)
-            if isnan(value) or value < 0:
-                self._count = count
-                raise ValueError("observations must be non-negative numbers")
-            count += 1
-            if len(sorted_values) < max_samples:
-                insort(sorted_values, value)
-            elif rng_random() * count < max_samples:
-                sorted_values.pop(int(rng_random() * len(sorted_values)))
-                insort(sorted_values, value)
-        self._count = count
+        values = [float(value) for value in values]
+        # a NaN can hide a negative from min() but never itself from sum()
+        if values and (min(values) < 0 or math.isnan(sum(values))):
+            raise ValueError("observations must be non-negative numbers")
+        super().add_many(values)
 
     def quantile(self, q: float) -> float:
         """The ``q``-th quantile of the observations seen so far."""

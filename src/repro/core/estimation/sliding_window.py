@@ -188,9 +188,14 @@ class SlidingWindowCounter:
         last = min(newest, head)
         if last < first:
             return 0
+        # at most one lap of the ring (first >= oldest_kept), so the span is
+        # one slice or two; the counts are integers, so the order is immaterial
         counts = self._counts
         n = self._n_buckets
-        return sum(counts[i % n] for i in range(first, last + 1))
+        start, stop = first % n, last % n + 1
+        if start < stop:
+            return sum(counts[start:stop])
+        return sum(counts[start:]) + sum(counts[:stop])
 
     def rate(self, now: float, elapsed: Optional[float] = None) -> float:
         """Arrival rate over the window (events per second).

@@ -35,6 +35,12 @@ The lifecycle contract
     policy's dispatch choke point.  The default wires it to
     ``self.dispatcher``; policies with a bespoke data path (vanilla
     OpenWhisk) override, and policies with no choke point at all raise.
+``control_stats()``
+    What the control path cost on this host — epochs ticked, wall-clock
+    p50 / p95 of ``run_epoch``, the sizing solver's counters — or
+    ``None`` for a policy whose loop never ran an epoch.  In memory only
+    (:attr:`repro.simulation.SimulationResult.control_stats`): host time
+    never enters a results envelope.
 ``results_extra()``
     Optional ``(group_name, payload)`` contributed to the scenario
     results envelope (the OpenWhisk policy reports its invoker-failure
@@ -64,7 +70,8 @@ from __future__ import annotations
 
 import abc
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from time import perf_counter
 from typing import (
     Any,
     Callable,
@@ -97,6 +104,14 @@ class ControlPolicy(abc.ABC):
     #: the default fault hooks (requeue) and interceptor wiring.
     dispatcher: Optional[Any] = None
 
+    #: The policy's own :class:`~repro.core.queueing.solver.SizingSolver`,
+    #: when it has one (its counters are reported by :meth:`control_stats`).
+    solver: Optional[Any] = None
+
+    #: Wall-clock seconds of every periodic :meth:`run_epoch`, in tick
+    #: order; ``None`` until the first tick.
+    epoch_seconds: Optional[List[float]] = None
+
     # -- lifecycle -----------------------------------------------------
     @abc.abstractmethod
     def start(self) -> None:
@@ -109,6 +124,29 @@ class ControlPolicy(abc.ABC):
     def run_epoch(self) -> Any:
         """Run one synchronous control-loop pass (default: no-op)."""
         return None
+
+    def _timed_epoch(self) -> None:
+        """A periodic tick's :meth:`run_epoch`, between one ``perf_counter`` pair."""
+        start = perf_counter()
+        self.run_epoch()
+        elapsed = perf_counter() - start
+        if self.epoch_seconds is None:
+            self.epoch_seconds = []
+        self.epoch_seconds.append(elapsed)
+
+    def control_stats(self) -> Optional[Dict[str, Any]]:
+        """The epoch's cost on this host, or ``None`` if no epoch ever ticked."""
+        seconds = self.epoch_seconds
+        if not seconds:
+            return None
+        from repro.metrics.percentiles import percentile
+
+        return {
+            "epochs": len(seconds),
+            "epoch_ms_p50": percentile(seconds, 0.50) * 1e3,
+            "epoch_ms_p95": percentile(seconds, 0.95) * 1e3,
+            "solver": None if self.solver is None else asdict(self.solver.stats),
+        }
 
     # -- fault hooks (driven by repro.faults.injector) ------------------
     def on_node_failed(self, node_name: str, salvaged: Sequence[Any]) -> None:

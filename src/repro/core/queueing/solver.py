@@ -61,7 +61,7 @@ import math
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -280,12 +280,13 @@ class SizingResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class SizingQuery:
+class SizingQuery(NamedTuple):
     """One function's sizing inputs for the epoch-batched entry point.
 
-    ``key`` identifies the warm-start slot (the controller uses the
-    function name); ``None`` disables warm starts for this query.
+    A row rather than a frozen dataclass: an epoch builds one per function
+    and a tuple costs no per-field ``object.__setattr__``.  ``key``
+    identifies the warm-start slot (the controller uses the function
+    name); ``None`` disables warm starts for this query.
     """
 
     lam: float

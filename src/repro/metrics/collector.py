@@ -2,10 +2,10 @@
 
 One :class:`MetricsCollector` instance accompanies each simulation run.
 It accumulates every request (for waiting-time and SLO analysis, which
-reduce the run's :class:`~repro.metrics.table.RequestTable`), an
-allocation timeline point per function per epoch (for the Figure 6/8/9
-style plots), utilisation samples, and free-form counters (cold starts,
-drops, container operations).
+reduce the run's :class:`~repro.metrics.table.RequestTable`), one
+snapshot per control epoch (which the allocation timeline of the Figure
+6/8/9 style plots reads per function), utilisation samples, and
+free-form counters (cold starts, drops, container operations).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.metrics.percentiles import WaitingTimeSummary, summarize_waiting_time
 from repro.metrics.slo import SloReport, slo_report
 from repro.metrics.streaming import StreamingSummary
 from repro.metrics.table import COMPLETED, RequestTable
-from repro.metrics.timeline import AllocationTimeline, TimelinePoint
+from repro.metrics.timeline import AllocationTimeline
 from repro.metrics.utilization import UtilizationTracker
 from repro.sim.request import Request, RequestStatus
 
@@ -89,9 +89,9 @@ class MetricsCollector:
         self._requests: List[Request] = []
         self._deferred_fill: Optional[Callable[[], List[Request]]] = None
         self._table: Optional[RequestTable] = None
-        self.timeline = AllocationTimeline()
         self.utilization = UtilizationTracker()
         self.epochs: List[EpochSnapshot] = []
+        self.timeline = AllocationTimeline(self.epochs)
         self.counters: Counter = Counter()
         self.streaming_percentiles = bool(streaming_percentiles)
         self.store_requests = bool(store_requests)
@@ -222,20 +222,22 @@ class MetricsCollector:
     # Epochs
     # ------------------------------------------------------------------
     def record_epoch(self, snapshot: EpochSnapshot) -> None:
-        """Store an epoch snapshot and mirror it into timeline/utilisation."""
-        self.epochs.append(snapshot)
-        self.utilization.record(snapshot.time, snapshot.allocated_cpu, snapshot.total_cpu)
-        for stats in snapshot.functions.values():
-            self.timeline.record(
-                TimelinePoint(
-                    time=snapshot.time,
-                    function_name=stats.function_name,
-                    containers=stats.containers,
-                    cpu=stats.cpu,
-                    desired_containers=stats.desired_containers,
-                    arrival_rate=stats.arrival_rate_estimate,
+        """Store an epoch snapshot (epochs must arrive in time order).
+
+        The timeline is a view over :attr:`epochs` that looks a function
+        up by its key in ``snapshot.functions``, so every key must be its
+        record's ``function_name``.  The utilisation sample goes next
+        because it is the call that validates the rest: an out-of-order
+        or negative snapshot raises ``ValueError`` and leaves the
+        collector as it was.
+        """
+        for name, stats in snapshot.functions.items():
+            if name != stats.function_name:
+                raise ValueError(
+                    f"epoch snapshot files {stats.function_name!r} under {name!r}"
                 )
-            )
+        self.utilization.record(snapshot.time, snapshot.allocated_cpu, snapshot.total_cpu)
+        self.epochs.append(snapshot)
 
     # ------------------------------------------------------------------
     # Analysis helpers

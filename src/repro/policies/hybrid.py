@@ -195,7 +195,7 @@ class HybridPolicy(ControlPolicy):
 
     def _evaluate(self) -> None:
         """Periodic tick: evaluate, then reschedule the next tick."""
-        self._evaluate_once()
+        self._timed_epoch()
         self.engine.schedule(
             self.config.evaluation_interval, self._evaluate,
             priority=SimulationEngine.PRIORITY_CONTROL,

@@ -136,7 +136,7 @@ class ConcurrencyAutoscaler(ControlPolicy):
 
     def _evaluate(self) -> None:
         """Periodic tick: evaluate, then reschedule the next tick."""
-        self._evaluate_once()
+        self._timed_epoch()
         self.engine.schedule(
             self.config.evaluation_interval, self._evaluate,
             priority=SimulationEngine.PRIORITY_CONTROL,

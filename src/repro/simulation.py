@@ -56,6 +56,19 @@ class SimulationResult:
     generated_requests: Dict[str, int] = field(default_factory=dict)
     kernel_stats: Optional[Dict[str, int]] = None
 
+    @property
+    def control_stats(self) -> Optional[Dict[str, Any]]:
+        """What the control path cost on this host, beside ``kernel_stats``.
+
+        :meth:`~repro.core.policy.ControlPolicy.control_stats` of the
+        run's policy (epochs run, wall-clock p50 / p95 of ``run_epoch``,
+        the policy's solver counters), or ``None`` for a policy that never
+        ran an epoch.  Worked out when read — a run that never asks pays
+        nothing for it — and, like ``kernel_stats``, never in a results
+        envelope.
+        """
+        return self.controller.control_stats()
+
     def waiting_summary(self, function_name: Optional[str] = None, warmup: float = 0.0) -> WaitingTimeSummary:
         """Waiting-time percentiles for one function (or all)."""
         return self.metrics.waiting_summary(function_name, warmup)

@@ -50,3 +50,65 @@ def test_unknown_metric_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as usage:
         main(["--base", str(tmp_path), "--workload", "steady_event", "--metric", "speed"])
     assert usage.value.code == 2
+
+
+# ----------------------------------------------------------------------
+# --head: both sides may be fresh exports, each driven by its own harness
+# ----------------------------------------------------------------------
+STUB_HARNESS = '''
+import json, sys
+from pathlib import Path
+tree = Path(__file__).resolve().parents[2]
+assert Path.cwd() == tree, "each tree's harness runs from its own directory"
+with open(tree.parent / "order.log", "a") as log:
+    log.write(tree.name + " " + " ".join(sys.argv[1:]) + "\\n")
+wall = float((tree / "WALL").read_text())
+values = {"setup_s": 0.2, "wall_s": wall, "cpu_s": wall, "sim_req_per_s": 1000.0 / wall,
+          "peak_rss_mb": 50.0, "slo_attainment": 0.789, "sim_served_share": 0.98}
+print("noise before the result line")
+print(json.dumps({"metrics": {k: {"value": v} for k, v in values.items()},
+                  "failed": 0, "attempted": 3}))
+'''
+
+
+def fake_tree(root: Path, name: str, wall: float, declaration: bool) -> Path:
+    """A directory that looks enough like a checkout for ``bench_pairs`` to drive."""
+    tree = root / name
+    (tree / "benchmarks" / "e2e").mkdir(parents=True)
+    (tree / "benchmarks" / "e2e" / "run.py").write_text(STUB_HARNESS)
+    (tree / "WALL").write_text(str(wall))
+    if declaration:
+        real = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+        (tree / "BENCHMARK.json").write_text(real.read_text())
+    return tree
+
+
+def test_head_names_a_second_tree_and_each_side_runs_its_own_harness(tmp_path, capsys):
+    base = fake_tree(tmp_path, "base-tree", 1.0, declaration=False)
+    head = fake_tree(tmp_path, "head-tree", 0.8, declaration=True)   # the declaration is head's
+    code = main(["--base", str(base), "--head", str(head), "--workload", "burst_control",
+                 "--pairs", "4", "--seed", "42", "--seconds", "1"])
+    assert code == 0
+    order = (tmp_path / "order.log").read_text().splitlines()
+    # alternating which side goes first, every run with the same arguments
+    assert [line.split()[0] for line in order] == [
+        "base-tree", "head-tree", "head-tree", "base-tree",
+        "base-tree", "head-tree", "head-tree", "base-tree"]
+    assert {line.split(" ", 1)[1] for line in order} == {
+        "--workload burst_control --seed 42 --seconds 1.0 --trace 0"}
+    table = capsys.readouterr().out
+    wall_row = next(line for line in table.splitlines() if line.strip().startswith("wall_s"))
+    assert "-20.0%" in wall_row and "4/4" in wall_row and wall_row.rstrip().endswith("gain")
+    assert "failed operations base 0/12, head 0/12" in table
+
+
+def test_a_head_tree_that_loses_every_pair_past_the_bound_fails_the_gate(tmp_path, capsys):
+    base = fake_tree(tmp_path, "base-tree", 1.0, declaration=False)
+    head = fake_tree(tmp_path, "head-tree", 1.3, declaration=True)
+    arguments = ["--base", str(base), "--head", str(head), "--workload", "replay_sweep",
+                 "--pairs", "2", "--seconds", "1"]
+    assert main(arguments) == 1
+    assert "regression: head lost every pair and left the bound on replay_sweep.wall_s" in (
+        capsys.readouterr().out)
+    (head / "WALL").write_text("1.2")      # every pair lost, but inside the 25 % bound
+    assert main(arguments) == 0

@@ -211,6 +211,20 @@ class TestControllerUnit:
         assert snapshot.total_cpu == 12.0
         assert "microbenchmark" in snapshot.functions
 
+    def test_an_injected_solver_reads_its_queries_by_field_name(self):
+        """`run_perf.py`'s `controller_epoch_tick` baseline row: the frozen seed shim
+        (`benchmarks/perf/baseline_sizing.py`) reads `q.lam` / `q.mu` / `q.wait_budget`."""
+        import sys
+        from pathlib import Path
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        try:
+            from perf.scenarios import bench_epoch_tick
+        finally:
+            sys.path.pop(0)
+        stock = bench_epoch_tick(functions=4, epochs=2)
+        shim = bench_epoch_tick(functions=4, epochs=2, baseline=True)
+        assert shim["containers"] == stock["containers"] > 0
+
     def test_unknown_function_dispatch_rejected(self):
         runner = SimulationRunner(
             workloads=[WorkloadBinding(microbenchmark(0.1), StaticRate(5.0, duration=30.0))],
@@ -235,3 +249,51 @@ class TestControllerUnit:
             ControllerConfig(epoch_length=0.0)
         with pytest.raises(ValueError):
             ControllerConfig(percentile=1.0)
+
+
+class TestControlStats:
+    """``SimulationResult.control_stats``: the epoch's cost, readable from a normal run."""
+
+    @pytest.mark.parametrize("data_plane", ["event", "columnar"])
+    def test_lass_reports_epochs_their_wall_clock_and_the_solver_counters(self, data_plane):
+        runner = SimulationRunner(
+            workloads=[WorkloadBinding(microbenchmark(0.1), StaticRate(30.0, duration=60.0),
+                                       slo_deadline=0.1)],
+            cluster_config=ClusterConfig(node_count=4, cpu_per_node=8),
+            seed=11, data_plane=data_plane,
+        )
+        stats = runner.run(duration=60.0).control_stats
+        assert stats["epochs"] == len(runner.metrics.epochs) == 6
+        assert 0.0 < stats["epoch_ms_p50"] <= stats["epoch_ms_p95"]
+        solver = runner.policy.solver.stats
+        assert stats["solver"]["solves"] == solver.solves > 0
+        assert stats["solver"]["batches"] == solver.batches
+        assert set(stats["solver"]) == {"solves", "cache_hits", "warm_hits", "warm_fallbacks",
+                                        "full_searches", "probability_evaluations", "batches"}
+        # a manual pass is not a tick: only the periodic loop is timed
+        runner.policy.run_epoch()
+        assert runner.policy.control_stats()["epochs"] == 6
+
+    def test_policies_without_their_own_solver_report_none_for_it(self):
+        for policy in ("reactive", "hybrid"):
+            runner = SimulationRunner(
+                workloads=[WorkloadBinding(microbenchmark(0.1), StaticRate(20.0, duration=30.0),
+                                           slo_deadline=0.1)],
+                seed=3, policy=policy,
+            )
+            stats = runner.run(duration=30.0).control_stats
+            assert stats["epochs"] == len(runner.metrics.epochs) > 0 and stats["solver"] is None
+
+    def test_a_policy_without_an_epoch_reports_none(self):
+        result = run_fixed_allocation(
+            WorkloadBinding(microbenchmark(0.1), StaticRate(10.0, duration=20.0), slo_deadline=0.1),
+            containers=3, duration=20.0)
+        assert result.control_stats is None
+
+    def test_host_time_never_enters_an_envelope(self):
+        from repro.scenarios import apply_overrides, build, canonical_json, run_scenario
+
+        for plane in ("event", "columnar"):
+            spec = apply_overrides(build("quickstart", duration=30.0), {"data_plane": plane})
+            text = canonical_json(run_scenario(spec).data)
+            assert "control_stats" not in text and "epoch_ms" not in text

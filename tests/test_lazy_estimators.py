@@ -72,8 +72,7 @@ def rate_state(estimator):
 def service_state(estimator):
     """Everything a service-time estimator holds, reservoir RNG included."""
     return (
-        {key: (list(b._sorted), b._count, b._rng.getstate())
-         for key, b in estimator._buckets.items()},
+        {key: quantile_state(bucket) for key, bucket in estimator._buckets.items()},
         {key: list(totals) for key, totals in estimator._totals.items()},
         estimator._pending_fractions, estimator._pending_times,
     )
@@ -297,6 +296,47 @@ class TestValidateBeforeMutate:
         estimator = OnlineServiceTimeEstimator()
         estimator.observe_many([1.0, 1.0], [math.inf, math.inf])
         assert estimator.observations(1.0) == 2
+
+    @pytest.mark.parametrize("batch", [
+        [1.0, 2.0, float("nan"), 3.0],      # used to raise with count == 2 and two samples folded
+        [1.0, 2.0, -3.0],
+        [float("nan"), -1.0],               # a NaN hiding a negative from min()
+        [1.0, "two"],                       # not a number at all
+    ])
+    @pytest.mark.parametrize("seen", [0, 4, 25])    # empty, filling, full (draws would have moved the RNG)
+    def test_rejected_add_many_leaves_the_reservoir_as_it_was(self, batch, seen):
+        quantile = StreamingQuantile(max_samples=10)
+        quantile.add_many([0.1 * k for k in range(seen)])
+        before = quantile_state(quantile)
+        with pytest.raises(ValueError):
+            quantile.add_many(batch)
+        assert quantile_state(quantile) == before
+        with pytest.raises(ValueError):
+            quantile.add(float("nan"))
+        assert quantile_state(quantile) == before
+
+
+def quantile_state(quantile):
+    """Everything a :class:`StreamingQuantile` holds: samples, count, RNG state."""
+    return list(quantile._sorted), quantile._count, quantile._rng.getstate()
+
+
+@PROPERTY_SETTINGS
+@given(batches=st.lists(
+    st.lists(st.one_of(st.floats(min_value=0.0, max_value=5.0), st.sampled_from([0.0, -0.0, 1, True])),
+             min_size=0, max_size=30),
+    min_size=1, max_size=6))
+def test_streaming_quantile_add_many_equals_add_per_element(batches):
+    """However the stream is cut — across the fill boundary too — samples, count and RNG agree."""
+    bulk, single = StreamingQuantile(max_samples=10), StreamingQuantile(max_samples=10)
+    for batch in batches:
+        bulk.add_many(batch)
+        for value in batch:
+            single.add(value)
+        assert quantile_state(bulk) == quantile_state(single)
+        assert all(type(sample) is float for sample in bulk._sorted)
+    # -0.0 == 0.0, so compare the ties' order by representation as well
+    assert [repr(v) for v in bulk._sorted] == [repr(v) for v in single._sorted]
 
 
 # ----------------------------------------------------------------------

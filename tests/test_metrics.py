@@ -14,7 +14,7 @@ from repro.metrics.percentiles import (
 from repro.metrics.percentiles import WaitingTimeSummary
 from repro.metrics.slo import SloReport, overall_attainment, slo_report
 from repro.metrics.table import RequestTable
-from repro.metrics.timeline import AllocationTimeline, TimelinePoint
+from repro.metrics.timeline import TimelinePoint
 from repro.metrics.utilization import UtilizationTracker, time_weighted_mean
 from repro.sim.request import Request, RequestStatus
 
@@ -154,39 +154,69 @@ class TestUtilization:
         assert tracker.samples[-1].fraction == 0.0
 
 
+def collector_with(*samples) -> MetricsCollector:
+    """A collector that recorded one epoch per distinct time of ``(time, name, containers, cpu)``."""
+    collector = MetricsCollector()
+    by_time = {}
+    for time, name, containers, cpu in samples:
+        by_time.setdefault(time, {})[name] = FunctionEpochStats(name, containers, cpu, containers, 0.0, 0.0)
+    for time, functions in by_time.items():
+        collector.record_epoch(EpochSnapshot(
+            time=time, overloaded=False, total_cpu=12.0,
+            allocated_cpu=sum(stats.cpu for stats in functions.values()), functions=functions,
+        ))
+    return collector
+
+
 class TestTimeline:
     def test_series_and_lookup(self):
-        timeline = AllocationTimeline()
-        timeline.record(TimelinePoint(0.0, "fn", containers=2, cpu=2.0))
-        timeline.record(TimelinePoint(10.0, "fn", containers=4, cpu=4.0))
+        timeline = collector_with((0.0, "fn", 2, 2.0), (10.0, "fn", 4, 4.0)).timeline
         times, cpus = timeline.cpu_series("fn")
         assert times == [0.0, 10.0]
         assert cpus == [2.0, 4.0]
+        assert timeline.container_series("fn") == ([0.0, 10.0], [2, 4])
+        assert timeline.series("fn") == [
+            TimelinePoint(0.0, "fn", containers=2, cpu=2.0, desired_containers=2, arrival_rate=0.0),
+            TimelinePoint(10.0, "fn", containers=4, cpu=4.0, desired_containers=4, arrival_rate=0.0),
+        ]
         assert timeline.cpu_at("fn", 5.0) == 2.0
         assert timeline.cpu_at("fn", 15.0) == 4.0
         assert timeline.functions() == ["fn"]
+        assert timeline.series("missing") == [] and timeline.cpu_at("missing", 5.0) == 0.0
 
     def test_fraction_below_threshold(self):
-        timeline = AllocationTimeline()
-        for t, cpu in ((0.0, 6.0), (10.0, 4.0), (20.0, 6.0), (30.0, 2.0)):
-            timeline.record(TimelinePoint(t, "fn", containers=1, cpu=cpu))
+        timeline = collector_with(
+            *((t, "fn", 1, cpu) for t, cpu in ((0.0, 6.0), (10.0, 4.0), (20.0, 6.0), (30.0, 2.0)))
+        ).timeline
         assert timeline.fraction_below("fn", 6.0) == pytest.approx(0.5)
         assert timeline.fraction_below("fn", 6.0, start=0.0, end=10.0) == pytest.approx(0.5)
 
     def test_mean_cpu_and_total_series(self):
-        timeline = AllocationTimeline()
-        timeline.record(TimelinePoint(0.0, "a", containers=1, cpu=2.0))
-        timeline.record(TimelinePoint(0.0, "b", containers=1, cpu=1.0))
-        timeline.record(TimelinePoint(10.0, "a", containers=2, cpu=4.0))
+        timeline = collector_with((0.0, "a", 1, 2.0), (0.0, "b", 1, 1.0), (10.0, "a", 2, 4.0)).timeline
         assert timeline.mean_cpu("a") == pytest.approx(3.0)
         times, totals = timeline.total_cpu_series()
         assert totals == [3.0, 5.0]
 
     def test_out_of_order_rejected(self):
-        timeline = AllocationTimeline()
-        timeline.record(TimelinePoint(10.0, "fn", containers=1, cpu=1.0))
+        collector = collector_with((10.0, "fn", 1, 1.0))
         with pytest.raises(ValueError):
-            timeline.record(TimelinePoint(5.0, "fn", containers=1, cpu=1.0))
+            collector_with((10.0, "fn", 1, 1.0), (5.0, "fn", 1, 1.0))
+        late = EpochSnapshot(time=5.0, overloaded=False, total_cpu=12.0, allocated_cpu=1.0,
+                             functions={"fn": FunctionEpochStats("fn", 1, 1.0, 1, 0.0, 0.0)})
+        with pytest.raises(ValueError):
+            collector.record_epoch(late)
+        # the rejected epoch left nothing behind
+        assert len(collector.epochs) == 1 and len(collector.utilization.samples) == 1
+        assert collector.timeline.cpu_series("fn") == ([10.0], [1.0])
+
+    def test_a_record_filed_under_another_name_is_rejected(self):
+        """The view looks functions up by key: a key that is not its record's name would hide it."""
+        collector = collector_with((0.0, "fn", 1, 1.0))
+        misfiled = EpochSnapshot(time=10.0, overloaded=False, total_cpu=12.0, allocated_cpu=1.0,
+                                 functions={"fn": FunctionEpochStats("other", 1, 1.0, 1, 0.0, 0.0)})
+        with pytest.raises(ValueError, match="'other' under 'fn'"):
+            collector.record_epoch(misfiled)
+        assert len(collector.epochs) == 1 and len(collector.utilization.samples) == 1
 
 
 class TestCollector:

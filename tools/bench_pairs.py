@@ -8,7 +8,10 @@ Each pair runs ``benchmarks/e2e/run.py --workload W --trace 0`` once in
 the base tree and once in the head tree (this checkout, or ``--head``),
 every tree with its *own unmodified* copy of the harness, and the side
 that goes first alternates from pair to pair so a host that drifts
-charges both sides alike.  Per end-to-end metric of ``BENCHMARK.json``
+charges both sides alike.  Give both sides a fresh export (``git
+worktree add``, ``git archive``): a checkout that has run its tests
+carries ``.git``, ``.hypothesis`` and a warm ``__pycache__``, which has
+read as a lopsided +2-5 % on workloads whose code had not changed.  Per end-to-end metric of ``BENCHMARK.json``
 it prints each side's median, quartiles and n, the pairs head won (ties
 count for neither side) and a verdict:
 
