@@ -153,6 +153,8 @@ class Container:
         return self.state is ContainerState.WARM and self._current is None and not self._queue
 
     #: ``is_available and is_idle``; idle already implies warm, so it is the same test.
+    #: The dispatcher and the balancer's ``pick_idle`` read the same three
+    #: fields directly on the data path: change them together.
     is_dispatchable = is_idle
 
     @property
@@ -345,7 +347,7 @@ class Container:
         on_complete: Optional[Callable[[Request, "Container"], None]],
     ) -> None:
         """Begin executing ``request`` now; the caller has checked nothing is running."""
-        now = engine.now
+        now = engine._now  # the clock's field: the property is a frame per request
         self._current = request
         cold = self.warm_since is not None and self.completed_requests == 0 and now == self.warm_since
         request.mark_running(now, self.container_id, self.node_name, cold_start=cold)
@@ -363,7 +365,7 @@ class Container:
         request = self._current
         if request is None:  # pragma: no cover - defensive
             return
-        now = engine.now
+        now = engine._now
         request.mark_completed(now)
         self.completed_requests += 1
         if self._busy_since is not None:

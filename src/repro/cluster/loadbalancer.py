@@ -18,9 +18,16 @@ sequence rather than bursts to the heaviest container.
 
 from __future__ import annotations
 
+from math import inf
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
-from repro.cluster.container import Container
+from repro.cluster.container import Container, ContainerState
+
+_WARM = ContainerState.WARM
+
+#: Scoring order of an idle set: smallest current CPU first (id as tie-break).
+_idle_sort_key = attrgetter("current_cpu", "container_id")
 
 
 class WeightedRoundRobinBalancer:
@@ -29,7 +36,8 @@ class WeightedRoundRobinBalancer:
     The balancer is stateless with respect to containers: the candidate
     set is passed on every call (it changes whenever the controller
     creates, terminates, or resizes containers), while the smoothing
-    state is keyed by container id and pruned automatically.
+    state is keyed by container id and holds, after every pick, exactly
+    the scores of that pick's candidates.
     """
 
     def __init__(self) -> None:
@@ -40,34 +48,70 @@ class WeightedRoundRobinBalancer:
     def pick(self, function_name: str, containers: Sequence[Container]) -> Optional[Container]:
         """Choose the next container for an invocation of ``function_name``.
 
-        Only warm containers are eligible.  Returns ``None`` when no
-        container can take the request (the caller then queues or drops).
+        Only warm containers are eligible; they are scored in the order
+        given and must be distinct.  Returns ``None`` when no container
+        can take the request (the caller then queues or drops).
         """
-        eligible = [c for c in containers if c.is_available]
+        return self._score(function_name, [c for c in containers if c.state is _WARM])
+
+    def pick_idle(self, function_name: str, index: Dict[str, Container]) -> Optional[Container]:
+        """Choose among a dispatcher's idle index (container id -> container).
+
+        One pass validates every entry on the fields ``is_dispatchable``
+        reads — an entry that is no longer warm and empty was left by
+        code that bypassed the dispatcher, and is discarded from
+        ``index`` — then the survivors are scored smallest CPU first.
+        Returns ``None`` when nothing survives.
+        """
+        survivors = []
+        for container in index.values():
+            if (container.state is _WARM and container._current is None
+                    and not container._queue):
+                survivors.append(container)
+        if len(survivors) < len(index):
+            index.clear()
+            for container in survivors:
+                index[container.container_id] = container
+        if len(survivors) > 1:
+            survivors.sort(key=_idle_sort_key)
+        return self._score(function_name, survivors)
+
+    def _score(self, function_name: str, eligible: List[Container]) -> Optional[Container]:
+        """The smooth-WRR step over ``eligible``, in order — the one scoring body.
+
+        Every candidate's score grows by its weight (its current,
+        possibly deflated, CPU), the highest wins (the first, among
+        scores within ``1e-15`` of each other) and pays the total
+        weight.  The new scores replace the function's old ones
+        wholesale, which is what drops the state of containers that are
+        no longer candidates.
+        """
         if not eligible:
             return None
         if len(eligible) == 1:
             self.forced_pick(function_name, eligible[0])
             return eligible[0]
-        scores = self._scores.setdefault(function_name, {})
-        # prune state for containers that no longer exist
-        live_ids = {c.container_id for c in eligible}
-        for stale in [cid for cid in scores if cid not in live_ids]:
-            del scores[stale]
-
+        scores = self._scores.get(function_name)
+        if scores is None:
+            scores = self._scores[function_name] = {}
+        old_score = scores.get
+        fresh: Dict[str, float] = {}
         total_weight = 0.0
-        best: Optional[Container] = None
-        best_score = float("-inf")
+        best = eligible[0]
+        best_score = -inf
         for container in eligible:
-            weight = self._weight(container)
+            weight = container.current_cpu
+            if not weight > 1e-9:
+                weight = 1e-9
             total_weight += weight
-            score = scores.get(container.container_id, 0.0) + weight
-            scores[container.container_id] = score
+            container_id = container.container_id
+            score = fresh[container_id] = old_score(container_id, 0.0) + weight
             if score > best_score + 1e-15:
                 best_score = score
                 best = container
-        assert best is not None
-        scores[best.container_id] -= total_weight
+        fresh[best.container_id] -= total_weight
+        scores.clear()
+        scores.update(fresh)
         return best
 
     def forced_pick(self, function_name: str, only: Container) -> None:
@@ -83,23 +127,6 @@ class WeightedRoundRobinBalancer:
             scores.clear()
             if kept is not None:
                 scores[only.container_id] = kept
-
-    def pick_least_loaded(
-        self, function_name: str, containers: Sequence[Container]
-    ) -> Optional[Container]:
-        """Alternative policy: the eligible container with the fewest in-flight requests.
-
-        Used by some baselines and useful for ablations; ties are broken by
-        the WRR order.
-        """
-        eligible = [c for c in containers if c.is_available]
-        if not eligible:
-            return None
-        min_inflight = min(c.in_flight for c in eligible)
-        least = [c for c in eligible if c.in_flight == min_inflight]
-        if len(least) == 1:
-            return least[0]
-        return self.pick(function_name, least)
 
     def reset(self, function_name: Optional[str] = None) -> None:
         """Clear smoothing state for one function or for all of them."""
@@ -123,11 +150,6 @@ class WeightedRoundRobinBalancer:
                 break
             counts[chosen.container_id] += 1
         return counts
-
-    @staticmethod
-    def _weight(container: Container) -> float:
-        """A container's dispatch weight: its current (possibly deflated) CPU."""
-        return max(1e-9, container.current_cpu)
 
 
 def proportional_split(weights: Sequence[float], total: int) -> List[int]:

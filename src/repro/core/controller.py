@@ -274,7 +274,9 @@ class LassController(ControlPolicy):
         containers take proportionally less of the load) or waits in the
         function's FCFS queue until a container frees up or warms up.
         """
-        state = self._state(request.function_name)
+        state = self._functions.get(request.function_name)
+        if state is None:
+            state = self._state(request.function_name)  # raises the descriptive KeyError
         state.rate_estimator.record_arrival(request.arrival_time)
         state.arrivals_this_epoch += 1
         self.metrics.record_request(request)
@@ -294,10 +296,12 @@ class LassController(ControlPolicy):
         """Completion callback: metrics plus optional online service-time learning."""
         self.metrics.record_completion(request)
         if self.config.online_learning:
-            service_time = request.service_time
             state = self._functions.get(request.function_name)
-            if service_time is not None and state is not None:
-                state.online_service.observe(container.cpu_fraction, service_time)
+            # the fields behind ``Request.service_time`` and ``Container.cpu_fraction``
+            start, completion = request.start_time, request.completion_time
+            if start is not None and completion is not None and state is not None:
+                state.online_service.observe(
+                    container.current_cpu / container.standard_cpu, completion - start)
 
     def columnar_plan(self):
         """LaSS's per-request work, described for the columnar kernel.

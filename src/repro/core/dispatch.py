@@ -25,13 +25,21 @@ they receive work, start draining, or terminate (driven by the
 cluster's container state hooks).  ``submit``/``drain`` then take the
 candidate set straight from the index — the seed implementation instead
 rebuilt the idle list with two full cluster scans per dispatched
-request.  Entries are validated lazily at pick time, so code that
-bypasses the dispatcher (tests submitting to containers directly) can
-never corrupt a dispatch, only leave a stale entry to be discarded.
-With exactly one idle container ``submit`` skips the candidate list, the
-sort and the scoring (``forced_pick``).  Every route still ends in
-:meth:`SharedQueueDispatcher._dispatch_to` — the single choke point, and
-the only place the crash-on-dispatch interceptor is consulted.
+request.  Entries are validated lazily at pick time
+(:meth:`~repro.cluster.loadbalancer.WeightedRoundRobinBalancer.pick_idle`,
+one pass over the index), so code that bypasses the dispatcher (tests
+submitting to containers directly) can never corrupt a dispatch, only
+leave a stale entry to be discarded.  With exactly one idle container
+``submit`` skips the candidate list, the sort and the scoring
+(``forced_pick``).  The index stays a dict because every request enters
+and leaves it once, in O(1), and only the multi-candidate submits (a
+third, on the steady benchmark workload) need it in order.  Every route
+still ends in :meth:`SharedQueueDispatcher._dispatch_to` — the single choke
+point, and the only place the crash-on-dispatch interceptor is consulted.
+
+The hot sites test idleness on the three fields
+:attr:`~repro.cluster.container.Container.is_dispatchable` reads (warm,
+nothing running, nothing queued) rather than through the property.
 
 The index is the only source of candidates: a dispatcher that was never
 attached (nor given a container through
@@ -42,17 +50,14 @@ queues everything.
 from __future__ import annotations
 
 from collections import deque
-from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
-from repro.cluster.container import Container
+from repro.cluster.container import Container, ContainerState
 from repro.cluster.loadbalancer import WeightedRoundRobinBalancer
 from repro.sim.engine import SimulationEngine
 from repro.sim.request import Request, RequestStatus
 
-
-#: Dispatch preference: smallest current CPU first (id as tie-break).
-_idle_sort_key = attrgetter("current_cpu", "container_id")
+_WARM = ContainerState.WARM
 
 
 class SharedQueueDispatcher:
@@ -125,26 +130,13 @@ class SharedQueueDispatcher:
 
     def _on_container_state(self, container: Container) -> None:
         """Observer hook, also run after each completion: keep the idle set in sync."""
-        if container.is_dispatchable:
-            self._idle.setdefault(container.function_name, {})[container.container_id] = container
-        else:
-            index = self._idle.get(container.function_name)
-            if index is not None:
-                index.pop(container.container_id, None)
-
-    def _idle_candidates(self, function_name: str) -> List[Container]:
-        """Validated idle containers of a function, in the seed's sort order."""
-        index = self._idle.get(function_name)
-        if not index:
-            return []
-        stale = [
-            cid for cid, c in index.items() if not (c.is_dispatchable)
-        ]
-        for cid in stale:
-            del index[cid]
-        if not index:
-            return []
-        return sorted(index.values(), key=_idle_sort_key)
+        index = self._idle.get(container.function_name)
+        if container.state is _WARM and container._current is None and not container._queue:
+            if index is None:
+                index = self._idle[container.function_name] = {}
+            index[container.container_id] = container
+        elif index is not None:
+            index.pop(container.container_id, None)
 
     # ------------------------------------------------------------------
     # Queue state
@@ -193,23 +185,21 @@ class SharedQueueDispatcher:
         """
         name = request.function_name
         index = self._idle.get(name)
-        chosen = None
         if index:
-            only = next(iter(index.values())) if len(index) == 1 else None
-            if only is not None and only.is_dispatchable:  # no list, no sort, no scoring
-                self.balancer.forced_pick(name, only)
-                chosen = only
-            else:
-                idle = self._idle_candidates(name)
-                chosen = self.balancer.pick(name, idle) if idle else None
-        if chosen is None:
-            queue = self._queues.get(name)
-            if queue is None:
-                queue = self._queues[name] = deque()
-            request.mark_queued()
-            queue.append(request)
-            return False
-        return self._dispatch_to(chosen, request)
+            if len(index) == 1:
+                only = next(iter(index.values()))
+                if only.state is _WARM and only._current is None and not only._queue:
+                    self.balancer.forced_pick(name, only)  # no list, no sort, no scoring
+                    return self._dispatch_to(only, request)
+            chosen = self.balancer.pick_idle(name, index)
+            if chosen is not None:
+                return self._dispatch_to(chosen, request)
+        queue = self._queues.get(name)
+        if queue is None:
+            queue = self._queues[name] = deque()
+        request.mark_queued()
+        queue.append(request)
+        return False
 
     def drain(self, function_name: str) -> int:
         """Move as many queued requests as possible onto idle containers.
@@ -219,22 +209,21 @@ class SharedQueueDispatcher:
         queue = self._queues.get(function_name)
         if not queue:
             return 0
-        idle = self._idle_candidates(function_name)
+        index = self._idle.get(function_name)
         started = 0
-        while queue and idle:
+        # ``_dispatch_to`` takes the chosen container out of the index, and
+        # a crash on dispatch evicts it, which the state observer unindexes;
+        # stale entries are found by the first pick, not before the loop
+        while queue and index:
             request = queue.popleft()
             if request.status is not RequestStatus.QUEUED:
                 continue  # dropped while waiting (e.g. container terminated it)
-            chosen = self.balancer.pick(function_name, idle)
-            if chosen is None:  # pragma: no cover - idle is non-empty
+            chosen = self.balancer.pick_idle(function_name, index)
+            if chosen is None:  # only stale entries, and the pick discarded them
                 queue.appendleft(request)
                 break
-            if not self._dispatch_to(chosen, request):
-                # crashed on dispatch: the request is gone, the container too
-                idle = [c for c in idle if c.is_dispatchable]
-                continue
-            idle = [c for c in idle if c.is_idle]
-            started += 1
+            if self._dispatch_to(chosen, request):
+                started += 1
         return started
 
     def requeue(self, requests: Sequence[Request]) -> None:
@@ -254,7 +243,8 @@ class SharedQueueDispatcher:
             self._on_complete(request, container)
         # the container just went idle: pull the next queued request onto it
         queue = self._queues.get(request.function_name)
-        while queue and container.is_dispatchable:
+        while (queue and container.state is _WARM and container._current is None
+               and not container._queue):
             next_request = queue.popleft()
             if (next_request.status is RequestStatus.QUEUED
                     and self._dispatch_to(container, next_request)):

@@ -74,8 +74,10 @@ may be deferred.
 
 Fallback conditions
 -------------------
-:func:`build_kernel` returns ``None`` — and the runner silently falls
-back to the event-level plane — when the policy does not publish a
+:func:`build_kernel` returns no kernel — and the runner falls back to
+the event-level plane, saying so in
+:attr:`~repro.simulation.SimulationResult.fallback_reason` — when the
+policy has no ``columnar_plan`` method, when it does not publish a
 :class:`ColumnarPlan` (e.g. the OpenWhisk compatibility policy), when
 the dispatcher is not attached to the cluster, or when an unknown
 dispatch interceptor is installed (only the fault injector's
@@ -236,23 +238,24 @@ class _FnState:
         self.obj = [None] * n
 
 
-def build_kernel(engine: Any, cluster: Any, policy: Any,
-                 generators: Sequence[Any]) -> Optional["ColumnarKernel"]:
-    """Build a :class:`ColumnarKernel` for a run, or ``None`` to fall back.
+def build_kernel(engine: Any, cluster: Any, policy: Any, generators: Sequence[Any],
+                 ) -> Tuple[Optional["ColumnarKernel"], Optional[str]]:
+    """Build a :class:`ColumnarKernel` for a run: ``(kernel, None)``, or ``(None, why not)``.
 
-    Fallback (returning ``None``) leaves every generator unstarted and
-    consumes no RNG, so the caller can run the event-level path
-    untouched.  See the module docstring for the fallback conditions.
+    Falling back leaves every generator unstarted and consumes no RNG,
+    so the caller can run the event-level path untouched; the reason is
+    a sentence for :attr:`~repro.simulation.SimulationResult.fallback_reason`.
+    See the module docstring for the fallback conditions.
     """
     plan_method = getattr(policy, "columnar_plan", None)
     if plan_method is None:
-        return None
+        return None, f"policy {_policy_name(policy)} has no columnar_plan method"
     plan = plan_method()
     if plan is None:
-        return None
+        return None, f"policy {_policy_name(policy)} publishes no columnar plan"
     dispatcher = plan.dispatcher
     if dispatcher is None or not getattr(dispatcher, "_attached", False):
-        return None
+        return None, "the plan's dispatcher is not attached to a cluster"
     injector = None
     interceptor = dispatcher.interceptor
     if interceptor is not None:
@@ -263,9 +266,15 @@ def build_kernel(engine: Any, cluster: Any, policy: Any,
             or not hasattr(owner, "apply_crash")
             or getattr(owner, "_intercept_dispatch", None) != interceptor
         ):
-            return None  # unknown interceptor: only the fault injector is understood
+            # only the fault injector's crash-on-dispatch hook is understood
+            return None, "an unknown dispatch interceptor is installed"
         injector = owner
-    return ColumnarKernel(engine, cluster, plan, injector, generators)
+    return ColumnarKernel(engine, cluster, plan, injector, generators), None
+
+
+def _policy_name(policy: Any) -> str:
+    """A policy's registered name for a fallback reason, or its class name."""
+    return repr(getattr(policy, "name", type(policy).__name__))
 
 
 class ColumnarKernel:

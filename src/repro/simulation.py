@@ -45,8 +45,11 @@ class SimulationResult:
     runner was asked for.  ``kernel_stats`` holds the columnar kernel's
     exact boundary counts
     (:attr:`~repro.sim.columnar.ColumnarKernel.stats`), or ``None`` when
-    the run executed on the event plane; it describes how the run was
-    executed, not what it simulated, and never enters a results envelope.
+    the run executed on the event plane; ``fallback_reason`` says why a
+    run asked to be columnar executed on the event plane instead
+    (``None`` when the plane asked for is the plane that ran).  Both
+    describe how the run was executed, not what it simulated, and never
+    enter a results envelope.
     """
 
     metrics: MetricsCollector
@@ -55,6 +58,12 @@ class SimulationResult:
     duration: float
     generated_requests: Dict[str, int] = field(default_factory=dict)
     kernel_stats: Optional[Dict[str, int]] = None
+    fallback_reason: Optional[str] = None
+
+    @property
+    def data_plane_used(self) -> str:
+        """The plane that executed the run: ``"columnar"`` or ``"event"``."""
+        return "event" if self.kernel_stats is None else "columnar"
 
     @property
     def control_stats(self) -> Optional[Dict[str, Any]]:
@@ -298,12 +307,12 @@ class SimulationRunner:
         for generator in self.generators:
             if generator.horizon is None or generator.horizon > duration:
                 generator.horizon = duration
-        kernel = None
+        kernel = fallback_reason = None
         if self.data_plane == "columnar":
             from repro.sim.columnar import build_kernel
 
-            kernel = build_kernel(self.engine, self.cluster, self.policy,
-                                  self.generators)
+            kernel, fallback_reason = build_kernel(self.engine, self.cluster, self.policy,
+                                                   self.generators)
         if kernel is not None:
             kernel.run(until=duration + extra_drain)
         else:
@@ -319,6 +328,7 @@ class SimulationRunner:
             duration=duration,
             generated_requests=generated,
             kernel_stats=None if kernel is None else dict(kernel.stats),
+            fallback_reason=fallback_reason,
         )
 
 

@@ -34,6 +34,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from repro.sim import request as request_module
 from repro.sim.engine import SimulationEngine
 from repro.sim.request import Request
 from repro.workloads.functions import FunctionProfile
@@ -259,7 +260,10 @@ class ArrivalGenerator:
         """Create one request at its arrival time and hand it to dispatch."""
         deadline = None if self.slo_deadline is None else arrival_time + self.slo_deadline
         self.generated += 1
-        self.dispatch(Request(self.profile.name, arrival_time, deadline, work))
+        # the id is drawn here, as the dataclass default would, without its
+        # factory frame; through the module, because the counter is rebound
+        self.dispatch(Request(self.profile.name, arrival_time, deadline, work,
+                              next(request_module._request_counter)))
 
     def materialize_arrivals(self) -> "tuple[List[float], List[float]]":
         """Sample the whole run's arrivals up front (columnar data plane).

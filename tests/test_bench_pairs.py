@@ -46,6 +46,20 @@ def test_the_gate_trips_only_on_every_pair_lost_and_the_median_past_the_bound():
     assert (rss["verdict"], rss["regression"]) == ("worse", False)
 
 
+def test_a_resolved_difference_under_a_tenth_of_the_bound_is_labelled_inside_it():
+    # the +0.2 MB (0.3 %) that read a bare "worse" against a declared bound of 10 %
+    base = [59.40, 59.45, 59.40, 59.38, 59.42, 59.41]
+    rss = judge(base, [b + 0.2 for b in base], "lower", 0.10)
+    assert (rss["verdict"], rss["inside_bound"], rss["regression"]) == ("worse", True, False)
+    # a gain is labelled by the same rule; 2 % of a 10 % bound is not under a tenth of it
+    assert judge(base, [b - 0.2 for b in base], "lower", 0.10)["inside_bound"] is True
+    assert judge(base, [b + 1.2 for b in base], "lower", 0.10)["inside_bound"] is False
+    # only a resolved difference carries the label
+    assert judge(base, base, "lower", 0.10)["inside_bound"] is False
+    assert judge(base, [b + 0.001 for b in base], "lower", 0.10)["verdict"] == "unresolved"
+    assert judge(base, [b + 0.001 for b in base], "lower", 0.10)["inside_bound"] is False
+
+
 def test_unknown_metric_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as usage:
         main(["--base", str(tmp_path), "--workload", "steady_event", "--metric", "speed"])
@@ -112,3 +126,9 @@ def test_a_head_tree_that_loses_every_pair_past_the_bound_fails_the_gate(tmp_pat
         capsys.readouterr().out)
     (head / "WALL").write_text("1.2")      # every pair lost, but inside the 25 % bound
     assert main(arguments) == 0
+    assert "(inside bound)" not in capsys.readouterr().out    # 20 % is not under a tenth of 25 %
+    (head / "WALL").write_text("1.01")     # resolved (the stub has no spread), and 1 % of 25 %
+    assert main(arguments) == 0
+    wall_row = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.strip().startswith("wall_s"))
+    assert wall_row.rstrip().endswith("worse (inside bound)")

@@ -289,6 +289,63 @@ def test_columnar_analysis_builds_no_request_object():
     assert collector.dropped_requests() == event.metrics.dropped_requests()
 
 
+# ----------------------------------------------------------------------
+# Which plane ran, and why (``data_plane_used`` / ``fallback_reason``)
+# ----------------------------------------------------------------------
+def test_a_run_reports_the_plane_it_asked_for_when_that_is_the_plane_that_ran():
+    event = _quickstart_runner("event").run(duration=20.0)
+    columnar = _quickstart_runner("columnar").run(duration=20.0)
+    assert (event.data_plane_used, event.fallback_reason) == ("event", None)
+    assert (columnar.data_plane_used, columnar.fallback_reason) == ("columnar", None)
+
+
+def _no_plan_method(runner):
+    runner.policy.columnar_plan = None            # an ad-hoc policy written before the kernel
+
+
+def _no_plan(runner):
+    runner.policy.columnar_plan = lambda: None    # what the OpenWhisk policy inherits
+
+
+def _detached_dispatcher(runner):
+    runner.policy.dispatcher._attached = False
+
+
+def _foreign_interceptor(runner):
+    runner.policy.dispatcher.interceptor = lambda request, container: True
+
+
+@pytest.mark.parametrize("sabotage, reason", [
+    (_no_plan_method, "policy 'lass' has no columnar_plan method"),
+    (_no_plan, "policy 'lass' publishes no columnar plan"),
+    (_detached_dispatcher, "the plan's dispatcher is not attached to a cluster"),
+    (_foreign_interceptor, "an unknown dispatch interceptor is installed"),
+])
+def test_each_fallback_names_its_reason_and_runs_the_event_plane(sabotage, reason):
+    runner = _quickstart_runner("columnar")
+    sabotage(runner)
+    result = runner.run(duration=20.0)
+    assert result.data_plane_used == "event" and result.kernel_stats is None
+    assert result.fallback_reason == reason
+    # and the fallback is the event plane, untouched: no RNG drawn, no generator started early
+    deadlines = {"squeezenet": 0.1, "mobilenet": 0.1}
+    event = _quickstart_runner("event").run(duration=20.0)
+    assert result.metrics.summary(deadlines) == event.metrics.summary(deadlines)
+    assert result.generated_requests == event.generated_requests
+
+
+def test_the_openwhisk_policy_falls_back_by_name():
+    from repro.simulation import SimulationRunner
+    from repro.workloads import StaticRate, WorkloadBinding, get_function
+
+    binding = WorkloadBinding(get_function("squeezenet"), StaticRate(10.0, duration=5.0),
+                              slo_deadline=0.1)
+    result = SimulationRunner(workloads=[binding], seed=5, policy="openwhisk",
+                              data_plane="columnar").run(duration=5.0)
+    assert result.data_plane_used == "event"
+    assert result.fallback_reason == "policy 'openwhisk' publishes no columnar plan"
+
+
 def test_event_plane_query_inside_the_run_sees_current_state():
     """A collector queried from an engine callback extracts afresh; a finished run does not."""
     from repro.metrics.slo import slo_report

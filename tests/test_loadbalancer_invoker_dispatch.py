@@ -70,13 +70,6 @@ class TestWeightedRoundRobin:
         balancer.pick("fn", [a])
         assert b.container_id not in balancer._scores["fn"]
 
-    def test_pick_least_loaded(self, engine):
-        balancer = WeightedRoundRobinBalancer()
-        a, b = warm_container(), warm_container()
-        a.submit(make_request(work=10.0), engine)
-        chosen = balancer.pick_least_loaded("fn", [a, b])
-        assert chosen is b
-
     def test_reset(self):
         balancer = WeightedRoundRobinBalancer()
         balancer.pick("fn", [warm_container()])
@@ -369,7 +362,7 @@ class TestSingleChokePoint:
             return not crash
 
         balancer = dispatcher.balancer
-        for method in ("pick", "forced_pick"):
+        for method in ("pick", "pick_idle", "forced_pick"):
             def spy(*args, _name=method, _original=getattr(balancer, method)):
                 self.balancer_calls.append(_name)
                 return _original(*args)
@@ -408,9 +401,9 @@ class TestSingleChokePoint:
         assert consulted[0][2].current_request is request
         assert self.balancer_calls == {
             "single-candidate submit": ["forced_pick"],      # straight from the idle index
-            "multi-candidate submit": ["pick"],
+            "multi-candidate submit": ["pick_idle"],         # one pass over the index
             "completion pull": ["forced_pick"],              # only the set-up's own submit
-            "drain": ["pick", "forced_pick"],                # pick's single-eligible branch
+            "drain": ["pick_idle", "forced_pick"],           # the single-survivor branch
         }[route]
         engine.run()
         assert request.status is RequestStatus.COMPLETED and len(consulted) == 1

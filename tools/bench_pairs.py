@@ -17,7 +17,10 @@ count for neither side) and a verdict:
 
 ``gain`` / ``worse``
     one side wins at least nine tenths of the pairs *and* the medians
-    are further apart than the base's own quartile spread;
+    are further apart than the base's own quartile spread; printed with
+    ``(inside bound)`` when the medians differ by less than a tenth of
+    the metric's declared bound (a resolved difference, but a small one:
+    +0.2 MB of ``peak_rss_mb`` against a bound of 10 %);
 ``equal``
     every run of both sides read the same value (simulated statistics);
 ``unresolved``
@@ -43,6 +46,9 @@ HEAD = Path(__file__).resolve().parents[1]
 
 #: Share of the pairs one side must win before a difference counts.
 WIN_SHARE = 0.9
+
+#: A resolved difference under this share of the declared bound is labelled as inside it.
+INSIDE_BOUND_SHARE = 0.1
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> Dict[str, Any]:
@@ -87,6 +93,8 @@ def judge(base: Sequence[float], head: Sequence[float], better: str,
     return {
         "base": (b_q1, b_med, b_q3), "head": (h_q1, h_med, h_q3), "n": len(base),
         "won": won, "lost": lost, "change": change, "verdict": verdict,
+        "inside_bound": (verdict in ("gain", "worse")
+                         and abs(change) < INSIDE_BOUND_SHARE * bound),
         "regression": lost == len(base) and -sign * change > bound,
     }
 
@@ -118,6 +126,7 @@ def compare(base: Path, head: Path, workload: str, pairs: int, seed: int, second
         cells = ["{1:.4f} ({0:.4f}..{2:.4f})".format(*row[side]) for side in ("base", "head")]
         print(f"  {name:16s} {cells[0]:>32s} {cells[1]:>32s} {row['change']:+8.1%} "
               f"{row['won']:3d}/{row['n']:<3d}  {row['verdict']}"
+              + (" (inside bound)" if row["inside_bound"] else "")
               + ("  <-- REGRESSION (past the declared bound)" if row["regression"] else ""))
     return judged
 
