@@ -178,15 +178,13 @@ class TerminationPolicy:
         # Phase 2: give capacity to under-allocated functions, whole
         # standard containers only.
         available = free_cpu + reclaimed
+        terminated = {t.container_id for t in plan.terminations}
         for name, containers in sorted(containers_by_function.items()):
             target = float(target_cpu.get(name, 0.0))
             std = float(standard_cpu.get(name, containers[0].standard_cpu if containers else 1.0))
             if std <= 0:
                 continue
-            surviving = [
-                c for c in containers
-                if c.container_id not in {t.container_id for t in plan.terminations}
-            ]
+            surviving = [c for c in containers if c.container_id not in terminated]
             current = _total_cpu(surviving)
             target_count = int(math.floor(target / std + 1e-9))
             missing = target_count - len(surviving)
@@ -282,7 +280,6 @@ class DeflationPolicy:
                     break
                 victims.append(survivors.pop(0))
 
-            victim_ids = {v.container_id for v in victims}
             for victim in victims:
                 plan.terminations.append(TerminateAction(name, victim.container_id))
                 reclaimed += victim.current_cpu
@@ -304,11 +301,9 @@ class DeflationPolicy:
 
         # Phase 2: give capacity to under-allocated functions.
         available = free_cpu + reclaimed
+        terminated = {t.container_id for t in plan.terminations}
         for name, containers in sorted(containers_by_function.items()):
-            live = [
-                c for c in containers
-                if c.container_id not in {t.container_id for t in plan.terminations}
-            ]
+            live = [c for c in containers if c.container_id not in terminated]
             target = float(target_cpu.get(name, 0.0))
             std = float(standard_cpu.get(name, live[0].standard_cpu if live else 1.0))
             current = _total_cpu(live)

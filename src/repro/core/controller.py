@@ -124,7 +124,10 @@ class _FunctionState:
     ewma: EwmaEstimator
     online_service: OnlineServiceTimeEstimator
     profile: Optional[ServiceTimeProfile] = None
-    default_service_rate: float = 10.0
+    #: what ``_service_rate`` answers until enough completions are learned:
+    #: the profile's standard-size rate (a frozen table, read once at
+    #: registration) or, without a profile, the configured default
+    offline_service_rate: float = 10.0
     last_decision: Optional[ScalingDecision] = None
     arrivals_this_epoch: int = 0
 
@@ -226,7 +229,7 @@ class LassController(ControlPolicy):
             ewma=EwmaEstimator(self.config.ewma_alpha),
             online_service=OnlineServiceTimeEstimator(),
             profile=profile,
-            default_service_rate=default_service_rate,
+            offline_service_rate=default_service_rate if profile is None else profile.service_rate(1.0),
         )
 
     def start(self) -> None:
@@ -369,7 +372,7 @@ class LassController(ControlPolicy):
             if observation.rate <= 0:
                 continue
             current = self.cluster.containers_of(name, include_draining=False)
-            service_rate = self._service_rate(state, cpu_fraction=1.0)
+            service_rate = self._service_rate(state)
             min_stable = self.autoscaler.minimum_stable_containers(observation.rate, service_rate)
             needs_reaction = observation.burst_detected or len(current) < min_stable
             if not needs_reaction:
@@ -453,7 +456,7 @@ class LassController(ControlPolicy):
             self.metrics.increment("burst_switches")
         smoothed = state.ewma.update(observation.rate)
 
-        service_rate = self._service_rate(state, cpu_fraction=1.0)
+        service_rate = self._service_rate(state)
         current = self.cluster.containers_of(name, include_draining=False)
         # the per-container rates matter only to the heterogeneous model,
         # i.e. only once some live container is deflated
@@ -482,15 +485,13 @@ class LassController(ControlPolicy):
         """One function's scaling decision (batch-of-one convenience)."""
         return self.autoscaler.decide_batch((self._scaling_query(name, state, now),))[0]
 
-    def _service_rate(self, state: _FunctionState, cpu_fraction: float) -> float:
-        """Best current estimate of the per-container service rate at a CPU fraction."""
+    def _service_rate(self, state: _FunctionState) -> float:
+        """Best current estimate of a standard-size container's service rate."""
         if self.config.online_learning:
-            learned = state.online_service.service_rate(cpu_fraction)
-            if learned is not None and state.online_service.observations(cpu_fraction) >= 20:
+            learned = state.online_service.service_rate(1.0)
+            if learned is not None and state.online_service.observations(1.0) >= 20:
                 return learned
-        if state.profile is not None:
-            return state.profile.service_rate(cpu_fraction)
-        return state.default_service_rate
+        return state.offline_service_rate
 
     def _service_time_percentile(self, state: _FunctionState) -> Optional[float]:
         """Service-time percentile used to tighten the wait budget, if known."""

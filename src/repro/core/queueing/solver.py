@@ -138,6 +138,17 @@ def _bound_kernel(r: np.ndarray, rho: np.ndarray, cs: np.ndarray,
     masks states above each row's ``L`` and the normalising constant
     reuses the head terms (``n < c``) plus the closed-form geometric
     tail, exactly as the scalar :mod:`repro.core.queueing.mmc` path.
+
+    A row's result depends in its last bits on its batch-mates: every
+    row is padded to the widest row's columns, and ``sum(axis=1)`` groups
+    its pairwise additions by that width, so ``log_num`` / ``log_head``
+    can land an ulp away from what the row gives alone (after ``+ peak``,
+    an ulp of a number that grows like ``c``: ≤ 7e-15 on the result for
+    ``c ≤ 64``, 2e-13 at ``c ≈ 2000``).  ``solve_batch`` batches every
+    function of an epoch.  ``tests/test_solver.py::TestBatchMates`` pins
+    what holds (the gap, and an unchanged ``≥ percentile`` verdict); a
+    width-independent reduction would move envelope digests and is left
+    to the sizing collapse (ROADMAP (ii)).
     """
     cols = int(max(L.max(), cs.max()) + 1)
     table = log_factorials(cols - 1)

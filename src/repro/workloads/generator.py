@@ -9,13 +9,30 @@ controller's ``dispatch``.
 
 Fast path
 ---------
-Arrival sampling is vectorized: a :class:`_ThinningSampler` draws
-``(gap, accept)`` uniform pairs from the RNG in fixed-size chunks,
-converts them to candidate times with one ``cumsum`` per thinning
-window, thins the whole candidate batch against ``rate_many``, and the
-generator injects each batch of accepted arrivals through the engine's
-``schedule_many`` — one numpy pass plus one batch call instead of one
-RNG draw and one engine event per arrival.
+A :class:`_ThinningSampler` draws ``(gap, accept)`` uniform pairs from
+the RNG in fixed-size chunks and takes the chunk's unit-rate gaps
+(``-log1p(-u)``) once, at the draw.  A thinning window is then read off
+the chunk by one of two passes, chosen by how many candidates the
+window expects (``bound × window``, against ``_SWEEP_MIN_CANDIDATES``):
+
+* a **dense** window (the steady workloads: 500 candidates) takes the
+  array pass — one ``cumsum`` of ``unit / bound`` over the rest of the
+  chunk, one ``searchsorted`` for the window's end, the candidates thinned
+  against ``rate_many``;
+* a **sparse** window (many low-rate IoT functions: a handful of
+  candidates) is walked float by float over list copies of the chunk,
+  against ``schedule.rate`` — no numpy call at all, where the array pass
+  spends ~17 on the whole remaining chunk to keep a few floats.
+
+Both do the same IEEE operations in the same order — ``cumsum`` is a
+left-to-right sum and so is the walk's ``elapsed +=``, every concrete
+``rate_many`` is its ``rate`` element by element — and both consume the
+overshooting pair, so which pass ran is invisible in the arrivals, in
+``(pos, t, window_end)`` and in the generator's state
+(``tests/test_arrival_sampler.py`` holds both to the single-pass body
+they replaced).  The generator injects each batch of accepted arrivals
+through the engine's ``schedule_many`` — one batch call instead of one
+engine event per arrival.
 
 The sampler's RNG consumption is a pure function of the schedule and
 the chunk size — it does not depend on ``batch_size`` (how many
@@ -30,7 +47,7 @@ regression test relies on exactly this property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +56,21 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.request import Request
 from repro.workloads.functions import FunctionProfile
 from repro.workloads.schedules import RateSchedule
+
+
+#: Fewest expected candidates (``bound × what is left of the window``) for
+#: which a thinning window takes the array pass.  The walk costs ~0.4 µs a
+#: candidate under a ``StepSchedule`` and the sweep ~20 µs a window plus
+#: ~0.2 µs a candidate *of the chunk* (it cannot know where the window
+#: ends before it has summed): they cross at ~64 candidates for
+#: ``StaticRate``, 96–128 for ``StepSchedule``, ~48 for ``TraceSchedule``
+#: (EXPERIMENTS.md "Arrival synthesis (PR 23)").  ``burst_control`` sits at
+#: a mean of 5.7, the steady workloads at 500; either pass gives the same
+#: bits, so the value only ever moves time.
+_SWEEP_MIN_CANDIDATES = 64.0
+
+#: What a sampler holds before its first draw and after its last window.
+_NO_CHUNK = np.empty(0)
 
 
 @dataclass
@@ -53,7 +85,7 @@ class WorkloadBinding:
 
 
 class _ThinningSampler:
-    """Vectorized non-homogeneous Poisson sampling by thinning.
+    """Non-homogeneous Poisson sampling by thinning, one chunk of uniform pairs at a time.
 
     For each thinning window ``[w, w + W)`` (clipped to the horizon) with
     rate bound ``B = max_rate(w, w + W)``, candidate arrivals are the
@@ -62,7 +94,8 @@ class _ThinningSampler:
     exactly one ``(gap, accept)`` uniform pair — including the candidate
     that overshoots the window — so RNG consumption depends only on the
     pair stream itself, never on how many arrivals a caller requests per
-    :meth:`next_arrivals` call.
+    :meth:`next_arrivals` call, and never on which of the two passes
+    (:meth:`_walk_window`, :meth:`_sweep_window`) thinned a window.
     """
 
     def __init__(
@@ -83,27 +116,41 @@ class _ThinningSampler:
         self._t = float(start)
         self._window_end: Optional[float] = None
         self._bound = 0.0
-        self._pairs = np.empty((0, 2))
+        self._release()
         self._pos = 0
         self.exhausted = False
 
+    def _release(self) -> None:
+        """Drop the chunk: nothing is drawn yet, or nothing will be read again."""
+        self._unit = self._accept = _NO_CHUNK
+        self._floats: Optional[Tuple[List[float], List[float]]] = None
+
     def _refill(self) -> None:
-        """Thin one window of candidates and append the accepted arrivals."""
-        self._pairs = self.rng.random((self.chunk, 2))
+        """Draw the next chunk of uniform pairs and take its unit-rate gaps.
+
+        A window's ``Exp(bound)`` gaps are ``unit / bound``, element by
+        element, so the logarithm is taken here, once, and not over the
+        rest of the chunk by every window that reads it.
+        """
+        pairs = self.rng.random((self.chunk, 2))
+        self._unit = -np.log1p(-pairs[:, 0])
+        self._accept = pairs[:, 1]
+        self._floats = None
         self._pos = 0
 
     def next_arrivals(self, max_count: int) -> List[float]:
         """Return at least ``max_count`` arrivals if any remain (may overshoot).
 
         Returns an empty list once the horizon is reached.  The overshoot
-        happens because a whole window chunk is thinned at once; callers
-        schedule everything they receive.
+        happens because a window is thinned whole (up to the end of the
+        chunk); callers schedule everything they receive.
         """
         out: List[float] = []
+        horizon = self.horizon
         while len(out) < max_count and not self.exhausted:
-            horizon = self.horizon
             if horizon is not None and self._t >= horizon:
                 self.exhausted = True
+                self._release()
                 break
             if self._window_end is None or self._t >= self._window_end:
                 window_end = self._t + self.window
@@ -117,33 +164,60 @@ class _ThinningSampler:
                 self._t = self._window_end
                 self._window_end = None
                 continue
-            if self._pos >= len(self._pairs):
+            if self._pos >= len(self._unit):
                 self._refill()
-            view = self._pairs[self._pos :]
-            gaps = -np.log1p(-view[:, 0]) / bound
-            candidates = self._t + np.cumsum(gaps)
-            crossed = int(np.searchsorted(candidates, self._window_end, side="right"))
-            if crossed == 0:
-                # first candidate already overshoots the window
-                self._pos += 1
-                self._t = self._window_end
-                self._window_end = None
-                continue
-            in_window = candidates[:crossed]
-            accept_u = view[:crossed, 1]
-            rates = self.schedule.rate_many(in_window)
-            accepted = in_window[accept_u * bound <= rates]
-            out.extend(accepted.tolist())
-            if crossed < len(candidates):
-                # the (crossed+1)-th pair was consumed by the overshoot candidate
-                self._pos += crossed + 1
-                self._t = self._window_end
-                self._window_end = None
+            if bound * (self._window_end - self._t) < _SWEEP_MIN_CANDIDATES:
+                self._walk_window(out, bound, self._window_end)
             else:
-                # buffer exhausted inside the window: continue from the last candidate
-                self._pos += crossed
-                self._t = float(candidates[-1])
+                self._sweep_window(out, bound, self._window_end)
         return out
+
+    def _walk_window(self, out: List[float], bound: float, window_end: float) -> None:
+        """Thin the rest of the window (or of the chunk) one float at a time.
+
+        The arithmetic is :meth:`_sweep_window`'s, operation for operation:
+        ``elapsed`` is ``np.cumsum``'s own left-to-right sum of the same
+        quotients, ``schedule.rate`` is the scalar ``rate_many``.
+        """
+        if self._floats is None:
+            self._floats = (self._unit.tolist(), self._accept.tolist())
+        unit, accept = self._floats
+        rate = self.schedule.rate
+        candidate = start = self._t
+        elapsed = 0.0
+        for k in range(self._pos, len(unit)):
+            elapsed += unit[k] / bound
+            candidate = start + elapsed
+            if candidate > window_end:
+                # this pair was consumed by the overshoot candidate
+                self._pos = k + 1
+                self._t = window_end
+                self._window_end = None
+                return
+            if accept[k] * bound <= rate(candidate):
+                out.append(candidate)
+        # chunk exhausted inside the window: continue from the last candidate
+        self._pos = len(unit)
+        self._t = candidate
+
+    def _sweep_window(self, out: List[float], bound: float, window_end: float) -> None:
+        """Thin the rest of the window (or of the chunk) in one array pass."""
+        candidates = self._t + np.cumsum(self._unit[self._pos :] / bound)
+        crossed = int(np.searchsorted(candidates, window_end, side="right"))
+        if crossed:
+            in_window = candidates[:crossed]
+            accept_u = self._accept[self._pos : self._pos + crossed]
+            rates = self.schedule.rate_many(in_window)
+            out.extend(in_window[accept_u * bound <= rates].tolist())
+        if crossed < len(candidates):
+            # the (crossed+1)-th pair was consumed by the overshoot candidate
+            self._pos += crossed + 1
+            self._t = window_end
+            self._window_end = None
+        else:
+            # chunk exhausted inside the window: continue from the last candidate
+            self._pos += crossed
+            self._t = float(candidates[-1])
 
 
 class ArrivalGenerator:

@@ -48,6 +48,13 @@ class RateSchedule(abc.ABC):
         schedules override it with a true numpy evaluation so the
         vectorized arrival generator can thin whole candidate batches
         without a Python call per candidate.
+
+        Contract for an override: ``rate_many([t])[0] == rate(t)`` to the
+        bit, for every ``t``.  The arrival sampler reads a sparse thinning
+        window through :meth:`rate` and a dense one through this method,
+        so a schedule whose two evaluations differ in a last bit has
+        arrivals that depend on which pass ran
+        (``tests/test_arrival_sampler.py`` holds every in-tree kind to it).
         """
         return np.array([self.rate(float(t)) for t in np.asarray(times).ravel()], dtype=float)
 
@@ -151,11 +158,9 @@ class StepSchedule(RateSchedule):
 
     def max_rate(self, start: float, end: float) -> float:
         """Upper bound on the rate over ``[start, end]``."""
-        relevant = [self.rate(start)]
-        for t, r in zip(self._times, self._rates):
-            if start <= t <= end:
-                relevant.append(r)
-        return max(relevant) if relevant else 0.0
+        first = bisect.bisect_left(self._times, start)
+        last = bisect.bisect_right(self._times, end)
+        return max([self.rate(start), *self._rates[first:last]])
 
     @property
     def end_time(self) -> Optional[float]:

@@ -22,6 +22,7 @@ than an ``attrgetter`` call), and left them.
 """
 
 import collections
+import gc
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -59,7 +60,13 @@ def build_runner() -> SimulationRunner:
 
 
 def count_frames():
-    """Run the scenario under ``sys.setprofile``: (generated requests, ``call`` events by file)."""
+    """Run the scenario under ``sys.setprofile``: (generated requests, ``call`` events by file).
+
+    The collector is off for the run, as in ``test_epoch_budget.py``: a
+    collection would add the frames of whatever ``gc.callbacks`` the test
+    process carries (hypothesis installs one the first time a ``@given``
+    test runs), and when collections fall depends on what ran before.
+    """
     runner = build_runner()
     frames = collections.Counter()
 
@@ -67,12 +74,16 @@ def count_frames():
         if event == "call":
             frames[frame.f_code.co_filename] += 1
 
-    previous = sys.getprofile()
+    previous, collecting = sys.getprofile(), gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     try:
         result = runner.run(duration=DURATION)
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return sum(result.generated_requests.values()), frames
 
 
