@@ -1,20 +1,24 @@
 """Fault-tolerant sweep execution: retries, timeouts, journaling, resume.
 
 :class:`ResilientSweepRunner` is the one sweep executor.  ``workers=1``
-with no timeout runs the shards in this process; otherwise each shard
-is submitted to its own worker process (fork where available, spawn
-otherwise) and supervised individually:
+with no timeout runs the shards in this process; otherwise at most
+``workers`` long-lived worker processes (fork where available, spawn
+otherwise), each started when a shard finds none idle, take one
+*attempt* — a ``(spec, attempt number)`` job sent over the worker's
+pipe — at a time until the sweep ends, so a healthy sweep starts
+``min(workers, shards)`` processes.  Each attempt is supervised:
 
-* **timeouts** — a per-shard wall-clock budget; an overrunning worker is
-  SIGKILLed and the attempt recorded as ``timeout``;
+* **timeouts** — a per-attempt wall-clock budget; an overrunning worker
+  is SIGKILLed and replaced, and the attempt recorded as ``timeout``;
 * **retries with deterministic backoff** — failed/timed-out/dead shards
   are re-queued up to ``retries`` extra attempts, with capped
   exponential backoff whose jitter derives from the shard *seed*
   (:func:`backoff_delay`), never from wall clock or worker identity;
-* **dead-worker detection** — a worker that dies without reporting (OOM
+* **dead-worker detection** — a worker that dies holding a shard (OOM
   kill, SIGKILL, interpreter abort) is noticed via its process sentinel,
-  counted as a failed attempt, and its shard re-run in a fresh process:
-  a killed child can neither hang nor sink the sweep;
+  counted as a failed attempt, and replaced; one found dead while idle
+  is replaced and charges no shard: a killed child can neither hang nor
+  sink the sweep;
 * **graceful degradation** — with ``on_failure="continue"``, exhausted
   shards yield a placeholder entry with a ``status`` field and the
   envelope gains an ``incomplete`` marker instead of raising; with
@@ -32,7 +36,9 @@ before execution and results contain nothing host- or time-dependent.
 Re-running a shard therefore produces byte-identical canonical JSON —
 so a retry after a crash, a resume after an interrupt, and an
 uninterrupted ``workers=1`` run are all the *same bytes*, which the
-chaos harness (``tools/chaos_sweep.py``) asserts continuously.
+chaos harness (``tools/chaos_sweep.py``) asserts continuously.  A worker
+running shard after shard is the in-process path's case; that a shard's
+bytes do not depend on what ran before it in the process is tested.
 
 The all-healthy envelope is byte-identical to the historical
 ``repro/sweep-result@1`` output: ``status`` fields and the
@@ -42,6 +48,10 @@ attempts.
 
 from __future__ import annotations
 
+import contextlib
+import json
+import math
+import signal
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -116,13 +126,13 @@ class RetryPolicy:
     backoff_cap: float = 30.0
 
     def __post_init__(self) -> None:
-        """Validate the numeric ranges."""
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive (or None)")
-        if self.backoff_base < 0 or self.backoff_cap < self.backoff_base:
-            raise ValueError("need 0 <= backoff_base <= backoff_cap")
+        """Validate types and ranges; NaN and infinities would hang the supervisor."""
+        if type(self.retries) is not int or self.retries < 0:  # bool is not a count
+            raise ValueError(f"retries must be an int >= 0, got {self.retries!r}")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be finite and positive (or None), got {self.timeout!r}")
+        if not 0 <= self.backoff_base <= self.backoff_cap < math.inf:
+            raise ValueError("need finite 0 <= backoff_base <= backoff_cap")
 
     def delay(self, seed: int, attempt: int) -> float:
         """The deterministic pause before re-running ``attempt``'s retry."""
@@ -143,9 +153,6 @@ class _ShardState:
     result: Optional[Dict[str, Any]] = None
     error: Optional[Dict[str, Any]] = None
     reused: bool = False
-    process: Any = None
-    conn: Any = None
-    deadline: Optional[float] = None
     resume_at: float = 0.0
 
     def identity(self) -> Dict[str, Any]:
@@ -166,29 +173,59 @@ def _run_shard(spec_dict: Mapping[str, Any]) -> Dict[str, Any]:
     return run_scenario(ScenarioSpec.from_dict(spec_dict)).data
 
 
-def _attempt_shard(conn: Any, spec_dict: Dict[str, Any], attempt: int) -> None:
-    """Worker-process entry point: run one shard attempt, report via pipe.
+def _error_info(error: BaseException) -> Dict[str, Any]:
+    """The structured report of an attempt's exception (call inside its handler)."""
+    import traceback
 
-    Sends ``("ok", result_dict)`` or ``("error", info_dict)`` through
-    ``conn`` and exits.  The env-gated chaos hook runs first, so an
-    injected SIGKILL takes the worker down *before* any report — which
-    is exactly the silence the supervisor's dead-worker detection must
-    handle.  Catching ``BaseException`` is deliberate: any escape short
-    of a kill signal should still produce a structured report.
+    return {"type": type(error).__name__, "message": str(error),
+            "traceback": traceback.format_exc()}
+
+
+def _serve_shards(conn: Any) -> None:
+    """Worker-process entry point: answer each ``(spec_dict, attempt)`` job on ``conn``.
+
+    Replies ``("ok", result_dict)`` or ``("error", info_dict)``; a ``None``
+    job, or EOF once the supervisor is gone, ends the worker.  The chaos
+    hook runs first, so an injected SIGKILL is the silence dead-worker
+    detection must handle.  Any escape short of a kill signal is
+    reported; an exit or interrupt then ends the worker.  SIGINT is
+    ignored: the supervisor stops idle workers and kills busy ones.
     """
-    try:
-        maybe_inject(shard_spec_hash(spec_dict), attempt)
-        conn.send(("ok", _run_shard(spec_dict)))
-    except BaseException as error:  # noqa: BLE001 - structured worker report
-        import traceback
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with contextlib.suppress(EOFError):  # EOF: the supervisor is gone
+        for spec_dict, attempt in iter(conn.recv, None):
+            try:
+                maybe_inject(shard_spec_hash(spec_dict), attempt)
+                conn.send(("ok", _run_shard(spec_dict)))
+            except BaseException as error:  # noqa: BLE001 - structured worker report
+                conn.send(("error", _error_info(error)))
+                if not isinstance(error, Exception):
+                    return
 
-        conn.send(("error", {
-            "type": type(error).__name__,
-            "message": str(error),
-            "traceback": traceback.format_exc(),
-        }))
-    finally:
-        conn.close()
+
+@dataclass(eq=False)
+class _Worker:
+    """A long-lived worker process, its pipe, and the attempt (shard, deadline) it holds."""
+
+    process: Any
+    conn: Any
+    state: Optional[_ShardState] = None
+    deadline: float = math.inf
+
+
+def _end_workers(idle: List[_Worker], busy: List[_Worker]) -> None:
+    """Stop ``idle`` workers with a ``None`` job, SIGKILL ``busy`` ones, join them all."""
+    for worker in idle:
+        with contextlib.suppress(OSError):  # it died idle; the join below reaps it
+            worker.conn.send(None)
+    for worker in busy:
+        worker.process.kill()
+    for worker in idle + busy:
+        worker.process.join(timeout=5.0)
+        if worker.process.is_alive():  # deaf to its stop job: no worker outlives the sweep
+            worker.process.kill()
+            worker.process.join()
+        worker.conn.close()
 
 
 class ResilientSweepRunner:
@@ -199,9 +236,10 @@ class ResilientSweepRunner:
     sweep:
         The :class:`~repro.scenarios.sweep.SweepSpec` to execute.
     workers:
-        Maximum concurrently-live worker processes.  ``workers=1`` with
-        no timeout runs shards in-process (no subprocess overhead) —
-        both modes produce byte-identical envelopes.
+        Maximum live worker processes, each running one shard attempt
+        at a time.  ``workers=1`` with no timeout runs shards in-process
+        (no subprocess overhead) — both modes produce byte-identical
+        envelopes.
     retry / retries / timeout / backoff_base / backoff_cap:
         Either pass a ready :class:`RetryPolicy` as ``retry`` or the
         individual knobs.
@@ -321,21 +359,11 @@ class ResilientSweepRunner:
                 try:
                     maybe_inject(state.spec_hash, state.attempts, allow_kill=False)
                     state.result = _run_shard(state.spec_dict)
-                except KeyboardInterrupt:
-                    raise
                 except Exception as error:  # noqa: BLE001 - per-shard isolation
-                    import traceback
-
-                    self._attempt_failed(state, "failed", {
-                        "type": type(error).__name__,
-                        "message": str(error),
-                        "traceback": traceback.format_exc(),
-                        "reason": "exception",
-                    })
-                    if state.status == "pending" and state.resume_at > 0:
-                        delay = state.resume_at - time.monotonic()
-                        if delay > 0:
-                            time.sleep(delay)
+                    self._attempt_failed(state, "failed",
+                                         dict(_error_info(error), reason="exception"))
+                    if state.status == "pending":
+                        time.sleep(max(0.0, state.resume_at - time.monotonic()))
                 else:
                     state.status = "ok"
                     self._journal_event(state, "ok", result=state.result)
@@ -351,114 +379,109 @@ class ResilientSweepRunner:
         return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
     def _run_subprocess(self, to_run: List[_ShardState]) -> None:
-        """The supervision loop: launch, wait, classify, retry.
+        """The supervision loop: hand out attempts, wait, classify, retry.
 
-        Watches each live worker's report pipe *and* process sentinel,
-        so results, crashes, silent deaths, and deadline overruns are
-        all observed promptly; cleanup in ``finally`` guarantees no
-        worker outlives an interrupted sweep.
+        Watches each busy worker's pipe *and* process sentinel, so results,
+        crashes, silent deaths, and deadline overruns are all observed
+        promptly; ``finally`` stops idle workers and kills busy ones.
         """
         ctx = self._context()
         pending = deque(to_run)
         waiting: List[_ShardState] = []
-        live: List[_ShardState] = []
+        idle: List[_Worker] = []
+        busy: List[_Worker] = []
         try:
-            while pending or waiting or live:
+            while pending or waiting or busy:
                 now = time.monotonic()
                 for state in [s for s in waiting if s.resume_at <= now]:
                     waiting.remove(state)
                     pending.append(state)
-                while pending and len(live) < self.workers:
-                    state = pending.popleft()
-                    self._launch(ctx, state)
-                    live.append(state)
-                if not live:
+                while pending and len(busy) < self.workers:
+                    busy.append(self._assign(ctx, idle, pending.popleft()))
+                if not busy:
                     # everything is backing off; sleep until the earliest retry
                     next_at = min(s.resume_at for s in waiting)
                     time.sleep(max(0.0, next_at - time.monotonic()) + 0.001)
                     continue
-                self._wait_and_classify(live, waiting)
+                self._wait_and_classify(busy, idle, waiting)
         finally:
-            for state in live:
-                self._kill_worker(state)
+            _end_workers(idle, busy)
 
-    def _launch(self, ctx: Any, state: _ShardState) -> None:
-        """Start one worker process for the shard's next attempt."""
-        state.attempts += 1
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_attempt_shard,
-            args=(child_conn, state.spec_dict, state.attempts),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        state.process, state.conn = process, parent_conn
-        state.deadline = (time.monotonic() + self.retry.timeout
-                          if self.retry.timeout is not None else None)
-        self._journal_event(state, "started")
+    def _assign(self, ctx: Any, idle: List[_Worker], state: _ShardState) -> _Worker:
+        """Send the shard's next attempt to an idle worker, or to a new one.
 
-    def _wait_and_classify(self, live: List[_ShardState],
-                           waiting: List[_ShardState]) -> None:
-        """Block until a worker reports, dies, or a deadline expires."""
-        now = time.monotonic()
-        timeout: Optional[float] = None
-        horizons = [s.deadline for s in live if s.deadline is not None]
-        horizons += [s.resume_at for s in waiting]
-        if horizons:
-            timeout = max(0.0, min(horizons) - now)
-        watch: Dict[Any, _ShardState] = {}
-        for state in live:
-            watch[state.conn] = state
-            watch[state.process.sentinel] = state
-        ready = _connection_wait(list(watch), timeout=timeout)
-        seen: List[_ShardState] = []
-        for handle in ready:
-            state = watch[handle]
-            if state in seen or state not in live:
-                continue
-            seen.append(state)
-            self._collect(state, live, waiting)
-        now = time.monotonic()
-        for state in list(live):
-            if state.deadline is not None and now >= state.deadline:
-                self._kill_worker(state)
-                live.remove(state)
-                self._attempt_failed(state, "timeout", {
-                    "type": "ShardTimeout",
-                    "message": f"attempt exceeded {self.retry.timeout}s wall-clock budget",
-                    "reason": "timeout",
-                })
-                if state.status == "pending":
-                    waiting.append(state)
-
-    def _collect(self, state: _ShardState, live: List[_ShardState],
-                 waiting: List[_ShardState]) -> None:
-        """Read one worker's outcome (report, crash report, or silent death)."""
-        payload = None
-        if state.conn.poll():
+        An idle worker that died since its last report refuses the job; it
+        is reaped and replaced, and no shard is charged (nothing was handed over).
+        """
+        job = (state.spec_dict, state.attempts + 1)
+        worker = None
+        while idle and worker is None:
+            candidate = idle.pop()
             try:
-                payload = state.conn.recv()
-            except (EOFError, OSError):
-                payload = None
+                candidate.conn.send(job)
+                worker = candidate
+            except OSError:  # BrokenPipeError: it died idle
+                _end_workers([], [candidate])
+        if worker is None:
+            parent_conn, child_conn = ctx.Pipe()
+            process = ctx.Process(target=_serve_shards, args=(child_conn,), daemon=True)
+            process.start()
+            child_conn.close()
+            worker = _Worker(process, parent_conn)
+            parent_conn.send(job)
+        state.attempts += 1
+        worker.state = state
+        worker.deadline = time.monotonic() + (self.retry.timeout or math.inf)
+        self._journal_event(state, "started")
+        return worker
+
+    def _wait_and_classify(self, busy: List[_Worker], idle: List[_Worker],
+                           waiting: List[_ShardState]) -> None:
+        """Block until a busy worker reports or dies, or a deadline or retry comes due."""
+        horizon = min([w.deadline for w in busy] + [s.resume_at for s in waiting])
+        timeout = max(0.0, horizon - time.monotonic()) if horizon < math.inf else None
+        watch: Dict[Any, _Worker] = {w.conn: w for w in busy}
+        watch.update((w.process.sentinel, w) for w in busy)
+        for handle in _connection_wait(list(watch), timeout=timeout):
+            if watch[handle] in busy:
+                self._collect(watch[handle], busy, idle, waiting)
+        now = time.monotonic()
+        for worker in [w for w in busy if now >= w.deadline]:
+            busy.remove(worker)
+            _end_workers([], [worker])
+            state = worker.state
+            self._attempt_failed(state, "timeout", {
+                "type": "ShardTimeout",
+                "message": f"attempt exceeded {self.retry.timeout}s wall-clock budget",
+                "reason": "timeout",
+            })
+            if state.status == "pending":
+                waiting.append(state)
+
+    def _collect(self, worker: _Worker, busy: List[_Worker], idle: List[_Worker],
+                 waiting: List[_ShardState]) -> None:
+        """Read one busy worker's outcome (report, crash report, or silent death)."""
+        state = worker.state
+        try:
+            payload = worker.conn.recv() if worker.conn.poll() else None
+        except (EOFError, OSError):  # it died mid-report or before one
+            payload = None
+        if payload is None and worker.process.is_alive():
+            return  # spurious wake-up; the deadline check still applies
+        busy.remove(worker)
         if payload is not None:
+            idle.append(worker)
             kind, body = payload
-            self._reap_worker(state)
-            live.remove(state)
             if kind == "ok":
                 state.status = "ok"
                 state.result = body
                 self._journal_event(state, "ok", result=state.result)
                 return
-            body = dict(body, reason="exception")
-            self._attempt_failed(state, "failed", body)
+            self._attempt_failed(state, "failed", dict(body, reason="exception"))
         else:
-            # sentinel fired with no report: the worker died silently
-            if state.process.is_alive():
-                return  # spurious wake-up; the deadline check still applies
-            exitcode = state.process.exitcode
-            self._reap_worker(state)
-            live.remove(state)
+            # sentinel fired with no report: the worker died holding the shard
+            exitcode = worker.process.exitcode
+            _end_workers([], [worker])
             self._attempt_failed(state, "failed", {
                 "type": "WorkerDied",
                 "message": f"worker exited without reporting (exitcode {exitcode})",
@@ -467,26 +490,6 @@ class ResilientSweepRunner:
             })
         if state.status == "pending":
             waiting.append(state)
-
-    def _reap_worker(self, state: _ShardState) -> None:
-        """Join a finished worker and release its pipe."""
-        try:
-            state.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        state.process.join(timeout=5.0)
-        state.process, state.conn, state.deadline = None, None, None
-
-    def _kill_worker(self, state: _ShardState) -> None:
-        """Forcibly terminate a live worker (timeout or sweep teardown)."""
-        if state.process is None:
-            return
-        try:
-            if state.process.is_alive():
-                state.process.kill()  # SIGKILL: must not linger on timeout
-        except (OSError, ValueError):  # pragma: no cover - racing exit
-            pass
-        self._reap_worker(state)
 
     # ------------------------------------------------------------------
     # Attempt accounting shared by both execution modes
@@ -510,11 +513,9 @@ class ResilientSweepRunner:
 
     def _journal_event(self, state: _ShardState, event: str, **extra: Any) -> None:
         """Append one lifecycle record for ``state`` (no-op without a journal)."""
-        if self.journal is None:
-            return
-        record = dict(state.identity(), event=event, attempt=state.attempts)
-        record.update(extra)
-        self.journal.append(record)
+        if self.journal is not None:  # ``extra`` may override ``attempt``
+            self.journal.append({**state.identity(), "event": event,
+                                 "attempt": state.attempts, **extra})
 
     # ------------------------------------------------------------------
     # Envelope assembly
@@ -560,9 +561,7 @@ class ResilientSweepRunner:
 
 def json_safe(value: Any) -> Dict[str, Any]:
     """Normalise an overrides mapping to pure-JSON types (tuples → lists)."""
-    import json as _json
-
-    return _json.loads(canonical_json(dict(value)))
+    return json.loads(canonical_json(dict(value)))
 
 
 __all__ = [

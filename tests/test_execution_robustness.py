@@ -20,11 +20,14 @@ provides the deterministic faults.
 """
 
 import json
+import multiprocessing
 import os
+import random
 import signal
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -36,6 +39,7 @@ from repro.scenarios.executor import (
     ResilientSweepRunner,
     RetryPolicy,
     ShardError,
+    _run_shard,
     backoff_delay,
 )
 from repro.scenarios.journal import RunJournal, shard_spec_hash
@@ -47,6 +51,9 @@ from repro.scenarios.sweep import (
 )
 
 _REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_REPO / "tools"))
+
+from envelope_digests import REGISTRY_CASES  # noqa: E402
 
 
 def tiny_sweep(n: int = 3, name: str = "tiny") -> SweepSpec:
@@ -157,6 +164,16 @@ class TestBackoff:
             RetryPolicy(timeout=0.0)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_base=2.0, backoff_cap=1.0)
+        # a NaN timeout spun the supervisor on wait(timeout=0) and never
+        # timed out; a NaN backoff left the retry's resume_at never due
+        nan, inf = float("nan"), float("inf")
+        for bad in ({"timeout": nan}, {"timeout": inf}, {"backoff_base": nan},
+                    {"backoff_cap": nan}, {"backoff_cap": inf},
+                    {"backoff_base": inf, "backoff_cap": inf},
+                    {"retries": 1.5}, {"retries": True}, {"retries": nan}):
+            with pytest.raises(ValueError):
+                RetryPolicy(**bad)
+        assert RetryPolicy(retries=2, timeout=1e-3, backoff_base=0.0, backoff_cap=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -354,6 +371,177 @@ class TestResume:
 
 
 # ----------------------------------------------------------------------
+# The worker pool: how many processes start, and who pays when one dies
+# ----------------------------------------------------------------------
+@pytest.fixture
+def started(monkeypatch) -> list:
+    """Every worker process the executor starts, in start order."""
+    processes: list = []
+    context = ResilientSweepRunner._context
+
+    def counting_context(self):
+        ctx = context(self)
+
+        class CountedProcess(ctx.Process):
+            def start(self):
+                processes.append(self)
+                super().start()
+
+        return types.SimpleNamespace(Pipe=ctx.Pipe, Process=CountedProcess)
+
+    monkeypatch.setattr(ResilientSweepRunner, "_context", counting_context)
+    return processes
+
+
+def started_attempts(journal: str) -> dict:
+    """shard index -> the attempt numbers of its ``started`` records."""
+    attempts: dict = {}
+    for record in RunJournal.read_records(journal):
+        if record["event"] == "started":
+            attempts.setdefault(record["shard"], []).append(record["attempt"])
+    return attempts
+
+
+def one_shard_draws(kind: str, n: int) -> tuple:
+    """``(chaos seed, shard index)``: the first seed whose ``kind`` draw at
+    probability 0.5 hits exactly one of ``tiny_sweep(n)``'s first attempts."""
+    hashes = [shard_spec_hash(s.to_dict()) for s in tiny_sweep(n).expand()]
+    for seed in range(1000):
+        hit = [i for i, h in enumerate(hashes) if chaos_draw(seed, kind, h, 1) < 0.5]
+        if len(hit) == 1:
+            return seed, hit[0]
+    raise AssertionError("no single-shard chaos seed")
+
+
+class TestWorkerPool:
+    def test_healthy_sweep_starts_one_process_per_worker(self, started):
+        baseline = ResilientSweepRunner(tiny_sweep(16), workers=1).run_json()
+        assert ResilientSweepRunner(tiny_sweep(16), workers=2,
+                                    on_failure="raise").run_json() == baseline
+        assert len(started) == 2
+        started.clear()
+        ResilientSweepRunner(tiny_sweep(3), workers=8, on_failure="raise").run()
+        assert len(started) == 3  # never more than there are shards
+
+    def test_idle_worker_killed_between_shards_charges_no_shard(
+            self, started, tiny_baseline, tmp_path):
+        # a timeout puts workers=1 on the subprocess path: one worker
+        journal = str(tmp_path / "j.jsonl")
+        runner = ResilientSweepRunner(tiny_sweep(), workers=1, timeout=60.0,
+                                      journal=journal, on_failure="raise")
+        journal_event = runner._journal_event
+
+        def kill_idle_worker_after_first_ok(state, event, **extra):
+            journal_event(state, event, **extra)
+            if event == "ok" and state.index == 0:
+                os.kill(started[0].pid, signal.SIGKILL)
+                started[0].join(timeout=10.0)  # dead before the next job is sent
+                assert started[0].exitcode == -signal.SIGKILL
+
+        runner._journal_event = kill_idle_worker_after_first_ok
+        assert runner.run_json() == tiny_baseline
+        assert started_attempts(journal) == {0: [1], 1: [1], 2: [1]}
+        assert len(started) == 2
+
+    def test_chaos_killed_busy_worker_is_replaced_and_only_its_shard_retried(
+            self, started, monkeypatch, tiny_baseline, tmp_path):
+        seed, victim = one_shard_draws("kill", 3)
+        chaos_env(monkeypatch, kill_probability=0.5, max_attempt=1, seed=seed)
+        journal = str(tmp_path / "j.jsonl")
+        runner = ResilientSweepRunner(tiny_sweep(), workers=1, timeout=60.0,
+                                      journal=journal, **fast_retry(retries=1))
+        assert runner.run_json() == tiny_baseline
+        expected = {0: [1], 1: [1], 2: [1]}
+        expected[victim] = [1, 2]
+        assert started_attempts(journal) == expected
+        failed = [(r["shard"], r["error"]["type"]) for r in RunJournal.read_records(journal)
+                  if r["event"] == "failed"]
+        assert failed == [(victim, "WorkerDied")]
+        assert [p.exitcode for p in started] == [-signal.SIGKILL, 0]
+
+    def test_hung_worker_is_killed_and_the_other_shard_is_unaffected(
+            self, started, monkeypatch, tmp_path):
+        baseline = ResilientSweepRunner(tiny_sweep(2), workers=1).run_json()
+        seed, victim = one_shard_draws("delay", 2)
+        chaos_env(monkeypatch, delay_probability=0.5, delay_seconds=30.0,
+                  max_attempt=1, seed=seed)
+        journal = str(tmp_path / "j.jsonl")
+        began = time.monotonic()
+        runner = ResilientSweepRunner(tiny_sweep(2), workers=2, timeout=2.0,
+                                      journal=journal, **fast_retry(retries=1))
+        assert runner.run_json() == baseline
+        assert time.monotonic() - began < 20.0
+        expected = {0: [1], 1: [1]}
+        expected[victim] = [1, 2]
+        assert started_attempts(journal) == expected
+        timeouts = [r["shard"] for r in RunJournal.read_records(journal)
+                    if r["event"] == "timeout"]
+        assert timeouts == [victim]
+        assert [p.exitcode for p in started].count(-signal.SIGKILL) == 1
+
+    def test_no_worker_outlives_the_sweep(self, started, monkeypatch):
+        before = set(multiprocessing.active_children())
+
+        def assert_none_alive():
+            assert started and not any(p.is_alive() for p in started)
+            assert set(multiprocessing.active_children()) <= before
+
+        ResilientSweepRunner(tiny_sweep(), workers=2, on_failure="raise").run()
+        assert_none_alive()
+
+        started.clear()
+        chaos_env(monkeypatch, poison_probability=1.0, max_attempt=10**6)
+        with pytest.raises(ShardError):
+            ResilientSweepRunner(tiny_sweep(), workers=2, on_failure="raise").run()
+        assert_none_alive()
+
+        # interrupted with one worker idle (it just reported) and one busy
+        # (its shard sleeps 30 s): the idle one is stopped, the busy one killed
+        started.clear()
+        seed, _ = one_shard_draws("delay", 2)
+        chaos_env(monkeypatch, delay_probability=0.5, delay_seconds=30.0,
+                  max_attempt=1, seed=seed)
+        runner = ResilientSweepRunner(tiny_sweep(2), workers=2)
+        journal_event = runner._journal_event
+
+        def interrupt_at_first_ok(state, event, **extra):
+            journal_event(state, event, **extra)
+            if event == "ok":
+                raise KeyboardInterrupt
+
+        runner._journal_event = interrupt_at_first_ok
+        began = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            runner.run()
+        assert time.monotonic() - began < 20.0
+        assert_none_alive()
+        assert sorted(p.exitcode for p in started) == [-signal.SIGKILL, 0]
+
+
+# ----------------------------------------------------------------------
+# A reused worker is safe: a shard's bytes do not depend on what ran
+# before it in the process (solver memo, log-factorial table, request-id
+# and container-id counters are all process-global)
+# ----------------------------------------------------------------------
+ORDER_CASES = {name: REGISTRY_CASES[name]
+               for name in ("fig3", "policy-shootout", "fig9-at-scale")}
+
+
+def test_shard_bytes_do_not_depend_on_what_ran_before_them():
+    specs = [spec.to_dict() for name in sorted(ORDER_CASES)
+             for spec in build(name, **ORDER_CASES[name]).expand()]
+    # every shard in its own freshly spawned interpreter ...
+    with multiprocessing.get_context("spawn").Pool(2, maxtasksperchild=1) as pool:
+        fresh = [canonical_json(r) for r in pool.map(_run_shard, specs, chunksize=1)]
+    # ... equals it run after the others in this process, forward and shuffled
+    assert [canonical_json(_run_shard(s)) for s in specs] == fresh
+    order = list(range(len(specs)))
+    random.Random(7).shuffle(order)
+    for index in order:
+        assert canonical_json(_run_shard(specs[index])) == fresh[index], specs[index]["name"]
+
+
+# ----------------------------------------------------------------------
 # Grid-expansion guard
 # ----------------------------------------------------------------------
 class TestShardCap:
@@ -440,3 +628,12 @@ class TestCliInterrupt:
             env=self._cli_env(), capture_output=True, text=True, timeout=60)
         assert completed.returncode == 2
         assert "--resume requires --journal" in completed.stderr
+
+    @pytest.mark.parametrize("verb", [["sweep", "fig3"], ["replay"]])
+    def test_non_finite_timeout_is_a_usage_error(self, verb):
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *verb, "--timeout", "nan"],
+            env=self._cli_env(), capture_output=True, text=True, timeout=60)
+        assert completed.returncode == 2
+        assert "timeout must be finite" in completed.stderr
+        assert "Traceback" not in completed.stderr

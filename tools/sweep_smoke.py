@@ -1,17 +1,20 @@
 #!/usr/bin/env python
 """Sweep determinism smoke: worker count and data plane must not move a byte.
 
-Builds a CI-sized ``fig3`` sweep and runs it through ``python -m repro
-sweep`` (the CLI, as a user would) four times:
+Runs CI-sized sweeps through ``python -m repro sweep`` (the CLI, as a
+user would), each with ``--workers 1`` (in process) and ``--workers 4``
+(the worker pool), and requires the two output files to be
+byte-identical:
 
-1. event plane, ``--workers 1`` vs ``--workers 4`` — the two output
-   files must be byte-identical;
-2. the same sweep with ``data_plane="columnar"``, ``--workers 1`` vs
-   ``--workers 4`` — byte-identical again, and every columnar shard must
-   equal its event-plane twin once the ``data_plane`` spec echo is taken
-   out.
+1. ``fig3`` on the event plane;
+2. the same sweep with ``data_plane="columnar"`` — and every columnar
+   shard must equal its event-plane twin once the ``data_plane`` spec
+   echo is taken out;
+3. ``policy-shootout`` — every control-plane policy, healthy and faulted;
+4. ``fig12`` — every federation router under healthy, site-blackout and
+   WAN-partition arms.
 
-Usage: ``python tools/sweep_smoke.py`` (~25 s).  Exit code 0 means every
+Usage: ``python tools/sweep_smoke.py`` (~4 s on a 2-core host).  Exit code 0 means every
 comparison held; on a mismatch the specs and outputs stay in the temp
 directory whose path is printed.  CI runs this as its sweep determinism
 step.
@@ -63,7 +66,7 @@ def _serial_vs_parallel(sweep, label: str, out: Path) -> bytes:
 
 
 def smoke(out: Path) -> None:
-    """Both comparisons, in ``out``."""
+    """Every comparison, in ``out``."""
     sweep = build("fig3", mus=(10.0,), slo_deadlines=(0.1,),
                   arrival_rates=(10.0, 30.0), duration=40.0, seed=3)
     columnar_sweep = dataclasses.replace(
@@ -79,6 +82,8 @@ def smoke(out: Path) -> None:
         if co != ev:
             raise SystemExit(f"columnar shard diverged from its event-plane twin (files kept in {out})")
     print(f"columnar: {len(event)} shards byte-identical to the event plane")
+    _serial_vs_parallel(build("policy-shootout", duration=60.0), "policy-shootout", out)
+    _serial_vs_parallel(build("fig12", duration=60.0), "fig12", out)
 
 
 if __name__ == "__main__":
