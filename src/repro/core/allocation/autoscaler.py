@@ -12,14 +12,14 @@ All model evaluations route through a
 warm-started, candidate-vectorised control-plane fast path — unless
 ``use_fast_sizing=False`` pins the reference Algorithm 1 for ablations.
 The controller sizes every registered function per epoch through
-:meth:`Autoscaler.decide_batch`, which folds all warm-start probes into
-a single kernel call.
+:meth:`Autoscaler.decide_batch`: one solver call for the epoch's
+homogeneous functions and one for its deflated fleets, each folding its
+warm-start probes into a single pooled evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
 from repro.core.queueing.sizing import (
@@ -28,7 +28,8 @@ from repro.core.queueing.sizing import (
     required_containers_heterogeneous,
     wait_budget_from_slo,
 )
-from repro.core.queueing.solver import SizingQuery, SizingSolver, default_solver
+from repro.core.queueing.solver import (HeterogeneousQuery, SizingQuery, SizingSolver,
+                                        default_solver)
 
 
 class ScalingQuery(NamedTuple):
@@ -69,9 +70,8 @@ class ScalingQuery(NamedTuple):
     min_containers: int = 0
 
 
-@dataclass(frozen=True)
-class ScalingDecision:
-    """The autoscaler's verdict for one function in one epoch.
+class ScalingDecision(NamedTuple):
+    """The autoscaler's verdict for one function in one epoch (a row, like the query).
 
     Attributes
     ----------
@@ -144,7 +144,7 @@ class Autoscaler:
     solver:
         The :class:`SizingSolver` (or interface-compatible object) used
         for model evaluations; defaults to the process-wide shared
-        instance.  Benchmarks inject frozen baselines here.
+        instance.
     """
 
     def __init__(
@@ -211,16 +211,18 @@ class Autoscaler:
     def decide_batch(self, queries: Sequence[ScalingQuery]) -> List[ScalingDecision]:
         """Size every function of an epoch in one call.
 
-        Zero-rate and heterogeneous (deflated-fleet) queries resolve
-        individually; every homogeneous query is handed to the solver's
-        batched entry point, which folds all their warm-start probes
-        into a single vectorised kernel evaluation.  Decisions are
-        positionally aligned with ``queries``.
+        Zero-rate queries resolve at once; the homogeneous ones go to
+        the solver's :meth:`~SizingSolver.solve_batch` and the deflated
+        fleets to its :meth:`~SizingSolver.solve_heterogeneous_batch`, one
+        call each, every warm-start probe of a call pooled into a single
+        evaluation.  Decisions are positionally aligned with ``queries``.
         """
         decisions: List[Optional[ScalingDecision]] = [None] * len(queries)
         budgets: List[float] = [0.0] * len(queries)
         solver_queries: List[SizingQuery] = []
         solver_slots: List[int] = []
+        fleet_queries: List[HeterogeneousQuery] = []
+        fleet_slots: List[int] = []
         percentile, max_containers = self.percentile, self.max_containers
 
         for i, (name, rate, mu, deadline, current, existing, service_percentile,
@@ -246,15 +248,11 @@ class Autoscaler:
                     or any(abs(m - mu) > 1e-9 for m in existing)):
                 # the existing fleet is not all at the standard speed: Alves et al.
                 if self.use_fast_sizing:
-                    result = self.solver.solve_heterogeneous(
-                        lam=rate,
-                        existing_mus=existing,
-                        standard_mu=mu,
-                        wait_budget=budget,
-                        percentile=percentile,
-                        max_additional=max_containers,
-                        key=(name, "heterogeneous"),
-                    )
+                    fleet_queries.append(HeterogeneousQuery(
+                        rate, existing, mu, budget, percentile, max_containers,
+                        (name, "heterogeneous"),
+                    ))
+                    fleet_slots.append(i)
                 else:
                     result = required_containers_heterogeneous(
                         lam=rate,
@@ -264,7 +262,8 @@ class Autoscaler:
                         percentile=percentile,
                         max_additional=max_containers,
                     )
-                decisions[i] = self._decision(queries[i], budget, result, heterogeneous=True)
+                    decisions[i] = self._decision(queries[i], budget, result,
+                                                  heterogeneous=True)
             elif self.use_fast_sizing:
                 solver_queries.append(SizingQuery(
                     lam=float(rate),
@@ -287,6 +286,10 @@ class Autoscaler:
                 )
                 decisions[i] = self._decision(queries[i], budget, result, heterogeneous=False)
 
+        if fleet_queries:
+            results = self.solver.solve_heterogeneous_batch(fleet_queries)
+            for slot, result in zip(fleet_slots, results):
+                decisions[slot] = self._decision(queries[slot], budgets[slot], result, True)
         if solver_queries:
             results = self.solver.solve_batch(solver_queries)
             for slot, result in zip(solver_slots, results):

@@ -17,19 +17,24 @@ tail that converges when ``λ < S_c`` (the aggregate service capacity).
 The waiting-time bound mirrors the homogeneous case: an arrival that
 sees ``n >= c`` requests waits about ``(n − c + 1)/S_c``, so
 ``P(Q <= t) >= Σ_{n=0}^{L} P_n`` with ``L = ⌊t·S_c + c − 1⌋``.  The
-normalising constant is reduced by the ``logsumexp`` this module shares
-with the homogeneous model (:mod:`repro.core.queueing.logspace`).
+normalising constant is reduced by a row-wise form of the homogeneous
+model's ``logsumexp`` (:mod:`repro.core.queueing.logspace`).
+
+:func:`wait_bounds`, the one body of the bound, evaluates a pool of
+``(λ, rates, t)`` probes at once, and no value depends on its
+pool-mates: elementwise steps run over a padded block, the chain weights
+are a sequential row ``cumsum``, and both sums run at each row's exact
+width.  :meth:`HeterogeneousMMcQueue.wait_bound_probability` is a pool
+of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-
-from repro.core.queueing.logspace import logsumexp
 
 
 @dataclass(frozen=True)
@@ -83,10 +88,6 @@ class HeterogeneousMMcQueue:
         """Whether the worst-case chain has a steady state."""
         return self.lam < self.aggregate_rate
 
-    def _cumulative_rates(self) -> np.ndarray:
-        """``S_1 .. S_c``: cumulative sums of the ascending-sorted rates."""
-        return np.cumsum(np.asarray(self.mus, dtype=float))
-
     # ------------------------------------------------------------------
     # State probabilities (paper Eq. 5–6)
     # ------------------------------------------------------------------
@@ -98,19 +99,7 @@ class HeterogeneousMMcQueue:
             out = np.full(n_max + 1, -np.inf)
             out[0] = 0.0
             return out
-        cumulative = self._cumulative_rates()
-        log_lam = math.log(self.lam)
-        log_s = np.log(cumulative)
-        # one cumulative sum over the per-state increments log λ − log S_k
-        # replaces the former Python loop over n (the control-plane solver
-        # evaluates this bound on every heterogeneous sizing probe)
-        log_weights = np.empty(n_max + 1)
-        log_weights[0] = 0.0
-        if n_max > 0:
-            n = np.arange(1, n_max + 1)
-            increments = log_lam - log_s[np.minimum(n, self.c) - 1]
-            np.cumsum(increments, out=log_weights[1:])
-        return log_weights
+        return _chain_log_weights((self.lam,), (self.mus,), n_max)[0]
 
     def log_p0(self) -> float:
         """Log of the normalising constant's inverse (``log P_0``)."""
@@ -122,14 +111,8 @@ class HeterogeneousMMcQueue:
             raise ValueError("unstable system: lambda >= aggregate service rate")
         if self.lam == 0:
             return 0.0
-        # finite part up to n = c, then a closed-form geometric tail
-        c = self.c
-        tail_ratio = self.lam / self.aggregate_rate
-        a = np.empty(c + 2)
-        a[: c + 1] = log_weights[: c + 1]
-        # sum_{n=c+1}^{inf} w_c * ratio^{n-c} = w_c * ratio / (1 - ratio)
-        a[c + 1] = log_weights[c] + math.log(tail_ratio) - math.log(1.0 - tail_ratio)
-        return float(-logsumexp(a))
+        return float(-_log_normalisers(log_weights[None, :], (self.lam,), (self.mus,),
+                                       (self.aggregate_rate,))[0])
 
     def state_probabilities(self, n_max: int) -> np.ndarray:
         """Upper-bound probabilities ``P_0 .. P_{n_max}``."""
@@ -145,15 +128,7 @@ class HeterogeneousMMcQueue:
     # ------------------------------------------------------------------
     def wait_bound_probability(self, t: float) -> float:
         """Lower bound on ``P(Q <= t)`` under worst-case dispatch."""
-        if t < 0:
-            return 0.0
-        if not self.is_stable:
-            return 0.0
-        L = int(math.floor(t * self.aggregate_rate + self.c - 1 + 1e-12))
-        if L < 0:
-            return 0.0
-        probs = self.state_probabilities(L)
-        return float(min(1.0, probs.sum()))
+        return wait_bounds(((self.lam, self.mus, t),))[0]
 
     def wait_bound_percentile(self, percentile: float, resolution: float = 1e-4) -> float:
         """Smallest ``t`` with ``wait_bound_probability(t) >= percentile``."""
@@ -196,4 +171,116 @@ class HeterogeneousMMcQueue:
         return max(self.mus) - min(self.mus) < 1e-12
 
 
-__all__ = ["HeterogeneousMMcQueue"]
+#: cells one pooled block may hold; a larger pool is cut into blocks of
+#: rows, which cannot change a value (a row never reads its batch-mates)
+_MAX_BLOCK_CELLS = 1 << 20
+
+
+def wait_bounds(probes: Sequence[Tuple[float, Sequence[float], float]]) -> List[float]:
+    """The bound ``P(Q <= t)`` of each ``(λ, ascending rates, t)`` probe, in one pass.
+
+    Each value is, bit for bit, what the probe gives in a pool of its own
+    (the chain's weights, ``log P_0`` and the state sum, one probe at a
+    time).  The scalar guards (``t < 0``, ``λ ≥ S_c``, a negative cutoff)
+    and ``log λ``, ``log ρ``, ``log(1 − ρ)`` stay Python and libm
+    ``math.log``; everything else is a few numpy passes over the pool.
+    Rates must be positive and ascending; nothing here re-validates them.
+    """
+    values = [0.0] * len(probes)
+    rows = []
+    for slot, (lam, rates, t) in enumerate(probes):
+        if t < 0:
+            continue
+        aggregate = float(sum(rates))
+        if not lam < aggregate:
+            continue
+        c = len(rates)
+        cutoff = int(math.floor(t * aggregate + c - 1 + 1e-12))
+        if cutoff < 0:
+            continue
+        if lam == 0:
+            values[slot] = 1.0   # an empty system never waits
+            continue
+        rows.append((slot, lam, rates, aggregate, cutoff))
+    if rows:
+        widest = max(max(row[4], len(row[2])) for row in rows) + 2
+        step = max(1, _MAX_BLOCK_CELLS // widest)
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            for (slot, *_), value in zip(block, _bound_block(block)):
+                values[slot] = value
+    return values
+
+
+def _bound_block(rows: List[Tuple[int, float, Sequence[float], float, int]]) -> List[float]:
+    """:func:`wait_bounds` over stable rows ``(slot, λ, rates, S_c, L)`` as one padded block."""
+    _, lams, fleets, aggregates, cutoffs = zip(*rows)
+    weights = _chain_log_weights(lams, fleets, max(max(cutoffs), max(map(len, fleets))))
+    # P(Q <= t) >= Σ_{n <= L} P_n, summed at each row's own width L + 1
+    probabilities = np.exp(weights - _log_normalisers(weights, lams, fleets, aggregates)[:, None])
+    return np.minimum(1.0, _row_sums(probabilities, [L + 1 for L in cutoffs])).tolist()
+
+
+def _chain_log_weights(lams: Sequence[float], fleets: Sequence[Sequence[float]],
+                       states: int) -> np.ndarray:
+    """Row ``i``: ``log λ^n / Π_{k≤n} S_k`` for ``n = 0 .. states`` (``λ_i > 0``).
+
+    ``S_k`` is a row-wise ``cumsum`` of the ascending rates (pad rates are
+    never read) and the weights one more, over the increments
+    ``log λ − log S_min(n, c)``; both are sequential, so each row's
+    prefix is what the row gives alone.
+    """
+    cs = [len(rates) for rates in fleets]
+    c_max = max(cs)
+    padded = np.array([tuple(rates) + (1.0,) * (c_max - c) for rates, c in zip(fleets, cs)])
+    log_s = np.log(np.cumsum(padded, axis=1))
+    index = np.minimum(np.arange(1, states + 1), np.array(cs)[:, None]) - 1
+    log_lam = np.array([math.log(lam) for lam in lams])
+    weights = np.zeros((len(lams), states + 1))
+    np.cumsum(log_lam[:, None] - np.take_along_axis(log_s, index, axis=1),
+              axis=1, out=weights[:, 1:])
+    return weights
+
+
+def _log_normalisers(weights: np.ndarray, lams: Sequence[float],
+                     fleets: Sequence[Sequence[float]], aggregates: Sequence[float]) -> np.ndarray:
+    """``−log P_0`` per row: ``logsumexp`` of ``w_0 .. w_c`` and the geometric tail.
+
+    :func:`repro.core.queueing.logspace.logsumexp` row by row (maxima
+    pulled out and counted, the rest summed shifted), its sum taken at
+    each row's own width ``c + 2``.  The tail
+    ``Σ_{n>c} w_c ρ^{n−c} = w_c ρ / (1 − ρ)`` takes its logs from libm.
+    """
+    cs = np.array([len(rates) for rates in fleets])
+    c_max, rows = int(cs.max()), np.arange(len(cs))
+    ratios = [lam / aggregate for lam, aggregate in zip(lams, aggregates)]
+    terms = np.full((len(cs), c_max + 2), -np.inf)
+    np.copyto(terms[:, :c_max + 1], weights[:, :c_max + 1],
+              where=np.arange(c_max + 1) <= cs[:, None])
+    terms[rows, cs + 1] = (weights[rows, cs] + np.array([math.log(r) for r in ratios])
+                           - np.array([math.log(1.0 - r) for r in ratios]))
+    peak = terms.max(axis=1)
+    at_peak = terms == peak[:, None]
+    count = np.count_nonzero(at_peak, axis=1)
+    shifted = terms - peak[:, None]
+    shifted[at_peak] = -np.inf
+    np.exp(shifted, out=shifted)
+    return np.log1p(_row_sums(shifted, cs + 2) / count) + np.log(count) + peak
+
+
+def _row_sums(block: np.ndarray, widths: Sequence[int]) -> np.ndarray:
+    """``block[i, :widths[i]].sum()`` per row, one reduction per distinct width.
+
+    numpy's pairwise summation groups a row's terms by the width summed,
+    so summing the padded width would move last bits.
+    """
+    sums = np.empty(len(widths))
+    groups: Dict[int, List[int]] = {}
+    for row, width in enumerate(widths):
+        groups.setdefault(width, []).append(row)
+    for width, members in groups.items():
+        sums[members] = block[members, :width].sum(axis=1)
+    return sums
+
+
+__all__ = ["HeterogeneousMMcQueue", "wait_bounds"]

@@ -27,7 +27,10 @@ The memoized / warm-started control-plane entry points live in
 :class:`repro.core.queueing.solver.SizingSolver`; the functions here are
 the stateless oracles it is tested against
 (:func:`required_containers_naive` deliberately stays the slow pure-
-Python "Scala path" and must never be optimised).
+Python "Scala path" and must never be optimised).  Every entry point
+checks its inputs with :func:`repro.core.queueing.solver.validate_sizing`
+first, so a NaN, an infinity or a percentile outside ``(0, 1)`` is a
+``ValueError`` before any candidate is tried.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Optional, Sequence
 
 from repro.core.queueing.heterogeneous import HeterogeneousMMcQueue
 from repro.core.queueing.mmc import MMcQueue
-from repro.core.queueing.solver import SizingResult, smallest_satisfying
+from repro.core.queueing.solver import SizingResult, smallest_satisfying, validate_sizing
 
 
 def wait_budget_from_slo(
@@ -103,14 +106,7 @@ def required_containers(
         (cannot happen for a positive budget, but guards against
         pathological inputs such as a zero budget with high load).
     """
-    if lam < 0:
-        raise ValueError("arrival rate must be non-negative")
-    if mu <= 0:
-        raise ValueError("service rate must be positive")
-    if wait_budget < 0:
-        raise ValueError("wait budget must be non-negative")
-    if not 0 < percentile < 1:
-        raise ValueError("percentile must be in (0, 1)")
+    validate_sizing(lam, mu, wait_budget, percentile)
 
     if lam == 0:
         return SizingResult(containers=0, achieved_probability=1.0,
@@ -162,14 +158,7 @@ def required_containers_naive(
     The answer is identical to :func:`required_containers` whenever the
     naive floating-point evaluation does not underflow/overflow.
     """
-    if lam < 0:
-        raise ValueError("arrival rate must be non-negative")
-    if mu <= 0:
-        raise ValueError("service rate must be positive")
-    if wait_budget < 0:
-        raise ValueError("wait budget must be non-negative")
-    if not 0 < percentile < 1:
-        raise ValueError("percentile must be in (0, 1)")
+    validate_sizing(lam, mu, wait_budget, percentile)
     if lam == 0:
         return SizingResult(0, 1.0, wait_budget, 0)
 
@@ -220,14 +209,7 @@ def required_containers_fast(
     per-candidate Python loop — "vectorised" in name only — was deleted
     in favour of :func:`repro.core.queueing.solver.wait_probabilities`.)
     """
-    if lam < 0:
-        raise ValueError("arrival rate must be non-negative")
-    if mu <= 0:
-        raise ValueError("service rate must be positive")
-    if wait_budget < 0:
-        raise ValueError("wait budget must be non-negative")
-    if not 0 < percentile < 1:
-        raise ValueError("percentile must be in (0, 1)")
+    validate_sizing(lam, mu, wait_budget, percentile)
     if lam == 0:
         return SizingResult(0, 1.0, wait_budget, 0)
 
@@ -259,13 +241,8 @@ def required_containers_heterogeneous(
     Returns a :class:`SizingResult` whose ``containers`` field is the
     *total* number of containers (existing + added).
     """
-    if standard_mu <= 0:
-        raise ValueError("standard service rate must be positive")
-    if lam < 0:
-        raise ValueError("arrival rate must be non-negative")
     existing = [float(m) for m in existing_mus]
-    if any(m <= 0 for m in existing):
-        raise ValueError("existing service rates must be positive")
+    validate_sizing(lam, standard_mu, wait_budget, percentile, existing)
     if lam == 0:
         return SizingResult(len(existing), 1.0, wait_budget, 0)
 

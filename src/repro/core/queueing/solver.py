@@ -25,7 +25,13 @@ so this subsystem owns all wait-probability and sizing computations:
    epoch before falling back to a full search;
 5. an epoch-batched entry point (:meth:`SizingSolver.solve_batch`)
    that sizes every registered function in one call, folding all
-   warm-start probes into a single kernel invocation.
+   warm-start probes into a single kernel invocation;
+6. its twin for the epoch's deflated fleets
+   (:meth:`SizingSolver.solve_heterogeneous_batch`), whose warm probes
+   go to one :func:`repro.core.queueing.heterogeneous.wait_bounds` call.
+
+Every sizing entry point runs :func:`validate_sizing` before it probes
+or touches a memo: bad input is a ``ValueError`` that changes nothing.
 
 Exactness
 ---------
@@ -65,7 +71,7 @@ from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from repro.core.queueing.heterogeneous import HeterogeneousMMcQueue
+from repro.core.queueing.heterogeneous import wait_bounds
 from repro.core.queueing.logspace import log_factorials
 
 
@@ -268,9 +274,8 @@ def smallest_satisfying(lam: float, mu: float, t: float, target: float,
 # ----------------------------------------------------------------------
 # Results and queries
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SizingResult:
-    """Outcome of a sizing computation.
+class SizingResult(NamedTuple):
+    """Outcome of a sizing computation (a row: one per function-epoch).
 
     Attributes
     ----------
@@ -291,6 +296,23 @@ class SizingResult:
     iterations: int
 
 
+def validate_sizing(lam: float, mu: float, wait_budget: float, percentile: float,
+                    rates: Sequence[float] = ()) -> None:
+    """Raise ``ValueError`` unless ``λ ≥ 0``, ``μ`` and every rate ``> 0``, ``t ≥ 0``
+    (all finite; NaN fails every comparison) and the percentile is in ``(0, 1)``."""
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"arrival rate must be finite and non-negative, got {lam}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"service rate must be finite and positive, got {mu}")
+    if not 0.0 <= wait_budget < math.inf:
+        raise ValueError(f"wait budget must be finite and non-negative, got {wait_budget}")
+    if not 0.0 < percentile < 1.0:
+        raise ValueError(f"percentile must be in (0, 1), got {percentile}")
+    for rate in rates:
+        if not 0.0 < rate < math.inf:
+            raise ValueError(f"existing service rates must be finite and positive, got {rate}")
+
+
 class SizingQuery(NamedTuple):
     """One function's sizing inputs for the epoch-batched entry point.
 
@@ -307,6 +329,38 @@ class SizingQuery(NamedTuple):
     current_containers: int = 0
     max_containers: int = 100_000
     key: Optional[Hashable] = None
+
+
+class HeterogeneousQuery(NamedTuple):
+    """One deflated fleet's inputs for :meth:`SizingSolver.solve_heterogeneous_batch`.
+
+    ``existing_mus`` are the fleet's per-container rates (any order),
+    ``standard_mu`` the rate of a container added at full size.  ``key``
+    names the warm-start slot; ``None`` disables warm starts.
+    """
+
+    lam: float
+    existing_mus: Sequence[float]
+    standard_mu: float
+    wait_budget: float
+    percentile: float = 0.95
+    max_additional: int = 100_000
+    key: Optional[Hashable] = None
+
+
+def _fleet_bounds(probes: Sequence[Tuple[HeterogeneousQuery, int]]) -> List[float]:
+    """The bound of each ``(query, added)``: its fleet plus ``added`` standard containers.
+
+    One :func:`wait_bounds` call for all of them.  A fleet whose rates,
+    summed fleet first, do not exceed ``λ`` is passed empty and reads 0.
+    """
+    fleets = [(q, list(q.existing_mus) + [q.standard_mu] * added) for q, added in probes]
+    return wait_bounds([(q.lam, tuple(sorted(mus)) if sum(mus) > q.lam else (), q.wait_budget)
+                        for q, mus in fleets])
+
+
+#: the error every heterogeneous search raises past ``max_additional``
+_NO_ROOM = "could not satisfy SLO within max_additional containers"
 
 
 # ----------------------------------------------------------------------
@@ -446,19 +500,6 @@ class SizingSolver:
             self._probabilities.put(key, prob)
         return prob
 
-    # -- validation shared with the sizing module -----------------------
-    @staticmethod
-    def _validate(lam: float, mu: float, wait_budget: float, percentile: float) -> None:
-        """Raise ``ValueError`` for out-of-domain inputs (mirrors the reference)."""
-        if lam < 0:
-            raise ValueError("arrival rate must be non-negative")
-        if mu <= 0:
-            raise ValueError("service rate must be positive")
-        if wait_budget < 0:
-            raise ValueError("wait budget must be non-negative")
-        if not 0 < percentile < 1:
-            raise ValueError("percentile must be in (0, 1)")
-
     # -- homogeneous solves ---------------------------------------------
     def solve(
         self,
@@ -491,8 +532,10 @@ class SizingSolver:
         candidates to a *single* kernel invocation; only queries whose
         optimum moved by more than one container fall back to a full
         (still vectorised) search.  Results are positionally aligned
-        with ``queries``.
+        with ``queries``.  Every query is validated before any is solved.
         """
+        for q in queries:
+            validate_sizing(q.lam, q.mu, q.wait_budget, q.percentile)
         self.stats.batches += 1
         results: List[Optional[SizingResult]] = [None] * len(queries)
         warm: List[Tuple[int, SizingQuery, Tuple, int, int, int]] = []
@@ -501,7 +544,6 @@ class SizingSolver:
         followers: List[Tuple[int, SizingQuery, Tuple, int, int]] = []
 
         for i, q in enumerate(queries):
-            self._validate(q.lam, q.mu, q.wait_budget, q.percentile)
             self.stats.solves += 1
             if q.lam == 0:
                 results[i] = SizingResult(0, 1.0, q.wait_budget, 0)
@@ -834,143 +876,147 @@ class SizingSolver:
         return SizingResult(lower, prob, q.wait_budget, evals + 1)
 
     # -- heterogeneous solves -------------------------------------------
-    def solve_heterogeneous(
-        self,
-        lam: float,
-        existing_mus: Sequence[float],
-        standard_mu: float,
-        wait_budget: float,
-        percentile: float = 0.95,
-        max_additional: int = 100_000,
-        key: Optional[Hashable] = None,
-    ) -> SizingResult:
+    def solve_heterogeneous(self, lam: float, existing_mus: Sequence[float],
+                            standard_mu: float, wait_budget: float, percentile: float = 0.95,
+                            max_additional: int = 100_000,
+                            key: Optional[Hashable] = None) -> SizingResult:
         """Additional-standard-container sizing over a deflated fleet.
 
         The memoized, warm-started counterpart of
         :func:`repro.core.queueing.sizing.required_containers_heterogeneous`
-        (identical answers).  Monotonicity in the number of added
-        standard containers makes the same warm-start / bracketed
-        search shortcuts exact.
+        (identical answers); a batch of one.
         """
-        if standard_mu <= 0:
-            raise ValueError("standard service rate must be positive")
-        if lam < 0:
-            raise ValueError("arrival rate must be non-negative")
-        existing = tuple(sorted(float(m) for m in existing_mus))
-        if any(m <= 0 for m in existing):
-            raise ValueError("existing service rates must be positive")
-        self.stats.solves += 1
-        if lam == 0:
-            return SizingResult(len(existing), 1.0, wait_budget, 0)
+        return self.solve_heterogeneous_batch((HeterogeneousQuery(
+            lam, existing_mus, standard_mu, wait_budget, percentile, max_additional, key),))[0]
 
-        lam = float(lam)
-        standard_mu = float(standard_mu)
-        wait_budget = float(wait_budget)
-        target = float(percentile)
-        solve_key = (lam, existing, standard_mu, wait_budget, target)
-        if self._caching:
-            hit = self._heterogeneous.get(solve_key)
+    def solve_heterogeneous_batch(
+        self, queries: Sequence[HeterogeneousQuery]
+    ) -> List[SizingResult]:
+        """Size every deflated fleet of an epoch; results align with ``queries``.
+
+        Memo hits resolve at once.  Every warm-started query's probes at
+        ``{a−1, a, a+1}`` added containers (``a`` its previous answer) are
+        pooled into one :func:`wait_bounds` call; cold queries and drifts
+        past ±1 take the ladder and bisection one probe at a time.  The
+        answers, memo and warm anchors are those of solving the queries one
+        after another: a query whose key or memo key repeats a pending one
+        waits for the pool before it to settle.
+        """
+        rows = []
+        for q in queries:
+            existing = tuple(sorted(float(m) for m in q.existing_mus))
+            validate_sizing(q.lam, q.standard_mu, q.wait_budget, q.percentile, existing)
+            rows.append(HeterogeneousQuery(float(q.lam), existing, float(q.standard_mu),
+                                           float(q.wait_budget), float(q.percentile),
+                                           q.max_additional, q.key))
+        results: List[Optional[SizingResult]] = [None] * len(rows)
+        pool: List[Tuple[int, HeterogeneousQuery, Tuple, Optional[int]]] = []
+        pending: set = set()
+        for i, q in enumerate(rows):
+            self.stats.solves += 1
+            if q.lam == 0:
+                results[i] = SizingResult(len(q.existing_mus), 1.0, q.wait_budget, 0)
+                continue
+            solve_key = q[:5]
+            if solve_key in pending or (q.key is not None and q.key in pending):
+                self._settle_heterogeneous(pool, results)
+                pool, pending = [], set()
+            hit = self._heterogeneous.get(solve_key) if self._caching else None
             if hit is not None:
                 added, prob = hit  # type: ignore[misc]
-                if added > max_additional:
-                    # the cached optimum is known to be minimal, so a
-                    # tighter cap is unsatisfiable (mirrors the reference)
-                    raise ValueError(
-                        "could not satisfy SLO within max_additional containers"
-                    )
+                if added > q.max_additional:
+                    raise ValueError(_NO_ROOM)   # the cached optimum is minimal
                 self.stats.cache_hits += 1
-                if self._warming and key is not None:
-                    self._warm_heterogeneous[key] = added
-                return SizingResult(len(existing) + added, prob, wait_budget, 0)
+                if self._warming and q.key is not None:
+                    self._warm_heterogeneous[q.key] = added
+                results[i] = SizingResult(len(q.existing_mus) + added, prob, q.wait_budget, 0)
+                continue
+            previous = (self._warm_heterogeneous.get(q.key)
+                        if (self._warming and q.key is not None) else None)
+            anchor = None if previous is None else min(max(previous, 0), q.max_additional)
+            pool.append((i, q, solve_key, anchor))
+            pending.update((solve_key, q.key))
+        self._settle_heterogeneous(pool, results)
+        return results  # type: ignore[return-value]
 
-        evals = [0]
+    def _settle_heterogeneous(
+        self,
+        pool: List[Tuple[int, HeterogeneousQuery, Tuple, Optional[int]]],
+        results: List[Optional[SizingResult]],
+    ) -> None:
+        """Search every pooled query, the warm ones' first probes in one evaluator call.
 
-        def probability(added: int) -> float:
-            """Bound at ``added`` extra standard containers (0 when unstable)."""
-            mus = list(existing) + [standard_mu] * added
-            evals[0] += 1
-            if not mus or sum(mus) <= lam:
-                return 0.0
-            return HeterogeneousMMcQueue(lam, mus).wait_bound_probability(wait_budget)
-
-        added, prob = self._search_heterogeneous(
-            probability, target, max_additional, key, lam
-        )
-        if self._caching:
-            self._heterogeneous.put(solve_key, (added, prob))
-        if self._warming and key is not None:
-            self._warm_heterogeneous[key] = added
-        self.stats.probability_evaluations += evals[0]
-        return SizingResult(len(existing) + added, prob, wait_budget, evals[0])
-
-    def _search_heterogeneous(self, probability, target: float, max_additional: int,
-                              key: Optional[Hashable], lam: float) -> Tuple[int, float]:
-        """Smallest ``added ≥ 0`` with ``probability(added) ≥ target``."""
-        previous = (
-            self._warm_heterogeneous.get(key)
-            if (self._warming and key is not None) else None
-        )
-        if previous is not None:
-            anchor = min(max(previous, 0), max_additional)
-            p_here = probability(anchor)
-            if p_here >= target:
-                if anchor == 0:
+        A warm answer is accepted only when its predecessor is known to
+        miss the target, as the one-probe-at-a-time search did: the bound
+        is non-decreasing in the number of added containers.  A warm start
+        that needs no further probe is a hit, any other a fallback.
+        """
+        values = iter(_fleet_bounds([
+            (q, added) for _, q, _, anchor in pool if anchor is not None
+            for added in range(max(anchor - 1, 0), min(anchor + 1, q.max_additional) + 1)
+        ]))
+        for i, q, solve_key, anchor in pool:
+            if anchor is None:
+                self.stats.full_searches += 1
+                added, prob, evals = self._ladder_heterogeneous(q, 0)
+            else:
+                p_below = next(values) if anchor > 0 else None
+                p_here = next(values)
+                p_above = next(values) if anchor < q.max_additional else None
+                if p_here >= q.percentile and (p_below is None or p_below < q.percentile):
+                    added, prob, extra = anchor, p_here, 0
+                elif p_here >= q.percentile:
+                    added, prob, extra = self._bisect_heterogeneous(q, 0, anchor - 1, p_below)
+                elif p_above is None:
+                    raise ValueError(_NO_ROOM)
+                elif p_above >= q.percentile:
+                    added, prob, extra = anchor + 1, p_above, 0
+                else:
+                    added, prob, extra = self._ladder_heterogeneous(q, anchor + 2)
+                if extra:
+                    self.stats.warm_fallbacks += 1
+                else:
                     self.stats.warm_hits += 1
-                    return anchor, p_here
-                p_below = probability(anchor - 1)
-                if p_below < target:
-                    self.stats.warm_hits += 1
-                    return anchor, p_here
-                if anchor - 1 == 0:
-                    self.stats.warm_hits += 1
-                    return 0, p_below
-                self.stats.warm_fallbacks += 1
-                return self._bisect_heterogeneous(probability, target, 0, anchor - 1, p_below)
-            if anchor + 1 <= max_additional:
-                p_above = probability(anchor + 1)
-                if p_above >= target:
-                    self.stats.warm_hits += 1
-                    return anchor + 1, p_above
-                self.stats.warm_fallbacks += 1
-                return self._ladder_heterogeneous(probability, target,
-                                                  anchor + 2, max_additional)
-            raise ValueError("could not satisfy SLO within max_additional containers")
-        self.stats.full_searches += 1
-        return self._ladder_heterogeneous(probability, target, 0, max_additional)
+                evals = 1 + (p_below is not None) + (p_above is not None) + extra
+            if self._caching:
+                self._heterogeneous.put(solve_key, (added, prob))
+            if self._warming and q.key is not None:
+                self._warm_heterogeneous[q.key] = added
+            self.stats.probability_evaluations += evals
+            results[i] = SizingResult(len(q.existing_mus) + added, prob, q.wait_budget, evals)
 
     @staticmethod
-    def _ladder_heterogeneous(probability, target: float, lo: int,
-                              max_additional: int) -> Tuple[int, float]:
-        """Exponential bracket + bisection over the added-container count."""
-        if lo > max_additional:
-            raise ValueError("could not satisfy SLO within max_additional containers")
-        last_unsatisfied = lo - 1
-        k = 0
+    def _ladder_heterogeneous(q: HeterogeneousQuery, lo: int) -> Tuple[int, float, int]:
+        """Exponential bracket + bisection over ``added ≥ lo``: ``(added, P, probes)``."""
+        if lo > q.max_additional:
+            raise ValueError(_NO_ROOM)
+        last_unsatisfied, k = lo - 1, 0
         while True:
-            added = lo + (1 << k) - 1
+            capped = min(lo + (1 << k) - 1, q.max_additional)
             k += 1
-            capped = min(added, max_additional)
-            prob = probability(capped)
-            if prob >= target:
-                return SizingSolver._bisect_heterogeneous(
-                    probability, target, last_unsatisfied + 1, capped, prob
-                )
+            prob = _fleet_bounds(((q, capped),))[0]
+            if prob >= q.percentile:
+                added, prob, extra = SizingSolver._bisect_heterogeneous(
+                    q, last_unsatisfied + 1, capped, prob)
+                return added, prob, k + extra
             last_unsatisfied = capped
-            if capped >= max_additional:
-                raise ValueError("could not satisfy SLO within max_additional containers")
+            if capped >= q.max_additional:
+                raise ValueError(_NO_ROOM)
 
     @staticmethod
-    def _bisect_heterogeneous(probability, target: float, lo: int, hi: int,
-                              hi_prob: float) -> Tuple[int, float]:
+    def _bisect_heterogeneous(q: HeterogeneousQuery, lo: int, hi: int,
+                              hi_prob: float) -> Tuple[int, float, int]:
         """Smallest ``added`` in ``[lo, hi]`` meeting the target (``hi`` known good)."""
+        probes = 0
         while lo < hi:
             mid = (lo + hi) // 2
-            prob = probability(mid)
-            if prob >= target:
+            prob = _fleet_bounds(((q, mid),))[0]
+            probes += 1
+            if prob >= q.percentile:
                 hi, hi_prob = mid, prob
             else:
                 lo = mid + 1
-        return hi, hi_prob
+        return hi, hi_prob, probes
 
 
 # ----------------------------------------------------------------------
@@ -993,6 +1039,7 @@ def default_solver() -> SizingSolver:
 
 
 __all__ = [
+    "HeterogeneousQuery",
     "SizingResult",
     "SizingQuery",
     "SizingSolver",
@@ -1000,5 +1047,6 @@ __all__ = [
     "caches_disabled",
     "default_solver",
     "smallest_satisfying",
+    "validate_sizing",
     "wait_probabilities",
 ]

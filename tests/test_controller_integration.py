@@ -211,20 +211,6 @@ class TestControllerUnit:
         assert snapshot.total_cpu == 12.0
         assert "microbenchmark" in snapshot.functions
 
-    def test_an_injected_solver_reads_its_queries_by_field_name(self):
-        """`run_perf.py`'s `controller_epoch_tick` baseline row: the frozen seed shim
-        (`benchmarks/perf/baseline_sizing.py`) reads `q.lam` / `q.mu` / `q.wait_budget`."""
-        import sys
-        from pathlib import Path
-        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-        try:
-            from perf.scenarios import bench_epoch_tick
-        finally:
-            sys.path.pop(0)
-        stock = bench_epoch_tick(functions=4, epochs=2)
-        shim = bench_epoch_tick(functions=4, epochs=2, baseline=True)
-        assert shim["containers"] == stock["containers"] > 0
-
     def test_unknown_function_dispatch_rejected(self):
         runner = SimulationRunner(
             workloads=[WorkloadBinding(microbenchmark(0.1), StaticRate(5.0, duration=30.0))],

@@ -1,0 +1,323 @@
+"""The pooled heterogeneous bound and the epoch-batched fleet solve, held to their frozen bodies.
+
+``wait_bounds`` evaluates many ``(λ, rates, t)`` probes in one pass; each
+value must equal, bit for bit, what ``HeterogeneousMMcQueue`` computed one
+probe at a time before the pool existed (``tests/oracles/heterogeneous_sizing.py``),
+whatever else is in the pool.  ``SizingSolver.solve_heterogeneous_batch``
+must leave the same answers, memo and warm anchors as the frozen per-query
+search run in sequence.  The last tests cover the shared input validation
+and count the probes an epoch sequence costs against the per-candidate search.
+"""
+
+import math
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles.heterogeneous_sizing import FrozenHeterogeneousQueue, FrozenHeterogeneousSolver
+from repro.core.queueing.heterogeneous import HeterogeneousMMcQueue, wait_bounds
+from repro.core.queueing.sizing import (
+    required_containers,
+    required_containers_fast,
+    required_containers_heterogeneous,
+    required_containers_naive,
+)
+from repro.core.queueing.solver import (
+    HeterogeneousQuery,
+    SizingQuery,
+    SizingSolver,
+    caches_disabled,
+)
+
+
+# ----------------------------------------------------------------------
+# The pooled evaluator
+# ----------------------------------------------------------------------
+@st.composite
+def probes(draw):
+    """One ``(λ, ascending rates, t)`` probe aimed at a chosen cutoff ``L``.
+
+    Fleets of 1–64 rates put the normaliser's sum at widths 3–66; cutoffs
+    of ``c − 1 + extra`` put the state sum on both sides of numpy's
+    pairwise-summation blocks (8 and 128 terms) and past them.
+    """
+    c = draw(st.integers(min_value=1, max_value=64))
+    rates = sorted(draw(st.lists(st.floats(min_value=0.05, max_value=200.0),
+                                 min_size=c, max_size=c)))
+    aggregate = sum(rates)
+    kind = draw(st.sampled_from(("stable", "stable", "on_s2", "at_s", "over_s", "idle")))
+    lam = draw(st.floats(min_value=1e-6, max_value=1.0 - 1e-9)) * aggregate
+    if kind == "on_s2" and c >= 2 and rates[0] + rates[1] < aggregate:
+        lam = rates[0] + rates[1]       # λ = S_2: weights 1 and 2 tie at the maximum
+    elif kind == "at_s":
+        lam = aggregate
+    elif kind == "over_s":
+        lam = aggregate * draw(st.floats(min_value=1.0, max_value=3.0))
+    elif kind == "idle":
+        lam = 0.0
+    extra = draw(st.integers(0, 10) | st.integers(118, 138) | st.integers(250, 270)
+                 | st.integers(0, 600))
+    t = draw(st.sampled_from((
+        (extra + 0.5) / aggregate,      # L = c − 1 + extra
+        0.0, -0.0, -1e-9, -0.5,
+    )))
+    return float(lam), tuple(rates), t
+
+
+def frozen(probe):
+    """The parent's value for one probe."""
+    lam, rates, t = probe
+    return FrozenHeterogeneousQueue(lam, rates).wait_bound_probability(t)
+
+
+@given(probe=probes())
+@settings(max_examples=400, deadline=None)
+def test_one_probe_equals_the_frozen_body_bitwise(probe):
+    assert wait_bounds([probe]) == [frozen(probe)]
+    lam, rates, t = probe
+    assert HeterogeneousMMcQueue(lam, rates).wait_bound_probability(t) == frozen(probe)
+
+
+@given(pool=st.lists(probes(), min_size=1, max_size=24), order=st.randoms())
+@settings(max_examples=120, deadline=None)
+def test_a_probe_reads_the_same_in_any_pool_and_any_order(pool, order):
+    expected = [frozen(probe) for probe in pool]
+    assert wait_bounds(pool) == expected
+    shuffled = list(range(len(pool)))
+    order.shuffle(shuffled)
+    got = wait_bounds([pool[i] for i in shuffled])
+    assert [got[shuffled.index(i)] for i in range(len(pool))] == expected
+
+
+def test_an_empty_pool_and_the_guards():
+    assert wait_bounds([]) == []
+    stable = (5.0, (2.0, 4.0), 0.1)
+    assert wait_bounds([
+        (6.0, (2.0, 4.0), 0.1),         # λ = S: unstable
+        (5.0, (2.0, 4.0), -1e-300),     # t < 0
+        (0.0, (2.0, 4.0), 0.0),         # λ = 0: never waits
+        stable,
+    ]) == [0.0, 0.0, 1.0, frozen(stable)]
+
+
+def test_a_pool_wider_than_one_block_is_cut_without_changing_a_value(monkeypatch):
+    import repro.core.queueing.heterogeneous as heterogeneous
+    pool = [(3.0 + i, tuple(sorted((2.0, 4.0, 0.5 * i + 1.0))), 0.05 * i)
+            for i in range(12)]
+    expected = [frozen(probe) for probe in pool]
+    monkeypatch.setattr(heterogeneous, "_MAX_BLOCK_CELLS", 16)
+    assert wait_bounds(pool) == expected
+
+
+# ----------------------------------------------------------------------
+# The epoch-batched fleet solve
+# ----------------------------------------------------------------------
+@st.composite
+def epochs(draw):
+    """A drift sequence: epochs of deflated-fleet queries over four warm keys.
+
+    Rates drift by up to ±60 % an epoch, so optima move by 0, 1 or many
+    containers in both directions; a key may repeat inside one epoch.
+    """
+    standard = draw(st.sampled_from((5.0, 10.0, 20.0)))
+    budget = draw(st.sampled_from((0.0, 0.05, 0.1)))
+    percentile = draw(st.sampled_from((0.9, 0.95, 0.99)))
+    fleets = [
+        draw(st.lists(st.floats(min_value=0.2, max_value=1.0), min_size=1, max_size=4))
+        for _ in range(4)
+    ]
+    lams = [draw(st.floats(min_value=0.0, max_value=8.0)) * standard for _ in range(4)]
+    sequence = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        keys = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+        queries = []
+        for k in keys:
+            lams[k] = max(0.0, lams[k] * draw(st.floats(min_value=0.4, max_value=1.6)))
+            if draw(st.booleans()):
+                lams[k] = round(lams[k])          # repeats hit the memo
+            queries.append(HeterogeneousQuery(
+                lams[k], [standard * speed for speed in fleets[k]], standard, budget,
+                percentile, key=("fn", k),
+            ))
+        sequence.append(queries)
+    return sequence
+
+
+def run_both(sequence, solver, reference):
+    """Every query through both solvers: the batch one epoch at a time, the frozen one by one."""
+    for queries in sequence:
+        got = solver.solve_heterogeneous_batch(queries)
+        assert len(got) == len(queries)
+        for result, q in zip(got, queries):
+            expected = reference.solve_heterogeneous(*q)
+            assert (result.containers, result.achieved_probability) == expected
+            assert result.wait_budget == q.wait_budget
+
+
+def same_counters(solver, reference):
+    """Every counter but the probe count, which now counts pooled probes."""
+    fields = ("solves", "cache_hits", "warm_hits", "warm_fallbacks", "full_searches")
+    return all(getattr(solver.stats, f) == getattr(reference.stats, f) for f in fields)
+
+
+@given(sequence=epochs())
+@settings(max_examples=80, deadline=None)
+def test_batched_fleet_solves_equal_the_frozen_sequence(sequence):
+    solver, reference = SizingSolver(), FrozenHeterogeneousSolver()
+    run_both(sequence, solver, reference)
+    assert solver._warm_heterogeneous == reference._warm_heterogeneous
+    assert dict(solver._heterogeneous._data) == reference._heterogeneous
+    assert same_counters(solver, reference)
+
+
+@given(sequence=epochs())
+@settings(max_examples=30, deadline=None)
+def test_batched_fleet_solves_equal_the_frozen_sequence_with_caches_off(sequence):
+    solver = SizingSolver()
+    reference = FrozenHeterogeneousSolver(caching=False, warming=False)
+    with caches_disabled():
+        run_both(sequence, solver, reference)
+    assert solver._warm_heterogeneous == {} and len(solver._heterogeneous) == 0
+    assert same_counters(solver, reference)
+
+
+def test_a_warm_hit_probes_its_anchor_and_both_neighbours_in_one_pass():
+    solver = SizingSolver(cache_size=0)
+    queries = [HeterogeneousQuery(40.0 + i, [7.0] * 5, 10.0, 0.1, key=i) for i in range(3)]
+    solver.solve_heterogeneous_batch(queries)
+    drifted = [q._replace(lam=q.lam + 0.5) for q in queries]
+    results = solver.solve_heterogeneous_batch(drifted)
+    assert solver.stats.warm_hits == 3
+    assert [r.iterations for r in results] == [3, 3, 3]
+    reference = [required_containers_heterogeneous(q.lam, q.existing_mus, 10.0, 0.1)
+                 for q in drifted]
+    assert [(r.containers, r.achieved_probability) for r in results] == [
+        (r.containers, r.achieved_probability) for r in reference]
+
+
+# ----------------------------------------------------------------------
+# Validation shared by every sizing entry point
+# ----------------------------------------------------------------------
+NAN, INF = math.nan, math.inf
+GOOD = dict(lam=30.0, mu=10.0, wait_budget=0.1, percentile=0.95, rate=7.0)
+MESSAGES = {
+    "lam": "arrival rate must be finite and non-negative",
+    "mu": "service rate must be finite and positive",
+    "wait_budget": "wait budget must be finite and non-negative",
+    "percentile": r"percentile must be in \(0, 1\)",
+    "rate": "existing service rates must be finite and positive",
+}
+ZOO = {
+    "lam": (NAN, INF, -INF, -0.1),
+    "mu": (NAN, INF, -INF, 0.0, -1.0),
+    "wait_budget": (NAN, INF, -INF, -0.1),
+    "percentile": (NAN, INF, 0.0, 1.0, 1.5, -0.5),
+    "rate": (NAN, INF, 0.0, -2.0),
+}
+
+
+def homogeneous(entry):
+    """A homogeneous entry point as ``call(solver, **GOOD)`` (``rate`` unused)."""
+    def call(solver, lam, mu, wait_budget, percentile, rate):
+        del rate
+        t, p = wait_budget, percentile
+        if entry == "solve":
+            return solver.solve(lam, mu, t, p, key="fn")
+        if entry == "solve_batch":
+            return solver.solve_batch([SizingQuery(30.0, 10.0, 0.1, key="other"),
+                                       SizingQuery(lam, mu, t, p, key="fn")])
+        return entry(lam, mu, t, p)
+    return call
+
+
+def heterogeneous(entry):
+    """A heterogeneous entry point as ``call(solver, **GOOD)``; ``rate`` joins the fleet."""
+    def call(solver, lam, mu, wait_budget, percentile, rate):
+        t, p, existing = wait_budget, percentile, [5.0, rate]
+        if entry == "solve_heterogeneous":
+            return solver.solve_heterogeneous(lam, existing, mu, t, p, key="fleet")
+        if entry == "solve_heterogeneous_batch":
+            return solver.solve_heterogeneous_batch([
+                HeterogeneousQuery(30.0, [5.0, 7.0], 10.0, 0.1, key="other"),
+                HeterogeneousQuery(lam, existing, mu, t, p, key="fleet"),
+            ])
+        return entry(lam, existing, mu, t, p)
+    return call
+
+
+ENTRIES = {
+    "required_containers": homogeneous(required_containers),
+    "required_containers_naive": homogeneous(required_containers_naive),
+    "required_containers_fast": homogeneous(required_containers_fast),
+    "SizingSolver.solve": homogeneous("solve"),
+    "SizingSolver.solve_batch": homogeneous("solve_batch"),
+    "required_containers_heterogeneous": heterogeneous(required_containers_heterogeneous),
+    "SizingSolver.solve_heterogeneous": heterogeneous("solve_heterogeneous"),
+    "SizingSolver.solve_heterogeneous_batch": heterogeneous("solve_heterogeneous_batch"),
+}
+CASES = [
+    pytest.param(entry, name, value, id=f"{entry}-{name}={value}")
+    for entry in ENTRIES
+    for name, values in ZOO.items()
+    if name != "rate" or "heterogeneous" in entry
+    for value in values
+]
+
+
+def solver_state(solver):
+    """Everything a rejected call must leave as it was."""
+    return (dict(solver._solutions._data), dict(solver._probabilities._data),
+            dict(solver._heterogeneous._data), dict(solver._warm),
+            dict(solver._warm_heterogeneous), vars(solver.stats).copy())
+
+
+@pytest.mark.parametrize("entry, name, value", CASES)
+def test_out_of_range_input_is_a_prompt_value_error_that_changes_nothing(entry, name, value):
+    call = ENTRIES[entry]
+    solver = SizingSolver()
+    call(solver, **GOOD)                    # memo, anchors and counters all populated
+    before = solver_state(solver)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=MESSAGES[name]):
+        call(solver, **{**GOOD, name: value})
+    assert time.perf_counter() - start < 1.0
+    assert solver_state(solver) == before
+
+
+# ----------------------------------------------------------------------
+# Work: the epoch-batched solver against the per-candidate search
+# ----------------------------------------------------------------------
+def drifting_rate(function: int, epoch: int) -> float:
+    """A slowly drifting per-function rate, quantised so sweep-like revisits repeat."""
+    base = 60.0 + 17.0 * function
+    phase = 2.0 * math.pi * (epoch % 25) / 25.0 + 0.7 * function
+    return max(0.1, round(base * (1.0 + 0.12 * math.sin(phase)), 2))
+
+
+def test_an_epoch_sequence_costs_no_more_probes_than_the_per_candidate_search():
+    """Sixteen functions over fifty epochs: equal counts, no more bound evaluations.
+
+    The per-candidate reference (Algorithm 1 as written, and its linear
+    heterogeneous twin) evaluates one candidate per iteration; the
+    solver's probe counter includes every pooled, memo-missing probe.
+    """
+    solver = SizingSolver()
+    reference_probes = 0
+    for epoch in range(50):
+        rates = [drifting_rate(f, epoch) for f in range(16)]
+        homogeneous_results = solver.solve_batch(
+            [SizingQuery(lam, 10.0, 0.1, key=f) for f, lam in enumerate(rates)])
+        fleets = [HeterogeneousQuery(lam, [7.0] * int(lam // 10), 10.0, 0.1, key=f)
+                  for f, lam in enumerate(rates)]
+        fleet_results = solver.solve_heterogeneous_batch(fleets)
+        for lam, got in zip(rates, homogeneous_results):
+            expected = required_containers(lam, 10.0, 0.1)
+            assert got.containers == expected.containers
+            reference_probes += expected.iterations
+        for q, got in zip(fleets, fleet_results):
+            expected = required_containers_heterogeneous(q.lam, q.existing_mus, 10.0, 0.1)
+            assert got.containers == expected.containers
+            reference_probes += expected.iterations
+    assert solver.stats.probability_evaluations <= reference_probes
