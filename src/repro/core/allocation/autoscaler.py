@@ -9,12 +9,12 @@ containers deflated), exactly as the paper prescribes.
 
 All model evaluations route through a
 :class:`repro.core.queueing.solver.SizingSolver` — the memoized,
-warm-started, candidate-vectorised control-plane fast path — unless
-``use_fast_sizing=False`` pins the reference Algorithm 1 for ablations.
-The controller sizes every registered function per epoch through
-:meth:`Autoscaler.decide_batch`: one solver call for the epoch's
-homogeneous functions and one for its deflated fleets, each folding its
-warm-start probes into a single pooled evaluation.
+warm-started control-plane fast path — unless ``use_fast_sizing=False``
+pins the reference Algorithm 1 for ablations.  The controller sizes every
+registered function per epoch through :meth:`Autoscaler.decide_batch`:
+one solver call for the epoch's homogeneous functions and one for its
+deflated fleets, each solving its queries one after another from their
+warm anchors.
 """
 
 from __future__ import annotations
@@ -214,8 +214,9 @@ class Autoscaler:
         Zero-rate queries resolve at once; the homogeneous ones go to
         the solver's :meth:`~SizingSolver.solve_batch` and the deflated
         fleets to its :meth:`~SizingSolver.solve_heterogeneous_batch`, one
-        call each, every warm-start probe of a call pooled into a single
-        evaluation.  Decisions are positionally aligned with ``queries``.
+        call each; a decision depends only on its own query and the
+        function's warm anchor.  Decisions are positionally aligned with
+        ``queries``.
         """
         decisions: List[Optional[ScalingDecision]] = [None] * len(queries)
         budgets: List[float] = [0.0] * len(queries)

@@ -7,8 +7,8 @@
   bounds for M/M/c queues whose servers (containers) have different
   service rates, used after deflation.
 * :mod:`repro.core.queueing.logspace` — the log-factorial table and the
-  ``logsumexp`` reduction those two share (numpy only; scipy is the
-  tests' oracle for both).
+  ``logsumexp`` reduction those two share (numpy only; the tests hold
+  both to an external oracle).
 * :mod:`repro.core.queueing.sizing` — Algorithm 1: the iterative search
   for the smallest number of containers such that a high percentile of
   the waiting time stays below ``t = d − s_p``, plus a vectorised fast

@@ -109,7 +109,7 @@ class HeterogeneousMMcQueue:
         """``log P_0`` from weights already computed for (at least) ``n = 0..c``."""
         if not self.is_stable:
             raise ValueError("unstable system: lambda >= aggregate service rate")
-        if self.lam == 0:
+        if self.utilization == 0:
             return 0.0
         return float(-_log_normalisers(log_weights[None, :], (self.lam,), (self.mus,),
                                        (self.aggregate_rate,))[0])
@@ -198,8 +198,8 @@ def wait_bounds(probes: Sequence[Tuple[float, Sequence[float], float]]) -> List[
         cutoff = int(math.floor(t * aggregate + c - 1 + 1e-12))
         if cutoff < 0:
             continue
-        if lam == 0:
-            values[slot] = 1.0   # an empty system never waits
+        if lam / aggregate == 0:
+            values[slot] = 1.0   # λ = 0, or a ratio that underflows: never waits
             continue
         rows.append((slot, lam, rates, aggregate, cutoff))
     if rows:

@@ -2,10 +2,11 @@
 
 :func:`log_factorials` is the process-wide table of ``log(k!)`` that the
 scalar M/M/c formulas and the solver's kernel index; :func:`logsumexp`
-is the reduction behind both normalising constants.  Each returns what
-``scipy.special`` (``gammaln(k + 1)``, ``logsumexp``) returns, bit for
-bit, so scipy — whose import cost more than a whole ``steady_columnar``
-run — is the tests' oracle and not a dependency of the run path.
+is the reduction behind both normalising constants.  Each returns, bit
+for bit, what the special-function library the tests use as an oracle
+returns (its ``gammaln(k + 1)`` and ``logsumexp``; see
+``tests/test_solver.py``), so that library — whose import cost more than
+a whole ``steady_columnar`` run — is not a dependency of the run path.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def log_factorials(n: int) -> np.ndarray:
 def logsumexp(a: np.ndarray) -> float:
     """``log Σ exp(a_i)`` of a 1-D float vector whose maximum is finite.
 
-    scipy's reduction without its array-API wrapper (~100 µs a call):
+    The oracle library's reduction without its array-API wrapper (~100 µs a call):
     the maxima are pulled out of the sum and counted, the rest is summed
     shifted (``−inf`` entries add nothing).  numpy ufuncs throughout —
     ``math.log1p`` rounds differently — so the result is bit-identical.

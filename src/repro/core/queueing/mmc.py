@@ -54,7 +54,7 @@ def mmc_log_p0(lam: float, mu: float, c: int) -> float:
     rho = r / c
     if rho >= 1.0:
         raise ValueError(f"unstable system: rho={rho:.4f} >= 1 (lam={lam}, mu={mu}, c={c})")
-    if lam == 0:
+    if r == 0:      # λ = 0, or a positive λ whose ratio underflows: never waits
         return 0.0
     # log of the two pieces of 1/P0
     log_r = math.log(r)
@@ -75,11 +75,11 @@ def mmc_state_probabilities(lam: float, mu: float, c: int, n_max: int) -> np.nda
     _validate(lam, mu, c)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if lam == 0:
+    r = lam / mu
+    if r == 0:
         probs = np.zeros(n_max + 1)
         probs[0] = 1.0
         return probs
-    r = lam / mu
     log_r = math.log(r)
     log_p0 = mmc_log_p0(lam, mu, c)
     log_fact = log_factorials(c)
@@ -105,9 +105,9 @@ def erlang_c(lam: float, mu: float, c: int) -> float:
     cross-check of the state-probability computation.
     """
     _validate(lam, mu, c)
-    if lam == 0:
-        return 0.0
     r = lam / mu
+    if r == 0:
+        return 0.0
     rho = r / c
     if rho >= 1.0:
         return 1.0

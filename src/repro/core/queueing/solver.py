@@ -1,61 +1,69 @@
-"""Memoized, batched M/M/c model solver — the control-plane fast path.
+"""Memoized, warm-started M/M/c model solver — the control-plane fast path.
 
-PR 1 made the simulation *data* plane fast; this module does the same
-for the *control* plane.  Every epoch the controller re-derives an
-Algorithm 1 sizing decision per function, and in sweeps the same
-``(λ, μ, c, t)`` solves repeat thousands of times across epochs,
-functions and shards.  The paper itself treats solver speed as
-first-class (the Julia-vs-Scala comparison of Algorithm 1, Figure 5),
-so this subsystem owns all wait-probability and sizing computations:
+Every epoch the controller re-derives an Algorithm 1 sizing decision
+per function, and in sweeps the same ``(λ, μ, c, t)`` solves repeat
+thousands of times across epochs, functions and shards.  The paper
+itself treats solver speed as first-class (the Julia-vs-Scala
+comparison of Algorithm 1, Figure 5), so this subsystem owns all
+wait-probability and sizing computations:
 
 1. the process-wide, grow-only log-factorial table of
-   :mod:`repro.core.queueing.logspace` (bit-equal to ``gammaln``, built
-   without scipy), so probes index ``log(k!)`` instead of recomputing
-   it over ``np.arange(c)`` from scratch;
-2. a genuinely candidate-vectorised :func:`wait_probabilities` that
-   evaluates the paper's bound for *all* candidate ``c`` values in one
-   numpy pass over a shared triangular term matrix (no Python loop per
-   candidate);
-3. an exact-key LRU memo over ``(λ, μ, t, percentile)`` solves and
-   ``(λ, μ, c, t)`` probability evaluations — safe because both are
-   pure functions of their arguments, and exact float keys mean a hit
-   can never change a result;
-4. per-key (per-function) warm starts: control loops drift slowly, so
-   the solver first checks ``{c*−1, c*, c*+1}`` from the previous
-   epoch before falling back to a full search;
-5. an epoch-batched entry point (:meth:`SizingSolver.solve_batch`)
-   that sizes every registered function in one call, folding all
-   warm-start probes into a single kernel invocation;
-6. its twin for the epoch's deflated fleets
-   (:meth:`SizingSolver.solve_heterogeneous_batch`), whose warm probes
-   go to one :func:`repro.core.queueing.heterogeneous.wait_bounds` call.
+   :mod:`repro.core.queueing.logspace`, so log-space probes index
+   ``log(k!)`` instead of recomputing it;
+2. a candidate-vectorised :func:`wait_probabilities` that evaluates the
+   paper's bound for many ``c`` values in one numpy pass over a shared
+   triangular term matrix — the log-space kernel for wide queries;
+3. a closed form for fleets of at most :data:`_SMALL_FLEET` containers
+   (:func:`_small_bound` for the homogeneous chain,
+   :func:`_small_fleet_bound` for a deflated fleet): the chain's head
+   summed in Python floats, the geometric tail closed with one ``**``;
+4. an exact-key LRU memo over ``(λ, μ, t, percentile)`` solves and
+   ``(λ, μ, c, t)`` probability evaluations;
+5. per-key (per-function) warm starts: control loops drift slowly, so a
+   search starts from the key's previous answer;
+6. the epoch entry points :meth:`SizingSolver.solve_batch` and
+   :meth:`SizingSolver.solve_heterogeneous_batch`, which solve their
+   queries one after another: memo, then anchor, then a one-count walk
+   through the closed form; a walk past ``_SMALL_FLEET`` containers, or
+   an anchor above it, goes to the log-space kernels and the stateless
+   ladder and bisection.
 
 Every sizing entry point runs :func:`validate_sizing` before it probes
 or touches a memo: bad input is a ``ValueError`` that changes nothing.
 
 Exactness
 ---------
-All shortcuts are provably exact given one structural fact the rest of
-the codebase already relies on (the binary search in the PR-0 fast
-path assumed it, and ``tests/test_queueing_mmc.py`` checks it): the
-paper's bound ``P(Q ≤ t) = Σ_{n≤L(c)} P_n(c)`` is non-decreasing in
-``c`` — more containers both shift the queue-length distribution
-toward emptier states and raise the cutoff ``L(c) = ⌊t·c·μ + c − 1⌋``.
+Container counts are exact given one structural fact the rest of the
+codebase already relies on (``tests/test_queueing_mmc.py`` checks it):
+the paper's bound ``P(Q ≤ t) = Σ_{n≤L(c)} P_n(c)`` is non-decreasing in
+``c`` — more containers both shift the queue-length distribution toward
+emptier states and raise the cutoff ``L(c) = ⌊t·c·μ + c − 1⌋``.
 Algorithm 1 returns the *smallest* ``c`` above a lower bound with
 ``P(Q ≤ t) ≥ percentile``; monotonicity makes that a threshold search,
 so:
 
-* warm start — if ``P(c_prev) ≥ p`` and ``P(c_prev − 1) < p`` then
-  ``c_prev`` *is* the smallest satisfying count, no search needed;
-  every other probe outcome narrows to an exact bracket;
+* the walk accepts ``c`` only once ``c − 1`` is known to miss (or ``c``
+  is the stability minimum), and every other probe outcome narrows to
+  an exact bracket;
 * memoization — results are pure functions of the exact key, so a
-  cache hit returns bit-identical output to a cold solve;
+  cache hit returns what a cold solve would;
 * the constrained answer for a lower bound ``b`` is
   ``max(b, c*)`` where ``c*`` is the unconstrained minimum, which is
   what lets one memo entry serve every ``current_containers`` value.
 
-Determinism is therefore unaffected: with caches on or off, warm or
-cold, the solver returns the same containers as the reference
+The closed form and the log-space bodies round differently: the
+solver's ``achieved_probability`` for a small fleet is within 1e-14 of
+what the reference (:class:`~repro.core.queueing.mmc.MMcQueue`,
+:func:`~repro.core.queueing.heterogeneous.wait_bounds`) reports — more
+for long cutoffs and large log weights, where the log-space body's own
+rounding grows — and the ``≥ percentile`` verdicts agree
+(``tests/test_solver.py`` ``TestClosedForm``).  Nothing serialises the solver's probability;
+the reference paths, whose probability ``scenarios/runner.py`` does
+serialise, keep their log-space bodies.  A solver value is a pure
+function of its own query: no query is evaluated beside another.
+
+With caches on or off, warm or cold, the solver returns the same
+containers as the reference
 :func:`repro.core.queueing.sizing.required_containers` and the naive
 :func:`repro.core.queueing.sizing.required_containers_naive` oracles
 (``tests/test_solver.py`` sweeps the equivalence grid).
@@ -64,10 +72,13 @@ cold, the solver returns the same containers as the reference
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from functools import partial
+from typing import (Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -94,8 +105,9 @@ def wait_probabilities(lam, mu, cs, t) -> np.ndarray:
     a single triangular matrix of log-space state terms and reduces it
     with row-wise ``logsumexp`` — no Python-level loop over candidates.
 
-    Unstable rows (``ρ ≥ 1``) and negative budgets yield 0; ``λ = 0``
-    rows yield 1 (an empty system never waits).
+    Unstable rows (``ρ ≥ 1``) and negative budgets yield 0; rows whose
+    ``λ/μ`` is 0 (``λ = 0``, or a positive ``λ`` whose ratio underflows)
+    yield 1 (an empty system never waits).
     """
     cs_arr = np.asarray(cs)
     if not np.issubdtype(cs_arr.dtype, np.integer):
@@ -118,14 +130,13 @@ def wait_probabilities(lam, mu, cs, t) -> np.ndarray:
     ns = np.ascontiguousarray(c_b, dtype=np.int64).ravel()
     ts = np.ascontiguousarray(t_b, dtype=float).ravel()
 
-    out = np.zeros(lams.shape, dtype=float)
-    out[(lams == 0.0) & (ts >= 0.0)] = 1.0
-
     r = lams / mus
+    out = np.zeros(lams.shape, dtype=float)
+    out[(r == 0.0) & (ts >= 0.0)] = 1.0
     with np.errstate(invalid="ignore"):
         rho = r / ns
     L = np.floor(ts * ns * mus + ns - 1 + 1e-12).astype(np.int64)
-    active = (lams > 0.0) & (rho < 1.0) & (ts >= 0.0) & (L >= 0)
+    active = (r > 0.0) & (rho < 1.0) & (ts >= 0.0) & (L >= 0)
     if active.any():
         idx = np.nonzero(active)[0]
         cols = int(max(L[idx].max(), ns[idx].max()) + 1)
@@ -150,11 +161,12 @@ def _bound_kernel(r: np.ndarray, rho: np.ndarray, cs: np.ndarray,
     its pairwise additions by that width, so ``log_num`` / ``log_head``
     can land an ulp away from what the row gives alone (after ``+ peak``,
     an ulp of a number that grows like ``c``: ≤ 7e-15 on the result for
-    ``c ≤ 64``, 2e-13 at ``c ≈ 2000``).  ``solve_batch`` batches every
-    function of an epoch.  ``tests/test_solver.py::TestBatchMates`` pins
+    ``c ≤ 64``, 2e-13 at ``c ≈ 2000``).  The solver only ever batches the
+    candidates of one query, so its values do not depend on other
+    queries; a caller of :func:`wait_probabilities` that mixes queries
+    still sees the gap.  ``tests/test_solver.py::TestBatchMates`` pins
     what holds (the gap, and an unchanged ``≥ percentile`` verdict); a
-    width-independent reduction would move envelope digests and is left
-    to the sizing collapse (ROADMAP (ii)).
+    width-independent reduction would move envelope digests.
     """
     cols = int(max(L.max(), cs.max()) + 1)
     table = log_factorials(cols - 1)
@@ -170,8 +182,8 @@ def _bound_kernel(r: np.ndarray, rho: np.ndarray, cs: np.ndarray,
     # One shifted exp pass serves both reductions: the head region
     # (n < c) is always inside the numerator region (L ≥ c − 1), and the
     # row peak sits at the distribution mode ⌊r⌋ < c, so the head sum
-    # can never underflow to zero.  Hand-rolled logsumexp: scipy's
-    # carries heavy per-call dispatch overhead on this innermost path.
+    # can never underflow to zero.  Hand-rolled logsumexp: a library
+    # one carries heavy per-call dispatch overhead on this innermost path.
     peak = np.max(log_terms, axis=1)
     shifted = np.exp(log_terms - peak[:, None])
     log_num = np.log(shifted.sum(axis=1)) + peak
@@ -180,6 +192,99 @@ def _bound_kernel(r: np.ndarray, rho: np.ndarray, cs: np.ndarray,
     log_tail = cs * np.log(r) - table[cs] - np.log(1.0 - rho)
     log_norm = np.logaddexp(log_head, log_tail)
     return np.minimum(1.0, np.exp(log_num - log_norm))
+
+
+# ----------------------------------------------------------------------
+# Closed form for small fleets
+# ----------------------------------------------------------------------
+#: the widest fleet the closed form serves; it bounds the per-probe loop
+#: (every head weight is at most ``e^32``, so nothing overflows for the
+#: homogeneous chain)
+_SMALL_FLEET = 32
+
+
+def _closed_tail(head: float, w_c: float, ratio: float, excess: int) -> Optional[float]:
+    """``Σ_{n≤L} P_n`` of a chain with a geometric tail, or ``None`` if a sum is not finite.
+
+    ``head`` is ``Σ_{n<c} w_n``, ``w_c`` the weight at ``c``, ``ratio``
+    the tail's ``ρ`` and ``excess = L − c + 1 ≥ 0``.  The states above
+    ``L`` weigh ``w_c ρ^{L−c+1} / (1 − ρ)`` and all states
+    ``head + w_c / (1 − ρ)``; the bound is one minus their quotient.
+    """
+    tail = w_c / (1.0 - ratio)
+    norm = head + tail
+    if not norm < math.inf:                 # overflowed, or inf − inf
+        return None
+    return 1.0 - tail * ratio ** excess / norm
+
+
+def _small_bound(lam: float, mu: float, c: int, t: float) -> float:
+    """The bound ``P(Q ≤ t)`` of an M/M/c queue, head summed in Python floats.
+
+    For ``c ≤ _SMALL_FLEET``; agrees with :func:`wait_probabilities` to
+    the tolerance of ``tests/test_solver.py::TestClosedForm``.  Unstable
+    queues read 0.
+    """
+    r = lam / mu
+    rho = r / c
+    if not rho < 1.0:
+        return 0.0
+    cutoff = math.floor(t * c * mu + c - 1 + 1e-12)
+    head, w = 0.0, 1.0
+    for n in range(1, c + 1):
+        head += w
+        w = w * r / n
+    prob = _closed_tail(head, w, rho, cutoff - c + 1)
+    return prob if prob is not None else float(wait_probabilities(lam, mu, np.array([c]), t)[0])
+
+
+def _small_fleet_bound(lam: float, rates: Sequence[float], t: float) -> float:
+    """The Alves et al. bound of a fleet with ascending ``rates``, head summed in Python floats.
+
+    For fleets of at most ``_SMALL_FLEET``; agrees with :func:`wait_bounds`
+    to the tolerance of ``TestClosedForm``, and hands it the probe when
+    tiny rates overflow the head (two rates of 1e-300 and a unit ``λ``
+    do).  A fleet whose capacity does not exceed ``λ`` reads 0.
+    """
+    aggregate = float(sum(rates))
+    if not lam < aggregate:
+        return 0.0
+    c = len(rates)
+    cutoff = math.floor(t * aggregate + c - 1 + 1e-12)
+    head, w, capacity = 0.0, 1.0, 0.0
+    for rate in rates:
+        head += w
+        capacity += rate
+        w = w * lam / capacity
+    prob = _closed_tail(head, w, lam / aggregate, cutoff - c + 1)
+    return prob if prob is not None else wait_bounds(((lam, rates, t),))[0]
+
+
+def _walk(probe: Callable[[int], float], target: float, lo: int, start: int,
+          top: int) -> Tuple[int, float, int]:
+    """Walk one count at a time from ``start`` to the smallest ``k ≥ lo`` with ``probe(k) ≥ target``.
+
+    ``probe`` is non-decreasing, so ``k`` is accepted only once ``k − 1``
+    is known to miss (or ``k = lo``).  Returns ``(k, P(k), probes)``; a
+    ``P(k)`` below ``target`` means every count from ``start`` to
+    ``k = top`` missed.
+    """
+    k, prob, probes = start, probe(start), 1
+    if prob >= target:
+        while k > lo:
+            below = probe(k - 1)
+            probes += 1
+            if below < target:
+                break
+            k, prob = k - 1, below
+        return k, prob, probes
+    while k < top:
+        k += 1
+        prob = probe(k)
+        probes += 1
+        if prob >= target:
+            break
+    return k, prob, probes
 
 
 # ----------------------------------------------------------------------
@@ -438,7 +543,7 @@ class _LruCache:
 
 
 class SizingSolver:
-    """Memoized, warm-started, batched Algorithm 1 solver.
+    """Memoized, warm-started Algorithm 1 solver.
 
     Parameters
     ----------
@@ -446,13 +551,13 @@ class SizingSolver:
         Maximum entries in the exact-key solve / probability memos
         (0 disables memoization entirely).
     warm_start:
-        Whether to try ``{c*−1, c*, c*+1}`` from the previous solve of
-        the same ``key`` before falling back to a full search.
+        Whether to start each search from the previous answer of the
+        same ``key`` instead of the stability minimum.
 
-    All results are bit-identical to the reference
-    :func:`repro.core.queueing.sizing.required_containers` — caching
-    and warm starts change only the work performed, never the answer
-    (see the module docstring for the exactness argument).
+    Container counts equal the reference
+    :func:`repro.core.queueing.sizing.required_containers` — caching and
+    warm starts change only the work performed, never the answer (see
+    the module docstring for the exactness argument).
     """
 
     def __init__(self, cache_size: int = 65_536, warm_start: bool = True) -> None:
@@ -488,17 +593,68 @@ class SizingSolver:
         self._warm_heterogeneous.clear()
 
     def _probability(self, lam: float, mu: float, c: int, t: float) -> float:
-        """Memoized single-point bound evaluation ``P(Q ≤ t)``."""
+        """Memoized single-point bound ``P(Q ≤ t)``, in closed form up to :data:`_SMALL_FLEET`."""
         key = (lam, mu, c, t)
         if self._caching:
             hit = self._probabilities.get(key)
             if hit is not None:
                 return hit  # type: ignore[return-value]
-        prob = float(wait_probabilities(lam, mu, np.array([c]), t)[0])
+        prob = (_small_bound(lam, mu, c, t) if c <= _SMALL_FLEET
+                else float(wait_probabilities(lam, mu, np.array([c]), t)[0]))
         self.stats.probability_evaluations += 1
         if self._caching:
             self._probabilities.put(key, prob)
         return prob
+
+    def _search(self, previous: Optional[int], lo: int, hi: int, small: int, target: float,
+                close: Callable[[int], float], wide: Callable[[List[int]], List[float]],
+                down: Callable[[int, int, float], Tuple[int, float, int]],
+                up: Callable[[int], Tuple[int, float, int]]) -> Tuple[int, float, int]:
+        """Smallest count ``k`` in ``[lo, hi]`` with ``P(k) ≥ target``: ``(k, P(k), probes)``.
+
+        The search starts at ``previous`` (clamped into ``[lo, hi]``) or,
+        cold, at ``lo``.  Up to ``small`` it walks one count at a time
+        through the closed form ``close(k)`` (:func:`_walk`); a walk that
+        misses every count up to ``small`` hands over to ``up(k)``, the
+        stateless search above ``k − 1``.  A start above ``small`` probes
+        ``{k−1, k, k+1}`` in one log-space call ``wide(ks)`` and finishes
+        with ``down(lo, hi, P(hi))`` (``hi`` known to satisfy) or ``up``.
+        A warm start is a hit when it settles on those three counts, a
+        fallback otherwise.
+        """
+        if lo > hi:
+            return up(lo)                       # raises: no count is allowed
+        if previous is None:
+            self.stats.full_searches += 1
+            start = lo
+        else:
+            start = min(max(previous, lo), hi)
+        if start <= small:
+            k, prob, probes = _walk(close, target, lo, start, min(small, hi))
+            near = probes <= 2
+            if prob < target:                   # every count up to k missed
+                k, prob, extra = up(k + 1)
+                probes, near = probes + extra, False
+        else:
+            ks = [k for k in (start - 1, start, start + 1) if lo <= k <= hi]
+            value = dict(zip(ks, wide(ks)))
+            k, prob, probes, near = start, value[start], len(ks), True
+            if prob >= target:
+                if start > lo and value[start - 1] >= target:
+                    k, prob, extra = down(lo, start - 1, value[start - 1])
+                    probes, near = probes + extra, extra == 0
+            elif value.get(start + 1, -1.0) >= target:
+                k, prob = start + 1, value[start + 1]
+            else:
+                k, prob, extra = up(start + 2)
+                probes, near = probes + extra, False
+        if previous is not None:
+            if near:
+                self.stats.warm_hits += 1
+            else:
+                self.stats.warm_fallbacks += 1
+        self.stats.probability_evaluations += probes
+        return k, prob, probes
 
     # -- homogeneous solves ---------------------------------------------
     def solve(
@@ -513,7 +669,7 @@ class SizingSolver:
     ) -> SizingResult:
         """Algorithm 1 for one function: smallest ``c`` meeting the SLO.
 
-        Identical in contract (and answer) to
+        Identical in contract (and count) to
         :func:`repro.core.queueing.sizing.required_containers`; ``key``
         selects the warm-start slot.
         """
@@ -525,355 +681,52 @@ class SizingSolver:
         return self.solve_batch((query,))[0]
 
     def solve_batch(self, queries: Sequence[SizingQuery]) -> List[SizingResult]:
-        """Size every query in one call, batching warm-start probes.
+        """Size every query, one after another; results align with ``queries``.
 
-        Cache hits and ``λ = 0`` queries resolve immediately; all
-        remaining warm-startable queries contribute their three probe
-        candidates to a *single* kernel invocation; only queries whose
-        optimum moved by more than one container fall back to a full
-        (still vectorised) search.  Results are positionally aligned
-        with ``queries``.  Every query is validated before any is solved.
+        Each query reads the memo, then its warm anchor, then searches
+        (:meth:`_search`), so a result is a pure function of its own
+        query and the solver state the queries before it left.  Every
+        query is validated before any is solved.
         """
         for q in queries:
             validate_sizing(q.lam, q.mu, q.wait_budget, q.percentile)
         self.stats.batches += 1
-        results: List[Optional[SizingResult]] = [None] * len(queries)
-        warm: List[Tuple[int, SizingQuery, Tuple, int, int, int]] = []
-        cold: List[Tuple[int, SizingQuery, Tuple, int, int]] = []
-        leaders: set = set()
-        followers: List[Tuple[int, SizingQuery, Tuple, int, int]] = []
+        return [self._solve_homogeneous(q) for q in queries]
 
-        for i, q in enumerate(queries):
-            self.stats.solves += 1
-            if q.lam == 0:
-                results[i] = SizingResult(0, 1.0, q.wait_budget, 0)
-                continue
-            min_c = int(math.floor(q.lam / q.mu)) + 1
-            lower = max(1, int(q.current_containers), min_c)
-            solve_key = (q.lam, q.mu, q.wait_budget, q.percentile)
-            if self._caching:
-                hit = self._solutions.get(solve_key)
-                if hit is not None:
-                    self.stats.cache_hits += 1
-                    c_star, p_star = hit  # type: ignore[misc]
-                    results[i] = self._finish(q, c_star, p_star, lower, evals=0)
-                    continue
-                if solve_key in leaders:
-                    # duplicate within this batch: resolve from the memo
-                    # once its leader has solved
-                    followers.append((i, q, solve_key, min_c, lower))
-                    continue
-                leaders.add(solve_key)
-            previous = self._warm.get(q.key) if (self._warming and q.key is not None) else None
-            if previous is not None:
-                anchor = min(max(previous, min_c), q.max_containers)
-                warm.append((i, q, solve_key, min_c, lower, anchor))
-            else:
-                cold.append((i, q, solve_key, min_c, lower))
-
-        if warm:
-            self._resolve_warm(warm, results)
-        if cold:
-            self._resolve_cold(cold, results)
-        for i, q, solve_key, min_c, lower in followers:
-            hit = self._solutions.get(solve_key)
-            if hit is not None:
-                self.stats.cache_hits += 1
-                c_star, p_star = hit  # type: ignore[misc]
-                evals = 0
-            else:
-                # pathological: the leader's entry was evicted within this
-                # very batch (cache_size < distinct leaders) — recompute
-                self.stats.full_searches += 1
-                c_star, p_star, evals = smallest_satisfying(
-                    q.lam, q.mu, q.wait_budget, q.percentile, min_c, q.max_containers
-                )
-                self.stats.probability_evaluations += evals
-                self._store(q, solve_key, c_star, p_star)
-            results[i] = self._finish(q, c_star, p_star, lower, evals)
-        return results  # type: ignore[return-value]
-
-    def _resolve_cold(
-        self,
-        cold: List[Tuple[int, SizingQuery, Tuple, int, int]],
-        results: List[Optional[SizingResult]],
-    ) -> None:
-        """Full searches for queries with no memo hit or warm anchor, pooled.
-
-        The exponential ladders of all cold queries advance in lockstep:
-        every round contributes up to :data:`_LADDER_GROUP` rungs per
-        still-unbracketed query to one shared kernel call (one round
-        covers optima up to ``min_c + 2^{_LADDER_GROUP} − 1``, which is
-        nearly every realistic query, since ``c*`` sits a few percent
-        above the stability minimum).  Narrow brackets then pool into a
-        single final sweep; only pathologically wide ones bisect
-        individually.
-        """
-        self.stats.full_searches += len(cold)
-        exponent = [0] * len(cold)
-        last_unsat = [entry[3] - 1 for entry in cold]   # min_c − 1
-        evals = [0] * len(cold)
-        brackets: Dict[int, Tuple[int, int, float]] = {}
-
-        def could_not_satisfy(q: SizingQuery) -> ValueError:
-            """The shared unsatisfiable-SLO error for one query's parameters."""
-            return _unsatisfiable(q.lam, q.mu, q.wait_budget, q.percentile,
-                                  q.max_containers)
-
-        unresolved = list(range(len(cold)))
-        while unresolved:
-            lams, mus, ts, candidates = [], [], [], []
-            groups: Dict[int, List[int]] = {}
-            for j in unresolved:
-                _, q, _, min_c, _ = cold[j]
-                group: List[int] = []
-                while len(group) < _LADDER_GROUP:
-                    rung = min_c + (1 << exponent[j]) - 1
-                    exponent[j] += 1
-                    if rung >= q.max_containers:
-                        group.append(q.max_containers)
-                        break
-                    group.append(rung)
-                group = [c for c in group if c > last_unsat[j]]
-                if not group:
-                    raise could_not_satisfy(q)
-                groups[j] = group
-                lams.extend(q.lam for _ in group)
-                mus.extend(q.mu for _ in group)
-                ts.extend(q.wait_budget for _ in group)
-                candidates.extend(group)
-            probs = wait_probabilities(
-                np.array(lams), np.array(mus), np.array(candidates), np.array(ts)
+    def _solve_homogeneous(self, q: SizingQuery) -> SizingResult:
+        """One validated query: memo, warm anchor, search, then the lower bound."""
+        self.stats.solves += 1
+        lam, mu, t, target = q.lam, q.mu, q.wait_budget, q.percentile
+        if lam == 0:
+            return SizingResult(0, 1.0, t, 0)
+        min_c = int(math.floor(lam / mu)) + 1
+        lower = max(1, int(q.current_containers), min_c)
+        solve_key = (lam, mu, t, target)
+        caching, warm_key = self._caching, q.key if self._warming else None
+        hit = self._solutions.get(solve_key) if caching else None
+        if hit is not None:
+            self.stats.cache_hits += 1
+            c_star, p_star = hit  # type: ignore[misc]
+            evals = 0
+        else:
+            c_star, p_star, evals = self._search(
+                self._warm.get(warm_key) if warm_key is not None else None,
+                min_c, q.max_containers, _SMALL_FLEET, target,
+                lambda c: _small_bound(lam, mu, c, t),
+                lambda cs: wait_probabilities(lam, mu, np.array(cs), t).tolist(),
+                partial(_first_satisfying, lam, mu, t, target),
+                lambda lo: smallest_satisfying(lam, mu, t, target, lo, q.max_containers),
             )
-            cursor = 0
-            still: List[int] = []
-            for j in unresolved:
-                group = groups[j]
-                window = probs[cursor:cursor + len(group)]
-                cursor += len(group)
-                evals[j] += len(group)
-                _, q, _, _, _ = cold[j]
-                satisfied = np.nonzero(window >= q.percentile)[0]
-                if satisfied.size:
-                    g = int(satisfied[0])
-                    bracket_lo = (group[g - 1] if g > 0 else last_unsat[j]) + 1
-                    brackets[j] = (bracket_lo, group[g], float(window[g]))
-                else:
-                    last_unsat[j] = group[-1]
-                    if last_unsat[j] >= q.max_containers:
-                        raise could_not_satisfy(q)
-                    still.append(j)
-            unresolved = still
-
-        def conclude(j: int, c_star: int, p_star: float) -> None:
-            """Store and finish one cold query's result."""
-            i, q, solve_key, _min_c, lower, = cold[j]
-            self.stats.probability_evaluations += evals[j]
-            self._store(q, solve_key, c_star, p_star)
-            results[i] = self._finish(q, c_star, p_star, lower, evals[j])
-
-        sweep: List[int] = []
-        for j, (b_lo, b_hi, b_prob) in brackets.items():
-            _, q, _, _, _ = cold[j]
-            if b_hi == b_lo:
-                conclude(j, b_hi, b_prob)
-            elif b_hi - b_lo > _BATCH_BRACKET:
-                c_star, p_star, extra = _first_satisfying(
-                    q.lam, q.mu, q.wait_budget, q.percentile, b_lo, b_hi, b_prob
-                )
-                evals[j] += extra
-                conclude(j, c_star, p_star)
-            else:
-                sweep.append(j)
-        if sweep:
-            lams, mus, ts, candidates = [], [], [], []
-            for j in sweep:
-                _, q, _, _, _ = cold[j]
-                b_lo, b_hi, _ = brackets[j]
-                span = range(b_lo, b_hi)            # b_hi itself is known good
-                lams.extend(q.lam for _ in span)
-                mus.extend(q.mu for _ in span)
-                ts.extend(q.wait_budget for _ in span)
-                candidates.extend(span)
-            probs = wait_probabilities(
-                np.array(lams), np.array(mus), np.array(candidates), np.array(ts)
-            )
-            cursor = 0
-            for j in sweep:
-                _, q, _, _, _ = cold[j]
-                b_lo, b_hi, b_prob = brackets[j]
-                width = b_hi - b_lo
-                window = probs[cursor:cursor + width]
-                cursor += width
-                evals[j] += width
-                satisfied = np.nonzero(window >= q.percentile)[0]
-                if satisfied.size:
-                    g = int(satisfied[0])
-                    conclude(j, b_lo + g, float(window[g]))
-                else:
-                    conclude(j, b_hi, b_prob)
-
-    #: contiguous candidates probed per direction in the pooled second
-    #: warm phase; drifts of up to ``1 + _WARM_WINDOW`` containers per
-    #: epoch resolve in exactly two kernel calls for the whole batch
-    _WARM_WINDOW = 8
-
-    def _resolve_warm(
-        self,
-        warm: List[Tuple[int, SizingQuery, Tuple, int, int, int]],
-        results: List[Optional[SizingResult]],
-    ) -> None:
-        """Settle warm-started queries with at most two pooled kernel calls.
-
-        Phase 1 evaluates ``{c*−1, c*, c*+1}`` for every query in one
-        call (the common steady-state case).  Queries whose optimum
-        moved further pool a contiguous window of
-        :data:`_WARM_WINDOW` candidates in the drift direction into a
-        second shared call; only drifts beyond that window fall back to
-        an individual bracketed search.  Every shortcut is exact by
-        monotonicity: an answer is accepted only when its predecessor
-        is known to miss the target.
-        """
-        def settle(entry: Tuple[int, SizingQuery, Tuple, int, int, int],
-                   c_star: int, p_star: float, evals: int) -> None:
-            """Record one resolved optimum and finish its result slot."""
-            i, q, solve_key, _min_c, lower, _anchor = entry
-            self._store(q, solve_key, c_star, p_star)
-            results[i] = self._finish(q, c_star, p_star, lower, evals)
-
-        lams, mus, ts, candidates = [], [], [], []
-        for _, q, _, _, _, anchor in warm:
-            below = max(1, anchor - 1)
-            above = min(anchor + 1, q.max_containers)
-            lams.extend((q.lam, q.lam, q.lam))
-            mus.extend((q.mu, q.mu, q.mu))
-            ts.extend((q.wait_budget, q.wait_budget, q.wait_budget))
-            candidates.extend((below, anchor, above))
-        probs = wait_probabilities(
-            np.array(lams), np.array(mus), np.array(candidates), np.array(ts)
-        )
-        self.stats.probability_evaluations += len(candidates)
-
-        # entries needing a second phase: (warm entry, window lo, window hi,
-        # probability at the known-good / known-bad phase-1 neighbour)
-        pending_down: List[Tuple[Tuple, int, int, float]] = []
-        pending_up: List[Tuple[Tuple, int, int]] = []
-
-        for slot, entry in enumerate(warm):
-            i, q, solve_key, min_c, lower, anchor = entry
-            p_below = float(probs[3 * slot])
-            p_here = float(probs[3 * slot + 1])
-            p_above = float(probs[3 * slot + 2])
-            target = q.percentile
-            if p_here >= target:
-                if anchor == min_c or p_below < target:
-                    self.stats.warm_hits += 1
-                    settle(entry, anchor, p_here, 3)
-                elif anchor - 1 == min_c:
-                    self.stats.warm_hits += 1
-                    settle(entry, anchor - 1, p_below, 3)
-                else:
-                    # optimum dropped by ≥ 2: window below anchor − 1
-                    self.stats.warm_fallbacks += 1
-                    lo_w = max(min_c, anchor - 1 - self._WARM_WINDOW)
-                    pending_down.append((entry, lo_w, anchor - 2, p_below))
-            else:
-                above = min(anchor + 1, q.max_containers)
-                if above > anchor and p_above >= target:
-                    self.stats.warm_hits += 1
-                    settle(entry, above, p_above, 3)
-                else:
-                    # optimum rose by ≥ 2 (or anchor hit the cap)
-                    self.stats.warm_fallbacks += 1
-                    hi_w = min(above + self._WARM_WINDOW, q.max_containers)
-                    pending_up.append((entry, above + 1, hi_w))
-        if not pending_down and not pending_up:
-            return
-        lams2, mus2, ts2, candidates2, spans = [], [], [], [], []
-        for entry, lo_w, hi_w, _ in pending_down:
-            spans.append(range(lo_w, hi_w + 1))
-        for entry, lo_w, hi_w in pending_up:
-            spans.append(range(lo_w, hi_w + 1))
-        for (entry, *_), span in zip(pending_down + pending_up, spans):
-            q = entry[1]
-            for c in span:
-                lams2.append(q.lam)
-                mus2.append(q.mu)
-                ts2.append(q.wait_budget)
-                candidates2.append(c)
-        probs2 = (
-            wait_probabilities(np.array(lams2), np.array(mus2),
-                               np.array(candidates2), np.array(ts2))
-            if candidates2 else np.zeros(0)
-        )
-        self.stats.probability_evaluations += len(candidates2)
-
-        cursor = 0
-        for (entry, lo_w, hi_w, p_good), span in zip(pending_down, spans[:len(pending_down)]):
-            i, q, solve_key, min_c, lower, anchor = entry
-            window = probs2[cursor:cursor + len(span)]
-            cursor += len(span)
-            evals = 3 + len(span)
-            satisfied = np.nonzero(window >= q.percentile)[0]
-            if satisfied.size == 0:
-                # anchor − 2 misses, anchor − 1 is known good: exact
-                settle(entry, anchor - 1, p_good, evals)
-            else:
-                j = int(satisfied[0])
-                if j > 0 or lo_w == min_c:
-                    settle(entry, lo_w + j, float(window[j]), evals)
-                else:
-                    # the whole window satisfies: optimum is below it
-                    c_star, p_star, extra = _first_satisfying(
-                        q.lam, q.mu, q.wait_budget, q.percentile,
-                        min_c, lo_w, float(window[0]),
-                    )
-                    self.stats.probability_evaluations += extra
-                    settle(entry, c_star, p_star, evals + extra)
-        for (entry, lo_w, hi_w), span in zip(pending_up, spans[len(pending_down):]):
-            i, q, solve_key, min_c, lower, anchor = entry
-            window = probs2[cursor:cursor + len(span)]
-            cursor += len(span)
-            evals = 3 + len(span)
-            satisfied = np.nonzero(window >= q.percentile)[0]
-            if satisfied.size:
-                # predecessor of the first hit is in the window (or is the
-                # known-bad anchor + 1): exact
-                j = int(satisfied[0])
-                settle(entry, lo_w + j, float(window[j]), evals)
-            elif hi_w >= q.max_containers:
-                raise _unsatisfiable(q.lam, q.mu, q.wait_budget, q.percentile,
-                             q.max_containers)
-            else:
-                # drift larger than the window: bracketed search above it
-                c_star, p_star, extra = smallest_satisfying(
-                    q.lam, q.mu, q.wait_budget, q.percentile,
-                    hi_w + 1, q.max_containers,
-                )
-                self.stats.probability_evaluations += extra
-                settle(entry, c_star, p_star, evals + extra)
-
-    def _store(self, q: SizingQuery, solve_key: Tuple, c_star: int, p_star: float) -> None:
-        """Record a computed unconstrained optimum in the memo."""
-        if self._caching:
-            self._solutions.put(solve_key, (c_star, p_star))
-
-    def _finish(self, q: SizingQuery, c_star: int, p_star: float,
-                lower: int, evals: int) -> SizingResult:
-        """Apply the lower bound to the unconstrained optimum and build the result.
-
-        ``P(Q ≤ t)`` is non-decreasing in ``c``, so the smallest count
-        at or above ``lower`` is simply ``max(lower, c*)``.
-        """
-        if self._warming and q.key is not None:
-            self._warm[q.key] = c_star
+            if caching:
+                self._solutions.put(solve_key, (c_star, p_star))
+        if warm_key is not None:
+            self._warm[warm_key] = c_star
         if max(lower, c_star) > q.max_containers:
-            raise _unsatisfiable(q.lam, q.mu, q.wait_budget, q.percentile,
-                         q.max_containers)
+            raise _unsatisfiable(lam, mu, t, target, q.max_containers)
         if lower <= c_star:
-            return SizingResult(c_star, p_star, q.wait_budget, evals)
-        prob = self._probability(q.lam, q.mu, lower, q.wait_budget)
-        return SizingResult(lower, prob, q.wait_budget, evals + 1)
+            return SizingResult(c_star, p_star, t, evals)
+        # P(Q ≤ t) is non-decreasing in c: the smallest count ≥ lower is max(lower, c*)
+        return SizingResult(lower, self._probability(lam, mu, lower, t), t, evals + 1)
 
     # -- heterogeneous solves -------------------------------------------
     def solve_heterogeneous(self, lam: float, existing_mus: Sequence[float],
@@ -884,7 +737,7 @@ class SizingSolver:
 
         The memoized, warm-started counterpart of
         :func:`repro.core.queueing.sizing.required_containers_heterogeneous`
-        (identical answers); a batch of one.
+        (identical counts); a batch of one.
         """
         return self.solve_heterogeneous_batch((HeterogeneousQuery(
             lam, existing_mus, standard_mu, wait_budget, percentile, max_additional, key),))[0]
@@ -892,15 +745,13 @@ class SizingSolver:
     def solve_heterogeneous_batch(
         self, queries: Sequence[HeterogeneousQuery]
     ) -> List[SizingResult]:
-        """Size every deflated fleet of an epoch; results align with ``queries``.
+        """Size every deflated fleet of an epoch, one after another; results align with ``queries``.
 
-        Memo hits resolve at once.  Every warm-started query's probes at
-        ``{a−1, a, a+1}`` added containers (``a`` its previous answer) are
-        pooled into one :func:`wait_bounds` call; cold queries and drifts
-        past ±1 take the ladder and bisection one probe at a time.  The
-        answers, memo and warm anchors are those of solving the queries one
-        after another: a query whose key or memo key repeats a pending one
-        waits for the pool before it to settle.
+        Each query reads the memo, then its warm anchor (added containers),
+        then searches (:meth:`_search`) with the closed form
+        :func:`_small_fleet_bound` while the fleet has at most
+        :data:`_SMALL_FLEET` containers and :func:`wait_bounds` past it.
+        Every query is validated before any is solved.
         """
         rows = []
         for q in queries:
@@ -909,81 +760,39 @@ class SizingSolver:
             rows.append(HeterogeneousQuery(float(q.lam), existing, float(q.standard_mu),
                                            float(q.wait_budget), float(q.percentile),
                                            q.max_additional, q.key))
-        results: List[Optional[SizingResult]] = [None] * len(rows)
-        pool: List[Tuple[int, HeterogeneousQuery, Tuple, Optional[int]]] = []
-        pending: set = set()
-        for i, q in enumerate(rows):
-            self.stats.solves += 1
-            if q.lam == 0:
-                results[i] = SizingResult(len(q.existing_mus), 1.0, q.wait_budget, 0)
-                continue
-            solve_key = q[:5]
-            if solve_key in pending or (q.key is not None and q.key in pending):
-                self._settle_heterogeneous(pool, results)
-                pool, pending = [], set()
-            hit = self._heterogeneous.get(solve_key) if self._caching else None
-            if hit is not None:
-                added, prob = hit  # type: ignore[misc]
-                if added > q.max_additional:
-                    raise ValueError(_NO_ROOM)   # the cached optimum is minimal
-                self.stats.cache_hits += 1
-                if self._warming and q.key is not None:
-                    self._warm_heterogeneous[q.key] = added
-                results[i] = SizingResult(len(q.existing_mus) + added, prob, q.wait_budget, 0)
-                continue
-            previous = (self._warm_heterogeneous.get(q.key)
-                        if (self._warming and q.key is not None) else None)
-            anchor = None if previous is None else min(max(previous, 0), q.max_additional)
-            pool.append((i, q, solve_key, anchor))
-            pending.update((solve_key, q.key))
-        self._settle_heterogeneous(pool, results)
-        return results  # type: ignore[return-value]
+        return [self._solve_fleet(q) for q in rows]
 
-    def _settle_heterogeneous(
-        self,
-        pool: List[Tuple[int, HeterogeneousQuery, Tuple, Optional[int]]],
-        results: List[Optional[SizingResult]],
-    ) -> None:
-        """Search every pooled query, the warm ones' first probes in one evaluator call.
-
-        A warm answer is accepted only when its predecessor is known to
-        miss the target, as the one-probe-at-a-time search did: the bound
-        is non-decreasing in the number of added containers.  A warm start
-        that needs no further probe is a hit, any other a fallback.
-        """
-        values = iter(_fleet_bounds([
-            (q, added) for _, q, _, anchor in pool if anchor is not None
-            for added in range(max(anchor - 1, 0), min(anchor + 1, q.max_additional) + 1)
-        ]))
-        for i, q, solve_key, anchor in pool:
-            if anchor is None:
-                self.stats.full_searches += 1
-                added, prob, evals = self._ladder_heterogeneous(q, 0)
-            else:
-                p_below = next(values) if anchor > 0 else None
-                p_here = next(values)
-                p_above = next(values) if anchor < q.max_additional else None
-                if p_here >= q.percentile and (p_below is None or p_below < q.percentile):
-                    added, prob, extra = anchor, p_here, 0
-                elif p_here >= q.percentile:
-                    added, prob, extra = self._bisect_heterogeneous(q, 0, anchor - 1, p_below)
-                elif p_above is None:
-                    raise ValueError(_NO_ROOM)
-                elif p_above >= q.percentile:
-                    added, prob, extra = anchor + 1, p_above, 0
-                else:
-                    added, prob, extra = self._ladder_heterogeneous(q, anchor + 2)
-                if extra:
-                    self.stats.warm_fallbacks += 1
-                else:
-                    self.stats.warm_hits += 1
-                evals = 1 + (p_below is not None) + (p_above is not None) + extra
-            if self._caching:
+    def _solve_fleet(self, q: HeterogeneousQuery) -> SizingResult:
+        """One validated fleet (rates ascending): memo, warm anchor, then the search."""
+        self.stats.solves += 1
+        lam, existing, standard, t = q.lam, q.existing_mus, q.standard_mu, q.wait_budget
+        if lam == 0:
+            return SizingResult(len(existing), 1.0, t, 0)
+        solve_key = q[:5]
+        caching, warm_key = self._caching, q.key if self._warming else None
+        hit = self._heterogeneous.get(solve_key) if caching else None
+        if hit is not None:
+            added, prob = hit  # type: ignore[misc]
+            if added > q.max_additional:
+                raise ValueError(_NO_ROOM)   # the cached optimum is minimal
+            self.stats.cache_hits += 1
+            evals = 0
+        else:
+            split = bisect_right(existing, standard)   # where added containers sort
+            added, prob, evals = self._search(
+                self._warm_heterogeneous.get(warm_key) if warm_key is not None else None,
+                0, q.max_additional, _SMALL_FLEET - len(existing), q.percentile,
+                lambda k: _small_fleet_bound(
+                    lam, existing[:split] + (standard,) * k + existing[split:], t),
+                lambda ks: _fleet_bounds([(q, k) for k in ks]),
+                partial(self._bisect_heterogeneous, q),
+                partial(self._ladder_heterogeneous, q),
+            )
+            if caching:
                 self._heterogeneous.put(solve_key, (added, prob))
-            if self._warming and q.key is not None:
-                self._warm_heterogeneous[q.key] = added
-            self.stats.probability_evaluations += evals
-            results[i] = SizingResult(len(q.existing_mus) + added, prob, q.wait_budget, evals)
+        if warm_key is not None:
+            self._warm_heterogeneous[warm_key] = added
+        return SizingResult(len(existing) + added, prob, t, evals)
 
     @staticmethod
     def _ladder_heterogeneous(q: HeterogeneousQuery, lo: int) -> Tuple[int, float, int]:

@@ -5,8 +5,9 @@
 ``wait_bound_probability``); ``FrozenHeterogeneousSolver`` is
 ``SizingSolver.solve_heterogeneous`` with its scalar warm branch, ladder and
 bisection, one closure call per probe.  The bodies are verbatim but for the
-class names, a plain dict for the memo and two flags standing in for the
-solver's cache switches.
+class names, a plain dict for the memo, two flags standing in for the
+solver's cache switches and the queue class, a parameter so a test can add
+a fix made since (the underflowing-ratio guard) without editing a body.
 """
 
 import math
@@ -108,9 +109,11 @@ class FrozenStats:
 class FrozenHeterogeneousSolver:
     """``SizingSolver``'s heterogeneous half: memo, warm anchors and the scalar search."""
 
-    def __init__(self, caching: bool = True, warming: bool = True) -> None:
+    def __init__(self, caching: bool = True, warming: bool = True,
+                 queue: type = FrozenHeterogeneousQueue) -> None:
         self._caching = caching
         self._warming = warming
+        self._queue = queue
         self._heterogeneous = {}
         self._warm_heterogeneous = {}
         self.stats = FrozenStats()
@@ -162,7 +165,7 @@ class FrozenHeterogeneousSolver:
             evals[0] += 1
             if not mus or sum(mus) <= lam:
                 return 0.0
-            return FrozenHeterogeneousQueue(lam, mus).wait_bound_probability(wait_budget)
+            return self._queue(lam, mus).wait_bound_probability(wait_budget)
 
         added, prob = self._search_heterogeneous(
             probability, target, max_additional, key, lam

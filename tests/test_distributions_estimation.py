@@ -68,16 +68,32 @@ class TestDistributions:
         with pytest.raises(ValueError):
             Exponential(0.1).percentile(1.0)
 
-    def test_lognormal_percentile_without_scipy_says_what_to_do(self, monkeypatch):
-        # the one scipy call left in src/: reached only through
-        # ControllerConfig.subtract_service_percentile on a log-normal profile
+    def test_lognormal_percentile_runs_with_scipy_unimportable(self, monkeypatch):
+        # reached only through ControllerConfig.subtract_service_percentile
+        # on a log-normal profile; the quantile is the standard library's
         dist = LogNormal(0.1, cv=0.3)
-        assert dist.percentile(0.5) == pytest.approx(0.1 / math.sqrt(1.09))
+        monkeypatch.setitem(sys.modules, "scipy", None)
         monkeypatch.setitem(sys.modules, "scipy.stats", None)
-        with pytest.raises(ImportError, match="scipy.*subtract_service_percentile") as caught:
-            dist.percentile(0.5)
-        assert type(caught.value) is ImportError  # not the bare ModuleNotFoundError
-        assert isinstance(caught.value.__cause__, ModuleNotFoundError)
+        assert dist.percentile(0.5) == pytest.approx(0.1 / math.sqrt(1.09))
+        z = 1.6448536269514715          # NormalDist().inv_cdf(0.95)
+        assert dist.percentile(0.95) == math.exp(dist._mu + math.sqrt(dist._sigma2) * z)
+
+    def test_the_stdlib_normal_quantile_is_within_six_ulp_of_scipy(self):
+        # not bit-equal: 0.95 itself is 3 ulp off (…715 here, …722 in
+        # scipy); nothing serialised reads LogNormal.percentile
+        from scipy.stats import norm
+        from statistics import NormalDist
+
+        inv_cdf = NormalDist().inv_cdf
+        ps = np.concatenate([np.linspace(0.0, 1.0, 30_001)[1:-1],
+                             [1e-300, 1e-12, 1e-6, 0.0912966, 0.95, 0.99, 1 - 1e-6, 1 - 1e-12]])
+        ours = np.array([inv_cdf(float(p)) for p in ps])
+        theirs = norm.ppf(ps)
+        ulps = np.abs(ours - theirs) / np.array([math.ulp(x) for x in theirs])
+        assert ulps.max() <= 6.0
+        assert (ours != theirs).any()
+        assert inv_cdf(0.95) == 1.6448536269514715
+        assert abs(inv_cdf(0.95) - norm.ppf(0.95)) == 3 * math.ulp(1.6448536269514715)
 
 
 class TestEwma:

@@ -4,16 +4,19 @@
 value must equal, bit for bit, what ``HeterogeneousMMcQueue`` computed one
 probe at a time before the pool existed (``tests/oracles/heterogeneous_sizing.py``),
 whatever else is in the pool.  ``SizingSolver.solve_heterogeneous_batch``
-must leave the same answers, memo and warm anchors as the frozen per-query
-search run in sequence.  The last tests cover the shared input validation
-and count the probes an epoch sequence costs against the per-candidate search.
+must leave the same counts, memo keys and warm anchors as the frozen
+per-query search run in sequence; its probabilities come from the
+small-fleet closed form, so they match the frozen ones within
+``closed_form_tolerance`` (``tests/test_solver.py``).  The last tests cover
+the shared input validation and count the probes an epoch sequence costs
+against the per-candidate search.
 """
 
 import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles.heterogeneous_sizing import FrozenHeterogeneousQueue, FrozenHeterogeneousSolver
@@ -30,6 +33,7 @@ from repro.core.queueing.solver import (
     SizingSolver,
     caches_disabled,
 )
+from test_solver import closed_form_tolerance
 
 
 # ----------------------------------------------------------------------
@@ -145,15 +149,48 @@ def epochs(draw):
     return sequence
 
 
+def close_to(q, containers, prob, expected_prob):
+    """Whether ``prob`` is within the closed form's tolerance of the frozen value for ``q``'s fleet."""
+    fleet = sorted(list(q.existing_mus) + [q.standard_mu] * (containers - len(q.existing_mus)))
+    return abs(prob - expected_prob) <= closed_form_tolerance(q.lam, fleet, q.wait_budget)
+
+
+class GuardedQueue(FrozenHeterogeneousQueue):
+    """The frozen queue plus the fix made since: a fleet whose ``λ / S_c`` underflows never waits.
+
+    The frozen body takes ``math.log`` of that 0.0 and raises; ``wait_bounds``
+    now reads 1, the ``λ → 0`` answer.
+    """
+
+    def wait_bound_probability(self, t):
+        if t >= 0 and self.lam / self.aggregate_rate == 0:
+            return 1.0
+        return super().wait_bound_probability(t)
+
+
 def run_both(sequence, solver, reference):
     """Every query through both solvers: the batch one epoch at a time, the frozen one by one."""
     for queries in sequence:
         got = solver.solve_heterogeneous_batch(queries)
         assert len(got) == len(queries)
         for result, q in zip(got, queries):
-            expected = reference.solve_heterogeneous(*q)
-            assert (result.containers, result.achieved_probability) == expected
+            containers, prob = reference.solve_heterogeneous(*q)
+            assert result.containers == containers
+            assert close_to(q, containers, result.achieved_probability, prob)
             assert result.wait_budget == q.wait_budget
+
+
+def same_memo(solver, reference):
+    """The same memo keys and counts, probabilities within the closed form's tolerance."""
+    memo = dict(solver._heterogeneous._data)
+    if memo.keys() != reference._heterogeneous.keys():
+        return False
+    for key, (added, prob) in memo.items():
+        expected_added, expected_prob = reference._heterogeneous[key]
+        q = HeterogeneousQuery(*key)
+        if added != expected_added or not close_to(q, len(key[1]) + added, prob, expected_prob):
+            return False
+    return True
 
 
 def same_counters(solver, reference):
@@ -162,39 +199,46 @@ def same_counters(solver, reference):
     return all(getattr(solver.stats, f) == getattr(reference.stats, f) for f in fields)
 
 
+#: a positive λ whose ratio to the fleet's capacity underflows to 0.0
+UNDERFLOWING_RATIO = [[HeterogeneousQuery(2.5e-323, [5.0, 5.0], 5.0, 0.0, 0.9, key=("fn", 0))]]
+
+
 @given(sequence=epochs())
+@example(sequence=UNDERFLOWING_RATIO)
 @settings(max_examples=80, deadline=None)
 def test_batched_fleet_solves_equal_the_frozen_sequence(sequence):
-    solver, reference = SizingSolver(), FrozenHeterogeneousSolver()
+    solver, reference = SizingSolver(), FrozenHeterogeneousSolver(queue=GuardedQueue)
     run_both(sequence, solver, reference)
     assert solver._warm_heterogeneous == reference._warm_heterogeneous
-    assert dict(solver._heterogeneous._data) == reference._heterogeneous
+    assert same_memo(solver, reference)
     assert same_counters(solver, reference)
 
 
 @given(sequence=epochs())
+@example(sequence=UNDERFLOWING_RATIO)
 @settings(max_examples=30, deadline=None)
 def test_batched_fleet_solves_equal_the_frozen_sequence_with_caches_off(sequence):
     solver = SizingSolver()
-    reference = FrozenHeterogeneousSolver(caching=False, warming=False)
+    reference = FrozenHeterogeneousSolver(caching=False, warming=False, queue=GuardedQueue)
     with caches_disabled():
         run_both(sequence, solver, reference)
     assert solver._warm_heterogeneous == {} and len(solver._heterogeneous) == 0
     assert same_counters(solver, reference)
 
 
-def test_a_warm_hit_probes_its_anchor_and_both_neighbours_in_one_pass():
+def test_a_warm_hit_probes_its_anchor_and_one_neighbour():
     solver = SizingSolver(cache_size=0)
     queries = [HeterogeneousQuery(40.0 + i, [7.0] * 5, 10.0, 0.1, key=i) for i in range(3)]
     solver.solve_heterogeneous_batch(queries)
     drifted = [q._replace(lam=q.lam + 0.5) for q in queries]
     results = solver.solve_heterogeneous_batch(drifted)
     assert solver.stats.warm_hits == 3
-    assert [r.iterations for r in results] == [3, 3, 3]
-    reference = [required_containers_heterogeneous(q.lam, q.existing_mus, 10.0, 0.1)
-                 for q in drifted]
-    assert [(r.containers, r.achieved_probability) for r in results] == [
-        (r.containers, r.achieved_probability) for r in reference]
+    assert [r.iterations for r in results] == [2, 2, 2]
+    for q, got in zip(drifted, results):
+        expected = required_containers_heterogeneous(q.lam, q.existing_mus, 10.0, 0.1)
+        assert got.containers == expected.containers
+        assert close_to(q, got.containers, got.achieved_probability,
+                        expected.achieved_probability)
 
 
 # ----------------------------------------------------------------------
@@ -284,6 +328,23 @@ def test_out_of_range_input_is_a_prompt_value_error_that_changes_nothing(entry, 
         call(solver, **{**GOOD, name: value})
     assert time.perf_counter() - start < 1.0
     assert solver_state(solver) == before
+
+
+def last(result):
+    """A batch entry point's result for its last query; any other result as it is."""
+    return result[-1] if isinstance(result, list) else result
+
+
+@pytest.mark.parametrize("lam", (5e-324, 2.5e-323))
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_a_rate_whose_ratio_underflows_gets_the_vanishing_load_answer(entry, lam):
+    # λ / μ (or λ / S_c) is exactly 0.0: once a math domain error, or, in
+    # the solver's kernel, a NaN row that no count could satisfy
+    call = ENTRIES[entry]
+    got = last(call(SizingSolver(), **{**GOOD, "lam": lam}))
+    limit = last(call(SizingSolver(), **{**GOOD, "lam": 1e-300}))
+    assert (got.containers, got.achieved_probability) == (limit.containers, 1.0)
+    assert limit.achieved_probability == 1.0
 
 
 # ----------------------------------------------------------------------

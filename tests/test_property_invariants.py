@@ -216,7 +216,8 @@ def test_memoized_warm_started_solver_equals_reference_in_batches(draws):
 
     The warm-start slots are keyed per function; feeding each key a
     random *sequence* of draws exercises the drift/jump re-anchoring
-    logic, and the batch API exercises the lockstep cold-search ladder.
+    logic, and the batch API solves the same draws again from the
+    anchors the sequence left.
     """
     solver = SizingSolver(cache_size=1024, warm_start=True)
     # sequential per-key solves (warm-start path)
@@ -225,7 +226,7 @@ def test_memoized_warm_started_solver_equals_reference_in_batches(draws):
         got = solver.solve(lam, mu, budget, percentile, key=key)
         want = required_containers(lam, mu, budget, percentile)
         assert got.containers == want.containers, (lam, mu, budget, percentile)
-    # one batched call over all draws (duplicates dedupe internally)
+    # one batched call over all draws (a repeated draw hits the memo)
     queries = [
         SizingQuery(lam=lam, mu=mu, wait_budget=budget, percentile=percentile,
                     current_containers=0, key=f"fn-{i % 3}")

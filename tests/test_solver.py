@@ -37,9 +37,13 @@ from repro.core.queueing.sizing import (
     required_containers_heterogeneous,
     required_containers_naive,
 )
+from repro.core.queueing.heterogeneous import wait_bounds
 from repro.core.queueing.solver import (
     SizingQuery,
     SizingSolver,
+    _closed_tail,
+    _small_bound,
+    _small_fleet_bound,
     caches_disabled,
     wait_probabilities,
 )
@@ -61,6 +65,40 @@ def grid():
             for budget in GRID_BUDGETS:
                 for percentile in GRID_PERCENTILES:
                     yield lam, mu, budget, percentile
+
+
+#: the percentiles a closed-form probe must give the log-space verdict at
+VERDICT_PERCENTILES = (0.5, 0.9, 0.95, 0.99)
+
+
+def closed_form_tolerance(lam, rates, t):
+    """How far the closed form may read from a log-space body for one probe (``rates`` ascending).
+
+    1e-14, widened in step with the log-space body's own rounding: it adds
+    logs as large as ``M = max |log w_n|`` over ``L + 1`` states.  On
+    90,000 random probes (c ≤ 32, ρ up to 1 − 1e-12, t ≤ 5, μ ≤ 316,
+    rates down to 1e-3 of standard) the gap stayed under
+    1.3e-16·(1 + M)(L + 1), and exact rational arithmetic put both bodies
+    equally far (2.3e-12 at worst) from the bound of the same float
+    inputs: the gap is the problem's conditioning, not either body.
+    """
+    aggregate = float(sum(rates))
+    cutoff = math.floor(t * aggregate + len(rates) - 1 + 1e-12)
+    peak = log_w = capacity = 0.0
+    for rate in rates:
+        capacity += rate
+        if lam / capacity > 0:
+            log_w += math.log(lam / capacity)
+        peak = max(peak, abs(log_w))
+    return 1e-14 * max(1.0, (1.0 + peak) * (cutoff + 1) / 32.0)
+
+
+def assert_agree(closed, log_space, tolerance):
+    """Within ``tolerance``, and the same verdict wherever the tolerance cannot flip it."""
+    assert abs(closed - log_space) <= tolerance, (closed, log_space, tolerance)
+    for percentile in VERDICT_PERCENTILES:
+        if abs(log_space - percentile) > tolerance:
+            assert (closed >= percentile) == (log_space >= percentile)
 
 
 class TestKernel:
@@ -172,8 +210,9 @@ class TestBatchMates:
     its log-normaliser away from what it is alone (106 of 2,000 random
     queries beside one c = 330 mate, 3.6e-15 at most; 2.3e-13 at
     c ≈ 2,000).  The normaliser's magnitude grows like c, and so does
-    the gap.  ``solve_batch`` batches every function of an epoch, so this
-    pins what does hold: the gap stays inside 1e-14 (for c ≤ 32, growing
+    the gap.  The solver batches only one query's own candidates, but
+    ``wait_probabilities`` takes any mix, so this pins what does hold for
+    a caller that mixes queries: the gap stays inside 1e-14 (for c ≤ 32, growing
     as c / 32 above — 1.4× the widest gap read in 90,000 random batches
     with c ≤ 400), and the verdict the sizing search reads — ``P ≥
     percentile`` — is the same alone and in company.
@@ -194,6 +233,61 @@ class TestBatchMates:
         assert abs(alone - beside) <= 1e-14 * max(1.0, query[2] / 32.0)
         for percentile in (0.5, 0.9, 0.95, 0.99, 0.999):
             assert (alone >= percentile) == (beside >= percentile)
+
+
+#: one probe of the closed form's domain: (c, ρ, μ, t)
+_small_probes = st.tuples(
+    st.integers(1, 32),
+    st.floats(0.0, 1.0 - 1e-12) | st.floats(1e-12, 1e-3).map(lambda gap: 1.0 - gap),
+    st.floats(0.5, 50.0),
+    st.floats(0.0, 5.0),
+)
+
+
+class TestClosedForm:
+    """The small-fleet closed form against the log-space bodies it stands in for.
+
+    ``_small_bound`` / ``_small_fleet_bound`` sum the chain's head in
+    Python floats and close the geometric tail with one ``**``; the
+    reference paths (``MMcQueue``, ``wait_bounds``) stay in log space.
+    """
+
+    @given(probe=_small_probes)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_homogeneous_closed_form_matches_the_log_space_kernel(self, probe):
+        c, rho, mu, t = probe
+        lam = rho * c * mu
+        closed = _small_bound(lam, mu, c, t)
+        kernel = float(wait_probabilities(lam, mu, np.array([c]), t)[0])
+        assert_agree(closed, kernel, closed_form_tolerance(lam, [mu] * c, t))
+
+    @given(probe=_small_probes,
+           speeds=st.lists(st.floats(1e-3, 1.0) | st.just(1.0), min_size=32, max_size=32))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_fleet_closed_form_matches_wait_bounds(self, probe, speeds):
+        c, rho, standard, t = probe
+        rates = tuple(sorted(standard * speed for speed in speeds[:c]))
+        lam = rho * sum(rates)
+        closed = _small_fleet_bound(lam, rates, t)
+        assert_agree(closed, wait_bounds([(lam, rates, t)])[0],
+                     closed_form_tolerance(lam, rates, t))
+
+    def test_unstable_probes_read_zero(self):
+        assert _small_bound(30.0, 10.0, 3, 0.1) == 0.0
+        assert _small_fleet_bound(12.0, (5.0, 7.0), 0.1) == 0.0
+        assert _small_fleet_bound(1.0, (), 0.1) == 0.0
+
+    def test_an_overflowing_head_goes_to_the_log_space_body(self):
+        # two validated rates of 1e-300 and a unit λ: w_1 = 1e300, w_2 = inf,
+        # and an unguarded quotient would be inf / inf
+        assert _closed_tail(math.inf, math.inf, 0.5, 0) is None
+        for added in range(4):
+            rates = (1e-300, 1e-300) + (5.0,) * added
+            assert _small_fleet_bound(1.0, rates, 0.1) == wait_bounds([(1.0, rates, 0.1)])[0]
+        got = SizingSolver().solve_heterogeneous(1.0, [1e-300, 1e-300], 5.0, 0.1, 0.99)
+        reference = required_containers_heterogeneous(1.0, [1e-300, 1e-300], 5.0, 0.1, 0.99)
+        assert (got.containers, got.achieved_probability) == (
+            reference.containers, reference.achieved_probability)
 
 
 class TestOracleEquivalence:
@@ -285,12 +379,17 @@ class TestWarmStart:
         assert solver.stats.warm_hits > 0
         assert solver.stats.full_searches >= 1
 
-    def test_warm_hit_costs_three_probes(self):
+    def test_an_unmoved_optimum_costs_at_most_two_probes(self):
+        # the walk probes the anchor, then its predecessor (which misses);
+        # at the stability minimum the anchor alone settles it
         solver = SizingSolver(cache_size=0)  # no memo: isolate the warm path
         first = solver.solve(200.0, 10.0, 0.1, 0.95, key="fn")
         steady = solver.solve(200.0, 10.0, 0.1, 0.95, key="fn")
         assert steady.containers == first.containers
-        assert steady.iterations == 3
+        assert steady.iterations == 2
+        assert solver.solve(0.5, 10.0, 0.1, 0.95, key="idle").iterations == 1
+        assert solver.solve(0.5, 10.0, 0.1, 0.95, key="idle").iterations == 1
+        assert solver.stats.warm_hits == 2
 
     def test_keys_are_isolated(self):
         solver = SizingSolver(cache_size=0)
@@ -482,7 +581,9 @@ class TestHeterogeneous:
                     lam, existing, mu, budget, percentile, key="fn"
                 )
                 assert got.containers == reference.containers
-                assert got.achieved_probability == reference.achieved_probability
+                fleet = sorted(existing + [mu] * (got.containers - len(existing)))
+                assert abs(got.achieved_probability - reference.achieved_probability) <= (
+                    closed_form_tolerance(lam, fleet, budget))
 
 
 def _scipy_log_p0(queue: HeterogeneousMMcQueue) -> float:
