@@ -58,10 +58,10 @@ def main() -> None:
           f"{fig4_fraction(fig4, tolerance=0.25) * 100:.0f}%")
 
     banner("Figure 5 — allocation-algorithm compute time vs. container count")
-    fig5 = run_fig5(repeats=1 if quick else 3)
+    fig5 = run_fig5()
     print(format_fig5(fig5))
-    print(f"worst-case fast-path time : {max_time_seconds(fig5, 'fast') * 1000:.1f} ms")
-    print(f"worst-case naive-path time: {max_time_seconds(fig5, 'naive') * 1000:.1f} ms")
+    print(f"worst-case solver time   : {max_time_seconds(fig5, 'solver') * 1000:.1f} ms")
+    print(f"worst-case reference time: {max_time_seconds(fig5, 'reference') * 1000:.1f} ms")
 
     banner("Figure 6 — model-driven autoscaling under time-varying workloads")
     fig6 = run_fig6(step_duration=30.0 if quick else 60.0)

@@ -5,8 +5,8 @@ Commands
 ``size``
     One-off container sizing: given an arrival rate, service time, SLO
     deadline and percentile, print the container count each model
-    recommends (M/M/c reference, vectorised fast path, M/G/c with a
-    chosen service-time variability).
+    recommends (M/M/c as in Algorithm 1, and M/G/c with a chosen
+    service-time variability).
 ``simulate``
     Run a single function on the simulated edge cluster under the LaSS
     controller and print the measured waiting-time percentiles, SLO
@@ -55,20 +55,18 @@ from typing import List, Optional
 
 
 def _cmd_size(args: argparse.Namespace) -> int:
-    """Print the container counts the three queueing models recommend."""
+    """Print the container counts the M/M/c and M/G/c models recommend."""
     from repro.core.queueing.mgc import required_containers_mgc
-    from repro.core.queueing.sizing import required_containers, required_containers_fast
+    from repro.core.queueing.sizing import required_containers
 
     mu = 1.0 / args.service_time
     reference = required_containers(args.rate, mu, args.slo, args.percentile)
-    fast = required_containers_fast(args.rate, mu, args.slo, args.percentile)
     mgc = required_containers_mgc(args.rate, args.service_time, args.scv, args.slo, args.percentile)
     print(f"arrival rate       : {args.rate:g} req/s")
     print(f"mean service time  : {args.service_time * 1000:g} ms (mu = {mu:g} req/s)")
     print(f"SLO                : P{args.percentile * 100:.0f} waiting time <= {args.slo * 1000:g} ms")
     print(f"M/M/c (Algorithm 1): {reference.containers} containers "
           f"(P(wait<=t) = {reference.achieved_probability:.3f})")
-    print(f"M/M/c (fast path)  : {fast.containers} containers")
     print(f"M/G/c (SCV={args.scv:g})   : {mgc.containers} containers "
           f"(P(wait<=t) = {mgc.achieved_probability:.3f})")
     return 0

@@ -11,8 +11,7 @@
   both to an external oracle).
 * :mod:`repro.core.queueing.sizing` — Algorithm 1: the iterative search
   for the smallest number of containers such that a high percentile of
-  the waiting time stays below ``t = d − s_p``, plus a vectorised fast
-  path used for the scalability experiment (Figure 5).
+  the waiting time stays below ``t = d − s_p``.
 * :mod:`repro.core.queueing.solver` — the control-plane fast path: a
   candidate-vectorised wait-probability kernel over a process-wide
   log-factorial table, an exact-key LRU memo, per-function warm starts,
@@ -35,8 +34,6 @@ from repro.core.queueing.solver import (
 )
 from repro.core.queueing.sizing import (
     required_containers,
-    required_containers_fast,
-    required_containers_naive,
     required_containers_heterogeneous,
 )
 from repro.core.queueing.distributions import (
@@ -61,8 +58,6 @@ __all__ = [
     "default_solver",
     "wait_probabilities",
     "required_containers",
-    "required_containers_fast",
-    "required_containers_naive",
     "required_containers_heterogeneous",
     "ServiceTimeDistribution",
     "Exponential",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -249,29 +249,9 @@ class MMcQueue:
         return self.offered_load
 
 
-def mmc_wait_probability_vector(
-    lams: Sequence[float], mu: float, cs: Sequence[int], t: float
-) -> np.ndarray:
-    """Vectorised ``P(Q <= t)`` for many (λ, c) pairs sharing the same μ.
-
-    This is the hot path of the scalability experiment (Figure 5); it
-    delegates to the solver's candidate-vectorised kernel, which
-    evaluates every pair in one triangular numpy pass (the import is
-    local only to keep this module free of a load-time cycle).
-    """
-    from repro.core.queueing.solver import wait_probabilities
-
-    lams_arr = np.asarray(lams, dtype=float)
-    cs_arr = np.asarray(cs, dtype=int)
-    if lams_arr.shape != cs_arr.shape:
-        raise ValueError("lams and cs must have the same shape")
-    return wait_probabilities(lams_arr, mu, cs_arr, t)
-
-
 __all__ = [
     "MMcQueue",
     "erlang_c",
     "mmc_state_probabilities",
     "mmc_log_p0",
-    "mmc_wait_probability_vector",
 ]

@@ -9,15 +9,10 @@ percentile of the service time.  The paper's Algorithm 1 starts from
 the current allocation and increments ``c`` until the waiting-time
 bound reaches ``p``.
 
-Three variants are provided:
+Two variants are provided:
 
 * :func:`required_containers` — the faithful reference implementation of
   Algorithm 1 (homogeneous containers).
-* :func:`required_containers_fast` — a vectorised fast path built on the
-  :mod:`repro.core.queueing.solver` kernel: candidates are evaluated in
-  batched numpy passes and bracketed exponentially instead of one at a
-  time.  This plays the role of the paper's Julia implementation in the
-  Figure 5 scalability experiment.
 * :func:`required_containers_heterogeneous` — sizing when the existing
   containers have been deflated to different service rates: it answers
   "how many *additional standard* containers must be added so that the
@@ -25,10 +20,8 @@ Three variants are provided:
 
 The memoized / warm-started control-plane entry points live in
 :class:`repro.core.queueing.solver.SizingSolver`; the functions here are
-the stateless oracles it is tested against
-(:func:`required_containers_naive` deliberately stays the slow pure-
-Python "Scala path" and must never be optimised).  Every entry point
-checks its inputs with :func:`repro.core.queueing.solver.validate_sizing`
+the stateless oracles it is tested against.  Every entry point checks
+its inputs with :func:`repro.core.queueing.solver.validate_sizing`
 first, so a NaN, an infinity or a percentile outside ``(0, 1)`` is a
 ``ValueError`` before any candidate is tried.
 """
@@ -40,7 +33,7 @@ from typing import Optional, Sequence
 
 from repro.core.queueing.heterogeneous import HeterogeneousMMcQueue
 from repro.core.queueing.mmc import MMcQueue
-from repro.core.queueing.solver import SizingResult, smallest_satisfying, validate_sizing
+from repro.core.queueing.solver import SizingResult, validate_sizing
 
 
 def wait_budget_from_slo(
@@ -136,92 +129,6 @@ def required_containers(
     )
 
 
-def required_containers_naive(
-    lam: float,
-    mu: float,
-    wait_budget: float,
-    percentile: float = 0.95,
-    current_containers: int = 0,
-    max_containers: int = 100_000,
-) -> SizingResult:
-    """A deliberately naive Algorithm 1, standing in for the paper's Scala path.
-
-    The paper compares its original Scala implementation (slow, and prone
-    to numerical precision problems on large container counts) against an
-    optimised Julia implementation.  This function is the analogous slow
-    path in Python: the M/M/c state probabilities are accumulated term by
-    term in pure Python floating point (no log-space math, no numpy), and
-    candidate container counts are tried one at a time.  Its cost grows
-    roughly quadratically with the final container count, which is what
-    produces the "reference" curve of the Figure 5 reproduction.
-
-    The answer is identical to :func:`required_containers` whenever the
-    naive floating-point evaluation does not underflow/overflow.
-    """
-    validate_sizing(lam, mu, wait_budget, percentile)
-    if lam == 0:
-        return SizingResult(0, 1.0, wait_budget, 0)
-
-    r = lam / mu
-    c = max(1, int(current_containers), int(math.floor(r)) + 1)
-    iterations = 0
-    while c <= max_containers:
-        iterations += 1
-        rho = r / c
-        if rho < 1.0:
-            # normalising constant, term by term
-            term = 1.0
-            norm = 1.0
-            for n in range(1, c):
-                term *= r / n
-                norm += term
-            term_c = term * r / c if c >= 1 else 1.0
-            norm += term_c / (1.0 - rho)
-            # cumulative probability up to L
-            L = int(math.floor(wait_budget * c * mu + c - 1 + 1e-12))
-            cumulative = 0.0
-            term = 1.0
-            for n in range(0, L + 1):
-                if n > 0:
-                    term *= r / min(n, c)
-                cumulative += term
-            probability = min(1.0, cumulative / norm) if norm > 0 else 0.0
-            if probability >= percentile:
-                return SizingResult(c, probability, wait_budget, iterations)
-        c += 1
-    raise ValueError("could not satisfy SLO within max_containers")
-
-
-def required_containers_fast(
-    lam: float,
-    mu: float,
-    wait_budget: float,
-    percentile: float = 0.95,
-    current_containers: int = 0,
-    max_containers: int = 100_000,
-) -> SizingResult:
-    """Vectorised Algorithm 1 (the "Julia implementation" fast path of Figure 5).
-
-    A stateless wrapper over the solver's candidate-vectorised search:
-    geometrically growing rung groups bracket the answer in a few numpy
-    passes, then the bracket is swept in one batched kernel call.  The
-    result is identical to :func:`required_containers`.  (The previous
-    per-candidate Python loop — "vectorised" in name only — was deleted
-    in favour of :func:`repro.core.queueing.solver.wait_probabilities`.)
-    """
-    validate_sizing(lam, mu, wait_budget, percentile)
-    if lam == 0:
-        return SizingResult(0, 1.0, wait_budget, 0)
-
-    min_stable = int(math.floor(lam / mu)) + 1
-    lo = max(1, int(current_containers), min_stable)
-    containers, probability, iterations = smallest_satisfying(
-        lam, mu, wait_budget, percentile, lo, max_containers
-    )
-    return SizingResult(containers=containers, achieved_probability=probability,
-                        wait_budget=wait_budget, iterations=iterations)
-
-
 def required_containers_heterogeneous(
     lam: float,
     existing_mus: Sequence[float],
@@ -269,7 +176,5 @@ __all__ = [
     "SizingResult",
     "wait_budget_from_slo",
     "required_containers",
-    "required_containers_naive",
-    "required_containers_fast",
     "required_containers_heterogeneous",
 ]

@@ -64,8 +64,7 @@ function of its own query: no query is evaluated beside another.
 
 With caches on or off, warm or cold, the solver returns the same
 containers as the reference
-:func:`repro.core.queueing.sizing.required_containers` and the naive
-:func:`repro.core.queueing.sizing.required_containers_naive` oracles
+:func:`repro.core.queueing.sizing.required_containers`
 (``tests/test_solver.py`` sweeps the equivalence grid).
 """
 
@@ -855,7 +854,6 @@ __all__ = [
     "SolverStats",
     "caches_disabled",
     "default_solver",
-    "smallest_satisfying",
     "validate_sizing",
     "wait_probabilities",
 ]

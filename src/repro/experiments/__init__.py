@@ -8,7 +8,10 @@ Since the scenario subsystem landed, the experiments themselves are
 each ``run_*`` function builds its registry entry, executes it through
 :func:`~repro.scenarios.runner.run_scenario`, and maps the unified
 results back onto the figure's traditional dataclasses; each
-``format_*`` helper renders those as text.  The benchmark suite under
+``format_*`` helper renders those as text.  Figure 5 is the exception:
+it times the sizing functions on the host that runs it, so
+:func:`~repro.experiments.fig5_scalability.run_fig5` runs its own timing
+loop and has no registry entry.  The benchmark suite under
 ``benchmarks/`` invokes these renderers (usually with shortened
 durations) and EXPERIMENTS.md records the full-length results against
 the paper's numbers.

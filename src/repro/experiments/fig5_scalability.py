@@ -6,36 +6,62 @@ already has, for two spike sizes (a 10 % increase and a doubling), and
 compares its original Scala implementation against an optimised Julia
 one.  The Julia path stays under ~100 ms even at 1000 containers.
 
-Here the two implementations are the pure-Python reference
-(:func:`required_containers`, incrementing ``c`` one at a time) and the
-vectorised fast path (:func:`required_containers_fast`, exponential +
-binary search with numpy inner loops).  The *shape* to reproduce: the
-fast path's reaction time stays roughly flat (sub-second, typically
-well under 100 ms) as the container count grows into the thousands,
-while the reference path grows with the container count.
+Here each point is timed on the two sizing paths the reproduction
+actually runs, both starting from the current allocation:
 
-This module is a thin renderer over the registry scenario ``"fig5"``
-(``kind="sizing_benchmark"``); the timing loop itself lives in
-:mod:`repro.scenarios.runner`.
+* ``"reference"`` — :func:`~repro.core.queueing.sizing.required_containers`,
+  Algorithm 1 as written: one log-space M/M/c bound per candidate count;
+* ``"solver"`` — a cold :class:`~repro.core.queueing.solver.SizingSolver`
+  (no memo, no warm start): the control plane's search, a closed-form
+  walk up to 32 containers and a log-space ladder and bisection above.
+
+Both must report the same new container count.  The times are
+wall-clock on the host that runs them, so this figure is not a
+registered scenario (whose envelopes are pure functions of their spec):
+the timing loop lives here.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.scenarios import build, run_scenario
+from repro.core.queueing.sizing import required_containers
+from repro.core.queueing.solver import SizingSolver
+
+#: Load multiplier of each spike size.
+_SPIKES = {"10%": 1.1, "2x": 2.0}
+
+#: Timed calls per (point, path); the fastest is reported.
+_REPEATS = 3
 
 
 @dataclass(frozen=True)
 class Fig5Point:
     """Timing of one allocation computation."""
 
-    implementation: str          #: "naive" (Scala stand-in), "reference", or "fast" (Julia stand-in)
+    implementation: str          #: "reference" (Algorithm 1) or "solver" (cold SizingSolver)
     spike: str                   #: "10%" or "2x"
     current_containers: int
     new_containers: int
     compute_seconds: float
+
+
+def _rate_for_containers(containers: int, mu: float, wait_budget: float,
+                         percentile: float) -> float:
+    """Find an arrival rate for which the model picks ≈ ``containers`` containers.
+
+    Coarse inversion of the sizing function: start from λ ≈ 0.9·c·μ and
+    apply a few multiplicative correction steps.
+    """
+    lam = 0.9 * containers * mu
+    for _ in range(8):
+        got = required_containers(lam, mu, wait_budget, percentile).containers
+        if got == containers:
+            return lam
+        lam *= containers / max(1, got)
+    return lam
 
 
 def run_fig5(
@@ -44,36 +70,29 @@ def run_fig5(
     slo_deadline: float = 0.1,
     percentile: float = 0.99,
     spikes: Sequence[str] = ("10%", "2x"),
-    implementations: Sequence[str] = ("naive", "fast"),
-    repeats: int = 3,
 ) -> List[Fig5Point]:
     """Regenerate Figure 5: allocation-algorithm compute time vs. container count.
 
-    ``implementations`` selects which sizing paths to time: "naive" is the
-    pure-Python term-by-term path (the stand-in for the paper's Scala
-    implementation), "reference" is the log-space incremental path, and
-    "fast" is the vectorised binary-search path (the Julia stand-in).
+    Two rows per (count, spike) point: the reference path, then the
+    cold solver.  Each reports the fastest of three timed calls.
     """
-    spec = build(
-        "fig5",
-        container_counts=container_counts,
-        mu=mu,
-        slo_deadline=slo_deadline,
-        percentile=percentile,
-        spikes=spikes,
-        implementations=implementations,
-        repeats=repeats,
-    )
-    return [
-        Fig5Point(
-            implementation=row["implementation"],
-            spike=row["spike"],
-            current_containers=row["current_containers"],
-            new_containers=row["new_containers"],
-            compute_seconds=row["compute_seconds"],
-        )
-        for row in run_scenario(spec).data["rows"]
-    ]
+    solver = SizingSolver(cache_size=0, warm_start=False)
+    paths = (("reference", required_containers), ("solver", solver.solve))
+    points: List[Fig5Point] = []
+    for count in container_counts:
+        count = int(count)
+        base_lam = _rate_for_containers(count, mu, slo_deadline, percentile)
+        for spike in spikes:
+            lam = base_lam * _SPIKES[spike]
+            for name, size in paths:
+                best = float("inf")
+                for _ in range(_REPEATS):
+                    start = time.perf_counter()
+                    result = size(lam, mu, slo_deadline, percentile,
+                                  current_containers=count)
+                    best = min(best, time.perf_counter() - start)
+                points.append(Fig5Point(name, spike, count, result.containers, best))
+    return points
 
 
 def format_fig5(points: Sequence[Fig5Point]) -> str:

@@ -2,10 +2,12 @@
 
 Each entry is a builder that returns a fully-validated
 :class:`~repro.scenarios.spec.ScenarioSpec` or
-:class:`~repro.scenarios.sweep.SweepSpec`.  The nine paper experiments
+:class:`~repro.scenarios.sweep.SweepSpec`.  The paper experiments
 (``table1``, ``fig3`` … ``fig9``) are registered here — the modules
 under :mod:`repro.experiments` are thin renderers over these specs —
-alongside this reproduction's own extensions (``fig10``, the
+all but ``fig5``, which times the sizing functions directly and so has
+no spec (a wall-clock figure is not a pure function of one).  Beside
+them sit this reproduction's own extensions (``fig10``, the
 fault-injection recovery experiment, and ``fig11``/``policy-shootout``,
 the control-plane policy comparison), the fault/recovery scenarios, and
 the ``examples/`` workloads, so ``python -m repro scenario fig3`` and a
@@ -15,7 +17,7 @@ Builders accept keyword overrides for their experiment's traditional
 knobs (durations, seeds, grids), defaulting to the paper configuration.
 The CLI's ``experiment`` verb enumerates its valid names from
 :func:`experiment_names`, so the list can never drift from what is
-actually registered.
+actually registered (plus ``fig5``).
 """
 
 from __future__ import annotations
@@ -120,8 +122,12 @@ def names(tag: Optional[str] = None) -> List[str]:
 
 
 def experiment_names() -> List[str]:
-    """The experiments (``table1``, ``fig3`` … ``fig11``), sorted."""
-    return names(tag="paper")
+    """The experiments (``table1``, ``fig3`` … ``fig12``), sorted.
+
+    Every name is a ``paper``-tagged entry except ``fig5``, whose renderer
+    times the sizing functions without a scenario spec.
+    """
+    return sorted(names(tag="paper") + ["fig5"])
 
 
 def example_names() -> List[str]:
@@ -254,38 +260,6 @@ def _fig4(
             })
     return SweepSpec(name="fig4", base=base, points=tuple(points),
                      description="Figure 4 (deflated proportion × λ) grid")
-
-
-# ----------------------------------------------------------------------
-# Figure 5: allocation-algorithm scalability
-# ----------------------------------------------------------------------
-@register("fig5", "Figure 5: allocation-algorithm compute time vs. container count",
-          tags=("paper",))
-def _fig5(
-    container_counts: Sequence[int] = (10, 50, 100, 250, 500, 750, 1000),
-    mu: float = 10.0,
-    slo_deadline: float = 0.1,
-    percentile: float = 0.99,
-    spikes: Sequence[str] = ("10%", "2x"),
-    implementations: Sequence[str] = ("naive", "fast"),
-    repeats: int = 3,
-) -> ScenarioSpec:
-    """The sizing-implementation timing benchmark (wall-clock; host-dependent)."""
-    return ScenarioSpec(
-        name="fig5",
-        kind="sizing_benchmark",
-        description="Reaction-time scaling of the naive vs. vectorised sizing paths",
-        params={
-            "container_counts": tuple(int(c) for c in container_counts),
-            "mu": mu,
-            "slo_deadline": slo_deadline,
-            "percentile": percentile,
-            "spikes": tuple(spikes),
-            "implementations": tuple(implementations),
-            "repeats": repeats,
-        },
-        metrics=(),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ Results schema (``repro/scenario-result@1``)
         "guaranteed_cpu": {name: vcpus}
       },
       "allocation": {...}      # kind="fixed" only: resolved container plan
-      "rows": [...]            # table-like kinds (sizing/deflation/catalogue)
+      "rows": [...]            # table-like kinds (deflation/catalogue)
       "openwhisk": {...}       # openwhisk policy only: invoker failures
                                # (ControlPolicy.results_extra)
       "faults": {...}          # only when the spec carries a FaultSpec:
@@ -42,14 +42,11 @@ Results schema (``repro/scenario-result@1``)
 Only the metric groups named in ``spec.metrics`` are populated.  The
 dict contains no wall-clock timestamps or host information, so a given
 spec produces byte-identical ``canonical_json`` output on every run —
-the property the sweep determinism guarantee builds on.  (The one
-exception is ``kind="sizing_benchmark"``, whose *point* is wall-clock
-timing; its ``compute_seconds`` values vary between runs.)
+the property the sweep determinism guarantee builds on.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -317,85 +314,6 @@ def _run_fixed(spec: ScenarioSpec) -> ScenarioOutcome:
 
 
 # ----------------------------------------------------------------------
-# kind = "sizing_benchmark"
-# ----------------------------------------------------------------------
-def _workload_for_containers(containers: int, mu: float, wait_budget: float,
-                             percentile: float) -> float:
-    """Find an arrival rate for which the model picks ≈ ``containers`` containers.
-
-    Coarse inversion of the sizing function: start from λ ≈ 0.9·c·μ and
-    apply a few multiplicative correction steps.
-    """
-    from repro.core.queueing.sizing import required_containers_fast
-
-    lam = 0.9 * containers * mu
-    for _ in range(8):
-        got = required_containers_fast(lam, mu, wait_budget, percentile).containers
-        if got == containers:
-            return lam
-        lam *= containers / max(1, got)
-    return lam
-
-
-def _run_sizing_benchmark(spec: ScenarioSpec) -> ScenarioOutcome:
-    """Time the sizing implementations against each other (Figure 5).
-
-    ``spec.params`` carries the grid: ``container_counts``, ``mu``,
-    ``slo_deadline``, ``percentile``, ``spikes``, ``implementations``,
-    and ``repeats``.  The reported ``compute_seconds`` are wall-clock
-    and therefore *not* deterministic — this is the one scenario kind
-    whose results are inherently host-dependent.
-    """
-    from repro.core.queueing.sizing import (
-        required_containers,
-        required_containers_fast,
-        required_containers_naive,
-    )
-
-    p = dict(spec.params)
-    impl_map: Dict[str, Callable] = {
-        "naive": required_containers_naive,
-        "reference": required_containers,
-        "fast": required_containers_fast,
-    }
-    spike_map = {"10%": 1.1, "2x": 2.0}
-    mu = float(p.get("mu", 10.0))
-    wait_budget = float(p.get("slo_deadline", 0.1))
-    percentile = float(p.get("percentile", 0.99))
-    repeats = int(p.get("repeats", 3))
-    if repeats < 1:
-        raise ValueError("sizing_benchmark params.repeats must be >= 1")
-    rows: List[Dict[str, Any]] = []
-    for count in p.get("container_counts", (10, 50, 100, 250, 500, 750, 1000)):
-        count = int(count)
-        base_lam = _workload_for_containers(count, mu, wait_budget, percentile)
-        for spike in p.get("spikes", ("10%", "2x")):
-            spiked_lam = base_lam * spike_map[spike]
-            for name in p.get("implementations", ("naive", "fast")):
-                func = impl_map[name]
-                best = float("inf")
-                result = None
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    result = func(
-                        lam=spiked_lam,
-                        mu=mu,
-                        wait_budget=wait_budget,
-                        percentile=percentile,
-                        current_containers=count,
-                    )
-                    best = min(best, time.perf_counter() - start)
-                rows.append({
-                    "implementation": name,
-                    "spike": spike,
-                    "current_containers": count,
-                    "new_containers": result.containers,
-                    "compute_seconds": best,
-                })
-    return ScenarioOutcome(spec=spec, data=_envelope(spec, rows=rows), sim=None)
-
-
-# ----------------------------------------------------------------------
 # kind = "deflation_curve"
 # ----------------------------------------------------------------------
 def _measured_service_time(profile, ratio: float, duration: float, seed: int,
@@ -484,7 +402,6 @@ def _run_catalogue(spec: ScenarioSpec) -> ScenarioOutcome:
 _EXECUTORS: Dict[str, Callable[[ScenarioSpec], ScenarioOutcome]] = {
     "simulate": _run_simulate,
     "fixed": _run_fixed,
-    "sizing_benchmark": _run_sizing_benchmark,
     "deflation_curve": _run_deflation_curve,
     "catalogue": _run_catalogue,
     "trace_replay": _run_trace_replay,

@@ -24,9 +24,6 @@ Scenario kinds
     count either given explicitly or derived from a queueing model at
     run time.  The model-validation experiments (Figures 3 and 4) are
     sweeps of this kind.
-``sizing_benchmark``
-    No simulation: time the container-sizing implementations against
-    each other (Figure 5).
 ``deflation_curve``
     Evaluate (or measure) the service-time-vs-deflation response of a
     set of functions (Figure 7).
@@ -68,7 +65,6 @@ SCENARIO_SCHEMA = "repro/scenario@1"
 SCENARIO_KINDS = (
     "simulate",
     "fixed",
-    "sizing_benchmark",
     "deflation_curve",
     "catalogue",
     "trace_replay",

@@ -8,9 +8,7 @@ placement, cold-start flags) and identical results envelopes
 (:func:`canonical_json` of the full scenario output), across every
 registered scenario, fault arm, and control-plane policy.
 
-The event-level plane is the oracle, the same way PR 3 kept
-``required_containers_naive`` as the oracle for the vectorised sizing
-solver.  Every test here runs the same spec through both planes — with
+The event-level plane is the oracle.  Every test here runs the same spec through both planes — with
 the request-id counter reset in between so both planes see the same id
 stream — and diffs the results.
 """
@@ -39,10 +37,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from envelope_digests import (  # noqa: E402
     FEDERATED_CASES,
     REGISTRY_CASES,
-    TIMING_SCENARIOS,
     reset_request_ids,
     shards_of,
-    strip_timing,
 )
 
 #: Simulation-backed hypothesis examples are expensive; keep the count
@@ -98,7 +94,7 @@ def assert_table_is_the_request_record(outcome) -> None:
     assert table.status.dtype == np.uint8 and table.codes.dtype.itemsize <= 2
 
 
-def assert_planes_identical(spec: ScenarioSpec, timing_free: bool = False) -> None:
+def assert_planes_identical(spec: ScenarioSpec) -> None:
     """Run ``spec`` through both planes and require byte-identical output."""
     reset_request_ids()
     event = run_scenario(spec)
@@ -113,9 +109,6 @@ def assert_planes_identical(spec: ScenarioSpec, timing_free: bool = False) -> No
     # the spec echo legitimately differs by exactly the data_plane field
     assert columnar_data["scenario"].pop("data_plane", "event") == "columnar"
     assert "data_plane" not in event_data["scenario"]
-    if timing_free:
-        event_data = strip_timing(event_data)
-        columnar_data = strip_timing(columnar_data)
     assert canonical_json(columnar_data) == canonical_json(event_data), (
         f"envelope mismatch for scenario {spec.name!r}"
     )
@@ -129,7 +122,7 @@ def assert_planes_identical(spec: ScenarioSpec, timing_free: bool = False) -> No
 # ----------------------------------------------------------------------
 # Every registered scenario, scaled down but structurally intact
 # ----------------------------------------------------------------------
-# REGISTRY_CASES / FEDERATED_CASES / TIMING_SCENARIOS — the CI-size build
+# REGISTRY_CASES / FEDERATED_CASES — the CI-size build
 # of every registered scenario — live in tools/envelope_digests.py, which
 # hashes the same runs for cross-commit comparison.
 
@@ -161,7 +154,7 @@ def test_columnar_matches_event_plane(name):
     shards = shards_of(built)
     assert shards, name
     for spec in shards:
-        assert_planes_identical(spec, timing_free=name in TIMING_SCENARIOS)
+        assert_planes_identical(spec)
 
 
 @pytest.mark.parametrize("name", sorted(FEDERATED_CASES))

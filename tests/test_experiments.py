@@ -90,31 +90,27 @@ class TestFig4:
 class TestFig5:
     @pytest.fixture(scope="class")
     def points(self):
-        return run_fig5(container_counts=(10, 100, 400), repeats=1)
+        return run_fig5()
 
-    def test_fast_path_stays_sub_second(self, points):
-        assert max_time_seconds(points, "fast") < 1.0
+    def test_solver_path_stays_sub_second(self, points):
+        assert max_time_seconds(points, "solver") < 1.0
 
-    def test_naive_cost_grows_with_container_count(self, points):
-        small = [p.compute_seconds for p in points
-                 if p.implementation == "naive" and p.spike == "2x" and p.current_containers == 10]
-        large = [p.compute_seconds for p in points
-                 if p.implementation == "naive" and p.spike == "2x" and p.current_containers == 400]
-        assert small and large
-        assert large[0] > small[0]
+    def test_each_point_has_a_reference_and_a_solver_row(self, points):
+        assert [p.implementation for p in points] == ["reference", "solver"] * 14
+        assert {(p.spike, p.current_containers) for p in points} == {
+            (spike, count) for spike in ("10%", "2x")
+            for count in (10, 50, 100, 250, 500, 750, 1000)}
 
-    def test_both_implementations_agree_at_moderate_scale(self, points):
-        # the naive float accumulation loses precision for very large
-        # container counts (the same limitation the paper reports for its
-        # Scala implementation), so agreement is only required up to ~100
+    def test_reference_and_solver_agree_on_the_default_grid(self, points):
+        # every point, 1,000 containers x 2 included
         by_key = {}
         for p in points:
-            if p.current_containers > 100:
-                continue
-            by_key.setdefault((p.spike, p.current_containers), {})[p.implementation] = p.new_containers
-        assert by_key
+            by_key.setdefault((p.spike, p.current_containers), {})[p.implementation] = \
+                p.new_containers
+        assert len(by_key) == 14
         for key, answers in by_key.items():
-            assert answers["naive"] == answers["fast"]
+            assert answers["reference"] == answers["solver"], key
+        assert by_key[("2x", 1000)]["reference"] == 1996
 
     def test_format(self, points):
         assert "time (ms)" in format_fig5(points)

@@ -23,9 +23,7 @@ from oracles.heterogeneous_sizing import FrozenHeterogeneousQueue, FrozenHeterog
 from repro.core.queueing.heterogeneous import HeterogeneousMMcQueue, wait_bounds
 from repro.core.queueing.sizing import (
     required_containers,
-    required_containers_fast,
     required_containers_heterogeneous,
-    required_containers_naive,
 )
 from repro.core.queueing.solver import (
     HeterogeneousQuery,
@@ -293,8 +291,6 @@ def heterogeneous(entry):
 
 ENTRIES = {
     "required_containers": homogeneous(required_containers),
-    "required_containers_naive": homogeneous(required_containers_naive),
-    "required_containers_fast": homogeneous(required_containers_fast),
     "SizingSolver.solve": homogeneous("solve"),
     "SizingSolver.solve_batch": homogeneous("solve_batch"),
     "required_containers_heterogeneous": heterogeneous(required_containers_heterogeneous),

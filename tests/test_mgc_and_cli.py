@@ -98,8 +98,13 @@ class TestCli:
         code = main(["size", "--rate", "30", "--service-time", "0.1", "--slo", "0.1"])
         output = capsys.readouterr().out
         assert code == 0
-        assert "M/M/c (Algorithm 1): 5 containers" in output
-        assert "M/G/c" in output
+        assert output.splitlines() == [
+            "arrival rate       : 30 req/s",
+            "mean service time  : 100 ms (mu = 10 req/s)",
+            "SLO                : P95 waiting time <= 100 ms",
+            "M/M/c (Algorithm 1): 5 containers (P(wait<=t) = 0.982)",
+            "M/G/c (SCV=1)   : 5 containers (P(wait<=t) = 0.968)",
+        ]
 
     def test_functions_command(self, capsys):
         code = main(["functions"])
@@ -156,6 +161,30 @@ class TestCli:
         assert 'kind="simulate"' in captured.err
         assert 'controller.policy="openwhisk"' in captured.err
         assert "Traceback" not in captured.err
+
+    def test_scenario_refuses_the_removed_sizing_benchmark_kind(self, capsys, tmp_path):
+        import json
+
+        from repro.scenarios import build
+
+        spec = dict(build("table1").to_dict(), kind="sizing_benchmark")
+        path = tmp_path / "fig5.json"
+        path.write_text(json.dumps(spec))
+        assert main(["scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown scenario kind 'sizing_benchmark'" in captured.err
+        for kind in ("simulate", "fixed", "deflation_curve", "catalogue", "trace_replay"):
+            assert repr(kind) in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_experiment_fig5_renders_without_a_registry_entry(self, capsys):
+        from repro.scenarios.registry import names
+
+        assert "fig5" not in names()
+        assert main(["experiment", "fig5"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["reference", "solver"] * 14
 
     def test_size_command_rejects_missing_args(self):
         with pytest.raises(SystemExit):

@@ -14,10 +14,9 @@ hand-picked examples:
 * **sliding-window counts** — the O(1) bucketized ring buffer brackets
   a naive exact oracle: it never under-counts the true window and
   never over-counts beyond one extra bucket of history;
-* **solver equality** — the memoized/warm-started
-  :class:`~repro.core.queueing.solver.SizingSolver` and the vectorised
-  fast path agree *exactly* with the reference Algorithm 1 on random
-  ``(λ, μ, c, t, p)`` draws.
+* **solver equality** — :class:`~repro.core.queueing.solver.SizingSolver`,
+  memoized and warm-started or cold, agrees *exactly* with the
+  reference Algorithm 1 on random ``(λ, μ, c, t, p)`` draws.
 
 All properties run with ``derandomize=True``: hypothesis derives its
 examples from the test name alone, so CI failures are reproducible and
@@ -29,7 +28,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.core.estimation.sliding_window import SlidingWindowCounter
-from repro.core.queueing.sizing import required_containers, required_containers_fast
+from repro.core.queueing.sizing import required_containers
 from repro.core.queueing.solver import SizingQuery, SizingSolver
 from repro.sim.engine import SimulationEngine
 
@@ -193,15 +192,15 @@ _CURRENT = st.integers(min_value=0, max_value=50)
 
 @PROPERTY_SETTINGS
 @given(lam=_LAM, mu=_MU, budget=_BUDGET, percentile=_PERCENTILE, current=_CURRENT)
-def test_fast_sizing_equals_reference_on_random_draws(lam, mu, budget,
+def test_cold_solver_equals_reference_on_random_draws(lam, mu, budget,
                                                       percentile, current):
-    """The vectorised fast path returns the reference container count exactly."""
+    """A solver with no memo or warm start returns the reference count exactly."""
     reference = required_containers(lam, mu, budget, percentile,
                                     current_containers=current)
-    fast = required_containers_fast(lam, mu, budget, percentile,
-                                    current_containers=current)
-    assert fast.containers == reference.containers
-    assert fast.achieved_probability >= percentile
+    cold = SizingSolver(cache_size=0, warm_start=False).solve(
+        lam, mu, budget, percentile, current_containers=current)
+    assert cold.containers == reference.containers
+    assert cold.achieved_probability >= percentile
 
 
 @PROPERTY_SETTINGS

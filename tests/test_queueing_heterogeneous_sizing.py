@@ -5,15 +5,20 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.naive_sizing import required_containers_naive
 from repro.core.queueing.heterogeneous import HeterogeneousMMcQueue
 from repro.core.queueing.mmc import MMcQueue
 from repro.core.queueing.sizing import (
     required_containers,
-    required_containers_fast,
     required_containers_heterogeneous,
-    required_containers_naive,
     wait_budget_from_slo,
 )
+from repro.core.queueing.solver import SizingSolver
+
+
+def cold_solve(*args):
+    """One solve through a solver with no memo and no warm start."""
+    return SizingSolver(cache_size=0, warm_start=False).solve(*args)
 
 
 class TestHeterogeneousQueue:
@@ -130,17 +135,16 @@ class TestSizingAlgorithm1:
         result = required_containers(95.0, 10.0, 1.0, 0.5)
         assert result.containers >= 10
 
-    def test_fast_and_naive_match_reference(self):
+    def test_solver_and_naive_match_reference(self):
+        # λ/μ ≤ 14: far below the naive oracle's overflow at λ/μ ≈ 708
         for lam in (5.0, 17.0, 60.0, 140.0):
             for budget in (0.05, 0.1, 0.3):
                 reference = required_containers(lam, 10.0, budget, 0.95).containers
-                fast = required_containers_fast(lam, 10.0, budget, 0.95).containers
-                naive = required_containers_naive(lam, 10.0, budget, 0.95).containers
-                assert fast == reference
-                assert naive == reference
+                assert cold_solve(lam, 10.0, budget, 0.95).containers == reference
+                assert required_containers_naive(lam, 10.0, budget, 0.95).containers == reference
 
-    def test_fast_handles_large_counts(self):
-        result = required_containers_fast(5000.0, 10.0, 0.1, 0.99)
+    def test_solver_handles_large_counts(self):
+        result = cold_solve(5000.0, 10.0, 0.1, 0.99)
         assert result.containers >= 500
         assert result.achieved_probability >= 0.99
 
@@ -160,10 +164,9 @@ class TestSizingAlgorithm1:
         budget=st.floats(min_value=0.02, max_value=0.5),
     )
     @settings(max_examples=40, deadline=None)
-    def test_property_fast_equals_reference(self, lam, mu, budget):
+    def test_property_solver_equals_reference(self, lam, mu, budget):
         reference = required_containers(lam, mu, budget, 0.95).containers
-        fast = required_containers_fast(lam, mu, budget, 0.95).containers
-        assert fast == reference
+        assert cold_solve(lam, mu, budget, 0.95).containers == reference
 
     @given(
         lam=st.floats(min_value=1.0, max_value=100.0),

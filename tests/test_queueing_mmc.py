@@ -12,8 +12,8 @@ from repro.core.queueing.mmc import (
     erlang_c,
     mmc_log_p0,
     mmc_state_probabilities,
-    mmc_wait_probability_vector,
 )
+from repro.core.queueing.solver import wait_probabilities
 
 
 # ----------------------------------------------------------------------
@@ -227,10 +227,10 @@ class TestMMcQueue:
     def test_expected_busy_containers(self):
         assert MMcQueue(20.0, 10.0, 4).expected_busy_containers() == pytest.approx(2.0)
 
-    def test_vectorised_helper_matches_scalar(self):
+    def test_vectorised_kernel_matches_scalar(self):
         lams = [10.0, 20.0, 30.0]
         cs = [3, 4, 5]
-        vector = mmc_wait_probability_vector(lams, 10.0, cs, 0.1)
+        vector = wait_probabilities(lams, 10.0, cs, 0.1)
         for lam, c, value in zip(lams, cs, vector):
             assert value == pytest.approx(MMcQueue(lam, 10.0, c).wait_bound_probability(0.1))
 

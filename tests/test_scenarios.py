@@ -112,6 +112,8 @@ class TestRegistry:
                     # are the repo's own extensions
                     "fig9-at-scale", "fig10", "fig11", "fig12"}
         assert set(experiment_names()) == expected
+        # fig5 times the sizing functions on the host; it has no spec
+        assert set(names(tag="paper")) == expected - {"fig5"}
 
     def test_renderers_cover_exactly_the_registered_experiments(self):
         assert set(RENDERERS) == set(experiment_names())

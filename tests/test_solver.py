@@ -10,8 +10,8 @@ Three contracts are covered:
 2. **Oracle equivalence** — across ~200 parameter combinations and all
    four cache/warm-start configurations, :class:`SizingSolver` returns
    the same container counts as the reference ``required_containers``
-   and the naive ``required_containers_naive`` (including ``λ = 0`` and
-   near-instability ``ρ → 1`` edges).
+   and the frozen naive Algorithm 1 of ``tests/oracles/naive_sizing.py``
+   (including ``λ = 0`` and near-instability ``ρ → 1`` edges).
 3. **Shortcut mechanics** — warm starts stay exact under drifts and
    jumps, the LRU memo actually hits/evicts, batching aligns results
    positionally, and :func:`caches_disabled` forces cold solves.
@@ -26,6 +26,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from oracles.naive_sizing import required_containers_naive
 from repro.core.queueing import logspace
 from repro.core.queueing.heterogeneous import HeterogeneousMMcQueue
 from repro.core.queueing.logspace import log_factorials
@@ -33,9 +34,7 @@ from repro.core.queueing.mmc import MMcQueue
 from repro.core.queueing.sizing import (
     SizingResult,
     required_containers,
-    required_containers_fast,
     required_containers_heterogeneous,
-    required_containers_naive,
 )
 from repro.core.queueing.heterogeneous import wait_bounds
 from repro.core.queueing.solver import (
@@ -353,14 +352,13 @@ class TestOracleEquivalence:
         with pytest.raises(ValueError):
             solver.solve(1.0, 1.0, 0.1, percentile=1.5)
 
-    def test_fast_path_still_matches_reference(self):
-        # regression for the satellite: required_containers_fast now runs
-        # on the solver kernel and must stay exact
+    def test_a_cold_solver_matches_reference(self):
+        # no memo, no warm start: every count comes from the search itself
+        solver = SizingSolver(cache_size=0, warm_start=False)
         for lam in (5.0, 17.0, 60.0, 140.0, 999.0):
             for budget in (0.05, 0.1, 0.3):
                 reference = required_containers(lam, 10.0, budget, 0.95).containers
-                fast = required_containers_fast(lam, 10.0, budget, 0.95).containers
-                assert fast == reference
+                assert solver.solve(lam, 10.0, budget, 0.95).containers == reference
 
 
 class TestWarmStart:

@@ -309,20 +309,19 @@ def test_population_function_is_pure():
 
 
 def test_scalar_sizing_equals_the_solver_path_over_the_population():
-    """The replay sizes with the scalar oracle; the vectorised search agrees."""
-    from repro.core.queueing.sizing import (
-        required_containers,
-        required_containers_fast,
-    )
+    """The replay sizes with the scalar oracle; a cold solver agrees."""
+    from repro.core.queueing.sizing import required_containers
+    from repro.core.queueing.solver import SizingSolver
     from repro.scenarios.trace_shard import SIZING_PERCENTILE
     from repro.workloads.stream import DEFAULT_POPULATION
 
+    solver = SizingSolver(cache_size=0, warm_start=False)
     for index in range(300):
         fn = population_function(index, DEFAULT_POPULATION)
         query = dict(lam=fn.config.mean_rate, mu=1.0 / fn.service_time,
                      wait_budget=fn.slo_deadline, percentile=SIZING_PERCENTILE)
         assert required_containers(**query).containers == \
-            required_containers_fast(**query).containers
+            solver.solve(**query).containers
 
 
 def test_shard_ranges_tile_exactly():

@@ -8,8 +8,7 @@ line per run::
     name  shard  plane  sha256(scenario echo)  sha256(everything else)
 
 The first hash covers the spec echo the envelope carries, the second
-the payload (metrics, rows, faults, ... — minus wall-clock fields for
-the timing scenarios).  A refactor that is supposed to keep simulated
+the payload (metrics, rows, faults, ...).  A refactor that is supposed to keep simulated
 bytes must leave every payload hash where it was; a spec-layer change
 shows up in the echo column only.
 
@@ -27,8 +26,7 @@ echo-only differences and lines present on one side only are printed
 but not fatal.
 
 This module owns the CI-size table: ``tests/test_columnar_differential.py``
-imports :data:`REGISTRY_CASES`, :data:`FEDERATED_CASES` and
-:data:`TIMING_SCENARIOS` from here.
+imports :data:`REGISTRY_CASES` and :data:`FEDERATED_CASES` from here.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ REGISTRY_CASES: Dict[str, Dict[str, Any]] = {
     "fig3": {"mus": (10.0,), "slo_deadlines": (0.1,),
              "arrival_rates": (10.0, 30.0), "duration": 40.0},
     "fig4": {"proportions": (0.5,), "arrival_rates": (20.0,), "duration": 40.0},
-    "fig5": {"container_counts": (10, 25), "repeats": 1},
     "fig6": {"step_duration": 20.0},
     # measured, so the deflation-plan path of run_fixed_allocation is hashed
     "fig7": {"measured": True, "deflation_ratios": (0.0, 0.3), "duration": 20.0},
@@ -90,24 +87,11 @@ FEDERATED_CASES: Dict[str, Dict[str, Any]] = {
     "flash-crowd-one-region": {"duration": 60.0},
 }
 
-#: Scenarios whose envelopes embed host wall-clock measurements.
-TIMING_SCENARIOS = {"fig5"}
-
-
 def reset_request_ids() -> None:
     """Rewind the global request-id stream so every run sees the same ids."""
     import repro.sim.request as request_module
 
     request_module._request_counter = itertools.count(0)
-
-
-def strip_timing(obj: Any) -> Any:
-    """Drop host-dependent wall-clock fields (the sizing benchmark's)."""
-    if isinstance(obj, dict):
-        return {k: strip_timing(v) for k, v in obj.items() if "second" not in k}
-    if isinstance(obj, list):
-        return [strip_timing(v) for v in obj]
-    return obj
 
 
 def shards_of(built: Any) -> List[Any]:
@@ -136,8 +120,6 @@ def digest_rows() -> Iterator[Tuple[str, str, str, str, str]]:
                 reset_request_ids()
                 data = dict(run_scenario(variant).data)
                 echo = data.pop("scenario")
-                if name in TIMING_SCENARIOS:
-                    data = strip_timing(data)
                 yield name, spec.name, variant.data_plane, _sha(echo), _sha(data)
 
 
