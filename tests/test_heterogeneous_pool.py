@@ -296,6 +296,8 @@ ENTRIES = {
     "required_containers_heterogeneous": heterogeneous(required_containers_heterogeneous),
     "SizingSolver.solve_heterogeneous": heterogeneous("solve_heterogeneous"),
     "SizingSolver.solve_heterogeneous_batch": heterogeneous("solve_heterogeneous_batch"),
+    "cold SizingSolver.solve": homogeneous("solve"),
+    "cold SizingSolver.solve_heterogeneous": heterogeneous("solve_heterogeneous"),
 }
 CASES = [
     pytest.param(entry, name, value, id=f"{entry}-{name}={value}")
@@ -304,6 +306,13 @@ CASES = [
     if name != "rate" or "heterogeneous" in entry
     for value in values
 ]
+
+
+def new_solver(entry):
+    """A fresh solver for ``entry``; a cold one (Figure 5's solver row) keeps no memo or warm start."""
+    if entry.startswith("cold "):
+        return SizingSolver(cache_size=0, warm_start=False)
+    return SizingSolver()
 
 
 def solver_state(solver):
@@ -316,7 +325,7 @@ def solver_state(solver):
 @pytest.mark.parametrize("entry, name, value", CASES)
 def test_out_of_range_input_is_a_prompt_value_error_that_changes_nothing(entry, name, value):
     call = ENTRIES[entry]
-    solver = SizingSolver()
+    solver = new_solver(entry)
     call(solver, **GOOD)                    # memo, anchors and counters all populated
     before = solver_state(solver)
     start = time.perf_counter()
@@ -337,8 +346,8 @@ def test_a_rate_whose_ratio_underflows_gets_the_vanishing_load_answer(entry, lam
     # λ / μ (or λ / S_c) is exactly 0.0: once a math domain error, or, in
     # the solver's kernel, a NaN row that no count could satisfy
     call = ENTRIES[entry]
-    got = last(call(SizingSolver(), **{**GOOD, "lam": lam}))
-    limit = last(call(SizingSolver(), **{**GOOD, "lam": 1e-300}))
+    got = last(call(new_solver(entry), **{**GOOD, "lam": lam}))
+    limit = last(call(new_solver(entry), **{**GOOD, "lam": 1e-300}))
     assert (got.containers, got.achieved_probability) == (limit.containers, 1.0)
     assert limit.achieved_probability == 1.0
 
