@@ -59,9 +59,18 @@ def _cmd_size(args: argparse.Namespace) -> int:
     from repro.core.queueing.mgc import required_containers_mgc
     from repro.core.queueing.sizing import required_containers
 
-    mu = 1.0 / args.service_time
-    reference = required_containers(args.rate, mu, args.slo, args.percentile)
-    mgc = required_containers_mgc(args.rate, args.service_time, args.scv, args.slo, args.percentile)
+    # bad input (a zero, NaN or infinite value, an unsatisfiable SLO)
+    # exits 2 with one line, not a traceback
+    try:
+        if not 0.0 < args.service_time < float("inf"):
+            raise ValueError(f"service time must be finite and positive, got {args.service_time}")
+        mu = 1.0 / args.service_time
+        reference = required_containers(args.rate, mu, args.slo, args.percentile)
+        mgc = required_containers_mgc(args.rate, args.service_time, args.scv, args.slo,
+                                      args.percentile)
+    except (ValueError, OverflowError) as error:
+        print(f"size: {error}", file=sys.stderr)
+        return 2
     print(f"arrival rate       : {args.rate:g} req/s")
     print(f"mean service time  : {args.service_time * 1000:g} ms (mu = {mu:g} req/s)")
     print(f"SLO                : P{args.percentile * 100:.0f} waiting time <= {args.slo * 1000:g} ms")

@@ -12,11 +12,12 @@
 * :mod:`repro.core.queueing.sizing` — Algorithm 1: the iterative search
   for the smallest number of containers such that a high percentile of
   the waiting time stays below ``t = d − s_p``.
-* :mod:`repro.core.queueing.solver` — the control-plane fast path: a
-  candidate-vectorised wait-probability kernel over a process-wide
-  log-factorial table, an exact-key LRU memo, per-function warm starts,
-  and an epoch-batched sizing entry point (results bit-identical to the
-  Algorithm 1 oracles in :mod:`~repro.core.queueing.sizing`).
+* :mod:`repro.core.queueing.solver` — the control-plane sizing path:
+  Algorithm 1's one-count walk, probing each count through a closed form
+  up to 32 containers and through the log-space bodies above, with an
+  exact-key LRU memo, per-function warm starts and an epoch-batched
+  entry point (container counts equal to the Algorithm 1 oracles in
+  :mod:`~repro.core.queueing.sizing`).
 * :mod:`repro.core.queueing.distributions` — service-time distributions
   used by the simulator and by the profile-driven estimators.
 """
@@ -30,7 +31,6 @@ from repro.core.queueing.solver import (
     SizingSolver,
     caches_disabled,
     default_solver,
-    wait_probabilities,
 )
 from repro.core.queueing.sizing import (
     required_containers,
@@ -56,7 +56,6 @@ __all__ = [
     "SizingSolver",
     "caches_disabled",
     "default_solver",
-    "wait_probabilities",
     "required_containers",
     "required_containers_heterogeneous",
     "ServiceTimeDistribution",

@@ -17,24 +17,24 @@ tail that converges when ``λ < S_c`` (the aggregate service capacity).
 The waiting-time bound mirrors the homogeneous case: an arrival that
 sees ``n >= c`` requests waits about ``(n − c + 1)/S_c``, so
 ``P(Q <= t) >= Σ_{n=0}^{L} P_n`` with ``L = ⌊t·S_c + c − 1⌋``.  The
-normalising constant is reduced by a row-wise form of the homogeneous
-model's ``logsumexp`` (:mod:`repro.core.queueing.logspace`).
+normalising constant is reduced by the homogeneous model's
+``logsumexp`` (:mod:`repro.core.queueing.logspace`).
 
-:func:`wait_bounds`, the one body of the bound, evaluates a pool of
-``(λ, rates, t)`` probes at once, and no value depends on its
-pool-mates: elementwise steps run over a padded block, the chain weights
-are a sequential row ``cumsum``, and both sums run at each row's exact
-width.  :meth:`HeterogeneousMMcQueue.wait_bound_probability` is a pool
-of one.
+:func:`wait_bound`, the one body of the bound, evaluates one
+``(λ, rates, t)`` probe: the chain's log weights (a ``cumsum``), ``log P_0``
+and the state sum.  :meth:`HeterogeneousMMcQueue.wait_bound_probability`
+and the sizing solver's walk above 32 containers both call it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
+
+from repro.core.queueing.logspace import logsumexp
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class HeterogeneousMMcQueue:
             out = np.full(n_max + 1, -np.inf)
             out[0] = 0.0
             return out
-        return _chain_log_weights((self.lam,), (self.mus,), n_max)[0]
+        return _chain_log_weights(self.lam, self.mus, n_max)
 
     def log_p0(self) -> float:
         """Log of the normalising constant's inverse (``log P_0``)."""
@@ -111,8 +111,7 @@ class HeterogeneousMMcQueue:
             raise ValueError("unstable system: lambda >= aggregate service rate")
         if self.utilization == 0:
             return 0.0
-        return float(-_log_normalisers(log_weights[None, :], (self.lam,), (self.mus,),
-                                       (self.aggregate_rate,))[0])
+        return float(-_log_normaliser(log_weights, self.lam, self.mus))
 
     def state_probabilities(self, n_max: int) -> np.ndarray:
         """Upper-bound probabilities ``P_0 .. P_{n_max}``."""
@@ -128,7 +127,7 @@ class HeterogeneousMMcQueue:
     # ------------------------------------------------------------------
     def wait_bound_probability(self, t: float) -> float:
         """Lower bound on ``P(Q <= t)`` under worst-case dispatch."""
-        return wait_bounds(((self.lam, self.mus, t),))[0]
+        return wait_bound(self.lam, self.mus, t)
 
     def wait_bound_percentile(self, percentile: float, resolution: float = 1e-4) -> float:
         """Smallest ``t`` with ``wait_bound_probability(t) >= percentile``."""
@@ -171,116 +170,57 @@ class HeterogeneousMMcQueue:
         return max(self.mus) - min(self.mus) < 1e-12
 
 
-#: cells one pooled block may hold; a larger pool is cut into blocks of
-#: rows, which cannot change a value (a row never reads its batch-mates)
-_MAX_BLOCK_CELLS = 1 << 20
+def wait_bound(lam: float, rates: Sequence[float], t: float) -> float:
+    """The bound ``P(Q <= t)`` of a fleet with ascending service ``rates``.
 
-
-def wait_bounds(probes: Sequence[Tuple[float, Sequence[float], float]]) -> List[float]:
-    """The bound ``P(Q <= t)`` of each ``(λ, ascending rates, t)`` probe, in one pass.
-
-    Each value is, bit for bit, what the probe gives in a pool of its own
-    (the chain's weights, ``log P_0`` and the state sum, one probe at a
-    time).  The scalar guards (``t < 0``, ``λ ≥ S_c``, a negative cutoff)
-    and ``log λ``, ``log ρ``, ``log(1 − ρ)`` stay Python and libm
-    ``math.log``; everything else is a few numpy passes over the pool.
-    Rates must be positive and ascending; nothing here re-validates them.
+    The chain's weights, ``log P_0`` and the state sum up to the cutoff
+    ``L``; the guards (``t < 0``, ``λ ≥ S_c``, a negative cutoff) read 0,
+    and a ratio ``λ / S_c`` of 0 (``λ = 0``, or one that underflows)
+    reads 1.  Rates must be positive and ascending; nothing here
+    re-validates them.
     """
-    values = [0.0] * len(probes)
-    rows = []
-    for slot, (lam, rates, t) in enumerate(probes):
-        if t < 0:
-            continue
-        aggregate = float(sum(rates))
-        if not lam < aggregate:
-            continue
-        c = len(rates)
-        cutoff = int(math.floor(t * aggregate + c - 1 + 1e-12))
-        if cutoff < 0:
-            continue
-        if lam / aggregate == 0:
-            values[slot] = 1.0   # λ = 0, or a ratio that underflows: never waits
-            continue
-        rows.append((slot, lam, rates, aggregate, cutoff))
-    if rows:
-        widest = max(max(row[4], len(row[2])) for row in rows) + 2
-        step = max(1, _MAX_BLOCK_CELLS // widest)
-        for start in range(0, len(rows), step):
-            block = rows[start:start + step]
-            for (slot, *_), value in zip(block, _bound_block(block)):
-                values[slot] = value
-    return values
+    if t < 0:
+        return 0.0
+    aggregate = float(sum(rates))
+    if not lam < aggregate:
+        return 0.0
+    c = len(rates)
+    cutoff = int(math.floor(t * aggregate + c - 1 + 1e-12))
+    if cutoff < 0:
+        return 0.0
+    if lam / aggregate == 0:
+        return 1.0   # λ = 0, or a ratio that underflows: never waits
+    weights = _chain_log_weights(lam, rates, max(cutoff, c))
+    # P(Q <= t) >= Σ_{n <= L} P_n
+    probabilities = np.exp(weights[:cutoff + 1] - _log_normaliser(weights, lam, rates))
+    return float(min(1.0, probabilities.sum()))
 
 
-def _bound_block(rows: List[Tuple[int, float, Sequence[float], float, int]]) -> List[float]:
-    """:func:`wait_bounds` over stable rows ``(slot, λ, rates, S_c, L)`` as one padded block."""
-    _, lams, fleets, aggregates, cutoffs = zip(*rows)
-    weights = _chain_log_weights(lams, fleets, max(max(cutoffs), max(map(len, fleets))))
-    # P(Q <= t) >= Σ_{n <= L} P_n, summed at each row's own width L + 1
-    probabilities = np.exp(weights - _log_normalisers(weights, lams, fleets, aggregates)[:, None])
-    return np.minimum(1.0, _row_sums(probabilities, [L + 1 for L in cutoffs])).tolist()
+def _chain_log_weights(lam: float, rates: Sequence[float], states: int) -> np.ndarray:
+    """``log λ^n / Π_{k≤n} S_k`` for ``n = 0 .. states`` (``λ > 0``, ``rates`` ascending).
 
-
-def _chain_log_weights(lams: Sequence[float], fleets: Sequence[Sequence[float]],
-                       states: int) -> np.ndarray:
-    """Row ``i``: ``log λ^n / Π_{k≤n} S_k`` for ``n = 0 .. states`` (``λ_i > 0``).
-
-    ``S_k`` is a row-wise ``cumsum`` of the ascending rates (pad rates are
-    never read) and the weights one more, over the increments
-    ``log λ − log S_min(n, c)``; both are sequential, so each row's
-    prefix is what the row gives alone.
+    ``S_k`` is the ``cumsum`` of the rates, and the weights one more over
+    the increments ``log λ − log S_min(n, c)``.
     """
-    cs = [len(rates) for rates in fleets]
-    c_max = max(cs)
-    padded = np.array([tuple(rates) + (1.0,) * (c_max - c) for rates, c in zip(fleets, cs)])
-    log_s = np.log(np.cumsum(padded, axis=1))
-    index = np.minimum(np.arange(1, states + 1), np.array(cs)[:, None]) - 1
-    log_lam = np.array([math.log(lam) for lam in lams])
-    weights = np.zeros((len(lams), states + 1))
-    np.cumsum(log_lam[:, None] - np.take_along_axis(log_s, index, axis=1),
-              axis=1, out=weights[:, 1:])
+    log_s = np.log(np.cumsum(rates))
+    index = np.minimum(np.arange(1, states + 1), len(rates)) - 1
+    weights = np.zeros(states + 1)
+    np.cumsum(math.log(lam) - log_s[index], out=weights[1:])
     return weights
 
 
-def _log_normalisers(weights: np.ndarray, lams: Sequence[float],
-                     fleets: Sequence[Sequence[float]], aggregates: Sequence[float]) -> np.ndarray:
-    """``−log P_0`` per row: ``logsumexp`` of ``w_0 .. w_c`` and the geometric tail.
+def _log_normaliser(weights: np.ndarray, lam: float, rates: Sequence[float]) -> float:
+    """``−log P_0``: :func:`~repro.core.queueing.logspace.logsumexp` of ``w_0 .. w_c`` and the tail.
 
-    :func:`repro.core.queueing.logspace.logsumexp` row by row (maxima
-    pulled out and counted, the rest summed shifted), its sum taken at
-    each row's own width ``c + 2``.  The tail
-    ``Σ_{n>c} w_c ρ^{n−c} = w_c ρ / (1 − ρ)`` takes its logs from libm.
+    The geometric tail ``Σ_{n>c} w_c ρ^{n−c} = w_c ρ / (1 − ρ)`` takes its
+    logs from libm.
     """
-    cs = np.array([len(rates) for rates in fleets])
-    c_max, rows = int(cs.max()), np.arange(len(cs))
-    ratios = [lam / aggregate for lam, aggregate in zip(lams, aggregates)]
-    terms = np.full((len(cs), c_max + 2), -np.inf)
-    np.copyto(terms[:, :c_max + 1], weights[:, :c_max + 1],
-              where=np.arange(c_max + 1) <= cs[:, None])
-    terms[rows, cs + 1] = (weights[rows, cs] + np.array([math.log(r) for r in ratios])
-                           - np.array([math.log(1.0 - r) for r in ratios]))
-    peak = terms.max(axis=1)
-    at_peak = terms == peak[:, None]
-    count = np.count_nonzero(at_peak, axis=1)
-    shifted = terms - peak[:, None]
-    shifted[at_peak] = -np.inf
-    np.exp(shifted, out=shifted)
-    return np.log1p(_row_sums(shifted, cs + 2) / count) + np.log(count) + peak
+    c = len(rates)
+    ratio = lam / float(sum(rates))
+    terms = np.empty(c + 2)
+    terms[:c + 1] = weights[:c + 1]
+    terms[c + 1] = weights[c] + math.log(ratio) - math.log(1.0 - ratio)
+    return logsumexp(terms)
 
 
-def _row_sums(block: np.ndarray, widths: Sequence[int]) -> np.ndarray:
-    """``block[i, :widths[i]].sum()`` per row, one reduction per distinct width.
-
-    numpy's pairwise summation groups a row's terms by the width summed,
-    so summing the padded width would move last bits.
-    """
-    sums = np.empty(len(widths))
-    groups: Dict[int, List[int]] = {}
-    for row, width in enumerate(widths):
-        groups.setdefault(width, []).append(row)
-    for width, members in groups.items():
-        sums[members] = block[members, :width].sum(axis=1)
-    return sums
-
-
-__all__ = ["HeterogeneousMMcQueue", "wait_bounds"]
+__all__ = ["HeterogeneousMMcQueue", "wait_bound"]

@@ -27,6 +27,13 @@ from repro.core.queueing.mmc import MMcQueue
 from repro.core.queueing.sizing import SizingResult
 
 
+def _check_scv(scv: float) -> None:
+    """Raise ``ValueError`` unless the SCV is finite and non-negative (NaN fails every comparison)."""
+    if not 0.0 <= scv < math.inf:
+        raise ValueError(f"squared coefficient of variation must be finite and non-negative, "
+                         f"got {scv}")
+
+
 @dataclass(frozen=True)
 class MGcQueue:
     """An M/G/c queue approximated via the Allen–Cunneen correction.
@@ -55,8 +62,7 @@ class MGcQueue:
             raise ValueError("arrival rate must be non-negative")
         if self.mean_service_time <= 0:
             raise ValueError("mean service time must be positive")
-        if self.scv < 0:
-            raise ValueError("squared coefficient of variation must be non-negative")
+        _check_scv(self.scv)
         if self.c < 1:
             raise ValueError("at least one container is required")
 
@@ -177,6 +183,7 @@ def required_containers_mgc(
         raise ValueError("mean service time must be positive")
     if wait_budget < 0:
         raise ValueError("wait budget must be non-negative")
+    _check_scv(scv)
     if not 0 < percentile < 1:
         raise ValueError("percentile must be in (0, 1)")
     if lam == 0:

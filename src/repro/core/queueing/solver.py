@@ -1,4 +1,4 @@
-"""Memoized, warm-started M/M/c model solver — the control-plane fast path.
+"""Memoized, warm-started M/M/c model solver — the control-plane sizing path.
 
 Every epoch the controller re-derives an Algorithm 1 sizing decision
 per function, and in sweeps the same ``(λ, μ, c, t)`` solves repeat
@@ -7,26 +7,25 @@ itself treats solver speed as first-class (the Julia-vs-Scala
 comparison of Algorithm 1, Figure 5), so this subsystem owns all
 wait-probability and sizing computations:
 
-1. the process-wide, grow-only log-factorial table of
-   :mod:`repro.core.queueing.logspace`, so log-space probes index
-   ``log(k!)`` instead of recomputing it;
-2. a candidate-vectorised :func:`wait_probabilities` that evaluates the
-   paper's bound for many ``c`` values in one numpy pass over a shared
-   triangular term matrix — the log-space kernel for wide queries;
-3. a closed form for fleets of at most :data:`_SMALL_FLEET` containers
+1. one search, :meth:`SizingSolver._walk`: Algorithm 1's walk, one
+   count at a time, one probe per count;
+2. a closed form for fleets of at most :data:`_SMALL_FLEET` containers
    (:func:`_small_bound` for the homogeneous chain,
    :func:`_small_fleet_bound` for a deflated fleet): the chain's head
    summed in Python floats, the geometric tail closed with one ``**``;
-4. an exact-key LRU memo over ``(λ, μ, t, percentile)`` solves and
+   above it a count is probed through the reference's own log-space
+   body (:meth:`MMcQueue.wait_bound_probability
+   <repro.core.queueing.mmc.MMcQueue.wait_bound_probability>`, or
+   :func:`~repro.core.queueing.heterogeneous.wait_bound`);
+3. an exact-key LRU memo over ``(λ, μ, t, percentile)`` solves and
    ``(λ, μ, c, t)`` probability evaluations;
-5. per-key (per-function) warm starts: control loops drift slowly, so a
-   search starts from the key's previous answer;
-6. the epoch entry points :meth:`SizingSolver.solve_batch` and
+4. per-key (per-function) warm starts inside the closed form's region:
+   control loops drift slowly, so a walk starts from the key's previous
+   answer while that answer is at most :data:`_SMALL_FLEET`; a wider
+   query walks cold from the stability minimum, as the reference does;
+5. the epoch entry points :meth:`SizingSolver.solve_batch` and
    :meth:`SizingSolver.solve_heterogeneous_batch`, which solve their
-   queries one after another: memo, then anchor, then a one-count walk
-   through the closed form; a walk past ``_SMALL_FLEET`` containers, or
-   an anchor above it, goes to the log-space kernels and the stateless
-   ladder and bisection.
+   queries one after another: memo, then anchor, then the walk.
 
 Every sizing entry point runs :func:`validate_sizing` before it probes
 or touches a memo: bad input is a ``ValueError`` that changes nothing.
@@ -37,14 +36,15 @@ Container counts are exact given one structural fact the rest of the
 codebase already relies on (``tests/test_queueing_mmc.py`` checks it):
 the paper's bound ``P(Q ≤ t) = Σ_{n≤L(c)} P_n(c)`` is non-decreasing in
 ``c`` — more containers both shift the queue-length distribution toward
-emptier states and raise the cutoff ``L(c) = ⌊t·c·μ + c − 1⌋``.
-Algorithm 1 returns the *smallest* ``c`` above a lower bound with
-``P(Q ≤ t) ≥ percentile``; monotonicity makes that a threshold search,
-so:
+emptier states and raise the cutoff ``L(c) = ⌊t·c·μ + c − 1⌋`` — and it
+reads 0 below stability.  Algorithm 1 returns the *smallest* ``c``
+above a lower bound with ``P(Q ≤ t) ≥ percentile``; monotonicity makes
+that a threshold search, so:
 
 * the walk accepts ``c`` only once ``c − 1`` is known to miss (or ``c``
-  is the stability minimum), and every other probe outcome narrows to
-  an exact bracket;
+  is the lower bound), wherever it starts: a warm anchor, the stability
+  minimum, or for a deflated fleet one below the smallest number of
+  added containers whose capacity exceeds ``λ``;
 * memoization — results are pure functions of the exact key, so a
   cache hit returns what a cold solve would;
 * the constrained answer for a lower bound ``b`` is
@@ -54,18 +54,21 @@ so:
 The closed form and the log-space bodies round differently: the
 solver's ``achieved_probability`` for a small fleet is within 1e-14 of
 what the reference (:class:`~repro.core.queueing.mmc.MMcQueue`,
-:func:`~repro.core.queueing.heterogeneous.wait_bounds`) reports — more
+:func:`~repro.core.queueing.heterogeneous.wait_bound`) reports — more
 for long cutoffs and large log weights, where the log-space body's own
 rounding grows — and the ``≥ percentile`` verdicts agree
-(``tests/test_solver.py`` ``TestClosedForm``).  Nothing serialises the solver's probability;
+(``tests/test_solver.py`` ``TestClosedForm``).  Above the closed form's
+region the solver probes the reference's body, so its value is the
+reference's, bit for bit.  Nothing serialises the solver's probability;
 the reference paths, whose probability ``scenarios/runner.py`` does
 serialise, keep their log-space bodies.  A solver value is a pure
-function of its own query: no query is evaluated beside another.
+function of its own query.
 
 With caches on or off, warm or cold, the solver returns the same
 containers as the reference
 :func:`repro.core.queueing.sizing.required_containers`
-(``tests/test_solver.py`` sweeps the equivalence grid).
+(``tests/test_solver.py`` sweeps the equivalence grid), and a cold walk
+probes no more counts than the reference does.
 """
 
 from __future__ import annotations
@@ -79,122 +82,12 @@ from functools import partial
 from typing import (Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-import numpy as np
-
-from repro.core.queueing.heterogeneous import wait_bounds
-from repro.core.queueing.logspace import log_factorials
+from repro.core.queueing.heterogeneous import wait_bound
+from repro.core.queueing.mmc import MMcQueue
 
 
 # ----------------------------------------------------------------------
-# Candidate-vectorised wait-probability kernel
-# ----------------------------------------------------------------------
-#: cap on rows × columns of one triangular term matrix; larger requests
-#: are evaluated in row chunks to bound peak memory (~8 bytes per cell
-#: per temporary).
-_MAX_CELLS = 4_000_000
-
-
-def wait_probabilities(lam, mu, cs, t) -> np.ndarray:
-    """The paper's bound ``P(Q ≤ t)`` for whole arrays of parameters.
-
-    ``lam``, ``mu``, ``cs`` and ``t`` broadcast against each other, so
-    one call can evaluate many candidate ``c`` values for one queue
-    (the sizing search), or many independent ``(λ, μ, c, t)`` queries
-    at once (the epoch-batched control plane).  The computation builds
-    a single triangular matrix of log-space state terms and reduces it
-    with row-wise ``logsumexp`` — no Python-level loop over candidates.
-
-    Unstable rows (``ρ ≥ 1``) and negative budgets yield 0; rows whose
-    ``λ/μ`` is 0 (``λ = 0``, or a positive ``λ`` whose ratio underflows)
-    yield 1 (an empty system never waits).
-    """
-    cs_arr = np.asarray(cs)
-    if not np.issubdtype(cs_arr.dtype, np.integer):
-        cs_arr = cs_arr.astype(np.int64)
-    lam_b, mu_b, c_b, t_b = np.broadcast_arrays(
-        np.asarray(lam, dtype=float),
-        np.asarray(mu, dtype=float),
-        cs_arr,
-        np.asarray(t, dtype=float),
-    )
-    if (c_b < 1).any():
-        raise ValueError("number of servers must be >= 1")
-    if (lam_b < 0).any():
-        raise ValueError("arrival rate must be non-negative")
-    if (mu_b <= 0).any():
-        raise ValueError("service rate must be positive")
-
-    lams = np.ascontiguousarray(lam_b, dtype=float).ravel()
-    mus = np.ascontiguousarray(mu_b, dtype=float).ravel()
-    ns = np.ascontiguousarray(c_b, dtype=np.int64).ravel()
-    ts = np.ascontiguousarray(t_b, dtype=float).ravel()
-
-    r = lams / mus
-    out = np.zeros(lams.shape, dtype=float)
-    out[(r == 0.0) & (ts >= 0.0)] = 1.0
-    with np.errstate(invalid="ignore"):
-        rho = r / ns
-    L = np.floor(ts * ns * mus + ns - 1 + 1e-12).astype(np.int64)
-    active = (r > 0.0) & (rho < 1.0) & (ts >= 0.0) & (L >= 0)
-    if active.any():
-        idx = np.nonzero(active)[0]
-        cols = int(max(L[idx].max(), ns[idx].max()) + 1)
-        rows_per_chunk = max(1, _MAX_CELLS // cols)
-        for start in range(0, idx.size, rows_per_chunk):
-            sub = idx[start:start + rows_per_chunk]
-            out[sub] = _bound_kernel(r[sub], rho[sub], ns[sub], L[sub])
-    return out.reshape(c_b.shape)
-
-
-def _bound_kernel(r: np.ndarray, rho: np.ndarray, cs: np.ndarray,
-                  L: np.ndarray) -> np.ndarray:
-    """One triangular-matrix pass over stable rows (``ρ < 1``, ``L ≥ 0``).
-
-    Rows are queries, columns are system states ``n``; the numerator
-    masks states above each row's ``L`` and the normalising constant
-    reuses the head terms (``n < c``) plus the closed-form geometric
-    tail, exactly as the scalar :mod:`repro.core.queueing.mmc` path.
-
-    A row's result depends in its last bits on its batch-mates: every
-    row is padded to the widest row's columns, and ``sum(axis=1)`` groups
-    its pairwise additions by that width, so ``log_num`` / ``log_head``
-    can land an ulp away from what the row gives alone (after ``+ peak``,
-    an ulp of a number that grows like ``c``: ≤ 7e-15 on the result for
-    ``c ≤ 64``, 2e-13 at ``c ≈ 2000``).  The solver only ever batches the
-    candidates of one query, so its values do not depend on other
-    queries; a caller of :func:`wait_probabilities` that mixes queries
-    still sees the gap.  ``tests/test_solver.py::TestBatchMates`` pins
-    what holds (the gap, and an unchanged ``≥ percentile`` verdict); a
-    width-independent reduction would move envelope digests.
-    """
-    cols = int(max(L.max(), cs.max()) + 1)
-    table = log_factorials(cols - 1)
-
-    n = np.arange(cols)                       # (cols,)
-    log_r = np.log(r)[:, None]                # (rows, 1)
-    c_col = cs[:, None]                       # (rows, 1)
-    log_terms = n * log_r - table[np.minimum(n, c_col)]
-    over = np.clip(n - c_col, 0, None)
-    log_terms -= over * np.log(cs.astype(float))[:, None]
-    log_terms[n > L[:, None]] = -np.inf       # states an arrival cannot see
-
-    # One shifted exp pass serves both reductions: the head region
-    # (n < c) is always inside the numerator region (L ≥ c − 1), and the
-    # row peak sits at the distribution mode ⌊r⌋ < c, so the head sum
-    # can never underflow to zero.  Hand-rolled logsumexp: a library
-    # one carries heavy per-call dispatch overhead on this innermost path.
-    peak = np.max(log_terms, axis=1)
-    shifted = np.exp(log_terms - peak[:, None])
-    log_num = np.log(shifted.sum(axis=1)) + peak
-    log_head = np.log(np.where(n < c_col, shifted, 0.0).sum(axis=1)) + peak
-
-    log_tail = cs * np.log(r) - table[cs] - np.log(1.0 - rho)
-    log_norm = np.logaddexp(log_head, log_tail)
-    return np.minimum(1.0, np.exp(log_num - log_norm))
-
-
-# ----------------------------------------------------------------------
-# Closed form for small fleets
+# One probe per count: closed form for small fleets, log space above
 # ----------------------------------------------------------------------
 #: the widest fleet the closed form serves; it bounds the per-probe loop
 #: (every head weight is at most ``e^32``, so nothing overflows for the
@@ -220,7 +113,8 @@ def _closed_tail(head: float, w_c: float, ratio: float, excess: int) -> Optional
 def _small_bound(lam: float, mu: float, c: int, t: float) -> float:
     """The bound ``P(Q ≤ t)`` of an M/M/c queue, head summed in Python floats.
 
-    For ``c ≤ _SMALL_FLEET``; agrees with :func:`wait_probabilities` to
+    For ``c ≤ _SMALL_FLEET``; agrees with
+    :meth:`~repro.core.queueing.mmc.MMcQueue.wait_bound_probability` to
     the tolerance of ``tests/test_solver.py::TestClosedForm``.  Unstable
     queues read 0.
     """
@@ -234,13 +128,13 @@ def _small_bound(lam: float, mu: float, c: int, t: float) -> float:
         head += w
         w = w * r / n
     prob = _closed_tail(head, w, rho, cutoff - c + 1)
-    return prob if prob is not None else float(wait_probabilities(lam, mu, np.array([c]), t)[0])
+    return prob if prob is not None else MMcQueue(lam, mu, c).wait_bound_probability(t)
 
 
 def _small_fleet_bound(lam: float, rates: Sequence[float], t: float) -> float:
     """The Alves et al. bound of a fleet with ascending ``rates``, head summed in Python floats.
 
-    For fleets of at most ``_SMALL_FLEET``; agrees with :func:`wait_bounds`
+    For fleets of at most ``_SMALL_FLEET``; agrees with :func:`wait_bound`
     to the tolerance of ``TestClosedForm``, and hands it the probe when
     tiny rates overflow the head (two rates of 1e-300 and a unit ``λ``
     do).  A fleet whose capacity does not exceed ``λ`` reads 0.
@@ -256,123 +150,37 @@ def _small_fleet_bound(lam: float, rates: Sequence[float], t: float) -> float:
         capacity += rate
         w = w * lam / capacity
     prob = _closed_tail(head, w, lam / aggregate, cutoff - c + 1)
-    return prob if prob is not None else wait_bounds(((lam, rates, t),))[0]
+    return prob if prob is not None else wait_bound(lam, rates, t)
 
 
-def _walk(probe: Callable[[int], float], target: float, lo: int, start: int,
-          top: int) -> Tuple[int, float, int]:
-    """Walk one count at a time from ``start`` to the smallest ``k ≥ lo`` with ``probe(k) ≥ target``.
+def _bound(lam: float, mu: float, t: float, c: int) -> float:
+    """The walk's probe of ``c`` homogeneous containers: the closed form, or the reference's body above it."""
+    if c > _SMALL_FLEET:
+        return MMcQueue(lam, mu, c).wait_bound_probability(t)
+    return _small_bound(lam, mu, c, t)
 
-    ``probe`` is non-decreasing, so ``k`` is accepted only once ``k − 1``
-    is known to miss (or ``k = lo``).  Returns ``(k, P(k), probes)``; a
-    ``P(k)`` below ``target`` means every count from ``start`` to
-    ``k = top`` missed.
+
+def _fleet_bound(lam: float, t: float, below: Tuple[float, ...], standard: float,
+                 above: Tuple[float, ...], added: int) -> float:
+    """The walk's probe of a deflated fleet plus ``added`` standard containers.
+
+    ``below`` and ``above`` are the fleet's ascending rates on either
+    side of ``standard``, so the rates stay ascending; the closed form
+    answers up to ``_SMALL_FLEET`` containers, :func:`wait_bound` above.
     """
-    k, prob, probes = start, probe(start), 1
-    if prob >= target:
-        while k > lo:
-            below = probe(k - 1)
-            probes += 1
-            if below < target:
-                break
-            k, prob = k - 1, below
-        return k, prob, probes
-    while k < top:
-        k += 1
-        prob = probe(k)
-        probes += 1
-        if prob >= target:
-            break
-    return k, prob, probes
-
-
-# ----------------------------------------------------------------------
-# Threshold searches (all exact under monotonicity in c)
-# ----------------------------------------------------------------------
-#: bracket width below which the remaining candidates are evaluated in
-#: one batched kernel call instead of bisected one probe at a time
-_BATCH_BRACKET = 48
-#: rungs evaluated per kernel call during the exponential bracket phase
-_LADDER_GROUP = 8
+    rates = below + (standard,) * added + above
+    if len(rates) > _SMALL_FLEET:
+        return wait_bound(lam, rates, t)
+    return _small_fleet_bound(lam, rates, t)
 
 
 def _unsatisfiable(lam: float, mu: float, t: float, target: float,
                    max_containers: int) -> ValueError:
-    """The error every search path raises past ``max_containers`` (one wording)."""
+    """The error every homogeneous solve raises past ``max_containers`` (one wording)."""
     return ValueError(
         f"could not satisfy SLO with up to {max_containers} containers "
         f"(lam={lam}, mu={mu}, t={t}, p={target})"
     )
-
-
-def _first_satisfying(lam: float, mu: float, t: float, target: float,
-                      lo: int, hi: int, hi_prob: float) -> Tuple[int, float, int]:
-    """Smallest ``c`` in ``[lo, hi]`` with ``P(c) ≥ target``; ``P(hi)`` is known to satisfy.
-
-    Bisects with single-candidate kernel calls while the bracket is
-    wide, then sweeps the final narrow bracket in one batched call.
-    Returns ``(c, P(c), evaluations)``.
-    """
-    evals = 0
-    while hi - lo > _BATCH_BRACKET:
-        mid = (lo + hi) // 2
-        prob = float(wait_probabilities(lam, mu, np.array([mid]), t)[0])
-        evals += 1
-        if prob >= target:
-            hi, hi_prob = mid, prob
-        else:
-            lo = mid + 1
-    if hi > lo:
-        candidates = np.arange(lo, hi)
-        probs = wait_probabilities(lam, mu, candidates, t)
-        evals += candidates.size
-        satisfied = np.nonzero(probs >= target)[0]
-        if satisfied.size:
-            first = int(satisfied[0])
-            return int(candidates[first]), float(probs[first]), evals
-    return hi, hi_prob, evals
-
-
-def smallest_satisfying(lam: float, mu: float, t: float, target: float,
-                         lo: int, max_containers: int) -> Tuple[int, float, int]:
-    """Smallest ``c ≥ lo`` with ``P(Q ≤ t) ≥ target`` via ladder + bisection.
-
-    The exponential ladder ``lo, lo+1, lo+3, lo+7, …`` is evaluated in
-    vectorised groups of :data:`_LADDER_GROUP` rungs, so bracketing a
-    count of thousands costs a handful of kernel calls rather than one
-    per rung.  Raises :class:`ValueError` when no ``c`` up to
-    ``max_containers`` satisfies the target (mirroring the reference).
-    """
-    if lo > max_containers:
-        raise _unsatisfiable(lam, mu, t, target, max_containers)
-    evals = 0
-    k = 0
-    last_unsatisfied = lo - 1
-    while True:
-        group: List[int] = []
-        while len(group) < _LADDER_GROUP:
-            rung = lo + (1 << k) - 1
-            k += 1
-            if rung >= max_containers:
-                group.append(max_containers)
-                break
-            group.append(rung)
-        group = [c for c in group if c > last_unsatisfied]
-        if not group:
-            raise _unsatisfiable(lam, mu, t, target, max_containers)
-        probs = wait_probabilities(lam, mu, np.array(group), t)
-        evals += len(group)
-        satisfied = np.nonzero(probs >= target)[0]
-        if satisfied.size:
-            i = int(satisfied[0])
-            bracket_lo = (group[i - 1] if i > 0 else last_unsatisfied) + 1
-            c, prob, extra = _first_satisfying(
-                lam, mu, t, target, bracket_lo, group[i], float(probs[i])
-            )
-            return c, prob, evals + extra
-        last_unsatisfied = group[-1]
-        if last_unsatisfied >= max_containers:
-            raise _unsatisfiable(lam, mu, t, target, max_containers)
 
 
 # ----------------------------------------------------------------------
@@ -452,18 +260,7 @@ class HeterogeneousQuery(NamedTuple):
     key: Optional[Hashable] = None
 
 
-def _fleet_bounds(probes: Sequence[Tuple[HeterogeneousQuery, int]]) -> List[float]:
-    """The bound of each ``(query, added)``: its fleet plus ``added`` standard containers.
-
-    One :func:`wait_bounds` call for all of them.  A fleet whose rates,
-    summed fleet first, do not exceed ``λ`` is passed empty and reads 0.
-    """
-    fleets = [(q, list(q.existing_mus) + [q.standard_mu] * added) for q, added in probes]
-    return wait_bounds([(q.lam, tuple(sorted(mus)) if sum(mus) > q.lam else (), q.wait_budget)
-                        for q, mus in fleets])
-
-
-#: the error every heterogeneous search raises past ``max_additional``
+#: the error every heterogeneous solve raises past ``max_additional``
 _NO_ROOM = "could not satisfy SLO within max_additional containers"
 
 
@@ -592,63 +389,64 @@ class SizingSolver:
         self._warm_heterogeneous.clear()
 
     def _probability(self, lam: float, mu: float, c: int, t: float) -> float:
-        """Memoized single-point bound ``P(Q ≤ t)``, in closed form up to :data:`_SMALL_FLEET`."""
+        """Memoized single-point bound ``P(Q ≤ t)``, the walk's probe of ``c`` containers."""
         key = (lam, mu, c, t)
         if self._caching:
             hit = self._probabilities.get(key)
             if hit is not None:
                 return hit  # type: ignore[return-value]
-        prob = (_small_bound(lam, mu, c, t) if c <= _SMALL_FLEET
-                else float(wait_probabilities(lam, mu, np.array([c]), t)[0]))
+        prob = _bound(lam, mu, t, c)
         self.stats.probability_evaluations += 1
         if self._caching:
             self._probabilities.put(key, prob)
         return prob
 
-    def _search(self, previous: Optional[int], lo: int, hi: int, small: int, target: float,
-                close: Callable[[int], float], wide: Callable[[List[int]], List[float]],
-                down: Callable[[int, int, float], Tuple[int, float, int]],
-                up: Callable[[int], Tuple[int, float, int]]) -> Tuple[int, float, int]:
-        """Smallest count ``k`` in ``[lo, hi]`` with ``P(k) ≥ target``: ``(k, P(k), probes)``.
+    def _walk(self, anchor: Optional[int], lo: int, hi: int, cold: int, small: int,
+              target: float, probe: Callable[[int], float]) -> Tuple[int, float, int]:
+        """Smallest count ``k`` in ``[lo, hi]`` with ``probe(k) ≥ target``: ``(k, P(k), probes)``.
 
-        The search starts at ``previous`` (clamped into ``[lo, hi]``) or,
-        cold, at ``lo``.  Up to ``small`` it walks one count at a time
-        through the closed form ``close(k)`` (:func:`_walk`); a walk that
-        misses every count up to ``small`` hands over to ``up(k)``, the
-        stateless search above ``k − 1``.  A start above ``small`` probes
-        ``{k−1, k, k+1}`` in one log-space call ``wide(ks)`` and finishes
-        with ``down(lo, hi, P(hi))`` (``hi`` known to satisfy) or ``up``.
-        A warm start is a hit when it settles on those three counts, a
-        fallback otherwise.
+        Algorithm 1's walk, one count at a time: up from the start until a
+        count meets the target, or down from it while the count below
+        still does, so ``k`` is accepted only once ``k − 1`` is known to
+        miss (or ``k = lo``).  A ``P(k)`` below ``target`` means every
+        count from the start up to ``hi`` missed.
+
+        The walk starts at the warm ``anchor`` (clamped into ``[lo, hi]``)
+        only while it is inside the closed form's region (``≤ small``);
+        otherwise it starts cold at ``cold``, the lowest count that may be
+        stable (every count below it reads 0).  A warm start of at most two
+        probes is a warm hit; an anchor whose count and the count above it
+        both sit below ``cold`` is a fallback that starts at ``cold``.
         """
         if lo > hi:
-            return up(lo)                       # raises: no count is allowed
-        if previous is None:
+            return lo, 0.0, 0
+        if anchor is None or anchor > small:
             self.stats.full_searches += 1
-            start = lo
+            anchor, start = None, cold
         else:
-            start = min(max(previous, lo), hi)
-        if start <= small:
-            k, prob, probes = _walk(close, target, lo, start, min(small, hi))
-            near = probes <= 2
-            if prob < target:                   # every count up to k missed
-                k, prob, extra = up(k + 1)
-                probes, near = probes + extra, False
+            start = max(anchor, lo)
+            if start + 1 < cold:                # the anchor and the count above it read 0
+                self.stats.warm_fallbacks += 1
+                anchor, start = None, cold
+        k = min(start, hi)
+        prob = probe(k)
+        probes = 1
+        if prob >= target:
+            while k > lo:
+                below = probe(k - 1)
+                probes += 1
+                if below < target:
+                    break
+                k, prob = k - 1, below
         else:
-            ks = [k for k in (start - 1, start, start + 1) if lo <= k <= hi]
-            value = dict(zip(ks, wide(ks)))
-            k, prob, probes, near = start, value[start], len(ks), True
-            if prob >= target:
-                if start > lo and value[start - 1] >= target:
-                    k, prob, extra = down(lo, start - 1, value[start - 1])
-                    probes, near = probes + extra, extra == 0
-            elif value.get(start + 1, -1.0) >= target:
-                k, prob = start + 1, value[start + 1]
-            else:
-                k, prob, extra = up(start + 2)
-                probes, near = probes + extra, False
-        if previous is not None:
-            if near:
+            while k < hi:
+                k += 1
+                prob = probe(k)
+                probes += 1
+                if prob >= target:
+                    break
+        if anchor is not None:
+            if probes <= 2 and prob >= target:
                 self.stats.warm_hits += 1
             else:
                 self.stats.warm_fallbacks += 1
@@ -682,8 +480,8 @@ class SizingSolver:
     def solve_batch(self, queries: Sequence[SizingQuery]) -> List[SizingResult]:
         """Size every query, one after another; results align with ``queries``.
 
-        Each query reads the memo, then its warm anchor, then searches
-        (:meth:`_search`), so a result is a pure function of its own
+        Each query reads the memo, then its warm anchor, then walks
+        (:meth:`_walk`), so a result is a pure function of its own
         query and the solver state the queries before it left.  Every
         query is validated before any is solved.
         """
@@ -693,7 +491,7 @@ class SizingSolver:
         return [self._solve_homogeneous(q) for q in queries]
 
     def _solve_homogeneous(self, q: SizingQuery) -> SizingResult:
-        """One validated query: memo, warm anchor, search, then the lower bound."""
+        """One validated query: memo, warm anchor, walk, then the lower bound."""
         self.stats.solves += 1
         lam, mu, t, target = q.lam, q.mu, q.wait_budget, q.percentile
         if lam == 0:
@@ -708,14 +506,13 @@ class SizingSolver:
             c_star, p_star = hit  # type: ignore[misc]
             evals = 0
         else:
-            c_star, p_star, evals = self._search(
+            c_star, p_star, evals = self._walk(
                 self._warm.get(warm_key) if warm_key is not None else None,
-                min_c, q.max_containers, _SMALL_FLEET, target,
-                lambda c: _small_bound(lam, mu, c, t),
-                lambda cs: wait_probabilities(lam, mu, np.array(cs), t).tolist(),
-                partial(_first_satisfying, lam, mu, t, target),
-                lambda lo: smallest_satisfying(lam, mu, t, target, lo, q.max_containers),
+                min_c, q.max_containers, min_c, _SMALL_FLEET, target,
+                partial(_bound, lam, mu, t),
             )
+            if p_star < target:
+                raise _unsatisfiable(lam, mu, t, target, q.max_containers)
             if caching:
                 self._solutions.put(solve_key, (c_star, p_star))
         if warm_key is not None:
@@ -747,9 +544,9 @@ class SizingSolver:
         """Size every deflated fleet of an epoch, one after another; results align with ``queries``.
 
         Each query reads the memo, then its warm anchor (added containers),
-        then searches (:meth:`_search`) with the closed form
+        then walks (:meth:`_walk`) with the closed form
         :func:`_small_fleet_bound` while the fleet has at most
-        :data:`_SMALL_FLEET` containers and :func:`wait_bounds` past it.
+        :data:`_SMALL_FLEET` containers and :func:`wait_bound` past it.
         Every query is validated before any is solved.
         """
         rows = []
@@ -762,7 +559,7 @@ class SizingSolver:
         return [self._solve_fleet(q) for q in rows]
 
     def _solve_fleet(self, q: HeterogeneousQuery) -> SizingResult:
-        """One validated fleet (rates ascending): memo, warm anchor, then the search."""
+        """One validated fleet (rates ascending): memo, warm anchor, then the walk."""
         self.stats.solves += 1
         lam, existing, standard, t = q.lam, q.existing_mus, q.standard_mu, q.wait_budget
         if lam == 0:
@@ -778,53 +575,21 @@ class SizingSolver:
             evals = 0
         else:
             split = bisect_right(existing, standard)   # where added containers sort
-            added, prob, evals = self._search(
+            # the smallest ``added`` whose capacity exceeds λ, one below to absorb rounding
+            deficit = lam - sum(existing)
+            cold = int(min(deficit // standard, q.max_additional)) if deficit >= 0 else 0
+            added, prob, evals = self._walk(
                 self._warm_heterogeneous.get(warm_key) if warm_key is not None else None,
-                0, q.max_additional, _SMALL_FLEET - len(existing), q.percentile,
-                lambda k: _small_fleet_bound(
-                    lam, existing[:split] + (standard,) * k + existing[split:], t),
-                lambda ks: _fleet_bounds([(q, k) for k in ks]),
-                partial(self._bisect_heterogeneous, q),
-                partial(self._ladder_heterogeneous, q),
+                0, q.max_additional, cold, _SMALL_FLEET - len(existing), q.percentile,
+                partial(_fleet_bound, lam, t, existing[:split], standard, existing[split:]),
             )
+            if prob < q.percentile:
+                raise ValueError(_NO_ROOM)
             if caching:
                 self._heterogeneous.put(solve_key, (added, prob))
         if warm_key is not None:
             self._warm_heterogeneous[warm_key] = added
         return SizingResult(len(existing) + added, prob, t, evals)
-
-    @staticmethod
-    def _ladder_heterogeneous(q: HeterogeneousQuery, lo: int) -> Tuple[int, float, int]:
-        """Exponential bracket + bisection over ``added ≥ lo``: ``(added, P, probes)``."""
-        if lo > q.max_additional:
-            raise ValueError(_NO_ROOM)
-        last_unsatisfied, k = lo - 1, 0
-        while True:
-            capped = min(lo + (1 << k) - 1, q.max_additional)
-            k += 1
-            prob = _fleet_bounds(((q, capped),))[0]
-            if prob >= q.percentile:
-                added, prob, extra = SizingSolver._bisect_heterogeneous(
-                    q, last_unsatisfied + 1, capped, prob)
-                return added, prob, k + extra
-            last_unsatisfied = capped
-            if capped >= q.max_additional:
-                raise ValueError(_NO_ROOM)
-
-    @staticmethod
-    def _bisect_heterogeneous(q: HeterogeneousQuery, lo: int, hi: int,
-                              hi_prob: float) -> Tuple[int, float, int]:
-        """Smallest ``added`` in ``[lo, hi]`` meeting the target (``hi`` known good)."""
-        probes = 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            prob = _fleet_bounds(((q, mid),))[0]
-            probes += 1
-            if prob >= q.percentile:
-                hi, hi_prob = mid, prob
-            else:
-                lo = mid + 1
-        return hi, hi_prob, probes
 
 
 # ----------------------------------------------------------------------
@@ -855,5 +620,4 @@ __all__ = [
     "caches_disabled",
     "default_solver",
     "validate_sizing",
-    "wait_probabilities",
 ]

@@ -12,8 +12,9 @@ actually runs, both starting from the current allocation:
 * ``"reference"`` — :func:`~repro.core.queueing.sizing.required_containers`,
   Algorithm 1 as written: one log-space M/M/c bound per candidate count;
 * ``"solver"`` — a cold :class:`~repro.core.queueing.solver.SizingSolver`
-  (no memo, no warm start): the control plane's search, a closed-form
-  walk up to 32 containers and a log-space ladder and bisection above.
+  (no memo, no warm start): the control plane's walk, one count at a
+  time from the stability minimum, through a closed form up to 32
+  containers and through the reference's own log-space body above.
 
 Both must report the same new container count.  The times are
 wall-clock on the host that runs them, so this figure is not a

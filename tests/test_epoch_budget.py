@@ -16,13 +16,15 @@ sizing queries became tuple rows, 99.8 after, and 95.8 once the
 controller read a profile's standard-size service rate once per
 function and a reclamation plan built its terminated-id set once.
 It read 83.7 once an epoch's deflated fleets were probed in
-one pooled ``wait_bounds`` pass instead of a ``HeterogeneousMMcQueue``
-per probe, and decisions became tuple rows (``heterogeneous.py`` went from
-10.6 frames a function-epoch to 1.9).  It reads 77.9 since the solver
-walks fleets of up to 32 containers through a closed form, one query at
-a time, instead of pooling numpy kernel calls (from 83.2; ``solver.py``
-itself went from 11.8 frames to 14.0, the numpy frames behind the
-pooled kernels are gone).
+one pooled pass of the heterogeneous bound instead of a
+``HeterogeneousMMcQueue`` per probe, and decisions became tuple rows
+(``heterogeneous.py`` went from 10.6 frames a function-epoch to 1.9).  It
+read 77.9 once the solver walked fleets of up to 32 containers through a
+closed form, one query at a time, instead of pooling numpy kernel calls
+(from 83.2; ``solver.py`` itself went from 11.8 frames to 14.0, the numpy
+frames behind the pooled kernels are gone).  It reads 76.9 since the
+search is one walk (``SizingSolver._walk``) rather than a search method
+handing the walk to a module function (``solver.py`` 14.0 → 13.0).
 """
 
 import collections

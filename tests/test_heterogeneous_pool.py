@@ -1,9 +1,9 @@
-"""The pooled heterogeneous bound and the epoch-batched fleet solve, held to their frozen bodies.
+"""The heterogeneous bound and the epoch-batched fleet solve, held to their frozen bodies.
 
-``wait_bounds`` evaluates many ``(λ, rates, t)`` probes in one pass; each
-value must equal, bit for bit, what ``HeterogeneousMMcQueue`` computed one
-probe at a time before the pool existed (``tests/oracles/heterogeneous_sizing.py``),
-whatever else is in the pool.  ``SizingSolver.solve_heterogeneous_batch``
+``wait_bound`` evaluates one ``(λ, rates, t)`` probe; each value must
+equal, bit for bit, what ``HeterogeneousMMcQueue`` computed before the
+bound was factored out (``tests/oracles/heterogeneous_sizing.py``),
+whatever was probed before it.  ``SizingSolver.solve_heterogeneous_batch``
 must leave the same counts, memo keys and warm anchors as the frozen
 per-query search run in sequence; its probabilities come from the
 small-fleet closed form, so they match the frozen ones within
@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles.heterogeneous_sizing import FrozenHeterogeneousQueue, FrozenHeterogeneousSolver
-from repro.core.queueing.heterogeneous import HeterogeneousMMcQueue, wait_bounds
+from repro.core.queueing.heterogeneous import HeterogeneousMMcQueue, wait_bound
 from repro.core.queueing.sizing import (
     required_containers,
     required_containers_heterogeneous,
@@ -35,7 +35,7 @@ from test_solver import closed_form_tolerance
 
 
 # ----------------------------------------------------------------------
-# The pooled evaluator
+# The one-probe bound
 # ----------------------------------------------------------------------
 @st.composite
 def probes(draw):
@@ -77,40 +77,32 @@ def frozen(probe):
 @given(probe=probes())
 @settings(max_examples=400, deadline=None)
 def test_one_probe_equals_the_frozen_body_bitwise(probe):
-    assert wait_bounds([probe]) == [frozen(probe)]
     lam, rates, t = probe
+    assert wait_bound(lam, rates, t) == frozen(probe)
     assert HeterogeneousMMcQueue(lam, rates).wait_bound_probability(t) == frozen(probe)
 
 
 @given(pool=st.lists(probes(), min_size=1, max_size=24), order=st.randoms())
 @settings(max_examples=120, deadline=None)
-def test_a_probe_reads_the_same_in_any_pool_and_any_order(pool, order):
+def test_a_probe_reads_the_same_whatever_was_probed_before_it(pool, order):
+    # the log-factorial table and the solver's memos are process state;
+    # the bound must read none of it
     expected = [frozen(probe) for probe in pool]
-    assert wait_bounds(pool) == expected
     shuffled = list(range(len(pool)))
     order.shuffle(shuffled)
-    got = wait_bounds([pool[i] for i in shuffled])
-    assert [got[shuffled.index(i)] for i in range(len(pool))] == expected
+    got = {i: wait_bound(*pool[i]) for i in shuffled}
+    assert [got[i] for i in range(len(pool))] == expected
 
 
-def test_an_empty_pool_and_the_guards():
-    assert wait_bounds([]) == []
+def test_the_guards():
     stable = (5.0, (2.0, 4.0), 0.1)
-    assert wait_bounds([
+    assert [wait_bound(*probe) for probe in (
         (6.0, (2.0, 4.0), 0.1),         # λ = S: unstable
         (5.0, (2.0, 4.0), -1e-300),     # t < 0
         (0.0, (2.0, 4.0), 0.0),         # λ = 0: never waits
+        (1.0, (), 0.1),                 # no containers
         stable,
-    ]) == [0.0, 0.0, 1.0, frozen(stable)]
-
-
-def test_a_pool_wider_than_one_block_is_cut_without_changing_a_value(monkeypatch):
-    import repro.core.queueing.heterogeneous as heterogeneous
-    pool = [(3.0 + i, tuple(sorted((2.0, 4.0, 0.5 * i + 1.0))), 0.05 * i)
-            for i in range(12)]
-    expected = [frozen(probe) for probe in pool]
-    monkeypatch.setattr(heterogeneous, "_MAX_BLOCK_CELLS", 16)
-    assert wait_bounds(pool) == expected
+    )] == [0.0, 0.0, 1.0, 0.0, frozen(stable)]
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +148,7 @@ def close_to(q, containers, prob, expected_prob):
 class GuardedQueue(FrozenHeterogeneousQueue):
     """The frozen queue plus the fix made since: a fleet whose ``λ / S_c`` underflows never waits.
 
-    The frozen body takes ``math.log`` of that 0.0 and raises; ``wait_bounds``
+    The frozen body takes ``math.log`` of that 0.0 and raises; ``wait_bound``
     now reads 1, the ``λ → 0`` answer.
     """
 
@@ -192,7 +184,7 @@ def same_memo(solver, reference):
 
 
 def same_counters(solver, reference):
-    """Every counter but the probe count, which now counts pooled probes."""
+    """Every counter but the probe count: the frozen search ladders and bisects, the solver walks."""
     fields = ("solves", "cache_hits", "warm_hits", "warm_fallbacks", "full_searches")
     return all(getattr(solver.stats, f) == getattr(reference.stats, f) for f in fields)
 
@@ -367,7 +359,7 @@ def test_an_epoch_sequence_costs_no_more_probes_than_the_per_candidate_search():
 
     The per-candidate reference (Algorithm 1 as written, and its linear
     heterogeneous twin) evaluates one candidate per iteration; the
-    solver's probe counter includes every pooled, memo-missing probe.
+    solver's probe counter includes every memo-missing probe.
     """
     solver = SizingSolver()
     reference_probes = 0

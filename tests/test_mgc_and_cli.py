@@ -58,6 +58,16 @@ class TestMGcQueue:
         with pytest.raises(ValueError):
             MGcQueue(1.0, 0.1, 1.0, 0)
 
+    @pytest.mark.parametrize("scv", [float("nan"), float("inf"), -float("inf"), -0.5])
+    def test_a_non_finite_or_negative_scv_is_refused(self, scv):
+        # NaN once passed the ``scv < 0`` check and sized 178 containers at 10 req/s
+        with pytest.raises(ValueError, match="squared coefficient of variation"):
+            MGcQueue(10.0, 0.1, scv, 2)
+        with pytest.raises(ValueError, match="squared coefficient of variation"):
+            required_containers_mgc(10.0, 0.1, scv, 0.1)
+        with pytest.raises(ValueError, match="squared coefficient of variation"):
+            required_containers_mgc(0.0, 0.1, scv, 0.1)     # before the zero-load shortcut
+
 
 class TestMGcSizing:
     def test_exponential_scv_matches_exact_mmc_percentile_sizing(self):
@@ -189,3 +199,27 @@ class TestCli:
     def test_size_command_rejects_missing_args(self):
         with pytest.raises(SystemExit):
             main(["size", "--rate", "30"])
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--service-time", "0"], "service time must be finite and positive"),
+        (["--service-time", "-0.1"], "service time must be finite and positive"),
+        (["--service-time", "nan"], "service time must be finite and positive"),
+        (["--rate", "nan"], "arrival rate must be finite and non-negative"),
+        (["--rate", "inf"], "arrival rate must be finite and non-negative"),
+        (["--slo", "nan"], "wait budget must be finite and non-negative"),
+        (["--percentile", "1.5"], r"percentile must be in \(0, 1\)"),
+        (["--scv", "nan"], "squared coefficient of variation must be finite"),
+        (["--rate", "1e6"], "could not satisfy SLO with up to 100000 containers"),
+        (["--rate", "1e300", "--service-time", "1e300"], "infinity"),     # λ/μ overflows
+    ])
+    def test_size_command_bad_input_is_one_line_and_exit_2(self, capsys, flags, message):
+        import re
+
+        args = {"--rate": "10", "--service-time": "0.1"}
+        args.update(zip(flags[::2], flags[1::2]))
+        code = main(["size", *(item for pair in args.items() for item in pair)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and re.search(message, lines[0]), captured.err

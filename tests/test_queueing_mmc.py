@@ -13,7 +13,7 @@ from repro.core.queueing.mmc import (
     mmc_log_p0,
     mmc_state_probabilities,
 )
-from repro.core.queueing.solver import wait_probabilities
+from repro.core.queueing.solver import _bound
 
 
 # ----------------------------------------------------------------------
@@ -227,11 +227,9 @@ class TestMMcQueue:
     def test_expected_busy_containers(self):
         assert MMcQueue(20.0, 10.0, 4).expected_busy_containers() == pytest.approx(2.0)
 
-    def test_vectorised_kernel_matches_scalar(self):
-        lams = [10.0, 20.0, 30.0]
-        cs = [3, 4, 5]
-        vector = wait_probabilities(lams, 10.0, cs, 0.1)
-        for lam, c, value in zip(lams, cs, vector):
+    def test_solver_probe_matches_scalar(self):
+        for lam, c in ((10.0, 3), (20.0, 4), (30.0, 5), (300.0, 33), (600.0, 64)):
+            value = _bound(lam, 10.0, 0.1, c)
             assert value == pytest.approx(MMcQueue(lam, 10.0, c).wait_bound_probability(0.1))
 
 

@@ -2,11 +2,11 @@
 
 Three contracts are covered:
 
-1. **Kernel regression** — :func:`wait_probabilities` (the genuinely
-   candidate-vectorised kernel that replaced the per-candidate Python
-   loop formerly masquerading as ``_wait_probability_vectorised``)
-   matches the scalar :class:`~repro.core.queueing.mmc.MMcQueue` bound
-   across a (λ, μ, c, t) grid, including unstable and zero-load edges.
+1. **Probe regression** — the solver's per-count probe ``_bound`` (a
+   closed form up to 32 containers, the reference's own log-space body
+   above) matches the scalar :class:`~repro.core.queueing.mmc.MMcQueue`
+   bound across a (λ, μ, c, t) grid, including unstable and zero-load
+   edges.
 2. **Oracle equivalence** — across ~200 parameter combinations and all
    four cache/warm-start configurations, :class:`SizingSolver` returns
    the same container counts as the reference ``required_containers``
@@ -36,15 +36,15 @@ from repro.core.queueing.sizing import (
     required_containers,
     required_containers_heterogeneous,
 )
-from repro.core.queueing.heterogeneous import wait_bounds
+from repro.core.queueing.heterogeneous import wait_bound
 from repro.core.queueing.solver import (
     SizingQuery,
     SizingSolver,
+    _bound,
     _closed_tail,
     _small_bound,
     _small_fleet_bound,
     caches_disabled,
-    wait_probabilities,
 )
 
 #: the oracle-equivalence grid: 9 λ × 2 μ × 4 t × 3 p = 216 combinations.
@@ -105,50 +105,24 @@ class TestKernel:
         for lam in (0.0, 2.0, 19.7, 49.95, 60.0, 149.5):
             for mu in (3.0, 10.0):
                 for t in (0.0, 0.03, 0.1, 0.7):
-                    cs = np.array([1, 2, 5, 17, 64, 200])
-                    got = wait_probabilities(lam, mu, cs, t)
-                    for c, value in zip(cs, got):
-                        queue = MMcQueue(lam, mu, int(c))
+                    for c in (1, 2, 5, 17, 32, 33, 64, 200):
+                        value = _bound(lam, mu, t, c)
+                        queue = MMcQueue(lam, mu, c)
                         expected = (
                             queue.wait_bound_probability(t) if queue.is_stable else 0.0
                         )
                         assert value == pytest.approx(expected, rel=1e-10, abs=1e-12), (
-                            lam, mu, int(c), t,
+                            lam, mu, c, t,
                         )
-
-    def test_broadcasts_per_row_parameters(self):
-        lams = np.array([10.0, 20.0, 0.0, 500.0])
-        mus = np.array([10.0, 5.0, 3.0, 10.0])
-        cs = np.array([3, 9, 2, 60])
-        ts = np.array([0.1, 0.05, 0.2, 0.02])
-        got = wait_probabilities(lams, mus, cs, ts)
-        for lam, mu, c, t, value in zip(lams, mus, cs, ts, got):
-            queue = MMcQueue(float(lam), float(mu), int(c))
-            expected = queue.wait_bound_probability(t) if queue.is_stable else 0.0
-            assert value == pytest.approx(expected, rel=1e-10, abs=1e-12)
+                        if c > 32:      # the reference's own body, bit for bit
+                            assert value == expected
 
     def test_edge_rows(self):
-        # unstable → 0, zero load → 1, negative budget → 0
-        got = wait_probabilities(
-            np.array([100.0, 0.0, 10.0]), 10.0, np.array([5, 4, 4]),
-            np.array([0.1, 0.1, -0.5]),
-        )
-        assert list(got) == [0.0, 1.0, 0.0]
-
-    def test_scalar_inputs_give_zero_d_result_shape(self):
-        got = wait_probabilities(20.0, 10.0, 4, 0.1)
-        assert got.shape == ()
-        assert float(got) == pytest.approx(
-            MMcQueue(20.0, 10.0, 4).wait_bound_probability(0.1), rel=1e-10
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            wait_probabilities(1.0, 10.0, np.array([0]), 0.1)
-        with pytest.raises(ValueError):
-            wait_probabilities(-1.0, 10.0, np.array([1]), 0.1)
-        with pytest.raises(ValueError):
-            wait_probabilities(1.0, 0.0, np.array([1]), 0.1)
+        # unstable → 0 and zero load → 1, on both sides of the closed form's region
+        # (a negative budget never reaches a probe: validate_sizing refuses it)
+        for c in (5, 40):
+            assert _bound(10.0 * c, 10.0, 0.1, c) == 0.0
+            assert _bound(0.0, 10.0, 0.1, c) == 1.0
 
     def test_log_factorial_table_grows_and_is_exact(self):
         # scipy is the oracle, not the builder: every entry the table can
@@ -194,46 +168,6 @@ class TestKernel:
             table -= 1.0
 
 
-#: one (ρ, μ, c, t) query; λ = ρ c μ keeps it stable
-_kernel_queries = st.tuples(
-    st.floats(0.05, 0.999), st.floats(0.5, 50.0), st.integers(1, 400), st.floats(0.0, 1.0)
-)
-
-
-class TestBatchMates:
-    """A query's probability depends, in its last bits, on what it is batched with.
-
-    ``_bound_kernel`` pads every row to the widest row's columns and
-    ``np.sum`` groups its pairwise additions by the row's width, so the
-    same (λ, μ, c, t) beside a wide mate can come out an ulp or a few of
-    its log-normaliser away from what it is alone (106 of 2,000 random
-    queries beside one c = 330 mate, 3.6e-15 at most; 2.3e-13 at
-    c ≈ 2,000).  The normaliser's magnitude grows like c, and so does
-    the gap.  The solver batches only one query's own candidates, but
-    ``wait_probabilities`` takes any mix, so this pins what does hold for
-    a caller that mixes queries: the gap stays inside 1e-14 (for c ≤ 32, growing
-    as c / 32 above — 1.4× the widest gap read in 90,000 random batches
-    with c ≤ 400), and the verdict the sizing search reads — ``P ≥
-    percentile`` — is the same alone and in company.
-    """
-
-    @given(
-        query=_kernel_queries,
-        mates=st.lists(_kernel_queries, min_size=1, max_size=6),
-        place=st.integers(0, 6),
-    )
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_alone_and_beside_mates_agree_to_a_few_ulps_and_in_verdict(self, query, mates, place):
-        index = min(place, len(mates))
-        batch = mates[:index] + [query] + mates[index:]
-        rho, mu, c, t = (np.array(column) for column in zip(*batch))
-        beside = wait_probabilities(rho * c * mu, mu, c, t)[index]
-        alone = wait_probabilities(query[0] * query[2] * query[1], query[1], [query[2]], query[3])[0]
-        assert abs(alone - beside) <= 1e-14 * max(1.0, query[2] / 32.0)
-        for percentile in (0.5, 0.9, 0.95, 0.99, 0.999):
-            assert (alone >= percentile) == (beside >= percentile)
-
-
 #: one probe of the closed form's domain: (c, ρ, μ, t)
 _small_probes = st.tuples(
     st.integers(1, 32),
@@ -248,27 +182,29 @@ class TestClosedForm:
 
     ``_small_bound`` / ``_small_fleet_bound`` sum the chain's head in
     Python floats and close the geometric tail with one ``**``; the
-    reference paths (``MMcQueue``, ``wait_bounds``) stay in log space.
+    reference paths (``MMcQueue``, ``wait_bound``) stay in log space, and
+    the solver's walk probes them above 32 containers.
     """
 
     @given(probe=_small_probes)
     @settings(max_examples=400, deadline=None, derandomize=True)
-    def test_homogeneous_closed_form_matches_the_log_space_kernel(self, probe):
+    def test_homogeneous_closed_form_matches_the_log_space_body(self, probe):
         c, rho, mu, t = probe
         lam = rho * c * mu
         closed = _small_bound(lam, mu, c, t)
-        kernel = float(wait_probabilities(lam, mu, np.array([c]), t)[0])
-        assert_agree(closed, kernel, closed_form_tolerance(lam, [mu] * c, t))
+        queue = MMcQueue(lam, mu, c)
+        log_space = queue.wait_bound_probability(t) if queue.is_stable else 0.0
+        assert_agree(closed, log_space, closed_form_tolerance(lam, [mu] * c, t))
 
     @given(probe=_small_probes,
            speeds=st.lists(st.floats(1e-3, 1.0) | st.just(1.0), min_size=32, max_size=32))
     @settings(max_examples=400, deadline=None, derandomize=True)
-    def test_fleet_closed_form_matches_wait_bounds(self, probe, speeds):
+    def test_fleet_closed_form_matches_wait_bound(self, probe, speeds):
         c, rho, standard, t = probe
         rates = tuple(sorted(standard * speed for speed in speeds[:c]))
         lam = rho * sum(rates)
         closed = _small_fleet_bound(lam, rates, t)
-        assert_agree(closed, wait_bounds([(lam, rates, t)])[0],
+        assert_agree(closed, wait_bound(lam, rates, t),
                      closed_form_tolerance(lam, rates, t))
 
     def test_unstable_probes_read_zero(self):
@@ -282,7 +218,7 @@ class TestClosedForm:
         assert _closed_tail(math.inf, math.inf, 0.5, 0) is None
         for added in range(4):
             rates = (1e-300, 1e-300) + (5.0,) * added
-            assert _small_fleet_bound(1.0, rates, 0.1) == wait_bounds([(1.0, rates, 0.1)])[0]
+            assert _small_fleet_bound(1.0, rates, 0.1) == wait_bound(1.0, rates, 0.1)
         got = SizingSolver().solve_heterogeneous(1.0, [1e-300, 1e-300], 5.0, 0.1, 0.99)
         reference = required_containers_heterogeneous(1.0, [1e-300, 1e-300], 5.0, 0.1, 0.99)
         assert (got.containers, got.achieved_probability) == (
@@ -400,6 +336,93 @@ class TestWarmStart:
         solver.solve(200.0, 10.0, 0.1, 0.95, key="fn")
         assert solver._warm == {}
         assert solver.stats.warm_hits == 0
+
+
+#: every cache/warm-start configuration a solver can run in
+CONFIGS = ((65_536, True), (65_536, False), (0, True), (0, False))
+
+
+@st.composite
+def boundary_drifts(draw):
+    """Load levels, in units of 32 standard containers, that drift and jump across 32.
+
+    Each epoch either drifts the level by up to ±10 % (a warm anchor's
+    neighbourhood) or jumps to a fresh level anywhere in 0.02–3 (a jump
+    across the closed form's region, up or down).
+    """
+    level = draw(st.floats(0.02, 3.0))
+    levels = [level]
+    for _ in range(draw(st.integers(1, 7))):
+        if draw(st.booleans()):
+            level = level * draw(st.floats(0.9, 1.1))
+        else:
+            level = draw(st.floats(0.02, 3.0))
+        levels.append(level)
+    return levels
+
+
+class TestWideWalk:
+    """The one walk on both sides of 32 containers: counts ``==`` the reference's.
+
+    A warm anchor is read only up to 32 containers; a wider query walks
+    cold from the stability minimum (a deflated fleet: from one below the
+    first added count whose capacity exceeds λ).  Sequences cross that
+    boundary both ways, under all four cache/warm-start configurations.
+    """
+
+    @given(levels=boundary_drifts(), mu=st.sampled_from((5.0, 10.0)),
+           budget=st.sampled_from((0.02, 0.1, 0.5)),
+           percentile=st.sampled_from((0.5, 0.9, 0.95, 0.99)))
+    @settings(max_examples=60, deadline=None)
+    def test_homogeneous_counts_equal_the_reference_across_32(self, levels, mu, budget,
+                                                               percentile):
+        solvers = [SizingSolver(cache_size=size, warm_start=warm) for size, warm in CONFIGS]
+        cold = solvers[-1]
+        for level in levels:
+            lam = level * 32 * mu
+            reference = required_containers(lam, mu, budget, percentile)
+            for solver in solvers:
+                got = solver.solve(lam, mu, budget, percentile, key="fn")
+                assert got.containers == reference.containers, (level, solver.cache_size)
+            # a cold walk probes exactly the counts Algorithm 1 does
+            assert cold.solve(lam, mu, budget, percentile).iterations == reference.iterations
+
+    @given(levels=boundary_drifts(), standard=st.sampled_from((5.0, 10.0)),
+           speeds=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=40),
+           budget=st.sampled_from((0.02, 0.1, 0.5)),
+           percentile=st.sampled_from((0.5, 0.9, 0.95, 0.99)))
+    @settings(max_examples=40, deadline=None)
+    def test_deflated_fleet_counts_equal_the_reference_across_32(self, levels, standard, speeds,
+                                                                 budget, percentile):
+        existing = [standard * speed for speed in speeds]
+        solvers = [SizingSolver(cache_size=size, warm_start=warm) for size, warm in CONFIGS]
+        cold = solvers[-1]
+        for level in levels:
+            lam = level * 32 * standard
+            reference = required_containers_heterogeneous(lam, existing, standard, budget,
+                                                          percentile)
+            for solver in solvers:
+                got = solver.solve_heterogeneous(lam, existing, standard, budget, percentile,
+                                                 key="fleet")
+                assert got.containers == reference.containers, (level, solver.cache_size)
+            walked = cold.solve_heterogeneous(lam, existing, standard, budget, percentile)
+            assert walked.iterations <= reference.iterations
+
+    def test_a_walk_across_32_both_ways_stays_short(self):
+        # without the start rules, λ 20,000 → 1,000 at μ = 10 would walk
+        # 1,902 counts down from the wide anchor, and a 5-container fleet
+        # at λ = 20,000 2,002 counts up from added = 0
+        solver = SizingSolver(cache_size=0)
+        for lam in (20_000.0, 1_000.0, 150.0, 20_000.0):
+            got = solver.solve(lam, 10.0, 0.1, 0.99, key="fn")
+            reference = required_containers(lam, 10.0, 0.1, 0.99)
+            assert (got.containers, got.iterations) == (reference.containers, reference.iterations)
+        fleet = [7.0] * 5
+        for lam in (20_000.0, 100.0, 20_000.0):
+            got = solver.solve_heterogeneous(lam, fleet, 10.0, 0.1, 0.99, key="fleet")
+            reference = required_containers_heterogeneous(lam, fleet, 10.0, 0.1, 0.99)
+            assert got.containers == reference.containers
+            assert got.iterations <= 8 < reference.iterations
 
 
 class TestMemo:

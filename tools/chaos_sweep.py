@@ -32,6 +32,7 @@ crash) exits non-zero.  CI runs this as the chaos smoke job.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import signal
@@ -50,15 +51,25 @@ from repro.scenarios.chaos import CHAOS_ENV, ChaosConfig  # noqa: E402
 from repro.scenarios.executor import ResilientSweepRunner  # noqa: E402
 from repro.scenarios.journal import RunJournal  # noqa: E402
 from repro.scenarios.spec import canonical_json  # noqa: E402
-from repro.scenarios.sweep import SweepSpec  # noqa: E402
+from repro.scenarios.sweep import SweepSpec, apply_overrides  # noqa: E402
+
+
+def _fig3() -> SweepSpec:
+    """The CI-sized fig3 sweep (three arrival rates, 30 simulated seconds)."""
+    return build("fig3", mus=(10.0,), slo_deadlines=(0.1,),
+                 arrival_rates=(10.0, 20.0, 30.0), duration=30.0, seed=3)
+
+
+def _columnar(sweep: SweepSpec) -> SweepSpec:
+    """``sweep`` with ``data_plane=columnar`` folded into its base spec, so the executor drives the columnar kernel."""
+    return dataclasses.replace(sweep, base=apply_overrides(sweep.base, {"data_plane": "columnar"}))
 
 
 def _preset_sweep(name: str) -> SweepSpec:
     """A CI-sized build of one of the acceptance sweeps."""
     presets = {
-        "fig3": lambda: build("fig3", mus=(10.0,), slo_deadlines=(0.1,),
-                              arrival_rates=(10.0, 20.0, 30.0),
-                              duration=30.0, seed=3),
+        "fig3": _fig3,
+        "fig3-columnar": lambda: _columnar(_fig3()),
         "fig10": lambda: build("fig10", fail_at=20.0, recover_at=40.0,
                                duration=60.0),
         "policy-shootout": lambda: build("policy-shootout", duration=45.0),
@@ -194,8 +205,8 @@ def main(argv=None) -> int:
     """Run the chaos stages and report which invariants held."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--preset", default="fig3",
-                        choices=["fig3", "fig10", "policy-shootout", "fig12",
-                                 "fig9-at-scale"],
+                        choices=["fig3", "fig3-columnar", "fig10", "policy-shootout",
+                                 "fig12", "fig9-at-scale"],
                         help="which acceptance sweep to attack (default fig3)")
     parser.add_argument("--spec", default=None,
                         help="attack an explicit sweep.json instead of a preset")
