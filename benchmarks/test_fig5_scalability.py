@@ -25,7 +25,7 @@ def test_fig5_scalability_curves(benchmark):
 def test_solver_sizing_latency(benchmark, containers):
     """Micro-benchmark: one cold solver decision after a 2x spike."""
     lam = 0.9 * containers * 10.0 * 2.0
-    solver = SizingSolver(cache_size=0, warm_start=False)
+    solver = SizingSolver()
     result = benchmark(solver.solve, lam, 10.0, 0.1, 0.99, containers)
     assert result.containers >= containers
 

@@ -8,13 +8,13 @@ standard size) and the heterogeneous Alves et al. model (some
 containers deflated), exactly as the paper prescribes.
 
 All model evaluations route through a
-:class:`repro.core.queueing.solver.SizingSolver` — the memoized,
-warm-started control-plane fast path — unless ``use_fast_sizing=False``
-pins the reference Algorithm 1 for ablations.  The controller sizes every
-registered function per epoch through :meth:`Autoscaler.decide_batch`:
-one solver call for the epoch's homogeneous functions and one for its
-deflated fleets, each solving its queries one after another from their
-warm anchors.
+:class:`repro.core.queueing.solver.SizingSolver`, the control-plane
+sizing path; the reference Algorithm 1 in
+:mod:`repro.core.queueing.sizing` is its test oracle.  The controller
+sizes every registered function per epoch through
+:meth:`Autoscaler.decide_batch`: one solver call for the epoch's
+homogeneous functions and one for its deflated fleets, each solving its
+queries one after another.
 """
 
 from __future__ import annotations
@@ -22,14 +22,8 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Sequence
 
-from repro.core.queueing.sizing import (
-    SizingResult,
-    required_containers,
-    required_containers_heterogeneous,
-    wait_budget_from_slo,
-)
-from repro.core.queueing.solver import (HeterogeneousQuery, SizingQuery, SizingSolver,
-                                        default_solver)
+from repro.core.queueing.sizing import SizingResult, wait_budget_from_slo
+from repro.core.queueing.solver import HeterogeneousQuery, SizingQuery, SizingSolver
 
 
 class ScalingQuery(NamedTuple):
@@ -42,7 +36,7 @@ class ScalingQuery(NamedTuple):
     Attributes
     ----------
     function_name:
-        The function to size (also the solver's warm-start key).
+        The function to size.
     arrival_rate:
         Estimated (smoothed) arrival rate λ for the next epoch.
     service_rate:
@@ -126,16 +120,6 @@ class Autoscaler:
     percentile:
         The SLO percentile (paper default: 95 %; model validation also
         uses 99 %).
-    use_fast_sizing:
-        Route sizing (homogeneous and heterogeneous alike) through the
-        memoized solver; ``False`` pins the stateless reference
-        implementations for ablations.  Both return identical counts;
-        the solver is what makes sub-second reaction possible with
-        thousands of containers (Figure 5) and thousands of functions
-        per epoch.
-    headroom_containers:
-        Extra containers added on top of the model's answer (0 in the
-        paper; exposed for ablations).
     subtract_service_percentile:
         If true, the waiting-time budget is ``d − s_p`` (the paper's
         conservative rule).  If false the full deadline is used as the
@@ -143,30 +127,23 @@ class Autoscaler:
         waiting time only.
     solver:
         The :class:`SizingSolver` (or interface-compatible object) used
-        for model evaluations; defaults to the process-wide shared
-        instance.
+        for model evaluations; defaults to a new one.
     """
 
     def __init__(
         self,
         percentile: float = 0.95,
-        use_fast_sizing: bool = True,
-        headroom_containers: int = 0,
         subtract_service_percentile: bool = False,
         max_containers: int = 100_000,
         solver: Optional[SizingSolver] = None,
     ) -> None:
-        """Configure the SLO percentile and which sizing implementations to use."""
+        """Configure the SLO percentile, the wait-budget rule and the solver."""
         if not 0 < percentile < 1:
             raise ValueError("percentile must be in (0, 1)")
-        if headroom_containers < 0:
-            raise ValueError("headroom_containers must be non-negative")
         self.percentile = float(percentile)
-        self.use_fast_sizing = bool(use_fast_sizing)
-        self.headroom_containers = int(headroom_containers)
         self.subtract_service_percentile = bool(subtract_service_percentile)
         self.max_containers = int(max_containers)
-        self.solver = solver if solver is not None else default_solver()
+        self.solver = solver if solver is not None else SizingSolver()
 
     # ------------------------------------------------------------------
     # Sizing
@@ -214,9 +191,8 @@ class Autoscaler:
         Zero-rate queries resolve at once; the homogeneous ones go to
         the solver's :meth:`~SizingSolver.solve_batch` and the deflated
         fleets to its :meth:`~SizingSolver.solve_heterogeneous_batch`, one
-        call each; a decision depends only on its own query and the
-        function's warm anchor.  Decisions are positionally aligned with
-        ``queries``.
+        call each; a decision depends only on its own query.  Decisions
+        are positionally aligned with ``queries``.
         """
         decisions: List[Optional[ScalingDecision]] = [None] * len(queries)
         budgets: List[float] = [0.0] * len(queries)
@@ -248,24 +224,10 @@ class Autoscaler:
                     max(existing) - min(existing) > 1e-9
                     or any(abs(m - mu) > 1e-9 for m in existing)):
                 # the existing fleet is not all at the standard speed: Alves et al.
-                if self.use_fast_sizing:
-                    fleet_queries.append(HeterogeneousQuery(
-                        rate, existing, mu, budget, percentile, max_containers,
-                        (name, "heterogeneous"),
-                    ))
-                    fleet_slots.append(i)
-                else:
-                    result = required_containers_heterogeneous(
-                        lam=rate,
-                        existing_mus=existing,
-                        standard_mu=mu,
-                        wait_budget=budget,
-                        percentile=percentile,
-                        max_additional=max_containers,
-                    )
-                    decisions[i] = self._decision(queries[i], budget, result,
-                                                  heterogeneous=True)
-            elif self.use_fast_sizing:
+                fleet_queries.append(HeterogeneousQuery(rate, existing, mu, budget,
+                                                        percentile, max_containers))
+                fleet_slots.append(i)
+            else:
                 solver_queries.append(SizingQuery(
                     lam=float(rate),
                     mu=float(mu),
@@ -273,19 +235,8 @@ class Autoscaler:
                     percentile=percentile,
                     current_containers=0,
                     max_containers=max_containers,
-                    key=name,
                 ))
                 solver_slots.append(i)
-            else:
-                result = required_containers(
-                    lam=rate,
-                    mu=mu,
-                    wait_budget=budget,
-                    percentile=percentile,
-                    current_containers=0,
-                    max_containers=max_containers,
-                )
-                decisions[i] = self._decision(queries[i], budget, result, heterogeneous=False)
 
         if fleet_queries:
             results = self.solver.solve_heterogeneous_batch(fleet_queries)
@@ -301,11 +252,10 @@ class Autoscaler:
 
     def _decision(self, query: ScalingQuery, budget: float, result: SizingResult,
                   heterogeneous: bool) -> ScalingDecision:
-        """Wrap a sizing result in a :class:`ScalingDecision` (headroom + floor)."""
+        """Wrap a sizing result in a :class:`ScalingDecision` (with the floor)."""
         return ScalingDecision(
             function_name=query.function_name,
-            desired_containers=max(result.containers + self.headroom_containers,
-                                   query.min_containers),
+            desired_containers=max(result.containers, query.min_containers),
             current_containers=query.current_containers,
             arrival_rate=query.arrival_rate,
             service_rate=query.service_rate,

@@ -8,9 +8,9 @@ OpenWhisk controller (§5, Figure 2b).  It owns:
   robin;
 * the control path — once per epoch it estimates each function's
   arrival rate, sizes *all* registered functions in one batched call to
-  the memoized queueing-model solver
-  (:class:`repro.core.queueing.solver.SizingSolver` — warm-started per
-  function, bit-identical to the reference Algorithm 1), detects
+  the queueing-model solver
+  (:class:`repro.core.queueing.solver.SizingSolver` — stateless, with
+  the reference Algorithm 1's container counts), detects
   overload, applies weighted fair sharing, and executes the resulting
   scaling / reclamation actions through the per-node invokers.
 
@@ -84,17 +84,10 @@ class ControllerConfig:
     deflation_increment: float = 0.05
     lazy_termination: bool = True
     placement_strategy: str = "best_fit"
-    use_fast_sizing: bool = True
     subtract_service_percentile: bool = False
     #: learn service times online from completed requests (otherwise only
     #: offline profiles / deployment defaults are used)
     online_learning: bool = True
-    #: memoize exact-key model solves in the sizing solver (never changes
-    #: results — the solver is a pure function of its inputs)
-    sizing_cache: bool = True
-    #: warm-start each function's sizing search from last epoch's answer
-    #: (provably exact; see repro.core.queueing.solver)
-    sizing_warm_start: bool = True
     #: seconds after a node failure/recovery during which the epoch loop
     #: suppresses voluntary scale-downs (lazy draining marks): while the
     #: fleet is churning, rate estimates are poisoned by the outage and
@@ -181,13 +174,9 @@ class LassController(ControlPolicy):
         self.dispatcher.attach_cluster(cluster)
         self.balancer = self.dispatcher.balancer
         self.invokers = InvokerPool(cluster)
-        self.solver = SizingSolver(
-            cache_size=65_536 if self.config.sizing_cache else 0,
-            warm_start=self.config.sizing_warm_start,
-        )
+        self.solver = SizingSolver()
         self.autoscaler = Autoscaler(
             percentile=self.config.percentile,
-            use_fast_sizing=self.config.use_fast_sizing,
             subtract_service_percentile=self.config.subtract_service_percentile,
             solver=self.solver,
         )
@@ -480,10 +469,6 @@ class LassController(ControlPolicy):
             service_time_percentile=service_percentile,
             min_containers=state.deployment.min_containers,
         )
-
-    def _decide(self, name: str, state: _FunctionState, now: float) -> ScalingDecision:
-        """One function's scaling decision (batch-of-one convenience)."""
-        return self.autoscaler.decide_batch((self._scaling_query(name, state, now),))[0]
 
     def _service_rate(self, state: _FunctionState) -> float:
         """Best current estimate of a standard-size container's service rate."""

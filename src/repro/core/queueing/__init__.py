@@ -15,8 +15,8 @@
 * :mod:`repro.core.queueing.solver` — the control-plane sizing path:
   Algorithm 1's one-count walk, probing each count through a closed form
   up to 32 containers and through the log-space bodies above, with an
-  exact-key LRU memo, per-function warm starts and an epoch-batched
-  entry point (container counts equal to the Algorithm 1 oracles in
+  epoch-batched entry point and no state between queries (container
+  counts equal to the Algorithm 1 oracles in
   :mod:`~repro.core.queueing.sizing`).
 * :mod:`repro.core.queueing.distributions` — service-time distributions
   used by the simulator and by the profile-driven estimators.
@@ -29,8 +29,6 @@ from repro.core.queueing.solver import (
     SizingQuery,
     SizingResult,
     SizingSolver,
-    caches_disabled,
-    default_solver,
 )
 from repro.core.queueing.sizing import (
     required_containers,
@@ -54,8 +52,6 @@ __all__ = [
     "SizingQuery",
     "SizingResult",
     "SizingSolver",
-    "caches_disabled",
-    "default_solver",
     "required_containers",
     "required_containers_heterogeneous",
     "ServiceTimeDistribution",

@@ -18,9 +18,9 @@ Two variants are provided:
   "how many *additional standard* containers must be added so that the
   heterogeneous bound meets the SLO" (used in §6.2.2 / Figure 4).
 
-The memoized / warm-started control-plane entry points live in
+The control-plane entry points live in
 :class:`repro.core.queueing.solver.SizingSolver`; the functions here are
-the stateless oracles it is tested against.  Every entry point checks
+the oracles it is tested against.  Every entry point checks
 its inputs with :func:`repro.core.queueing.solver.validate_sizing`
 first, so a NaN, an infinity or a percentile outside ``(0, 1)`` is a
 ``ValueError`` before any candidate is tried.

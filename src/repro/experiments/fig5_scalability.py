@@ -11,10 +11,10 @@ actually runs, both starting from the current allocation:
 
 * ``"reference"`` — :func:`~repro.core.queueing.sizing.required_containers`,
   Algorithm 1 as written: one log-space M/M/c bound per candidate count;
-* ``"solver"`` — a cold :class:`~repro.core.queueing.solver.SizingSolver`
-  (no memo, no warm start): the control plane's walk, one count at a
-  time from the stability minimum, through a closed form up to 32
-  containers and through the reference's own log-space body above.
+* ``"solver"`` — :class:`~repro.core.queueing.solver.SizingSolver`,
+  which keeps no state between queries: the control plane's walk, one
+  count at a time from the stability minimum, through a closed form up
+  to 32 containers and through the reference's own log-space body above.
 
 Both must report the same new container count.  The times are
 wall-clock on the host that runs them, so this figure is not a
@@ -42,7 +42,7 @@ _REPEATS = 3
 class Fig5Point:
     """Timing of one allocation computation."""
 
-    implementation: str          #: "reference" (Algorithm 1) or "solver" (cold SizingSolver)
+    implementation: str          #: "reference" (Algorithm 1) or "solver" (SizingSolver)
     spike: str                   #: "10%" or "2x"
     current_containers: int
     new_containers: int
@@ -75,9 +75,9 @@ def run_fig5(
     """Regenerate Figure 5: allocation-algorithm compute time vs. container count.
 
     Two rows per (count, spike) point: the reference path, then the
-    cold solver.  Each reports the fastest of three timed calls.
+    solver.  Each reports the fastest of three timed calls.
     """
-    solver = SizingSolver(cache_size=0, warm_start=False)
+    solver = SizingSolver()
     paths = (("reference", required_containers), ("solver", solver.solve))
     points: List[Fig5Point] = []
     for count in container_counts:

@@ -9,7 +9,7 @@ concurrency, no model).  :class:`HybridPolicy` combines them:
   smoothed per-container concurrency to a target, exactly like the
   reactive baseline, so bursts are answered within one tick;
 * **scale-down is model-guided** — the M/M/c sizing model (the same
-  memoized solver LaSS uses, via
+  solver LaSS uses, via its own
   :class:`~repro.core.allocation.autoscaler.Autoscaler`) computes the
   minimum allocation that still meets the SLO percentile at the current
   estimated arrival rate, and the policy never shrinks below it; a

@@ -393,11 +393,8 @@ class ControllerSpec:
     deflation_increment: float = 0.05
     lazy_termination: bool = True
     placement_strategy: str = "best_fit"
-    use_fast_sizing: bool = True
     subtract_service_percentile: bool = False
     online_learning: bool = True
-    sizing_cache: bool = True
-    sizing_warm_start: bool = True
 
     def __post_init__(self) -> None:
         """Validate the reclamation + control-plane policy names and params."""

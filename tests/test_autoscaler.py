@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.allocation.autoscaler import Autoscaler
-from repro.core.queueing.sizing import required_containers
+from repro.core.allocation.autoscaler import Autoscaler, ScalingQuery
+from repro.core.queueing.sizing import required_containers, required_containers_heterogeneous
 
 
 class TestAutoscaler:
@@ -53,13 +53,6 @@ class TestAutoscaler:
         ).desired_containers
         assert het >= hom
 
-    def test_headroom_containers_added(self):
-        base = Autoscaler().desired_containers("fn", 30.0, 10.0, 0.1).desired_containers
-        padded = Autoscaler(headroom_containers=2).desired_containers(
-            "fn", 30.0, 10.0, 0.1
-        ).desired_containers
-        assert padded == base + 2
-
     def test_subtract_service_percentile_is_more_conservative(self):
         plain = Autoscaler(subtract_service_percentile=False).desired_containers(
             "fn", 30.0, 10.0, 0.5
@@ -69,14 +62,40 @@ class TestAutoscaler:
         ).desired_containers
         assert conservative >= plain
 
-    def test_fast_and_reference_paths_agree(self):
-        fast = Autoscaler(use_fast_sizing=True)
-        slow = Autoscaler(use_fast_sizing=False)
+    def test_decide_batch_agrees_with_the_reference_sizing(self):
+        # one epoch batch mixing homogeneous fleets and deflated ones, against
+        # Algorithm 1 and its heterogeneous twin called directly
+        queries = []
         for lam in (5.0, 25.0, 80.0):
-            assert (
-                fast.desired_containers("fn", lam, 10.0, 0.1).desired_containers
-                == slow.desired_containers("fn", lam, 10.0, 0.1).desired_containers
-            )
+            queries.append(ScalingQuery(f"fn-{lam}", lam, 10.0, 0.1, current_containers=3))
+            queries.append(ScalingQuery(f"deflated-{lam}", lam, 10.0, 0.1, current_containers=3,
+                                        existing_service_rates=[7.0, 7.0, 10.0]))
+        decisions = Autoscaler().decide_batch(queries)
+        for query, decision in zip(queries, decisions):
+            if query.existing_service_rates is None:
+                expected = required_containers(query.arrival_rate, 10.0, 0.1, 0.95)
+            else:
+                expected = required_containers_heterogeneous(
+                    query.arrival_rate, query.existing_service_rates, 10.0, 0.1, 0.95)
+            assert decision.function_name == query.function_name
+            assert decision.desired_containers == expected.containers
+            assert decision.used_heterogeneous_model == (query.existing_service_rates is not None)
+            assert decision.achieved_probability >= 0.95
+
+    def test_a_decision_depends_only_on_its_own_query(self):
+        # one autoscaler sizes a mixed epoch, then each query alone and in
+        # reverse order: the same decisions
+        queries = [
+            ScalingQuery("idle", 0.0, 10.0, 0.1, min_containers=1),
+            ScalingQuery("busy", 140.0, 10.0, 0.1, current_containers=12),
+            ScalingQuery("deflated", 40.0, 10.0, 0.1, current_containers=4,
+                         existing_service_rates=[6.0, 7.0, 10.0, 10.0]),
+            ScalingQuery("small", 5.0, 10.0, 0.1, min_containers=2),
+        ]
+        scaler = Autoscaler()
+        epoch = scaler.decide_batch(queries)
+        assert [scaler.decide_batch([q])[0] for q in queries] == epoch
+        assert scaler.decide_batch(queries[::-1]) == epoch[::-1]
 
     def test_minimum_stable_containers(self):
         scaler = Autoscaler()
@@ -87,8 +106,6 @@ class TestAutoscaler:
     def test_validation(self):
         with pytest.raises(ValueError):
             Autoscaler(percentile=1.5)
-        with pytest.raises(ValueError):
-            Autoscaler(headroom_containers=-1)
         with pytest.raises(ValueError):
             Autoscaler().desired_containers("fn", -1.0, 10.0, 0.1)
         with pytest.raises(ValueError):

@@ -254,8 +254,9 @@ class TestControlStats:
         solver = runner.policy.solver.stats
         assert stats["solver"]["solves"] == solver.solves > 0
         assert stats["solver"]["batches"] == solver.batches
-        assert set(stats["solver"]) == {"solves", "cache_hits", "warm_hits", "warm_fallbacks",
-                                        "full_searches", "probability_evaluations", "batches"}
+        assert set(stats["solver"]) == {"solves", "cache_hits", "warm_hits",
+                                        "probability_evaluations", "batches"}
+        assert stats["solver"]["cache_hits"] == stats["solver"]["warm_hits"] == 0
         # a manual pass is not a tick: only the periodic loop is timed
         runner.policy.run_epoch()
         assert runner.policy.control_stats()["epochs"] == 6

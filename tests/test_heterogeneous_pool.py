@@ -4,8 +4,8 @@
 equal, bit for bit, what ``HeterogeneousMMcQueue`` computed before the
 bound was factored out (``tests/oracles/heterogeneous_sizing.py``),
 whatever was probed before it.  ``SizingSolver.solve_heterogeneous_batch``
-must leave the same counts, memo keys and warm anchors as the frozen
-per-query search run in sequence; its probabilities come from the
+must give the same counts as the frozen per-query search with its memo
+and warm anchors off, run in sequence; its probabilities come from the
 small-fleet closed form, so they match the frozen ones within
 ``closed_form_tolerance`` (``tests/test_solver.py``).  The last tests cover
 the shared input validation and count the probes an epoch sequence costs
@@ -25,12 +25,7 @@ from repro.core.queueing.sizing import (
     required_containers,
     required_containers_heterogeneous,
 )
-from repro.core.queueing.solver import (
-    HeterogeneousQuery,
-    SizingQuery,
-    SizingSolver,
-    caches_disabled,
-)
+from repro.core.queueing.solver import HeterogeneousQuery, SizingQuery, SizingSolver
 from test_solver import closed_form_tolerance
 
 
@@ -85,8 +80,7 @@ def test_one_probe_equals_the_frozen_body_bitwise(probe):
 @given(pool=st.lists(probes(), min_size=1, max_size=24), order=st.randoms())
 @settings(max_examples=120, deadline=None)
 def test_a_probe_reads_the_same_whatever_was_probed_before_it(pool, order):
-    # the log-factorial table and the solver's memos are process state;
-    # the bound must read none of it
+    # the log-factorial table is process state; the bound must not read it
     expected = [frozen(probe) for probe in pool]
     shuffled = list(range(len(pool)))
     order.shuffle(shuffled)
@@ -110,10 +104,10 @@ def test_the_guards():
 # ----------------------------------------------------------------------
 @st.composite
 def epochs(draw):
-    """A drift sequence: epochs of deflated-fleet queries over four warm keys.
+    """A drift sequence: epochs of deflated-fleet queries over four fleets.
 
     Rates drift by up to ±60 % an epoch, so optima move by 0, 1 or many
-    containers in both directions; a key may repeat inside one epoch.
+    containers in both directions; a fleet may repeat inside one epoch.
     """
     standard = draw(st.sampled_from((5.0, 10.0, 20.0)))
     budget = draw(st.sampled_from((0.0, 0.05, 0.1)))
@@ -130,10 +124,10 @@ def epochs(draw):
         for k in keys:
             lams[k] = max(0.0, lams[k] * draw(st.floats(min_value=0.4, max_value=1.6)))
             if draw(st.booleans()):
-                lams[k] = round(lams[k])          # repeats hit the memo
+                lams[k] = round(lams[k])          # exact repeats
             queries.append(HeterogeneousQuery(
                 lams[k], [standard * speed for speed in fleets[k]], standard, budget,
-                percentile, key=("fn", k),
+                percentile,
             ))
         sequence.append(queries)
     return sequence
@@ -170,65 +164,32 @@ def run_both(sequence, solver, reference):
             assert result.wait_budget == q.wait_budget
 
 
-def same_memo(solver, reference):
-    """The same memo keys and counts, probabilities within the closed form's tolerance."""
-    memo = dict(solver._heterogeneous._data)
-    if memo.keys() != reference._heterogeneous.keys():
-        return False
-    for key, (added, prob) in memo.items():
-        expected_added, expected_prob = reference._heterogeneous[key]
-        q = HeterogeneousQuery(*key)
-        if added != expected_added or not close_to(q, len(key[1]) + added, prob, expected_prob):
-            return False
-    return True
-
-
-def same_counters(solver, reference):
-    """Every counter but the probe count: the frozen search ladders and bisects, the solver walks."""
-    fields = ("solves", "cache_hits", "warm_hits", "warm_fallbacks", "full_searches")
-    return all(getattr(solver.stats, f) == getattr(reference.stats, f) for f in fields)
-
-
 #: a positive λ whose ratio to the fleet's capacity underflows to 0.0
-UNDERFLOWING_RATIO = [[HeterogeneousQuery(2.5e-323, [5.0, 5.0], 5.0, 0.0, 0.9, key=("fn", 0))]]
+UNDERFLOWING_RATIO = [[HeterogeneousQuery(2.5e-323, [5.0, 5.0], 5.0, 0.0, 0.9)]]
 
 
 @given(sequence=epochs())
 @example(sequence=UNDERFLOWING_RATIO)
 @settings(max_examples=80, deadline=None)
 def test_batched_fleet_solves_equal_the_frozen_sequence(sequence):
-    solver, reference = SizingSolver(), FrozenHeterogeneousSolver(queue=GuardedQueue)
+    solver = SizingSolver()
+    reference = FrozenHeterogeneousSolver(caching=False, warming=False, queue=GuardedQueue)
     run_both(sequence, solver, reference)
-    assert solver._warm_heterogeneous == reference._warm_heterogeneous
-    assert same_memo(solver, reference)
-    assert same_counters(solver, reference)
+    # every counter but the probe count: the frozen search ladders and bisects, the solver walks
+    for field in ("solves", "cache_hits", "warm_hits"):
+        assert getattr(solver.stats, field) == getattr(reference.stats, field), field
 
 
 @given(sequence=epochs())
 @example(sequence=UNDERFLOWING_RATIO)
 @settings(max_examples=30, deadline=None)
-def test_batched_fleet_solves_equal_the_frozen_sequence_with_caches_off(sequence):
-    solver = SizingSolver()
-    reference = FrozenHeterogeneousSolver(caching=False, warming=False, queue=GuardedQueue)
-    with caches_disabled():
-        run_both(sequence, solver, reference)
-    assert solver._warm_heterogeneous == {} and len(solver._heterogeneous) == 0
-    assert same_counters(solver, reference)
-
-
-def test_a_warm_hit_probes_its_anchor_and_one_neighbour():
-    solver = SizingSolver(cache_size=0)
-    queries = [HeterogeneousQuery(40.0 + i, [7.0] * 5, 10.0, 0.1, key=i) for i in range(3)]
-    solver.solve_heterogeneous_batch(queries)
-    drifted = [q._replace(lam=q.lam + 0.5) for q in queries]
-    results = solver.solve_heterogeneous_batch(drifted)
-    assert solver.stats.warm_hits == 3
-    assert [r.iterations for r in results] == [2, 2, 2]
-    for q, got in zip(drifted, results):
-        expected = required_containers_heterogeneous(q.lam, q.existing_mus, 10.0, 0.1)
-        assert got.containers == expected.containers
-        assert close_to(q, got.containers, got.achieved_probability,
-                        expected.achieved_probability)
+def test_a_fleet_solved_alone_reads_as_it_does_in_its_epoch(sequence):
+    # one long-lived solver takes the epochs as batches, fresh ones take
+    # each query alone: identical rows, probe counts included
+    batched = SizingSolver()
+    for queries in sequence:
+        rows = batched.solve_heterogeneous_batch(queries)
+        assert rows == [SizingSolver().solve_heterogeneous(*q) for q in queries]
 
 
 # ----------------------------------------------------------------------
@@ -253,30 +214,40 @@ ZOO = {
 
 
 def homogeneous(entry):
-    """A homogeneous entry point as ``call(solver, **GOOD)`` (``rate`` unused)."""
+    """A homogeneous entry point as ``call(solver, **GOOD)`` (``rate`` unused).
+
+    A batch entry point solves the probed query beside a good one, after
+    it or before it, and the call returns the probed query's row.
+    """
     def call(solver, lam, mu, wait_budget, percentile, rate):
         del rate
         t, p = wait_budget, percentile
+        probed, other = SizingQuery(lam, mu, t, p), SizingQuery(30.0, 10.0, 0.1)
         if entry == "solve":
-            return solver.solve(lam, mu, t, p, key="fn")
+            return solver.solve(lam, mu, t, p)
         if entry == "solve_batch":
-            return solver.solve_batch([SizingQuery(30.0, 10.0, 0.1, key="other"),
-                                       SizingQuery(lam, mu, t, p, key="fn")])
+            return solver.solve_batch([other, probed])[1]
+        if entry == "solve_batch, probed first":
+            return solver.solve_batch([probed, other])[0]
         return entry(lam, mu, t, p)
     return call
 
 
 def heterogeneous(entry):
-    """A heterogeneous entry point as ``call(solver, **GOOD)``; ``rate`` joins the fleet."""
+    """A heterogeneous entry point as ``call(solver, **GOOD)``; ``rate`` joins the fleet.
+
+    Batches as in :func:`homogeneous`.
+    """
     def call(solver, lam, mu, wait_budget, percentile, rate):
         t, p, existing = wait_budget, percentile, [5.0, rate]
+        probed = HeterogeneousQuery(lam, existing, mu, t, p)
+        other = HeterogeneousQuery(30.0, [5.0, 7.0], 10.0, 0.1)
         if entry == "solve_heterogeneous":
-            return solver.solve_heterogeneous(lam, existing, mu, t, p, key="fleet")
+            return solver.solve_heterogeneous(lam, existing, mu, t, p)
         if entry == "solve_heterogeneous_batch":
-            return solver.solve_heterogeneous_batch([
-                HeterogeneousQuery(30.0, [5.0, 7.0], 10.0, 0.1, key="other"),
-                HeterogeneousQuery(lam, existing, mu, t, p, key="fleet"),
-            ])
+            return solver.solve_heterogeneous_batch([other, probed])[1]
+        if entry == "solve_heterogeneous_batch, probed first":
+            return solver.solve_heterogeneous_batch([probed, other])[0]
         return entry(lam, existing, mu, t, p)
     return call
 
@@ -285,11 +256,12 @@ ENTRIES = {
     "required_containers": homogeneous(required_containers),
     "SizingSolver.solve": homogeneous("solve"),
     "SizingSolver.solve_batch": homogeneous("solve_batch"),
+    "SizingSolver.solve_batch, probed first": homogeneous("solve_batch, probed first"),
     "required_containers_heterogeneous": heterogeneous(required_containers_heterogeneous),
     "SizingSolver.solve_heterogeneous": heterogeneous("solve_heterogeneous"),
     "SizingSolver.solve_heterogeneous_batch": heterogeneous("solve_heterogeneous_batch"),
-    "cold SizingSolver.solve": homogeneous("solve"),
-    "cold SizingSolver.solve_heterogeneous": heterogeneous("solve_heterogeneous"),
+    "SizingSolver.solve_heterogeneous_batch, probed first":
+        heterogeneous("solve_heterogeneous_batch, probed first"),
 }
 CASES = [
     pytest.param(entry, name, value, id=f"{entry}-{name}={value}")
@@ -300,25 +272,17 @@ CASES = [
 ]
 
 
-def new_solver(entry):
-    """A fresh solver for ``entry``; a cold one (Figure 5's solver row) keeps no memo or warm start."""
-    if entry.startswith("cold "):
-        return SizingSolver(cache_size=0, warm_start=False)
-    return SizingSolver()
-
-
 def solver_state(solver):
-    """Everything a rejected call must leave as it was."""
-    return (dict(solver._solutions._data), dict(solver._probabilities._data),
-            dict(solver._heterogeneous._data), dict(solver._warm),
-            dict(solver._warm_heterogeneous), vars(solver.stats).copy())
+    """Everything a rejected call must leave as it was: the counters are all the state there is."""
+    assert vars(solver).keys() == {"stats"}
+    return vars(solver.stats).copy()
 
 
 @pytest.mark.parametrize("entry, name, value", CASES)
 def test_out_of_range_input_is_a_prompt_value_error_that_changes_nothing(entry, name, value):
     call = ENTRIES[entry]
-    solver = new_solver(entry)
-    call(solver, **GOOD)                    # memo, anchors and counters all populated
+    solver = SizingSolver()
+    call(solver, **GOOD)                    # counters populated
     before = solver_state(solver)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=MESSAGES[name]):
@@ -327,19 +291,14 @@ def test_out_of_range_input_is_a_prompt_value_error_that_changes_nothing(entry, 
     assert solver_state(solver) == before
 
 
-def last(result):
-    """A batch entry point's result for its last query; any other result as it is."""
-    return result[-1] if isinstance(result, list) else result
-
-
 @pytest.mark.parametrize("lam", (5e-324, 2.5e-323))
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_a_rate_whose_ratio_underflows_gets_the_vanishing_load_answer(entry, lam):
     # λ / μ (or λ / S_c) is exactly 0.0: once a math domain error, or, in
     # the solver's kernel, a NaN row that no count could satisfy
     call = ENTRIES[entry]
-    got = last(call(new_solver(entry), **{**GOOD, "lam": lam}))
-    limit = last(call(new_solver(entry), **{**GOOD, "lam": 1e-300}))
+    got = call(SizingSolver(), **{**GOOD, "lam": lam})
+    limit = call(SizingSolver(), **{**GOOD, "lam": 1e-300})
     assert (got.containers, got.achieved_probability) == (limit.containers, 1.0)
     assert limit.achieved_probability == 1.0
 
@@ -348,7 +307,7 @@ def test_a_rate_whose_ratio_underflows_gets_the_vanishing_load_answer(entry, lam
 # Work: the epoch-batched solver against the per-candidate search
 # ----------------------------------------------------------------------
 def drifting_rate(function: int, epoch: int) -> float:
-    """A slowly drifting per-function rate, quantised so sweep-like revisits repeat."""
+    """A slowly drifting per-function rate, quantised so sweep-like revisits repeat exactly."""
     base = 60.0 + 17.0 * function
     phase = 2.0 * math.pi * (epoch % 25) / 25.0 + 0.7 * function
     return max(0.1, round(base * (1.0 + 0.12 * math.sin(phase)), 2))
@@ -359,16 +318,15 @@ def test_an_epoch_sequence_costs_no_more_probes_than_the_per_candidate_search():
 
     The per-candidate reference (Algorithm 1 as written, and its linear
     heterogeneous twin) evaluates one candidate per iteration; the
-    solver's probe counter includes every memo-missing probe.
+    solver's probe counter counts every probe.
     """
     solver = SizingSolver()
     reference_probes = 0
     for epoch in range(50):
         rates = [drifting_rate(f, epoch) for f in range(16)]
         homogeneous_results = solver.solve_batch(
-            [SizingQuery(lam, 10.0, 0.1, key=f) for f, lam in enumerate(rates)])
-        fleets = [HeterogeneousQuery(lam, [7.0] * int(lam // 10), 10.0, 0.1, key=f)
-                  for f, lam in enumerate(rates)]
+            [SizingQuery(lam, 10.0, 0.1) for lam in rates])
+        fleets = [HeterogeneousQuery(lam, [7.0] * int(lam // 10), 10.0, 0.1) for lam in rates]
         fleet_results = solver.solve_heterogeneous_batch(fleets)
         for lam, got in zip(rates, homogeneous_results):
             expected = required_containers(lam, 10.0, 0.1)

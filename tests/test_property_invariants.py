@@ -194,10 +194,10 @@ _CURRENT = st.integers(min_value=0, max_value=50)
 @given(lam=_LAM, mu=_MU, budget=_BUDGET, percentile=_PERCENTILE, current=_CURRENT)
 def test_cold_solver_equals_reference_on_random_draws(lam, mu, budget,
                                                       percentile, current):
-    """A solver with no memo or warm start returns the reference count exactly."""
+    """The solver returns the reference count exactly."""
     reference = required_containers(lam, mu, budget, percentile,
                                     current_containers=current)
-    cold = SizingSolver(cache_size=0, warm_start=False).solve(
+    cold = SizingSolver().solve(
         lam, mu, budget, percentile, current_containers=current)
     assert cold.containers == reference.containers
     assert cold.achieved_probability >= percentile
@@ -210,31 +210,25 @@ def test_cold_solver_equals_reference_on_random_draws(lam, mu, budget,
         min_size=1, max_size=12,
     )
 )
-def test_memoized_warm_started_solver_equals_reference_in_batches(draws):
-    """SizingSolver (cache + warm starts + batching) ≡ reference, per draw.
+def test_solver_equals_reference_in_batches(draws):
+    """SizingSolver, one query at a time and batched, ≡ reference, per draw.
 
-    The warm-start slots are keyed per function; feeding each key a
-    random *sequence* of draws exercises the drift/jump re-anchoring
-    logic, and the batch API solves the same draws again from the
-    anchors the sequence left.
+    One solver takes a random *sequence* of draws, then the same draws as
+    one batch: the rows agree with each other and with the reference.
     """
-    solver = SizingSolver(cache_size=1024, warm_start=True)
-    # sequential per-key solves (warm-start path)
-    for index, (lam, mu, budget, percentile) in enumerate(draws):
-        key = f"fn-{index % 3}"
-        got = solver.solve(lam, mu, budget, percentile, key=key)
+    solver = SizingSolver()
+    single = []
+    for lam, mu, budget, percentile in draws:
+        got = solver.solve(lam, mu, budget, percentile)
         want = required_containers(lam, mu, budget, percentile)
-        assert got.containers == want.containers, (lam, mu, budget, percentile)
-    # one batched call over all draws (a repeated draw hits the memo)
+        assert (got.containers, got.iterations) == (want.containers, want.iterations), (
+            lam, mu, budget, percentile)
+        single.append(got)
     queries = [
-        SizingQuery(lam=lam, mu=mu, wait_budget=budget, percentile=percentile,
-                    current_containers=0, key=f"fn-{i % 3}")
-        for i, (lam, mu, budget, percentile) in enumerate(draws)
+        SizingQuery(lam=lam, mu=mu, wait_budget=budget, percentile=percentile)
+        for lam, mu, budget, percentile in draws
     ]
-    batched = solver.solve_batch(queries)
-    for (lam, mu, budget, percentile), result in zip(draws, batched):
-        want = required_containers(lam, mu, budget, percentile)
-        assert result.containers == want.containers
+    assert solver.solve_batch(queries) == single
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,6 @@ from repro.core.queueing.sizing import (
 from repro.core.queueing.solver import SizingSolver
 
 
-def cold_solve(*args):
-    """One solve through a solver with no memo and no warm start."""
-    return SizingSolver(cache_size=0, warm_start=False).solve(*args)
-
-
 class TestHeterogeneousQueue:
     def test_reduces_to_homogeneous_bound_shape(self):
         lam, mu, c = 20.0, 10.0, 4
@@ -140,11 +135,11 @@ class TestSizingAlgorithm1:
         for lam in (5.0, 17.0, 60.0, 140.0):
             for budget in (0.05, 0.1, 0.3):
                 reference = required_containers(lam, 10.0, budget, 0.95).containers
-                assert cold_solve(lam, 10.0, budget, 0.95).containers == reference
+                assert SizingSolver().solve(lam, 10.0, budget, 0.95).containers == reference
                 assert required_containers_naive(lam, 10.0, budget, 0.95).containers == reference
 
     def test_solver_handles_large_counts(self):
-        result = cold_solve(5000.0, 10.0, 0.1, 0.99)
+        result = SizingSolver().solve(5000.0, 10.0, 0.1, 0.99)
         assert result.containers >= 500
         assert result.achieved_probability >= 0.99
 
@@ -166,7 +161,7 @@ class TestSizingAlgorithm1:
     @settings(max_examples=40, deadline=None)
     def test_property_solver_equals_reference(self, lam, mu, budget):
         reference = required_containers(lam, mu, budget, 0.95).containers
-        assert cold_solve(lam, mu, budget, 0.95).containers == reference
+        assert SizingSolver().solve(lam, mu, budget, 0.95).containers == reference
 
     @given(
         lam=st.floats(min_value=1.0, max_value=100.0),

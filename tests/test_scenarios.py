@@ -261,40 +261,24 @@ class TestSweepDeterminism:
         assert rates == [10.0, 20.0, 30.0, 40.0]
 
 
-class TestSolverCacheDeterminism:
-    """Solver memo / warm-start on vs off must not change a single byte."""
+class TestRemovedSizingSwitches:
+    """The controller group once carried three sizing switches; old echoes still load."""
 
-    def _controller_sweep(self):
-        """A small controller-driven sweep (the solver sits on its epoch path)."""
-        base = build("quickstart", duration=30.0)
-        return SweepSpec(
-            name="solver-cache-guard",
-            base=base,
-            axes=(SweepAxis("workloads.0.schedule.params.rate", (10.0, 25.0)),),
-        )
+    #: the three keys every echo carried before they went, at their only defaults
+    REMOVED = {"use_fast_sizing": True, "sizing_cache": True, "sizing_warm_start": True}
 
-    def test_results_json_identical_with_and_without_caches(self):
-        from repro.core.queueing.solver import caches_disabled
-
-        sweep = self._controller_sweep()
-        cached = ResilientSweepRunner(sweep, workers=1, on_failure="raise").run_json()
-        with caches_disabled():
-            cold = ResilientSweepRunner(sweep, workers=1, on_failure="raise").run_json()
-        assert cached == cold
-
-    def test_scenario_json_identical_with_config_flags_off(self):
-        from repro.scenarios import ControllerSpec
-
+    def test_an_echo_with_the_removed_keys_loads_and_runs(self):
         spec = build("quickstart", duration=30.0)
-        flags_off = apply_overrides(spec, {
-            "controller.sizing_cache": False,
-            "controller.sizing_warm_start": False,
-        })
-        # the spec echo differs (it records the flags), but every result
-        # payload must be identical
-        on = run_scenario(spec).data
-        off = run_scenario(flags_off).data
-        assert ControllerSpec.from_dict(off["scenario"]["controller"]).sizing_cache is False
-        on.pop("scenario")
-        off.pop("scenario")
-        assert canonical_json(on) == canonical_json(off)
+        echo = spec.to_dict()
+        echo["controller"] = {**echo["controller"], **self.REMOVED}
+        old = ScenarioSpec.from_dict(json.loads(json.dumps(echo)))
+        assert old == spec
+        result = run_scenario(old).data
+        assert result["scenario"] == spec.to_dict()
+        assert not self.REMOVED.keys() & result["scenario"]["controller"].keys()
+
+    def test_overriding_a_removed_key_is_a_typo(self):
+        spec = build("quickstart", duration=30.0)
+        for key in self.REMOVED:
+            with pytest.raises(KeyError, match="does not resolve"):
+                apply_overrides(spec, {f"controller.{key}": False})

@@ -1,4 +1,4 @@
-"""Tests for the memoized, batched control-plane solver.
+"""Tests for the stateless, batched control-plane solver.
 
 Three contracts are covered:
 
@@ -7,14 +7,16 @@ Three contracts are covered:
    above) matches the scalar :class:`~repro.core.queueing.mmc.MMcQueue`
    bound across a (λ, μ, c, t) grid, including unstable and zero-load
    edges.
-2. **Oracle equivalence** — across ~200 parameter combinations and all
-   four cache/warm-start configurations, :class:`SizingSolver` returns
-   the same container counts as the reference ``required_containers``
-   and the frozen naive Algorithm 1 of ``tests/oracles/naive_sizing.py``
-   (including ``λ = 0`` and near-instability ``ρ → 1`` edges).
-3. **Shortcut mechanics** — warm starts stay exact under drifts and
-   jumps, the LRU memo actually hits/evicts, batching aligns results
-   positionally, and :func:`caches_disabled` forces cold solves.
+2. **Oracle equivalence** — across ~200 parameter combinations,
+   :class:`SizingSolver` returns the same container counts as the
+   reference ``required_containers`` and the frozen naive Algorithm 1 of
+   ``tests/oracles/naive_sizing.py`` (including ``λ = 0`` and
+   near-instability ``ρ → 1`` edges), probing exactly the counts the
+   reference does; a deflated fleet probes no more than its reference.
+3. **Statelessness and batching** — a batch solved twice, or reversed,
+   gives identical rows; under both models a query's row does not depend
+   on what the solver answered before it (drifts, jumps, repeats, a
+   tighter cap); and batches align results positionally.
 """
 
 import itertools
@@ -38,13 +40,13 @@ from repro.core.queueing.sizing import (
 )
 from repro.core.queueing.heterogeneous import wait_bound
 from repro.core.queueing.solver import (
+    HeterogeneousQuery,
     SizingQuery,
     SizingSolver,
     _bound,
     _closed_tail,
     _small_bound,
     _small_fleet_bound,
-    caches_disabled,
 )
 
 #: the oracle-equivalence grid: 9 λ × 2 μ × 4 t × 3 p = 216 combinations.
@@ -225,26 +227,36 @@ class TestClosedForm:
             reference.containers, reference.achieved_probability)
 
 
+#: the ways a query can reach the solver; a stateless solver answers each alike
+SUBMISSIONS = ("one solver, solve", "one solver, solve_batch",
+               "one solver, solve_batch reversed", "a solver per query")
+
+
+def submit(mode, queries):
+    """Solve ``queries`` (:class:`SizingQuery` rows) as ``mode`` names; rows align with them."""
+    if mode == "one solver, solve":
+        solver = SizingSolver()
+        return [solver.solve(*q) for q in queries]
+    if mode == "one solver, solve_batch":
+        return SizingSolver().solve_batch(queries)
+    if mode == "one solver, solve_batch reversed":
+        return SizingSolver().solve_batch(queries[::-1])[::-1]
+    return [SizingSolver().solve(*q) for q in queries]
+
+
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("cache_size,warm_start", [
-        (65_536, True), (65_536, False), (0, True), (0, False),
-    ])
-    def test_grid_matches_reference_and_naive(self, cache_size, warm_start):
-        solver = SizingSolver(cache_size=cache_size, warm_start=warm_start)
-        combos = 0
-        for lam, mu, budget, percentile in grid():
-            reference = required_containers(lam, mu, budget, percentile)
-            naive = required_containers_naive(lam, mu, budget, percentile)
-            # shared warm key across the grid walk: successive solves for
-            # the same key exercise anchors far from the next optimum
-            got = solver.solve(lam, mu, budget, percentile, key="grid")
-            again = solver.solve(lam, mu, budget, percentile, key="grid")
-            assert got.containers == reference.containers == naive.containers, (
-                lam, mu, budget, percentile,
-            )
-            assert again.containers == got.containers
-            combos += 1
-        assert combos == 216
+    @pytest.mark.parametrize("mode", SUBMISSIONS)
+    def test_grid_matches_reference_and_naive(self, mode):
+        # every query walks from its own stability minimum, probing exactly
+        # the counts Algorithm 1 does, whatever was solved before it
+        points = list(grid())
+        assert len(points) == 216
+        results = submit(mode, [SizingQuery(*point) for point in points])
+        for point, got in zip(points, results):
+            reference = required_containers(*point)
+            naive = required_containers_naive(*point)
+            assert got.containers == reference.containers == naive.containers, point
+            assert got.iterations == reference.iterations, point
 
     def test_zero_load(self):
         result = SizingSolver().solve(0.0, 10.0, 0.1)
@@ -261,7 +273,10 @@ class TestOracleEquivalence:
             assert got.achieved_probability >= percentile
 
     def test_current_containers_lower_bound(self):
+        # the walk runs from the stability minimum; a binding lower bound
+        # costs the one probe of its own count
         solver = SizingSolver()
+        unbound = required_containers(30.0, 10.0, 0.1, 0.95)
         for current in (0, 1, 7, 40, 200):
             reference = required_containers(30.0, 10.0, 0.1, 0.95,
                                             current_containers=current)
@@ -270,6 +285,8 @@ class TestOracleEquivalence:
             assert got.achieved_probability == pytest.approx(
                 reference.achieved_probability, rel=1e-9
             )
+            binds = current > unbound.containers
+            assert got.iterations == unbound.iterations + binds
 
     def test_max_containers_raises_like_reference(self):
         with pytest.raises(ValueError):
@@ -288,67 +305,23 @@ class TestOracleEquivalence:
         with pytest.raises(ValueError):
             solver.solve(1.0, 1.0, 0.1, percentile=1.5)
 
-    def test_a_cold_solver_matches_reference(self):
-        # no memo, no warm start: every count comes from the search itself
-        solver = SizingSolver(cache_size=0, warm_start=False)
+    def test_wide_queries_match_reference(self):
+        solver = SizingSolver()
         for lam in (5.0, 17.0, 60.0, 140.0, 999.0):
             for budget in (0.05, 0.1, 0.3):
-                reference = required_containers(lam, 10.0, budget, 0.95).containers
-                assert solver.solve(lam, 10.0, budget, 0.95).containers == reference
-
-
-class TestWarmStart:
-    def test_drifting_sequence_matches_reference(self):
-        solver = SizingSolver()
-        lam = 200.0
-        for epoch in range(120):
-            lam = max(1.0, lam * (1.0 + 0.15 * math.sin(float(epoch))))
-            if epoch == 47:
-                lam = 3000.0     # upward jump far beyond the warm window
-            if epoch == 80:
-                lam = 12.0       # collapse far below it
-            reference = required_containers(lam, 10.0, 0.1, 0.95).containers
-            got = solver.solve(lam, 10.0, 0.1, 0.95, key="fn").containers
-            assert got == reference, (epoch, lam)
-        assert solver.stats.warm_hits > 0
-        assert solver.stats.full_searches >= 1
-
-    def test_an_unmoved_optimum_costs_at_most_two_probes(self):
-        # the walk probes the anchor, then its predecessor (which misses);
-        # at the stability minimum the anchor alone settles it
-        solver = SizingSolver(cache_size=0)  # no memo: isolate the warm path
-        first = solver.solve(200.0, 10.0, 0.1, 0.95, key="fn")
-        steady = solver.solve(200.0, 10.0, 0.1, 0.95, key="fn")
-        assert steady.containers == first.containers
-        assert steady.iterations == 2
-        assert solver.solve(0.5, 10.0, 0.1, 0.95, key="idle").iterations == 1
-        assert solver.solve(0.5, 10.0, 0.1, 0.95, key="idle").iterations == 1
-        assert solver.stats.warm_hits == 2
-
-    def test_keys_are_isolated(self):
-        solver = SizingSolver(cache_size=0)
-        solver.solve(500.0, 10.0, 0.1, 0.95, key="big")
-        small = solver.solve(5.0, 10.0, 0.1, 0.95, key="small")
-        assert small.containers == required_containers(5.0, 10.0, 0.1, 0.95).containers
-
-    def test_disabled_warm_start_never_records_anchors(self):
-        solver = SizingSolver(warm_start=False)
-        solver.solve(200.0, 10.0, 0.1, 0.95, key="fn")
-        assert solver._warm == {}
-        assert solver.stats.warm_hits == 0
-
-
-#: every cache/warm-start configuration a solver can run in
-CONFIGS = ((65_536, True), (65_536, False), (0, True), (0, False))
+                reference = required_containers(lam, 10.0, budget, 0.95)
+                got = solver.solve(lam, 10.0, budget, 0.95)
+                assert (got.containers, got.iterations) == (
+                    reference.containers, reference.iterations)
 
 
 @st.composite
 def boundary_drifts(draw):
     """Load levels, in units of 32 standard containers, that drift and jump across 32.
 
-    Each epoch either drifts the level by up to ±10 % (a warm anchor's
-    neighbourhood) or jumps to a fresh level anywhere in 0.02–3 (a jump
-    across the closed form's region, up or down).
+    Each epoch either drifts the level by up to ±10 % or jumps to a fresh
+    level anywhere in 0.02–3 (a jump across the closed form's region, up
+    or down).
     """
     level = draw(st.floats(0.02, 3.0))
     levels = [level]
@@ -364,10 +337,10 @@ def boundary_drifts(draw):
 class TestWideWalk:
     """The one walk on both sides of 32 containers: counts ``==`` the reference's.
 
-    A warm anchor is read only up to 32 containers; a wider query walks
-    cold from the stability minimum (a deflated fleet: from one below the
-    first added count whose capacity exceeds λ).  Sequences cross that
-    boundary both ways, under all four cache/warm-start configurations.
+    A homogeneous query walks from the stability minimum, probing exactly
+    the counts the reference does; a deflated fleet walks from one below
+    the first added count whose capacity exceeds λ, so it probes no more.
+    Sequences cross 32 both ways through one solver.
     """
 
     @given(levels=boundary_drifts(), mu=st.sampled_from((5.0, 10.0)),
@@ -376,16 +349,13 @@ class TestWideWalk:
     @settings(max_examples=60, deadline=None)
     def test_homogeneous_counts_equal_the_reference_across_32(self, levels, mu, budget,
                                                                percentile):
-        solvers = [SizingSolver(cache_size=size, warm_start=warm) for size, warm in CONFIGS]
-        cold = solvers[-1]
+        solver = SizingSolver()
         for level in levels:
             lam = level * 32 * mu
             reference = required_containers(lam, mu, budget, percentile)
-            for solver in solvers:
-                got = solver.solve(lam, mu, budget, percentile, key="fn")
-                assert got.containers == reference.containers, (level, solver.cache_size)
-            # a cold walk probes exactly the counts Algorithm 1 does
-            assert cold.solve(lam, mu, budget, percentile).iterations == reference.iterations
+            got = solver.solve(lam, mu, budget, percentile)
+            assert got.containers == reference.containers, level
+            assert got.iterations == reference.iterations, level
 
     @given(levels=boundary_drifts(), standard=st.sampled_from((5.0, 10.0)),
            speeds=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=40),
@@ -395,130 +365,191 @@ class TestWideWalk:
     def test_deflated_fleet_counts_equal_the_reference_across_32(self, levels, standard, speeds,
                                                                  budget, percentile):
         existing = [standard * speed for speed in speeds]
-        solvers = [SizingSolver(cache_size=size, warm_start=warm) for size, warm in CONFIGS]
-        cold = solvers[-1]
+        solver = SizingSolver()
         for level in levels:
             lam = level * 32 * standard
             reference = required_containers_heterogeneous(lam, existing, standard, budget,
                                                           percentile)
-            for solver in solvers:
-                got = solver.solve_heterogeneous(lam, existing, standard, budget, percentile,
-                                                 key="fleet")
-                assert got.containers == reference.containers, (level, solver.cache_size)
-            walked = cold.solve_heterogeneous(lam, existing, standard, budget, percentile)
-            assert walked.iterations <= reference.iterations
+            got = solver.solve_heterogeneous(lam, existing, standard, budget, percentile)
+            assert got.containers == reference.containers, level
+            assert got.iterations <= reference.iterations, level
 
     def test_a_walk_across_32_both_ways_stays_short(self):
-        # without the start rules, λ 20,000 → 1,000 at μ = 10 would walk
-        # 1,902 counts down from the wide anchor, and a 5-container fleet
-        # at λ = 20,000 2,002 counts up from added = 0
-        solver = SizingSolver(cache_size=0)
+        # a walk up from 0 would take 2,002 counts for a 5-container fleet
+        # at λ = 20,000 and μ = 10; the first-stable start takes a handful
+        solver = SizingSolver()
         for lam in (20_000.0, 1_000.0, 150.0, 20_000.0):
-            got = solver.solve(lam, 10.0, 0.1, 0.99, key="fn")
+            got = solver.solve(lam, 10.0, 0.1, 0.99)
             reference = required_containers(lam, 10.0, 0.1, 0.99)
             assert (got.containers, got.iterations) == (reference.containers, reference.iterations)
         fleet = [7.0] * 5
         for lam in (20_000.0, 100.0, 20_000.0):
-            got = solver.solve_heterogeneous(lam, fleet, 10.0, 0.1, 0.99, key="fleet")
+            got = solver.solve_heterogeneous(lam, fleet, 10.0, 0.1, 0.99)
             reference = required_containers_heterogeneous(lam, fleet, 10.0, 0.1, 0.99)
             assert got.containers == reference.containers
             assert got.iterations <= 8 < reference.iterations
 
 
-class TestMemo:
-    def test_exact_key_hit_skips_all_evaluation(self):
-        solver = SizingSolver()
-        cold = solver.solve(88.0, 10.0, 0.1, 0.95)
-        hit = solver.solve(88.0, 10.0, 0.1, 0.95)
-        assert hit.containers == cold.containers
-        assert hit.iterations == 0
-        assert solver.stats.cache_hits == 1
+#: the two models a query can ask for: a homogeneous pool at μ = 10, or
+#: five containers deflated to 7 beside added standard ones
+MODELS = ("homogeneous", "deflated fleet")
+FLEET = (7.0,) * 5
 
-    def test_nearby_keys_do_not_collide(self):
-        solver = SizingSolver()
-        a = solver.solve(88.0, 10.0, 0.1, 0.95)
-        b = solver.solve(88.00000001, 10.0, 0.1, 0.95)
-        assert solver.stats.cache_hits == 0
-        assert abs(a.containers - b.containers) <= 1
 
-    def test_lru_evicts_oldest(self):
-        solver = SizingSolver(cache_size=2, warm_start=False)
-        solver.solve(10.0, 10.0, 0.1, 0.95)
-        solver.solve(20.0, 10.0, 0.1, 0.95)
-        solver.solve(30.0, 10.0, 0.1, 0.95)   # evicts the 10.0 entry
-        assert len(solver._solutions) == 2
-        solver.solve(10.0, 10.0, 0.1, 0.95)
-        assert solver.stats.cache_hits == 0
+def model_query(model, lam, budget=0.1, percentile=0.95, cap=100_000):
+    """The query for ``lam`` under ``model``; ``cap`` bounds the count (a fleet's added count)."""
+    if model == "homogeneous":
+        return SizingQuery(lam, 10.0, budget, percentile, max_containers=cap)
+    return HeterogeneousQuery(lam, FLEET, 10.0, budget, percentile, max_additional=cap)
 
-    def test_clear_resets_state(self):
-        solver = SizingSolver()
-        solver.solve(88.0, 10.0, 0.1, 0.95, key="fn")
-        solver.clear()
-        assert len(solver._solutions) == 0
-        assert solver._warm == {}
 
-    def test_caches_disabled_context_forces_cold_solves(self):
-        solver = SizingSolver()
-        solver.solve(88.0, 10.0, 0.1, 0.95, key="fn")
-        with caches_disabled():
-            result = solver.solve(88.0, 10.0, 0.1, 0.95, key="fn")
-            assert result.iterations > 0          # not a cache hit
-            assert solver.stats.cache_hits == 0
-        hit = solver.solve(88.0, 10.0, 0.1, 0.95, key="fn")
-        assert hit.iterations == 0                # re-enabled afterwards
+def solve_one(model, solver, query):
+    """``solver``'s answer to one query through the model's single-query entry point."""
+    if model == "homogeneous":
+        return solver.solve(*query)
+    return solver.solve_heterogeneous(*query)
 
-    def test_cache_hit_respects_max_containers(self):
+
+def solve_rows(model, solver, queries):
+    """``solver``'s rows for ``queries`` through the model's batch entry point."""
+    if model == "homogeneous":
+        return solver.solve_batch(queries)
+    return solver.solve_heterogeneous_batch(queries)
+
+
+def reference_row(model, query):
+    """The Algorithm 1 oracle's answer to one query."""
+    if model == "homogeneous":
+        return required_containers(*query)
+    return required_containers_heterogeneous(*query)
+
+
+def check_against_reference(model, query, got):
+    """Equal counts; a homogeneous walk probes exactly the reference's counts, a fleet's no more."""
+    reference = reference_row(model, query)
+    assert got.containers == reference.containers, query
+    if model == "homogeneous":
+        assert got.iterations == reference.iterations, query
+    else:
+        assert got.iterations <= reference.iterations, query
+
+
+class TestStateless:
+    """Nothing but the counters outlives a query: repeats and order change no row."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_drifting_sequence_matches_the_reference(self, model):
+        # drifts, a jump far above the last answer and a collapse far below
+        # it: each query is answered as if it were the solver's first
         solver = SizingSolver()
-        cold = solver.solve(50.0, 10.0, 0.0, 0.99)
-        assert cold.containers > 8
+        lam = 200.0
+        for epoch in range(120):
+            lam = max(1.0, lam * (1.0 + 0.15 * math.sin(float(epoch))))
+            if epoch == 47:
+                lam = 3000.0
+            if epoch == 80:
+                lam = 12.0
+            query = model_query(model, lam)
+            check_against_reference(model, query, solve_one(model, solver, query))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_large_query_leaves_a_small_one_alone(self, model):
+        solver = SizingSolver()
+        solve_one(model, solver, model_query(model, 500.0))
+        small = model_query(model, 5.0)
+        got = solve_one(model, solver, small)
+        assert got == solve_one(model, SizingSolver(), small)
+        check_against_reference(model, small, got)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_nearby_rates_get_their_own_answers(self, model):
+        solver = SizingSolver()
+        queries = [model_query(model, lam) for lam in (88.0, 88.00000001, 88.0)]
+        rows = [solve_one(model, solver, query) for query in queries]
+        for query, got in zip(queries, rows):
+            check_against_reference(model, query, got)
+        assert rows[0] == rows[2]
+        assert rows[0].achieved_probability != rows[1].achieved_probability
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_repeat_still_respects_its_cap(self, model):
+        # a query answered once is not answered again past a tighter cap
+        solver = SizingSolver()
+        generous = solve_one(model, solver, model_query(model, 50.0, 0.0, 0.99))
+        needed = generous.containers - (0 if model == "homogeneous" else len(FLEET))
+        assert needed > 3
+        tight = model_query(model, 50.0, 0.0, 0.99, cap=needed - 1)
         with pytest.raises(ValueError):
-            solver.solve(50.0, 10.0, 0.0, 0.99, max_containers=8)
+            reference_row(model, tight)
+        with pytest.raises(ValueError):
+            solve_one(model, solver, tight)
+        assert solve_one(model, solver, model_query(model, 50.0, 0.0, 0.99, cap=needed)) == generous
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_interleaved_duplicates_match_the_reference(self, model):
+        first, other = model_query(model, 88.0), model_query(model, 40.0)
+        rows = solve_rows(model, SizingSolver(), [first, other, first])
+        assert rows[0] == rows[2]
+        for query, got in zip((first, other), rows):
+            check_against_reference(model, query, got)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_repeated_query_costs_what_the_first_did(self, model):
+        # no memo answers a repeat for free, no anchor makes it cheaper
+        solver = SizingSolver()
+        steady = [solve_one(model, solver, model_query(model, 200.0)) for _ in range(3)]
+        assert steady[0] == steady[1] == steady[2]
+        idle = [solve_one(model, solver, model_query(model, 0.5)) for _ in range(2)]
+        assert idle[0] == idle[1] and idle[0].iterations == 1
+        assert solver.stats.probability_evaluations == 3 * steady[0].iterations + 2
+
+    def test_a_batch_solved_twice_and_reversed_gives_identical_rows(self):
+        queries = [SizingQuery(lam, mu, budget, percentile, current_containers=7 * (i % 4))
+                   for i, (lam, mu, budget, percentile) in enumerate(grid())]
+        fleets = [HeterogeneousQuery(lam, [0.5 * mu, 0.9 * mu, mu][:1 + i % 3], mu, budget,
+                                     percentile)
+                  for i, (lam, mu, budget, percentile) in enumerate(grid())]
+        solver = SizingSolver()
+        rows = solver.solve_batch(queries)
+        fleet_rows = solver.solve_heterogeneous_batch(fleets)
+        assert solver.solve_batch(queries) == rows
+        assert solver.solve_batch(queries[::-1]) == rows[::-1]
+        assert solver.solve_heterogeneous_batch(fleets) == fleet_rows
+        assert solver.solve_heterogeneous_batch(fleets[::-1]) == fleet_rows[::-1]
+        assert vars(solver) == {"stats": solver.stats}
+        assert solver.stats.cache_hits == solver.stats.warm_hits == 0
+        assert solver.stats.solves == 3 * (len(queries) + len(fleets))
 
 
 class TestBatch:
     def test_results_align_positionally(self):
         queries = [
-            SizingQuery(lam=lam, mu=10.0, wait_budget=0.1, key=i)
-            for i, lam in enumerate((90.0, 0.0, 5.0, 320.0, 17.0))
+            SizingQuery(lam=lam, mu=10.0, wait_budget=0.1)
+            for lam in (90.0, 0.0, 5.0, 320.0, 17.0)
         ]
         results = SizingSolver().solve_batch(queries)
         for query, result in zip(queries, results):
             expected = required_containers(query.lam, 10.0, 0.1).containers
             assert result.containers == expected
 
-    def test_epoch_sequence_mixes_hits_warm_and_cold(self):
+    def test_an_epoch_sequence_matches_the_reference(self):
         solver = SizingSolver()
         rates = [60.0 + 17.0 * i for i in range(12)]
         for epoch in range(6):
             drifted = [round(r * (1.0 + 0.02 * epoch), 2) for r in rates]
-            queries = [
-                SizingQuery(lam=lam, mu=10.0, wait_budget=0.1, key=i)
-                for i, lam in enumerate(drifted)
-            ]
-            results = solver.solve_batch(queries)
+            results = solver.solve_batch([SizingQuery(lam, 10.0, 0.1) for lam in drifted])
             for lam, result in zip(drifted, results):
-                assert result.containers == required_containers(lam, 10.0, 0.1).containers
-        assert solver.stats.warm_hits > 0
+                expected = required_containers(lam, 10.0, 0.1)
+                assert (result.containers, result.iterations) == (
+                    expected.containers, expected.iterations)
         assert solver.stats.batches == 6
+        assert solver.stats.solves == 72
 
-    def test_duplicate_queries_share_one_solve(self):
+    def test_duplicate_queries_get_identical_rows(self):
         solver = SizingSolver()
-        queries = [SizingQuery(lam=88.0, mu=10.0, wait_budget=0.1)] * 5
-        results = solver.solve_batch(queries)
-        assert len({r.containers for r in results}) == 1
-        assert solver.stats.cache_hits == 4
-
-    def test_duplicates_survive_within_batch_eviction(self):
-        # cache_size=1: the second leader evicts the first leader's entry
-        # before its follower resolves — the follower must recompute, not
-        # crash, and stay exact
-        solver = SizingSolver(cache_size=1)
-        q1 = SizingQuery(lam=88.0, mu=10.0, wait_budget=0.1)
-        q2 = SizingQuery(lam=40.0, mu=10.0, wait_budget=0.1)
-        results = solver.solve_batch([q1, q2, q1])
-        assert results[0].containers == results[2].containers
-        assert results[0].containers == required_containers(88.0, 10.0, 0.1).containers
-        assert results[1].containers == required_containers(40.0, 10.0, 0.1).containers
+        results = solver.solve_batch([SizingQuery(lam=88.0, mu=10.0, wait_budget=0.1)] * 5)
+        assert len(set(results)) == 1
+        assert solver.stats.probability_evaluations == 5 * results[0].iterations
 
 
 class TestHeterogeneous:
@@ -531,29 +562,26 @@ class TestHeterogeneous:
                 reference = required_containers_heterogeneous(
                     lam, existing, 10.0, 0.1
                 )
-                got = solver.solve_heterogeneous(lam, existing, 10.0, 0.1, key="fn")
-                again = solver.solve_heterogeneous(lam, existing, 10.0, 0.1, key="fn")
+                got = solver.solve_heterogeneous(lam, existing, 10.0, 0.1)
                 assert got.containers == reference.containers
-                assert again.containers == reference.containers
                 assert got.achieved_probability == pytest.approx(
                     reference.achieved_probability, rel=1e-9
                 )
-        assert solver.stats.cache_hits > 0
 
     def test_zero_load_keeps_existing(self):
         result = SizingSolver().solve_heterogeneous(0.0, [7.0, 10.0], 10.0, 0.1)
         assert result.containers == 2
         assert result.achieved_probability == 1.0
 
-    def test_warm_drift_stays_exact(self):
-        solver = SizingSolver(cache_size=0)
+    def test_a_drifting_fleet_matches_the_reference(self):
+        solver = SizingSolver()
         for lam in (40.0, 44.0, 48.0, 80.0, 30.0):
             existing = [7.0] * 5
             reference = required_containers_heterogeneous(lam, existing, 10.0, 0.1)
-            got = solver.solve_heterogeneous(lam, existing, 10.0, 0.1, key="fn")
+            got = solver.solve_heterogeneous(lam, existing, 10.0, 0.1)
             assert got.containers == reference.containers
 
-    def test_cache_hit_respects_max_additional(self):
+    def test_max_additional_raises_like_reference(self):
         solver = SizingSolver()
         generous = solver.solve_heterogeneous(50.0, [1.0], 1.0, 0.1,
                                               max_additional=1000)
@@ -598,10 +626,9 @@ class TestHeterogeneous:
                 reference = required_containers_heterogeneous(
                     lam, existing, mu, budget, percentile
                 )
-                got = solver.solve_heterogeneous(
-                    lam, existing, mu, budget, percentile, key="fn"
-                )
+                got = solver.solve_heterogeneous(lam, existing, mu, budget, percentile)
                 assert got.containers == reference.containers
+                assert got.iterations <= reference.iterations
                 fleet = sorted(existing + [mu] * (got.containers - len(existing)))
                 assert abs(got.achieved_probability - reference.achieved_probability) <= (
                     closed_form_tolerance(lam, fleet, budget))

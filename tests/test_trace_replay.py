@@ -315,7 +315,7 @@ def test_scalar_sizing_equals_the_solver_path_over_the_population():
     from repro.scenarios.trace_shard import SIZING_PERCENTILE
     from repro.workloads.stream import DEFAULT_POPULATION
 
-    solver = SizingSolver(cache_size=0, warm_start=False)
+    solver = SizingSolver()
     for index in range(300):
         fn = population_function(index, DEFAULT_POPULATION)
         query = dict(lam=fn.config.mean_rate, mu=1.0 / fn.service_time,
