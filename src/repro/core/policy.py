@@ -257,19 +257,12 @@ class PolicyDescriptor:
         Optional eager validator called at *spec construction* time, so
         a sweep with a typo'd ``policy_params`` fails before any shard
         runs.  Receives the params mapping; raises ``ValueError``.
-    legacy_workload_rng:
-        When true, the :class:`~repro.simulation.SimulationRunner` wires
-        the workload generators without a dedicated ``work:`` RNG stream
-        (work draws interleave with arrival draws) — the wiring the
-        OpenWhisk baseline was first measured with, kept because a
-        dedicated stream would change every number its arms report.
     """
 
     name: str
     summary: str
     factory: PolicyFactory
     validate_params: Optional[Callable[[Mapping[str, Any]], None]] = None
-    legacy_workload_rng: bool = False
 
 
 _REGISTRY: Dict[str, PolicyDescriptor] = {}
@@ -299,7 +292,6 @@ def register_policy(
     name: str,
     summary: str,
     validate_params: Optional[Callable[[Mapping[str, Any]], None]] = None,
-    legacy_workload_rng: bool = False,
 ) -> Callable[[PolicyFactory], PolicyFactory]:
     """Decorator: register a policy factory under ``name``.
 
@@ -318,7 +310,6 @@ def register_policy(
             summary=summary,
             factory=factory,
             validate_params=validate_params,
-            legacy_workload_rng=legacy_workload_rng,
         )
         return factory
 

@@ -7,10 +7,7 @@ the Knative-style reactive baseline, static allocation, and vanilla
 OpenWhisk — twice each: healthy, and through a mid-run node outage.
 Every arm shares the base seed (``seed_mode="base"``) and the same
 fault schedule, so each column of the rendered table isolates the
-control plane itself.  (One caveat, noted in the rendered footer: the
-openwhisk arm replays the shared seed with its historical interleaved
-work draws — ``PolicyDescriptor.legacy_workload_rng`` — so its
-per-request work sequence differs from the other arms'.)  The columns:
+control plane itself.  The columns:
 
 * **SLO** — P95 waiting time and attainment per function, the paper's
   headline metric;
@@ -147,9 +144,7 @@ def format_fig11(result: Fig11Result) -> str:
             line += f"  [{arm.failed_invokers} invoker(s) failed]"
         lines.append(line)
     lines.append(
-        "all arms share one seed and (when faulted) the identical node-0 outage; "
-        "the openwhisk arm replays that seed with its historical interleaved "
-        "work draws (see PolicyDescriptor.legacy_workload_rng)"
+        "all arms share one seed and (when faulted) the identical node-0 outage"
     )
     return "\n".join(lines)
 

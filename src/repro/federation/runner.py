@@ -198,12 +198,6 @@ class FederatedSimulationRunner:
                     user=binding.user,
                     slo_deadline=binding.slo_deadline,
                 ))
-            descriptor = get_policy(site.spec.policy)
-            if descriptor.legacy_workload_rng:
-                raise ValueError(
-                    f"site {site.name!r}: policy {site.spec.policy!r} uses the "
-                    f"legacy interleaved workload RNG and cannot run federated"
-                )
             context = PolicyContext(
                 engine=self.engine,
                 cluster=site.cluster,
@@ -213,7 +207,8 @@ class FederatedSimulationRunner:
                 default_service_rates=default_rates,
             )
             site.attach_policy(
-                descriptor.factory(context, dict(site.spec.policy_params)),
+                get_policy(site.spec.policy).factory(
+                    context, dict(site.spec.policy_params)),
                 default_rates,
             )
 

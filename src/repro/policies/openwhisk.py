@@ -352,7 +352,6 @@ def _validate_openwhisk_params(params) -> None:
     "openwhisk",
     "vanilla OpenWhisk: memory-only sharding-pool packing, scale per request",
     validate_params=_validate_openwhisk_params,
-    legacy_workload_rng=True,
 )
 def _build_openwhisk(context: PolicyContext, params: Dict[str, Any]) -> VanillaOpenWhiskController:
     """Registry factory for the vanilla-OpenWhisk policy."""

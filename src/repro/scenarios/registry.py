@@ -723,9 +723,7 @@ def _shootout_sweep(name: str, duration: float, seed: int,
     policies face identical arrival randomness and — in the faulted
     arms — the identical node-outage schedule; the ``static`` arm's
     allocation is solved from the same M/M/c model LaSS uses, making it
-    the "provision once for this exact load" operator.  (The openwhisk
-    arm replays the arrival stream with its historical interleaved work
-    draws — see ``PolicyDescriptor.legacy_workload_rng``.)
+    the "provision once for this exact load" operator.
     """
     from repro.core.queueing.sizing import required_containers
     from repro.workloads.functions import get_function

@@ -220,11 +220,8 @@ class SimulationRunner:
             service_profiles=profiles,
             default_service_rates=default_rates,
         )
-        legacy_workload_rng = False
         if isinstance(policy, str):
-            descriptor = get_policy(policy)
-            legacy_workload_rng = descriptor.legacy_workload_rng
-            self.policy: ControlPolicy = descriptor.factory(
+            self.policy: ControlPolicy = get_policy(policy).factory(
                 context, dict(policy_params or {})
             )
         else:
@@ -244,11 +241,7 @@ class SimulationRunner:
                 rng=self.rng.stream(f"arrivals:{binding.profile.name}"),
                 slo_deadline=binding.slo_deadline,
                 batch_size=arrival_batch_size,
-                # the openwhisk policy keeps its original wiring (work
-                # drawn from the arrival stream) so its published numbers
-                # stand; every other policy gets the dedicated stream
-                work_rng=(None if legacy_workload_rng
-                          else self.rng.stream(f"work:{binding.profile.name}")),
+                work_rng=self.rng.stream(f"work:{binding.profile.name}"),
             )
             self.generators.append(generator)
 

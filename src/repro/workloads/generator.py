@@ -36,8 +36,8 @@ engine event per arrival.
 
 The sampler's RNG consumption is a pure function of the schedule and
 the chunk size — it does not depend on ``batch_size`` (how many
-arrivals the generator schedules per engine batch).  Combined with a
-dedicated ``work_rng`` stream for per-request work, a run's arrival
+arrivals the generator schedules per engine batch).  Per-request work
+comes from a second, dedicated ``work_rng`` stream, so a run's arrival
 *and* work realisations are identical for every ``batch_size``,
 including the ``batch_size=1`` per-event mode that mirrors the seed
 implementation's one-event-per-arrival cadence.  The determinism
@@ -235,8 +235,9 @@ class ArrivalGenerator:
         Callback receiving each created :class:`Request` (normally
         ``LassController.dispatch``).
     rng:
-        Random generator for inter-arrival times (and for work sampling
-        when ``work_rng`` is not given).
+        Random generator for inter-arrival times.
+    work_rng:
+        Dedicated random generator for per-request work sampling.
     slo_deadline:
         Relative SLO deadline stamped onto each request (``None`` for no SLO).
     horizon:
@@ -252,11 +253,7 @@ class ArrivalGenerator:
         ``schedule_many``; ``batch_size=1`` reproduces the seed
         implementation's one-event-per-arrival cadence (used by the
         determinism regression test).  Results are independent of
-        ``batch_size`` when ``work_rng`` is a separate stream.
-    work_rng:
-        Optional dedicated stream for per-request work sampling.  When
-        omitted, work is drawn from ``rng`` (deterministic for a fixed
-        ``batch_size``, but interleaved with arrival sampling).
+        ``batch_size``.
     """
 
     def __init__(
@@ -266,11 +263,11 @@ class ArrivalGenerator:
         schedule: RateSchedule,
         dispatch: Callable[[Request], None],
         rng: np.random.Generator,
+        work_rng: np.random.Generator,
         slo_deadline: Optional[float] = 0.1,
         horizon: Optional[float] = None,
         thinning_window: float = 5.0,
         batch_size: int = 256,
-        work_rng: Optional[np.random.Generator] = None,
     ) -> None:
         """Wire the generator's sampler and RNG streams (see the class docstring for parameter semantics)."""
         if thinning_window <= 0:
@@ -282,7 +279,7 @@ class ArrivalGenerator:
         self.schedule = schedule
         self.dispatch = dispatch
         self.rng = rng
-        self.work_rng = work_rng if work_rng is not None else rng
+        self.work_rng = work_rng
         self.slo_deadline = slo_deadline
         self.horizon = horizon if horizon is not None else schedule.end_time
         self.thinning_window = float(thinning_window)
@@ -344,13 +341,13 @@ class ArrivalGenerator:
 
         Returns ``(times, works)`` — every arrival time up to the
         horizon plus each request's sampled work — instead of pumping
-        them through engine events.  RNG consumption is *identical* to
-        the event-driven path: batches of ``batch_size`` arrivals are
-        drawn from the sampler and each batch's work is drawn
-        immediately afterwards, exactly mirroring :meth:`_pump`'s
-        interleaving (which matters when ``work_rng`` is the shared
-        arrival stream).  Marks the generator as started; a generator
-        can drive exactly one of the two data planes.
+        them through engine events.  The realisation is *identical* to
+        the event-driven path's: the sampler's draws do not depend on
+        how many arrivals are asked for at a time, and the works are one
+        ``sample_work_many`` call on the dedicated ``work_rng``, which
+        draws the same values as :meth:`_pump`'s per-batch calls.  Marks
+        the generator as started; a generator can drive exactly one of
+        the two data planes.
         """
         if self._started:
             raise RuntimeError("generator already started")
@@ -364,28 +361,13 @@ class ArrivalGenerator:
         )
         self._sampler = sampler
         times: List[float] = []
-        works: List[float] = []
         while True:
             batch = sampler.next_arrivals(self.batch_size)
             if not batch:
                 break
             times.extend(batch)
-            works.extend(self.profile.sample_work_many(self.work_rng, len(batch)).tolist())
         self.generated = len(times)
-        return times, works
-
-    # ------------------------------------------------------------------
-    # Request construction
-    # ------------------------------------------------------------------
-    def make_request(self, arrival_time: float) -> Request:
-        """Create one request with sampled work and an absolute deadline."""
-        deadline = None if self.slo_deadline is None else arrival_time + self.slo_deadline
-        return Request(
-            function_name=self.profile.name,
-            arrival_time=arrival_time,
-            deadline=deadline,
-            work=self.profile.sample_work(self.work_rng),
-        )
+        return times, self.profile.sample_work_many(self.work_rng, len(times)).tolist()
 
 
 def generate_arrival_times(

@@ -3,16 +3,16 @@
 ``FrozenHeterogeneousQueue`` is ``HeterogeneousMMcQueue``'s one-probe path
 (``log_unnormalised`` → ``_log_p0`` → ``state_probabilities`` →
 ``wait_bound_probability``); ``FrozenHeterogeneousSolver`` is
-``SizingSolver.solve_heterogeneous`` with its scalar warm branch, ladder and
-bisection, one closure call per probe.  The bodies are verbatim but for the
-class names, a plain dict for the memo, two flags standing in for the
-solver's cache switches and the queue class, a parameter so a test can add
-a fix made since (the underflowing-ratio guard) without editing a body.
+``SizingSolver.solve_heterogeneous``'s cold search — the ladder and the
+bisection, one closure call per probe — without the memo and the warm
+anchors the solver has since dropped.  The bodies are verbatim but for the
+class names and a parameter for the queue class, so a test can add a fix
+made since (the underflowing-ratio guard) without editing a body.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -99,23 +99,17 @@ class FrozenHeterogeneousQueue:
 @dataclass
 class FrozenStats:
     solves: int = 0
+    #: never counted by a cold walk; kept so a test reads them beside the solver's
     cache_hits: int = 0
     warm_hits: int = 0
-    warm_fallbacks: int = 0
-    full_searches: int = 0
     probability_evaluations: int = 0
 
 
 class FrozenHeterogeneousSolver:
-    """``SizingSolver``'s heterogeneous half: memo, warm anchors and the scalar search."""
+    """``SizingSolver``'s heterogeneous half: the cold ladder-and-bisect search."""
 
-    def __init__(self, caching: bool = True, warming: bool = True,
-                 queue: type = FrozenHeterogeneousQueue) -> None:
-        self._caching = caching
-        self._warming = warming
+    def __init__(self, queue: type = FrozenHeterogeneousQueue) -> None:
         self._queue = queue
-        self._heterogeneous = {}
-        self._warm_heterogeneous = {}
         self.stats = FrozenStats()
 
     def solve_heterogeneous(
@@ -126,7 +120,6 @@ class FrozenHeterogeneousSolver:
         wait_budget: float,
         percentile: float = 0.95,
         max_additional: int = 100_000,
-        key: Optional[Hashable] = None,
     ) -> Tuple[int, float]:
         """``(containers, achieved_probability)``, as the parent's ``SizingResult`` held them."""
         if standard_mu <= 0:
@@ -144,20 +137,6 @@ class FrozenHeterogeneousSolver:
         standard_mu = float(standard_mu)
         wait_budget = float(wait_budget)
         target = float(percentile)
-        solve_key = (lam, existing, standard_mu, wait_budget, target)
-        if self._caching:
-            hit = self._heterogeneous.get(solve_key)
-            if hit is not None:
-                added, prob = hit
-                if added > max_additional:
-                    raise ValueError(
-                        "could not satisfy SLO within max_additional containers"
-                    )
-                self.stats.cache_hits += 1
-                if self._warming and key is not None:
-                    self._warm_heterogeneous[key] = added
-                return len(existing) + added, prob
-
         evals = [0]
 
         def probability(added: int) -> float:
@@ -167,49 +146,9 @@ class FrozenHeterogeneousSolver:
                 return 0.0
             return self._queue(lam, mus).wait_bound_probability(wait_budget)
 
-        added, prob = self._search_heterogeneous(
-            probability, target, max_additional, key, lam
-        )
-        if self._caching:
-            self._heterogeneous[solve_key] = (added, prob)
-        if self._warming and key is not None:
-            self._warm_heterogeneous[key] = added
+        added, prob = self._ladder_heterogeneous(probability, target, 0, max_additional)
         self.stats.probability_evaluations += evals[0]
         return len(existing) + added, prob
-
-    def _search_heterogeneous(self, probability, target: float, max_additional: int,
-                              key: Optional[Hashable], lam: float) -> Tuple[int, float]:
-        previous = (
-            self._warm_heterogeneous.get(key)
-            if (self._warming and key is not None) else None
-        )
-        if previous is not None:
-            anchor = min(max(previous, 0), max_additional)
-            p_here = probability(anchor)
-            if p_here >= target:
-                if anchor == 0:
-                    self.stats.warm_hits += 1
-                    return anchor, p_here
-                p_below = probability(anchor - 1)
-                if p_below < target:
-                    self.stats.warm_hits += 1
-                    return anchor, p_here
-                if anchor - 1 == 0:
-                    self.stats.warm_hits += 1
-                    return 0, p_below
-                self.stats.warm_fallbacks += 1
-                return self._bisect_heterogeneous(probability, target, 0, anchor - 1, p_below)
-            if anchor + 1 <= max_additional:
-                p_above = probability(anchor + 1)
-                if p_above >= target:
-                    self.stats.warm_hits += 1
-                    return anchor + 1, p_above
-                self.stats.warm_fallbacks += 1
-                return self._ladder_heterogeneous(probability, target,
-                                                  anchor + 2, max_additional)
-            raise ValueError("could not satisfy SLO within max_additional containers")
-        self.stats.full_searches += 1
-        return self._ladder_heterogeneous(probability, target, 0, max_additional)
 
     @staticmethod
     def _ladder_heterogeneous(probability, target: float, lo: int,

@@ -27,6 +27,7 @@ def build(controller_factory, bindings, duration, cluster_config=None, seed=31):
         ArrivalGenerator(
             engine=engine, profile=profile, schedule=schedule,
             dispatch=controller.dispatch, rng=rng.stream(f"a:{profile.name}"),
+            work_rng=rng.stream(f"w:{profile.name}"),
             slo_deadline=slo, horizon=duration,
         ).start()
     engine.run(until=duration + 5.0)

@@ -10,9 +10,11 @@ seeded run computes:
   (``arrival_batch_size=1``, one scheduled event per arrival, exactly
   the cadence of the seed implementation).
 
-The second property holds because the thinning sampler's RNG consumption
-is independent of the batch size and per-request work is drawn from a
-dedicated stream (see ``repro/workloads/generator.py``).
+The second property holds for every registered policy — the vanilla
+OpenWhisk baseline included — because the thinning sampler's RNG
+consumption is independent of the batch size and per-request work is
+always drawn from a dedicated ``work:<function>`` stream (see
+``repro/workloads/generator.py``).
 """
 
 import pytest
@@ -94,7 +96,8 @@ class TestBatchSizeInvariance:
             fast.metrics.counters["completions"] == per_event.metrics.counters["completions"]
         )
 
-    def test_step_schedule_and_multiple_functions(self):
+    @pytest.mark.parametrize("policy", ["lass", "openwhisk"])
+    def test_step_schedule_and_multiple_functions(self, policy):
         from dataclasses import replace
 
         def build(batch_size):
@@ -112,10 +115,14 @@ class TestBatchSizeInvariance:
                     ),
                 ],
                 seed=5,
+                policy=policy,
                 arrival_batch_size=batch_size,
             )
 
         fast = build(256).run(duration=120.0)
         per_event = build(1).run(duration=120.0)
         assert fast.generated_requests == per_event.generated_requests
+        assert fast.metrics.epochs
         assert _epoch_fingerprint(fast) == _epoch_fingerprint(per_event)
+        assert dict(fast.metrics.counters) == dict(per_event.metrics.counters)
+        assert fast.waiting_summary().as_dict() == per_event.waiting_summary().as_dict()

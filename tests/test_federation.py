@@ -402,6 +402,20 @@ def test_fig12_arm_bytes_are_run_to_run_identical(index):
     assert first == second, spec.name
 
 
+def test_an_openwhisk_site_runs_federated_and_byte_identically():
+    """Every policy draws work from its own stream, so any can run at a site."""
+    data = build("site-outage-failover", duration=60.0).to_dict()
+    for site in data["federation"]["sites"]:
+        if site["name"] == "edge-b":
+            site["policy"] = "openwhisk"
+    spec = ScenarioSpec.from_dict(data)
+    first = run_scenario(spec)
+    edge_b = first.data["federation"]["sites"]["edge-b"]["counters"]
+    assert edge_b["arrivals"] > 0
+    assert edge_b["invoker_failures"] > 0
+    assert canonical_json(first.data) == canonical_json(run_scenario(spec).data)
+
+
 def test_federated_sweep_bytes_identical_across_workers():
     sweep = build("fig12", duration=30.0)
     serial = ResilientSweepRunner(sweep, workers=1, on_failure="raise").run_json()

@@ -173,7 +173,7 @@ UNDERFLOWING_RATIO = [[HeterogeneousQuery(2.5e-323, [5.0, 5.0], 5.0, 0.0, 0.9)]]
 @settings(max_examples=80, deadline=None)
 def test_batched_fleet_solves_equal_the_frozen_sequence(sequence):
     solver = SizingSolver()
-    reference = FrozenHeterogeneousSolver(caching=False, warming=False, queue=GuardedQueue)
+    reference = FrozenHeterogeneousSolver(queue=GuardedQueue)
     run_both(sequence, solver, reference)
     # every counter but the probe count: the frozen search ladders and bisects, the solver walks
     for field in ("solves", "cache_hits", "warm_hits"):

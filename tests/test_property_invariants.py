@@ -417,13 +417,13 @@ def test_record_many_is_batch_split_invariant(deltas, window, split):
 )
 def test_materialized_arrivals_match_event_driven_pump(rate, duration, seed,
                                                        batch_size):
-    """Bulk arrival materialization consumes RNG exactly like the pump.
+    """Bulk arrival materialization draws exactly what the pump draws.
 
-    The columnar plane samples every (arrival time, work) pair for a
-    generation up front; the event plane interleaves the same draws one
+    The columnar plane samples every arrival time for a generation up
+    front, then every work in one draw; the event plane draws both one
     batch at a time through engine events.  For every batch size — 1
-    reproduces the seed cadence — both orderings must yield the
-    identical (time, work) stream from the shared RNG.
+    reproduces the seed cadence — both must yield the identical
+    (time, work) stream from the same arrival and work streams.
     """
     from dataclasses import replace
 
@@ -438,6 +438,7 @@ def test_materialized_arrivals_match_event_driven_pump(rate, duration, seed,
     bulk = ArrivalGenerator(
         SimulationEngine(), profile, StaticRate(rate, duration=duration),
         dispatch=lambda request: None, rng=np.random.default_rng(seed),
+        work_rng=np.random.default_rng(seed + 1),
         slo_deadline=0.1, batch_size=batch_size,
     )
     times, works = bulk.materialize_arrivals()
@@ -448,7 +449,8 @@ def test_materialized_arrivals_match_event_driven_pump(rate, duration, seed,
         engine, profile, StaticRate(rate, duration=duration),
         dispatch=lambda request: pumped.append(
             (request.arrival_time, request.work)),
-        rng=np.random.default_rng(seed), slo_deadline=0.1,
+        rng=np.random.default_rng(seed),
+        work_rng=np.random.default_rng(seed + 1), slo_deadline=0.1,
         batch_size=batch_size,
     )
     generator.start()
