@@ -168,7 +168,6 @@ class FederatedSimulationRunner:
         seed: int = 1,
         use_offline_profiles: bool = True,
         warm_start_containers: Optional[Mapping[str, int]] = None,
-        arrival_batch_size: int = 256,
         fault_spec: Optional[FaultSpec] = None,
     ) -> None:
         """Build the engine, sites, per-site policies, router, and generators."""
@@ -239,7 +238,6 @@ class FederatedSimulationRunner:
                 dispatch=self._ingress,
                 rng=self.rng.stream(f"arrivals:{binding.profile.name}"),
                 slo_deadline=binding.slo_deadline,
-                batch_size=arrival_batch_size,
                 work_rng=self.rng.stream(f"work:{binding.profile.name}"),
             ))
 

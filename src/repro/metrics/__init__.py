@@ -15,7 +15,7 @@ from repro.metrics.availability import AvailabilityTracker, RecoveryRecord
 from repro.metrics.collector import MetricsCollector, EpochSnapshot, FunctionEpochStats
 from repro.metrics.percentiles import percentile, summarize_waiting_times, WaitingTimeSummary
 from repro.metrics.slo import SloReport, slo_report
-from repro.metrics.streaming import ReservoirQuantiles, StreamingSummary
+from repro.metrics.streaming import ReservoirQuantiles
 from repro.metrics.utilization import UtilizationTracker, time_weighted_mean
 from repro.metrics.timeline import AllocationTimeline, TimelinePoint
 
@@ -24,7 +24,6 @@ __all__ = [
     "RecoveryRecord",
     "MetricsCollector",
     "ReservoirQuantiles",
-    "StreamingSummary",
     "EpochSnapshot",
     "FunctionEpochStats",
     "percentile",

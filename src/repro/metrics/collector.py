@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.metrics.percentiles import WaitingTimeSummary, summarize_waiting_times
 from repro.metrics.slo import SloReport, slo_report
-from repro.metrics.streaming import StreamingSummary
 from repro.metrics.table import COMPLETED, RequestTable
 from repro.metrics.timeline import AllocationTimeline
 from repro.metrics.utilization import UtilizationTracker
@@ -54,38 +53,10 @@ class EpochSnapshot:
 
 
 class MetricsCollector:
-    """Accumulates everything an experiment needs to report.
+    """Accumulates everything an experiment needs to report."""
 
-    Parameters
-    ----------
-    streaming_percentiles:
-        Opt-in constant-memory mode for very long runs: completed
-        requests feed streaming summaries
-        (:class:`~repro.metrics.streaming.StreamingSummary`, one global
-        plus one per function) instead of relying on the stored request
-        list for percentile queries.  :meth:`waiting_summary` then
-        answers from the streaming state (``warmup`` is not supported in
-        this mode).  Default off — behaviour is unchanged.
-    store_requests:
-        Whether to keep every :class:`Request` object.  Turn off
-        together with ``streaming_percentiles=True`` so a multi-million
-        request replay holds O(1) metric state instead of every request;
-        :meth:`completed_requests` / :meth:`dropped_requests` /
-        :meth:`slo` then see only the requests recorded while storage
-        was on (i.e. none).
-    """
-
-    def __init__(
-        self,
-        streaming_percentiles: bool = False,
-        store_requests: bool = True,
-    ) -> None:
-        """Choose the storage mode: full request objects, constant-memory streaming summaries (see :mod:`repro.metrics.streaming`), or both."""
-        if not store_requests and not streaming_percentiles:
-            raise ValueError(
-                "store_requests=False requires streaming_percentiles=True, "
-                "otherwise no waiting-time statistics would survive"
-            )
+    def __init__(self) -> None:
+        """Start empty: no requests, epochs, utilisation samples or counters."""
         self._requests: List[Request] = []
         self._deferred_fill: Optional[Callable[[], List[Request]]] = None
         self._table: Optional[RequestTable] = None
@@ -93,12 +64,6 @@ class MetricsCollector:
         self.epochs: List[EpochSnapshot] = []
         self.timeline = AllocationTimeline(self.epochs)
         self.counters: Counter = Counter()
-        self.streaming_percentiles = bool(streaming_percentiles)
-        self.store_requests = bool(store_requests)
-        self._streaming_all: Optional[StreamingSummary] = (
-            StreamingSummary() if streaming_percentiles else None
-        )
-        self._streaming_by_function: Dict[str, StreamingSummary] = {}
 
     # ------------------------------------------------------------------
     # Request lifecycle
@@ -157,10 +122,9 @@ class MetricsCollector:
 
     def record_request(self, request: Request) -> None:
         """Register a request (typically at arrival; its fields keep updating)."""
-        if self.store_requests:
-            # a columnar run's deferred objects, if any, are materialised first
-            (self._requests if self._deferred_fill is None else self.requests).append(request)
-            self._table = None
+        # a columnar run's deferred objects, if any, are materialised first
+        (self._requests if self._deferred_fill is None else self.requests).append(request)
+        self._table = None
         self.counters["arrivals"] += 1
 
     def record_completion(self, request: Request) -> None:
@@ -168,44 +132,14 @@ class MetricsCollector:
         self.counters["completions"] += 1
         if request.cold_start:
             self.counters["cold_starts"] += 1
-        if self._streaming_all is not None:
-            wait = request.waiting_time
-            if wait is not None:
-                self._streaming_all.add(wait)
-                per_function = self._streaming_by_function.get(request.function_name)
-                if per_function is None:
-                    per_function = self._streaming_by_function[request.function_name] = (
-                        StreamingSummary()
-                    )
-                per_function.add(wait)
 
     # -- columnar folds (epoch-granular, from the vectorized data plane) --
     def fold_arrivals(self, count: int) -> None:
         """Count ``count`` arrivals at once (columnar plane's batched fold)."""
         self.counters["arrivals"] += count
 
-    def fold_completion(self, function_name: str, waiting_time: float,
-                        cold_start: bool) -> None:
-        """Count one completion from columnar state (no request object).
-
-        Field-for-field equivalent of :meth:`record_completion`; used
-        when streaming summaries (or a policy's per-completion hook)
-        need the per-request values in completion order.
-        """
-        self.counters["completions"] += 1
-        if cold_start:
-            self.counters["cold_starts"] += 1
-        if self._streaming_all is not None:
-            self._streaming_all.add(waiting_time)
-            per_function = self._streaming_by_function.get(function_name)
-            if per_function is None:
-                per_function = self._streaming_by_function[function_name] = (
-                    StreamingSummary()
-                )
-            per_function.add(waiting_time)
-
     def fold_completions_bulk(self, count: int, cold_starts: int) -> None:
-        """Count a whole batch of completions at once (no streaming mode)."""
+        """Count a whole batch of completions at once (columnar plane's fold)."""
         self.counters["completions"] += count
         if cold_starts:
             self.counters["cold_starts"] += cold_starts
@@ -263,23 +197,7 @@ class MetricsCollector:
     def waiting_summary(
         self, function_name: Optional[str] = None, warmup: float = 0.0
     ) -> WaitingTimeSummary:
-        """Waiting-time percentiles for (a function's) completed requests.
-
-        In streaming mode the summary comes from the reservoir
-        summaries (constant memory, no warmup filtering); otherwise it
-        is computed exactly from the request table.
-        """
-        if self.streaming_percentiles:
-            if warmup:
-                raise ValueError(
-                    "warmup filtering requires stored requests; "
-                    "construct the collector with streaming_percentiles=False"
-                )
-            if function_name is None:
-                assert self._streaming_all is not None
-                return self._streaming_all.summary()
-            per_function = self._streaming_by_function.get(function_name)
-            return per_function.summary() if per_function is not None else StreamingSummary().summary()
+        """Waiting-time percentiles for (a function's) completed requests, from the request table."""
         return summarize_waiting_times(self.request_table(), function_name, warmup)
 
     def slo(

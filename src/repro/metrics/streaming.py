@@ -1,12 +1,14 @@
-"""Streaming (constant-memory) percentile estimation for long runs.
+"""Constant-memory quantile estimation for streams too long to keep.
 
-The default :class:`~repro.metrics.collector.MetricsCollector` keeps
-every :class:`~repro.sim.request.Request` so experiments can slice the
-distribution arbitrarily.  For trace replays with millions of requests
-that is gigabytes of objects; the collector's opt-in streaming mode
-instead feeds each completed request's waiting time into a
-:class:`StreamingSummary` — running moments plus a bounded quantile
-sketch — and drops the request.
+A simulation run keeps every request and reduces its
+:class:`~repro.metrics.table.RequestTable` exactly, so nothing here
+touches a run's waiting-time percentiles.  Two consumers see streams
+they cannot store: the trace replay, which feeds every per-minute
+invocation count of a shard into one sketch and merges the shards'
+sketches (:func:`merge_reservoir_states`), and the online service-time
+estimator, whose per-CPU-fraction buckets are bounded samples of the
+service times observed
+(:class:`~repro.core.estimation.service_time.StreamingQuantile`).
 
 The sketch is :class:`ReservoirQuantiles` — a deterministic fixed-size
 reservoir (Vitter's algorithm R with a seeded stdlib RNG): constant
@@ -40,8 +42,6 @@ import random
 from typing import Any, Dict, Iterable, List, Mapping
 
 import numpy as np
-
-from repro.metrics.percentiles import WaitingTimeSummary
 
 
 class ReservoirQuantiles:
@@ -188,75 +188,7 @@ def merge_reservoir_states(
     return result
 
 
-class StreamingSummary:
-    """Constant-memory replacement for a stored-sample waiting-time summary.
-
-    Tracks count / mean / min / max exactly and answers quantile queries
-    from one shared :class:`ReservoirQuantiles` — robust to the
-    zero-wait atom (see the module docstring).
-    """
-
-    __slots__ = ("_count", "_mean", "_min", "_max", "_reservoir")
-
-    #: 16 k samples ≈ 128 KB: rank error ±0.17 % at p95, which matters when
-    #: the wait CDF is nearly flat around the tracked percentile (large
-    #: value jumps for small rank errors, as in overloaded scenarios)
-    DEFAULT_MAX_SAMPLES = 16384
-
-    def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES) -> None:
-        """Start an empty summary over a ``max_samples`` reservoir."""
-        self._count = 0
-        self._mean = 0.0
-        self._min = 0.0
-        self._max = 0.0
-        self._reservoir = ReservoirQuantiles(max_samples)
-
-    @property
-    def count(self) -> int:
-        """Number of observations."""
-        return self._count
-
-    def add(self, value: float) -> None:
-        """Feed one observation (running moments + the quantile sketch)."""
-        value = float(value)
-        self._count += 1
-        if self._count == 1:
-            self._min = self._max = value
-        else:
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-        self._mean += (value - self._mean) / self._count
-        self._reservoir.add(value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Feed many observations."""
-        for value in values:
-            self.add(value)
-
-    def quantile(self, p: float) -> float:
-        """Current estimate of a quantile in (0, 1)."""
-        return self._reservoir.quantile(p)
-
-    def summary(self) -> WaitingTimeSummary:
-        """Render as the same record the stored-sample path produces."""
-        if self._count == 0:
-            return WaitingTimeSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        return WaitingTimeSummary(
-            count=self._count,
-            mean=self._mean,
-            median=self.quantile(0.5),
-            p90=self.quantile(0.90),
-            p95=self.quantile(0.95),
-            p99=self.quantile(0.99),
-            maximum=self._max,
-            minimum=self._min,
-        )
-
-
 __all__ = [
     "ReservoirQuantiles",
-    "StreamingSummary",
     "merge_reservoir_states",
 ]

@@ -48,7 +48,7 @@ from repro.core.policy import (
 )
 from repro.metrics.collector import EpochSnapshot, FunctionEpochStats, MetricsCollector
 from repro.sim.engine import SimulationEngine
-from repro.sim.request import Request
+from repro.sim.request import Request, RequestStatus
 
 
 @dataclass
@@ -228,8 +228,8 @@ class VanillaOpenWhiskController(ControlPolicy):
         node = self._node_of(container)
         if node is not None and node.unresponsive:
             # completions on a failed node do not count: the invoker never
-            # reports them back.  (The request is re-marked as dropped.)
-            request.status = request.status  # keep state; accounting below
+            # reports them back, so the record says dropped, like the counter
+            request.status = RequestStatus.DROPPED
             self.metrics.record_drop()
             return
         self.metrics.record_completion(request)

@@ -65,12 +65,10 @@ estimators are independent and their batch folds are split-invariant.
 Every other event (epoch tick, fault, draining completion) gets the
 full scope and, as before, every event at its timestamp runs inside
 one boundary; same-timestamp warm-ups are taken one scope at a time in
-engine order.  Two things widen a scoped boundary to the full one: a
+engine order.  One thing widens a scoped boundary to the full one: a
 crash-on-dispatch drawn while the warm hook drains (the policy's crash
 hook may read and resize any function, so the rest is flushed and
-materialized before it runs), and streaming-percentile mode, where the
-global completion order feeds one RNG-consuming reservoir and no fold
-may be deferred.
+materialized before it runs).
 
 Fallback conditions
 -------------------
@@ -350,11 +348,6 @@ class ColumnarKernel:
         self._comp: List[Tuple[float, int, _Slot]] = []
         # completion-heap tie-break: dispatch order, across boundaries
         self._seq = itertools.count()
-        # streaming percentiles need completions in cross-function order,
-        # which only the global buffer preserves; otherwise completions
-        # accumulate in the cheaper per-function buffers
-        self._streaming = bool(plan.collector.streaming_percentiles)
-        self._comp_buffer: List[Tuple[_FnState, int, float]] = []
         self._has_live = False
         self._row_by_rid: Dict[int, Tuple[_FnState, int]] = {}
         # whose state is object-side during a boundary (full list outside one)
@@ -413,14 +406,13 @@ class ColumnarKernel:
             dispatcher.interceptor = interceptor
         self._flush(fn_list)
         self._materialize(fn_list)
-        if self.collector.store_requests:
-            self.collector.defer_requests(self._fill, self._export())
+        self.collector.defer_requests(self._fill, self._export())
         # settle the clock (and any past-horizon events) like the event plane
         engine.run(until=until)
 
     def _event_scope(self, event: Tuple[float, Callable[..., Any], tuple]) -> List[_FnState]:
         """The functions the next engine event can touch (the full list if unknown)."""
-        if self._streaming or event[1] != self._warm_up:
+        if event[1] != self._warm_up:
             return self._fn_list
         fs = self._fn_by_name.get(event[2][0].function_name)
         return [] if fs is None else [fs]
@@ -470,8 +462,6 @@ class ColumnarKernel:
         injector = self.injector
         crash_decision = injector.crash_decision if injector is not None else None
         create = self.plan.create_on_empty
-        streaming = self._streaming
-        buffer_append = self._comp_buffer.append
         pick = self._pick
         next_seq = self._seq.__next__
         running = RequestStatus.RUNNING
@@ -563,11 +553,8 @@ class ColumnarKernel:
                         if obj is not None:
                             obj.status = completed_status
                             obj.completion_time = t
-                    if streaming:
-                        buffer_append((fs, i, slot.cpu_fraction))
-                    else:
-                        fs.done_rows.append(i)
-                        fs.done_fracs.append(slot.cpu_fraction)
+                    fs.done_rows.append(i)
+                    fs.done_fracs.append(slot.cpu_fraction)
                     # pull the next queued request onto the freed container
                     queue = fs.queue
                     dispatched = False
@@ -697,10 +684,11 @@ class ColumnarKernel:
 
         Runs before every engine boundary over the boundary's scope, so
         everything its event can observe (rate estimators, epoch arrival
-        counts, counters, streaming summaries) is exactly as the
-        event-level plane would have left it at that timestamp; what a
-        scoped boundary leaves pending folds at the next full one.  (The
-        streaming buffer is global: streaming mode only flushes the full list.)
+        counts, counters) is exactly as the event-level plane would have
+        left it at that timestamp; what a scoped boundary leaves pending
+        folds at the next full one.  Per-function estimators are
+        independent, so folding each function's completions as one batch
+        (in its own completion order) is exact.
         """
         plan = self.plan
         collector = self.collector
@@ -714,48 +702,25 @@ class ColumnarKernel:
                 collector.fold_arrivals(pos - start)
                 fs.flush_pos = pos
         fold_completions = plan.fold_completions
-        buffer = self._comp_buffer
-        if buffer:
-            # streaming summaries must see waits in cross-function
-            # completion order (the global reservoir's RNG consumption
-            # depends on it), so streaming mode folds per item
-            fold_completion = collector.fold_completion
-            for fs, i, _ in buffer:
-                fold_completion(fs.name, fs.start[i] - fs.times[i], fs.cold[i])
+        count = 0
+        cold = 0
+        for fs in fns:
+            rows = fs.done_rows
+            if not rows:
+                continue
+            count += len(rows)
+            cold += sum(map(fs.cold.__getitem__, rows))
             if fold_completions is not None:
-                # per-function estimators are independent, so grouping by
-                # function (preserving per-function completion order) is
-                # exact — and lets the policy observe a whole batch at once
-                groups: Dict[_FnState, Tuple[List[float], List[float]]] = {}
-                for fs, i, cpu_fraction in buffer:
-                    group = groups.get(fs)
-                    if group is None:
-                        group = groups[fs] = ([], [])
-                    group[0].append(cpu_fraction)
-                    group[1].append(fs.finish[i] - fs.start[i])
-                for fs, (fractions, stimes) in groups.items():
-                    fold_completions(fs.name, fractions, stimes)
-            buffer.clear()
-        if not self._streaming:
-            count = 0
-            cold = 0
-            for fs in fns:
-                rows = fs.done_rows
-                if not rows:
-                    continue
-                count += len(rows)
-                cold += sum(map(fs.cold.__getitem__, rows))
-                if fold_completions is not None:
-                    start = fs.start
-                    finish = fs.finish
-                    fold_completions(
-                        fs.name, fs.done_fracs,
-                        [finish[i] - start[i] for i in rows],
-                    )
-                fs.done_rows = []
-                fs.done_fracs = []
-            if count:
-                collector.fold_completions_bulk(count, cold)
+                start = fs.start
+                finish = fs.finish
+                fold_completions(
+                    fs.name, fs.done_fracs,
+                    [finish[i] - start[i] for i in rows],
+                )
+            fs.done_rows = []
+            fs.done_fracs = []
+        if count:
+            collector.fold_completions_bulk(count, cold)
 
     # ------------------------------------------------------------------
     # Object-state synchronization

@@ -130,10 +130,6 @@ class SimulationRunner:
         separate arrival and work RNG streams.  ``1`` reproduces the
         seed's per-event cadence and is used by the determinism
         regression test.
-    metrics:
-        Optional pre-built collector — pass
-        ``MetricsCollector(streaming_percentiles=True, store_requests=False)``
-        to keep constant-memory streaming percentiles on very long runs.
     fault_spec:
         Optional :class:`~repro.faults.spec.FaultSpec`; when given (and
         non-empty) a :class:`~repro.faults.injector.FaultInjector` is
@@ -171,7 +167,6 @@ class SimulationRunner:
         use_offline_profiles: bool = True,
         warm_start_containers: Optional[Mapping[str, int]] = None,
         arrival_batch_size: int = 256,
-        metrics: Optional[MetricsCollector] = None,
         fault_spec: Optional["FaultSpec"] = None,
         policy: Union[str, Callable[[PolicyContext], ControlPolicy]] = "lass",
         policy_params: Optional[Mapping[str, Any]] = None,
@@ -192,10 +187,7 @@ class SimulationRunner:
         self.engine = SimulationEngine()
         self.rng = RngStreams(seed)
         self.cluster = EdgeCluster(self.engine, cluster_config or ClusterConfig())
-        # pass e.g. MetricsCollector(streaming_percentiles=True,
-        # store_requests=False) so multi-million-request replays hold O(1)
-        # metric state instead of every Request object
-        self.metrics = metrics if metrics is not None else MetricsCollector()
+        self.metrics = MetricsCollector()
         self.bindings = list(workloads)
 
         profiles: Dict[str, ServiceTimeProfile] = {}
@@ -228,8 +220,6 @@ class SimulationRunner:
             if policy_params:
                 raise ValueError("policy_params require a registered policy name")
             self.policy = policy(context)
-        #: backwards-compatible alias — the policy IS the controller
-        self.controller = self.policy
 
         self.generators: List[ArrivalGenerator] = []
         for binding in self.bindings:
@@ -317,7 +307,7 @@ class SimulationRunner:
         return SimulationResult(
             metrics=self.metrics,
             cluster=self.cluster,
-            controller=self.controller,
+            controller=self.policy,
             duration=duration,
             generated_requests=generated,
             kernel_stats=None if kernel is None else dict(kernel.stats),

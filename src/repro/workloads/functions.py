@@ -158,17 +158,13 @@ class FunctionProfile:
             self.__dict__["_work_distribution"] = dist
         return dist
 
-    def sample_work(self, rng: np.random.Generator) -> float:
-        """Sample the work of one request, in standard-container seconds."""
-        return float(self._work_dist().sample(rng))
-
     def sample_work_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Vectorized :meth:`sample_work` for a batch of requests.
+        """Sample the work of ``count`` requests, in standard-container seconds.
 
-        Consumes the RNG stream identically to ``count`` scalar calls
-        (numpy generators draw element-wise from the same bit stream), so
-        batched and per-request sampling are interchangeable without
-        changing a seeded run's realisation.
+        Numpy generators draw element-wise from one bit stream, so any
+        cut of a function's requests into batches gives the same work
+        values — a seeded run's realisation does not depend on the batch
+        size.
         """
         return self._work_dist().sample(rng, size=count)
 

@@ -130,6 +130,27 @@ class TestVanillaOpenWhisk:
         lost = metrics.counters["arrivals"] - metrics.counters["completions"]
         assert lost > 0.3 * metrics.counters["arrivals"]
 
+    def test_completions_on_a_failed_invoker_are_recorded_as_dropped(self):
+        """Both shootout arms: the record and the counter agree on what completed.
+
+        A completion on an unresponsive invoker is never reported back, so
+        it counts as a drop; its request used to stay COMPLETED.
+        """
+        from repro.scenarios.registry import build
+        from repro.scenarios.runner import run_scenario
+        from repro.sim.request import RequestStatus
+
+        arms = [spec for spec in build("policy-shootout", duration=40.0).expand()
+                if spec.controller.policy == "openwhisk"]
+        assert len(arms) == 2
+        for spec in arms:
+            result = run_scenario(spec).sim
+            assert any(node.unresponsive for node in result.cluster.nodes), spec.name
+            statuses = [request.status for request in result.metrics.requests]
+            completed = statuses.count(RequestStatus.COMPLETED)
+            assert result.metrics.counters["completions"] == completed > 0, spec.name
+            assert result.metrics.throughput() == completed
+
     def test_memory_only_packing_overcommits_cpu(self):
         duration = 90.0
         controller, _, cluster = build(

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.table import RequestTable
+from repro.metrics.table import COMPLETED, RequestTable
 from repro.scenarios.executor import ResilientSweepRunner
 from repro.scenarios.registry import SHOOTOUT_POLICIES, build
 from repro.scenarios.runner import run_scenario
@@ -92,6 +92,9 @@ def assert_table_is_the_request_record(outcome) -> None:
         assert np.array_equal(getattr(table, column), getattr(fresh, column),
                               equal_nan=True), column
     assert table.status.dtype == np.uint8 and table.codes.dtype.itemsize <= 2
+    # the completion counter and the record agree (drops are not compared:
+    # a fault's drops are counted by the fault injector, not the collector)
+    assert collector.counters["completions"] == int(np.count_nonzero(table.status == COMPLETED))
 
 
 def assert_planes_identical(spec: ScenarioSpec) -> None:
@@ -246,7 +249,7 @@ def test_random_faulted_workloads_byte_for_byte(crash_probability, rate, seed):
 # ----------------------------------------------------------------------
 # Results path: analysis reads the table, objects are built on request
 # ----------------------------------------------------------------------
-def _quickstart_runner(plane: str, metrics=None):
+def _quickstart_runner(plane: str):
     """A small LaSS run (two functions, queueing and cold starts) on ``plane``."""
     from repro.simulation import SimulationRunner
     from repro.workloads import StaticRate, WorkloadBinding, get_function
@@ -256,7 +259,7 @@ def _quickstart_runner(plane: str, metrics=None):
         WorkloadBinding(get_function(name), StaticRate(rate, duration=20.0), slo_deadline=0.1)
         for name, rate in (("squeezenet", 30.0), ("mobilenet", 12.0))
     ]
-    return SimulationRunner(workloads=bindings, seed=5, metrics=metrics, data_plane=plane)
+    return SimulationRunner(workloads=bindings, seed=5, data_plane=plane)
 
 
 def test_columnar_analysis_builds_no_request_object():
@@ -370,16 +373,19 @@ def test_event_plane_query_inside_the_run_sees_current_state():
 
 
 @pytest.mark.parametrize("plane", ("event", "columnar"))
-def test_streaming_collector_without_stored_requests_is_unchanged(plane):
-    """store_requests=False keeps no request record on either plane: no table, no fill."""
-    from repro.metrics.collector import MetricsCollector
+def test_every_run_keeps_its_record_and_reduces_it(plane):
+    """Both planes store every request; summaries with a warmup equal the object loop."""
+    from test_metrics import _oracle_summarize_waiting_times
 
-    metrics = MetricsCollector(streaming_percentiles=True, store_requests=False)
-    result = _quickstart_runner(plane, metrics).run(duration=20.0)
-    assert metrics.requests == [] and metrics._deferred_fill is None
-    assert len(metrics.request_table()) == 0
-    assert result.slo({"squeezenet": 0.1}) == {}
-    assert metrics.throughput() == 0
-    assert result.waiting_summary().count == metrics.counters["completions"] > 400
-    with pytest.raises(ValueError, match="warmup"):
-        result.waiting_summary(warmup=5.0)
+    result = _quickstart_runner(plane).run(duration=20.0)
+    collector = result.metrics
+    table = collector.request_table()
+    assert len(table) == collector.counters["arrivals"] > 400
+    summaries = {(name, warmup): result.waiting_summary(name, warmup=warmup)
+                 for name in (None, "squeezenet", "mobilenet", "absent")
+                 for warmup in (0.0, 5.0, 1e9)}
+    requests = collector.requests             # built only now on the columnar plane
+    for (name, warmup), summary in summaries.items():
+        assert summary == _oracle_summarize_waiting_times(requests, name, warmup)
+    assert summaries[None, 0.0].count == collector.counters["completions"]
+    assert 0 < summaries[None, 5.0].count < summaries[None, 0.0].count

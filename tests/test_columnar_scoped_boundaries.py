@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
@@ -29,7 +30,6 @@ import repro.sim.request as request_module
 from repro.cluster.cluster import ClusterConfig
 from repro.core.controller import ControllerConfig
 from repro.faults.spec import ColdStartSpec, FaultSpec, NodeFailureSpec
-from repro.metrics.collector import MetricsCollector
 from repro.scenarios.spec import canonical_json
 from repro.simulation import SimulationRunner
 from repro.workloads.functions import FUNCTION_CATALOG
@@ -68,12 +68,13 @@ def _storm_bindings(seed: int, functions: int, duration: float, load: float):
 def _run(plane: str, *, seed: int = 11, policy: str = "lass", faults=None,
          functions: int = 48, duration: float = 30.0, load: float = 0.05,
          epoch_length: float = 1.0, cold_start_latency: float = 0.5,
-         streaming: bool = False, bindings=None, policy_params=None):
+         probes=(), bindings=None, policy_params=None):
     """One storm run on ``plane``; returns ``(fingerprint, kernel_stats, counters)``.
 
     The fingerprint is everything a run exposes — per-request lifecycle
     rows, counters, SLO/waiting summaries, the allocation timeline, the
-    balancer's smoothing scores, the fault report — as canonical JSON.
+    balancer's smoothing scores, the fault report — as canonical JSON,
+    plus the counters an engine event read at each time in ``probes``.
     """
     request_module._request_counter = itertools.count(0)
     if bindings is None:
@@ -84,12 +85,14 @@ def _run(plane: str, *, seed: int = 11, policy: str = "lass", faults=None,
                                      cold_start_latency=cold_start_latency),
         controller_config=ControllerConfig(epoch_length=epoch_length),
         seed=seed,
-        metrics=MetricsCollector(streaming_percentiles=True) if streaming else None,
         fault_spec=faults,
         policy=policy,
         policy_params=policy_params,
         data_plane=plane,
     )
+    seen = []
+    for at in probes:
+        runner.engine.call_at(at, lambda: seen.append(dict(runner.metrics.counters)))
     result = runner.run(duration=duration)
     names = [b.profile.name for b in bindings]
     deadlines = {name: 0.1 for name in names}
@@ -114,6 +117,7 @@ def _run(plane: str, *, seed: int = 11, policy: str = "lass", faults=None,
                    in runner.policy.dispatcher.balancer._scores.items() if scores},
         "faults": (runner.fault_injector.report(duration)
                    if runner.fault_injector is not None else None),
+        "probes": seen,
     }
     return canonical_json(fingerprint), result.kernel_stats, result.metrics.counters
 
@@ -162,12 +166,24 @@ def test_cold_start_storm_matches_event_plane(policy, faults):
         assert counters["node_failures"] == 1
 
 
-def test_streaming_percentiles_keep_full_boundaries():
-    """The global reservoir consumes RNG in completion order: nothing is deferred."""
-    stats, counters = _assert_identical(streaming=True)
+@pytest.mark.parametrize("faults", (None, FAULTS), ids=("healthy", "faulted"))
+def test_folds_deferred_by_scoped_boundaries_are_current_at_the_next_full_one(faults):
+    """Counters an event reads between epoch ticks equal the event plane's.
+
+    A warm-up's scoped boundary leaves every other function's arrival
+    and completion folds pending; each probe is a full boundary, so it
+    must find all of them folded (with faults, crashes widen some scopes
+    on the way).
+    """
+    probes = [2.5 * k + 0.123 for k in range(1, 12)]
+    event, _, _ = _run("event", faults=faults, probes=probes)
+    columnar, stats, counters = _run("columnar", faults=faults, probes=probes)
+    assert columnar == event
+    seen = json.loads(columnar)["probes"]
+    assert len(seen) == len(probes)
+    assert 0 < seen[0]["completions"] < seen[-1]["completions"]
     assert counters["creations"] >= 200
-    assert stats["boundaries_scoped"] == 0
-    assert stats["boundaries_full"] > 0
+    assert stats["boundaries_scoped"] >= 0.9 * counters["creations"] - len(probes)
 
 
 # ----------------------------------------------------------------------

@@ -158,7 +158,7 @@ class TestOverloadFairShare:
         result = runner.run(duration=duration)
         epochs = result.metrics.epochs
         assert any(e.overloaded for e in epochs)
-        guaranteed = runner.controller.guaranteed_cpu_shares()
+        guaranteed = runner.policy.guaranteed_cpu_shares()
         # in the second half (steady overload) each function holds at least
         # its guaranteed share minus one container of slack
         for name in ("microbenchmark", "squeezenet"):
@@ -197,7 +197,7 @@ class TestControllerUnit:
             cluster_config=ClusterConfig(),
             seed=1,
         )
-        shares = runner.controller.guaranteed_cpu_shares()
+        shares = runner.policy.guaranteed_cpu_shares()
         assert shares["microbenchmark"] == pytest.approx(6.0)
         assert shares["squeezenet"] == pytest.approx(6.0)
 
@@ -207,7 +207,7 @@ class TestControllerUnit:
             cluster_config=ClusterConfig(),
             seed=1,
         )
-        snapshot = runner.controller.run_epoch()
+        snapshot = runner.policy.run_epoch()
         assert snapshot.total_cpu == 12.0
         assert "microbenchmark" in snapshot.functions
 
@@ -219,7 +219,7 @@ class TestControllerUnit:
         )
         from repro.sim.request import Request
         with pytest.raises(KeyError):
-            runner.controller.dispatch(Request(function_name="ghost", arrival_time=0.0, work=0.1))
+            runner.policy.dispatch(Request(function_name="ghost", arrival_time=0.0, work=0.1))
 
     def test_duplicate_workload_names_rejected(self):
         with pytest.raises(ValueError):

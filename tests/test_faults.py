@@ -419,7 +419,7 @@ class TestFaultDeterminism:
         armed = SimulationRunner(workloads=bindings, seed=spec.seed,
                                  fault_spec=FaultSpec())
         assert armed.fault_injector is None
-        assert armed.controller.dispatcher.interceptor is None
+        assert armed.policy.dispatcher.interceptor is None
         assert armed.cluster.cold_start_sampler is None
         assert "faults:crash" not in armed.rng.names()
 

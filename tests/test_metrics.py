@@ -256,24 +256,23 @@ class TestCollector:
 
 
 class TestStreamingPercentiles:
-    """Opt-in constant-memory percentile mode (PR-1)."""
+    """The reservoir sketch, and the collector's one record mode beside it."""
 
-    def test_streaming_summary_robust_to_zero_wait_atom(self):
+    def test_reservoir_robust_to_zero_wait_atom(self):
         # >50% of simulated waits are exactly zero (idle-container hits); the
         # quantile sketch must not get stranded below the true p95 the way a
         # marker-based (P²) estimator does on such an atom
-        import numpy as np
-        from repro.metrics.streaming import StreamingSummary
+        from repro.metrics.streaming import ReservoirQuantiles
 
         rng = np.random.default_rng(13)
         positives = rng.exponential(1.0, 5_000)
         waits = np.concatenate([np.zeros(6_000), positives])
         rng.shuffle(waits)
-        streaming = StreamingSummary()
-        streaming.extend(waits)
+        sketch = ReservoirQuantiles(16384)
+        sketch.add_many(waits.tolist())
         exact95 = float(np.quantile(waits, 0.95))
-        assert streaming.summary().p95 == pytest.approx(exact95, rel=0.15)
-        assert streaming.summary().median == 0.0
+        assert sketch.quantile(0.95) == pytest.approx(exact95, rel=0.15)
+        assert sketch.quantile(0.5) == 0.0
 
     def test_reservoir_quantiles_validation(self):
         from repro.metrics.streaming import ReservoirQuantiles
@@ -285,45 +284,65 @@ class TestStreamingPercentiles:
         with pytest.raises(ValueError):
             sketch.quantile(1.5)
 
-    def test_streaming_summary_matches_stored_mode(self):
-        import numpy as np
-        from repro.metrics.streaming import StreamingSummary
+    def test_reservoir_quantiles_match_exact_ones(self):
+        from repro.metrics.streaming import ReservoirQuantiles
 
         rng = np.random.default_rng(7)
         waits = rng.exponential(0.05, 20_000)
-        streaming = StreamingSummary()
-        streaming.extend(waits)
-        summary = streaming.summary()
-        assert summary.count == waits.size
-        assert summary.mean == pytest.approx(float(waits.mean()), rel=1e-6)
-        assert summary.minimum == pytest.approx(float(waits.min()))
-        assert summary.maximum == pytest.approx(float(waits.max()))
-        assert summary.p95 == pytest.approx(float(np.quantile(waits, 0.95)), rel=0.05)
-        assert summary.p99 == pytest.approx(float(np.quantile(waits, 0.99)), rel=0.05)
+        sketch = ReservoirQuantiles(16384)
+        sketch.add_many(waits.tolist())
+        assert sketch.count == waits.size
+        assert sketch.quantile(0.95) == pytest.approx(float(np.quantile(waits, 0.95)), rel=0.05)
+        assert sketch.quantile(0.99) == pytest.approx(float(np.quantile(waits, 0.99)), rel=0.05)
 
-    def test_collector_streaming_mode(self):
-        collector = MetricsCollector(streaming_percentiles=True, store_requests=False)
-        for i in range(500):
-            request = completed_request(arrival=float(i), wait=0.01 * (i % 10))
+    def test_collector_keeps_every_request_and_summarises_the_table(self):
+        collector = MetricsCollector()
+        requests = [completed_request(arrival=float(i), wait=0.01 * (i % 10))
+                    for i in range(500)]
+        for request in requests:
             collector.record_request(request)
             collector.record_completion(request)
-        assert collector.requests == []            # nothing retained
+        assert collector.requests == requests
         summary = collector.waiting_summary()
-        assert summary.count == 500
-        assert 0.0 <= summary.median <= 0.09
-        per_function = collector.waiting_summary("fn")
-        assert per_function.count == 500
+        assert summary == _oracle_summarize_waiting_times(requests)
+        assert summary.count == 500 and summary.median == pytest.approx(0.045)
+        assert collector.waiting_summary("fn") == summary
         assert collector.waiting_summary("other").count == 0
-        assert collector.counters["completions"] == 500
+        assert collector.counters["completions"] == collector.throughput() == 500
 
-    def test_streaming_mode_rejects_warmup(self):
-        collector = MetricsCollector(streaming_percentiles=True, store_requests=False)
-        with pytest.raises(ValueError):
-            collector.waiting_summary(warmup=10.0)
+    def test_collector_warmup_drops_early_arrivals_from_the_summary(self):
+        collector = MetricsCollector()
+        requests = [completed_request(name="ab"[i % 2], arrival=float(i), wait=0.001 * i)
+                    for i in range(40)] + [dropped_request(arrival=30.0)]
+        for request in requests:
+            collector.record_request(request)
+        collector.seal_requests()
+        for name in (None, "a", "b", "fn"):
+            for warmup in (0.0, 10.0, 39.0, 40.0):
+                assert collector.waiting_summary(name, warmup=warmup) == (
+                    _oracle_summarize_waiting_times(requests, name, warmup))
+        assert collector.waiting_summary(warmup=10.0).count == 30
+        assert collector.waiting_summary(warmup=10.0).minimum == pytest.approx(0.01)
 
-    def test_store_requests_off_requires_streaming(self):
-        with pytest.raises(ValueError):
-            MetricsCollector(store_requests=False)
+    def test_a_request_recorded_after_a_deferred_fill_joins_the_rebuilt_list(self):
+        collector = MetricsCollector()
+        early = [completed_request(arrival=float(i)) for i in range(3)]
+        fills = []
+
+        def fill():
+            fills.append(len(fills))
+            return list(early)
+
+        table = RequestTable.from_requests(early)
+        collector.defer_requests(fill, table)
+        assert collector.request_table() is table and fills == []
+        late = dropped_request(name="late", arrival=5.0)
+        collector.record_request(late)                # rebuilds the objects first, once
+        assert fills == [0]
+        assert collector.requests == early + [late] and fills == [0]
+        assert collector.request_table() is not table
+        assert collector.slo({"late": 0.1})["late"].dropped_requests == 1
+        assert collector.throughput() == 3
 
     def test_default_behaviour_unchanged(self):
         collector = MetricsCollector()
