@@ -24,16 +24,21 @@ Quickstart
 True
 """
 
-from repro.cluster.cluster import ClusterConfig, EdgeCluster, FunctionDeployment
-from repro.core.controller import ControllerConfig, LassController, ReclamationPolicy
-from repro.core.policy import (
-    ControlPolicy,
-    PolicyContext,
-    build_policy,
-    policy_names,
-    register_policy,
-)
-from repro.simulation import SimulationResult, SimulationRunner, run_fixed_allocation
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.cluster.cluster": ("ClusterConfig", "EdgeCluster", "FunctionDeployment"),
+    "repro.core.controller": ("ControllerConfig", "LassController"),
+    "repro.core.allocation.reclamation": ("ReclamationPolicy",),
+    "repro.core.policy": (
+        "ControlPolicy",
+        "PolicyContext",
+        "build_policy",
+        "policy_names",
+        "register_policy",
+    ),
+    "repro.simulation": ("SimulationResult", "SimulationRunner", "run_fixed_allocation"),
+})
 
 __version__ = "1.1.0"
 

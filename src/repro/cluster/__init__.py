@@ -14,11 +14,15 @@ container's service rate, and container creation pays a cold-start
 latency.
 """
 
-from repro.cluster.container import Container, ContainerState
-from repro.cluster.node import Node, InsufficientCapacityError
-from repro.cluster.cluster import EdgeCluster, ClusterConfig
-from repro.cluster.loadbalancer import WeightedRoundRobinBalancer
-from repro.cluster.invoker import Invoker, InvokerCommand
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.cluster.container": ("Container", "ContainerState"),
+    "repro.cluster.node": ("Node", "InsufficientCapacityError"),
+    "repro.cluster.cluster": ("EdgeCluster", "ClusterConfig"),
+    "repro.cluster.loadbalancer": ("WeightedRoundRobinBalancer",),
+    "repro.cluster.invoker": ("Invoker", "InvokerCommand"),
+})
 
 __all__ = [
     "Container",

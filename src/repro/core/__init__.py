@@ -24,14 +24,19 @@ Sub-packages
     a pluggable control plane.
 """
 
-from repro.core.controller import LassController, ControllerConfig, ReclamationPolicy
-from repro.core.policy import (
-    ControlPolicy,
-    PolicyContext,
-    build_policy,
-    policy_names,
-    register_policy,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.controller": ("LassController", "ControllerConfig"),
+    "repro.core.allocation.reclamation": ("ReclamationPolicy",),
+    "repro.core.policy": (
+        "ControlPolicy",
+        "PolicyContext",
+        "build_policy",
+        "policy_names",
+        "register_policy",
+    ),
+})
 
 __all__ = [
     "LassController",

@@ -18,24 +18,33 @@
   service-time knowledge, and the queueing models.
 """
 
-from repro.core.allocation.fair_share import (
-    FairShareResult,
-    fair_share_allocation,
-    guaranteed_shares,
-    progressive_filling,
-)
-from repro.core.allocation.hierarchy import SchedulingNode, SchedulingTree
-from repro.core.allocation.reclamation import (
-    CreateAction,
-    DeflateAction,
-    DeflationPolicy,
-    InflateAction,
-    ReclamationPlan,
-    TerminateAction,
-    TerminationPolicy,
-)
-from repro.core.allocation.placement import best_fit, first_fit, plan_placements, worst_fit
-from repro.core.allocation.autoscaler import Autoscaler, ScalingDecision
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.allocation.fair_share": (
+        "FairShareResult",
+        "fair_share_allocation",
+        "guaranteed_shares",
+        "progressive_filling",
+    ),
+    "repro.core.allocation.hierarchy": ("SchedulingNode", "SchedulingTree"),
+    "repro.core.allocation.reclamation": (
+        "CreateAction",
+        "DeflateAction",
+        "DeflationPolicy",
+        "InflateAction",
+        "ReclamationPlan",
+        "TerminateAction",
+        "TerminationPolicy",
+    ),
+    "repro.core.allocation.placement": (
+        "best_fit",
+        "first_fit",
+        "plan_placements",
+        "worst_fit",
+    ),
+    "repro.core.allocation.autoscaler": ("Autoscaler", "ScalingDecision"),
+})
 
 __all__ = [
     "FairShareResult",

@@ -28,9 +28,17 @@ Deflation policy
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Protocol, Sequence
+
+
+class ReclamationPolicy(enum.Enum):
+    """Which reclamation mechanism the controller uses under overload (§4.2)."""
+
+    TERMINATION = "termination"
+    DEFLATION = "deflation"
 
 
 class ContainerLike(Protocol):
@@ -346,6 +354,7 @@ class DeflationPolicy:
 
 
 __all__ = [
+    "ReclamationPolicy",
     "ContainerLike",
     "TerminateAction",
     "DeflateAction",

@@ -24,7 +24,6 @@ produces an immediate action plan.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -42,6 +41,7 @@ from repro.core.allocation.reclamation import (
     DeflationPolicy,
     InflateAction,
     ReclamationPlan,
+    ReclamationPolicy,
     TerminateAction,
     TerminationPolicy,
 )
@@ -52,13 +52,6 @@ from repro.core.estimation.sliding_window import DualWindowRateEstimator
 from repro.metrics.collector import EpochSnapshot, FunctionEpochStats, MetricsCollector
 from repro.sim.engine import SimulationEngine
 from repro.sim.request import Request
-
-
-class ReclamationPolicy(enum.Enum):
-    """Which reclamation mechanism the controller uses under overload (§4.2)."""
-
-    TERMINATION = "termination"
-    DEFLATION = "deflation"
 
 
 @dataclass
@@ -98,13 +91,13 @@ class ControllerConfig:
 
     def __post_init__(self) -> None:
         """Validate the configuration parameters."""
-        if self.epoch_length <= 0:
+        if not self.epoch_length > 0:  # also rejects NaN
             raise ValueError("epoch_length must be positive")
-        if self.rate_sample_interval <= 0:
+        if not self.rate_sample_interval > 0:
             raise ValueError("rate_sample_interval must be positive")
         if not 0 < self.percentile < 1:
             raise ValueError("percentile must be in (0, 1)")
-        if self.fault_recovery_grace < 0:
+        if not self.fault_recovery_grace >= 0:
             raise ValueError("fault_recovery_grace must be non-negative")
 
 

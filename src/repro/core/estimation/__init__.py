@@ -14,13 +14,20 @@
   requests.
 """
 
-from repro.core.estimation.ewma import EwmaEstimator
-from repro.core.estimation.sliding_window import DualWindowRateEstimator, SlidingWindowCounter
-from repro.core.estimation.service_time import (
-    OnlineServiceTimeEstimator,
-    ServiceTimeProfile,
-    StreamingQuantile,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.estimation.ewma": ("EwmaEstimator",),
+    "repro.core.estimation.sliding_window": (
+        "DualWindowRateEstimator",
+        "SlidingWindowCounter",
+    ),
+    "repro.core.estimation.service_time": (
+        "OnlineServiceTimeEstimator",
+        "ServiceTimeProfile",
+        "StreamingQuantile",
+    ),
+})
 
 __all__ = [
     "EwmaEstimator",

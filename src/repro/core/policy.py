@@ -53,9 +53,11 @@ Policies register a *factory* with :func:`register_policy`; the factory
 receives a :class:`PolicyContext` (the already-wired engine, cluster,
 and metrics plus the controller configuration and service-time
 knowledge) and the scenario's ``policy_params`` mapping, and returns the
-constructed policy.  Built-in policies live in :mod:`repro.policies` and
-are imported lazily on first lookup; third-party code registers its own
-the same way::
+constructed policy.  ``lass`` is registered here, with a factory that
+imports the controller only when it builds one; the other built-ins live
+in :mod:`repro.policies` and are imported on the first lookup of a name
+the registry lacks (or of the full list).  Third-party code registers
+its own the same way::
 
     from repro.core.policy import ControlPolicy, register_policy
 
@@ -267,8 +269,9 @@ class PolicyDescriptor:
 
 _REGISTRY: Dict[str, PolicyDescriptor] = {}
 
-#: Modules imported lazily on first lookup; importing them registers the
-#: built-in policies (lass, openwhisk, reactive, static, hybrid, noop).
+#: Modules imported on the first lookup of a name the registry lacks;
+#: importing them registers the other built-in policies (openwhisk,
+#: reactive, static, hybrid, noop).  ``lass`` is registered in this module.
 _BUILTIN_MODULES: Tuple[str, ...] = ("repro.policies",)
 _builtins_loaded = False
 
@@ -317,14 +320,19 @@ def register_policy(
 
 
 def get_policy(name: str) -> PolicyDescriptor:
-    """Look up a policy descriptor by name (loading built-ins on demand)."""
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown policy {name!r}; available: {policy_names()}"
-        ) from None
+    """Look up a policy descriptor by name.
+
+    The built-ins are loaded only for a name the registry lacks, so
+    validating the default ``"lass"`` (registered below) imports no
+    policy module.
+    """
+    descriptor = _REGISTRY.get(name)
+    if descriptor is None:
+        _ensure_builtins()
+        descriptor = _REGISTRY.get(name)
+    if descriptor is None:
+        raise KeyError(f"unknown policy {name!r}; available: {policy_names()}")
+    return descriptor
 
 
 def policy_names() -> List[str]:
@@ -376,6 +384,36 @@ def build_policy(
     """Construct the named policy from its registered factory."""
     descriptor = get_policy(name)
     return descriptor.factory(context, dict(params or {}))
+
+
+def _no_lass_params(params: Mapping[str, Any]) -> None:
+    """Eager params check: LaSS is configured via the ControllerSpec fields."""
+    if params:
+        raise ValueError(
+            "policy 'lass' takes no policy_params — configure it through the "
+            f"ControllerSpec/ControllerConfig fields; got {sorted(params)}"
+        )
+
+
+@register_policy(
+    "lass",
+    "the paper's control plane: model-driven sizing, fair share, reclamation",
+    validate_params=_no_lass_params,
+)
+def _build_lass(context: PolicyContext, params: Mapping[str, Any]) -> ControlPolicy:
+    """Registry factory for the LaSS controller (imported only when built)."""
+    from repro.core.controller import LassController
+
+    _no_lass_params(params)
+    return LassController(
+        engine=context.engine,
+        cluster=context.cluster,
+        config=context.config,
+        scheduling_tree=context.scheduling_tree,
+        metrics=context.metrics,
+        service_profiles=dict(context.service_profiles),
+        default_service_rates=dict(context.default_service_rates),
+    )
 
 
 __all__ = [

@@ -22,25 +22,25 @@
   used by the simulator and by the profile-driven estimators.
 """
 
-from repro.core.queueing.mmc import MMcQueue, erlang_c, mmc_state_probabilities
-from repro.core.queueing.heterogeneous import HeterogeneousMMcQueue
-from repro.core.queueing.mgc import MGcQueue, required_containers_mgc
-from repro.core.queueing.solver import (
-    SizingQuery,
-    SizingResult,
-    SizingSolver,
-)
-from repro.core.queueing.sizing import (
-    required_containers,
-    required_containers_heterogeneous,
-)
-from repro.core.queueing.distributions import (
-    Deterministic,
-    Exponential,
-    LogNormal,
-    ServiceTimeDistribution,
-    ShiftedExponential,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.queueing.mmc": ("MMcQueue", "erlang_c", "mmc_state_probabilities"),
+    "repro.core.queueing.heterogeneous": ("HeterogeneousMMcQueue",),
+    "repro.core.queueing.mgc": ("MGcQueue", "required_containers_mgc"),
+    "repro.core.queueing.solver": ("SizingQuery", "SizingResult", "SizingSolver"),
+    "repro.core.queueing.sizing": (
+        "required_containers",
+        "required_containers_heterogeneous",
+    ),
+    "repro.core.queueing.distributions": (
+        "Deterministic",
+        "Exponential",
+        "LogNormal",
+        "ServiceTimeDistribution",
+        "ShiftedExponential",
+    ),
+})
 
 __all__ = [
     "MMcQueue",

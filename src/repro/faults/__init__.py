@@ -7,17 +7,21 @@ carried on a :class:`~repro.scenarios.spec.ScenarioSpec`; the
 contract.
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.spec import (
-    ColdStartSpec,
-    FaultSpec,
-    NodeFailureSpec,
-    SiteBlackoutSpec,
-    WanPartitionSpec,
-    node_outage,
-    site_blackout,
-    wan_partition,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.faults.injector": ("FaultInjector",),
+    "repro.faults.spec": (
+        "ColdStartSpec",
+        "FaultSpec",
+        "NodeFailureSpec",
+        "SiteBlackoutSpec",
+        "WanPartitionSpec",
+        "node_outage",
+        "site_blackout",
+        "wan_partition",
+    ),
+})
 
 __all__ = [
     "ColdStartSpec",

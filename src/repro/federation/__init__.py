@@ -23,26 +23,30 @@ spec-order iteration everywhere, runs are pure functions of
 ``(scenario, seed)`` and sweeps are byte-identical across worker counts.
 """
 
-from repro.federation.cluster import FederatedCluster, FederatedSite
-from repro.federation.health import SiteHealthMonitor
-from repro.federation.injector import FederationFaultInjector
-from repro.federation.router import (
-    GlobalRouterPolicy,
-    RouterContext,
-    RouterDescriptor,
-    build_router,
-    describe_routers,
-    get_router,
-    register_router,
-    router_names,
-    validate_router,
-)
-from repro.federation.runner import (
-    FederatedSimulationResult,
-    FederatedSimulationRunner,
-    RouterStats,
-)
-from repro.federation.spec import FederationSpec, SiteSpec
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.federation.cluster": ("FederatedCluster", "FederatedSite"),
+    "repro.federation.health": ("SiteHealthMonitor",),
+    "repro.federation.injector": ("FederationFaultInjector",),
+    "repro.federation.router": (
+        "GlobalRouterPolicy",
+        "RouterContext",
+        "RouterDescriptor",
+        "build_router",
+        "describe_routers",
+        "get_router",
+        "register_router",
+        "router_names",
+        "validate_router",
+    ),
+    "repro.federation.runner": (
+        "FederatedSimulationResult",
+        "FederatedSimulationRunner",
+        "RouterStats",
+    ),
+    "repro.federation.spec": ("FederationSpec", "SiteSpec"),
+})
 
 __all__ = [
     "FederatedCluster",

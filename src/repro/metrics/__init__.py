@@ -11,13 +11,25 @@ all of which this package computes from the simulation:
   (the Figure 10 recovery experiment).
 """
 
-from repro.metrics.availability import AvailabilityTracker, RecoveryRecord
-from repro.metrics.collector import MetricsCollector, EpochSnapshot, FunctionEpochStats
-from repro.metrics.percentiles import percentile, summarize_waiting_times, WaitingTimeSummary
-from repro.metrics.slo import SloReport, slo_report
-from repro.metrics.streaming import ReservoirQuantiles
-from repro.metrics.utilization import UtilizationTracker, time_weighted_mean
-from repro.metrics.timeline import AllocationTimeline, TimelinePoint
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.metrics.availability": ("AvailabilityTracker", "RecoveryRecord"),
+    "repro.metrics.collector": (
+        "MetricsCollector",
+        "EpochSnapshot",
+        "FunctionEpochStats",
+    ),
+    "repro.metrics.percentiles": (
+        "percentile",
+        "summarize_waiting_times",
+        "WaitingTimeSummary",
+    ),
+    "repro.metrics.slo": ("SloReport", "slo_report"),
+    "repro.metrics.streaming": ("ReservoirQuantiles",),
+    "repro.metrics.utilization": ("UtilizationTracker", "time_weighted_mean"),
+    "repro.metrics.timeline": ("AllocationTimeline", "TimelinePoint"),
+})
 
 __all__ = [
     "AvailabilityTracker",

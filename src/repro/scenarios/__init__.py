@@ -25,46 +25,50 @@ Typical use::
     results = ResilientSweepRunner(build("fig3"), workers=4, on_failure="raise").run()
 """
 
-from repro.scenarios.executor import (
-    ResilientSweepRunner,
-    RetryPolicy,
-    ShardError,
-    backoff_delay,
-)
-from repro.scenarios.journal import JOURNAL_SCHEMA, RunJournal, shard_spec_hash
-from repro.scenarios.registry import (
-    build,
-    describe,
-    example_names,
-    experiment_names,
-    get_entry,
-    names,
-    register,
-)
-from repro.scenarios.runner import RESULT_SCHEMA, ScenarioOutcome, run_scenario
-from repro.scenarios.spec import (
-    SCENARIO_SCHEMA,
-    AllocationSpec,
-    ClusterSpec,
-    ControllerSpec,
-    ScenarioSpec,
-    ScheduleSpec,
-    WorkloadSpec,
-    canonical_json,
-)
-from repro.scenarios.trace_shard import (
-    TRACE_MERGE_SCHEMA,
-    merge_trace_shards,
-    shard_ranges,
-)
-from repro.scenarios.sweep import (
-    SWEEP_RESULT_SCHEMA,
-    SWEEP_SCHEMA,
-    SweepAxis,
-    SweepSpec,
-    apply_overrides,
-    derive_shard_seed,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.scenarios.executor": (
+        "ResilientSweepRunner",
+        "RetryPolicy",
+        "ShardError",
+        "backoff_delay",
+    ),
+    "repro.scenarios.journal": ("JOURNAL_SCHEMA", "RunJournal", "shard_spec_hash"),
+    "repro.scenarios.registry": (
+        "build",
+        "describe",
+        "example_names",
+        "experiment_names",
+        "get_entry",
+        "names",
+        "register",
+    ),
+    "repro.scenarios.runner": ("RESULT_SCHEMA", "ScenarioOutcome", "run_scenario"),
+    "repro.scenarios.spec": (
+        "SCENARIO_SCHEMA",
+        "AllocationSpec",
+        "ClusterSpec",
+        "ControllerSpec",
+        "ScenarioSpec",
+        "ScheduleSpec",
+        "WorkloadSpec",
+        "canonical_json",
+    ),
+    "repro.scenarios.trace_shard": (
+        "TRACE_MERGE_SCHEMA",
+        "merge_trace_shards",
+        "shard_ranges",
+    ),
+    "repro.scenarios.sweep": (
+        "SWEEP_RESULT_SCHEMA",
+        "SWEEP_SCHEMA",
+        "SweepAxis",
+        "SweepSpec",
+        "apply_overrides",
+        "derive_shard_seed",
+    ),
+})
 
 __all__ = [
     "JOURNAL_SCHEMA",

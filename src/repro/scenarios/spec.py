@@ -41,15 +41,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.cluster.cluster import ClusterConfig
-from repro.core.controller import ControllerConfig, ReclamationPolicy
+from repro.core.allocation.reclamation import ReclamationPolicy
+from repro.core.policy import validate_policy
 from repro.faults.spec import FaultSpec
 from repro.federation.spec import FederationSpec
-from repro.workloads.functions import FunctionProfile, get_function, microbenchmark
-from repro.workloads.generator import WorkloadBinding
 from repro.workloads.schedules import (
     RampSchedule,
     RateSchedule,
@@ -57,6 +57,12 @@ from repro.workloads.schedules import (
     StepSchedule,
     TraceSchedule,
 )
+
+if TYPE_CHECKING:
+    from repro.cluster.cluster import ClusterConfig
+    from repro.core.controller import ControllerConfig
+    from repro.workloads.functions import FunctionProfile
+    from repro.workloads.generator import WorkloadBinding
 
 #: Schema identifier embedded in serialised specs (bump on breaking change).
 SCENARIO_SCHEMA = "repro/scenario@1"
@@ -296,6 +302,8 @@ class WorkloadSpec:
 
     def build_profile(self) -> FunctionProfile:
         """Resolve the catalogue profile, applying the service-time override."""
+        from repro.workloads.functions import get_function, microbenchmark
+
         if self.service_time is None:
             return get_function(self.function)
         if self.function == "microbenchmark":
@@ -304,6 +312,8 @@ class WorkloadSpec:
 
     def build(self) -> WorkloadBinding:
         """Instantiate the live :class:`WorkloadBinding` this spec describes."""
+        from repro.workloads.generator import WorkloadBinding
+
         return WorkloadBinding(
             profile=self.build_profile(),
             schedule=self.schedule.build(),
@@ -351,6 +361,8 @@ class ClusterSpec:
 
     def build(self) -> ClusterConfig:
         """Instantiate the live :class:`ClusterConfig`."""
+        from repro.cluster.cluster import ClusterConfig
+
         return ClusterConfig(**dataclasses.asdict(self))
 
     def to_dict(self) -> Dict[str, Any]:
@@ -361,6 +373,20 @@ class ClusterSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "ClusterSpec":
         """Rebuild from :meth:`to_dict` output (missing keys take defaults)."""
         return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls) if f.name in data})
+
+
+#: The :class:`ControllerSpec` fields that must be finite numbers.
+_CONTROLLER_FLOATS = (
+    "epoch_length",
+    "rate_sample_interval",
+    "long_window",
+    "short_window",
+    "burst_factor",
+    "ewma_alpha",
+    "percentile",
+    "deflation_threshold",
+    "deflation_increment",
+)
 
 
 @dataclass(frozen=True)
@@ -397,15 +423,31 @@ class ControllerSpec:
     online_learning: bool = True
 
     def __post_init__(self) -> None:
-        """Validate the reclamation + control-plane policy names and params."""
-        from repro.core.policy import validate_policy
-
+        """Validate the float knobs and the reclamation + control-plane policy."""
+        for name in _CONTROLLER_FLOATS:
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"controller.{name} must be a finite number; got {value!r}")
+        # the ranges ControllerConfig checks, here so a bad spec fails before any run
+        if not self.epoch_length > 0:
+            raise ValueError("epoch_length must be positive")
+        if not self.rate_sample_interval > 0:
+            raise ValueError("rate_sample_interval must be positive")
+        if not 0 < self.percentile < 1:
+            raise ValueError("percentile must be in (0, 1)")
+        for name in ("policy", "reclamation"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"controller.{name} must be a string; got {value!r}")
         ReclamationPolicy(self.reclamation)  # validates the policy name
         object.__setattr__(self, "policy_params", _freeze(dict(self.policy_params)))
         validate_policy(self.policy, self.policy_params)
 
     def build(self) -> ControllerConfig:
         """Instantiate the live :class:`ControllerConfig` (LaSS's knobs)."""
+        from repro.core.controller import ControllerConfig
+
         kwargs = dataclasses.asdict(self)
         kwargs.pop("policy")
         kwargs.pop("policy_params")

@@ -49,6 +49,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
+# Everything a replay shard runs is imported here, at module top: the
+# sweep's parent process loads this module when it builds the shards, so
+# forked workers inherit the sizing chain instead of importing it again.
+from repro.core.queueing.sizing import required_containers
 from repro.metrics.streaming import ReservoirQuantiles, merge_reservoir_states
 from repro.scenarios.runner import ScenarioOutcome, _envelope
 from repro.scenarios.spec import ScenarioSpec
@@ -94,8 +98,6 @@ def run_trace_replay(spec: ScenarioSpec) -> ScenarioOutcome:
     :func:`merge_trace_shards` produce identical totals for *any* shard
     decomposition of the same population.
     """
-    from repro.core.queueing.sizing import required_containers
-
     params = dict(spec.params)
     population = dict(params["population"])
     duration_minutes = int(params["duration_minutes"])

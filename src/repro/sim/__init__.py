@@ -12,9 +12,13 @@ the control plane (:mod:`repro.core`) and the cluster model
 (:mod:`repro.cluster`).
 """
 
-from repro.sim.engine import SimulationEngine, Event, stop_simulation
-from repro.sim.request import Request, RequestStatus
-from repro.sim.rng import RngStreams
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.sim.engine": ("SimulationEngine", "Event", "stop_simulation"),
+    "repro.sim.request": ("Request", "RequestStatus"),
+    "repro.sim.rng": ("RngStreams",),
+})
 
 __all__ = [
     "SimulationEngine",

@@ -16,32 +16,36 @@
   ``fig9-at-scale`` replay.
 """
 
-from repro.workloads.functions import (
-    FUNCTION_CATALOG,
-    FunctionProfile,
-    get_function,
-    microbenchmark,
-)
-from repro.workloads.generator import ArrivalGenerator, WorkloadBinding
-from repro.workloads.schedules import (
-    CompositeSchedule,
-    RampSchedule,
-    RateSchedule,
-    StaticRate,
-    StepSchedule,
-    TraceSchedule,
-)
-from repro.workloads.azure import (
-    AzureTraceConfig,
-    azure_rate_series,
-    synthesize_azure_trace,
-    synthesize_azure_traces,
-)
-from repro.workloads.stream import (
-    PopulationFunction,
-    iter_azure_trace_chunks,
-    population_function,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.workloads.functions": (
+        "FUNCTION_CATALOG",
+        "FunctionProfile",
+        "get_function",
+        "microbenchmark",
+    ),
+    "repro.workloads.generator": ("ArrivalGenerator", "WorkloadBinding"),
+    "repro.workloads.schedules": (
+        "CompositeSchedule",
+        "RampSchedule",
+        "RateSchedule",
+        "StaticRate",
+        "StepSchedule",
+        "TraceSchedule",
+    ),
+    "repro.workloads.azure": (
+        "AzureTraceConfig",
+        "azure_rate_series",
+        "synthesize_azure_trace",
+        "synthesize_azure_traces",
+    ),
+    "repro.workloads.stream": (
+        "PopulationFunction",
+        "iter_azure_trace_chunks",
+        "population_function",
+    ),
+})
 
 __all__ = [
     "FunctionProfile",

@@ -138,6 +138,60 @@ class TestRegistry:
             _REGISTRY.pop("test-dummy", None)
 
 
+#: Hostile ``controller`` fields: each used to pass the spec and then raise
+#: a TypeError, die mid-run, or run to completion on a NaN knob.
+HOSTILE_CONTROLLER_FIELDS = [
+    ({"policy": []}, "controller.policy must be a string"),
+    ({"policy": {}}, "controller.policy must be a string"),
+    ({"reclamation": []}, "controller.reclamation must be a string"),
+    ({"epoch_length": "x"}, "controller.epoch_length must be a finite number"),
+    ({"epoch_length": float("nan")}, "controller.epoch_length must be a finite number"),
+    ({"rate_sample_interval": float("nan")},
+     "controller.rate_sample_interval must be a finite number"),
+    ({"deflation_threshold": float("nan")},
+     "controller.deflation_threshold must be a finite number"),
+    ({"long_window": float("inf")}, "controller.long_window must be a finite number"),
+    ({"ewma_alpha": True}, "controller.ewma_alpha must be a finite number"),
+    ({"epoch_length": 0.0}, "epoch_length must be positive"),
+    ({"rate_sample_interval": -5.0}, "rate_sample_interval must be positive"),
+    ({"percentile": 1.0}, r"percentile must be in \(0, 1\)"),
+]
+
+
+class TestControllerSpecRejectsHostileInput:
+    @pytest.mark.parametrize("fields, message", HOSTILE_CONTROLLER_FIELDS)
+    def test_rejected_at_spec_construction(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ControllerSpec(**fields)
+
+    @pytest.mark.parametrize("fields, message", HOSTILE_CONTROLLER_FIELDS[:3]
+                             + HOSTILE_CONTROLLER_FIELDS[4:7])
+    def test_the_cli_exits_2_on_a_spec_file_carrying_it(self, tmp_path, capsys,
+                                                        fields, message):
+        from repro.cli import main
+
+        data = build("quickstart", duration=5.0).to_dict()
+        data["controller"].update(fields)
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(data))  # NaN is written as the JSON literal NaN
+        assert main(["scenario", str(path)]) == 2
+        assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["epoch_length", "rate_sample_interval",
+                                       "percentile", "fault_recovery_grace"])
+    def test_controller_config_rejects_nan(self, field):
+        from repro.core.controller import ControllerConfig
+
+        with pytest.raises(ValueError, match=field):
+            ControllerConfig(**{field: float("nan")})
+
+    def test_numpy_and_integer_knobs_are_accepted(self):
+        import numpy as np
+
+        spec = ControllerSpec(epoch_length=np.int64(5), long_window=np.float64(60.0))
+        assert spec.build().epoch_length == 5
+
+
 class TestControllerSpecRoundTrip:
     def test_policy_fields_round_trip_exactly(self):
         spec = ControllerSpec(policy="reactive",
