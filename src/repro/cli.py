@@ -354,7 +354,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             duration_minutes=args.minutes,
             shards=args.shards,
             chunk_minutes=args.chunk_minutes,
-            sketch_size=args.sketch_size,
         )
         runner = ResilientSweepRunner(
             sweep,
@@ -522,8 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="contiguous function-range shards (default 32)")
     replay.add_argument("--chunk-minutes", type=int, default=360,
                         help="minutes of one trace held in memory at a time")
-    replay.add_argument("--sketch-size", type=int, default=4096,
-                        help="reservoir samples per shard sketch")
     replay.add_argument("--workers", "-j", type=int, default=1,
                         help="worker processes (default 1 = serial)")
     replay.add_argument("--output", "-o", default=None,

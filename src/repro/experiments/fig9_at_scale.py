@@ -9,8 +9,8 @@ invocations) streams through the constant-memory replay kernel of
 merged into one federated-style envelope.  The replay answers the
 paper's capacity questions at population scale — how many containers
 the M/M/c sizing model provisions, what fraction of function-minutes
-overload that sizing, and the per-minute invocation percentiles —
-without ever holding more than one chunk of one trace in memory.
+overload that sizing, and the exact per-minute invocation percentiles
+— without ever holding more than one chunk of one trace in memory.
 
 The merged envelope is byte-identical across worker counts, shard
 permutations, and interrupt+resume (``tests/test_trace_replay.py``);
@@ -51,7 +51,6 @@ def run_fig9_at_scale(
     shards: int = 32,
     workers: int = 1,
     chunk_minutes: int = 360,
-    sketch_size: int = 4096,
     seed: int = 9,
 ) -> Fig9AtScaleResult:
     """Run the sharded replay and merge the shard envelopes.
@@ -61,8 +60,7 @@ def run_fig9_at_scale(
     """
     sweep = build("fig9-at-scale", functions=functions,
                   duration_minutes=duration_minutes, shards=shards,
-                  chunk_minutes=chunk_minutes, sketch_size=sketch_size,
-                  seed=seed)
+                  chunk_minutes=chunk_minutes, seed=seed)
     envelope = ResilientSweepRunner(sweep, workers=workers, on_failure="raise").run()
     merged = merge_trace_shards(envelope)
     totals = merged["totals"]
@@ -98,8 +96,7 @@ def format_fig9_at_scale(result: Fig9AtScaleResult) -> str:
         f"  idle minutes       : {result.zero_fraction * 100:.1f}% of "
         "function-minutes have zero invocations",
         f"  per-minute p50/p90/p95/p99: {pct['p50']:g} / {pct['p90']:g} / "
-        f"{pct['p95']:g} / {pct['p99']:g}"
-        + ("  (exact)" if pct.get("exact") else "  (sampled)"),
+        f"{pct['p95']:g} / {pct['p99']:g}",
     ]
     return "\n".join(lines)
 

@@ -501,8 +501,7 @@ def _fig9(duration_minutes: int = 60, seed: int = 9,
           "population, sharded over the resilient sweep runner",
           tags=("paper",))
 def _fig9_at_scale(functions: int = 10_000, duration_minutes: int = 1440,
-                   shards: int = 32, chunk_minutes: int = 360,
-                   sketch_size: int = 4096, seed: int = 9,
+                   shards: int = 32, chunk_minutes: int = 360, seed: int = 9,
                    trace_seed: int = 2019,
                    population_seed: int = 2021) -> SweepSpec:
     """The planet-scale replay: one ``trace_replay`` shard per sweep point.
@@ -530,7 +529,6 @@ def _fig9_at_scale(functions: int = 10_000, duration_minutes: int = 1440,
             "trace_seed": trace_seed,
             "duration_minutes": duration_minutes,
             "chunk_minutes": chunk_minutes,
-            "sketch_size": sketch_size,
             "function_range": [0, functions],
         },
     )

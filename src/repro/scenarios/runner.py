@@ -35,7 +35,7 @@ Results schema (``repro/scenario-result@1``)
                                # health-belief transitions, per-site
                                # summaries (see repro.federation.runner)
       "replay": {...}          # kind="trace_replay" only: one shard's
-                               # integer counters + reservoir sketch
+                               # integer counters + per-minute histogram
                                # (see repro.scenarios.trace_shard)
     }
 

@@ -111,19 +111,29 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _finite_positive(value: float) -> bool:
+    """True for a finite number above zero (False for NaN and ±inf)."""
+    return math.isfinite(value) and value > 0
+
+
 def _validate_trace_replay_params(params: Mapping[str, Any]) -> None:
     """Eagerly validate the ``params`` of a ``trace_replay`` scenario.
 
     A replay spec fans out to many shards under the resilient runner, so
     every numeric knob is checked at construction — a typo'd population
     or an inverted ``function_range`` must fail *before* any shard runs,
-    not minutes into a sharded sweep.
+    not minutes into a sharded sweep.  An unknown key is refused by name
+    too, so a spec written for an older replay (one that still sized a
+    percentile reservoir) fails instead of being carried along unread.
     """
     required = ("population", "trace_seed", "duration_minutes",
-                "chunk_minutes", "sketch_size", "function_range")
+                "chunk_minutes", "function_range")
     missing = [key for key in required if key not in params]
     if missing:
         raise ValueError(f"trace_replay params missing keys: {missing}")
+    unknown = sorted(key for key in params if key not in required)
+    if unknown:
+        raise ValueError(f"trace_replay params has unknown keys: {unknown}")
     population = params["population"]
     if not isinstance(population, Mapping):
         raise ValueError("trace_replay params.population must be a mapping")
@@ -136,14 +146,16 @@ def _validate_trace_replay_params(params: Mapping[str, Any]) -> None:
         raise ValueError("trace_replay population.functions must be >= 1")
     if not 0.0 <= float(population["sporadic_fraction"]) <= 1.0:
         raise ValueError("trace_replay population.sporadic_fraction must be in [0, 1]")
-    if float(population["rate_log10_sigma"]) < 0:
-        raise ValueError("trace_replay population.rate_log10_sigma must be non-negative")
+    if not math.isfinite(float(population["rate_log10_mean"])):
+        raise ValueError("trace_replay population.rate_log10_mean must be finite")
+    sigma = float(population["rate_log10_sigma"])
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("trace_replay population.rate_log10_sigma must be "
+                         "finite and non-negative")
     if int(params["duration_minutes"]) < 1:
         raise ValueError("trace_replay duration_minutes must be >= 1")
     if int(params["chunk_minutes"]) < 1:
         raise ValueError("trace_replay chunk_minutes must be >= 1")
-    if int(params["sketch_size"]) < 10:
-        raise ValueError("trace_replay sketch_size must be >= 10")
     function_range = params["function_range"]
     if len(tuple(function_range)) != 2:
         raise ValueError("trace_replay function_range must be a [lo, hi) pair")
@@ -293,12 +305,12 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         """Validate the workload's numeric fields."""
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
-        if self.slo_deadline is not None and self.slo_deadline <= 0:
-            raise ValueError("slo_deadline must be positive (or None)")
-        if self.service_time is not None and self.service_time <= 0:
-            raise ValueError("service_time must be positive (or None)")
+        if not _finite_positive(self.weight):
+            raise ValueError("weight must be positive and finite")
+        if self.slo_deadline is not None and not _finite_positive(self.slo_deadline):
+            raise ValueError("slo_deadline must be positive and finite (or None)")
+        if self.service_time is not None and not _finite_positive(self.service_time):
+            raise ValueError("service_time must be positive and finite (or None)")
 
     def build_profile(self) -> FunctionProfile:
         """Resolve the catalogue profile, applying the service-time override."""
@@ -645,10 +657,10 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown data_plane {self.data_plane!r}; valid: 'event', 'columnar'"
             )
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.warmup < 0:
-            raise ValueError("warmup must be non-negative")
+        if not _finite_positive(self.duration):
+            raise ValueError("duration must be positive and finite")
+        if not (math.isfinite(self.warmup) and self.warmup >= 0):
+            raise ValueError("warmup must be non-negative and finite")
         if self.kind in SIMULATION_KINDS and not self.workloads:
             raise ValueError(f"kind {self.kind!r} requires at least one workload")
         if self.kind == "fixed":

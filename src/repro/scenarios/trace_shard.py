@@ -10,50 +10,51 @@ Memory model
 ------------
 One shard holds, at any instant: one function's rate series
 (``duration_minutes`` floats), one chunk of counts (``chunk_minutes``
-ints), the running integer counters, and one bounded reservoir sketch
-(``sketch_size`` floats).  Nothing scales with the number of functions
-or invocations — a shard of 10 functions and a shard of 10,000 have the
+ints), the running integer counters, and one histogram of per-minute
+counts (``{count: minutes}``, one entry per *distinct* count seen).
+Per-minute counts are small non-negative integers, so the histogram is
+exact and its size is the number of distinct counts — a few hundred on
+a day of the default population — not the number of functions or
+invocations: a shard of 10 functions and a shard of 10,000 have the
 same resident footprint, which is what makes a week-long replay
 journal-resumable without spilling.  The per-minute work is batched
 *within* one function only — its rate series in block draws, each chunk
-into the sketch through one ``ReservoirQuantiles.add_many`` call — and
-each function is sized on its own with the scalar
-``required_containers`` (one M/M/c evaluation concludes c* = 1 for
-nearly the whole population); nothing is batched across functions.
+into the histogram through one ``np.unique`` call — and each function
+is sized on its own with the scalar ``required_containers`` (one M/M/c
+evaluation concludes c* = 1 for nearly the whole population); nothing
+is batched across functions.
 
 Determinism contract
 --------------------
 * Every per-function quantity is a pure function of ``(population seed,
   trace seed, global index)`` — shard boundaries cannot perturb a
   function (seeding via ``SeedSequence(seed, spawn_key=(index,))``).
-* Within a shard, functions are replayed in ascending global index and
-  every per-minute count is fed to the shard sketch in that order, so a
-  shard's result is a pure function of its ``function_range``.
-  ``add_many`` consumes the sketch's RNG exactly as one ``add`` per
-  count would (one draw per observation once the reservoir is full, a
-  second per accepted one), so ``chunk_minutes`` never reaches the
-  sketch either.
+* Within a shard, functions are replayed in ascending global index, so
+  a shard's result is a pure function of its ``function_range``; the
+  histogram is a multiset of counts, so ``chunk_minutes`` cannot reach
+  it either.
 * Across shards, :func:`merge_trace_shards` sorts shard results by
-  ``function_range`` and merges reservoir sketches with the
-  order-insensitive weighted quantile of
-  :func:`repro.metrics.streaming.merge_reservoir_states` — the merged
-  envelope is a pure function of the *set* of shard results, pinned by
-  permutation tests in ``tests/test_trace_replay.py``.
-
-Together with the resilient runner's workers=1 ≡ N guarantee, this
-makes the merged envelope byte-identical across worker counts and
-across interrupt+resume.
+  ``function_range``, checks every histogram against its shard's own
+  integer counters, sums the histograms and reads each percentile off
+  the pooled counts (:func:`histogram_quantiles`).  Summation is exact
+  and order-free, so the merged envelope — percentiles included — is a
+  pure function of the replayed *population*: identical for every shard
+  decomposition, shard permutation and worker count, and across
+  interrupt+resume (pinned in ``tests/test_trace_replay.py``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from bisect import bisect_left
+from itertools import accumulate
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 # Everything a replay shard runs is imported here, at module top: the
 # sweep's parent process loads this module when it builds the shards, so
 # forked workers inherit the sizing chain instead of importing it again.
 from repro.core.queueing.sizing import required_containers
-from repro.metrics.streaming import ReservoirQuantiles, merge_reservoir_states
 from repro.scenarios.runner import ScenarioOutcome, _envelope
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.sweep import SWEEP_RESULT_SCHEMA
@@ -68,6 +69,9 @@ TRACE_MERGE_SCHEMA = "repro/trace-replay@1"
 
 #: Percentile of the per-function sizing model (the paper's default).
 SIZING_PERCENTILE = 0.95
+
+#: Percentiles of the per-minute invocation counts the merge reports.
+REPORTED_QUANTILES = (0.5, 0.90, 0.95, 0.99)
 
 
 def shard_ranges(functions: int, shards: int) -> List[Tuple[int, int]]:
@@ -92,20 +96,19 @@ def run_trace_replay(spec: ScenarioSpec) -> ScenarioOutcome:
     """Replay one shard (``params.function_range``) of the population.
 
     Streams each function's trace chunk-by-chunk through the integer
-    counters and the shard's reservoir sketch (see the module docstring
-    for the memory and determinism contracts).  Every counter in the
-    ``replay`` group is an integer — exactness is what lets
-    :func:`merge_trace_shards` produce identical totals for *any* shard
-    decomposition of the same population.
+    counters and the shard's histogram of per-minute counts (see the
+    module docstring for the memory and determinism contracts).  Every
+    number in the ``replay`` group is an integer — exactness is what
+    lets :func:`merge_trace_shards` produce identical totals and
+    percentiles for *any* shard decomposition of the same population.
     """
     params = dict(spec.params)
     population = dict(params["population"])
     duration_minutes = int(params["duration_minutes"])
     chunk_minutes = int(params["chunk_minutes"])
-    sketch_size = int(params["sketch_size"])
     lo, hi = (int(v) for v in params["function_range"])
 
-    sketch = ReservoirQuantiles(max_samples=sketch_size)
+    histogram: Dict[int, int] = {}
     invocations = 0
     zero_minutes = 0
     overload_minutes = 0
@@ -132,7 +135,9 @@ def run_trace_replay(spec: ScenarioSpec) -> ScenarioOutcome:
             zero_minutes += int((chunk == 0).sum())
             overload_minutes += int((chunk > capacity_per_minute).sum())
             peak_per_minute = max(peak_per_minute, int(chunk.max()))
-            sketch.add_many(chunk.astype(float).tolist())
+            values, minutes = np.unique(chunk, return_counts=True)
+            for value, count in zip(values.tolist(), minutes.tolist()):
+                histogram[value] = histogram.get(value, 0) + count
 
     replay = {
         "function_range": [lo, hi],
@@ -145,7 +150,7 @@ def run_trace_replay(spec: ScenarioSpec) -> ScenarioOutcome:
         "overload_minutes": overload_minutes,
         "peak_per_minute": peak_per_minute,
         "containers": containers,
-        "sketch": sketch.state(),
+        "histogram": [[value, histogram[value]] for value in sorted(histogram)],
     }
     return ScenarioOutcome(spec=spec, data=_envelope(spec, replay=replay), sim=None)
 
@@ -156,19 +161,101 @@ def _shard_key(result: Mapping[str, Any]) -> Tuple[int, int]:
     return (int(lo), int(hi))
 
 
+def _is_count(value: Any) -> bool:
+    """True for a plain ``int`` (a JSON integer), never a ``bool`` or a float."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_histogram(result: Mapping[str, Any]) -> None:
+    """Raise :class:`ValueError` unless a shard's histogram agrees with its counters.
+
+    The histogram must be ``[value, minutes]`` pairs with strictly
+    increasing non-negative integer values and positive integer minutes,
+    and it must hold every function-minute of the shard: its minutes sum
+    to ``functions × minutes``, its value-weighted sum is ``invocations``,
+    its minutes at value 0 are ``zero_minutes`` and its largest value is
+    ``peak_per_minute``.  A result written before the replay kept a
+    histogram (it carries a reservoir ``sketch``) fails the first check.
+    """
+    replay = result["replay"]
+    lo, hi = replay["function_range"]
+    shard = f"shard {result['scenario']['name']!r} [{lo}, {hi})"
+    pairs = replay.get("histogram")
+    if not isinstance(pairs, list):
+        raise ValueError(f"{shard} carries no per-minute histogram (a result "
+                         "from before exact replay percentiles); re-run it")
+    previous = -1
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and _is_count(pair[0]) and pair[0] > previous):
+            raise ValueError(f"{shard}: histogram values must be strictly "
+                             f"increasing non-negative ints; got {pair!r}")
+        if not (_is_count(pair[1]) and pair[1] > 0):
+            raise ValueError(f"{shard}: histogram minutes must be positive "
+                             f"ints; got {pair!r}")
+        previous = pair[0]
+    expected = {
+        "minutes": int(replay["functions"]) * int(replay["minutes"]),
+        "invocations": int(replay["invocations"]),
+        "zero_minutes": int(replay["zero_minutes"]),
+        "peak_per_minute": int(replay["peak_per_minute"]),
+    }
+    found = {
+        "minutes": sum(minutes for _, minutes in pairs),
+        "invocations": sum(value * minutes for value, minutes in pairs),
+        "zero_minutes": pairs[0][1] if pairs and pairs[0][0] == 0 else 0,
+        "peak_per_minute": pairs[-1][0] if pairs else 0,
+    }
+    for key, want in expected.items():
+        if found[key] != want:
+            what = "functions x minutes" if key == "minutes" else key
+            raise ValueError(f"{shard}: histogram gives {key} {found[key]} "
+                             f"but the shard's {what} is {want}")
+
+
+def histogram_quantiles(
+    histograms: Iterable[Sequence[Sequence[int]]],
+    quantiles: Iterable[float] = REPORTED_QUANTILES,
+) -> Dict[str, Any]:
+    """Pool ``[value, minutes]`` histograms and read quantiles off the total.
+
+    Each quantile ``p`` is the smallest value whose cumulative minutes
+    reach ``p`` of the pooled total (the type-1 inverted CDF), so it is
+    the exact ``p``-quantile of the pooled per-minute counts — a pure
+    function of the multiset of counts, whatever the histograms' order
+    or split.  No observations read 0.0 at every quantile.
+    """
+    pooled: Dict[int, int] = {}
+    for pairs in histograms:
+        for value, minutes in pairs:
+            pooled[value] = pooled.get(value, 0) + minutes
+    values = sorted(pooled)
+    cumulative = list(accumulate(pooled[value] for value in values))
+    total = cumulative[-1] if cumulative else 0
+    result: Dict[str, Any] = {"count": total, "exact": True}
+    for p in quantiles:
+        if not 0.0 < p < 1.0:
+            raise ValueError("quantiles must be in (0, 1)")
+        # first value whose cumulative minutes reach p of the total
+        merged = float(values[bisect_left(cumulative, p * total)]) if values else 0.0
+        result[f"p{round(p * 100)}"] = merged
+    return result
+
+
 def merge_trace_shards(envelope: Mapping[str, Any]) -> Dict[str, Any]:
     """Merge a sweep envelope of shard results into one replay envelope.
 
     Shards are re-sorted into canonical ``function_range`` order, their
     ranges checked to tile the population exactly (no gaps, no
-    overlaps), integer counters summed (peak taken as max), and the
-    reservoir sketches merged with the order-insensitive weighted
-    quantile — so the output is a pure function of the set of shard
-    results, regardless of sweep expansion or completion order.  Float
-    aggregates (``rates``) are derived once, here, from the integer
-    totals.  Raises :class:`ValueError` on a degraded (``incomplete``)
-    sweep envelope — merging a partial replay would silently understate
-    every total.
+    overlaps), each histogram checked against its shard's counters,
+    integer counters summed (peak taken as max), and the histograms
+    pooled into exact percentiles (:func:`histogram_quantiles`) — so the
+    output is a pure function of the set of shard results, regardless
+    of sweep expansion or completion order.  Float aggregates
+    (``rates``) are derived once, here, from the integer totals.  Raises
+    :class:`ValueError` on a degraded (``incomplete``) sweep envelope —
+    merging a partial replay would silently understate every total — and
+    on a shard whose histogram disagrees with its counters.
     """
     if envelope.get("schema") != SWEEP_RESULT_SCHEMA:
         raise ValueError(f"expected a {SWEEP_RESULT_SCHEMA} envelope")
@@ -195,6 +282,7 @@ def merge_trace_shards(envelope: Mapping[str, Any]) -> Dict[str, Any]:
                 f"starting at {expected_lo}, got [{lo}, {hi})"
             )
         expected_lo = hi
+        _check_histogram(result)
         shard_params = dict(result["scenario"]["params"])
         for key, value in base_params.items():
             if key != "function_range" and shard_params.get(key) != value:
@@ -236,9 +324,7 @@ def merge_trace_shards(envelope: Mapping[str, Any]) -> Dict[str, Any]:
 
     minutes = int(base_params["duration_minutes"])
     function_minutes = functions_total * minutes
-    merged_sketch = merge_reservoir_states(
-        r["replay"]["sketch"] for r in ordered
-    )
+    percentiles = histogram_quantiles(r["replay"]["histogram"] for r in ordered)
     return {
         "schema": TRACE_MERGE_SCHEMA,
         "sweep": dict(envelope["sweep"]),
@@ -254,13 +340,14 @@ def merge_trace_shards(envelope: Mapping[str, Any]) -> Dict[str, Any]:
             "zero_fraction": totals["zero_minutes"] / function_minutes,
             "containers_per_function": totals["containers"] / functions_total,
         },
-        "percentiles": {"per_minute_invocations": merged_sketch},
+        "percentiles": {"per_minute_invocations": percentiles},
     }
 
 
 __all__ = [
     "SIZING_PERCENTILE",
     "TRACE_MERGE_SCHEMA",
+    "histogram_quantiles",
     "merge_trace_shards",
     "run_trace_replay",
     "shard_ranges",

@@ -1,5 +1,6 @@
 """The pair runner's verdict and gate: choosing-metrics §8, as ``tools/bench_pairs.py`` applies it."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -100,8 +101,9 @@ def fake_tree(root: Path, name: str, wall: float, declaration: bool) -> Path:
 def test_head_names_a_second_tree_and_each_side_runs_its_own_harness(tmp_path, capsys):
     base = fake_tree(tmp_path, "base-tree", 1.0, declaration=False)
     head = fake_tree(tmp_path, "head-tree", 0.8, declaration=True)   # the declaration is head's
+    out = tmp_path / "BENCH_PAIRS.json"
     code = main(["--base", str(base), "--head", str(head), "--workload", "burst_control",
-                 "--pairs", "4", "--seed", "42", "--seconds", "1"])
+                 "--pairs", "4", "--seed", "42", "--seconds", "1", "--out", str(out)])
     assert code == 0
     order = (tmp_path / "order.log").read_text().splitlines()
     # alternating which side goes first, every run with the same arguments
@@ -114,6 +116,24 @@ def test_head_names_a_second_tree_and_each_side_runs_its_own_harness(tmp_path, c
     wall_row = next(line for line in table.splitlines() if line.strip().startswith("wall_s"))
     assert "-20.0%" in wall_row and "4/4" in wall_row and wall_row.rstrip().endswith("gain")
     assert "failed operations base 0/12, head 0/12" in table
+
+    # the --out record holds what the table printed, and every run's value
+    saved = json.loads(out.read_text(encoding="utf-8"))
+    assert json.loads(json.dumps(saved)) == saved
+    # neither fake tree has a .git, so each side is named by its path
+    assert (saved["schema"], saved["base"], saved["head"]) == (
+        "repro/bench-pairs@1", str(base), str(head))
+    assert (saved["seed"], saved["seconds"], saved["pairs"]) == (42, 1.0, 4)
+    run = saved["workloads"]["burst_control"]
+    assert run["failed"] == {"base": 0, "head": 0} and run["attempted"] == {"base": 12, "head": 12}
+    wall = run["metrics"]["wall_s"]
+    assert (wall["base"], wall["head"]) == ([1.0] * 4, [0.8] * 4)
+    assert (wall["base_quartiles"], wall["head_quartiles"]) == ([1.0] * 3, [0.8] * 3)
+    assert (wall["won"], wall["lost"], wall["verdict"]) == (4, 0, "gain")
+    assert wall["change"] == pytest.approx(-0.2)
+    assert run["metrics"]["slo_attainment"]["verdict"] == "equal"
+    assert set(run["metrics"]) == {m["name"] for m in json.loads(
+        (head / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
 def test_a_head_tree_that_loses_every_pair_past_the_bound_fails_the_gate(tmp_path, capsys):

@@ -27,7 +27,7 @@ def test_the_columnar_preset_is_fig3_with_a_columnar_base():
 def test_the_replay_check_passes_a_real_envelope_and_names_each_failure(tmp_path, capsys):
     path = tmp_path / "replay.json"
     assert repro(["replay", "--functions", "40", "--minutes", "20", "--shards", "2",
-                  "--chunk-minutes", "10", "--sketch-size", "64", "-j", "1",
+                  "--chunk-minutes", "10", "-j", "1",
                   "-o", str(path)]) == 0
     capsys.readouterr()
     assert check_replay([str(path), "--functions", "40", "--shards", "2"]) == 0
@@ -40,3 +40,25 @@ def test_the_replay_check_passes_a_real_envelope_and_names_each_failure(tmp_path
     path.write_text(json.dumps({**merged, "schema": "repro/trace-replay@0"}), encoding="utf-8")
     assert check_replay([str(path), "--functions", "40", "--shards", "2"]) == 1
     assert "schema is 'repro/trace-replay@0'" in capsys.readouterr().err
+
+
+def test_the_replay_check_holds_other_shard_counts_to_the_same_numbers(tmp_path, capsys):
+    paths = {}
+    for shards in (2, 3):
+        paths[shards] = tmp_path / f"replay_{shards}.json"
+        assert repro(["replay", "--functions", "40", "--minutes", "20", "--shards", str(shards),
+                      "--chunk-minutes", "10", "-o", str(paths[shards])]) == 0
+    assert check_replay([str(paths[2]), "--functions", "40", "--shards", "2",
+                         "--same-as", str(paths[3])]) == 0
+    merged = json.loads(paths[3].read_text(encoding="utf-8"))
+    for group, key in (("totals", "invocations"), ("percentiles", "per_minute_invocations")):
+        changed = json.loads(json.dumps(merged))
+        if group == "totals":
+            changed[group][key] += 1
+        else:
+            changed[group][key]["p99"] += 1.0
+        paths[3].write_text(json.dumps(changed), encoding="utf-8")
+        capsys.readouterr()
+        assert check_replay([str(paths[2]), "--functions", "40", "--shards", "2",
+                             "--same-as", str(paths[3])]) == 1
+        assert f"{group} differ from the --same-as envelope's" in capsys.readouterr().err

@@ -46,7 +46,7 @@ for plane in ("event", "columnar"):
     data = run_scenario(apply_overrides(quickstart, {"data_plane": plane})).data
     assert data["metrics"]["counters"]["completions"] > 0
 shard = build("fig9-at-scale", functions=12, duration_minutes=12, shards=3,
-              chunk_minutes=5, sketch_size=16).expand()[0]
+              chunk_minutes=5).expand()[0]
 assert run_scenario(shard).data["replay"]["invocations"] > 0
 assert repro.cli.main(["size", "--rate", "100", "--service-time", "0.1", "--slo", "0.1"]) == 0
 print("ran without scipy")
@@ -117,7 +117,7 @@ from repro.scenarios import ResilientSweepRunner, build
 from repro.scenarios.executor import _run_shard
 
 sweep = build("fig9-at-scale", functions=12, duration_minutes=12, shards=3,
-              chunk_minutes=5, sketch_size=16)
+              chunk_minutes=5)
 ResilientSweepRunner(sweep, workers=2)
 print({LOADED})
 data = _run_shard(sweep.expand()[0].to_dict())
@@ -125,7 +125,7 @@ assert data["replay"]["invocations"] > 0
 print({LOADED})
 """)
     set_up, after_shard = (eval(line) for line in out.splitlines())
-    assert len(set_up) <= 35, set_up
+    assert len(set_up) <= 33, set_up
     assert not set(SIMULATOR_MODULES) & set(set_up)
     # a forked worker inherits the parent's modules: a shard that imported
     # one would re-import it in every worker of every sweep

@@ -1,5 +1,7 @@
 """Tests for the metrics package: percentiles, SLO reports, utilisation, timelines."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from repro.metrics.percentiles import (
 )
 from repro.metrics.percentiles import WaitingTimeSummary
 from repro.metrics.slo import SloReport, overall_attainment, slo_report
+from repro.metrics.streaming import ReservoirQuantiles
 from repro.metrics.table import RequestTable
 from repro.metrics.timeline import TimelinePoint
 from repro.metrics.utilization import UtilizationTracker, time_weighted_mean
@@ -573,3 +576,97 @@ class TestTablePathEqualsObjectLoops:
         assert collector.request_table() is not sealed
         assert collector.slo({"late": 0.1})["late"].dropped_requests == 1
         assert collector.requests == [request, late]
+
+
+# ----------------------------------------------------------------------
+# ReservoirQuantiles.add_many ≡ add, the contract StreamingQuantile rests on
+# ----------------------------------------------------------------------
+def _reservoir(sketch):
+    """A sketch's retained samples and count: everything a quantile query reads."""
+    return list(sketch._sorted), sketch.count
+
+
+def _reference_reservoir(values, max_samples, seed=2029):
+    """Algorithm R written out independently of the sketch class.
+
+    Keep the first ``max_samples``; observation ``n`` after that is
+    accepted when ``U1 * n < max_samples`` and then evicts the resident
+    at sorted position ``int(U2 * max_samples)``.  Returns the sorted
+    sample and the RNG end state.
+    """
+    rng = random.Random(seed)
+    kept = []
+    for n, value in enumerate(values, start=1):
+        if n > max_samples:
+            if not rng.random() * n < max_samples:
+                continue
+            del kept[int(rng.random() * max_samples)]
+        kept.append(value)
+        kept.sort()
+    return kept, rng.getstate()
+
+
+#: Waiting times are >50 % exact zeros: draw mostly from a handful of
+#: values so ties dominate, with the odd continuous one.
+_TIED_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 7.0]),
+    st.floats(min_value=0.0, max_value=50.0),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    values=st.lists(_TIED_VALUES, max_size=80),
+    max_samples=st.integers(min_value=10, max_value=30),
+    cuts=st.lists(st.integers(min_value=0, max_value=80), max_size=6),
+)
+def test_add_many_equals_add_loop(values, max_samples, cuts):
+    """``add_many`` over any split of the stream ≡ ``add`` per element.
+
+    Samples, count *and* the stdlib RNG state agree — so the two can be
+    interleaved freely — for batches that are empty, end exactly on
+    ``max_samples``, or straddle it, and both agree with an independent
+    reference on a sampled (overflowed) sketch.
+    """
+    one_by_one = ReservoirQuantiles(max_samples=max_samples)
+    for value in values:
+        one_by_one.add(value)
+
+    batched = ReservoirQuantiles(max_samples=max_samples)
+    edges = [0] + sorted(min(c, len(values)) for c in cuts) + [len(values)]
+    for lo, hi in zip(edges, edges[1:]):
+        batched.add_many(values[lo:hi])
+    batched.add_many([])
+
+    assert _reservoir(batched) == _reservoir(one_by_one)
+    assert batched._rng.getstate() == one_by_one._rng.getstate()
+    assert batched.count == len(values)
+    for p in (0.5, 0.95, 0.99):
+        assert batched.quantile(p) == one_by_one.quantile(p)
+
+    # the cut that lands exactly on the fill boundary, every example
+    at_boundary = ReservoirQuantiles(max_samples=max_samples)
+    at_boundary.add_many(values[:max_samples])
+    at_boundary.add_many(values[max_samples:])
+    assert _reservoir(at_boundary) == _reservoir(one_by_one)
+    assert at_boundary._rng.getstate() == one_by_one._rng.getstate()
+
+    kept, rng_state = _reference_reservoir(values, max_samples)
+    assert _reservoir(batched)[0] == kept
+    assert batched._rng.getstate() == rng_state
+
+
+def test_add_many_accepts_any_iterable_and_interleaves_with_add():
+    """A generator is consumed once; ``add`` and ``add_many`` share one stream."""
+    values = [float(v % 7) for v in range(200)]
+    reference = ReservoirQuantiles(max_samples=16)
+    for value in values:
+        reference.add(value)
+    mixed = ReservoirQuantiles(max_samples=16)
+    mixed.add_many(v for v in values[:5])
+    mixed.add(values[5])
+    mixed.add_many(iter(values[6:150]))
+    for value in values[150:]:
+        mixed.add(value)
+    assert _reservoir(mixed) == _reservoir(reference)
+    assert reference.count == 200 and len(reference._sorted) == 16

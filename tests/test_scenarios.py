@@ -104,6 +104,63 @@ class TestSerialization:
             ScenarioSpec(name="x", workloads=(w,), metrics=("nope",))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _fig3_shard():
+    """A registered simulation shard as plain data."""
+    return build("fig3").expand()[0].to_dict()
+
+
+def _replay_shard():
+    """A registered trace-replay shard as plain data."""
+    return build("fig9-at-scale", functions=12, duration_minutes=12, shards=3,
+                 chunk_minutes=5).expand()[0].to_dict()
+
+
+def _set(data, path, value):
+    """``data`` with the field at dotted ``path`` (ints index lists) set to ``value``."""
+    *parents, last = path.split(".")
+    node = data
+    for key in parents:
+        node = node[int(key)] if key.isdigit() else node[key]
+    node[last] = value
+    return data
+
+
+#: (shard, field, value, what the refusal names): non-finite numbers a
+#: spec used to accept, the replay population's only inside a running shard
+NON_FINITE_CASES = [
+    (_fig3_shard, "duration", NAN, "duration"),
+    (_fig3_shard, "duration", INF, "duration"),
+    (_fig3_shard, "warmup", NAN, "warmup"),
+    (_fig3_shard, "workloads.0.weight", NAN, "weight"),
+    (_fig3_shard, "workloads.0.slo_deadline", NAN, "slo_deadline"),
+    (_fig3_shard, "workloads.0.service_time", NAN, "service_time"),
+    (_replay_shard, "params.population.rate_log10_sigma", NAN, "rate_log10_sigma"),
+    (_replay_shard, "params.population.rate_log10_mean", NAN, "rate_log10_mean"),
+    (_replay_shard, "params.population.rate_log10_mean", INF, "rate_log10_mean"),
+    (_replay_shard, "params.population.rate_log10_mean", -INF, "rate_log10_mean"),
+]
+
+
+@pytest.mark.parametrize("shard, path, value, named", NON_FINITE_CASES,
+                         ids=[f"{path}={value}" for _, path, value, _ in NON_FINITE_CASES])
+def test_non_finite_numbers_are_refused_at_construction(shard, path, value, named,
+                                                        tmp_path, capsys):
+    from repro.cli import main
+
+    data = _set(shard(), path, value)
+    with pytest.raises(ValueError, match=named):
+        ScenarioSpec.from_dict(data)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(data), encoding="utf-8")   # NaN / Infinity literals
+    assert main(["scenario", str(spec_path)]) == 2
+    assert named in capsys.readouterr().err
+    # the same shard with the field as registered still loads
+    ScenarioSpec.from_dict(shard())
+
+
 class TestRegistry:
     def test_every_paper_artefact_has_a_spec(self):
         expected = {"table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",

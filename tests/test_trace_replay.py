@@ -7,13 +7,13 @@ Four contracts are pinned here:
    element-sequentially (a hypothesis property) and the azure generator
    draws in two ordered passes.
 2. **Sharded ≡ whole-process replay** — the merged envelope is
-   byte-identical across worker counts, run-twice stable, and — with an
-   exhaustive sketch — identical across *different* shard
-   decompositions of the same population.
-3. **Reservoir-merge determinism** — the cross-shard percentile merge
-   is order-insensitive (a pure function of the multiset of shard
-   states), with regression tests on both the raw merge and the full
-   envelope merge.
+   byte-identical across worker counts, run-twice stable, and identical
+   across *different* shard decompositions of the same population.
+3. **Exact histogram merge** — the merged percentiles are the type-1
+   quantiles of the pooled raw per-minute counts (brute force, over
+   random splits), the merge is a pure function of the set of shard
+   results, and every histogram is checked against its own shard's
+   counters.
 4. **Edge cases fail eagerly** — invalid trace configs, invalid
    replay params, and degraded sweep envelopes raise instead of
    producing silently-wrong numbers.
@@ -21,20 +21,22 @@ Four contracts are pinned here:
 
 from __future__ import annotations
 
+import collections
+import itertools
 import json
-import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.streaming import ReservoirQuantiles, merge_reservoir_states
 from repro.scenarios import build, canonical_json
 from repro.scenarios.executor import ResilientSweepRunner
+from repro.scenarios.journal import RunJournal, shard_spec_hash
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.trace_shard import (
     TRACE_MERGE_SCHEMA,
+    histogram_quantiles,
     merge_trace_shards,
     run_trace_replay,
     shard_ranges,
@@ -53,7 +55,7 @@ from repro.workloads.stream import (
 )
 
 #: Tiny population knobs reused across the equivalence tests.
-SMALL = dict(functions=24, duration_minutes=6, chunk_minutes=4, sketch_size=64)
+SMALL = dict(functions=24, duration_minutes=6, chunk_minutes=4)
 
 
 def _small_sweep(shards: int, **overrides):
@@ -245,32 +247,44 @@ def test_run_twice_is_byte_stable():
     assert canonical_json(first) == canonical_json(second)
 
 
-def test_shard_decomposition_invariance_with_exhaustive_sketch():
+def _merged(shards: int, workers: int = 1, **overrides):
+    """The merged replay of the smoke-scale population in ``shards`` shards."""
+    sweep = _small_sweep(shards=shards, **overrides)
+    return merge_trace_shards(ResilientSweepRunner(sweep, workers=workers, on_failure="raise").run())
+
+
+def test_shard_decomposition_invariance():
     """shards=1 and shards=4 merge to the same totals, rates, percentiles.
 
-    With a sketch large enough to retain every observation the merge is
-    exact, so *different* decompositions of the same population must
-    agree on every derived number — the strongest form of "sharding
-    never changes results".
+    Counters and histograms both sum exactly, so *different*
+    decompositions of the same population must agree on every derived
+    number — the strongest form of "sharding never changes results".
     """
-    merged = {}
-    for shards in (1, 4):
-        sweep = _small_sweep(shards=shards, sketch_size=10_000)
-        merged[shards] = merge_trace_shards(ResilientSweepRunner(sweep, workers=1, on_failure="raise").run())
+    merged = {shards: _merged(shards) for shards in (1, 4)}
     for group in ("totals", "rates", "percentiles", "minutes"):
         assert canonical_json(merged[1][group]) == canonical_json(merged[4][group])
     assert merged[4]["percentiles"]["per_minute_invocations"]["exact"] is True
     assert merged[4]["shard_count"] == 4
 
 
-def test_sampled_sketch_counters_still_invariant():
-    """Even when sketches overflow, the integer counters never drift."""
-    merged = {}
-    for shards in (1, 4):
-        sweep = _small_sweep(shards=shards, sketch_size=16)
-        merged[shards] = merge_trace_shards(ResilientSweepRunner(sweep, workers=1, on_failure="raise").run())
-    assert merged[1]["totals"] == merged[4]["totals"]
-    assert merged[1]["percentiles"]["per_minute_invocations"]["exact"] is False
+def test_decompositions_agree_where_a_reservoir_would_have_sampled():
+    """Byte-identical totals and percentiles however the population is cut.
+
+    48 functions x 12 minutes is 72 to 576 per-minute counts a shard:
+    far past the 16 slots at which the shard reservoir the histogram
+    replaced began to sample, and so gave each decomposition its own
+    percentiles.
+    """
+    merged = {shards: _merged(shards, functions=48, duration_minutes=12,
+                              chunk_minutes=5)
+              for shards in (1, 3, 4, 8)}
+    reference = merged[1]
+    for shards, one in merged.items():
+        assert canonical_json(one["totals"]) == canonical_json(reference["totals"]), shards
+        assert canonical_json(one["percentiles"]) == \
+            canonical_json(reference["percentiles"]), shards
+    percentiles = reference["percentiles"]["per_minute_invocations"]
+    assert percentiles["count"] == 48 * 12 and percentiles["exact"] is True
 
 
 def test_per_function_results_independent_of_shard():
@@ -341,202 +355,187 @@ def test_shard_ranges_tile_exactly():
 
 
 # ----------------------------------------------------------------------
-# 3. reservoir-merge determinism
+# 3. exact histogram merge
 # ----------------------------------------------------------------------
-def _reservoir_state(values, max_samples=4096):
-    sketch = ReservoirQuantiles(max_samples=max_samples)
-    for value in values:
-        sketch.add(float(value))
-    return sketch.state()
+def _histogram(counts):
+    """``[value, minutes]`` pairs of raw per-minute counts, as a shard writes them."""
+    return [[value, minutes] for value, minutes in sorted(collections.Counter(counts).items())]
 
 
-def test_reservoir_state_snapshot():
-    state = _reservoir_state([3.0, 1.0, 2.0], max_samples=10)
-    assert state == {"count": 3, "max_samples": 10, "samples": [1.0, 2.0, 3.0]}
-    overflowed = _reservoir_state(range(100), max_samples=10)
-    assert overflowed["count"] == 100
-    assert len(overflowed["samples"]) == 10
-    assert overflowed["samples"] == sorted(overflowed["samples"])
+def _type1_quantile(counts, p):
+    """Brute force: walk the sorted raw counts to the first whose rank reaches ``p·n``."""
+    ordered = sorted(counts)
+    for rank, value in enumerate(ordered, start=1):
+        if rank >= p * len(ordered):
+            return float(value)
+    return 0.0
 
 
-def _reference_reservoir(values, max_samples, seed=2029):
-    """Algorithm R written out independently of the sketch class.
-
-    Keep the first ``max_samples``; observation ``n`` after that is
-    accepted when ``U1 * n < max_samples`` and then evicts the resident
-    at sorted position ``int(U2 * max_samples)``.  Returns the sorted
-    sample and the RNG end state.
-    """
-    rng = random.Random(seed)
-    kept = []
-    for n, value in enumerate(values, start=1):
-        if n > max_samples:
-            if not rng.random() * n < max_samples:
-                continue
-            del kept[int(rng.random() * max_samples)]
-        kept.append(value)
-        kept.sort()
-    return kept, rng.getstate()
+def _raw_counts(population, trace_seed, duration_minutes, lo, hi):
+    """Every per-minute count of functions ``[lo, hi)``, regenerated one by one."""
+    counts = []
+    for index in range(lo, hi):
+        fn = population_function(index, population)
+        counts.extend(synthesize_azure_trace(fn.config, duration_minutes,
+                                             trace_rng(trace_seed, index)).tolist())
+    return counts
 
 
 #: Per-minute counts are >60 % zeros: draw mostly from a handful of
-#: small integers so ties dominate, with the odd continuous value.
-_TIED_VALUES = st.one_of(
-    st.sampled_from([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 7.0]),
-    st.floats(min_value=0.0, max_value=50.0),
+#: small integers so ties dominate, with the odd large count.
+_COUNTS = st.one_of(
+    st.sampled_from([0, 0, 0, 0, 1, 1, 2, 7]),
+    st.integers(min_value=0, max_value=500),
 )
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    values=st.lists(_TIED_VALUES, max_size=80),
-    max_samples=st.integers(min_value=10, max_value=30),
-    cuts=st.lists(st.integers(min_value=0, max_value=80), max_size=6),
-)
-def test_add_many_equals_add_loop(values, max_samples, cuts):
-    """``add_many`` over any split of the stream ≡ ``add`` per element.
-
-    Samples, count *and* the stdlib RNG state agree — so the two can be
-    interleaved freely — for batches that are empty, end exactly on
-    ``max_samples``, or straddle it, and both agree with an independent
-    reference on a sampled (overflowed) sketch.
-    """
-    one_by_one = ReservoirQuantiles(max_samples=max_samples)
-    for value in values:
-        one_by_one.add(value)
-
-    batched = ReservoirQuantiles(max_samples=max_samples)
-    edges = [0] + sorted(min(c, len(values)) for c in cuts) + [len(values)]
-    for lo, hi in zip(edges, edges[1:]):
-        batched.add_many(values[lo:hi])
-    batched.add_many([])
-
-    assert batched.state() == one_by_one.state()
-    assert batched._rng.getstate() == one_by_one._rng.getstate()
-    assert batched.count == one_by_one.count == len(values)
-    for p in (0.5, 0.95, 0.99):
-        assert batched.quantile(p) == one_by_one.quantile(p)
-
-    # the cut that lands exactly on the fill boundary, every example
-    at_boundary = ReservoirQuantiles(max_samples=max_samples)
-    at_boundary.add_many(values[:max_samples])
-    at_boundary.add_many(values[max_samples:])
-    assert at_boundary.state() == one_by_one.state()
-    assert at_boundary._rng.getstate() == one_by_one._rng.getstate()
-
-    kept, rng_state = _reference_reservoir(values, max_samples)
-    assert batched.state()["samples"] == kept
-    assert batched._rng.getstate() == rng_state
-
-
-def test_add_many_accepts_any_iterable_and_interleaves_with_add():
-    """A generator is consumed once; ``add`` and ``add_many`` share one stream."""
-    values = [float(v % 7) for v in range(200)]
-    reference = _reservoir_state(values, max_samples=16)
-    mixed = ReservoirQuantiles(max_samples=16)
-    mixed.add_many(v for v in values[:5])
-    mixed.add(values[5])
-    mixed.add_many(iter(values[6:150]))
-    for value in values[150:]:
-        mixed.add(value)
-    assert mixed.state() == reference
-    assert reference["count"] == 200 and len(reference["samples"]) == 16
-
-
-def test_merge_is_order_insensitive():
-    """Permuting shard states can never change a merged byte."""
-    rng = random.Random(5)
-    states = [_reservoir_state([rng.uniform(0, 100) for _ in range(40)],
-                               max_samples=16)  # sampled regime
-              for _ in range(6)]
-    reference = merge_reservoir_states(states)
-    for _ in range(10):
-        rng.shuffle(states)
-        assert canonical_json(merge_reservoir_states(states)) == \
-            canonical_json(reference)
-
-
-def _walked_merge(states, quantiles):
-    """The weighted type-1 inverted CDF by a walk from the start per quantile.
-
-    What :func:`merge_reservoir_states` did before it took the running
-    sums once: the reference its vectorised form must match to the byte.
-    """
-    pairs = []
-    for state in states:
-        if state["samples"]:
-            weight = int(state["count"]) / len(state["samples"])
-            pairs.extend((float(v), weight) for v in state["samples"])
-    pairs.sort()
-    total_weight = sum(w for _, w in pairs)
-    merged = {}
-    for p in quantiles:
-        cumulative = 0.0
-        value = pairs[-1][0] if pairs else 0.0
-        for v, w in pairs:
-            cumulative += w
-            if cumulative >= p * total_weight:
-                value = v
-                break
-        merged[f"p{round(p * 100)}"] = float(value)
-    return merged
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    streams=st.lists(
-        st.tuples(st.lists(_TIED_VALUES, max_size=60),
-                  st.sampled_from([10, 16, 33])),
-        max_size=5),
+    counts=st.lists(_COUNTS, max_size=120),
+    cuts=st.lists(st.integers(min_value=0, max_value=120), max_size=7),
     extra=st.lists(st.floats(min_value=0.001, max_value=0.999), max_size=4),
 )
-def test_merge_equals_walked_reference(streams, extra):
-    """Shards with unequal weights, heavy ties, empty and unfilled sketches."""
-    states = [_reservoir_state(values, max_samples=k) for values, k in streams]
+def test_histogram_quantiles_equal_the_pooled_type1_quantile(counts, cuts, extra):
+    """Any split of the counts, empty shards and shards=1 included, merges exactly."""
     quantiles = (0.5, 0.90, 0.95, 0.99, *extra)
-    merged = merge_reservoir_states(states, quantiles)
-    assert merged.pop("count") == sum(len(values) for values, _ in streams)
-    assert merged.pop("exact") == all(len(v) <= k for v, k in streams)
-    assert canonical_json(merged) == canonical_json(_walked_merge(states, quantiles))
+    edges = [0] + sorted(min(c, len(counts)) for c in cuts) + [len(counts)]
+    split = [_histogram(counts[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    merged = histogram_quantiles(split, quantiles)
+    assert merged.pop("count") == len(counts)
+    assert merged.pop("exact") is True
+    assert merged == {f"p{round(p * 100)}": _type1_quantile(counts, p) for p in quantiles}
+    # the same counts as one shard, and with an empty shard beside them
+    assert histogram_quantiles([_histogram(counts)], quantiles) == \
+        histogram_quantiles(split + [[]], quantiles)
 
 
-def test_merge_exact_equals_any_decomposition():
-    """With full retention, the merge is a pure function of the pooled data."""
-    rng = random.Random(9)
-    values = [rng.uniform(0, 50) for _ in range(200)]
-    pooled = merge_reservoir_states([_reservoir_state(values)])
-    for k in (2, 5, 8):
-        cuts = sorted(rng.sample(range(1, len(values)), k - 1))
-        groups = [values[a:b] for a, b in
-                  zip([0] + cuts, cuts + [len(values)])]
-        split = merge_reservoir_states([_reservoir_state(g) for g in groups])
-        assert canonical_json(split) == canonical_json(pooled)
-    assert pooled["exact"] is True
-    assert pooled["count"] == 200
+def test_merged_percentiles_are_the_quantiles_of_every_replayed_minute():
+    """Regenerate each function's trace on its own; the merge must be its exact quantiles."""
+    sweep = _small_sweep(shards=3, functions=36, duration_minutes=10)
+    params = sweep.base.params
+    counts = _raw_counts(params["population"], params["trace_seed"], 10, 0, 36)
+    merged = merge_trace_shards(ResilientSweepRunner(sweep, workers=1, on_failure="raise").run())
+    percentiles = merged["percentiles"]["per_minute_invocations"]
+    assert percentiles == {
+        "count": 360, "exact": True,
+        **{f"p{round(p * 100)}": _type1_quantile(counts, p) for p in (0.5, 0.90, 0.95, 0.99)},
+    }
+    assert merged["totals"]["invocations"] == sum(counts)
+    assert merged["totals"]["peak_per_minute"] == max(counts)
 
 
-def test_merge_flags_sampled_states_and_validates_quantiles():
-    sampled = merge_reservoir_states([_reservoir_state(range(100),
-                                                       max_samples=10)])
-    assert sampled["exact"] is False
-    empty = merge_reservoir_states([])
-    assert empty == {"count": 0, "exact": True,
-                     "p50": 0.0, "p90": 0.0, "p95": 0.0, "p99": 0.0}
+def test_shard_histogram_is_the_exact_multiset_of_its_counts():
+    """One shard's pairs are its raw counts tallied: sorted, nothing dropped, chunk-free."""
+    spec = next(iter(_small_sweep(shards=4).expand()))
+    lo, hi = spec.params["function_range"]
+    counts = _raw_counts(spec.params["population"], spec.params["trace_seed"],
+                         SMALL["duration_minutes"], lo, hi)
+    replay = run_trace_replay(spec).data["replay"]
+    assert replay["histogram"] == _histogram(counts)
+    assert "sketch" not in replay
+    from repro.scenarios.sweep import apply_overrides
+    one_chunk = apply_overrides(spec, {"params.chunk_minutes": 1})
+    assert run_trace_replay(one_chunk).data["replay"]["histogram"] == replay["histogram"]
+
+
+def test_histogram_quantiles_of_nothing_and_bad_quantiles():
+    assert histogram_quantiles([]) == {"count": 0, "exact": True,
+                                       "p50": 0.0, "p90": 0.0, "p95": 0.0, "p99": 0.0}
+    assert histogram_quantiles([[], []])["count"] == 0
     with pytest.raises(ValueError, match="quantiles"):
-        merge_reservoir_states([_reservoir_state([1.0])], quantiles=(1.5,))
+        histogram_quantiles([[[1, 1]]], quantiles=(1.5,))
 
 
 def test_merge_trace_shards_permutation_regression():
-    """Shuffling the sweep's results list never changes merged bytes."""
+    """Every order of the sweep's results list merges to the same bytes."""
     envelope = ResilientSweepRunner(_small_sweep(shards=4), workers=1, on_failure="raise").run()
     reference = canonical_json(merge_trace_shards(envelope))
-    shuffled = dict(envelope)
-    results = list(envelope["results"])
-    rng = random.Random(3)
-    for _ in range(5):
-        rng.shuffle(results)
-        shuffled["results"] = list(results)
+    for results in itertools.permutations(envelope["results"]):
+        shuffled = dict(envelope, results=list(results))
         assert canonical_json(merge_trace_shards(shuffled)) == reference
+
+
+def _corrupt(replay):
+    """Corruptions of one shard's ``replay`` group, each breaking one histogram check."""
+    pairs = replay["histogram"]
+    return {
+        "values out of order": dict(replay, histogram=[pairs[1], pairs[0]] + pairs[2:]),
+        "negative value": dict(replay, histogram=[[-1, 1]] + pairs),
+        "float value": dict(replay, histogram=[[float(pairs[0][0]), pairs[0][1]]] + pairs[1:]),
+        "zero minutes": dict(replay, histogram=pairs + [[pairs[-1][0] + 1, 0]]),
+        "float minutes": dict(replay, histogram=[[pairs[0][0], float(pairs[0][1])]] + pairs[1:]),
+        "minutes sum": dict(replay, functions=replay["functions"] + 1),
+        "invocations": dict(replay, invocations=replay["invocations"] + 1),
+        "zero_minutes": dict(replay, zero_minutes=replay["zero_minutes"] + 1),
+        "peak_per_minute": dict(replay, peak_per_minute=replay["peak_per_minute"] + 1),
+        "reservoir instead": dict(
+            {k: v for k, v in replay.items() if k != "histogram"},
+            sketch={"count": 1, "max_samples": 4096, "samples": [0.0]}),
+    }
+
+
+#: corruption -> what the refusal says
+CORRUPTIONS = {
+    "values out of order": "strictly increasing non-negative ints",
+    "negative value": "strictly increasing non-negative ints",
+    "float value": "strictly increasing non-negative ints",
+    "zero minutes": "minutes must be positive ints",
+    "float minutes": "minutes must be positive ints",
+    "minutes sum": "shard's functions x minutes is 78",
+    "invocations": "shard's invocations is",
+    "zero_minutes": "shard's zero_minutes is",
+    "peak_per_minute": "shard's peak_per_minute is",
+    "reservoir instead": "no per-minute histogram",
+}
+
+
+@pytest.fixture(scope="module")
+def two_shard_envelope():
+    """A healthy two-shard sweep envelope of the smoke population."""
+    return ResilientSweepRunner(_small_sweep(shards=2), workers=1, on_failure="raise").run()
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_merge_refuses_a_histogram_that_disagrees_with_its_counters(
+        two_shard_envelope, corruption):
+    """Each check names the shard; a pre-histogram result fails the same way."""
+    first, second = two_shard_envelope["results"]
+    assert len(first["replay"]["histogram"]) >= 2
+    broken = dict(first, replay=_corrupt(first["replay"])[corruption])
+    envelope = dict(two_shard_envelope, results=[second, broken])
+    with pytest.raises(ValueError, match=r"^shard 'fig9-at-scale.*' \[0, 12\)") as refused:
+        merge_trace_shards(envelope)
+    assert CORRUPTIONS[corruption] in str(refused.value)
+    assert merge_trace_shards(two_shard_envelope)["totals"]["functions"] == 24
+
+
+def test_resume_over_a_journal_from_before_the_histogram_recomputes(tmp_path):
+    """A journal of reservoir-era shards matches no current spec: every shard reruns.
+
+    Its ``ok`` records are keyed by the hash of a spec that still carried
+    the reservoir bound, and their results carry a ``sketch``; resuming
+    over it must neither reuse them (a traceback in the merge) nor mix
+    them in (a wrong number), but recompute and merge what a fresh run
+    would.
+    """
+    sweep = _small_sweep(shards=3)
+    fresh = merge_trace_shards(ResilientSweepRunner(sweep, workers=1, on_failure="raise").run())
+    journal = tmp_path / "journal.jsonl"
+    for spec in sweep.expand():
+        old_spec = spec.to_dict()
+        old_spec["params"]["sketch_size"] = 4096
+        result = run_trace_replay(spec).data
+        result["replay"]["sketch"] = {"count": 48, "max_samples": 4096, "samples": [0.0]}
+        del result["replay"]["histogram"]
+        RunJournal(str(journal)).append({"event": "ok", "name": spec.name, "attempt": 1,
+                                         "spec_hash": shard_spec_hash(old_spec),
+                                         "result": result})
+    runner = ResilientSweepRunner(sweep, workers=1, journal=str(journal), resume=True,
+                                  on_failure="raise")
+    resumed = merge_trace_shards(runner.run())
+    assert canonical_json(resumed) == canonical_json(fresh)
+    sweep_records = [r for r in RunJournal.read_records(str(journal)) if r["event"] == "sweep"]
+    assert sweep_records[-1]["resumed"] == 0
 
 
 def test_merge_rejects_bad_envelopes():
@@ -603,7 +602,7 @@ def test_trace_replay_spec_validates_eagerly():
         "population": {"functions": 10, "seed": 1, "sporadic_fraction": 0.4,
                        "rate_log10_mean": -2.0, "rate_log10_sigma": 0.8},
         "trace_seed": 2019, "duration_minutes": 5, "chunk_minutes": 3,
-        "sketch_size": 16, "function_range": [0, 10],
+        "function_range": [0, 10],
     }
     ScenarioSpec(name="ok", kind="trace_replay", params=good)
 
@@ -631,8 +630,9 @@ def test_trace_replay_spec_validates_eagerly():
         ScenarioSpec(name="x", kind="trace_replay", params=bad(duration_minutes=0))
     with pytest.raises(ValueError, match="chunk_minutes"):
         ScenarioSpec(name="x", kind="trace_replay", params=bad(chunk_minutes=0))
-    with pytest.raises(ValueError, match="sketch_size"):
-        ScenarioSpec(name="x", kind="trace_replay", params=bad(sketch_size=5))
+    # the reservoir bound of replays before exact percentiles is refused by name
+    with pytest.raises(ValueError, match="unknown keys: \\['sketch_size'\\]"):
+        ScenarioSpec(name="x", kind="trace_replay", params=bad(sketch_size=4096))
     with pytest.raises(ValueError, match="function_range"):
         ScenarioSpec(name="x", kind="trace_replay", params=bad(function_range=[4]))
     with pytest.raises(ValueError, match="function_range"):
@@ -662,7 +662,7 @@ def test_fig9_at_scale_experiment_end_to_end():
     from repro.experiments.fig9_at_scale import format_fig9_at_scale
 
     result = run_fig9_at_scale(functions=24, duration_minutes=6, shards=4,
-                               workers=2, chunk_minutes=4, sketch_size=1000)
+                               workers=2, chunk_minutes=4)
     assert result.functions == 24
     assert result.shard_count == 4
     assert result.duration_minutes == 6
@@ -672,6 +672,7 @@ def test_fig9_at_scale_experiment_end_to_end():
     text = format_fig9_at_scale(result)
     assert "Azure-scale streaming replay" in text
     assert "24 functions" in text and "4 shards" in text
+    assert "sampled" not in text
 
 
 # ----------------------------------------------------------------------
@@ -681,7 +682,7 @@ def test_cli_replay_byte_identical_across_workers(tmp_path):
     from repro.cli import main
 
     args = ["replay", "--functions", "24", "--minutes", "6", "--shards", "4",
-            "--chunk-minutes", "4", "--sketch-size", "64"]
+            "--chunk-minutes", "4"]
     out1 = tmp_path / "one.json"
     out4 = tmp_path / "four.json"
     assert main(args + ["-j", "1", "-o", str(out1)]) == 0
@@ -693,9 +694,20 @@ def test_cli_replay_byte_identical_across_workers(tmp_path):
     assert merged["shard_count"] == 4
 
 
-def test_cli_replay_usage_errors(tmp_path):
+def test_cli_replay_usage_errors(tmp_path, capsys):
     from repro.cli import main
 
     assert main(["replay", "--resume"]) == 2
     assert main(["replay", "--functions", "4", "--shards", "9",
                  "--minutes", "2"]) == 2
+    with pytest.raises(SystemExit) as usage:
+        main(["replay", "--sketch-size", "64"])
+    assert usage.value.code == 2
+    # a shard spec written before exact percentiles: exit 2, the key named
+    shard = next(iter(_small_sweep(shards=2).expand())).to_dict()
+    shard["params"]["sketch_size"] = 64
+    path = tmp_path / "old_shard.json"
+    path.write_text(json.dumps(shard), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["scenario", str(path)]) == 2
+    assert "sketch_size" in capsys.readouterr().err

@@ -30,6 +30,14 @@ The exit code is the host-independent regression gate: 1 only when, on
 a ``--metric`` (default ``wall_s``), head lost *every* pair and its
 median is worse than the base's by more than that metric's declared
 bound; otherwise 0.  Standard library only.
+
+``--out PATH`` also writes the comparison as a ``repro/bench-pairs@1``
+JSON record, the form a claimed gain is committed in (``BENCH_*.json``):
+the two trees (each a commit SHA where the tree has a ``.git``, else its
+path as given), the seed, the timed seconds and the pair count, and per
+workload the failed/attempted operations and, per metric, every pair's
+value on each side, each side's ``[q1, median, q3]``, the pairs head won
+and lost, the relative change of the medians and the verdict.
 """
 
 from __future__ import annotations
@@ -49,6 +57,9 @@ WIN_SHARE = 0.9
 
 #: A resolved difference under this share of the declared bound is labelled as inside it.
 INSIDE_BOUND_SHARE = 0.1
+
+#: Schema identifier of the ``--out`` record.
+RECORD_SCHEMA = "repro/bench-pairs@1"
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> Dict[str, Any]:
@@ -100,8 +111,12 @@ def judge(base: Sequence[float], head: Sequence[float], better: str,
 
 
 def compare(base: Path, head: Path, workload: str, pairs: int, seed: int, seconds: float,
-            declared: List[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
-    """Run the pairs for one workload, print its table, return the per-metric judgements."""
+            declared: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """Run the pairs for one workload, print its table, return what the record keeps of it.
+
+    That is the failed and attempted operations per side and, per
+    metric, :func:`judge`'s row plus every pair's value on each side.
+    """
     runs: Dict[str, List[Dict[str, Any]]] = {"base": [], "head": []}
     trees = {"base": base, "head": head}
     for pair in range(pairs):
@@ -121,14 +136,44 @@ def compare(base: Path, head: Path, workload: str, pairs: int, seed: int, second
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in results]
                   for side, results in runs.items()}
-        row = judged[name] = judge(values["base"], values["head"], metric["better"],
-                                   metric["bound"])
+        row = judged[name] = dict(judge(values["base"], values["head"], metric["better"],
+                                        metric["bound"]), values=values)
         cells = ["{1:.4f} ({0:.4f}..{2:.4f})".format(*row[side]) for side in ("base", "head")]
         print(f"  {name:16s} {cells[0]:>32s} {cells[1]:>32s} {row['change']:+8.1%} "
               f"{row['won']:3d}/{row['n']:<3d}  {row['verdict']}"
               + (" (inside bound)" if row["inside_bound"] else "")
               + ("  <-- REGRESSION (past the declared bound)" if row["regression"] else ""))
-    return judged
+    return {"failed": failed, "attempted": attempted, "metrics": judged}
+
+
+def tree_identity(tree: Path) -> str:
+    """The commit SHA checked out in ``tree`` when it has a ``.git``, else its path."""
+    if (tree / ".git").exists():
+        done = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+                              check=False)
+        if done.returncode == 0:
+            return done.stdout.strip()
+    return str(tree)
+
+
+def record(base: Path, head: Path, seed: int, seconds: float, pairs: int,
+           compared: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
+    """The ``repro/bench-pairs@1`` record of ``compare``'s results, one entry per workload."""
+    workloads = {}
+    for workload, result in compared.items():
+        metrics = {}
+        for name, row in result["metrics"].items():
+            metrics[name] = {
+                "base": row["values"]["base"], "head": row["values"]["head"],
+                "base_quartiles": list(row["base"]), "head_quartiles": list(row["head"]),
+                "won": row["won"], "lost": row["lost"], "change": row["change"],
+                "verdict": row["verdict"], "inside_bound": row["inside_bound"],
+            }
+        workloads[workload] = {"failed": result["failed"], "attempted": result["attempted"],
+                               "metrics": metrics}
+    return {"schema": RECORD_SCHEMA, "base": tree_identity(base), "head": tree_identity(head),
+            "seed": seed, "seconds": seconds, "pairs": pairs, "workloads": workloads}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -142,6 +187,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=float, help="timed seconds per run (default: run_seconds)")
+    parser.add_argument("--out", type=Path, help="also write a repro/bench-pairs@1 record here")
     args = parser.parse_args(argv)
 
     declaration = json.loads((args.head / "BENCHMARK.json").read_text())
@@ -151,10 +197,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"unknown metric(s) {sorted(unknown)}" if unknown else "--pairs must be >= 1")
     seconds = float(declaration["run_seconds"]) if args.seconds is None else args.seconds
     regressed = []
+    compared = {}
     for workload in args.workload:
-        judged = compare(args.base.resolve(), args.head.resolve(), workload, args.pairs,
-                         args.seed, seconds, declared)
+        compared[workload] = compare(args.base.resolve(), args.head.resolve(), workload,
+                                     args.pairs, args.seed, seconds, declared)
+        judged = compared[workload]["metrics"]
         regressed += [f"{workload}.{name}" for name in args.metric if judged[name]["regression"]]
+    if args.out is not None:
+        text = json.dumps(record(args.base, args.head, args.seed, seconds, args.pairs, compared),
+                          indent=2, sort_keys=True)
+        args.out.write_text(text + "\n", encoding="utf-8")
     if regressed:
         print(f"\nregression: head lost every pair and left the bound on {', '.join(regressed)}")
     return 1 if regressed else 0

@@ -76,7 +76,7 @@ def _preset_sweep(name: str) -> SweepSpec:
         "fig12": lambda: build("fig12", duration=45.0),
         "fig9-at-scale": lambda: build("fig9-at-scale", functions=48,
                                        duration_minutes=12, shards=6,
-                                       chunk_minutes=5, sketch_size=64),
+                                       chunk_minutes=5),
     }
     if name not in presets:
         raise SystemExit(f"unknown preset {name!r}; choose from {sorted(presets)}")
@@ -131,14 +131,16 @@ def _chaos_stage(sweep: SweepSpec, baseline: str, chaos: ChaosConfig,
         Path(args.keep_journal).write_bytes(Path(journal_path).read_bytes())
 
 
-def _mixed_delay_seed(sweep: SweepSpec, probability: float = 0.5) -> int:
+def _mixed_delay_seed(sweep: SweepSpec, workers: int, probability: float = 0.5) -> int:
     """A chaos seed whose delay draws stretch *some* shards but not all.
 
     With a mixed outcome the SIGTERM always lands mid-run (a delayed
     shard is still sleeping) while at least one shard has already
     journaled its result — so the resume stage demonstrably *skips*
-    work rather than recomputing everything.  The search is
-    deterministic: chaos draws are pure functions of (seed, shard).
+    work rather than recomputing everything.  The undelayed shard must
+    be among the first ``workers`` dispatched, or every worker could be
+    asleep when the signal lands.  The search is deterministic: chaos
+    draws are pure functions of (seed, shard).
     """
     from repro.scenarios.chaos import chaos_draw
     from repro.scenarios.journal import shard_spec_hash
@@ -146,7 +148,7 @@ def _mixed_delay_seed(sweep: SweepSpec, probability: float = 0.5) -> int:
     hashes = [shard_spec_hash(spec.to_dict()) for spec in sweep.expand()]
     for seed in range(1000):
         delayed = [chaos_draw(seed, "delay", h, 1) < probability for h in hashes]
-        if any(delayed) and not all(delayed):
+        if any(delayed) and not all(delayed[:workers]):
             return seed
     raise SystemExit("no mixed-delay chaos seed found (single-shard sweep?)")
 
@@ -172,7 +174,7 @@ def _interrupt_stage(sweep: SweepSpec, baseline: str,
     env[CHAOS_ENV] = ChaosConfig(delay_probability=0.5,
                                  delay_seconds=max(5.0, 2 * args.interrupt_after),
                                  max_attempt=10**6,
-                                 seed=_mixed_delay_seed(sweep)).to_json()
+                                 seed=_mixed_delay_seed(sweep, args.workers)).to_json()
     process = subprocess.Popen(command, env=env)
     time.sleep(args.interrupt_after)
     process.send_signal(signal.SIGTERM)

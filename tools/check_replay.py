@@ -7,11 +7,16 @@ bytes say:
 
 1. ``schema`` is ``repro/trace-replay@1``;
 2. ``totals.functions`` equals the population asked for (``--functions``);
-3. ``shard_count`` equals the shards asked for (``--shards``).
+3. ``shard_count`` equals the shards asked for (``--shards``);
+4. with ``--same-as OTHER.json``: ``totals`` and ``percentiles`` equal
+   OTHER's.  Counters and percentiles are both exact sums over the
+   population, so a replay of the same population in any other number
+   of shards must agree on both.
 
 Usage::
 
-    python tools/check_replay.py replay_a.json --functions 400 --shards 8
+    python tools/check_replay.py replay_a.json --functions 400 --shards 8 \
+        --same-as replay_3_shards.json
 
 Exit code 0 means every check held (and prints the invocation total and
 the per-minute p99); a failed check exits 1 naming it.
@@ -23,11 +28,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 SCHEMA = "repro/trace-replay@1"
 
 
-def check(merged: dict, functions: int, shards: int) -> list:
+def check(merged: dict, functions: int, shards: int, same_as: Optional[dict] = None) -> list:
     """The checks that failed, as messages (empty when the envelope is as asked)."""
     failures = []
     if merged.get("schema") != SCHEMA:
@@ -37,6 +43,11 @@ def check(merged: dict, functions: int, shards: int) -> list:
         failures.append(f"totals.functions is {got!r}, expected {functions}")
     if merged.get("shard_count") != shards:
         failures.append(f"shard_count is {merged.get('shard_count')!r}, expected {shards}")
+    if same_as is not None:
+        for group in ("totals", "percentiles"):
+            if merged.get(group) != same_as.get(group):
+                failures.append(f"{group} differ from the --same-as envelope's: "
+                                f"{merged.get(group)!r} vs {same_as.get(group)!r}")
     return failures
 
 
@@ -46,9 +57,15 @@ def main(argv=None) -> int:
     parser.add_argument("path", help="the merged replay envelope (JSON)")
     parser.add_argument("--functions", type=int, required=True)
     parser.add_argument("--shards", type=int, required=True)
+    parser.add_argument("--same-as", metavar="OTHER.json", default=None,
+                        help="a replay of the same population whose totals and "
+                             "percentiles this one must equal")
     args = parser.parse_args(argv)
     merged = json.loads(Path(args.path).read_text(encoding="utf-8"))
-    failures = check(merged, args.functions, args.shards)
+    other = None
+    if args.same_as is not None:
+        other = json.loads(Path(args.same_as).read_text(encoding="utf-8"))
+    failures = check(merged, args.functions, args.shards, other)
     for failure in failures:
         print(f"replay check failed: {failure}", file=sys.stderr)
     if failures:

@@ -56,14 +56,13 @@ REGISTRY_CASES: Dict[str, Dict[str, Any]] = {
     # trace_replay never touches the request lifecycle, so both planes
     # run the identical streaming kernel — the case pins that the spec
     # round-trips and the envelope stays plane-independent.  Sized so the
-    # digest sees the sketch's replacement path, not only its fill: each
-    # shard feeds 4 functions x 12 minutes = 48 observations into 16
-    # slots (4 minutes would feed exactly 16: filled, never replaced),
-    # the chunk that crosses slot 16 straddles it, the last chunk of a
-    # trace is short (5 + 5 + 2), and every shard of the default
-    # population holds a sporadic and a steady function.
+    # digest sees a histogram fed from more than one chunk: each shard
+    # folds 4 functions x 12 minutes = 48 per-minute counts, the last
+    # chunk of a trace is short (5 + 5 + 2), so one count value gathers
+    # minutes from several chunks and functions, and every shard of the
+    # default population holds a sporadic and a steady function.
     "fig9-at-scale": {"functions": 12, "duration_minutes": 12, "shards": 3,
-                      "chunk_minutes": 5, "sketch_size": 16},
+                      "chunk_minutes": 5},
     "fig10": {"duration": 120.0, "fail_at": 30.0, "recover_at": 60.0},
     "fig11": {"duration": 40.0},
     "node-failure-recovery": {"duration": 120.0, "fail_at": 30.0,
