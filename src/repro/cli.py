@@ -335,8 +335,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     Exit codes mirror ``sweep``: 0 = merged envelope written; 1 =
     degraded sweep (nothing merged — a partial replay would understate
-    every total; resume it instead); 2 = usage errors; 130 =
-    interrupted (journal intact, no output file).
+    every total; resume it instead); 2 = usage errors, or shard results
+    the merge refuses (a resumed journal's malformed ``ok`` record);
+    130 = interrupted (journal intact, no output file).
     """
     import signal
 
@@ -386,7 +387,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
               f"shard(s) did not complete; not merging a partial replay "
               f"(re-run with --journal/--resume)", file=sys.stderr)
         return 1
-    _emit_json(merge_trace_shards(envelope), args.output, args.pretty)
+    try:
+        merged = merge_trace_shards(envelope)
+    except ValueError as error:
+        # a journal's ok record can carry a malformed result into the merge
+        print(f"replay merge refused: {error}", file=sys.stderr)
+        return 2
+    _emit_json(merged, args.output, args.pretty)
     return 0
 
 

@@ -19,10 +19,12 @@ invocations: a shard of 10 functions and a shard of 10,000 have the
 same resident footprint, which is what makes a week-long replay
 journal-resumable without spilling.  The per-minute work is batched
 *within* one function only — its rate series in block draws, each chunk
-into the histogram through one ``np.unique`` call — and each function
-is sized on its own with the scalar ``required_containers`` (one M/M/c
-evaluation concludes c* = 1 for nearly the whole population); nothing
-is batched across functions.
+into the histogram through one ``np.unique`` call, from whose values and
+counts every integer counter is read — and each function is sized on
+its own by the shard's one :class:`~repro.core.queueing.solver.SizingSolver`
+(``solve``: one closed-form probe concludes c* = 1 for nearly the whole
+population, and the counts equal the ``required_containers`` oracle's);
+nothing is batched across functions.
 
 Determinism contract
 --------------------
@@ -54,7 +56,7 @@ import numpy as np
 # Everything a replay shard runs is imported here, at module top: the
 # sweep's parent process loads this module when it builds the shards, so
 # forked workers inherit the sizing chain instead of importing it again.
-from repro.core.queueing.sizing import required_containers
+from repro.core.queueing.solver import SizingSolver
 from repro.scenarios.runner import ScenarioOutcome, _envelope
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.sweep import SWEEP_RESULT_SCHEMA
@@ -116,28 +118,30 @@ def run_trace_replay(spec: ScenarioSpec) -> ScenarioOutcome:
     containers = 0
     sporadic_functions = 0
 
+    solver = SizingSolver()
     for index in range(lo, hi):
         fn = population_function(index, population)
         sporadic_functions += int(fn.config.sporadic)
-        sizing = required_containers(
-            lam=fn.config.mean_rate,
-            mu=1.0 / fn.service_time,
-            wait_budget=fn.slo_deadline,
-            percentile=SIZING_PERCENTILE,
-        )
-        containers += sizing.containers
+        sized = solver.solve(fn.config.mean_rate, 1.0 / fn.service_time,
+                             fn.slo_deadline, SIZING_PERCENTILE).containers
+        containers += sized
         # what the sized allocation can serve in one minute
-        capacity_per_minute = sizing.containers * 60.0 / fn.service_time
+        capacity_per_minute = sized * 60.0 / fn.service_time
         rng = trace_rng(int(params["trace_seed"]), index)
         for chunk in iter_azure_trace_chunks(fn.config, duration_minutes,
                                              rng, chunk_minutes):
-            invocations += int(chunk.sum())
-            zero_minutes += int((chunk == 0).sum())
-            overload_minutes += int((chunk > capacity_per_minute).sum())
-            peak_per_minute = max(peak_per_minute, int(chunk.max()))
+            # every counter is read off the chunk's histogram: its values
+            # ascend, so the last is the chunk's peak and a 0 comes first
             values, minutes = np.unique(chunk, return_counts=True)
-            for value, count in zip(values.tolist(), minutes.tolist()):
+            values, minutes = values.tolist(), minutes.tolist()
+            for value, count in zip(values, minutes):
                 histogram[value] = histogram.get(value, 0) + count
+                invocations += value * count
+                if value > capacity_per_minute:
+                    overload_minutes += count
+            if values[0] == 0:
+                zero_minutes += minutes[0]
+            peak_per_minute = max(peak_per_minute, values[-1])
 
     replay = {
         "function_range": [lo, hi],
@@ -156,9 +160,15 @@ def run_trace_replay(spec: ScenarioSpec) -> ScenarioOutcome:
 
 
 def _shard_key(result: Mapping[str, Any]) -> Tuple[int, int]:
-    """Canonical ordering key of one shard result (its function range)."""
+    """Canonical ordering key of one shape-checked shard result (its function range)."""
     lo, hi = result["replay"]["function_range"]
-    return (int(lo), int(hi))
+    return (lo, hi)
+
+
+#: The integer counters of a shard's ``replay`` group the merge reads.
+_REPLAY_COUNTS = ("functions", "sporadic_functions", "minutes", "invocations",
+                  "zero_minutes", "overload_minutes", "peak_per_minute",
+                  "containers")
 
 
 def _is_count(value: Any) -> bool:
@@ -166,8 +176,61 @@ def _is_count(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_histogram(result: Mapping[str, Any]) -> None:
-    """Raise :class:`ValueError` unless a shard's histogram agrees with its counters.
+def _shard_name(position: int, result: Any) -> str:
+    """How a refusal names a shard: its scenario name, else its place in ``results``."""
+    scenario = result.get("scenario") if isinstance(result, Mapping) else None
+    name = scenario.get("name") if isinstance(scenario, Mapping) else None
+    return f"shard {name!r}" if isinstance(name, str) else f"shard #{position}"
+
+
+def _check_shape(position: int, result: Any) -> Tuple[int, int]:
+    """Raise :class:`ValueError` naming the shard unless ``result`` is shaped
+    like a :func:`run_trace_replay` result; return its ``function_range``.
+
+    Every key the merge reads must be there with its type: the scenario's
+    ``name`` and ``params`` (a ``population`` with a positive count of
+    ``functions``, and a positive ``duration_minutes``) and the
+    ``replay`` group, whose range is two non-negative ints ``lo < hi``
+    spanning its ``functions`` and whose counters
+    (:data:`_REPLAY_COUNTS`) are non-negative ints — judged by
+    :func:`_is_count`, so ``4.5`` or ``True`` is refused, never truncated.
+    """
+    shard = _shard_name(position, result)
+    if not isinstance(result, Mapping) or not isinstance(result.get("replay"), Mapping):
+        raise ValueError(f"{shard} is not a trace_replay result")
+    scenario = result.get("scenario")
+    if not (isinstance(scenario, Mapping) and isinstance(scenario.get("name"), str)):
+        raise ValueError(f"{shard} carries no scenario name")
+    params = scenario.get("params")
+    population = params.get("population") if isinstance(params, Mapping) else None
+    if not (isinstance(population, Mapping)
+            and _is_count(population.get("functions")) and population["functions"] > 0
+            and _is_count(params.get("duration_minutes")) and params["duration_minutes"] > 0):
+        raise ValueError(f"{shard}: params need a population with a positive int "
+                         "functions and a positive int duration_minutes")
+    replay = result["replay"]
+    bounds = replay.get("function_range")
+    if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
+            and all(_is_count(v) for v in bounds) and 0 <= bounds[0] < bounds[1]):
+        raise ValueError(f"{shard}: function_range must be two ints 0 <= lo < hi; "
+                         f"got {bounds!r}")
+    lo, hi = bounds
+    for key in _REPLAY_COUNTS:
+        if not (_is_count(replay.get(key)) and replay[key] >= 0):
+            raise ValueError(f"{shard} [{lo}, {hi}): replay {key} must be a "
+                             f"non-negative int; got {replay.get(key)!r}")
+    if replay["functions"] != hi - lo:
+        raise ValueError(f"{shard} [{lo}, {hi}): replay functions is "
+                         f"{replay['functions']}, not the range's {hi - lo}")
+    if replay["minutes"] != params["duration_minutes"]:
+        raise ValueError(f"{shard} [{lo}, {hi}): replay minutes is "
+                         f"{replay['minutes']}, not the params' "
+                         f"duration_minutes {params['duration_minutes']}")
+    return lo, hi
+
+
+def _check_histogram(shard: str, replay: Mapping[str, Any]) -> None:
+    """Raise :class:`ValueError` naming ``shard`` unless its histogram agrees with its counters.
 
     The histogram must be ``[value, minutes]`` pairs with strictly
     increasing non-negative integer values and positive integer minutes,
@@ -176,10 +239,8 @@ def _check_histogram(result: Mapping[str, Any]) -> None:
     its minutes at value 0 are ``zero_minutes`` and its largest value is
     ``peak_per_minute``.  A result written before the replay kept a
     histogram (it carries a reservoir ``sketch``) fails the first check.
+    Runs after :func:`_check_shape`, so every counter is an int.
     """
-    replay = result["replay"]
-    lo, hi = replay["function_range"]
-    shard = f"shard {result['scenario']['name']!r} [{lo}, {hi})"
     pairs = replay.get("histogram")
     if not isinstance(pairs, list):
         raise ValueError(f"{shard} carries no per-minute histogram (a result "
@@ -195,10 +256,10 @@ def _check_histogram(result: Mapping[str, Any]) -> None:
                              f"ints; got {pair!r}")
         previous = pair[0]
     expected = {
-        "minutes": int(replay["functions"]) * int(replay["minutes"]),
-        "invocations": int(replay["invocations"]),
-        "zero_minutes": int(replay["zero_minutes"]),
-        "peak_per_minute": int(replay["peak_per_minute"]),
+        "minutes": replay["functions"] * replay["minutes"],
+        "invocations": replay["invocations"],
+        "zero_minutes": replay["zero_minutes"],
+        "peak_per_minute": replay["peak_per_minute"],
     }
     found = {
         "minutes": sum(minutes for _, minutes in pairs),
@@ -254,25 +315,33 @@ def merge_trace_shards(envelope: Mapping[str, Any]) -> Dict[str, Any]:
     of sweep expansion or completion order.  Float aggregates
     (``rates``) are derived once, here, from the integer totals.  Raises
     :class:`ValueError` on a degraded (``incomplete``) sweep envelope —
-    merging a partial replay would silently understate every total — and
-    on a shard whose histogram disagrees with its counters.
+    merging a partial replay would silently understate every total — on
+    an envelope or shard result missing a key the merge reads or holding
+    it with the wrong type (:func:`_check_shape`: counts and ranges are
+    plain ints, never truncated floats), naming the shard, and on a
+    shard whose histogram disagrees with its counters.  A refused call
+    leaves ``envelope`` as it was: the merge only reads it.
     """
-    if envelope.get("schema") != SWEEP_RESULT_SCHEMA:
+    if not isinstance(envelope, Mapping) or envelope.get("schema") != SWEEP_RESULT_SCHEMA:
         raise ValueError(f"expected a {SWEEP_RESULT_SCHEMA} envelope")
     if envelope.get("incomplete"):
         raise ValueError("cannot merge an incomplete sweep envelope; "
                          "re-run with --resume until it completes")
-    results: Sequence[Mapping[str, Any]] = envelope["results"]
+    if not isinstance(envelope.get("sweep"), Mapping):
+        raise ValueError("sweep envelope carries no sweep description")
+    results = envelope.get("results")
+    if not isinstance(results, list):
+        raise ValueError("sweep envelope carries no results list")
     if not results:
         raise ValueError("sweep envelope has no shard results")
-    for result in results:
-        if "replay" not in result:
-            name = result.get("scenario", {}).get("name", "?")
-            raise ValueError(f"shard {name!r} is not a trace_replay result")
+    for position, result in enumerate(results):
+        lo, hi = _check_shape(position, result)
+        _check_histogram(f"{_shard_name(position, result)} [{lo}, {hi})",
+                         result["replay"])
     ordered = sorted(results, key=_shard_key)
 
-    base_params = dict(ordered[0]["scenario"]["params"])
-    functions_total = int(base_params["population"]["functions"])
+    base_params = ordered[0]["scenario"]["params"]
+    functions_total = base_params["population"]["functions"]
     expected_lo = 0
     for result in ordered:
         lo, hi = _shard_key(result)
@@ -282,8 +351,7 @@ def merge_trace_shards(envelope: Mapping[str, Any]) -> Dict[str, Any]:
                 f"starting at {expected_lo}, got [{lo}, {hi})"
             )
         expected_lo = hi
-        _check_histogram(result)
-        shard_params = dict(result["scenario"]["params"])
+        shard_params = result["scenario"]["params"]
         for key, value in base_params.items():
             if key != "function_range" and shard_params.get(key) != value:
                 raise ValueError(
@@ -308,21 +376,21 @@ def merge_trace_shards(envelope: Mapping[str, Any]) -> Dict[str, Any]:
     shards_out: List[Dict[str, Any]] = []
     for result in ordered:
         replay = result["replay"]
-        totals["sporadic_functions"] += int(replay["sporadic_functions"])
-        totals["invocations"] += int(replay["invocations"])
-        totals["zero_minutes"] += int(replay["zero_minutes"])
-        totals["overload_minutes"] += int(replay["overload_minutes"])
+        totals["sporadic_functions"] += replay["sporadic_functions"]
+        totals["invocations"] += replay["invocations"]
+        totals["zero_minutes"] += replay["zero_minutes"]
+        totals["overload_minutes"] += replay["overload_minutes"]
         totals["peak_per_minute"] = max(totals["peak_per_minute"],
-                                        int(replay["peak_per_minute"]))
-        totals["containers"] += int(replay["containers"])
+                                        replay["peak_per_minute"])
+        totals["containers"] += replay["containers"]
         shards_out.append({
             "name": result["scenario"]["name"],
             "function_range": list(replay["function_range"]),
-            "functions": int(replay["functions"]),
-            "invocations": int(replay["invocations"]),
+            "functions": replay["functions"],
+            "invocations": replay["invocations"],
         })
 
-    minutes = int(base_params["duration_minutes"])
+    minutes = base_params["duration_minutes"]
     function_minutes = functions_total * minutes
     percentiles = histogram_quantiles(r["replay"]["histogram"] for r in ordered)
     return {

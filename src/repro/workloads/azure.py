@@ -22,6 +22,7 @@ are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence
 
@@ -96,30 +97,64 @@ def azure_rate_series(
     :func:`repro.workloads.stream.iter_azure_trace_chunks` draw the
     Poisson counts chunk by chunk while staying byte-identical to the
     monolithic synthesis.
+
+    The sporadic loop steps only through idle minutes.  It tests each one
+    on the generator's raw 64-bit draw — ``random()`` is
+    ``(raw >> 11) · 2⁻⁵³``, so ``random() < p`` exactly when ``raw`` is
+    below ``⌈p · 2⁵³⌉ · 2¹¹`` — which needs a bit generator with that
+    ``random()`` (default_rng's PCG64 has it; MT19937 is refused).  On a
+    hit it draws the burst's geometric length, records ``(start,
+    length)`` and jumps past the whole burst; the burst minutes, their
+    progress and the sine shape are built afterwards as int64 / float64
+    arrays, the same operations element by element.
     """
     if duration_minutes <= 0:
         raise ValueError("duration_minutes must be positive")
     base_per_minute = config.mean_rate * 60.0
 
     if config.sporadic:
-        # on/off burst process: mostly zero, occasional multi-minute bursts
+        # on/off burst process: mostly zero, occasional multi-minute bursts.
+        # The bit generators whose random() is (random_raw() >> 11) * 2**-53
+        # are named here, not at import, so importing this module leaves
+        # numpy.random unloaded (a sweep's parent process never draws).
+        if not isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM,
+                                              np.random.Philox, np.random.SFC64)):
+            raise ValueError("sporadic traces need a 64-bit bit generator "
+                             "(default_rng's PCG64, PCG64DXSM, Philox or SFC64)")
         rates = np.zeros(duration_minutes)
-        burst_probability = config.burst_probability
-        draw = rng.random
-        burst_minutes = []
-        burst_progress = []
-        burst_left = 0
-        for m in range(duration_minutes):
-            if burst_left <= 0:
-                if not draw() < burst_probability:
-                    continue
-                burst_left = max(1, int(rng.geometric(1.0 / config.burst_duration_minutes)))
-            burst_minutes.append(m)
-            burst_progress.append(min(1.0, (1 + m % burst_left) / burst_left))
-            burst_left -= 1
-        if burst_minutes:
-            # the draws above are order-dependent; the burst shape is not
-            shape = np.sin(np.pi * np.array(burst_progress))
+        # random() < p, tested on the raw draw: random() is
+        # (raw >> 11) * 2**-53, so it is below p exactly when raw >> 11 is
+        # below p * 2**53 (a power-of-two scaling, exact), i.e. below its
+        # ceiling K, i.e. when raw itself is below K << 11
+        limit = math.ceil(config.burst_probability * 2 ** 53) << 11
+        raw = rng.bit_generator.random_raw
+        end_probability = 1.0 / config.burst_duration_minutes
+        starts = []
+        lengths = []
+        m = 0
+        while m < duration_minutes:
+            if raw() < limit:
+                length = max(1, int(rng.geometric(end_probability)))
+                starts.append(m)
+                lengths.append(length)
+                m += length
+            else:
+                m += 1
+        if starts:
+            # the draws above are order-dependent; the burst shape is not.
+            # A burst covers its minutes up to the trace's end; at minute m
+            # it has start + length - m = length - offset minutes left.
+            starts_arr = np.array(starts)
+            lengths_arr = np.array(lengths)
+            spans = np.minimum(lengths_arr, duration_minutes - starts_arr)
+            first = (spans.cumsum() - spans).repeat(spans)
+            offset = np.arange(first.size) - first
+            burst_minutes = starts_arr.repeat(spans) + offset
+            burst_left = lengths_arr.repeat(spans) - offset
+            # int / int as IEEE doubles: exact below 2**53 minutes left, and
+            # above it the shape is under the 0.3 floor whatever the rounding
+            progress = np.minimum(1.0, (1 + burst_minutes % burst_left) / burst_left)
+            shape = np.sin(np.pi * progress)
             rates[burst_minutes] = (base_per_minute * config.burst_multiplier
                                     * np.maximum(0.3, shape))
         # a trickle of background invocations so the function is not always cold
@@ -136,7 +171,8 @@ def azure_rate_series(
         for innovation in rng.normal(0, config.variability, duration_minutes - 1).tolist():
             level = 0.7 * level + innovation
             noise.append(level)
-        rates = base_per_minute * modulation * np.clip(1.0 + np.array(noise), 0.2, 3.0)
+        noise_arr = np.fromiter(noise, np.float64, duration_minutes)
+        rates = base_per_minute * modulation * np.clip(1.0 + noise_arr, 0.2, 3.0)
     return np.clip(rates, 0.0, None)
 
 

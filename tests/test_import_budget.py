@@ -120,12 +120,15 @@ sweep = build("fig9-at-scale", functions=12, duration_minutes=12, shards=3,
               chunk_minutes=5)
 ResilientSweepRunner(sweep, workers=2)
 print({LOADED})
+print("numpy.random" in sys.modules)
 data = _run_shard(sweep.expand()[0].to_dict())
 assert data["replay"]["invocations"] > 0
 print({LOADED})
 """)
-    set_up, after_shard = (eval(line) for line in out.splitlines())
-    assert len(set_up) <= 33, set_up
+    set_up, draws_loaded, after_shard = (eval(line) for line in out.splitlines())
+    assert len(set_up) <= 32, set_up
+    # the parent never draws: numpy.random (2 MB resident) loads in the workers
+    assert draws_loaded is False
     assert not set(SIMULATOR_MODULES) & set(set_up)
     # a forked worker inherits the parent's modules: a shard that imported
     # one would re-import it in every worker of every sweep

@@ -15,15 +15,18 @@ Four contracts are pinned here:
    results, and every histogram is checked against its own shard's
    counters.
 4. **Edge cases fail eagerly** — invalid trace configs, invalid
-   replay params, and degraded sweep envelopes raise instead of
-   producing silently-wrong numbers.
+   replay params, degraded sweep envelopes and malformed shard results
+   (fuzzed) raise ``ValueError`` instead of producing silently-wrong
+   numbers or another exception.
 """
 
 from __future__ import annotations
 
 import collections
+import copy
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -173,6 +176,23 @@ RATE_SERIES_CONFIGS = {
     "never-bursting": AzureTraceConfig(mean_rate=1.0, sporadic=True,
                                        burst_probability=0.0),
     "noiseless": AzureTraceConfig(mean_rate=4.0, variability=0.0),
+    # mean lengths 1.5 and 3 give p >= 1/3, where numpy's geometric
+    # searches instead of inverting
+    "short-bursts": AzureTraceConfig(mean_rate=2.0, sporadic=True,
+                                     burst_probability=0.3,
+                                     burst_duration_minutes=1.5),
+    "third-bursts": AzureTraceConfig(mean_rate=2.0, sporadic=True,
+                                     burst_probability=0.2,
+                                     burst_duration_minutes=3.0),
+    # bursts far longer than the trace: the one that starts runs past its end
+    "endless-bursts": AzureTraceConfig(mean_rate=2.0, sporadic=True,
+                                       burst_probability=0.5,
+                                       burst_duration_minutes=400.0),
+    # geometric saturates at the int64 maximum: past 2**53 minutes left the
+    # progress rounds, and the shape sits under its 0.3 floor either way
+    "saturated-bursts": AzureTraceConfig(mean_rate=2.0, sporadic=True,
+                                         burst_probability=0.5,
+                                         burst_duration_minutes=1e30),
 }
 
 
@@ -201,6 +221,60 @@ def test_rate_series_equals_scalar_loop_over_the_population(duration):
         _assert_matches_scalar_loop(fn.config, duration,
                                     lambda: trace_rng(2019, index))
     assert 0 < sporadic < 300
+
+
+def _dyadic_probabilities():
+    """``k · 2⁻⁵³`` for any 53-bit ``k``, and both of its float neighbours."""
+    exact = st.integers(min_value=0, max_value=2 ** 53).map(lambda k: k * 2.0 ** -53)
+    return st.one_of(
+        exact,
+        exact.map(lambda p: max(0.0, np.nextafter(p, 0.0))),
+        exact.map(lambda p: min(1.0, np.nextafter(p, 1.0))),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(raw=st.integers(min_value=0, max_value=2 ** 64 - 1), p=_dyadic_probabilities())
+def test_the_raw_draw_test_is_the_uniform_draw_test(raw, p):
+    """The sporadic pass tests ``raw < ⌈p·2⁵³⌉·2¹¹``; ``random() < p`` is the verdict it stands for.
+
+    ``random()`` is ``(raw >> 11) · 2⁻⁵³``, so the three tests agree for
+    every 64-bit draw and every ``p`` in ``[0, 1]``.
+    """
+    p = float(p)
+    uniform = (raw >> 11) * 2.0 ** -53
+    assert ((raw >> 11) < p * 2 ** 53) == (uniform < p)
+    assert (raw < math.ceil(p * 2 ** 53) << 11) == (uniform < p)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM,
+                                           np.random.Philox, np.random.SFC64])
+def test_the_raw_draw_is_what_random_scales(bit_generator):
+    """For each accepted bit generator ``random()`` is ``(random_raw() >> 11) · 2⁻⁵³``,
+    and the sporadic pass still matches the scalar loop on it."""
+    raws, uniforms = bit_generator(5), bit_generator(5)
+    drawn = [raws.random_raw() for _ in range(64)]
+    assert [(r >> 11) * 2.0 ** -53 for r in drawn] == \
+        [np.random.Generator(uniforms).random() for _ in range(64)]
+    oracle_rng, batched_rng = (np.random.Generator(bit_generator(11)) for _ in range(2))
+    config = RATE_SERIES_CONFIGS["bursty"]
+    assert np.array_equal(azure_rate_series(config, 59, batched_rng),
+                          _scalar_loop_rate_series(config, 59, oracle_rng))
+    # Philox's state holds arrays, so compare where the two streams go next
+    assert batched_rng.bit_generator.random_raw(4).tolist() == \
+        oracle_rng.bit_generator.random_raw(4).tolist()
+
+
+def test_a_sporadic_trace_refuses_a_32_bit_bit_generator():
+    """MT19937's ``random()`` is not one raw draw scaled: refused, the generator untouched."""
+    rng = np.random.Generator(np.random.MT19937(3))
+    with pytest.raises(ValueError, match="64-bit bit generator"):
+        azure_rate_series(RATE_SERIES_CONFIGS["bursty"], 10, rng)
+    assert rng.bit_generator.random_raw(4).tolist() == \
+        np.random.MT19937(3).random_raw(4).tolist()
+    # the steady branch draws through the Generator and takes any bit generator
+    assert azure_rate_series(CHUNK_CONFIGS["steady"], 10, rng).shape == (10,)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -322,20 +396,55 @@ def test_population_function_is_pure():
     assert counts_a.tobytes() == counts_b.tobytes()
 
 
-def test_scalar_sizing_equals_the_solver_path_over_the_population():
-    """The replay sizes with the scalar oracle; a cold solver agrees."""
+#: rate_log10_mean -> (functions with c* > 1, with c* > 32) over the first 300
+SIZING_POPULATIONS = {-2.0: (0, 0), 1.0: (139, 6), 2.0: (267, 59)}
+
+
+@pytest.mark.parametrize("rate_log10_mean", sorted(SIZING_POPULATIONS))
+def test_the_replays_solver_sizing_equals_the_oracle_over_the_population(rate_log10_mean):
+    """The replay sizes with the solver; the ``required_containers`` oracle agrees.
+
+    The default population has c* = 1 throughout; the heavier ones walk
+    past the first count and, for some functions, past the closed form's
+    32 containers into the log-space body.
+    """
     from repro.core.queueing.sizing import required_containers
     from repro.core.queueing.solver import SizingSolver
     from repro.scenarios.trace_shard import SIZING_PERCENTILE
     from repro.workloads.stream import DEFAULT_POPULATION
 
+    population = dict(DEFAULT_POPULATION, rate_log10_mean=rate_log10_mean)
     solver = SizingSolver()
+    sized = []
     for index in range(300):
-        fn = population_function(index, DEFAULT_POPULATION)
+        fn = population_function(index, population)
         query = dict(lam=fn.config.mean_rate, mu=1.0 / fn.service_time,
                      wait_budget=fn.slo_deadline, percentile=SIZING_PERCENTILE)
-        assert required_containers(**query).containers == \
-            solver.solve(**query).containers
+        containers = solver.solve(**query).containers
+        assert required_containers(**query).containers == containers, index
+        sized.append(containers)
+    assert (sum(c > 1 for c in sized), sum(c > 32 for c in sized)) == \
+        SIZING_POPULATIONS[rate_log10_mean]
+
+
+def test_a_heavy_population_replays_the_oracles_container_counts():
+    """A shard's ``containers`` is the oracle's count summed over its functions."""
+    from repro.core.queueing.sizing import required_containers
+    from repro.scenarios.trace_shard import SIZING_PERCENTILE
+
+    population = {"functions": 40, "seed": 2021, "sporadic_fraction": 0.4,
+                  "rate_log10_mean": 2.0, "rate_log10_sigma": 0.8}
+    spec = ScenarioSpec(name="heavy", kind="trace_replay", params={
+        "population": population, "trace_seed": 2019, "duration_minutes": 3,
+        "chunk_minutes": 2, "function_range": [0, 40]})
+    expected = 0
+    for index in range(40):
+        fn = population_function(index, population)
+        expected += required_containers(
+            lam=fn.config.mean_rate, mu=1.0 / fn.service_time,
+            wait_budget=fn.slo_deadline, percentile=SIZING_PERCENTILE).containers
+    replay = run_trace_replay(spec).data["replay"]
+    assert replay["containers"] == expected > 40
 
 
 def test_shard_ranges_tile_exactly():
@@ -464,7 +573,9 @@ def _corrupt(replay):
         "float value": dict(replay, histogram=[[float(pairs[0][0]), pairs[0][1]]] + pairs[1:]),
         "zero minutes": dict(replay, histogram=pairs + [[pairs[-1][0] + 1, 0]]),
         "float minutes": dict(replay, histogram=[[pairs[0][0], float(pairs[0][1])]] + pairs[1:]),
-        "minutes sum": dict(replay, functions=replay["functions"] + 1),
+        "minutes sum": dict(replay, histogram=pairs[:-1] + [[pairs[-1][0], pairs[-1][1] + 1]]),
+        "functions vs range": dict(replay, functions=replay["functions"] + 1),
+        "minutes vs params": dict(replay, minutes=replay["minutes"] + 1),
         "invocations": dict(replay, invocations=replay["invocations"] + 1),
         "zero_minutes": dict(replay, zero_minutes=replay["zero_minutes"] + 1),
         "peak_per_minute": dict(replay, peak_per_minute=replay["peak_per_minute"] + 1),
@@ -481,7 +592,9 @@ CORRUPTIONS = {
     "float value": "strictly increasing non-negative ints",
     "zero minutes": "minutes must be positive ints",
     "float minutes": "minutes must be positive ints",
-    "minutes sum": "shard's functions x minutes is 78",
+    "minutes sum": "shard's functions x minutes is 72",
+    "functions vs range": "replay functions is 13, not the range's 12",
+    "minutes vs params": "replay minutes is 7, not the params' duration_minutes 6",
     "invocations": "shard's invocations is",
     "zero_minutes": "shard's zero_minutes is",
     "peak_per_minute": "shard's peak_per_minute is",
@@ -507,6 +620,126 @@ def test_merge_refuses_a_histogram_that_disagrees_with_its_counters(
         merge_trace_shards(envelope)
     assert CORRUPTIONS[corruption] in str(refused.value)
     assert merge_trace_shards(two_shard_envelope)["totals"]["functions"] == 24
+
+
+#: path into the two-shard envelope -> what replaces it (``DELETE`` drops the key)
+DELETE = object()
+MALFORMED = {
+    "range not a pair": (("results", 0, "replay", "function_range"), 5),
+    "range of floats": (("results", 0, "replay", "function_range"), [0, 12.0]),
+    "range truncated by int()": (("results", 0, "replay", "function_range"), [0, 4.5]),
+    "range of bools": (("results", 0, "replay", "function_range"), [False, True]),
+    "invocations None": (("results", 0, "replay", "invocations"), None),
+    "containers a float": (("results", 0, "replay", "containers"), 3.0),
+    "replay a list": (("results", 0, "replay"), []),
+    "params None": (("results", 0, "scenario", "params"), None),
+    "name not a string": (("results", 0, "scenario", "name"), 5),
+    "result an int": (("results", 0), 5),
+    "scenario missing": (("results", 0, "scenario"), DELETE),
+    "population missing": (("results", 0, "scenario", "params", "population"), DELETE),
+    "functions missing": (("results", 0, "scenario", "params", "population", "functions"),
+                          DELETE),
+    "duration zero": (("results", 0, "scenario", "params", "duration_minutes"), 0),
+    "replay minutes missing": (("results", 0, "replay", "minutes"), DELETE),
+    "replay containers missing": (("results", 0, "replay", "containers"), DELETE),
+    "sweep missing": (("sweep",), DELETE),
+    "results a dict": (("results",), {}),
+    "envelope a list": ((), []),
+}
+
+
+def _replaced(envelope, path, value):
+    """A deep copy of ``envelope`` with ``path`` replaced by ``value`` (or deleted)."""
+    if not path:
+        return value
+    clone = copy.deepcopy(envelope)
+    parent = clone
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return clone
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_merge_refuses_a_malformed_envelope_with_a_value_error(two_shard_envelope, case):
+    """Every key the merge reads, missing or mistyped: a ``ValueError`` naming the shard.
+
+    Before the shape check these were ``TypeError`` / ``KeyError``
+    tracebacks, and ``[0, 4.5]`` was truncated and merged.
+    """
+    path, value = MALFORMED[case]
+    envelope = _replaced(two_shard_envelope, path, value)
+    snapshot = copy.deepcopy(envelope)
+    with pytest.raises(ValueError) as refused:
+        merge_trace_shards(envelope)
+    if path[:1] == ("results",) and len(path) > 2:
+        assert str(refused.value).startswith(("shard 'fig9-at-scale#0000'", "shard #0"))
+    assert envelope == snapshot
+
+
+def _paths(node, prefix=()):
+    """Every key or index path inside a JSON-like value, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, prefix + (index,))
+
+
+#: wrong-typed stand-ins a hand-edited envelope or journal might carry
+_JUNK = st.sampled_from([DELETE, None, 5, -1, 0, 4.5, True, "x", [], {}, [0, 4.5], [5],
+                         [[0, 1]], {"functions": 5}])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_merge_of_a_mutated_envelope_is_a_merge_or_a_value_error(two_shard_envelope, data):
+    """Up to three keys or items replaced or dropped anywhere: never another exception.
+
+    A mutation the merge never reads (a sweep description's name, a
+    replay's ``chunk_minutes``) may merge; anything else is refused with
+    a ``ValueError``, and a refused call leaves its input as it was.
+    """
+    envelope = two_shard_envelope
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        path = data.draw(st.sampled_from(list(_paths(envelope))))
+        junk = data.draw(_JUNK)
+        envelope = _replaced(envelope, path, junk if path or junk is not DELETE else None)
+    snapshot = copy.deepcopy(envelope)
+    try:
+        merged = merge_trace_shards(envelope)
+    except ValueError:
+        assert repr(envelope) == repr(snapshot)
+    else:
+        assert merged["schema"] == TRACE_MERGE_SCHEMA
+        assert merged["totals"]["functions"] == 24
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats(allow_nan=False)
+    | st.sampled_from(["fig9-at-scale", "x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["scenario", "replay", "params", "name", "population",
+                         "functions", "function_range", "minutes", "histogram"]),
+        inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(results=st.lists(_JSON, min_size=1, max_size=3))
+def test_merge_refuses_arbitrary_shard_results_with_a_value_error(two_shard_envelope, results):
+    """Shard results that are any small JSON value: refused, and only ever with ``ValueError``."""
+    envelope = dict(two_shard_envelope, results=results)
+    snapshot = copy.deepcopy(results)
+    with pytest.raises(ValueError):
+        merge_trace_shards(envelope)
+    assert repr(results) == repr(snapshot)
 
 
 def test_resume_over_a_journal_from_before_the_histogram_recomputes(tmp_path):
@@ -692,6 +925,27 @@ def test_cli_replay_byte_identical_across_workers(tmp_path):
     assert merged["schema"] == TRACE_MERGE_SCHEMA
     assert merged["totals"]["functions"] == 24
     assert merged["shard_count"] == 4
+
+
+def test_cli_replay_resume_over_a_corrupted_journal_exits_2(tmp_path, capsys):
+    """An ``ok`` record whose result the merge refuses: one line on stderr, exit 2, no output."""
+    from repro.cli import main
+
+    journal = tmp_path / "journal.jsonl"
+    args = ["replay", "--functions", "8", "--minutes", "4", "--shards", "2",
+            "--chunk-minutes", "3", "--journal", str(journal)]
+    assert main(args + ["-o", str(tmp_path / "first.json")]) == 0
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    ok = next(record for record in records if record["event"] == "ok")
+    ok["result"]["replay"]["function_range"] = 5
+    journal.write_text("".join(json.dumps(record) + "\n" for record in records))
+    capsys.readouterr()
+    resumed = tmp_path / "resumed.json"
+    assert main(args + ["--resume", "-o", str(resumed)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("replay merge refused: shard 'fig9-at-scale#")
+    assert "function_range" in err and err.count("\n") == 1
+    assert not resumed.exists()
 
 
 def test_cli_replay_usage_errors(tmp_path, capsys):
