@@ -113,8 +113,6 @@ class Container:
         self._current: Optional[Request] = None
         self._completion_event = None
         self.completed_requests = 0
-        self.busy_time = 0.0
-        self._busy_since: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Capacity / speed
@@ -210,11 +208,11 @@ class Container:
         """Shared terminate/evict teardown: stop work, release state, notify.
 
         Cancels the in-flight completion event, drops the running
-        request, closes the busy-time accounting, transitions to
-        ``TERMINATED`` and notifies the state observer.  ``drop_queued``
-        selects what happens to the FCFS queue: mark everything dropped
-        (orderly termination) or hand the requests back untouched, still
-        ``QUEUED`` (failure eviction).  Returns ``(dropped, salvaged)``.
+        request, transitions to ``TERMINATED`` and notifies the state
+        observer.  ``drop_queued`` selects what happens to the FCFS queue:
+        mark everything dropped (orderly termination) or hand the requests
+        back untouched, still ``QUEUED`` (failure eviction).  Returns
+        ``(dropped, salvaged)``.
         """
         if self.state == ContainerState.TERMINATED:
             return [], []
@@ -233,9 +231,6 @@ class Container:
                 request.mark_dropped(time)
             dropped.extend(salvaged)
             salvaged = []
-        if self._busy_since is not None:
-            self.busy_time += time - self._busy_since
-            self._busy_since = None
         self.state = ContainerState.TERMINATED
         self._notify_state()
         return dropped, salvaged
@@ -351,7 +346,6 @@ class Container:
         self._current = request
         cold = self.warm_since is not None and self.completed_requests == 0 and now == self.warm_since
         request.mark_running(now, self.container_id, self.node_name, cold_start=cold)
-        self._busy_since = now
         self._completion_event = engine.schedule(
             max(1e-9, request.work / self.speed), self._finish_current, engine, on_complete
         )
@@ -368,9 +362,6 @@ class Container:
         now = engine._now
         request.mark_completed(now)
         self.completed_requests += 1
-        if self._busy_since is not None:
-            self.busy_time += now - self._busy_since
-            self._busy_since = None
         self._current = None
         self._completion_event = None
         if on_complete is not None:
@@ -378,14 +369,6 @@ class Container:
         # whatever ``on_complete`` handed over has started on its own
         if self._queue and self.state in (ContainerState.WARM, ContainerState.DRAINING):
             self._try_start_next(engine, on_complete)
-
-    def utilization(self, now: float) -> float:
-        """Fraction of this container's lifetime spent executing requests."""
-        lifetime = max(1e-12, now - self.created_at)
-        busy = self.busy_time
-        if self._busy_since is not None:
-            busy += now - self._busy_since
-        return min(1.0, busy / lifetime)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         """Debugging summary of id, function, node, CPU, and state."""

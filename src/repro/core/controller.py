@@ -115,7 +115,6 @@ class _FunctionState:
     #: registration) or, without a profile, the configured default
     offline_service_rate: float = 10.0
     last_decision: Optional[ScalingDecision] = None
-    arrivals_this_epoch: int = 0
 
 
 class LassController(ControlPolicy):
@@ -209,7 +208,10 @@ class LassController(ControlPolicy):
                 self.config.long_window, self.config.short_window, self.config.burst_factor
             ),
             ewma=EwmaEstimator(self.config.ewma_alpha),
-            online_service=OnlineServiceTimeEstimator(),
+            # a reservoir only where _service_time_percentile can read it
+            online_service=OnlineServiceTimeEstimator(
+                max_samples_per_bucket=1024
+                if self.config.subtract_service_percentile and profile is None else 0),
             profile=profile,
             offline_service_rate=default_service_rate if profile is None else profile.service_rate(1.0),
         )
@@ -263,7 +265,6 @@ class LassController(ControlPolicy):
         if state is None:
             state = self._state(request.function_name)  # raises the descriptive KeyError
         state.rate_estimator.record_arrival(request.arrival_time)
-        state.arrivals_this_epoch += 1
         self.metrics.record_request(request)
 
         started = self.dispatcher.submit(request)
@@ -293,7 +294,7 @@ class LassController(ControlPolicy):
 
         Mirrors :meth:`dispatch` / :meth:`_record_completion` exactly:
         arrivals fold into the (lazily created) per-function rate
-        estimator and epoch counter, an arrival queued against an empty
+        estimator, an arrival queued against an empty
         function creates one container, and completions feed the online
         service-time estimator when online learning is enabled.
         """
@@ -301,9 +302,7 @@ class LassController(ControlPolicy):
 
         def fold_arrivals(name: str, times: List[float]) -> None:
             """Fold a batch of arrival times into one function's estimator state."""
-            state = self._state(name)
-            state.rate_estimator.record_arrivals_many(times)
-            state.arrivals_this_epoch += len(times)
+            self._state(name).rate_estimator.record_arrivals_many(times)
 
         def create_on_empty(name: str) -> None:
             """Bootstrap one container for a function that has none."""
@@ -397,7 +396,6 @@ class LassController(ControlPolicy):
             decisions[name] = decision
             state.last_decision = decision
             demands_cpu[name] = decision.desired_containers * state.deployment.cpu
-            state.arrivals_this_epoch = 0
 
         total_cpu = self.cluster.total_cpu
         overloaded = sum(demands_cpu.values()) > total_cpu + 1e-9

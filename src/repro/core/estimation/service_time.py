@@ -13,15 +13,18 @@ distribution(s) over time."
 times (and a distributional shape) per container size, interpolated for
 intermediate deflation levels.  :class:`OnlineServiceTimeEstimator` is
 the online path: it ingests ``(cpu_fraction, service_time)`` samples
-from completed requests and maintains running means and streaming
-quantiles per CPU bucket — noted at the completion, folded at the next
-read (see its pending-block contract).
+from completed requests and keeps a running mean per CPU bucket, plus
+a streaming-quantile reservoir where a learned percentile is read —
+noted at the completion, folded at the next read (see its pending-block
+contract).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -180,10 +183,12 @@ class OnlineServiceTimeEstimator:
     contribute to separate estimates, which is what the deflation policy
     needs (§5).
 
-    The default reservoir of 1024 samples per bucket keeps the mean and
-    the 95th/99th percentiles well within the noise floor of the
-    simulated service-time distributions while bounding the fill-phase
-    ``insort`` cost, which sits on the per-completion hot path.
+    Each bucket keeps a running ``[count, total]`` for the mean (so μ)
+    and, unless ``max_samples_per_bucket`` is ``0``, a reservoir of that
+    many samples for :meth:`percentile` (1–9 and negatives are refused).  The
+    controller asks for 1024 only where it reads a learned percentile —
+    the ``d − s_p`` wait budget of a function with no offline profile;
+    without a reservoir :meth:`percentile` answers the exponential prior.
 
     Pending-block contract: :meth:`observe` validates its arguments at the
     call and notes them; the block goes through :meth:`observe_many` —
@@ -198,6 +203,8 @@ class OnlineServiceTimeEstimator:
         """Configure the CPU-fraction bucketing and per-bucket reservoirs."""
         if not 0 < bucket_width <= 1:
             raise ValueError("bucket_width must be in (0, 1]")
+        if max_samples_per_bucket != 0 and not max_samples_per_bucket >= 10:
+            raise ValueError("max_samples_per_bucket must be 0 (no reservoir) or at least 10")
         self.bucket_width = float(bucket_width)
         self.max_samples_per_bucket = int(max_samples_per_bucket)
         self._folded_buckets: Dict[int, StreamingQuantile] = {}
@@ -268,7 +275,7 @@ class OnlineServiceTimeEstimator:
             if min(service_times) < 0 or math.isnan(sum(service_times)):
                 raise ValueError("service_time must be non-negative")
             key = int(round(min(1.0, first) / bucket_width))
-            groups = {key: list(service_times)}
+            groups = {key: service_times}
         else:
             groups = {}
             for cpu_fraction, service_time in zip(cpu_fractions, service_times):
@@ -282,18 +289,19 @@ class OnlineServiceTimeEstimator:
                     group = groups[key] = []
                 group.append(service_time)
         buckets, totals_of = self._buckets, self._totals  # older pending observations go first
+        size = self.max_samples_per_bucket
         for key, values in groups.items():
-            bucket = buckets.get(key)
-            if bucket is None:
-                bucket = buckets[key] = StreamingQuantile(self.max_samples_per_bucket)
-                totals_of[key] = [0, 0.0]
-            bucket.add_many(values)
-            totals = totals_of[key]
+            totals = totals_of.get(key)
+            if totals is None:
+                totals = totals_of[key] = [0, 0.0]
+            if size:
+                bucket = buckets.get(key)
+                if bucket is None:
+                    bucket = buckets[key] = StreamingQuantile(size)
+                bucket.add_many(values)
             totals[0] += len(values)
-            running = totals[1]
-            for value in values:
-                running += value
-            totals[1] = running
+            # the loop's left-to-right additions, made in C
+            totals[1] = reduce(operator.add, values, totals[1])
 
     def observations(self, cpu_fraction: float = 1.0) -> int:
         """Number of observations for the bucket containing ``cpu_fraction``."""

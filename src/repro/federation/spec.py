@@ -42,6 +42,18 @@ from repro.core.policy import validate_policy
 from repro.federation.router import validate_router
 
 
+def _is_count(value: Any) -> bool:
+    """True for a plain ``int`` (a JSON integer), never a ``bool`` or a float."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_number(value: Any, what: str) -> float:
+    """A finite ``int`` or ``float`` as a float; anything else a ValueError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SiteSpec:
     """One federated edge (or cloud) site.
@@ -66,13 +78,17 @@ class SiteSpec:
             raise ValueError("site name must be non-empty")
         if "->" in self.name:
             raise ValueError(f"site name {self.name!r} may not contain '->'")
-        if self.node_count < 1:
-            raise ValueError(f"site {self.name!r}: node_count must be >= 1")
-        if not 0 < self.cpu_per_node < math.inf:
+        if not _is_count(self.node_count) or self.node_count < 1:
+            raise ValueError(f"site {self.name!r}: node_count must be an int >= 1, got {self.node_count!r}")
+        for key in ("cpu_per_node", "memory_per_node_mb", "cold_start_latency"):
+            object.__setattr__(self, key, _finite_number(getattr(self, key), f"site {self.name!r}: {key}"))
+        if not isinstance(self.cloud, bool):
+            raise ValueError(f"site {self.name!r}: cloud must be true or false, got {self.cloud!r}")
+        if self.cpu_per_node <= 0:
             raise ValueError(f"site {self.name!r}: cpu_per_node must be positive")
-        if not 0 < self.memory_per_node_mb < math.inf:
+        if self.memory_per_node_mb <= 0:
             raise ValueError(f"site {self.name!r}: memory_per_node_mb must be positive")
-        if not 0 <= self.cold_start_latency < math.inf:
+        if self.cold_start_latency < 0:
             raise ValueError(f"site {self.name!r}: cold_start_latency must be >= 0")
         validate_policy(self.policy, self.policy_params)
         object.__setattr__(self, "policy_params", dict(self.policy_params))
@@ -104,16 +120,16 @@ class SiteSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SiteSpec":
-        """Rebuild from :meth:`to_dict` output."""
+        """Rebuild from :meth:`to_dict` output; a wrongly typed value is refused, not coerced."""
         return cls(
             name=data["name"],
-            node_count=int(data.get("node_count", 3)),
-            cpu_per_node=float(data.get("cpu_per_node", 4.0)),
-            memory_per_node_mb=float(data.get("memory_per_node_mb", 16 * 1024.0)),
-            cold_start_latency=float(data.get("cold_start_latency", 0.5)),
+            node_count=data.get("node_count", 3),
+            cpu_per_node=data.get("cpu_per_node", 4.0),
+            memory_per_node_mb=data.get("memory_per_node_mb", 16 * 1024.0),
+            cold_start_latency=data.get("cold_start_latency", 0.5),
             policy=data.get("policy", "lass"),
             policy_params=dict(data.get("policy_params", {})),
-            cloud=bool(data.get("cloud", False)),
+            cloud=data.get("cloud", False),
         )
 
 
@@ -174,6 +190,8 @@ class FederationSpec:
             raise ValueError(f"duplicate site names: {names}")
         object.__setattr__(self, "sites", sites)
         known = set(names)
+        for key in ("wan_latency", "probe_interval", "probe_backoff_base", "probe_backoff_cap"):
+            object.__setattr__(self, key, _finite_number(getattr(self, key), key))
         if not 0.0 <= self.wan_latency < math.inf:
             raise ValueError(f"wan_latency must be finite and >= 0, got {self.wan_latency}")
         overrides: Dict[str, float] = {}
@@ -186,8 +204,8 @@ class FederationSpec:
                 raise ValueError(f"wan_overrides key {key!r} names an unknown site")
             if a == b:
                 raise ValueError(f"wan_overrides key {key!r}: intra-site latency is fixed at 0")
-            value = float(value)
-            if not 0.0 <= value < math.inf:
+            value = _finite_number(value, f"wan_overrides[{key!r}]")
+            if not 0.0 <= value:
                 raise ValueError(f"wan_overrides[{key!r}] must be finite and >= 0")
             overrides[key] = value
         object.__setattr__(self, "wan_overrides", overrides)
@@ -204,8 +222,8 @@ class FederationSpec:
             raise ValueError("probe_backoff_base must be positive")
         if not self.probe_backoff_base <= self.probe_backoff_cap < math.inf:
             raise ValueError("probe_backoff_cap must be >= probe_backoff_base")
-        if not isinstance(self.max_redirects, int) or self.max_redirects < 0:
-            raise ValueError(f"max_redirects must be a non-negative int, got {self.max_redirects}")
+        if not _is_count(self.max_redirects) or self.max_redirects < 0:
+            raise ValueError(f"max_redirects must be a non-negative int, got {self.max_redirects!r}")
         router_params = dict(self.router_params)
         object.__setattr__(self, "router_params", router_params)
         validate_router(self.router, router_params)
@@ -287,18 +305,18 @@ class FederationSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FederationSpec":
-        """Rebuild (and re-validate) a federation from :meth:`to_dict` output."""
+        """Rebuild (and re-validate) a federation from :meth:`to_dict` output, coercing nothing."""
         return cls(
             sites=tuple(SiteSpec.from_dict(s) for s in data["sites"]),
             router=data.get("router", "nearest-site"),
             router_params=dict(data.get("router_params", {})),
-            wan_latency=float(data.get("wan_latency", 0.05)),
+            wan_latency=data.get("wan_latency", 0.05),
             wan_overrides=dict(data.get("wan_overrides", {})),
             origins=dict(data.get("origins", {})),
-            probe_interval=float(data.get("probe_interval", 5.0)),
-            probe_backoff_base=float(data.get("probe_backoff_base", 1.0)),
-            probe_backoff_cap=float(data.get("probe_backoff_cap", 8.0)),
-            max_redirects=int(data.get("max_redirects", 3)),
+            probe_interval=data.get("probe_interval", 5.0),
+            probe_backoff_base=data.get("probe_backoff_base", 1.0),
+            probe_backoff_cap=data.get("probe_backoff_cap", 8.0),
+            max_redirects=data.get("max_redirects", 3),
         )
 
 

@@ -5,9 +5,9 @@ A simulation run keeps every request and reduces its
 touches a run's waiting-time percentiles, and the trace replay keeps an
 exact histogram of its integer per-minute counts
 (:mod:`repro.scenarios.trace_shard`).  One consumer sees a stream it
-cannot store: the online service-time estimator, whose per-CPU-fraction
-buckets are bounded samples of the service times observed
-(:class:`~repro.core.estimation.service_time.StreamingQuantile`).
+cannot store: the online service-time estimator whose learned percentile
+the controller reads, its per-CPU-fraction buckets bounded samples of
+the service times (:class:`~repro.core.estimation.service_time.StreamingQuantile`).
 
 The sketch is :class:`ReservoirQuantiles` — a deterministic fixed-size
 reservoir (Vitter's algorithm R with a seeded stdlib RNG): constant

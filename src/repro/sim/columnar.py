@@ -160,8 +160,7 @@ class _Slot:
 
     __slots__ = (
         "container", "cid", "node_name", "speed", "weight", "key",
-        "cpu_fraction", "busy_fs", "busy_row", "busy_since",
-        "completed", "busy_time",
+        "cpu_fraction", "busy_fs", "busy_row", "completed",
     )
 
     def __init__(self, container: Any) -> None:
@@ -175,9 +174,7 @@ class _Slot:
         self.cpu_fraction = container.cpu_fraction
         self.busy_fs: Optional["_FnState"] = None
         self.busy_row = -1
-        self.busy_since = 0.0
         self.completed = container.completed_requests
-        self.busy_time = container.busy_time
 
     def __lt__(self, other: "_Slot") -> bool:
         """Order slots the way the dispatcher sorts idle candidates."""
@@ -518,7 +515,6 @@ class ColumnarKernel:
                         ct = comp[0][0]
                         slot.busy_fs = fs
                         slot.busy_row = i
-                        slot.busy_since = at
                         if has_live:
                             obj = fs.obj[i]
                             if obj is not None:
@@ -545,7 +541,6 @@ class ColumnarKernel:
                     i = slot.busy_row
                     fs.finish[i] = t
                     fs.status[i] = _COMPLETED
-                    slot.busy_time += t - slot.busy_since
                     slot.completed += 1
                     slot.busy_fs = None
                     if has_live:
@@ -575,7 +570,6 @@ class ColumnarKernel:
                         heappush(comp, (t + duration, next_seq(), slot))
                         slot.busy_fs = fs
                         slot.busy_row = j
-                        slot.busy_since = t
                         if has_live:
                             nxt = fs.obj[j]
                             if nxt is not None:
@@ -798,7 +792,6 @@ class ColumnarKernel:
                 obj.cold_start = bool(fs.cold[i])
                 container = slot.container
                 container._current = obj
-                container._busy_since = slot.busy_since
                 entries.append(
                     (finish, container._finish_current, (engine, completion_hook))
                 )
@@ -807,9 +800,7 @@ class ColumnarKernel:
                 slot.container._completion_event = event
         for fs in fns:
             for slot in fs.slots:
-                container = slot.container
-                container.completed_requests = slot.completed
-                container.busy_time = slot.busy_time
+                slot.container.completed_requests = slot.completed
         self.stats["rows_materialized"] += rows
 
     def _absorb(self, fns: List[_FnState]) -> None:
@@ -873,13 +864,8 @@ class ColumnarKernel:
                     container._completion_event = None
                     request = container._current
                     container._current = None
-                    busy_since = container._busy_since
-                    container._busy_since = None
                     slot = _Slot(container)
-                    busy_fs, busy_row = row_by_rid[request.request_id]
-                    slot.busy_fs = busy_fs
-                    slot.busy_row = busy_row
-                    slot.busy_since = busy_since
+                    slot.busy_fs, slot.busy_row = row_by_rid[request.request_id]
                     comp.append((finish, next_seq(), slot))
                     slots.append(slot)
                 elif container.is_dispatchable:

@@ -43,8 +43,8 @@ FRAMES_PER_REQUEST_CEILING = 31.8
 DURATION = 15.0
 
 
-def build_runner() -> SimulationRunner:
-    """The scenario, wired and ready to run."""
+def build_runner(data_plane: str = "event") -> SimulationRunner:
+    """The scenario, wired and ready to run (on the event plane unless told otherwise)."""
     return SimulationRunner(
         workloads=[
             WorkloadBinding(profile=replace(microbenchmark(0.05), name=f"fn-{i:02d}"),
@@ -55,7 +55,7 @@ def build_runner() -> SimulationRunner:
         controller_config=ControllerConfig(epoch_length=DURATION / 6.0),
         seed=7,
         warm_start_containers={f"fn-{i:02d}": 2 for i in range(8)},
-        data_plane="event",
+        data_plane=data_plane,
     )
 
 

@@ -178,15 +178,6 @@ class TestExecution:
         assert container.queue_length == 1
         assert not container.is_idle
 
-    def test_utilization_tracks_busy_time(self, engine):
-        container = make_container()
-        container.mark_warm(0.0)
-        container.submit(make_request(work=0.5), engine)
-        engine.run()
-        engine.schedule(0.5, lambda: None)
-        engine.run()
-        assert container.utilization(engine.now) == pytest.approx(0.5, abs=0.01)
-
     def test_completed_requests_counter(self, engine):
         container = make_container()
         container.mark_warm(0.0)

@@ -195,6 +195,68 @@ class TestFederationSpec:
         spec = FederationSpec.from_dict(_federation_dict(origins={}))
         assert spec.origin_of("anything") == "edge-a"
 
+    def test_integer_numbers_load_as_the_floats_they_were(self):
+        data = _federation_dict(wan_latency=0, probe_interval=5, wan_overrides={"edge-a->edge-b": 1})
+        data["sites"][0].update(cpu_per_node=4, memory_per_node_mb=16384, cold_start_latency=0)
+        spec = FederationSpec.from_dict(data)
+        assert canonical_json(spec.to_dict()) == canonical_json(
+            FederationSpec.from_dict(spec.to_dict()).to_dict())
+        assert type(spec.sites[0].cpu_per_node) is float and spec.sites[0].cpu_per_node == 4.0
+        assert type(spec.wan_latency) is float and spec.wan_overrides["edge-a->edge-b"] == 1.0
+
+
+#: (path into _federation_dict, value, what the refusal names): values the
+#: specs used to coerce — 2.5 nodes to 2, "false" to a cloud site, ...
+UNCOERCED_CASES = [
+    ("sites.1.node_count", 2.5, "'edge-b': node_count"),
+    ("sites.1.node_count", True, "'edge-b': node_count"),
+    ("sites.1.node_count", "2", "'edge-b': node_count"),
+    ("sites.1.cpu_per_node", "8", "'edge-b': cpu_per_node"),
+    ("sites.1.cpu_per_node", True, "'edge-b': cpu_per_node"),
+    ("sites.1.cpu_per_node", float("nan"), "'edge-b': cpu_per_node"),
+    ("sites.1.memory_per_node_mb", "16384", "'edge-b': memory_per_node_mb"),
+    ("sites.1.cold_start_latency", None, "'edge-b': cold_start_latency"),
+    ("sites.1.cloud", "false", "'edge-b': cloud"),
+    ("sites.1.cloud", 0, "'edge-b': cloud"),
+    ("max_redirects", 2.5, "max_redirects"),
+    ("max_redirects", True, "max_redirects"),
+    ("max_redirects", "3", "max_redirects"),
+    ("wan_latency", "0.05", "wan_latency"),
+    ("probe_interval", False, "probe_interval"),
+    ("probe_backoff_cap", float("inf"), "probe_backoff_cap"),
+    ("wan_overrides.edge-a->edge-b", "0.02", "wan_overrides"),
+]
+
+
+def _set_path(data, path, value):
+    """``data`` with the field at dotted ``path`` (ints index lists) set to ``value``."""
+    *parents, last = path.split(".")
+    node = data
+    for key in parents:
+        node = node[int(key)] if key.isdigit() else node[key]
+    node[last] = value
+    return data
+
+
+@pytest.mark.parametrize("path, value, named", UNCOERCED_CASES,
+                         ids=[f"{path}={value!r}" for path, value, _ in UNCOERCED_CASES])
+def test_a_federation_spec_refuses_what_it_used_to_coerce(path, value, named):
+    with pytest.raises(ValueError, match=named):
+        FederationSpec.from_dict(_set_path(_federation_dict(), path, value))
+
+
+def test_the_cli_refuses_a_string_cloud_flag(tmp_path, capsys):
+    import json
+
+    from repro.cli import main
+
+    data = _scenario_dict()
+    data["federation"]["sites"][1]["cloud"] = "false"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["scenario", str(spec_path)]) == 2
+    assert "'edge-b': cloud" in capsys.readouterr().err
+
 
 # ----------------------------------------------------------------------
 # Router registry

@@ -355,7 +355,9 @@ def test_observe_many_is_batch_split_invariant(observations, split):
 
     Covers both the mixed-bucket grouping path and the single-bucket
     fast path (hypothesis shrinks toward uniform cpu fractions), with
-    per-bucket reservoir RNG state compared exactly.
+    per-bucket reservoir RNG state compared exactly.  An estimator with
+    no reservoir (size 0) fed the same batches keeps the same counts
+    and totals, bit for bit, and no bucket sample at all.
     """
     from repro.core.estimation.service_time import OnlineServiceTimeEstimator
 
@@ -365,10 +367,13 @@ def test_observe_many_is_batch_split_invariant(observations, split):
         reference.observe(cpu_fraction, service_time)
 
     batched = OnlineServiceTimeEstimator(max_samples_per_bucket=16)
+    counting = OnlineServiceTimeEstimator(max_samples_per_bucket=0)
     for chunk in (observations[:split], observations[split:]):
-        batched.observe_many([cpu for cpu, _ in chunk],
-                             [service for _, service in chunk])
+        for estimator in (batched, counting):
+            estimator.observe_many([cpu for cpu, _ in chunk],
+                                   [service for _, service in chunk])
     assert _estimator_state(batched) == _estimator_state(reference)
+    assert _estimator_state(counting) == ({}, _estimator_state(reference)[1])
 
 
 _DELTAS = st.floats(min_value=0.0, max_value=12.0,
