@@ -5,7 +5,10 @@ OpenWhisk controller (§5, Figure 2b).  It owns:
 
 * the data path — every arriving request is recorded for rate
   estimation and dispatched straight to a container by weighted round
-  robin;
+  robin (the shared-queue path of
+  :class:`~repro.core.dispatch.SharedQueuePolicy`, with the rate windows
+  as its arrival folds and online service-time learning as its
+  completion folds);
 * the control path — once per epoch it estimates each function's
   arrival rate, sizes *all* registered functions in one batched call to
   the queueing-model solver
@@ -25,7 +28,7 @@ produces an immediate action plan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.cluster.cluster import EdgeCluster, FunctionDeployment
 from repro.cluster.container import Container, ContainerState
@@ -34,7 +37,7 @@ from repro.core.allocation.autoscaler import Autoscaler, ScalingDecision, Scalin
 from repro.core.queueing.solver import SizingSolver
 from repro.core.allocation.hierarchy import SchedulingTree
 from repro.core.allocation.placement import PlacementRequest, plan_placements
-from repro.core.dispatch import SharedQueueDispatcher
+from repro.core.dispatch import SharedQueuePolicy
 from repro.core.allocation.reclamation import (
     CreateAction,
     DeflateAction,
@@ -45,7 +48,6 @@ from repro.core.allocation.reclamation import (
     TerminateAction,
     TerminationPolicy,
 )
-from repro.core.policy import ControlPolicy
 from repro.core.estimation.ewma import EwmaEstimator
 from repro.core.estimation.service_time import OnlineServiceTimeEstimator, ServiceTimeProfile
 from repro.core.estimation.sliding_window import DualWindowRateEstimator
@@ -117,7 +119,7 @@ class _FunctionState:
     last_decision: Optional[ScalingDecision] = None
 
 
-class LassController(ControlPolicy):
+class LassController(SharedQueuePolicy):
     """The LaSS control plane for one edge cluster.
 
     Registered as the ``"lass"`` entry of the control-plane policy
@@ -146,6 +148,7 @@ class LassController(ControlPolicy):
     """
 
     name = "lass"
+    creates_on_empty = True
 
     def __init__(
         self,
@@ -158,12 +161,8 @@ class LassController(ControlPolicy):
         default_service_rates: Optional[Dict[str, float]] = None,
     ) -> None:
         """Wire the controller to the cluster and build its per-function state."""
-        self.engine = engine
-        self.cluster = cluster
+        super().__init__(engine, cluster, metrics)
         self.config = config or ControllerConfig()
-        self.metrics = metrics or MetricsCollector()
-        self.dispatcher = SharedQueueDispatcher(engine, on_complete=self._record_completion)
-        self.dispatcher.attach_cluster(cluster)
         self.balancer = self.dispatcher.balancer
         self.invokers = InvokerPool(cluster)
         self.solver = SizingSolver()
@@ -179,6 +178,8 @@ class LassController(ControlPolicy):
         #: voluntary scale-downs are suppressed until this simulation time
         #: (pushed forward by node failure/recovery notifications)
         self._suppress_reclamation_until = -float("inf")
+        self.arrival_folds = {}
+        self.completion_folds = {} if self.config.online_learning else None
 
         service_profiles = service_profiles or {}
         default_service_rates = default_service_rates or {}
@@ -188,7 +189,6 @@ class LassController(ControlPolicy):
                 profile=service_profiles.get(deployment.name),
                 default_service_rate=default_service_rates.get(deployment.name, 10.0),
             )
-        cluster.on_container_warm(self._on_container_warm)
 
     # ------------------------------------------------------------------
     # Registration / lifecycle
@@ -202,7 +202,7 @@ class LassController(ControlPolicy):
         """Register a deployed function with the controller."""
         if deployment.name in self._functions:
             return
-        self._functions[deployment.name] = _FunctionState(
+        state = self._functions[deployment.name] = _FunctionState(
             deployment=deployment,
             rate_estimator=DualWindowRateEstimator(
                 self.config.long_window, self.config.short_window, self.config.burst_factor
@@ -215,6 +215,9 @@ class LassController(ControlPolicy):
             profile=profile,
             offline_service_rate=default_service_rate if profile is None else profile.service_rate(1.0),
         )
+        self.arrival_folds[deployment.name] = state.rate_estimator
+        if self.completion_folds is not None:
+            self.completion_folds[deployment.name] = state.online_service
 
     def start(self) -> None:
         """Begin the periodic epoch loop and the faster rate-sampling loop."""
@@ -249,82 +252,9 @@ class LassController(ControlPolicy):
                 self._tree = SchedulingTree.two_level(users, functions, weights)
         return self._tree
 
-    # ------------------------------------------------------------------
-    # Data path
-    # ------------------------------------------------------------------
-    def dispatch(self, request: Request) -> None:
-        """Handle one arriving invocation request (the data path).
-
-        The arrival is recorded for rate estimation and the request is
-        handed to the shared-queue dispatcher: it starts immediately on an
-        idle container (chosen by weighted round robin, so deflated
-        containers take proportionally less of the load) or waits in the
-        function's FCFS queue until a container frees up or warms up.
-        """
-        state = self._functions.get(request.function_name)
-        if state is None:
-            state = self._state(request.function_name)  # raises the descriptive KeyError
-        state.rate_estimator.record_arrival(request.arrival_time)
-        self.metrics.record_request(request)
-
-        started = self.dispatcher.submit(request)
-        if not started and not self.cluster.has_containers(request.function_name):
-            # nothing exists yet for this function: get one container started
-            self._create_containers(request.function_name, 1)
-
-    def _on_container_warm(self, container: Container) -> None:
-        """A container finished cold start: drain its function's queue onto it."""
-        if container.function_name not in self._functions:
-            return
-        self.dispatcher.drain(container.function_name)
-
-    def _record_completion(self, request: Request, container: Container) -> None:
-        """Completion callback: metrics plus optional online service-time learning."""
-        self.metrics.record_completion(request)
-        if self.config.online_learning:
-            state = self._functions.get(request.function_name)
-            # the fields behind ``Request.service_time`` and ``Container.cpu_fraction``
-            start, completion = request.start_time, request.completion_time
-            if start is not None and completion is not None and state is not None:
-                state.online_service.observe(
-                    container.current_cpu / container.standard_cpu, completion - start)
-
-    def columnar_plan(self):
-        """LaSS's per-request work, described for the columnar kernel.
-
-        Mirrors :meth:`dispatch` / :meth:`_record_completion` exactly:
-        arrivals fold into the (lazily created) per-function rate
-        estimator, an arrival queued against an empty
-        function creates one container, and completions feed the online
-        service-time estimator when online learning is enabled.
-        """
-        from repro.sim.columnar import ColumnarPlan
-
-        def fold_arrivals(name: str, times: List[float]) -> None:
-            """Fold a batch of arrival times into one function's estimator state."""
-            self._state(name).rate_estimator.record_arrivals_many(times)
-
-        def create_on_empty(name: str) -> None:
-            """Bootstrap one container for a function that has none."""
-            self._create_containers(name, 1)
-
-        fold_completions = None
-        if self.config.online_learning:
-
-            def fold_completions(name: str, cpu_fractions: List[float],
-                                 service_times: List[float]) -> None:
-                """Feed a batch of completions into the online service-time estimator."""
-                state = self._functions.get(name)
-                if state is not None:
-                    state.online_service.observe_many(cpu_fractions, service_times)
-
-        return ColumnarPlan(
-            dispatcher=self.dispatcher,
-            collector=self.metrics,
-            fold_arrivals=fold_arrivals,
-            create_on_empty=create_on_empty,
-            fold_completions=fold_completions,
-        )
+    def _create_on_empty(self, name: str) -> None:
+        """Bootstrap a function's first container through the placement planner."""
+        self._create_containers(name, 1)
 
     # ------------------------------------------------------------------
     # Control path
@@ -371,7 +301,7 @@ class LassController(ControlPolicy):
             if decision.desired_containers > len(current):
                 self._scale_up(name, decision.desired_containers - len(current))
                 self.metrics.increment("reactive_scale_ups")
-        self._drain_all_queues()
+        self._drain_all()
         self.engine.schedule(
             self.config.rate_sample_interval,
             self._rate_tick,
@@ -411,17 +341,8 @@ class LassController(ControlPolicy):
 
         # any queued work that can start on the (possibly changed) container
         # set should start now rather than wait for the next completion
-        self._drain_all_queues()
-
-        snapshot = self._snapshot(now, overloaded, decisions)
-        self.metrics.record_epoch(snapshot)
-        return snapshot
-
-    def _drain_all_queues(self) -> None:
-        """Push queued requests onto any containers that can now take them."""
-        for name in self._functions:
-            if self.dispatcher.queue_length(name):
-                self.dispatcher.drain(name)
+        self._drain_all()
+        return self._record_epoch(self._epoch_stats(decisions), overloaded)
 
     # -- model-driven decision per function ----------------------------
     def _scaling_query(self, name: str, state: _FunctionState, now: float) -> ScalingQuery:
@@ -624,7 +545,7 @@ class LassController(ControlPolicy):
                 self.metrics.increment("creations")
 
     # -- fault path (driven by repro.faults.injector) --------------------
-    def on_node_failed(self, node_name: str, salvaged: List[Request]) -> None:
+    def on_node_failed(self, node_name: str, salvaged: Sequence[Request]) -> None:
         """React to a node failure: requeue survivors, replace lost capacity.
 
         Called by the fault injector *after* the cluster evicted the
@@ -636,7 +557,7 @@ class LassController(ControlPolicy):
         epoch cadence — and opens a grace window during which voluntary
         reclamation is suppressed.
         """
-        self.dispatcher.requeue(salvaged)
+        self._requeue_salvaged(salvaged)
         self._suppress_reclamation_until = (
             self.engine.now + self.config.fault_recovery_grace
         )
@@ -658,9 +579,9 @@ class LassController(ControlPolicy):
         self._replace_lost_capacity()
 
     def on_container_crashed(self, container: Container,
-                             salvaged: List[Request]) -> None:
+                             salvaged: Sequence[Request]) -> None:
         """React to a single-container crash (crash-on-dispatch faults)."""
-        self.dispatcher.requeue(salvaged)
+        self._requeue_salvaged(salvaged)
         self._replace_lost_capacity()
 
     def _replace_lost_capacity(self) -> None:
@@ -681,7 +602,7 @@ class LassController(ControlPolicy):
             live = self.cluster.containers_of(name, include_draining=False)
             if desired > len(live):
                 self._scale_up(name, desired - len(live))
-        self._drain_all_queues()
+        self._drain_all()
 
     def _terminate(self, container_id: str) -> None:
         """Terminate one container by id (immediately, not lazily)."""
@@ -704,7 +625,7 @@ class LassController(ControlPolicy):
         try:
             return self._functions[name]
         except KeyError:
-            raise KeyError(f"function {name!r} is not registered with the controller") from None
+            raise self._unregistered(name) from None
 
     def last_decision(self, name: str) -> Optional[ScalingDecision]:
         """The most recent scaling decision for a function."""
@@ -714,10 +635,8 @@ class LassController(ControlPolicy):
         """Per-function guaranteed CPU shares implied by the scheduling tree."""
         return self.scheduling_tree.guaranteed_shares(self.cluster.total_cpu)
 
-    def _snapshot(
-        self, now: float, overloaded: bool, decisions: Dict[str, ScalingDecision]
-    ) -> EpochSnapshot:
-        """Build the epoch snapshot recorded into the metrics timeline."""
+    def _epoch_stats(self, decisions: Dict[str, ScalingDecision]) -> Dict[str, FunctionEpochStats]:
+        """The per-function rows of the epoch snapshot recorded into the metrics timeline."""
         functions: Dict[str, FunctionEpochStats] = {}
         for name, decision in decisions.items():
             live = self.cluster.containers_of(name, include_draining=False)
@@ -729,13 +648,7 @@ class LassController(ControlPolicy):
                 arrival_rate_estimate=decision.arrival_rate,
                 service_rate_estimate=decision.service_rate,
             )
-        return EpochSnapshot(
-            time=now,
-            overloaded=overloaded,
-            total_cpu=self.cluster.total_cpu,
-            allocated_cpu=self.cluster.cpu_allocated,
-            functions=functions,
-        )
+        return functions
 
 
 __all__ = ["LassController", "ControllerConfig", "ReclamationPolicy"]

@@ -45,15 +45,27 @@ The index is the only source of candidates: a dispatcher that was never
 attached (nor given a container through
 :meth:`SharedQueueDispatcher.watch_container`) sees no containers and
 queues everything.
+
+One data path, many policies
+----------------------------
+In LaSS's prototype every allocation policy sits behind this data path;
+only the sizing decision differs (paper §3–5).  :class:`SharedQueuePolicy`
+is that split: it owns the dispatcher, the arrival and completion
+records, the warm-up drain and the create-one-on-empty bootstrap, and
+describes the same per-function hooks to the columnar kernel
+(:meth:`SharedQueuePolicy.columnar_plan`), so a policy that subclasses
+it writes its control loop and nothing of the data path.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Any, Callable, ClassVar, Deque, Dict, List, Optional, Sequence
 
 from repro.cluster.container import Container, ContainerState
 from repro.cluster.loadbalancer import WeightedRoundRobinBalancer
+from repro.core.policy import ControlPolicy
+from repro.metrics.collector import EpochSnapshot, FunctionEpochStats, MetricsCollector
 from repro.sim.engine import SimulationEngine
 from repro.sim.request import Request, RequestStatus
 
@@ -252,4 +264,166 @@ class SharedQueueDispatcher:
         self._on_container_state(container)
 
 
-__all__ = ["SharedQueueDispatcher"]
+class SharedQueuePolicy(ControlPolicy):
+    """A control policy behind the shared-queue data path.
+
+    The base wires a :class:`SharedQueueDispatcher` to the cluster, and
+    its :meth:`dispatch`, completion callback and warm hook are the whole
+    per-request path; :meth:`columnar_plan` describes the same hooks to
+    the columnar kernel.  A subclass declares only what differs:
+
+    ``arrival_folds``
+        Function name → the estimator each arrival is folded into
+        (``record_arrival(t)`` here, ``record_arrivals_many(times)`` in
+        the kernel), or ``None`` for a policy that keeps no per-arrival
+        state.  When it is a mapping, an arrival of a function missing
+        from it is a ``KeyError``.
+    ``completion_folds``
+        Function name → the estimator each completion is folded into
+        (``observe(cpu_fraction, service_time)`` /
+        ``observe_many(cpu_fractions, service_times)``), or ``None``.
+    ``creates_on_empty``
+        Whether an arrival that queues against a function with no
+        container gets one created (:meth:`_create_on_empty`).
+
+    and its control loop (:meth:`start`, :meth:`run_epoch`, fault hooks).
+    """
+
+    #: create one container when an arrival queues against a function with none
+    creates_on_empty: ClassVar[bool] = False
+
+    arrival_folds: Optional[Dict[str, Any]] = None
+    completion_folds: Optional[Dict[str, Any]] = None
+
+    def __init__(self, engine: SimulationEngine, cluster: Any,
+                 metrics: Optional[MetricsCollector] = None) -> None:
+        """Attach the shared-queue data path to the cluster."""
+        self.engine = engine
+        self.cluster = cluster
+        self.metrics = metrics or MetricsCollector()
+        self.dispatcher = SharedQueueDispatcher(engine, on_complete=self._on_request_complete)
+        self.dispatcher.attach_cluster(cluster)
+        cluster.on_container_warm(self._on_container_warm)
+
+    # -- data path (event plane) ----------------------------------------
+    def dispatch(self, request: Request) -> None:
+        """Fold and record the arrival, then start it on an idle container or queue it."""
+        folds = self.arrival_folds
+        if folds is not None:
+            estimator = folds.get(request.function_name)
+            if estimator is None:
+                raise self._unregistered(request.function_name)
+            estimator.record_arrival(request.arrival_time)
+        self.metrics.record_request(request)
+        if (not self.dispatcher.submit(request) and self.creates_on_empty
+                and not self.cluster.has_containers(request.function_name)):
+            self._create_on_empty(request.function_name)
+
+    def _on_container_warm(self, container: Container) -> None:
+        """A container finished cold start: drain its function's queue onto it."""
+        self.dispatcher.drain(container.function_name)
+
+    def _on_request_complete(self, request: Request, container: Container) -> None:
+        """Completion callback: record it, and fold its service time where learned."""
+        self.metrics.record_completion(request)
+        folds = self.completion_folds
+        if folds is not None:
+            estimator = folds.get(request.function_name)
+            # the fields behind ``Request.service_time`` and ``Container.cpu_fraction``
+            start, completion = request.start_time, request.completion_time
+            if estimator is not None and start is not None and completion is not None:
+                estimator.observe(container.current_cpu / container.standard_cpu,
+                                  completion - start)
+
+    @staticmethod
+    def _unregistered(name: str) -> KeyError:
+        """The error for an arrival of a function the policy does not track."""
+        return KeyError(f"function {name!r} is not registered with the controller")
+
+    # -- data path (columnar kernel) ------------------------------------
+    def columnar_plan(self):
+        """The data path above, as the kernel's batch hooks over the same estimators."""
+        from repro.sim.columnar import ColumnarPlan
+
+        arrivals, completions = self.arrival_folds, self.completion_folds
+        fold_arrivals = fold_completions = None
+        if arrivals is not None:
+
+            def fold_arrivals(name: str, times: Sequence[float]) -> None:
+                """Fold a batch of one function's arrival times."""
+                estimator = arrivals.get(name)
+                if estimator is None:
+                    raise self._unregistered(name)
+                estimator.record_arrivals_many(times)
+
+        if completions is not None:
+
+            def fold_completions(name: str, cpu_fractions: Sequence[float],
+                                 service_times: Sequence[float]) -> None:
+                """Fold a batch of one function's completions."""
+                estimator = completions.get(name)
+                if estimator is not None:
+                    estimator.observe_many(cpu_fractions, service_times)
+
+        return ColumnarPlan(
+            dispatcher=self.dispatcher,
+            collector=self.metrics,
+            fold_arrivals=fold_arrivals,
+            create_on_empty=self._create_on_empty if self.creates_on_empty else None,
+            fold_completions=fold_completions,
+        )
+
+    # -- what control loops share ---------------------------------------
+    def _create_on_empty(self, name: str) -> None:
+        """Bootstrap one container for a function that queued a request and has none."""
+        self._create(name, 1)
+
+    def _create(self, name: str, count: int) -> None:
+        """Create up to ``count`` standard containers, capacity permitting."""
+        deployment = self.cluster.deployment(name)
+        for _ in range(count):
+            node = self.cluster.find_node_for(deployment.cpu, deployment.memory_mb)
+            if node is None:
+                return
+            self.cluster.create_container(name, node=node)
+            self.metrics.increment("creations")
+
+    def _drain_all(self) -> None:
+        """Push queued requests onto any containers that can now take them."""
+        for name in self.cluster.function_names:
+            if self.dispatcher.queue_length(name):
+                self.dispatcher.drain(name)
+
+    def _record_epoch(self, functions: Dict[str, FunctionEpochStats],
+                      overloaded: bool = False) -> EpochSnapshot:
+        """Record (and return) one timeline snapshot of the cluster."""
+        snapshot = EpochSnapshot(
+            time=self.engine.now,
+            overloaded=overloaded,
+            total_cpu=self.cluster.total_cpu,
+            allocated_cpu=self.cluster.cpu_allocated,
+            functions=functions,
+        )
+        self.metrics.record_epoch(snapshot)
+        return snapshot
+
+    # -- fault hooks ----------------------------------------------------
+    def on_node_failed(self, node_name: str, salvaged: Sequence[Request]) -> None:
+        """React to a node failure; default: requeue the salvaged requests."""
+        self._requeue_salvaged(salvaged)
+
+    def on_container_crashed(self, container: Container, salvaged: Sequence[Request]) -> None:
+        """React to a container crash; default: requeue the salvaged requests."""
+        self._requeue_salvaged(salvaged)
+
+    def _requeue_salvaged(self, salvaged: Sequence[Request]) -> None:
+        """Put rescued still-queued requests back at the head of the shared queue."""
+        if salvaged:
+            self.dispatcher.requeue(salvaged)
+
+    def set_dispatch_interceptor(self, interceptor: Callable[[Request, Container], bool]) -> None:
+        """Install the crash-on-dispatch interceptor at the dispatcher's choke point."""
+        self.dispatcher.interceptor = interceptor
+
+
+__all__ = ["SharedQueueDispatcher", "SharedQueuePolicy"]

@@ -21,8 +21,10 @@ contract).
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
+import random
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -30,7 +32,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.queueing.distributions import Exponential, ServiceTimeDistribution
-from repro.metrics.streaming import ReservoirQuantiles
 
 #: Most completions :meth:`OnlineServiceTimeEstimator.observe` holds back
 #: before folding them itself: a memory bound for runs that never read the
@@ -119,45 +120,82 @@ class ServiceTimeProfile:
         return self.distribution.scaled(scale)
 
 
-class StreamingQuantile(ReservoirQuantiles):
-    """A reservoir-based streaming quantile estimator that validates what it is fed.
+class StreamingQuantile:
+    """A bounded, deterministic reservoir of observations with quantile queries.
 
-    The reservoir is :class:`~repro.metrics.streaming.ReservoirQuantiles`
-    (one acceptance rule and one RNG contract for both); this class adds
-    the checks an estimator fed from outside needs — every observation a
-    non-negative number, and a rejected call leaves the state as it found
-    it — and refuses quantile queries before the first observation.  For
-    the request volumes in these experiments (thousands to hundreds of
-    thousands) the reservoir is effectively exact; the bound exists so
-    that memory stays constant in very long runs.
+    Vitter's algorithm R with a seeded stdlib RNG: every observation is
+    kept while the reservoir fills; afterwards observation ``n`` replaces
+    a random resident with probability ``k/n``.  The sample stays sorted,
+    so a quantile is one interpolation, and an atom (the exact zeros of
+    idle-container hits) keeps its true mass, which marker-based
+    estimators such as P² cannot cross.  For the request volumes in these
+    experiments (thousands to hundreds of thousands) the reservoir is
+    effectively exact; the bound keeps memory constant in very long runs.
+
+    Every observation must be a non-negative number; a rejected call
+    leaves the state as it found it.  :meth:`add_many` is :meth:`add`'s
+    bulk form, not a second algorithm: no RNG draw while the reservoir
+    fills, then one ``random()`` per observation for the accept test and
+    a second, for the evicted slot, only when it is accepted.  Samples,
+    count and RNG state end as ``add`` once per element leaves them,
+    however the stream is cut into batches (a hypothesis property in
+    ``tests/test_metrics.py``), so the two may be mixed on one reservoir.
     """
 
-    __slots__ = ()
+    __slots__ = ("max_samples", "_sorted", "_count", "_rng")
 
     def __init__(self, max_samples: int = 4096, seed: int = 17) -> None:
         """Configure the reservoir size and its deterministic RNG seed."""
-        super().__init__(max_samples, seed)
+        if max_samples < 10:
+            raise ValueError("max_samples must be at least 10")
+        self.max_samples = int(max_samples)
+        self._sorted: List[float] = []
+        self._count = 0
+        self._rng = random.Random(seed)
+
+    @property
+    def count(self) -> int:
+        """Total observations seen (not the reservoir size)."""
+        return self._count
 
     def add(self, value: float) -> None:
         """Add one observation."""
         value = float(value)
         if math.isnan(value) or value < 0:
             raise ValueError("observations must be non-negative numbers")
-        super().add(value)
+        self._count += 1
+        if len(self._sorted) < self.max_samples:
+            bisect.insort(self._sorted, value)
+        elif self._rng.random() * self._count < self.max_samples:
+            self._sorted.pop(int(self._rng.random() * len(self._sorted)))
+            bisect.insort(self._sorted, value)
 
     def add_many(self, values: Iterable[float]) -> None:
-        """Add a batch of observations, state-for-state identical to ``add``.
+        """Add a batch of observations, state for state what :meth:`add` on each leaves.
 
-        The whole batch is validated before any of it is folded, so a
-        rejected batch changes nothing; what passes goes through the
-        reservoir's bulk fill and draw loop, whose samples, count and RNG
-        consumption are :meth:`add`'s per element.
+        The whole batch is validated before any of it is folded.  While
+        the reservoir fills, the batch is appended and sorted once.
         """
         values = [float(value) for value in values]
         # a NaN can hide a negative from min() but never itself from sum()
         if values and (min(values) < 0 or math.isnan(sum(values))):
             raise ValueError("observations must be non-negative numbers")
-        super().add_many(values)
+        samples = self._sorted
+        size = self.max_samples
+        room = size - len(samples)
+        if room > 0:
+            samples.extend(values[:room])
+            samples.sort()
+            self._count += min(room, len(values))
+            values = values[room:]
+        count = self._count
+        draw = self._rng.random
+        for value in values:
+            count += 1
+            if draw() * count < size:
+                samples.pop(int(draw() * size))
+                bisect.insort(samples, value)
+        self._count = count
 
     def quantile(self, q: float) -> float:
         """The ``q``-th quantile of the observations seen so far."""

@@ -20,6 +20,10 @@ The lifecycle contract
     The data path: handle one arriving invocation (route it to a
     container or queue it).  Every policy must record the request in its
     metrics collector so waiting-time/SLO accounting works uniformly.
+    Every built-in policy but vanilla OpenWhisk inherits it from
+    :class:`~repro.core.dispatch.SharedQueuePolicy`, the paper's one data
+    path (a shared FCFS queue per function feeding idle containers by
+    weighted round robin), and writes only its control loop.
 ``run_epoch()``
     One synchronous control-loop pass (optional; the default is a
     no-op).  Exposed so tests and ablations can step the control plane
@@ -28,13 +32,19 @@ The lifecycle contract
     / ``on_container_crashed(container, salvaged)``
     The fault hooks driven by :class:`~repro.faults.injector.FaultInjector`.
     ``salvaged`` are still-``QUEUED`` requests rescued from evicted
-    containers; the default implementation requeues them at the head of
-    the policy's shared-queue dispatcher (policies without one override).
+    containers; the defaults here do nothing, and
+    :class:`~repro.core.dispatch.SharedQueuePolicy` requeues them at the
+    head of its shared queue.
 ``set_dispatch_interceptor(fn)``
     Install the fault injector's crash-on-dispatch interceptor at the
-    policy's dispatch choke point.  The default wires it to
-    ``self.dispatcher``; policies with a bespoke data path (vanilla
-    OpenWhisk) override, and policies with no choke point at all raise.
+    policy's dispatch choke point.  The default raises (no choke point);
+    a shared-queue policy wires it to its dispatcher, and vanilla
+    OpenWhisk to its own submission point.
+``columnar_plan()``
+    What lets the columnar kernel stand in for the policy's data path, or
+    ``None`` (the default: the run stays on the event plane).  Only
+    :class:`~repro.core.dispatch.SharedQueuePolicy` publishes one, derived
+    from the same hooks its event-plane data path calls.
 ``control_stats()``
     What the control path cost on this host — epochs ticked, wall-clock
     p50 / p95 of ``run_epoch``, the sizing solver's counters — or
@@ -92,19 +102,14 @@ class ControlPolicy(abc.ABC):
 
     Concrete policies must implement :meth:`start` and :meth:`dispatch`;
     the remaining lifecycle methods have safe defaults documented in the
-    module docstring.  Policies that use a
-    :class:`~repro.core.dispatch.SharedQueueDispatcher` should store it
-    on ``self.dispatcher`` so the default fault hooks and interceptor
-    wiring work unchanged.
+    module docstring.  A policy over the shared-queue data path
+    subclasses :class:`~repro.core.dispatch.SharedQueuePolicy` instead,
+    which implements :meth:`dispatch` and the dispatcher-backed hooks.
     """
 
     #: Registry name of the policy class (informational; the registry's
     #: descriptor name is authoritative).
     name: ClassVar[str] = ""
-
-    #: The policy's shared-queue dispatcher, when it has one.  Used by
-    #: the default fault hooks (requeue) and interceptor wiring.
-    dispatcher: Optional[Any] = None
 
     #: The policy's own :class:`~repro.core.queueing.solver.SizingSolver`,
     #: when it has one (its counters are reported by :meth:`control_stats`).
@@ -152,20 +157,13 @@ class ControlPolicy(abc.ABC):
 
     # -- fault hooks (driven by repro.faults.injector) ------------------
     def on_node_failed(self, node_name: str, salvaged: Sequence[Any]) -> None:
-        """React to a node failure; default: requeue the salvaged requests."""
-        self._requeue_salvaged(salvaged)
+        """React to a node failure (default: nothing)."""
 
     def on_node_recovered(self, node_name: str) -> None:
         """React to a node recovery; default: nothing (capacity returns as room)."""
 
     def on_container_crashed(self, container: Any, salvaged: Sequence[Any]) -> None:
-        """React to a container crash; default: requeue the salvaged requests."""
-        self._requeue_salvaged(salvaged)
-
-    def _requeue_salvaged(self, salvaged: Sequence[Any]) -> None:
-        """Put rescued still-queued requests back at the head of the shared queue."""
-        if self.dispatcher is not None and salvaged:
-            self.dispatcher.requeue(salvaged)
+        """React to a container crash (default: nothing)."""
 
     def set_dispatch_interceptor(
         self, interceptor: Callable[[Any, Any], bool]
@@ -174,33 +172,21 @@ class ControlPolicy(abc.ABC):
 
         The interceptor is called with ``(request, container)`` for every
         request handed to a container and returns ``False`` when it
-        disposed of the request (container crashed).  Policies without a
-        shared-queue dispatcher must override this (or crash faults
-        cannot target them).
+        disposed of the request (container crashed).  A policy without a
+        choke point refuses, so crash faults cannot silently miss it.
         """
-        if self.dispatcher is None:
-            raise ValueError(
-                f"policy {type(self).__name__} has no dispatch choke point; "
-                "crash-on-dispatch faults are not supported for it"
-            )
-        self.dispatcher.interceptor = interceptor
+        raise ValueError(
+            f"policy {type(self).__name__} has no dispatch choke point; "
+            "crash-on-dispatch faults are not supported for it"
+        )
 
     # -- columnar data plane -------------------------------------------
     def columnar_plan(self) -> Optional[Any]:
-        """Describe this policy's data path to the columnar kernel, or ``None``.
+        """This policy's data path for the columnar kernel; ``None`` keeps the event plane.
 
-        A policy whose per-request work fits the
-        :class:`~repro.sim.columnar.ColumnarPlan` contract (fold
-        arrivals, shared-queue dispatch, create-one-when-empty,
-        per-completion observation) returns a plan and the
-        ``data_plane="columnar"`` runner executes its requests in the
-        vectorized kernel.  Returning a plan also asserts that the
-        policy's container-warm hook does nothing but
-        ``dispatcher.drain(container.function_name)``: the kernel
-        synchronizes only that function around a warm-up.  The default
-        ``None`` keeps the event-level path — correct for any policy
-        with a bespoke data path or a richer warm hook (e.g. the
-        OpenWhisk compatibility policy).
+        :class:`~repro.core.dispatch.SharedQueuePolicy` is the only
+        policy shape the kernel can stand in for (see
+        :class:`~repro.sim.columnar.ColumnarPlan`).
         """
         return None
 

@@ -26,7 +26,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "WaitingTimeSummary",
     ),
     "repro.metrics.slo": ("SloReport", "slo_report"),
-    "repro.metrics.streaming": ("ReservoirQuantiles",),
     "repro.metrics.utilization": ("UtilizationTracker", "time_weighted_mean"),
     "repro.metrics.timeline": ("AllocationTimeline", "TimelinePoint"),
 })
@@ -35,7 +34,6 @@ __all__ = [
     "AvailabilityTracker",
     "RecoveryRecord",
     "MetricsCollector",
-    "ReservoirQuantiles",
     "EpochSnapshot",
     "FunctionEpochStats",
     "percentile",

@@ -23,8 +23,9 @@ on staircase workloads.
 
 This policy is deliberately implemented *outside* the core package,
 using only the public registry API (:func:`repro.core.policy.register_policy`),
-the shared dispatcher, and the public autoscaler — the shape of a
-third-party policy contribution.
+the shared-queue data path (:class:`~repro.core.dispatch.SharedQueuePolicy`,
+with the rate windows as its arrival folds), and the public autoscaler —
+the shape of a third-party policy contribution.
 """
 
 from __future__ import annotations
@@ -36,18 +37,12 @@ from typing import Any, Dict, Mapping, Optional
 from repro.cluster.cluster import EdgeCluster
 from repro.cluster.container import Container
 from repro.core.allocation.autoscaler import Autoscaler
-from repro.core.dispatch import SharedQueueDispatcher
+from repro.core.dispatch import SharedQueuePolicy
 from repro.core.estimation.service_time import ServiceTimeProfile
 from repro.core.estimation.sliding_window import DualWindowRateEstimator
-from repro.core.policy import (
-    ControlPolicy,
-    PolicyContext,
-    config_from_params,
-    register_policy,
-)
-from repro.metrics.collector import EpochSnapshot, FunctionEpochStats, MetricsCollector
+from repro.core.policy import PolicyContext, config_from_params, register_policy
+from repro.metrics.collector import FunctionEpochStats, MetricsCollector
 from repro.sim.engine import SimulationEngine
-from repro.sim.request import Request
 
 
 @dataclass
@@ -85,10 +80,11 @@ class HybridPolicyConfig:
             raise ValueError("scale_down_patience must be >= 1")
 
 
-class HybridPolicy(ControlPolicy):
+class HybridPolicy(SharedQueuePolicy):
     """Reactive scale-up, model-floored scale-down (see the module docstring)."""
 
     name = "hybrid"
+    creates_on_empty = True
 
     def __init__(
         self,
@@ -99,26 +95,22 @@ class HybridPolicy(ControlPolicy):
         service_profiles: Optional[Mapping[str, ServiceTimeProfile]] = None,
         default_service_rates: Optional[Mapping[str, float]] = None,
     ) -> None:
-        """Wire the data path and the per-function estimators."""
-        self.engine = engine
-        self.cluster = cluster
+        """Wire the data path and the per-function rate windows."""
+        super().__init__(engine, cluster, metrics)
         self.config = config or HybridPolicyConfig()
-        self.metrics = metrics or MetricsCollector()
-        self.dispatcher = SharedQueueDispatcher(engine, on_complete=self._on_request_complete)
-        self.dispatcher.attach_cluster(cluster)
         self.autoscaler = Autoscaler(percentile=self.config.percentile)
         self._profiles = dict(service_profiles or {})
         self._default_rates = dict(default_service_rates or {})
-        self._rates: Dict[str, DualWindowRateEstimator] = {}
         self._smoothed_concurrency: Dict[str, float] = {}
         self._shrink_streak: Dict[str, int] = {}
         self._started = False
-        cluster.on_container_warm(self._on_container_warm)
-        for deployment in cluster.deployments:
-            self._rates[deployment.name] = DualWindowRateEstimator(
+        self.arrival_folds: Dict[str, DualWindowRateEstimator] = {
+            deployment.name: DualWindowRateEstimator(
                 self.config.long_window, self.config.short_window,
                 self.config.burst_factor,
             )
+            for deployment in cluster.deployments
+        }
 
     def start(self) -> None:
         """Begin the periodic evaluation loop."""
@@ -128,55 +120,6 @@ class HybridPolicy(ControlPolicy):
         self.engine.schedule(
             self.config.evaluation_interval, self._evaluate,
             priority=SimulationEngine.PRIORITY_CONTROL,
-        )
-
-    # ------------------------------------------------------------------
-    # Data path
-    # ------------------------------------------------------------------
-    def dispatch(self, request: Request) -> None:
-        """Record the arrival (rate window + metrics) and dispatch/queue it."""
-        estimator = self._rates.get(request.function_name)
-        if estimator is not None:
-            estimator.record_arrival(request.arrival_time)
-        self.metrics.record_request(request)
-        started = self.dispatcher.submit(request)
-        if not started and not self.cluster.has_containers(request.function_name):
-            self._create(request.function_name, 1)
-
-    def _on_container_warm(self, container: Container) -> None:
-        """A container finished cold start: drain its function's queue onto it."""
-        self.dispatcher.drain(container.function_name)
-
-    def _on_request_complete(self, request: Request, container: Container) -> None:
-        """Completion callback: record the completion in the metrics."""
-        self.metrics.record_completion(request)
-
-    def columnar_plan(self):
-        """The hybrid data path, described for the columnar kernel.
-
-        Mirrors :meth:`dispatch` / :meth:`_on_request_complete`: fold
-        arrivals into the per-function rate windows, create one
-        container when a request queues against an empty function; the
-        completion side is pure metrics (handled by the kernel's
-        collector folds).
-        """
-        from repro.sim.columnar import ColumnarPlan
-
-        def fold_arrivals(name: str, times) -> None:
-            """Fold a batch of arrival times into the function's rate windows."""
-            estimator = self._rates.get(name)
-            if estimator is not None:
-                estimator.record_arrivals_many(times)
-
-        def create_on_empty(name: str) -> None:
-            """Bootstrap one container for a function that has none."""
-            self._create(name, 1)
-
-        return ColumnarPlan(
-            dispatcher=self.dispatcher,
-            collector=self.metrics,
-            fold_arrivals=fold_arrivals,
-            create_on_empty=create_on_empty,
         )
 
     def _service_rate(self, name: str) -> float:
@@ -219,19 +162,24 @@ class HybridPolicy(ControlPolicy):
             reactive = math.ceil(smoothed / self.config.target_concurrency)
 
             # model half: the SLO floor at the current estimated rate
-            observation = self._rates[name].estimate(now)
+            observation = self.arrival_folds[name].estimate(now)
             floor = 0
             rate = observation.rate
             if rate > 0:
-                decision = self.autoscaler.desired_containers(
-                    function_name=name,
-                    arrival_rate=rate,
-                    service_rate=self._service_rate(name),
-                    slo_deadline=deployment.slo_deadline or 1.0,
-                    current_containers=len(live),
-                    min_containers=deployment.min_containers,
-                )
-                floor = decision.desired_containers
+                try:
+                    floor = self.autoscaler.desired_containers(
+                        function_name=name,
+                        arrival_rate=rate,
+                        service_rate=self._service_rate(name),
+                        slo_deadline=deployment.slo_deadline or 1.0,
+                        current_containers=len(live),
+                        min_containers=deployment.min_containers,
+                    ).desired_containers
+                except ValueError:
+                    # no fleet the solver may size meets the SLO at this estimate
+                    # (a fault hook estimating at the instant of the first
+                    # arrival reads 1e9/s): the floor is the policy's cap
+                    floor = self.config.max_containers
 
             desired = min(self.config.max_containers, max(reactive, floor))
             if desired > len(live):
@@ -258,25 +206,7 @@ class HybridPolicy(ControlPolicy):
                 arrival_rate_estimate=rate,
                 service_rate_estimate=self._service_rate(name),
             )
-        self.metrics.record_epoch(
-            EpochSnapshot(
-                time=now,
-                overloaded=False,
-                total_cpu=self.cluster.total_cpu,
-                allocated_cpu=self.cluster.cpu_allocated,
-                functions=snapshot_fns,
-            )
-        )
-
-    def _create(self, name: str, count: int) -> None:
-        """Create up to ``count`` new containers, capacity permitting."""
-        deployment = self.cluster.deployment(name)
-        for _ in range(count):
-            node = self.cluster.find_node_for(deployment.cpu, deployment.memory_mb)
-            if node is None:
-                return
-            self.cluster.create_container(name, node=node)
-            self.metrics.increment("creations")
+        self._record_epoch(snapshot_fns)
 
     # ------------------------------------------------------------------
     # Fault hooks
@@ -297,12 +227,6 @@ class HybridPolicy(ControlPolicy):
         self._requeue_salvaged(salvaged)
         self._evaluate_once()
         self._drain_all()
-
-    def _drain_all(self) -> None:
-        """Push queued requests onto any containers that can now take them."""
-        for deployment in self.cluster.deployments:
-            if self.dispatcher.queue_length(deployment.name):
-                self.dispatcher.drain(deployment.name)
 
 
 def _validate_hybrid_params(params) -> None:

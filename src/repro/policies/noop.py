@@ -9,65 +9,28 @@ scaling of any kind — containers are whatever the harness created
 (``warm_start`` prewarming, or explicit ``create_container`` calls).
 
 The event stream it produces is byte-identical to the disabled-LaSS
-construction it replaces: both attach the same
-:class:`~repro.core.dispatch.SharedQueueDispatcher` to the cluster,
-record arrivals/completions into the same collector, and never schedule
-a control event.
+construction it replaces: both run the data path of
+:class:`~repro.core.dispatch.SharedQueuePolicy` (this one with no
+arrival or completion folds and no create-on-empty), record
+arrivals/completions into the same collector, and never schedule a
+control event.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from repro.cluster.cluster import EdgeCluster
-from repro.cluster.container import Container
-from repro.core.dispatch import SharedQueueDispatcher
-from repro.core.policy import ControlPolicy, PolicyContext, register_policy
-from repro.metrics.collector import MetricsCollector
-from repro.sim.engine import SimulationEngine
-from repro.sim.request import Request
+from repro.core.dispatch import SharedQueuePolicy
+from repro.core.policy import PolicyContext, register_policy
 
 
-class NoOpPolicy(ControlPolicy):
+class NoOpPolicy(SharedQueuePolicy):
     """Pure dispatch over a fixed fleet: no control loop, no scaling."""
 
     name = "noop"
 
-    def __init__(
-        self,
-        engine: SimulationEngine,
-        cluster: EdgeCluster,
-        metrics: Optional[MetricsCollector] = None,
-    ) -> None:
-        """Attach the shared-queue data path to the cluster."""
-        self.engine = engine
-        self.cluster = cluster
-        self.metrics = metrics or MetricsCollector()
-        self.dispatcher = SharedQueueDispatcher(engine, on_complete=self._on_request_complete)
-        self.dispatcher.attach_cluster(cluster)
-        cluster.on_container_warm(self._on_container_warm)
-
     def start(self) -> None:
         """Nothing to start: the policy schedules no control events."""
-
-    def dispatch(self, request: Request) -> None:
-        """Record the arrival and hand it to the shared-queue dispatcher."""
-        self.metrics.record_request(request)
-        self.dispatcher.submit(request)
-
-    def _on_container_warm(self, container: Container) -> None:
-        """A container finished cold start: drain its function's queue onto it."""
-        self.dispatcher.drain(container.function_name)
-
-    def _on_request_complete(self, request: Request, container: Container) -> None:
-        """Completion callback: record the completion in the metrics."""
-        self.metrics.record_completion(request)
-
-    def columnar_plan(self):
-        """Pure dispatch + metrics: the minimal columnar plan."""
-        from repro.sim.columnar import ColumnarPlan
-
-        return ColumnarPlan(dispatcher=self.dispatcher, collector=self.metrics)
 
 
 def _no_params(params) -> None:

@@ -21,17 +21,10 @@ from typing import Any, Dict, Optional
 import math
 
 from repro.cluster.cluster import EdgeCluster
-from repro.cluster.container import Container
-from repro.core.dispatch import SharedQueueDispatcher
-from repro.core.policy import (
-    ControlPolicy,
-    PolicyContext,
-    config_from_params,
-    register_policy,
-)
-from repro.metrics.collector import EpochSnapshot, FunctionEpochStats, MetricsCollector
+from repro.core.dispatch import SharedQueuePolicy
+from repro.core.policy import PolicyContext, config_from_params, register_policy
+from repro.metrics.collector import FunctionEpochStats, MetricsCollector
 from repro.sim.engine import SimulationEngine
-from repro.sim.request import Request
 
 
 @dataclass
@@ -57,10 +50,11 @@ class ReactiveControllerConfig:
             raise ValueError("smoothing must be in (0, 1]")
 
 
-class ConcurrencyAutoscaler(ControlPolicy):
+class ConcurrencyAutoscaler(SharedQueuePolicy):
     """Reactive controller: scale to ``ceil(concurrency / target)`` containers."""
 
     name = "reactive"
+    creates_on_empty = True
 
     def __init__(
         self,
@@ -70,15 +64,10 @@ class ConcurrencyAutoscaler(ControlPolicy):
         metrics: Optional[MetricsCollector] = None,
     ) -> None:
         """Wire the autoscaler to the engine, cluster, and metrics sink."""
-        self.engine = engine
-        self.cluster = cluster
+        super().__init__(engine, cluster, metrics)
         self.config = config or ReactiveControllerConfig()
-        self.metrics = metrics or MetricsCollector()
-        self.dispatcher = SharedQueueDispatcher(engine, on_complete=self._on_request_complete)
-        self.dispatcher.attach_cluster(cluster)
         self._smoothed_concurrency: Dict[str, float] = {}
         self._started = False
-        cluster.on_container_warm(self._on_container_warm)
 
     def start(self) -> None:
         """Begin the periodic evaluation loop."""
@@ -88,43 +77,6 @@ class ConcurrencyAutoscaler(ControlPolicy):
         self.engine.schedule(
             self.config.evaluation_interval, self._evaluate,
             priority=SimulationEngine.PRIORITY_CONTROL,
-        )
-
-    # ------------------------------------------------------------------
-    # Data path (same WRR dispatch as LaSS)
-    # ------------------------------------------------------------------
-    def dispatch(self, request: Request) -> None:
-        """Route a request to an idle container or queue it; cold-start the first container."""
-        self.metrics.record_request(request)
-        started = self.dispatcher.submit(request)
-        if not started and not self.cluster.containers_of(request.function_name):
-            self._create(request.function_name, 1)
-
-    def _on_container_warm(self, container: Container) -> None:
-        """A container finished cold start: drain queued requests onto it."""
-        self.dispatcher.drain(container.function_name)
-
-    def _on_request_complete(self, request: Request, container: Container) -> None:
-        """Completion callback: record the completion in the metrics."""
-        self.metrics.record_completion(request)
-
-    def columnar_plan(self):
-        """The reactive data path, described for the columnar kernel.
-
-        Mirrors :meth:`dispatch`: no per-arrival estimator state, create
-        one container when a request queues against an empty function,
-        completions are pure metrics.
-        """
-        from repro.sim.columnar import ColumnarPlan
-
-        def create_on_empty(name: str) -> None:
-            """Bootstrap one container for a function that has none."""
-            self._create(name, 1)
-
-        return ColumnarPlan(
-            dispatcher=self.dispatcher,
-            collector=self.metrics,
-            create_on_empty=create_on_empty,
         )
 
     # ------------------------------------------------------------------
@@ -167,16 +119,6 @@ class ConcurrencyAutoscaler(ControlPolicy):
                         self.metrics.increment("terminations")
         self._snapshot()
 
-    def _create(self, name: str, count: int) -> None:
-        """Create up to ``count`` new containers, capacity permitting."""
-        deployment = self.cluster.deployment(name)
-        for _ in range(count):
-            node = self.cluster.find_node_for(deployment.cpu, deployment.memory_mb)
-            if node is None:
-                return
-            self.cluster.create_container(name, node=node)
-            self.metrics.increment("creations")
-
     def _snapshot(self) -> None:
         """Record a per-function epoch snapshot for the timeline metrics."""
         functions: Dict[str, FunctionEpochStats] = {}
@@ -190,15 +132,7 @@ class ConcurrencyAutoscaler(ControlPolicy):
                 arrival_rate_estimate=self._smoothed_concurrency.get(deployment.name, 0.0),
                 service_rate_estimate=0.0,
             )
-        self.metrics.record_epoch(
-            EpochSnapshot(
-                time=self.engine.now,
-                overloaded=False,
-                total_cpu=self.cluster.total_cpu,
-                allocated_cpu=self.cluster.cpu_allocated,
-                functions=functions,
-            )
-        )
+        self._record_epoch(functions)
 
 
 def _validate_reactive_params(params) -> None:

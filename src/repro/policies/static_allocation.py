@@ -18,14 +18,14 @@ from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.cluster.cluster import EdgeCluster
 from repro.cluster.container import Container
-from repro.core.dispatch import SharedQueueDispatcher
-from repro.core.policy import ControlPolicy, PolicyContext, register_policy
-from repro.metrics.collector import EpochSnapshot, FunctionEpochStats, MetricsCollector
+from repro.core.dispatch import SharedQueuePolicy
+from repro.core.policy import PolicyContext, register_policy
+from repro.metrics.collector import FunctionEpochStats, MetricsCollector
 from repro.sim.engine import SimulationEngine
 from repro.sim.request import Request
 
 
-class StaticAllocationController(ControlPolicy):
+class StaticAllocationController(SharedQueuePolicy):
     """Dispatches with WRR over a fixed, pre-created container allocation.
 
     Parameters
@@ -45,17 +45,12 @@ class StaticAllocationController(ControlPolicy):
         snapshot_interval: float = 10.0,
     ) -> None:
         """Wire the controller to the engine, cluster, and metrics sink."""
-        self.engine = engine
-        self.cluster = cluster
         self.allocations = {name: int(count) for name, count in allocations.items()}
         if any(count < 0 for count in self.allocations.values()):
             raise ValueError("allocations must be non-negative")
-        self.metrics = metrics or MetricsCollector()
-        self.dispatcher = SharedQueueDispatcher(engine, on_complete=self._on_request_complete)
-        self.dispatcher.attach_cluster(cluster)
+        super().__init__(engine, cluster, metrics)
         self.snapshot_interval = float(snapshot_interval)
         self._started = False
-        cluster.on_container_warm(self._on_container_warm)
 
     def start(self) -> None:
         """Create the fixed allocation and begin periodic snapshotting."""
@@ -71,25 +66,6 @@ class StaticAllocationController(ControlPolicy):
             priority=SimulationEngine.PRIORITY_CONTROL,
         )
 
-    def dispatch(self, request: Request) -> None:
-        """Route one request to an idle container or queue it (shared FCFS queue)."""
-        self.metrics.record_request(request)
-        self.dispatcher.submit(request)
-
-    def _on_container_warm(self, container: Container) -> None:
-        """A container finished cold start: drain queued requests onto it."""
-        self.dispatcher.drain(container.function_name)
-
-    def _on_request_complete(self, request: Request, container: Container) -> None:
-        """Completion callback: record the completion in the metrics."""
-        self.metrics.record_completion(request)
-
-    def columnar_plan(self):
-        """Pure dispatch + metrics over the fixed fleet: the minimal plan."""
-        from repro.sim.columnar import ColumnarPlan
-
-        return ColumnarPlan(dispatcher=self.dispatcher, collector=self.metrics)
-
     # ------------------------------------------------------------------
     # Fault hooks: restore the provisioned allocation
     # ------------------------------------------------------------------
@@ -97,13 +73,8 @@ class StaticAllocationController(ControlPolicy):
         """Recreate containers lost to faults, up to the fixed allocation."""
         for name, count in self.allocations.items():
             missing = count - len(self.cluster.containers_of(name))
-            for _ in range(missing):
-                deployment = self.cluster.deployment(name)
-                node = self.cluster.find_node_for(deployment.cpu, deployment.memory_mb)
-                if node is None:
-                    break
-                self.cluster.create_container(name, node=node)
-                self.metrics.increment("creations")
+            if missing > 0:
+                self._create(name, missing)
 
     def on_node_failed(self, node_name: str, salvaged: Sequence[Request]) -> None:
         """Requeue the salvaged requests and re-provision toward the allocation."""
@@ -136,15 +107,7 @@ class StaticAllocationController(ControlPolicy):
                 arrival_rate_estimate=0.0,
                 service_rate_estimate=0.0,
             )
-        self.metrics.record_epoch(
-            EpochSnapshot(
-                time=self.engine.now,
-                overloaded=False,
-                total_cpu=self.cluster.total_cpu,
-                allocated_cpu=self.cluster.cpu_allocated,
-                functions=functions,
-            )
-        )
+        self._record_epoch(functions)
         self.engine.schedule(
             self.snapshot_interval, self._snapshot_tick,
             priority=SimulationEngine.PRIORITY_CONTROL,

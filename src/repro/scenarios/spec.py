@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Tuple
 from repro.core.allocation.reclamation import ReclamationPolicy
 from repro.core.policy import validate_policy
 from repro.faults.spec import FaultSpec
-from repro.federation.spec import FederationSpec
+from repro.federation.spec import FederationSpec, _is_count
 from repro.workloads.schedules import (
     RampSchedule,
     RateSchedule,
@@ -114,6 +114,12 @@ def canonical_json(obj: Any) -> str:
 def _finite_positive(value: float) -> bool:
     """True for a finite number above zero (False for NaN and ±inf)."""
     return math.isfinite(value) and value > 0
+
+
+def _is_finite_number(value: Any) -> bool:
+    """True for a finite real number that is not a ``bool`` (nor a str, nor NaN)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _validate_trace_replay_params(params: Mapping[str, Any]) -> None:
@@ -371,6 +377,19 @@ class ClusterSpec:
     cold_start_latency: float = 0.5
     resize_latency: float = 0.0
 
+    def __post_init__(self) -> None:
+        """Refuse sizes a run would crash on or misreport, naming the field."""
+        if not _is_count(self.node_count) or self.node_count < 1:
+            raise ValueError(f"cluster.node_count must be an int >= 1; got {self.node_count!r}")
+        for name in ("cpu_per_node", "memory_per_node_mb"):
+            value = getattr(self, name)
+            if not _is_finite_number(value) or value <= 0:
+                raise ValueError(f"cluster.{name} must be a finite number > 0; got {value!r}")
+        for name in ("cold_start_latency", "resize_latency"):
+            value = getattr(self, name)
+            if not _is_finite_number(value) or value < 0:
+                raise ValueError(f"cluster.{name} must be a finite number >= 0; got {value!r}")
+
     def build(self) -> ClusterConfig:
         """Instantiate the live :class:`ClusterConfig`."""
         from repro.cluster.cluster import ClusterConfig
@@ -524,8 +543,9 @@ class AllocationSpec:
         """Validate the containers/sizing choice and freeze the plan."""
         if (self.containers is None) == (self.sizing is None):
             raise ValueError("exactly one of containers / sizing must be set")
-        if self.containers is not None and self.containers < 1:
-            raise ValueError("containers must be >= 1")
+        if self.containers is not None and (not _is_count(self.containers)
+                                            or self.containers < 1):
+            raise ValueError(f"containers must be an int >= 1; got {self.containers!r}")
         if self.sizing is not None:
             sizing = dict(self.sizing)
             model = sizing.get("model")
@@ -661,6 +681,10 @@ class ScenarioSpec:
             raise ValueError("duration must be positive and finite")
         if not (math.isfinite(self.warmup) and self.warmup >= 0):
             raise ValueError("warmup must be non-negative and finite")
+        if not _is_finite_number(self.extra_drain) or self.extra_drain < 0:
+            raise ValueError(f"extra_drain must be a finite number >= 0; got {self.extra_drain!r}")
+        if not _is_count(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int; got {self.seed!r}")
         if self.kind in SIMULATION_KINDS and not self.workloads:
             raise ValueError(f"kind {self.kind!r} requires at least one workload")
         if self.kind == "fixed":
@@ -673,6 +697,12 @@ class ScenarioSpec:
         names = [w.function for w in self.workloads]
         if len(set(names)) != len(names):
             raise ValueError("duplicate function names in workloads")
+        for function, count in dict(self.warm_start).items():
+            if function not in names:
+                raise ValueError(f"warm_start names unknown function {function!r}")
+            if not _is_count(count) or count < 0:
+                raise ValueError(
+                    f"warm_start[{function!r}] must be a non-negative int; got {count!r}")
         unknown = [m for m in self.metrics if m not in KNOWN_METRICS]
         if unknown:
             raise ValueError(f"unknown metrics {unknown}; valid: {KNOWN_METRICS}")
@@ -801,12 +831,15 @@ class ScenarioSpec:
             allocation=AllocationSpec.from_dict(allocation) if allocation else None,
             duration=float(data.get("duration", 300.0)),
             warmup=float(data.get("warmup", 0.0)),
-            seed=int(data.get("seed", 1)),
+            seed=data.get("seed", 1),
             user_weights=data.get("user_weights"),
             warm_start=data.get("warm_start", {}),
             metrics=tuple(data.get("metrics", ("waiting", "slo", "utilization", "counters"))),
             params=data.get("params", {}),
-            extra_drain=float(data.get("extra_drain", 5.0)),
+            # a JSON integer loads as the float it echoes as; anything else
+            # reaches the constructor as written, to be refused by name
+            extra_drain=(float(data["extra_drain"]) if _is_finite_number(data.get("extra_drain"))
+                         else data.get("extra_drain", 5.0)),
             faults=(FaultSpec.from_dict(data["faults"])
                     if data.get("faults") is not None else None),
             federation=(FederationSpec.from_dict(data["federation"])

@@ -58,7 +58,7 @@ import numpy as np
 # forked workers inherit the sizing chain instead of importing it again.
 from repro.core.queueing.solver import SizingSolver
 from repro.scenarios.runner import ScenarioOutcome, _envelope
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, _is_count
 from repro.scenarios.sweep import SWEEP_RESULT_SCHEMA
 from repro.workloads.stream import (
     iter_azure_trace_chunks,
@@ -169,11 +169,6 @@ def _shard_key(result: Mapping[str, Any]) -> Tuple[int, int]:
 _REPLAY_COUNTS = ("functions", "sporadic_functions", "minutes", "invocations",
                   "zero_minutes", "overload_minutes", "peak_per_minute",
                   "containers")
-
-
-def _is_count(value: Any) -> bool:
-    """True for a plain ``int`` (a JSON integer), never a ``bool`` or a float."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _shard_name(position: int, result: Any) -> str:

@@ -76,10 +76,11 @@ Fallback conditions
 the event-level plane, saying so in
 :attr:`~repro.simulation.SimulationResult.fallback_reason` — when the
 policy has no ``columnar_plan`` method, when it does not publish a
-:class:`ColumnarPlan` (e.g. the OpenWhisk compatibility policy), when
-the dispatcher is not attached to the cluster, or when an unknown
-dispatch interceptor is installed (only the fault injector's
-crash-on-dispatch hook is understood).
+:class:`ColumnarPlan` (every policy that is not a
+:class:`~repro.core.dispatch.SharedQueuePolicy`: today only the
+OpenWhisk compatibility policy), when the dispatcher is not attached to
+the cluster, or when an unknown dispatch interceptor is installed (only
+the fault injector's crash-on-dispatch hook is understood).
 """
 
 from __future__ import annotations
@@ -116,18 +117,24 @@ _DROPPED = 4    #: dropped or timed out (faults)
 class ColumnarPlan:
     """What a control-plane policy exposes so the kernel can stand in for it.
 
-    A policy that returns a plan from
-    :meth:`~repro.core.policy.ControlPolicy.columnar_plan` asserts that
-    its per-request ``dispatch``/completion work is exactly: fold the
-    arrival into ``fold_arrivals`` state, count it in the collector,
-    submit through the shared-queue dispatcher, create one container
-    when the function has none (``create_on_empty``), and observe
-    completions via ``fold_completions`` — which is precisely what the
-    kernel replays columnar.  It also asserts that its container-warm
-    hook does nothing but ``dispatcher.drain(container.function_name)``:
-    the kernel synchronizes only that function's state around a warm-up
-    (see "Boundary scopes" in the module docstring).  Policies with
-    richer per-request or warm hooks must return ``None`` and keep the
+    A plan says that the policy's per-request ``dispatch``/completion
+    work is exactly: fold the arrival into ``fold_arrivals`` state, count
+    it in the collector, submit through the shared-queue dispatcher,
+    create one container when the function has none
+    (``create_on_empty``), and observe completions via
+    ``fold_completions`` — which is precisely what the kernel replays
+    columnar — and that its container-warm hook does nothing but
+    ``dispatcher.drain(container.function_name)``: the kernel
+    synchronizes only that function's state around a warm-up (see
+    "Boundary scopes" in the module docstring).
+
+    :class:`~repro.core.dispatch.SharedQueuePolicy` is the one place that
+    holds a policy to this: its event-plane ``dispatch``, completion
+    callback and warm hook are that data path, and its ``columnar_plan``
+    builds the plan from the same per-function estimators (the scalar
+    ``record_arrival`` / ``observe`` there, the batch
+    ``record_arrivals_many`` / ``observe_many`` here), so the two cannot
+    drift apart.  Every other policy keeps the default ``None`` and the
     event-level path.
     """
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.table import COMPLETED, RequestTable
@@ -233,16 +233,43 @@ def test_random_workloads_byte_for_byte(rate, duration, seed, policy):
     assert_planes_identical(spec)
 
 
+#: Every registered policy that runs the shared-queue data path (all but
+#: OpenWhisk; ``test_policies.py`` holds the registry to that).
+SHARED_QUEUE_POLICIES = ("lass", "hybrid", "reactive", "static", "noop")
+
+
+def test_the_faulted_property_samples_every_shared_queue_policy():
+    from repro.core.policy import policy_names
+
+    assert set(SHARED_QUEUE_POLICIES) == set(policy_names()) - {"openwhisk"}
+
+
 @given(
     crash_probability=st.floats(min_value=0.0, max_value=0.2),
     rate=st.floats(min_value=4.0, max_value=25.0),
     seed=st.integers(min_value=0, max_value=2**16),
+    policy=st.sampled_from(SHARED_QUEUE_POLICIES),
 )
+# every policy at least once: crash hooks, requeues and the interceptor are
+# the base's, but each policy's recovery pass reacts to them differently
+@example(crash_probability=0.1, rate=20.0, seed=23, policy="lass")
+@example(crash_probability=0.1, rate=20.0, seed=23, policy="hybrid")
+@example(crash_probability=0.1, rate=20.0, seed=23, policy="reactive")
+@example(crash_probability=0.1, rate=20.0, seed=23, policy="static")
+@example(crash_probability=0.1, rate=20.0, seed=23, policy="noop")
+# a crash on the first dispatch: hybrid's recovery pass sized its model floor
+# at a 1e9/s start-up estimate, and the solver's refusal ended the run
+@example(crash_probability=0.125, rate=4.0, seed=1, policy="hybrid")
 @SIM_PROPERTY_SETTINGS
-def test_random_faulted_workloads_byte_for_byte(crash_probability, rate, seed):
-    """Crash-on-dispatch consumes fault RNG identically in both planes."""
-    spec = build("flaky-containers", crash_probability=crash_probability,
-                 rate=rate, duration=45.0, seed=seed)
+def test_random_faulted_workloads_byte_for_byte(crash_probability, rate, seed, policy):
+    """Crash-on-dispatch consumes fault RNG identically in both planes, under every policy."""
+    overrides = {"controller.policy": policy}
+    if policy == "static":
+        overrides["controller.policy_params"] = {"allocations": {"squeezenet": 4}}
+    spec = apply_overrides(
+        build("flaky-containers", crash_probability=crash_probability,
+              rate=rate, duration=45.0, seed=seed), overrides
+    )
     assert_planes_identical(spec)
 
 

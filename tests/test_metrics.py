@@ -15,7 +15,7 @@ from repro.metrics.percentiles import (
 )
 from repro.metrics.percentiles import WaitingTimeSummary
 from repro.metrics.slo import SloReport, overall_attainment, slo_report
-from repro.metrics.streaming import ReservoirQuantiles
+from repro.core.estimation.service_time import StreamingQuantile
 from repro.metrics.table import RequestTable
 from repro.metrics.timeline import TimelinePoint
 from repro.metrics.utilization import UtilizationTracker, time_weighted_mean
@@ -265,34 +265,35 @@ class TestStreamingPercentiles:
         # >50% of simulated waits are exactly zero (idle-container hits); the
         # quantile sketch must not get stranded below the true p95 the way a
         # marker-based (P²) estimator does on such an atom
-        from repro.metrics.streaming import ReservoirQuantiles
-
         rng = np.random.default_rng(13)
         positives = rng.exponential(1.0, 5_000)
         waits = np.concatenate([np.zeros(6_000), positives])
         rng.shuffle(waits)
-        sketch = ReservoirQuantiles(16384)
+        sketch = StreamingQuantile(16384, seed=2029)
         sketch.add_many(waits.tolist())
         exact95 = float(np.quantile(waits, 0.95))
         assert sketch.quantile(0.95) == pytest.approx(exact95, rel=0.15)
         assert sketch.quantile(0.5) == 0.0
 
     def test_reservoir_quantiles_validation(self):
-        from repro.metrics.streaming import ReservoirQuantiles
-
         with pytest.raises(ValueError):
-            ReservoirQuantiles(max_samples=5)
-        sketch = ReservoirQuantiles()
-        assert sketch.quantile(0.5) == 0.0  # empty sketch
+            StreamingQuantile(max_samples=5)
+        sketch = StreamingQuantile()
+        with pytest.raises(ValueError, match="no observations yet"):
+            sketch.quantile(0.5)  # empty sketch
+        with pytest.raises(ValueError, match="no observations yet"):
+            sketch.mean
+        sketch.add_many([1.0, 3.0])
+        assert sketch.mean == 2.0
         with pytest.raises(ValueError):
             sketch.quantile(1.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            sketch.add(-1.0)
 
     def test_reservoir_quantiles_match_exact_ones(self):
-        from repro.metrics.streaming import ReservoirQuantiles
-
         rng = np.random.default_rng(7)
         waits = rng.exponential(0.05, 20_000)
-        sketch = ReservoirQuantiles(16384)
+        sketch = StreamingQuantile(16384, seed=2029)
         sketch.add_many(waits.tolist())
         assert sketch.count == waits.size
         assert sketch.quantile(0.95) == pytest.approx(float(np.quantile(waits, 0.95)), rel=0.05)
@@ -579,7 +580,7 @@ class TestTablePathEqualsObjectLoops:
 
 
 # ----------------------------------------------------------------------
-# ReservoirQuantiles.add_many ≡ add, the contract StreamingQuantile rests on
+# StreamingQuantile.add_many ≡ add, the service-time reservoir's batch contract
 # ----------------------------------------------------------------------
 def _reservoir(sketch):
     """A sketch's retained samples and count: everything a quantile query reads."""
@@ -628,11 +629,11 @@ def test_add_many_equals_add_loop(values, max_samples, cuts):
     ``max_samples``, or straddle it, and both agree with an independent
     reference on a sampled (overflowed) sketch.
     """
-    one_by_one = ReservoirQuantiles(max_samples=max_samples)
+    one_by_one = StreamingQuantile(max_samples=max_samples, seed=2029)
     for value in values:
         one_by_one.add(value)
 
-    batched = ReservoirQuantiles(max_samples=max_samples)
+    batched = StreamingQuantile(max_samples=max_samples, seed=2029)
     edges = [0] + sorted(min(c, len(values)) for c in cuts) + [len(values)]
     for lo, hi in zip(edges, edges[1:]):
         batched.add_many(values[lo:hi])
@@ -641,11 +642,11 @@ def test_add_many_equals_add_loop(values, max_samples, cuts):
     assert _reservoir(batched) == _reservoir(one_by_one)
     assert batched._rng.getstate() == one_by_one._rng.getstate()
     assert batched.count == len(values)
-    for p in (0.5, 0.95, 0.99):
+    for p in (0.5, 0.95, 0.99) if values else ():  # an empty reservoir answers no quantile
         assert batched.quantile(p) == one_by_one.quantile(p)
 
     # the cut that lands exactly on the fill boundary, every example
-    at_boundary = ReservoirQuantiles(max_samples=max_samples)
+    at_boundary = StreamingQuantile(max_samples=max_samples, seed=2029)
     at_boundary.add_many(values[:max_samples])
     at_boundary.add_many(values[max_samples:])
     assert _reservoir(at_boundary) == _reservoir(one_by_one)
@@ -659,10 +660,10 @@ def test_add_many_equals_add_loop(values, max_samples, cuts):
 def test_add_many_accepts_any_iterable_and_interleaves_with_add():
     """A generator is consumed once; ``add`` and ``add_many`` share one stream."""
     values = [float(v % 7) for v in range(200)]
-    reference = ReservoirQuantiles(max_samples=16)
+    reference = StreamingQuantile(max_samples=16, seed=2029)
     for value in values:
         reference.add(value)
-    mixed = ReservoirQuantiles(max_samples=16)
+    mixed = StreamingQuantile(max_samples=16, seed=2029)
     mixed.add_many(v for v in values[:5])
     mixed.add(values[5])
     mixed.add_many(iter(values[6:150]))

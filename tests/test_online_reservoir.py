@@ -61,8 +61,10 @@ class _Recording:
 def test_the_default_scenario_keeps_no_reservoir(plane):
     runner = build_runner(data_plane=plane)
     states = runner.policy._functions
-    for state in states.values():
-        state.online_service = _Recording(state.online_service)
+    for name, state in states.items():
+        # the policy folds completions into the estimator its completion_folds name
+        state.online_service = runner.policy.completion_folds[name] = _Recording(
+            state.online_service)
     result = runner.run(DURATION)
     assert result.data_plane_used == plane
 

@@ -384,3 +384,88 @@ class TestBaselineShims:
                     NoOpPolicy, StaticAllocationController,
                     VanillaOpenWhiskController):
             assert issubclass(cls, ControlPolicy)
+
+
+class TestOneSharedQueueDataPath:
+    """Every policy but OpenWhisk runs one data path, written once."""
+
+    #: what the data path is made of: a policy that defines one of these
+    #: writes its own dispatch (or its columnar replica of it) again
+    DATA_PATH = ("dispatch", "columnar_plan", "_on_container_warm",
+                 "_on_request_complete", "_create")
+
+    @staticmethod
+    def _built(name):
+        from repro.simulation import SimulationRunner
+        from repro.workloads import StaticRate, WorkloadBinding, get_function
+
+        params = {"allocations": {"squeezenet": 1}} if name == "static" else None
+        return SimulationRunner(
+            workloads=[WorkloadBinding(get_function("squeezenet"), StaticRate(5.0, duration=5.0))],
+            seed=3, policy=name, policy_params=params,
+        ).policy
+
+    @pytest.mark.parametrize("name", ALL_POLICIES)
+    def test_the_data_path_is_the_base_classes(self, name):
+        from repro.core.dispatch import SharedQueuePolicy
+
+        policy = self._built(name)
+        if name == "openwhisk":
+            assert not isinstance(policy, SharedQueuePolicy)
+            assert policy.columnar_plan() is None
+            return
+        assert isinstance(policy, SharedQueuePolicy)
+        overridden = [attr for attr in self.DATA_PATH
+                      if getattr(type(policy), attr) is not getattr(SharedQueuePolicy, attr)]
+        assert overridden == [], f"{name} writes its own {overridden}"
+        plan = policy.columnar_plan()
+        assert plan.dispatcher is policy.dispatcher and plan.collector is policy.metrics
+        # the plan's hooks are the same folds the event plane calls
+        assert (plan.fold_arrivals is None) == (policy.arrival_folds is None)
+        assert (plan.fold_completions is None) == (policy.completion_folds is None)
+        assert (plan.create_on_empty is not None) == policy.creates_on_empty
+
+    def test_an_untracked_function_is_refused_on_both_planes(self):
+        from repro.sim.request import Request
+
+        policy = self._built("hybrid")
+        with pytest.raises(KeyError, match="'ghost' is not registered"):
+            policy.dispatch(Request(function_name="ghost", arrival_time=0.0, work=0.1))
+        with pytest.raises(KeyError, match="'ghost' is not registered"):
+            policy.columnar_plan().fold_arrivals("ghost", [0.0])
+        assert policy.metrics.counters["arrivals"] == 0   # refused before it was recorded
+
+
+    @pytest.mark.parametrize("hook", ["on_node_failed", "on_container_crashed"])
+    def test_salvaged_requests_rejoin_the_head_of_the_shared_queue(self, hook):
+        from repro.sim.request import Request
+
+        policy = self._built("noop")            # no container: every arrival queues
+        waiting = Request(function_name="squeezenet", arrival_time=1.0, work=0.1)
+        policy.dispatch(waiting)
+        salvaged = [Request(function_name="squeezenet", arrival_time=t, work=0.1)
+                    for t in (0.2, 0.5)]
+        for request in salvaged:
+            request.mark_queued()
+        finished = Request(function_name="squeezenet", arrival_time=0.1, work=0.1)
+        getattr(policy, hook)(None, salvaged + [finished])   # only QUEUED ones rejoin
+        assert policy.dispatcher.queued_requests("squeezenet") == salvaged + [waiting]
+
+
+class TestControlPolicyDefaults:
+    """A policy with a data path of its own keeps ``ControlPolicy``'s defaults."""
+
+    def test_no_dispatcher_no_requeue_no_interceptor_no_plan(self):
+        class Bare(ControlPolicy):
+            def start(self):
+                pass
+
+            def dispatch(self, request):
+                pass
+
+        policy = Bare()
+        assert policy.columnar_plan() is None and policy.run_epoch() is None
+        policy.on_node_failed("node-0", ["salvaged"])
+        policy.on_container_crashed(None, ["salvaged"])
+        with pytest.raises(ValueError, match="Bare has no dispatch choke point"):
+            policy.set_dispatch_interceptor(lambda request, container: True)

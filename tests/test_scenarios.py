@@ -161,6 +161,78 @@ def test_non_finite_numbers_are_refused_at_construction(shard, path, value, name
     ScenarioSpec.from_dict(shard())
 
 
+def _quickstart_on_a_cluster():
+    """A small registered simulation with an explicit cluster, as plain data."""
+    data = build("quickstart", duration=5.0).to_dict()
+    data["cluster"] = {"node_count": 3, "cpu_per_node": 4.0, "memory_per_node_mb": 16384.0,
+                       "cold_start_latency": 0.5, "resize_latency": 0.0}
+    return data
+
+
+#: (field, value, what the refusal names): each ran and wrote NaN into the
+#: envelope, died mid-run with a TypeError / KeyError / SimulationError,
+#: was coerced (2.7 → seed 2, True → 1), or silently changed the run
+#: (warm_start −3 ignored, extra_drain −5 cut the completions)
+HOSTILE_SPEC_CASES = [
+    ("cluster.node_count", 2.5, "cluster.node_count"),
+    ("cluster.node_count", "3", "cluster.node_count"),
+    ("cluster.node_count", True, "cluster.node_count"),
+    ("cluster.node_count", 0, "cluster.node_count"),
+    ("cluster.cpu_per_node", NAN, "cluster.cpu_per_node"),
+    ("cluster.cpu_per_node", 0.0, "cluster.cpu_per_node"),
+    ("cluster.cpu_per_node", "4", "cluster.cpu_per_node"),
+    ("cluster.memory_per_node_mb", INF, "cluster.memory_per_node_mb"),
+    ("cluster.memory_per_node_mb", -1.0, "cluster.memory_per_node_mb"),
+    ("cluster.cold_start_latency", -1, "cluster.cold_start_latency"),
+    ("cluster.cold_start_latency", NAN, "cluster.cold_start_latency"),
+    ("cluster.resize_latency", -0.5, "cluster.resize_latency"),
+    ("cluster.resize_latency", True, "cluster.resize_latency"),
+    ("warm_start", {"squeezenet": -3}, "warm_start"),
+    ("warm_start", {"squeezenet": 2.5}, "warm_start"),
+    ("warm_start", {"squeezenet": True}, "warm_start"),
+    ("warm_start", {"ghost": 1}, "warm_start names unknown function 'ghost'"),
+    ("extra_drain", -5.0, "extra_drain"),
+    ("extra_drain", NAN, "extra_drain"),
+    ("extra_drain", "5", "extra_drain"),
+    ("seed", 2.7, "seed"),
+    ("seed", True, "seed"),
+    ("seed", -1, "seed"),
+    ("seed", "3", "seed"),
+]
+
+
+@pytest.mark.parametrize("path, value, named", HOSTILE_SPEC_CASES,
+                         ids=[f"{path}={value!r}" for path, value, _ in HOSTILE_SPEC_CASES])
+def test_a_spec_refuses_what_a_run_would_crash_on_or_misreport(path, value, named,
+                                                               tmp_path, capsys):
+    from repro.cli import main
+
+    data = _set(_quickstart_on_a_cluster(), path, value)
+    with pytest.raises(ValueError, match=named):
+        ScenarioSpec.from_dict(data)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["scenario", str(spec_path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    ScenarioSpec.from_dict(_quickstart_on_a_cluster())   # the spec as written loads
+
+
+@pytest.mark.parametrize("containers", [2.5, True, 0, "2"])
+def test_an_allocation_count_is_a_plain_int_of_at_least_one(containers):
+    with pytest.raises(ValueError, match="containers must be an int >= 1"):
+        AllocationSpec(containers=containers)
+    assert AllocationSpec(containers=2).containers == 2
+
+
+def test_integer_cluster_numbers_and_zero_counts_are_accepted():
+    data = _quickstart_on_a_cluster()
+    data["cluster"].update(cpu_per_node=4, memory_per_node_mb=16384, cold_start_latency=0)
+    data.update(warm_start={"squeezenet": 0}, extra_drain=0, seed=0)
+    spec = ScenarioSpec.from_dict(data)
+    assert spec.cluster.cpu_per_node == 4 and spec.seed == 0 and spec.extra_drain == 0
+
+
 class TestRegistry:
     def test_every_paper_artefact_has_a_spec(self):
         expected = {"table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
