@@ -27,7 +27,7 @@ produces an immediate action plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.cluster.cluster import EdgeCluster, FunctionDeployment
@@ -39,13 +39,9 @@ from repro.core.allocation.hierarchy import SchedulingTree
 from repro.core.allocation.placement import PlacementRequest, plan_placements
 from repro.core.dispatch import SharedQueuePolicy
 from repro.core.allocation.reclamation import (
-    CreateAction,
-    DeflateAction,
     DeflationPolicy,
-    InflateAction,
     ReclamationPlan,
     ReclamationPolicy,
-    TerminateAction,
     TerminationPolicy,
 )
 from repro.core.estimation.ewma import EwmaEstimator
@@ -108,9 +104,7 @@ class _FunctionState:
     """The controller's per-function bookkeeping."""
 
     deployment: FunctionDeployment
-    rate_estimator: DualWindowRateEstimator
     ewma: EwmaEstimator
-    online_service: OnlineServiceTimeEstimator
     profile: Optional[ServiceTimeProfile] = None
     #: what ``_service_rate`` answers until enough completions are learned:
     #: the profile's standard-size rate (a frozen table, read once at
@@ -178,8 +172,12 @@ class LassController(SharedQueuePolicy):
         #: voluntary scale-downs are suppressed until this simulation time
         #: (pushed forward by node failure/recovery notifications)
         self._suppress_reclamation_until = -float("inf")
-        self.arrival_folds = {}
-        self.completion_folds = {} if self.config.online_learning else None
+        #: the per-function rate windows and (online learning only) the
+        #: service-time estimators: the data path folds into these, and the
+        #: control loop reads them
+        self.arrival_folds: Dict[str, DualWindowRateEstimator] = {}
+        self.completion_folds: Optional[Dict[str, OnlineServiceTimeEstimator]] = (
+            {} if self.config.online_learning else None)
 
         service_profiles = service_profiles or {}
         default_service_rates = default_service_rates or {}
@@ -202,22 +200,20 @@ class LassController(SharedQueuePolicy):
         """Register a deployed function with the controller."""
         if deployment.name in self._functions:
             return
-        state = self._functions[deployment.name] = _FunctionState(
+        self._functions[deployment.name] = _FunctionState(
             deployment=deployment,
-            rate_estimator=DualWindowRateEstimator(
-                self.config.long_window, self.config.short_window, self.config.burst_factor
-            ),
             ewma=EwmaEstimator(self.config.ewma_alpha),
-            # a reservoir only where _service_time_percentile can read it
-            online_service=OnlineServiceTimeEstimator(
-                max_samples_per_bucket=1024
-                if self.config.subtract_service_percentile and profile is None else 0),
             profile=profile,
             offline_service_rate=default_service_rate if profile is None else profile.service_rate(1.0),
         )
-        self.arrival_folds[deployment.name] = state.rate_estimator
+        self.arrival_folds[deployment.name] = DualWindowRateEstimator(
+            self.config.long_window, self.config.short_window, self.config.burst_factor
+        )
         if self.completion_folds is not None:
-            self.completion_folds[deployment.name] = state.online_service
+            # a reservoir only where _service_time_percentile can read it
+            self.completion_folds[deployment.name] = OnlineServiceTimeEstimator(
+                max_samples_per_bucket=1024
+                if self.config.subtract_service_percentile and profile is None else 0)
 
     def start(self) -> None:
         """Begin the periodic epoch loop and the faster rate-sampling loop."""
@@ -279,7 +275,7 @@ class LassController(SharedQueuePolicy):
         """
         now = self.engine.now
         for name, state in self._functions.items():
-            observation = state.rate_estimator.estimate(now)
+            observation = self.arrival_folds[name].estimate(now)
             if observation.rate <= 0:
                 continue
             current = self.cluster.containers_of(name, include_draining=False)
@@ -352,7 +348,7 @@ class LassController(SharedQueuePolicy):
         actual queueing-model solves happen in one batched call per
         epoch (:meth:`Autoscaler.decide_batch`).
         """
-        observation = state.rate_estimator.estimate(now)
+        observation = self.arrival_folds[name].estimate(now)
         if observation.burst_detected:
             self.metrics.increment("burst_switches")
         smoothed = state.ewma.update(observation.rate)
@@ -385,8 +381,9 @@ class LassController(SharedQueuePolicy):
     def _service_rate(self, state: _FunctionState) -> float:
         """Best current estimate of a standard-size container's service rate."""
         if self.config.online_learning:
-            learned = state.online_service.service_rate(1.0)
-            if learned is not None and state.online_service.observations(1.0) >= 20:
+            online = self.completion_folds[state.deployment.name]
+            learned = online.service_rate(1.0)
+            if learned is not None and online.observations(1.0) >= 20:
                 return learned
         return state.offline_service_rate
 
@@ -395,7 +392,7 @@ class LassController(SharedQueuePolicy):
         if state.profile is not None:
             return state.profile.percentile(self.config.percentile)
         if self.config.online_learning:
-            return state.online_service.percentile(self.config.percentile)
+            return self.completion_folds[state.deployment.name].percentile(self.config.percentile)
         return None
 
     # -- no-pressure path (§3.3) ----------------------------------------

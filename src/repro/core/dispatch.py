@@ -408,14 +408,6 @@ class SharedQueuePolicy(ControlPolicy):
         return snapshot
 
     # -- fault hooks ----------------------------------------------------
-    def on_node_failed(self, node_name: str, salvaged: Sequence[Request]) -> None:
-        """React to a node failure; default: requeue the salvaged requests."""
-        self._requeue_salvaged(salvaged)
-
-    def on_container_crashed(self, container: Container, salvaged: Sequence[Request]) -> None:
-        """React to a container crash; default: requeue the salvaged requests."""
-        self._requeue_salvaged(salvaged)
-
     def _requeue_salvaged(self, salvaged: Sequence[Request]) -> None:
         """Put rescued still-queued requests back at the head of the shared queue."""
         if salvaged:

@@ -201,10 +201,14 @@ class SlidingWindowCounter:
         """Arrival rate over the window (events per second).
 
         ``elapsed`` caps the divisor for the start-up transient when less
-        than a full window of history exists.
+        than a full window of history exists.  With no elapsed history (an
+        estimate at the instant of the first event) there is no rate to
+        tell, and the answer is 0.
         """
         horizon = self.window_length
         if elapsed is not None:
+            if elapsed <= 0:
+                return 0.0
             horizon = min(horizon, max(elapsed, 1e-9))
         return self.count(now) / horizon
 

@@ -32,9 +32,12 @@ The lifecycle contract
     / ``on_container_crashed(container, salvaged)``
     The fault hooks driven by :class:`~repro.faults.injector.FaultInjector`.
     ``salvaged`` are still-``QUEUED`` requests rescued from evicted
-    containers; the defaults here do nothing, and
+    containers.  The defaults hand them to ``_requeue_salvaged``, which
+    a federation site's rejoin also calls with the requests it parked
+    during a blackout.  Its default here does nothing;
     :class:`~repro.core.dispatch.SharedQueuePolicy` requeues them at the
-    head of its shared queue.
+    head of its shared queue and vanilla OpenWhisk parks them until a
+    container of their function warms up.
 ``set_dispatch_interceptor(fn)``
     Install the fault injector's crash-on-dispatch interceptor at the
     policy's dispatch choke point.  The default raises (no choke point);
@@ -157,13 +160,18 @@ class ControlPolicy(abc.ABC):
 
     # -- fault hooks (driven by repro.faults.injector) ------------------
     def on_node_failed(self, node_name: str, salvaged: Sequence[Any]) -> None:
-        """React to a node failure (default: nothing)."""
+        """React to a node failure; default: requeue the salvaged requests."""
+        self._requeue_salvaged(salvaged)
 
     def on_node_recovered(self, node_name: str) -> None:
         """React to a node recovery; default: nothing (capacity returns as room)."""
 
     def on_container_crashed(self, container: Any, salvaged: Sequence[Any]) -> None:
-        """React to a container crash (default: nothing)."""
+        """React to a container crash; default: requeue the salvaged requests."""
+        self._requeue_salvaged(salvaged)
+
+    def _requeue_salvaged(self, salvaged: Sequence[Any]) -> None:
+        """Take back rescued still-queued requests (default: nothing)."""
 
     def set_dispatch_interceptor(
         self, interceptor: Callable[[Any, Any], bool]

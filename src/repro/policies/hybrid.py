@@ -166,20 +166,14 @@ class HybridPolicy(SharedQueuePolicy):
             floor = 0
             rate = observation.rate
             if rate > 0:
-                try:
-                    floor = self.autoscaler.desired_containers(
-                        function_name=name,
-                        arrival_rate=rate,
-                        service_rate=self._service_rate(name),
-                        slo_deadline=deployment.slo_deadline or 1.0,
-                        current_containers=len(live),
-                        min_containers=deployment.min_containers,
-                    ).desired_containers
-                except ValueError:
-                    # no fleet the solver may size meets the SLO at this estimate
-                    # (a fault hook estimating at the instant of the first
-                    # arrival reads 1e9/s): the floor is the policy's cap
-                    floor = self.config.max_containers
+                floor = self.autoscaler.desired_containers(
+                    function_name=name,
+                    arrival_rate=rate,
+                    service_rate=self._service_rate(name),
+                    slo_deadline=deployment.slo_deadline or 1.0,
+                    current_containers=len(live),
+                    min_containers=deployment.min_containers,
+                ).desired_containers
 
             desired = min(self.config.max_containers, max(reactive, floor))
             if desired > len(live):

@@ -274,8 +274,8 @@ class VanillaOpenWhiskController(ControlPolicy):
     # ------------------------------------------------------------------
     # Fault hooks (injected node failures, distinct from the §6.6 cascade)
     # ------------------------------------------------------------------
-    def on_node_failed(self, node_name: str, salvaged: Sequence[Request]) -> None:
-        """An injected outage took a node: park the salvaged queued requests.
+    def _requeue_salvaged(self, salvaged: Sequence[Request]) -> None:
+        """Park rescued queued requests (an outage, a crash, a site rejoining).
 
         Vanilla OpenWhisk has no reactive re-provisioning loop — the
         rescued requests wait in the pending lists until a container of
@@ -287,12 +287,6 @@ class VanillaOpenWhiskController(ControlPolicy):
 
     def on_node_recovered(self, node_name: str) -> None:
         """An injected outage ended: capacity is back; nothing proactive to do."""
-
-    def on_container_crashed(self, container: Container,
-                             salvaged: Sequence[Request]) -> None:
-        """A container crashed on dispatch: park its salvaged queued requests."""
-        for request in salvaged:
-            self._pending.setdefault(request.function_name, []).append(request)
 
     # ------------------------------------------------------------------
     # Results

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.policy import policy_names
 from repro.metrics.table import COMPLETED, RequestTable
 from repro.scenarios.executor import ResilientSweepRunner
 from repro.scenarios.registry import SHOOTOUT_POLICIES, build
@@ -235,13 +236,7 @@ def test_random_workloads_byte_for_byte(rate, duration, seed, policy):
 
 #: Every registered policy that runs the shared-queue data path (all but
 #: OpenWhisk; ``test_policies.py`` holds the registry to that).
-SHARED_QUEUE_POLICIES = ("lass", "hybrid", "reactive", "static", "noop")
-
-
-def test_the_faulted_property_samples_every_shared_queue_policy():
-    from repro.core.policy import policy_names
-
-    assert set(SHARED_QUEUE_POLICIES) == set(policy_names()) - {"openwhisk"}
+SHARED_QUEUE_POLICIES = tuple(name for name in policy_names() if name != "openwhisk")
 
 
 @given(

@@ -231,6 +231,13 @@ class TestSlidingWindows:
             counter.record(float(t))
         assert counter.rate(now=5.0, elapsed=5.0) == pytest.approx(2.0)
 
+    def test_no_elapsed_history_reads_no_rate(self):
+        estimator = DualWindowRateEstimator(long_window=120, short_window=10)
+        estimator.record_arrival(3.0)
+        obs = estimator.estimate(now=3.0)      # the first arrival's instant: count / 0
+        assert (obs.long_rate, obs.short_rate, obs.rate, obs.burst_detected) == (0, 0, 0, False)
+        assert estimator.estimate(now=3.5).rate == pytest.approx(2.0)
+
     def test_non_decreasing_timestamps_enforced(self):
         counter = SlidingWindowCounter(10.0)
         counter.record(5.0)

@@ -478,6 +478,22 @@ def test_an_openwhisk_site_runs_federated_and_byte_identically():
     assert canonical_json(first.data) == canonical_json(run_scenario(spec).data)
 
 
+def test_an_openwhisk_site_takes_its_parked_work_back_when_it_rejoins():
+    """A blackout parks what OpenWhisk's containers had queued; the rejoin hands it back."""
+    data = build("site-outage-failover", duration=60.0).to_dict()
+    for site in data["federation"]["sites"]:
+        if site["name"] == "edge-a":
+            # one container a node, so OpenWhisk queues on its containers
+            site.update(policy="openwhisk", memory_per_node_mb=512.0)
+    for workload in data["workloads"]:
+        workload["schedule"]["params"]["rate"] *= 3
+    outcome = run_scenario(ScenarioSpec.from_dict(data))
+    edge_a = outcome.data["federation"]["sites"]["edge-a"]["counters"]
+    assert edge_a["parked_requests"] == edge_a["requeued_requests"] > 0
+    statuses = [r.status for r in outcome.sim.metrics.requests]
+    assert statuses.count(RequestStatus.QUEUED) <= edge_a["parked_requests"]
+
+
 def test_federated_sweep_bytes_identical_across_workers():
     sweep = build("fig12", duration=30.0)
     serial = ResilientSweepRunner(sweep, workers=1, on_failure="raise").run_json()

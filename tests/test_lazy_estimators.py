@@ -371,11 +371,12 @@ def test_estimators_and_balancer_scores_end_equal_on_both_planes():
         )
         runner.run(duration=33.0, extra_drain=1.0)           # stops 4 s after the last tick
         controller = runner.policy
-        pending = sum(len(s.rate_estimator._pending) + len(s.online_service._pending_times)
-                      for s in controller._functions.values())
+        rates, services = controller.arrival_folds, controller.completion_folds
+        pending = sum(len(rates[name]._pending) + len(services[name]._pending_times)
+                      for name in controller._functions)
         return pending, {
-            name: (rate_state(s.rate_estimator), service_state(s.online_service))
-            for name, s in controller._functions.items()
+            name: (rate_state(rates[name]), service_state(services[name]))
+            for name in controller._functions
         }, {name: scores for name, scores in controller.balancer._scores.items() if scores}
 
     event_pending, event_estimators, event_scores = final_state("event")

@@ -642,8 +642,13 @@ def test_add_many_equals_add_loop(values, max_samples, cuts):
     assert _reservoir(batched) == _reservoir(one_by_one)
     assert batched._rng.getstate() == one_by_one._rng.getstate()
     assert batched.count == len(values)
-    for p in (0.5, 0.95, 0.99) if values else ():  # an empty reservoir answers no quantile
-        assert batched.quantile(p) == one_by_one.quantile(p)
+    for p in (0.5, 0.95, 0.99):
+        if values:
+            assert batched.quantile(p) == one_by_one.quantile(p)
+        else:  # an empty reservoir answers no quantile, on either path
+            for sketch in (batched, one_by_one):
+                with pytest.raises(ValueError):
+                    sketch.quantile(p)
 
     # the cut that lands exactly on the fill boundary, every example
     at_boundary = StreamingQuantile(max_samples=max_samples, seed=2029)

@@ -60,16 +60,13 @@ class _Recording:
 @pytest.mark.parametrize("plane", PLANES)
 def test_the_default_scenario_keeps_no_reservoir(plane):
     runner = build_runner(data_plane=plane)
-    states = runner.policy._functions
-    for name, state in states.items():
-        # the policy folds completions into the estimator its completion_folds name
-        state.online_service = runner.policy.completion_folds[name] = _Recording(
-            state.online_service)
+    folds = runner.policy.completion_folds
+    for name, estimator in folds.items():
+        folds[name] = _Recording(estimator)
     result = runner.run(DURATION)
     assert result.data_plane_used == plane
 
-    for name, state in states.items():
-        recording = state.online_service
+    for name, recording in folds.items():
         estimator = recording.inner
         assert estimator.max_samples_per_bucket == 0
         assert estimator._buckets == {}, name
@@ -125,9 +122,9 @@ def reader_digest(epochs, decisions):
 def test_the_percentile_reader_keeps_its_reservoirs_and_bytes(plane):
     controller, epochs, decisions = reader_run(plane)
     assert len(epochs) == len(decisions) == 13
-    for state in controller._functions.values():
-        assert state.online_service.max_samples_per_bucket == 1024
-        assert state.online_service._buckets
+    for estimator in controller.completion_folds.values():
+        assert estimator.max_samples_per_bucket == 1024
+        assert estimator._buckets
     assert reader_digest(epochs, decisions) == READER_DIGEST
 
 
@@ -143,7 +140,7 @@ def test_an_offline_profile_or_no_subtraction_builds_no_reservoir(engine, paper_
         controller = LassController(
             engine, paper_cluster, ControllerConfig(subtract_service_percentile=subtract),
             service_profiles=profiles)
-        assert controller._functions["fn"].online_service.max_samples_per_bucket == size
+        assert controller.completion_folds["fn"].max_samples_per_bucket == size
 
 
 # ----------------------------------------------------------------------

@@ -435,6 +435,15 @@ class TestOneSharedQueueDataPath:
             policy.columnar_plan().fold_arrivals("ghost", [0.0])
         assert policy.metrics.counters["arrivals"] == 0   # refused before it was recorded
 
+    def test_a_crash_on_the_first_dispatch_sizes_no_fleet(self):
+        """Hybrid's crash pass at the first arrival's instant has no rate to size a floor on."""
+        spec = apply_overrides(
+            build("flaky-containers", crash_probability=0.125, rate=4.0, duration=45.0, seed=1),
+            {"controller.policy": "hybrid"})
+        epochs = run_scenario(spec).sim.metrics.epochs
+        first = epochs[0].functions["squeezenet"]
+        assert (first.arrival_rate_estimate, first.desired_containers) == (0.0, 0)
+        assert max(e.functions["squeezenet"].containers for e in epochs) <= 3
 
     @pytest.mark.parametrize("hook", ["on_node_failed", "on_container_crashed"])
     def test_salvaged_requests_rejoin_the_head_of_the_shared_queue(self, hook):
@@ -467,5 +476,6 @@ class TestControlPolicyDefaults:
         assert policy.columnar_plan() is None and policy.run_epoch() is None
         policy.on_node_failed("node-0", ["salvaged"])
         policy.on_container_crashed(None, ["salvaged"])
+        policy._requeue_salvaged(["parked"])     # what a rejoining federation site calls
         with pytest.raises(ValueError, match="Bare has no dispatch choke point"):
             policy.set_dispatch_interceptor(lambda request, container: True)
