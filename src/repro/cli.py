@@ -192,6 +192,8 @@ def _load_spec_argument(argument: str, expect: str):
     if argument.endswith(".json") or os.path.isfile(argument):
         with open(argument, "r", encoding="utf-8") as handle:
             data = json.load(handle)
+        if not isinstance(data, dict):
+            raise ValueError(f"{argument}: a spec file holds one JSON object")
         schema = data.get("schema")
         if schema == SWEEP_SCHEMA or "base" in data:
             return SweepSpec.from_dict(data)

@@ -42,11 +42,14 @@ so the results JSON is byte-identical to the healthy scenario's.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.spec_fields import (
+    Count, Many, Maybe, Nested, Number, Spec, Table, Text, check_keys, spec_field,
+)
 
 #: Valid ``kind`` values for :class:`ColdStartSpec` and their required params.
 _COLD_START_KINDS: Dict[str, Tuple[str, ...]] = {
@@ -55,9 +58,19 @@ _COLD_START_KINDS: Dict[str, Tuple[str, ...]] = {
     "lognormal": ("mu", "sigma"),
 }
 
+#: A fault's name field and its start time.
+_NAME, _START = Text(nonempty=True), Number("non-negative")
+
+
+def _check_end(spec: Any, start: str, end: str) -> None:
+    """Refuse an end time (``None``: never) that is not after its start."""
+    if getattr(spec, end) is not None and not getattr(spec, start) < getattr(spec, end):
+        raise ValueError(f"{end} ({getattr(spec, end)}) must be after "
+                         f"{start} ({getattr(spec, start)})")
+
 
 @dataclass(frozen=True)
-class NodeFailureSpec:
+class NodeFailureSpec(Spec):
     """One scheduled node failure (and optional recovery).
 
     Attributes
@@ -73,38 +86,18 @@ class NodeFailureSpec:
         or ``None`` for a permanent failure.
     """
 
-    node: str
-    fail_at: float
-    recover_at: Optional[float] = None
+    node: str = spec_field(_NAME)
+    fail_at: float = spec_field(_START)
+    recover_at: Optional[float] = spec_field(Maybe(Number()), None)
 
     def __post_init__(self) -> None:
-        """Validate the node name and the failure/recovery timestamps."""
-        if not self.node:
-            raise ValueError("node name must be non-empty")
-        if not 0.0 <= self.fail_at < math.inf:
-            raise ValueError(f"fail_at must be finite and non-negative, got {self.fail_at}")
-        if self.recover_at is not None and not self.fail_at < self.recover_at < math.inf:
-            raise ValueError(
-                f"recover_at ({self.recover_at}) must be after fail_at ({self.fail_at})"
-            )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict (JSON-ready) view."""
-        return {"node": self.node, "fail_at": self.fail_at, "recover_at": self.recover_at}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NodeFailureSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            node=data["node"],
-            fail_at=float(data["fail_at"]),
-            recover_at=(float(data["recover_at"])
-                        if data.get("recover_at") is not None else None),
-        )
+        """Parse the fields; the recovery must follow the failure."""
+        super().__post_init__()
+        _check_end(self, "fail_at", "recover_at")
 
 
 @dataclass(frozen=True)
-class SiteBlackoutSpec:
+class SiteBlackoutSpec(Spec):
     """One scheduled whole-site blackout (and optional rejoin).
 
     A blackout takes *every* node of a federated site down at once: all
@@ -131,52 +124,21 @@ class SiteBlackoutSpec:
         rejoined capacity instead of dangling forever.
     """
 
-    site: str
-    fail_at: float
-    recover_at: Optional[float] = None
-    rejoin_nodes: Optional[int] = None
+    site: str = spec_field(_NAME)
+    fail_at: float = spec_field(_START)
+    recover_at: Optional[float] = spec_field(Maybe(Number()), None)
+    rejoin_nodes: Optional[int] = spec_field(Maybe(Count(1)), None)
 
     def __post_init__(self) -> None:
-        """Validate the site name, timestamps, and rejoin node count."""
-        if not self.site:
-            raise ValueError("site name must be non-empty")
-        if not 0.0 <= self.fail_at < math.inf:
-            raise ValueError(f"fail_at must be finite and non-negative, got {self.fail_at}")
-        if self.recover_at is not None and not self.fail_at < self.recover_at < math.inf:
-            raise ValueError(
-                f"recover_at ({self.recover_at}) must be after fail_at ({self.fail_at})"
-            )
-        if self.rejoin_nodes is not None:
-            if self.recover_at is None:
-                raise ValueError("rejoin_nodes requires recover_at (a rejoin time)")
-            if int(self.rejoin_nodes) < 1:
-                raise ValueError(f"rejoin_nodes must be >= 1, got {self.rejoin_nodes}")
-            object.__setattr__(self, "rejoin_nodes", int(self.rejoin_nodes))
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict (JSON-ready) view."""
-        return {
-            "site": self.site,
-            "fail_at": self.fail_at,
-            "recover_at": self.recover_at,
-            "rejoin_nodes": self.rejoin_nodes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SiteBlackoutSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            site=data["site"],
-            fail_at=float(data["fail_at"]),
-            recover_at=(float(data["recover_at"])
-                        if data.get("recover_at") is not None else None),
-            rejoin_nodes=(int(data["rejoin_nodes"])
-                          if data.get("rejoin_nodes") is not None else None),
-        )
+        """Parse the fields; the rejoin must follow the blackout and carry a time."""
+        super().__post_init__()
+        _check_end(self, "fail_at", "recover_at")
+        if self.rejoin_nodes is not None and self.recover_at is None:
+            raise ValueError("rejoin_nodes requires recover_at (a rejoin time)")
 
 
 @dataclass(frozen=True)
-class WanPartitionSpec:
+class WanPartitionSpec(Spec):
     """One scheduled WAN partition of a federated site.
 
     A partition is *not* a blackout: the global router loses sight of
@@ -197,48 +159,33 @@ class WanPartitionSpec:
         Simulation time the partition heals, or ``None`` if it never does.
     """
 
-    site: str
-    start_at: float
-    heal_at: Optional[float] = None
+    site: str = spec_field(_NAME)
+    start_at: float = spec_field(_START)
+    heal_at: Optional[float] = spec_field(Maybe(Number()), None)
 
     def __post_init__(self) -> None:
-        """Validate the site name and the partition window timestamps."""
-        if not self.site:
-            raise ValueError("site name must be non-empty")
-        if not 0.0 <= self.start_at < math.inf:
-            raise ValueError(f"start_at must be finite and non-negative, got {self.start_at}")
-        if self.heal_at is not None and not self.start_at < self.heal_at < math.inf:
-            raise ValueError(
-                f"heal_at ({self.heal_at}) must be after start_at ({self.start_at})"
-            )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict (JSON-ready) view."""
-        return {"site": self.site, "start_at": self.start_at, "heal_at": self.heal_at}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WanPartitionSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            site=data["site"],
-            start_at=float(data["start_at"]),
-            heal_at=(float(data["heal_at"])
-                     if data.get("heal_at") is not None else None),
-        )
+        """Parse the fields; the heal must follow the partition."""
+        super().__post_init__()
+        _check_end(self, "start_at", "heal_at")
 
 
-def _validate_windows(kind: str, windows_by_key: Dict[str, list],
+def _validate_windows(kind: str, windows: Sequence[Any], key_of: Callable[[Any], str],
                       start_of: Callable[[Any], float],
                       end_of: Callable[[Any], Optional[float]]) -> None:
     """Reject overlapping or post-permanent failure windows per key.
 
     Shared by node failures, site blackouts, and WAN partitions: within
     one node/site, windows must be disjoint and nothing may follow a
-    permanent (open-ended) window.
+    permanent (open-ended) window.  Overlap would let one window's
+    recovery revive a node another window still holds down — a silent
+    availability-accounting error — so it is a spec bug and fails here.
     """
-    for key, windows in windows_by_key.items():
-        windows.sort(key=start_of)
-        for earlier, later in zip(windows, windows[1:]):
+    by_key: Dict[str, list] = {}
+    for window in windows:
+        by_key.setdefault(key_of(window), []).append(window)
+    for key, keyed in by_key.items():
+        keyed.sort(key=start_of)
+        for earlier, later in zip(keyed, keyed[1:]):
             if end_of(earlier) is None:
                 raise ValueError(
                     f"{kind} {key!r}: permanent window at t={start_of(earlier)} "
@@ -253,7 +200,7 @@ def _validate_windows(kind: str, windows_by_key: Dict[str, list],
 
 
 @dataclass(frozen=True)
-class ColdStartSpec:
+class ColdStartSpec(Spec):
     """A cold-start latency distribution replacing the constant config value.
 
     ``kind`` selects the family; ``params`` carries its arguments:
@@ -266,26 +213,23 @@ class ColdStartSpec:
       heavy-tailed shape of real container provisioning.
     """
 
-    kind: str
-    params: Mapping[str, float] = field(default_factory=dict)
+    PREFIX = "cold_start."
+
+    kind: str = spec_field(Text(choices=tuple(_COLD_START_KINDS)))
+    params: Mapping[str, float] = spec_field(Table(Number()), {})
 
     def __post_init__(self) -> None:
-        """Validate the kind, its required params, and their values."""
-        if self.kind not in _COLD_START_KINDS:
-            raise ValueError(
-                f"unknown cold-start kind {self.kind!r}; valid: {sorted(_COLD_START_KINDS)}"
-            )
-        missing = [key for key in _COLD_START_KINDS[self.kind] if key not in self.params]
-        if missing:
-            raise ValueError(f"cold-start kind {self.kind!r} missing params: {missing}")
-        params = {key: float(value) for key, value in self.params.items()}
+        """Parse the fields; the kind's params, exactly, within their ranges."""
+        super().__post_init__()
+        check_keys(f"cold-start kind {self.kind!r} params", self.params,
+                   _COLD_START_KINDS[self.kind])
+        params = self.params
         if self.kind == "constant" and params["latency"] < 0:
             raise ValueError("constant cold-start latency must be non-negative")
         if self.kind == "uniform" and not 0 <= params["low"] <= params["high"]:
             raise ValueError("uniform cold-start needs 0 <= low <= high")
         if self.kind == "lognormal" and params["sigma"] < 0:
             raise ValueError("lognormal sigma must be non-negative")
-        object.__setattr__(self, "params", params)
 
     def build(self, rng: np.random.Generator) -> Callable[[], float]:
         """A sampler drawing one cold-start latency per call from ``rng``."""
@@ -299,18 +243,9 @@ class ColdStartSpec:
         mu, sigma = p["mu"], p["sigma"]
         return lambda: float(rng.lognormal(mean=mu, sigma=sigma))
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict (JSON-ready) view."""
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ColdStartSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(kind=data["kind"], params=dict(data.get("params", {})))
-
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Spec):
     """The complete fault schedule of one scenario.
 
     Attributes
@@ -328,73 +263,30 @@ class FaultSpec:
         config's constant.
     site_blackouts:
         Scheduled whole-site blackouts (federated scenarios only).
+        Echoed only when non-empty, as is ``wan_partitions``, so every
+        pre-federation spec keeps its exact historical bytes.
     wan_partitions:
         Scheduled WAN partitions (federated scenarios only).
     """
 
-    node_failures: Tuple[NodeFailureSpec, ...] = ()
-    crash_probability: float = 0.0
-    crash_functions: Optional[Tuple[str, ...]] = None
-    cold_start: Optional[ColdStartSpec] = None
-    site_blackouts: Tuple[SiteBlackoutSpec, ...] = ()
-    wan_partitions: Tuple[WanPartitionSpec, ...] = ()
+    node_failures: Tuple[NodeFailureSpec, ...] = spec_field(Many(Nested(NodeFailureSpec)), ())
+    crash_probability: float = spec_field(Number("in [0, 1)"), 0.0)
+    crash_functions: Optional[Tuple[str, ...]] = spec_field(Maybe(Many(Text())), None)
+    cold_start: Optional[ColdStartSpec] = spec_field(Maybe(Nested(ColdStartSpec)), None)
+    site_blackouts: Tuple[SiteBlackoutSpec, ...] = spec_field(
+        Many(Nested(SiteBlackoutSpec)), (), omit_default=True)
+    wan_partitions: Tuple[WanPartitionSpec, ...] = spec_field(
+        Many(Nested(WanPartitionSpec)), (), omit_default=True)
 
     def __post_init__(self) -> None:
-        """Validate the crash probability and freeze the collections.
-
-        Per-node failure windows must be disjoint and ordered: a node
-        cannot fail while already down, and nothing can follow a
-        permanent (``recover_at=None``) failure.  Overlap would make the
-        recovery event of one window revive a node another window still
-        holds down — a silent availability-accounting error — so it is a
-        spec bug and fails loudly here.
-        """
-        if not 0.0 <= self.crash_probability < 1.0:
-            raise ValueError("crash_probability must be in [0, 1)")
-        failures = tuple(
-            f if isinstance(f, NodeFailureSpec) else NodeFailureSpec.from_dict(f)
-            for f in self.node_failures
-        )
-        by_node: Dict[str, list] = {}
-        for failure in failures:
-            by_node.setdefault(failure.node, []).append(failure)
-        for node, windows in by_node.items():
-            windows.sort(key=lambda f: f.fail_at)
-            for earlier, later in zip(windows, windows[1:]):
-                if earlier.recover_at is None:
-                    raise ValueError(
-                        f"node {node!r}: permanent failure at t={earlier.fail_at} "
-                        f"cannot be followed by another failure window"
-                    )
-                if later.fail_at < earlier.recover_at:
-                    raise ValueError(
-                        f"node {node!r}: failure windows overlap "
-                        f"([{earlier.fail_at}, {earlier.recover_at}] and "
-                        f"[{later.fail_at}, {later.recover_at}])"
-                    )
-        object.__setattr__(self, "node_failures", failures)
-        if self.crash_functions is not None:
-            object.__setattr__(self, "crash_functions", tuple(self.crash_functions))
-        blackouts = tuple(
-            b if isinstance(b, SiteBlackoutSpec) else SiteBlackoutSpec.from_dict(b)
-            for b in self.site_blackouts
-        )
-        by_site: Dict[str, list] = {}
-        for blackout in blackouts:
-            by_site.setdefault(blackout.site, []).append(blackout)
-        _validate_windows("site blackout", by_site,
+        """Parse the fields; per node or site, failure windows must be disjoint."""
+        super().__post_init__()
+        _validate_windows("node", self.node_failures, lambda f: f.node,
+                          lambda f: f.fail_at, lambda f: f.recover_at)
+        _validate_windows("site blackout", self.site_blackouts, lambda b: b.site,
                           lambda b: b.fail_at, lambda b: b.recover_at)
-        object.__setattr__(self, "site_blackouts", blackouts)
-        partitions = tuple(
-            p if isinstance(p, WanPartitionSpec) else WanPartitionSpec.from_dict(p)
-            for p in self.wan_partitions
-        )
-        by_site = {}
-        for partition in partitions:
-            by_site.setdefault(partition.site, []).append(partition)
-        _validate_windows("wan partition", by_site,
+        _validate_windows("wan partition", self.wan_partitions, lambda p: p.site,
                           lambda p: p.start_at, lambda p: p.heal_at)
-        object.__setattr__(self, "wan_partitions", partitions)
 
     def is_empty(self) -> bool:
         """Whether this spec injects nothing at all.
@@ -418,48 +310,6 @@ class FaultSpec:
         return (bool(self.node_failures)
                 or self.crash_probability != 0.0
                 or self.cold_start is not None)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict (JSON-ready) view of the whole fault schedule.
-
-        The federation keys are emitted only when non-empty so every
-        pre-federation spec — and therefore every recorded envelope —
-        keeps its exact historical bytes.
-        """
-        data = {
-            "node_failures": [f.to_dict() for f in self.node_failures],
-            "crash_probability": self.crash_probability,
-            "crash_functions": (list(self.crash_functions)
-                                if self.crash_functions is not None else None),
-            "cold_start": self.cold_start.to_dict() if self.cold_start is not None else None,
-        }
-        if self.site_blackouts:
-            data["site_blackouts"] = [b.to_dict() for b in self.site_blackouts]
-        if self.wan_partitions:
-            data["wan_partitions"] = [p.to_dict() for p in self.wan_partitions]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        """Rebuild (and re-validate) a fault schedule from :meth:`to_dict` output."""
-        cold_start = data.get("cold_start")
-        crash_functions = data.get("crash_functions")
-        return cls(
-            node_failures=tuple(
-                NodeFailureSpec.from_dict(f) for f in data.get("node_failures", ())
-            ),
-            crash_probability=float(data.get("crash_probability", 0.0)),
-            crash_functions=(tuple(crash_functions)
-                             if crash_functions is not None else None),
-            cold_start=(ColdStartSpec.from_dict(cold_start)
-                        if cold_start is not None else None),
-            site_blackouts=tuple(
-                SiteBlackoutSpec.from_dict(b) for b in data.get("site_blackouts", ())
-            ),
-            wan_partitions=tuple(
-                WanPartitionSpec.from_dict(p) for p in data.get("wan_partitions", ())
-            ),
-        )
 
 
 def node_outage(node: str, fail_at: float, recover_at: Optional[float],

@@ -34,107 +34,53 @@ The model
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Mapping, Optional, Tuple
 
 from repro.core.policy import validate_policy
 from repro.federation.router import validate_router
-
-
-def _is_count(value: Any) -> bool:
-    """True for a plain ``int`` (a JSON integer), never a ``bool`` or a float."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _finite_number(value: Any, what: str) -> float:
-    """A finite ``int`` or ``float`` as a float; anything else a ValueError naming ``what``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+from repro.spec_fields import ANY, Count, Flag, Many, Nested, Number, Spec, Table, Text, spec_field
 
 
 @dataclass(frozen=True)
-class SiteSpec:
+class SiteSpec(Spec):
     """One federated edge (or cloud) site.
 
     Cluster-shape fields mirror
     :class:`~repro.cluster.cluster.ClusterConfig` inline so the
     federation layer stays independent of the scenario layer.
+    ``policy_params`` and ``cloud`` are echoed only when non-default,
+    matching the controller-spec idiom.
     """
 
-    name: str
-    node_count: int = 3
-    cpu_per_node: float = 4.0
-    memory_per_node_mb: float = 16 * 1024.0
-    cold_start_latency: float = 0.5
-    policy: str = "lass"
-    policy_params: Mapping[str, Any] = field(default_factory=dict)
-    cloud: bool = False
+    name: str = spec_field(Text(nonempty=True))
+    node_count: int = spec_field(Count(1), 3)
+    cpu_per_node: float = spec_field(Number("positive"), 4.0)
+    memory_per_node_mb: float = spec_field(Number("positive"), 16 * 1024.0)
+    cold_start_latency: float = spec_field(Number("non-negative"), 0.5)
+    policy: str = spec_field(Text(), "lass")
+    policy_params: Mapping[str, Any] = spec_field(Table(ANY), {}, omit_default=True)
+    cloud: bool = spec_field(Flag(), False, omit_default=True)
+
+    def _label(self, name: str) -> str:
+        """Refusals name the site: ``site 'edge-b': node_count ...``."""
+        return f"site {self.name!r}: {name}"
 
     def __post_init__(self) -> None:
-        """Validate the site shape and its control-policy choice."""
-        if not self.name:
-            raise ValueError("site name must be non-empty")
+        """Parse the fields; no '->' in the name, and params the policy accepts."""
+        super().__post_init__()
         if "->" in self.name:
             raise ValueError(f"site name {self.name!r} may not contain '->'")
-        if not _is_count(self.node_count) or self.node_count < 1:
-            raise ValueError(f"site {self.name!r}: node_count must be an int >= 1, got {self.node_count!r}")
-        for key in ("cpu_per_node", "memory_per_node_mb", "cold_start_latency"):
-            object.__setattr__(self, key, _finite_number(getattr(self, key), f"site {self.name!r}: {key}"))
-        if not isinstance(self.cloud, bool):
-            raise ValueError(f"site {self.name!r}: cloud must be true or false, got {self.cloud!r}")
-        if self.cpu_per_node <= 0:
-            raise ValueError(f"site {self.name!r}: cpu_per_node must be positive")
-        if self.memory_per_node_mb <= 0:
-            raise ValueError(f"site {self.name!r}: memory_per_node_mb must be positive")
-        if self.cold_start_latency < 0:
-            raise ValueError(f"site {self.name!r}: cold_start_latency must be >= 0")
         validate_policy(self.policy, self.policy_params)
-        object.__setattr__(self, "policy_params", dict(self.policy_params))
 
     @property
     def configured_cpu(self) -> float:
         """Total CPU the site is specced with."""
         return self.node_count * self.cpu_per_node
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict (JSON-ready) view.
-
-        ``policy_params`` and ``cloud`` are emitted only when
-        non-default, matching the controller-spec idiom.
-        """
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "node_count": self.node_count,
-            "cpu_per_node": self.cpu_per_node,
-            "memory_per_node_mb": self.memory_per_node_mb,
-            "cold_start_latency": self.cold_start_latency,
-            "policy": self.policy,
-        }
-        if self.policy_params:
-            data["policy_params"] = dict(self.policy_params)
-        if self.cloud:
-            data["cloud"] = True
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SiteSpec":
-        """Rebuild from :meth:`to_dict` output; a wrongly typed value is refused, not coerced."""
-        return cls(
-            name=data["name"],
-            node_count=data.get("node_count", 3),
-            cpu_per_node=data.get("cpu_per_node", 4.0),
-            memory_per_node_mb=data.get("memory_per_node_mb", 16 * 1024.0),
-            cold_start_latency=data.get("cold_start_latency", 0.5),
-            policy=data.get("policy", "lass"),
-            policy_params=dict(data.get("policy_params", {})),
-            cloud=data.get("cloud", False),
-        )
-
 
 @dataclass(frozen=True)
-class FederationSpec:
+class FederationSpec(Spec):
     """The complete federation topology of one scenario.
 
     Attributes
@@ -164,38 +110,33 @@ class FederationSpec:
         Upper bound on the exponential probe backoff.
     max_redirects:
         Maximum redirect hops per request before it is dropped.
+
+    The three mappings are echoed only when non-empty, keeping the
+    canonical bytes of minimal federations minimal.
     """
 
-    sites: Tuple[SiteSpec, ...]
-    router: str = "nearest-site"
-    router_params: Mapping[str, Any] = field(default_factory=dict)
-    wan_latency: float = 0.05
-    wan_overrides: Mapping[str, float] = field(default_factory=dict)
-    origins: Mapping[str, str] = field(default_factory=dict)
-    probe_interval: float = 5.0
-    probe_backoff_base: float = 1.0
-    probe_backoff_cap: float = 8.0
-    max_redirects: int = 3
+    sites: Tuple[SiteSpec, ...] = spec_field(Many(Nested(SiteSpec)))
+    router: str = spec_field(Text(), "nearest-site")
+    router_params: Mapping[str, Any] = spec_field(Table(ANY), {}, omit_default=True)
+    wan_latency: float = spec_field(Number("non-negative"), 0.05)
+    wan_overrides: Mapping[str, float] = spec_field(Table(Number("non-negative")), {},
+                                                    omit_default=True)
+    origins: Mapping[str, str] = spec_field(Table(Text()), {}, omit_default=True)
+    probe_interval: float = spec_field(Number("positive"), 5.0)
+    probe_backoff_base: float = spec_field(Number("positive"), 1.0)
+    probe_backoff_cap: float = spec_field(Number(), 8.0)
+    max_redirects: int = spec_field(Count(0), 3)
 
     def __post_init__(self) -> None:
-        """Validate topology, WAN matrix, origins, knobs, and the router."""
-        sites = tuple(
-            s if isinstance(s, SiteSpec) else SiteSpec.from_dict(s)
-            for s in self.sites
-        )
-        if not sites:
+        """Parse the fields; check topology, WAN matrix, origins and router together."""
+        super().__post_init__()
+        if not self.sites:
             raise ValueError("a federation needs at least one site")
-        names = [site.name for site in sites]
+        names = self.site_names()
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate site names: {names}")
-        object.__setattr__(self, "sites", sites)
+            raise ValueError(f"duplicate site names: {list(names)}")
         known = set(names)
-        for key in ("wan_latency", "probe_interval", "probe_backoff_base", "probe_backoff_cap"):
-            object.__setattr__(self, key, _finite_number(getattr(self, key), key))
-        if not 0.0 <= self.wan_latency < math.inf:
-            raise ValueError(f"wan_latency must be finite and >= 0, got {self.wan_latency}")
-        overrides: Dict[str, float] = {}
-        for key, value in dict(self.wan_overrides).items():
+        for key in self.wan_overrides:
             parts = key.split("->")
             if len(parts) != 2 or not all(parts):
                 raise ValueError(f"wan_overrides key {key!r} must look like 'a->b'")
@@ -204,37 +145,22 @@ class FederationSpec:
                 raise ValueError(f"wan_overrides key {key!r} names an unknown site")
             if a == b:
                 raise ValueError(f"wan_overrides key {key!r}: intra-site latency is fixed at 0")
-            value = _finite_number(value, f"wan_overrides[{key!r}]")
-            if not 0.0 <= value:
-                raise ValueError(f"wan_overrides[{key!r}] must be finite and >= 0")
-            overrides[key] = value
-        object.__setattr__(self, "wan_overrides", overrides)
-        origins = dict(self.origins)
-        for function, site in origins.items():
+        for function, site in self.origins.items():
             if site not in known:
                 raise ValueError(
                     f"origins[{function!r}] = {site!r} is not a federated site"
                 )
-        object.__setattr__(self, "origins", origins)
-        if not 0.0 < self.probe_interval < math.inf:
-            raise ValueError("probe_interval must be positive")
-        if not 0.0 < self.probe_backoff_base < math.inf:
-            raise ValueError("probe_backoff_base must be positive")
-        if not self.probe_backoff_base <= self.probe_backoff_cap < math.inf:
+        if not self.probe_backoff_base <= self.probe_backoff_cap:
             raise ValueError("probe_backoff_cap must be >= probe_backoff_base")
-        if not _is_count(self.max_redirects) or self.max_redirects < 0:
-            raise ValueError(f"max_redirects must be a non-negative int, got {self.max_redirects!r}")
-        router_params = dict(self.router_params)
-        object.__setattr__(self, "router_params", router_params)
-        validate_router(self.router, router_params)
+        validate_router(self.router, self.router_params)
         if self.router == "spillover-to-cloud":
-            cloud = router_params.get("cloud_site")
+            cloud = self.router_params.get("cloud_site")
             if cloud is not None:
                 if cloud not in known:
                     raise ValueError(
                         f"router_params['cloud_site'] = {cloud!r} is not a federated site"
                     )
-            elif not any(site.cloud for site in sites):
+            elif not any(site.cloud for site in self.sites):
                 raise ValueError(
                     "spillover-to-cloud needs a site with cloud=True "
                     "(or router_params['cloud_site'])"
@@ -276,48 +202,6 @@ class FederationSpec:
             if site.cloud:
                 return site.name
         return None
-
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict (JSON-ready) view.
-
-        Optional mappings are emitted only when non-empty, keeping the
-        canonical bytes of minimal federations minimal.
-        """
-        data: Dict[str, Any] = {
-            "sites": [site.to_dict() for site in self.sites],
-            "router": self.router,
-            "wan_latency": self.wan_latency,
-            "probe_interval": self.probe_interval,
-            "probe_backoff_base": self.probe_backoff_base,
-            "probe_backoff_cap": self.probe_backoff_cap,
-            "max_redirects": self.max_redirects,
-        }
-        if self.router_params:
-            data["router_params"] = dict(self.router_params)
-        if self.wan_overrides:
-            data["wan_overrides"] = dict(self.wan_overrides)
-        if self.origins:
-            data["origins"] = dict(self.origins)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FederationSpec":
-        """Rebuild (and re-validate) a federation from :meth:`to_dict` output, coercing nothing."""
-        return cls(
-            sites=tuple(SiteSpec.from_dict(s) for s in data["sites"]),
-            router=data.get("router", "nearest-site"),
-            router_params=dict(data.get("router_params", {})),
-            wan_latency=data.get("wan_latency", 0.05),
-            wan_overrides=dict(data.get("wan_overrides", {})),
-            origins=dict(data.get("origins", {})),
-            probe_interval=data.get("probe_interval", 5.0),
-            probe_backoff_base=data.get("probe_backoff_base", 1.0),
-            probe_backoff_cap=data.get("probe_backoff_cap", 8.0),
-            max_redirects=data.get("max_redirects", 3),
-        )
 
 
 __all__ = ["SiteSpec", "FederationSpec"]

@@ -4,8 +4,10 @@ A :class:`ScenarioSpec` is a complete, JSON-serialisable description of
 one run of the reproduction: which functions receive traffic, how their
 arrival rates evolve, how the cluster and controller are configured,
 which metrics to collect, and the master seed.  Specs are plain frozen
-dataclasses — building one performs full validation, and
-``from_dict(spec.to_dict())`` round-trips exactly — so scenarios can be
+dataclasses whose fields are declared once in the spec layer's field
+table (:mod:`repro.spec_fields`) — building one parses and validates
+every field, and ``from_dict(spec.to_dict())`` round-trips to the byte —
+so scenarios can be
 stored as data (in the registry, in ``.json`` files, in sweep grids)
 instead of as bespoke experiment scripts.
 
@@ -40,16 +42,29 @@ Scenario kinds
 from __future__ import annotations
 
 import dataclasses
-import json
-import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.core.allocation.reclamation import ReclamationPolicy
 from repro.core.policy import validate_policy
 from repro.faults.spec import FaultSpec
-from repro.federation.spec import FederationSpec, _is_count
+from repro.federation.spec import FederationSpec
+from repro.spec_fields import (
+    ANY,
+    Count,
+    Flag,
+    Kind,
+    Many,
+    Maybe,
+    Nested,
+    Number,
+    Spec,
+    Table,
+    Text,
+    canonical_json,
+    check_keys,
+    freeze,
+    spec_field,
+)
 from repro.workloads.schedules import (
     RampSchedule,
     RateSchedule,
@@ -90,131 +105,90 @@ KNOWN_METRICS = (
     "generated",
 )
 
-#: Valid ``kind`` values for :class:`ScheduleSpec` and their required params.
-_SCHEDULE_KINDS: Dict[str, Tuple[str, ...]] = {
-    "static": ("rate",),
-    "steps": ("steps",),
-    "staircase": ("rates", "step_duration"),
-    "ramp": ("points",),
-    "trace": ("counts",),
-    "azure": ("config", "duration_minutes", "seed", "index"),
+#: Valid ``kind`` values for :class:`ScheduleSpec`: (required, optional) params.
+_SCHEDULE_KINDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "static": (("rate",), ("duration",)),
+    "steps": (("steps",), ("duration",)),
+    "staircase": (("rates", "step_duration"), ("start",)),
+    "ramp": (("points",), ("duration",)),
+    "trace": (("counts",), ("interval", "start")),
+    "azure": (("config", "duration_minutes", "seed", "index"), ()),
 }
 
-
-def canonical_json(obj: Any) -> str:
-    """Serialise ``obj`` to the canonical JSON used for byte-comparisons.
-
-    Keys are sorted and separators fixed, so two runs that produce equal
-    data structures produce equal bytes — this is the representation the
-    parallel-equals-serial sweep guarantee is stated over.
-    """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+#: The values of :class:`~repro.core.allocation.reclamation.ReclamationPolicy`.
+_RECLAMATION_POLICIES = ("termination", "deflation")
 
 
-def _finite_positive(value: float) -> bool:
-    """True for a finite number above zero (False for NaN and ±inf)."""
-    return math.isfinite(value) and value > 0
+#: The ``params`` of a ``trace_replay`` scenario, by kind (the population apart).
+_REPLAY_PARAMS = {"trace_seed": Count(0), "duration_minutes": Count(1),
+                  "chunk_minutes": Count(1), "function_range": Many(Count(0))}
 
-
-def _is_finite_number(value: Any) -> bool:
-    """True for a finite real number that is not a ``bool`` (nor a str, nor NaN)."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+#: The keys of a replay's ``params.population``, by kind.
+_REPLAY_POPULATION = {"functions": Count(1), "seed": Count(0),
+                      "sporadic_fraction": Number("in [0, 1]"), "rate_log10_mean": Number(),
+                      "rate_log10_sigma": Number("non-negative")}
 
 
 def _validate_trace_replay_params(params: Mapping[str, Any]) -> None:
     """Eagerly validate the ``params`` of a ``trace_replay`` scenario.
 
     A replay spec fans out to many shards under the resilient runner, so
-    every numeric knob is checked at construction — a typo'd population
-    or an inverted ``function_range`` must fail *before* any shard runs,
-    not minutes into a sharded sweep.  An unknown key is refused by name
-    too, so a spec written for an older replay (one that still sized a
-    percentile reservoir) fails instead of being carried along unread.
+    every knob is checked at construction, by the field table's kinds —
+    a typo'd population, a fractional seed or an inverted
+    ``function_range`` must fail *before* any shard runs, not minutes
+    into a sharded sweep (or, worse, run truncated).  An unknown key is
+    refused by name too, so a spec written for an older replay (one that
+    still sized a percentile reservoir) fails instead of being carried
+    along unread.
     """
-    required = ("population", "trace_seed", "duration_minutes",
-                "chunk_minutes", "function_range")
-    missing = [key for key in required if key not in params]
-    if missing:
-        raise ValueError(f"trace_replay params missing keys: {missing}")
-    unknown = sorted(key for key in params if key not in required)
-    if unknown:
-        raise ValueError(f"trace_replay params has unknown keys: {unknown}")
+    check_keys("trace_replay params", params, ("population",) + tuple(_REPLAY_PARAMS))
     population = params["population"]
     if not isinstance(population, Mapping):
         raise ValueError("trace_replay params.population must be a mapping")
-    for key in ("functions", "seed", "sporadic_fraction",
-                "rate_log10_mean", "rate_log10_sigma"):
-        if key not in population:
-            raise ValueError(f"trace_replay population missing key {key!r}")
-    functions = int(population["functions"])
-    if functions < 1:
-        raise ValueError("trace_replay population.functions must be >= 1")
-    if not 0.0 <= float(population["sporadic_fraction"]) <= 1.0:
-        raise ValueError("trace_replay population.sporadic_fraction must be in [0, 1]")
-    if not math.isfinite(float(population["rate_log10_mean"])):
-        raise ValueError("trace_replay population.rate_log10_mean must be finite")
-    sigma = float(population["rate_log10_sigma"])
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError("trace_replay population.rate_log10_sigma must be "
-                         "finite and non-negative")
-    if int(params["duration_minutes"]) < 1:
-        raise ValueError("trace_replay duration_minutes must be >= 1")
-    if int(params["chunk_minutes"]) < 1:
-        raise ValueError("trace_replay chunk_minutes must be >= 1")
-    function_range = params["function_range"]
-    if len(tuple(function_range)) != 2:
-        raise ValueError("trace_replay function_range must be a [lo, hi) pair")
-    lo, hi = (int(v) for v in function_range)
-    if not 0 <= lo < hi <= functions:
+    check_keys("trace_replay population", population, tuple(_REPLAY_POPULATION))
+    for key, kind in _REPLAY_POPULATION.items():
+        kind.parse(population[key], f"trace_replay population.{key}")
+    for key, kind in _REPLAY_PARAMS.items():
+        kind.parse(params[key], f"trace_replay {key}")
+    functions = population["functions"]
+    function_range = tuple(params["function_range"])
+    if len(function_range) != 2 or not function_range[0] < function_range[1] <= functions:
         raise ValueError(
-            f"trace_replay function_range [{lo}, {hi}) must satisfy "
-            f"0 <= lo < hi <= population.functions ({functions})"
+            f"trace_replay function_range {list(function_range)} must be a [lo, hi) "
+            f"pair with 0 <= lo < hi <= population.functions ({functions})"
         )
 
 
-def _freeze(value: Any) -> Any:
-    """Recursively convert lists to tuples so frozen specs hash/compare stably."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    if isinstance(value, dict):
-        return {k: _freeze(v) for k, v in value.items()}
-    return value
+class _ScheduleParam(Kind):
+    """A schedule param: a list or mapping as written, a scalar a finite number."""
 
-
-def _thaw(value: Any) -> Any:
-    """Recursively convert tuples back to lists for JSON serialisation."""
-    if isinstance(value, tuple):
-        return [_thaw(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _thaw(v) for k, v in value.items()}
-    return value
+    def parse(self, value: Any, label: str) -> Any:
+        if value is not None and not isinstance(value, (list, tuple, Mapping)):
+            Number().parse(value, label)  # refuses a bool, a str, NaN, ±inf
+        return freeze(value)
 
 
 @dataclass(frozen=True)
-class ScheduleSpec:
+class ScheduleSpec(Spec):
     """Serializable description of a :class:`~repro.workloads.schedules.RateSchedule`.
 
     ``kind`` selects the schedule family; ``params`` carries its
-    arguments (see ``_SCHEDULE_KINDS`` for the required keys per kind).
+    arguments (see ``_SCHEDULE_KINDS`` for the params per kind).
     The ``azure`` kind synthesises a per-minute trace at build time with
     the same deterministic seeding as
     :func:`repro.workloads.azure.synthesize_azure_traces`.
     """
 
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
+    PREFIX = "schedule."
+
+    kind: str = spec_field(Text(choices=tuple(_SCHEDULE_KINDS)))
+    params: Mapping[str, Any] = spec_field(Table(_ScheduleParam()), {})
 
     def __post_init__(self) -> None:
-        """Validate the kind and its required params; freeze the params mapping."""
-        if self.kind not in _SCHEDULE_KINDS:
-            raise ValueError(
-                f"unknown schedule kind {self.kind!r}; valid: {sorted(_SCHEDULE_KINDS)}"
-            )
-        missing = [key for key in _SCHEDULE_KINDS[self.kind] if key not in self.params]
-        if missing:
-            raise ValueError(f"schedule kind {self.kind!r} missing params: {missing}")
-        object.__setattr__(self, "params", _freeze(dict(self.params)))
+        """Parse the fields; the kind's required params must be there, and no others."""
+        super().__post_init__()
+        check_keys(f"schedule kind {self.kind!r} params", self.params,
+                   *_SCHEDULE_KINDS[self.kind])
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -251,18 +225,6 @@ class ScheduleSpec:
                              "seed": seed, "index": index})
 
     # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict (JSON-ready) view of this schedule spec."""
-        return {"kind": self.kind, "params": _thaw(dict(self.params))}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScheduleSpec":
-        """Rebuild a schedule spec from :meth:`to_dict` output."""
-        return cls(kind=data["kind"], params=dict(data.get("params", {})))
-
-    # ------------------------------------------------------------------
     # Build
     # ------------------------------------------------------------------
     def build(self) -> RateSchedule:
@@ -295,28 +257,19 @@ class ScheduleSpec:
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Spec):
     """One function's workload: a catalogue function plus an arrival schedule.
 
     ``service_time`` optionally overrides the catalogue's mean service
     time (the micro-benchmark is configured this way per experiment).
     """
 
-    function: str
-    schedule: ScheduleSpec
-    slo_deadline: Optional[float] = 0.1
-    weight: float = 1.0
-    user: str = "default"
-    service_time: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        """Validate the workload's numeric fields."""
-        if not _finite_positive(self.weight):
-            raise ValueError("weight must be positive and finite")
-        if self.slo_deadline is not None and not _finite_positive(self.slo_deadline):
-            raise ValueError("slo_deadline must be positive and finite (or None)")
-        if self.service_time is not None and not _finite_positive(self.service_time):
-            raise ValueError("service_time must be positive and finite (or None)")
+    function: str = spec_field(Text(nonempty=True))
+    schedule: ScheduleSpec = spec_field(Nested(ScheduleSpec))
+    slo_deadline: Optional[float] = spec_field(Maybe(Number("positive")), 0.1)
+    weight: float = spec_field(Number("positive"), 1.0)
+    user: str = spec_field(Text(), "default")
+    service_time: Optional[float] = spec_field(Maybe(Number("positive")), None)
 
     def build_profile(self) -> FunctionProfile:
         """Resolve the catalogue profile, applying the service-time override."""
@@ -340,55 +293,21 @@ class WorkloadSpec:
             user=self.user,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict (JSON-ready) view of this workload spec."""
-        return {
-            "function": self.function,
-            "schedule": self.schedule.to_dict(),
-            "slo_deadline": self.slo_deadline,
-            "weight": self.weight,
-            "user": self.user,
-            "service_time": self.service_time,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
-        """Rebuild a workload spec from :meth:`to_dict` output."""
-        return cls(
-            function=data["function"],
-            schedule=ScheduleSpec.from_dict(data["schedule"]),
-            slo_deadline=data.get("slo_deadline"),
-            weight=float(data.get("weight", 1.0)),
-            user=data.get("user", "default"),
-            service_time=data.get("service_time"),
-        )
-
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(Spec):
     """Serializable view of :class:`~repro.cluster.cluster.ClusterConfig`.
 
     Defaults reproduce the paper's 3-node × (4 vCPU, 16 GB) testbed.
     """
 
-    node_count: int = 3
-    cpu_per_node: float = 4.0
-    memory_per_node_mb: float = 16 * 1024.0
-    cold_start_latency: float = 0.5
-    resize_latency: float = 0.0
+    PREFIX = "cluster."
 
-    def __post_init__(self) -> None:
-        """Refuse sizes a run would crash on or misreport, naming the field."""
-        if not _is_count(self.node_count) or self.node_count < 1:
-            raise ValueError(f"cluster.node_count must be an int >= 1; got {self.node_count!r}")
-        for name in ("cpu_per_node", "memory_per_node_mb"):
-            value = getattr(self, name)
-            if not _is_finite_number(value) or value <= 0:
-                raise ValueError(f"cluster.{name} must be a finite number > 0; got {value!r}")
-        for name in ("cold_start_latency", "resize_latency"):
-            value = getattr(self, name)
-            if not _is_finite_number(value) or value < 0:
-                raise ValueError(f"cluster.{name} must be a finite number >= 0; got {value!r}")
+    node_count: int = spec_field(Count(1), 3)
+    cpu_per_node: float = spec_field(Number("positive"), 4.0)
+    memory_per_node_mb: float = spec_field(Number("positive"), 16 * 1024.0)
+    cold_start_latency: float = spec_field(Number("non-negative"), 0.5)
+    resize_latency: float = spec_field(Number("non-negative"), 0.0)
 
     def build(self) -> ClusterConfig:
         """Instantiate the live :class:`ClusterConfig`."""
@@ -396,87 +315,54 @@ class ClusterSpec:
 
         return ClusterConfig(**dataclasses.asdict(self))
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict (JSON-ready) view."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ClusterSpec":
-        """Rebuild from :meth:`to_dict` output (missing keys take defaults)."""
-        return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls) if f.name in data})
-
-
-#: The :class:`ControllerSpec` fields that must be finite numbers.
-_CONTROLLER_FLOATS = (
-    "epoch_length",
-    "rate_sample_interval",
-    "long_window",
-    "short_window",
-    "burst_factor",
-    "ewma_alpha",
-    "percentile",
-    "deflation_threshold",
-    "deflation_increment",
-)
-
 
 @dataclass(frozen=True)
-class ControllerSpec:
+class ControllerSpec(Spec):
     """Serializable view of the scenario's control plane.
 
     ``policy`` names the registered control-plane policy to run
     (see :mod:`repro.core.policy`; default ``"lass"``) and
     ``policy_params`` carries its policy-specific configuration —
     both validated eagerly at spec construction, so a typo'd policy
-    or parameter set fails before any shard runs.  The remaining
-    fields mirror :class:`~repro.core.controller.ControllerConfig`
+    or parameter set fails before any shard runs.  Both are echoed only
+    when non-default, so every pre-policy spec — and every results
+    envelope that echoes one — keeps its exact historical bytes.  The
+    remaining fields mirror :class:`~repro.core.controller.ControllerConfig`
     (consumed by the LaSS policy; other policies read only the shared
     knobs they care about and take the rest from ``policy_params``).
     ``reclamation`` is stored as the reclamation policy's string value
     (``"termination"`` / ``"deflation"``) so specs stay plain JSON.
     """
 
-    policy: str = "lass"
-    policy_params: Mapping[str, Any] = field(default_factory=dict)
-    epoch_length: float = 10.0
-    rate_sample_interval: float = 5.0
-    long_window: float = 120.0
-    short_window: float = 10.0
-    burst_factor: float = 2.0
-    ewma_alpha: float = 0.7
-    percentile: float = 0.95
-    reclamation: str = "deflation"
-    deflation_threshold: float = 0.3
-    deflation_increment: float = 0.05
-    lazy_termination: bool = True
-    placement_strategy: str = "best_fit"
-    subtract_service_percentile: bool = False
-    online_learning: bool = True
+    PREFIX = "controller."
+    #: the sizing switches every echo carried until they were deleted
+    RETIRED = ("use_fast_sizing", "sizing_cache", "sizing_warm_start")
+
+    policy: str = spec_field(Text(), "lass", omit_default=True)
+    policy_params: Mapping[str, Any] = spec_field(Table(ANY), {}, omit_default=True)
+    epoch_length: float = spec_field(Number("positive"), 10.0)
+    rate_sample_interval: float = spec_field(Number("positive"), 5.0)
+    long_window: float = spec_field(Number(), 120.0)
+    short_window: float = spec_field(Number(), 10.0)
+    burst_factor: float = spec_field(Number(), 2.0)
+    ewma_alpha: float = spec_field(Number(), 0.7)
+    percentile: float = spec_field(Number("in (0, 1)"), 0.95)
+    reclamation: str = spec_field(Text(choices=_RECLAMATION_POLICIES), "deflation")
+    deflation_threshold: float = spec_field(Number(), 0.3)
+    deflation_increment: float = spec_field(Number(), 0.05)
+    lazy_termination: bool = spec_field(Flag(), True)
+    placement_strategy: str = spec_field(Text(), "best_fit")
+    subtract_service_percentile: bool = spec_field(Flag(), False)
+    online_learning: bool = spec_field(Flag(), True)
 
     def __post_init__(self) -> None:
-        """Validate the float knobs and the reclamation + control-plane policy."""
-        for name in _CONTROLLER_FLOATS:
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"controller.{name} must be a finite number; got {value!r}")
-        # the ranges ControllerConfig checks, here so a bad spec fails before any run
-        if not self.epoch_length > 0:
-            raise ValueError("epoch_length must be positive")
-        if not self.rate_sample_interval > 0:
-            raise ValueError("rate_sample_interval must be positive")
-        if not 0 < self.percentile < 1:
-            raise ValueError("percentile must be in (0, 1)")
-        for name in ("policy", "reclamation"):
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise ValueError(f"controller.{name} must be a string; got {value!r}")
-        ReclamationPolicy(self.reclamation)  # validates the policy name
-        object.__setattr__(self, "policy_params", _freeze(dict(self.policy_params)))
+        """Parse the fields; the policy must accept its params."""
+        super().__post_init__()
         validate_policy(self.policy, self.policy_params)
 
     def build(self) -> ControllerConfig:
         """Instantiate the live :class:`ControllerConfig` (LaSS's knobs)."""
+        from repro.core.allocation.reclamation import ReclamationPolicy
         from repro.core.controller import ControllerConfig
 
         kwargs = dataclasses.asdict(self)
@@ -485,34 +371,19 @@ class ControllerSpec:
         kwargs["reclamation"] = ReclamationPolicy(kwargs["reclamation"])
         return ControllerConfig(**kwargs)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict (JSON-ready) view.
 
-        The ``policy`` / ``policy_params`` fields are serialised only
-        when non-default, so every pre-policy spec — and therefore every
-        results envelope that echoes one — keeps its exact historical
-        bytes.  ``from_dict`` fills the defaults back in, and sweep
-        overrides may still create the two paths explicitly (they are
-        whitelisted in :func:`repro.scenarios.sweep.apply_overrides`).
-        """
-        data = dataclasses.asdict(self)
-        params = _thaw(dict(self.policy_params))
-        if self.policy == "lass":
-            data.pop("policy")
-        if params:
-            data["policy_params"] = params
-        else:
-            data.pop("policy_params")
-        return data
+#: The keys each sizing model requires (``percentile`` is optional).
+_SIZING_MODELS = {"mmc": ("model",),
+                  "heterogeneous": ("model", "deflated_proportion", "deflation_fraction")}
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ControllerSpec":
-        """Rebuild from :meth:`to_dict` output (missing keys take defaults)."""
-        return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls) if f.name in data})
+#: The numeric sizing keys, by kind.
+_SIZING_KEYS = {"percentile": Number("in (0, 1)"),
+                "deflated_proportion": Number("in [0, 1]"),
+                "deflation_fraction": Number("in [0, 1)")}
 
 
 @dataclass(frozen=True)
-class AllocationSpec:
+class AllocationSpec(Spec):
     """Fixed-allocation policy for ``kind="fixed"`` scenarios.
 
     Exactly one of ``containers`` (explicit count) or ``sizing``
@@ -535,50 +406,30 @@ class AllocationSpec:
     ``heterogeneous`` model, which derives its own plan).
     """
 
-    containers: Optional[int] = None
-    sizing: Optional[Mapping[str, Any]] = None
-    deflation_plan: Optional[Tuple[float, ...]] = None
+    containers: Optional[int] = spec_field(Maybe(Count(1)), None)
+    sizing: Optional[Mapping[str, Any]] = spec_field(Maybe(Table(ANY)), None)
+    deflation_plan: Optional[Tuple[float, ...]] = spec_field(Maybe(Many(Number())), None)
 
     def __post_init__(self) -> None:
-        """Validate the containers/sizing choice and freeze the plan."""
+        """Parse the fields; exactly one of containers / sizing, and a known model."""
+        super().__post_init__()
         if (self.containers is None) == (self.sizing is None):
             raise ValueError("exactly one of containers / sizing must be set")
-        if self.containers is not None and (not _is_count(self.containers)
-                                            or self.containers < 1):
-            raise ValueError(f"containers must be an int >= 1; got {self.containers!r}")
         if self.sizing is not None:
-            sizing = dict(self.sizing)
-            model = sizing.get("model")
-            if model not in ("mmc", "heterogeneous"):
+            model = self.sizing.get("model")
+            if model not in _SIZING_MODELS:
                 raise ValueError(f"unknown sizing model {model!r}")
+            check_keys(f"sizing model {model!r}", self.sizing, _SIZING_MODELS[model],
+                       ("percentile",))
+            for key, kind in _SIZING_KEYS.items():
+                if key in self.sizing:
+                    kind.parse(self.sizing[key], f"sizing.{key}")
             if model == "heterogeneous" and self.deflation_plan is not None:
                 raise ValueError("heterogeneous sizing derives its own deflation plan")
-            object.__setattr__(self, "sizing", _freeze(sizing))
-        if self.deflation_plan is not None:
-            object.__setattr__(self, "deflation_plan",
-                               tuple(float(f) for f in self.deflation_plan))
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict (JSON-ready) view."""
-        return {
-            "containers": self.containers,
-            "sizing": _thaw(dict(self.sizing)) if self.sizing is not None else None,
-            "deflation_plan": list(self.deflation_plan) if self.deflation_plan else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AllocationSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        plan = data.get("deflation_plan")
-        return cls(
-            containers=data.get("containers"),
-            sizing=data.get("sizing"),
-            deflation_plan=tuple(plan) if plan else None,
-        )
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Spec):
     """A complete, serialisable description of one scenario run.
 
     Attributes
@@ -632,36 +483,44 @@ class ScenarioSpec:
         (``cluster`` must stay ``None``), take only *site-level* faults
         (``site_blackouts`` / ``wan_partitions``), and do not support
         the ``timeline`` / ``guaranteed_cpu`` metric groups or
-        ``user_weights``.
+        ``user_weights``.  Echoed only when set.
+    data_plane:
+        Which data plane executes the request lifecycle: ``"event"``
+        (the default and oracle) or ``"columnar"`` (the vectorized
+        kernel; falls back to the event plane for policies without a
+        columnar plan).  Both produce byte-identical results envelopes;
+        echoed only when not ``"event"``, so every pre-columnar
+        envelope keeps its exact historical bytes.
     """
 
-    name: str
-    kind: str = "simulate"
-    description: str = ""
-    workloads: Tuple[WorkloadSpec, ...] = ()
-    cluster: Optional[ClusterSpec] = None
-    controller: ControllerSpec = field(default_factory=ControllerSpec)
-    allocation: Optional[AllocationSpec] = None
-    duration: float = 300.0
-    warmup: float = 0.0
-    seed: int = 1
-    user_weights: Optional[Mapping[str, float]] = None
-    warm_start: Mapping[str, int] = field(default_factory=dict)
-    metrics: Tuple[str, ...] = ("waiting", "slo", "utilization", "counters")
-    params: Mapping[str, Any] = field(default_factory=dict)
-    extra_drain: float = 5.0
-    faults: Optional[FaultSpec] = None
-    federation: Optional[FederationSpec] = None
-    #: which data plane executes the request lifecycle: ``"event"`` (the
-    #: default and oracle) or ``"columnar"`` (the vectorized kernel; falls
-    #: back to the event plane for policies without a columnar plan).
-    #: Both produce byte-identical results envelopes.
-    data_plane: str = "event"
+    SCHEMA = SCENARIO_SCHEMA
+
+    name: str = spec_field(Text(nonempty=True))
+    kind: str = spec_field(Text(), "simulate")
+    description: str = spec_field(Text(), "")
+    workloads: Tuple[WorkloadSpec, ...] = spec_field(Many(Nested(WorkloadSpec)), ())
+    cluster: Optional[ClusterSpec] = spec_field(Maybe(Nested(ClusterSpec)), None)
+    controller: ControllerSpec = spec_field(Nested(ControllerSpec), {})
+    allocation: Optional[AllocationSpec] = spec_field(Maybe(Nested(AllocationSpec)), None)
+    duration: float = spec_field(Number("positive"), 300.0)
+    warmup: float = spec_field(Number("non-negative"), 0.0)
+    seed: int = spec_field(Count(0), 1)
+    user_weights: Optional[Mapping[str, float]] = spec_field(
+        Maybe(Table(Number("positive"))), None)
+    warm_start: Mapping[str, int] = spec_field(Table(Count(0)), {})
+    metrics: Tuple[str, ...] = spec_field(Many(Text(choices=KNOWN_METRICS)),
+                                          ("waiting", "slo", "utilization", "counters"))
+    params: Mapping[str, Any] = spec_field(Table(ANY), {})
+    extra_drain: float = spec_field(Number("non-negative"), 5.0)
+    faults: Optional[FaultSpec] = spec_field(Maybe(Nested(FaultSpec)), None)
+    federation: Optional[FederationSpec] = spec_field(
+        Maybe(Nested(FederationSpec)), None, omit_default=True)
+    data_plane: str = spec_field(Text(choices=("event", "columnar")), "event",
+                                 omit_default=True)
 
     def __post_init__(self) -> None:
-        """Validate the scenario and freeze its collections."""
-        if not self.name:
-            raise ValueError("scenario name must be non-empty")
+        """Parse the fields; check the kind, workloads and federation gates against each other."""
+        super().__post_init__()
         if self.kind not in SCENARIO_KINDS:
             from repro.core.policy import policy_names
 
@@ -673,18 +532,6 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown scenario kind {self.kind!r}; valid: {SCENARIO_KINDS}{hint}"
             )
-        if self.data_plane not in ("event", "columnar"):
-            raise ValueError(
-                f"unknown data_plane {self.data_plane!r}; valid: 'event', 'columnar'"
-            )
-        if not _finite_positive(self.duration):
-            raise ValueError("duration must be positive and finite")
-        if not (math.isfinite(self.warmup) and self.warmup >= 0):
-            raise ValueError("warmup must be non-negative and finite")
-        if not _is_finite_number(self.extra_drain) or self.extra_drain < 0:
-            raise ValueError(f"extra_drain must be a finite number >= 0; got {self.extra_drain!r}")
-        if not _is_count(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative int; got {self.seed!r}")
         if self.kind in SIMULATION_KINDS and not self.workloads:
             raise ValueError(f"kind {self.kind!r} requires at least one workload")
         if self.kind == "fixed":
@@ -697,15 +544,9 @@ class ScenarioSpec:
         names = [w.function for w in self.workloads]
         if len(set(names)) != len(names):
             raise ValueError("duplicate function names in workloads")
-        for function, count in dict(self.warm_start).items():
+        for function in self.warm_start:
             if function not in names:
                 raise ValueError(f"warm_start names unknown function {function!r}")
-            if not _is_count(count) or count < 0:
-                raise ValueError(
-                    f"warm_start[{function!r}] must be a non-negative int; got {count!r}")
-        unknown = [m for m in self.metrics if m not in KNOWN_METRICS]
-        if unknown:
-            raise ValueError(f"unknown metrics {unknown}; valid: {KNOWN_METRICS}")
         if self.kind == "trace_replay":
             if self.workloads:
                 raise ValueError("kind 'trace_replay' synthesises its own workloads")
@@ -717,146 +558,53 @@ class ScenarioSpec:
                 object.__setattr__(self, "faults", None)
             elif self.kind != "simulate":
                 raise ValueError("faults are only supported for kind 'simulate'")
-        if self.federation is not None and not isinstance(self.federation, FederationSpec):
-            object.__setattr__(self, "federation",
-                               FederationSpec.from_dict(self.federation))
         if self.federation is not None:
-            if self.kind != "simulate":
-                raise ValueError("federation is only supported for kind 'simulate'")
-            if self.data_plane != "event":
-                raise ValueError("federated scenarios require data_plane='event'")
-            if self.cluster is not None:
-                raise ValueError(
-                    "federated scenarios size their clusters per site; cluster must be None"
-                )
-            if self.user_weights is not None:
-                raise ValueError("federated scenarios do not support user_weights")
-            unsupported = [m for m in self.metrics
-                           if m in ("timeline", "guaranteed_cpu")]
-            if unsupported:
-                raise ValueError(
-                    f"federated scenarios do not support metrics {unsupported}"
-                )
-            site_names = set(self.federation.site_names())
-            for function, site in self.federation.origins.items():
-                if function not in names:
-                    raise ValueError(
-                        f"federation.origins names unknown function {function!r}"
-                    )
-            if self.faults is not None:
-                if self.faults.has_node_faults():
-                    raise ValueError(
-                        "federated scenarios take site-level faults only "
-                        "(site_blackouts / wan_partitions)"
-                    )
-                for blackout in self.faults.site_blackouts:
-                    if blackout.site not in site_names:
-                        raise ValueError(
-                            f"site_blackouts references unknown site {blackout.site!r}"
-                        )
-                    if (blackout.rejoin_nodes is not None
-                            and blackout.rejoin_nodes
-                            > self.federation.site(blackout.site).node_count):
-                        raise ValueError(
-                            f"site {blackout.site!r}: rejoin_nodes="
-                            f"{blackout.rejoin_nodes} exceeds node_count"
-                        )
-                for partition in self.faults.wan_partitions:
-                    if partition.site not in site_names:
-                        raise ValueError(
-                            f"wan_partitions references unknown site {partition.site!r}"
-                        )
+            self._check_federation(names)
         elif self.faults is not None and self.faults.has_site_faults():
             raise ValueError(
                 "site-level faults (site_blackouts / wan_partitions) require "
                 "a federation spec"
             )
-        object.__setattr__(self, "workloads", tuple(self.workloads))
-        object.__setattr__(self, "metrics", tuple(self.metrics))
-        object.__setattr__(self, "warm_start", _freeze(dict(self.warm_start)))
-        object.__setattr__(self, "params", _freeze(dict(self.params)))
-        if self.user_weights is not None:
-            object.__setattr__(self, "user_weights", _freeze(dict(self.user_weights)))
 
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict (JSON-ready) view of the whole scenario.
-
-        ``data_plane`` is serialised only when non-default, so every
-        pre-columnar spec — and every results envelope echoing one —
-        keeps its exact historical bytes.
-        """
-        data = {
-            "schema": SCENARIO_SCHEMA,
-            "name": self.name,
-            "kind": self.kind,
-            "description": self.description,
-            "workloads": [w.to_dict() for w in self.workloads],
-            "cluster": self.cluster.to_dict() if self.cluster is not None else None,
-            "controller": self.controller.to_dict(),
-            "allocation": self.allocation.to_dict() if self.allocation else None,
-            "duration": self.duration,
-            "warmup": self.warmup,
-            "seed": self.seed,
-            "user_weights": _thaw(dict(self.user_weights)) if self.user_weights else None,
-            "warm_start": _thaw(dict(self.warm_start)),
-            "metrics": list(self.metrics),
-            "params": _thaw(dict(self.params)),
-            "extra_drain": self.extra_drain,
-            "faults": self.faults.to_dict() if self.faults is not None else None,
-        }
+    def _check_federation(self, names: Sequence[str]) -> None:
+        """The federation gates: what a federated scenario may not carry."""
+        federation = self.federation
+        if self.kind != "simulate":
+            raise ValueError("federation is only supported for kind 'simulate'")
         if self.data_plane != "event":
-            data["data_plane"] = self.data_plane
-        if self.federation is not None:
-            data["federation"] = self.federation.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Rebuild (and re-validate) a scenario from :meth:`to_dict` output."""
-        schema = data.get("schema", SCENARIO_SCHEMA)
-        if schema != SCENARIO_SCHEMA:
-            raise ValueError(f"unsupported scenario schema {schema!r}")
-        allocation = data.get("allocation")
-        return cls(
-            name=data["name"],
-            kind=data.get("kind", "simulate"),
-            description=data.get("description", ""),
-            workloads=tuple(WorkloadSpec.from_dict(w) for w in data.get("workloads", ())),
-            cluster=(ClusterSpec.from_dict(data["cluster"])
-                     if data.get("cluster") is not None else None),
-            controller=ControllerSpec.from_dict(data.get("controller", {})),
-            allocation=AllocationSpec.from_dict(allocation) if allocation else None,
-            duration=float(data.get("duration", 300.0)),
-            warmup=float(data.get("warmup", 0.0)),
-            seed=data.get("seed", 1),
-            user_weights=data.get("user_weights"),
-            warm_start=data.get("warm_start", {}),
-            metrics=tuple(data.get("metrics", ("waiting", "slo", "utilization", "counters"))),
-            params=data.get("params", {}),
-            # a JSON integer loads as the float it echoes as; anything else
-            # reaches the constructor as written, to be refused by name
-            extra_drain=(float(data["extra_drain"]) if _is_finite_number(data.get("extra_drain"))
-                         else data.get("extra_drain", 5.0)),
-            faults=(FaultSpec.from_dict(data["faults"])
-                    if data.get("faults") is not None else None),
-            federation=(FederationSpec.from_dict(data["federation"])
-                        if data.get("federation") is not None else None),
-            data_plane=data.get("data_plane", "event"),
-        )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """JSON text of :meth:`to_dict` (canonical when ``indent`` is None)."""
-        if indent is None:
-            return canonical_json(self.to_dict())
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        """Parse a spec from JSON text (inverse of :meth:`to_json`)."""
-        return cls.from_dict(json.loads(text))
+            raise ValueError("federated scenarios require data_plane='event'")
+        if self.cluster is not None:
+            raise ValueError(
+                "federated scenarios size their clusters per site; cluster must be None"
+            )
+        if self.user_weights is not None:
+            raise ValueError("federated scenarios do not support user_weights")
+        unsupported = [m for m in self.metrics if m in ("timeline", "guaranteed_cpu")]
+        if unsupported:
+            raise ValueError(f"federated scenarios do not support metrics {unsupported}")
+        for function in federation.origins:
+            if function not in names:
+                raise ValueError(f"federation.origins names unknown function {function!r}")
+        if self.faults is None:
+            return
+        if self.faults.has_node_faults():
+            raise ValueError(
+                "federated scenarios take site-level faults only "
+                "(site_blackouts / wan_partitions)"
+            )
+        site_names = set(federation.site_names())
+        for blackout in self.faults.site_blackouts:
+            if blackout.site not in site_names:
+                raise ValueError(f"site_blackouts references unknown site {blackout.site!r}")
+            if (blackout.rejoin_nodes is not None
+                    and blackout.rejoin_nodes > federation.site(blackout.site).node_count):
+                raise ValueError(
+                    f"site {blackout.site!r}: rejoin_nodes="
+                    f"{blackout.rejoin_nodes} exceeds node_count"
+                )
+        for partition in self.faults.wan_partitions:
+            if partition.site not in site_names:
+                raise ValueError(f"wan_partitions references unknown site {partition.site!r}")
 
 
 __all__ = [

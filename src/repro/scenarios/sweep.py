@@ -29,15 +29,15 @@ properties make all execution modes byte-identical (``workers=1`` ≡
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.scenarios.spec import ScenarioSpec, canonical_json
+from repro.scenarios.spec import ScenarioSpec
 from repro.sim.rng import _stable_hash
+from repro.spec_fields import ANY, Many, Nested, Spec, Table, Text, canonical_json, spec_field, thaw
 
 #: Schema identifier for serialised sweeps.
 SWEEP_SCHEMA = "repro/sweep@1"
@@ -78,18 +78,6 @@ def derive_shard_seed(base_seed: int, overrides: Mapping[str, Any]) -> int:
     return _stable_hash(text) % (2**31 - 1)
 
 
-#: Paths ``apply_overrides`` may *create*: these fields are omitted from
-#: the serialised spec when they hold their defaults (to keep pre-policy
-#: envelopes byte-identical), yet sweeps must be able to set them.
-_CREATABLE_OVERRIDE_PATHS = frozenset({
-    "controller.policy",
-    "controller.policy_params",
-    "data_plane",
-    "federation.router",
-    "federation.router_params",
-})
-
-
 def apply_overrides(spec: ScenarioSpec, overrides: Mapping[str, Any]) -> ScenarioSpec:
     """Apply dotted-path overrides to a spec, returning a re-validated copy.
 
@@ -97,30 +85,36 @@ def apply_overrides(spec: ScenarioSpec, overrides: Mapping[str, Any]) -> Scenari
     other segments are dict keys.  The override is applied to the spec's
     ``to_dict()`` form and the result re-parsed, so every shard spec is
     fully validated before it runs.  Every segment — including the last —
-    must already exist in the spec's dict form: the serialised spec
-    always carries its full key set, so a missing key is a typo'd path,
-    and silently inserting it would make the override a no-op
-    (``from_dict`` ignores unknown keys).  The only exceptions are the
-    :data:`_CREATABLE_OVERRIDE_PATHS` — fields deliberately omitted from
-    the dict form at their defaults, which ``from_dict`` understands.
+    must already exist in the spec's dict form, with one exception: a
+    field the field table declares ``omit_default`` is left out of the
+    dict form while it holds its default, so an override may create it
+    (``"data_plane"``, ``"controller.policy"``,
+    ``"federation.sites.0.cloud"``, ...).  Any other missing key is a
+    typo'd path, refused here with a ``KeyError``.
     """
     data = spec.to_dict()
     for path, value in overrides.items():
         segments = path.split(".")
         node: Any = data
+        owner: Optional[type] = ScenarioSpec  # the spec class whose dict ``node`` is
         try:
             for segment in segments[:-1]:
-                node = node[int(segment)] if segment.lstrip("-").isdigit() else node[segment]
+                if segment.lstrip("-").isdigit():
+                    node = node[int(segment)]
+                else:
+                    node = node[segment]
+                    owner = owner.nested_spec(segment) if owner is not None else None
             last = segments[-1]
             if last.lstrip("-").isdigit():
                 node[int(last)]  # noqa: B018 - existence check before assignment
-                node[int(last)] = value
+                node[int(last)] = thaw(value)
             else:
                 if not isinstance(node, dict) or (
-                    last not in node and path not in _CREATABLE_OVERRIDE_PATHS
+                    last not in node
+                    and not (owner is not None and owner.omits_default(last))
                 ):
                     raise KeyError(last)
-                node[last] = value
+                node[last] = thaw(value)
         except (KeyError, IndexError, TypeError) as error:
             raise KeyError(
                 f"override path {path!r} does not resolve in scenario "
@@ -130,32 +124,21 @@ def apply_overrides(spec: ScenarioSpec, overrides: Mapping[str, Any]) -> Scenari
 
 
 @dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(Spec):
     """One grid dimension: a dotted path and the values it sweeps over."""
 
-    path: str
-    values: Tuple[Any, ...]
+    path: str = spec_field(Text(nonempty=True))
+    values: Tuple[Any, ...] = spec_field(Many(ANY))
 
     def __post_init__(self) -> None:
-        """Validate the axis and freeze its values."""
-        if not self.path:
-            raise ValueError("axis path must be non-empty")
+        """Parse the fields; an axis needs at least one value."""
+        super().__post_init__()
         if not self.values:
             raise ValueError(f"axis {self.path!r} has no values")
-        object.__setattr__(self, "values", tuple(self.values))
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict (JSON-ready) view."""
-        return {"path": self.path, "values": list(self.values)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepAxis":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(path=data["path"], values=tuple(data["values"]))
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Spec):
     """A base scenario plus the parameter grid to expand it over.
 
     Exactly one of ``axes`` (cartesian product, in declaration order) or
@@ -170,24 +153,20 @@ class SweepSpec:
       arms must share identical randomness, e.g. policy comparisons).
     """
 
-    name: str
-    base: ScenarioSpec
-    axes: Tuple[SweepAxis, ...] = ()
-    points: Tuple[Mapping[str, Any], ...] = ()
-    seed_mode: str = "derive"
-    description: str = ""
+    SCHEMA = SWEEP_SCHEMA
+
+    name: str = spec_field(Text(nonempty=True))
+    base: ScenarioSpec = spec_field(Nested(ScenarioSpec))
+    axes: Tuple[SweepAxis, ...] = spec_field(Many(Nested(SweepAxis)), ())
+    points: Tuple[Mapping[str, Any], ...] = spec_field(Many(Table(ANY)), ())
+    seed_mode: str = spec_field(Text(choices=("derive", "base")), "derive")
+    description: str = spec_field(Text(), "")
 
     def __post_init__(self) -> None:
-        """Validate the axes/points choice and freeze the override points."""
-        if not self.name:
-            raise ValueError("sweep name must be non-empty")
+        """Parse the fields; exactly one of axes / points, within the shard cap."""
+        super().__post_init__()
         if bool(self.axes) == bool(self.points):
             raise ValueError("exactly one of axes / points must be given")
-        if self.seed_mode not in ("derive", "base"):
-            raise ValueError("seed_mode must be 'derive' or 'base'")
-        object.__setattr__(self, "axes", tuple(self.axes))
-        object.__setattr__(self, "points",
-                           tuple(dict(point) for point in self.points))
         # guard absurd grids *before* anything can materialise them: the
         # planned count is a product of axis lengths, so checking it is
         # O(axes) even when the expansion would be millions of specs
@@ -231,47 +210,6 @@ class SweepSpec:
                 overrides["seed"] = derive_shard_seed(self.base.seed, named)
             shards.append(apply_overrides(self.base, overrides))
         return shards
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict (JSON-ready) view of the whole sweep."""
-        return {
-            "schema": SWEEP_SCHEMA,
-            "name": self.name,
-            "description": self.description,
-            "base": self.base.to_dict(),
-            "axes": [axis.to_dict() for axis in self.axes],
-            "points": [dict(point) for point in self.points],
-            "seed_mode": self.seed_mode,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
-        """Rebuild (and re-validate) a sweep from :meth:`to_dict` output."""
-        schema = data.get("schema", SWEEP_SCHEMA)
-        if schema != SWEEP_SCHEMA:
-            raise ValueError(f"unsupported sweep schema {schema!r}")
-        return cls(
-            name=data["name"],
-            base=ScenarioSpec.from_dict(data["base"]),
-            axes=tuple(SweepAxis.from_dict(a) for a in data.get("axes", ())),
-            points=tuple(data.get("points", ())),
-            seed_mode=data.get("seed_mode", "derive"),
-            description=data.get("description", ""),
-        )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """JSON text of :meth:`to_dict` (canonical when ``indent`` is None)."""
-        if indent is None:
-            return canonical_json(self.to_dict())
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        """Parse a sweep from JSON text (inverse of :meth:`to_json`)."""
-        return cls.from_dict(json.loads(text))
 
 
 __all__ = [

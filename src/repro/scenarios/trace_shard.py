@@ -58,8 +58,9 @@ import numpy as np
 # forked workers inherit the sizing chain instead of importing it again.
 from repro.core.queueing.solver import SizingSolver
 from repro.scenarios.runner import ScenarioOutcome, _envelope
-from repro.scenarios.spec import ScenarioSpec, _is_count
+from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.sweep import SWEEP_RESULT_SCHEMA
+from repro.spec_fields import is_count
 from repro.workloads.stream import (
     iter_azure_trace_chunks,
     population_function,
@@ -188,7 +189,7 @@ def _check_shape(position: int, result: Any) -> Tuple[int, int]:
     ``replay`` group, whose range is two non-negative ints ``lo < hi``
     spanning its ``functions`` and whose counters
     (:data:`_REPLAY_COUNTS`) are non-negative ints — judged by
-    :func:`_is_count`, so ``4.5`` or ``True`` is refused, never truncated.
+    :func:`~repro.spec_fields.is_count`, so ``4.5`` or ``True`` is refused, never truncated.
     """
     shard = _shard_name(position, result)
     if not isinstance(result, Mapping) or not isinstance(result.get("replay"), Mapping):
@@ -199,19 +200,19 @@ def _check_shape(position: int, result: Any) -> Tuple[int, int]:
     params = scenario.get("params")
     population = params.get("population") if isinstance(params, Mapping) else None
     if not (isinstance(population, Mapping)
-            and _is_count(population.get("functions")) and population["functions"] > 0
-            and _is_count(params.get("duration_minutes")) and params["duration_minutes"] > 0):
+            and is_count(population.get("functions")) and population["functions"] > 0
+            and is_count(params.get("duration_minutes")) and params["duration_minutes"] > 0):
         raise ValueError(f"{shard}: params need a population with a positive int "
                          "functions and a positive int duration_minutes")
     replay = result["replay"]
     bounds = replay.get("function_range")
     if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
-            and all(_is_count(v) for v in bounds) and 0 <= bounds[0] < bounds[1]):
+            and all(is_count(v) for v in bounds) and 0 <= bounds[0] < bounds[1]):
         raise ValueError(f"{shard}: function_range must be two ints 0 <= lo < hi; "
                          f"got {bounds!r}")
     lo, hi = bounds
     for key in _REPLAY_COUNTS:
-        if not (_is_count(replay.get(key)) and replay[key] >= 0):
+        if not (is_count(replay.get(key)) and replay[key] >= 0):
             raise ValueError(f"{shard} [{lo}, {hi}): replay {key} must be a "
                              f"non-negative int; got {replay.get(key)!r}")
     if replay["functions"] != hi - lo:
@@ -243,10 +244,10 @@ def _check_histogram(shard: str, replay: Mapping[str, Any]) -> None:
     previous = -1
     for pair in pairs:
         if not (isinstance(pair, list) and len(pair) == 2
-                and _is_count(pair[0]) and pair[0] > previous):
+                and is_count(pair[0]) and pair[0] > previous):
             raise ValueError(f"{shard}: histogram values must be strictly "
                              f"increasing non-negative ints; got {pair!r}")
-        if not (_is_count(pair[1]) and pair[1] > 0):
+        if not (is_count(pair[1]) and pair[1] > 0):
             raise ValueError(f"{shard}: histogram minutes must be positive "
                              f"ints; got {pair!r}")
         previous = pair[0]

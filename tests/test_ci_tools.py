@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 from chaos_sweep import _preset_sweep  # noqa: E402
 from check_replay import main as check_replay  # noqa: E402
+from envelope_digests import compare as compare_digests  # noqa: E402
 from repro.cli import main as repro  # noqa: E402
 from repro.scenarios import build  # noqa: E402
 from repro.scenarios.sweep import apply_overrides  # noqa: E402
@@ -62,3 +63,22 @@ def test_the_replay_check_holds_other_shard_counts_to_the_same_numbers(tmp_path,
         assert check_replay([str(paths[2]), "--functions", "40", "--shards", "2",
                              "--same-as", str(paths[3])]) == 1
         assert f"{group} differ from the --same-as envelope's" in capsys.readouterr().err
+
+
+def test_the_digest_comparison_counts_echo_differences_without_failing_on_them(
+        tmp_path, capsys):
+    base, head = tmp_path / "base.txt", tmp_path / "head.txt"
+    base.write_text("fig3  fig3#0000  event  e1  p1\nfig3  fig3#0001  event  e2  p2\n"
+                    "fig8  fig8#0000  event  e3  p3\n", encoding="utf-8")
+    head.write_text("fig3  fig3#0000  event  E1  p1\nfig3  fig3#0001  event  E2  P2\n",
+                    encoding="utf-8")
+    assert compare_digests(str(base), str(head)) == 1   # a payload moved
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "2 shared runs, 1 payload digest(s) differ, " \
+                                   "2 echo digest(s) differ"
+    assert "only in base: fig8  fig8#0000  event" in out
+    head.write_text("fig3  fig3#0000  event  E1  p1\nfig3  fig3#0001  event  e2  p2\n",
+                    encoding="utf-8")
+    assert compare_digests(str(base), str(head)) == 0   # an echo alone is not fatal
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "2 shared runs, 0 payload digest(s) differ, 1 echo digest(s) differ")

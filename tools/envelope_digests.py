@@ -134,18 +134,21 @@ def _read(path: str) -> Dict[Tuple[str, str, str], Tuple[str, str]]:
 def compare(base_path: str, head_path: str) -> int:
     """Print what differs between two listings; 1 when a shared payload moved."""
     base, head = _read(base_path), _read(head_path)
-    moved = 0
+    moved = echoed = 0
     for key in sorted(set(base) | set(head)):
         label = "  ".join(key)
         if key not in base or key not in head:
             print(f"only in {'head' if key in head else 'base'}: {label}")
-        elif base[key][1] != head[key][1]:
+            continue
+        if base[key][1] != head[key][1]:
             moved += 1
             print(f"PAYLOAD differs: {label}  {base[key][1]} -> {head[key][1]}")
-        elif base[key][0] != head[key][0]:
+        if base[key][0] != head[key][0]:
+            echoed += 1
             print(f"echo differs: {label}  {base[key][0]} -> {head[key][0]}")
     shared = len(set(base) & set(head))
-    print(f"{shared} shared runs, {moved} payload digest(s) differ")
+    print(f"{shared} shared runs, {moved} payload digest(s) differ, "
+          f"{echoed} echo digest(s) differ")
     return 1 if moved else 0
 
 
