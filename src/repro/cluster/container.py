@@ -341,13 +341,19 @@ class Container:
         engine: "SimulationEngine",
         on_complete: Optional[Callable[[Request, "Container"], None]],
     ) -> None:
-        """Begin executing ``request`` now; the caller has checked nothing is running."""
+        """Begin executing ``request`` (``Request.mark_running``, inline) on a free container."""
+        if request.status not in (RequestStatus.PENDING, RequestStatus.QUEUED):
+            raise ValueError(f"cannot start request in state {request.status}")
         now = engine._now  # the clock's field: the property is a frame per request
         self._current = request
-        cold = self.warm_since is not None and self.completed_requests == 0 and now == self.warm_since
-        request.mark_running(now, self.container_id, self.node_name, cold_start=cold)
+        request.status = RequestStatus.RUNNING
+        request.start_time = now
+        request.container_id = self.container_id
+        request.node_name = self.node_name
+        request.cold_start = now == self.warm_since and self.completed_requests == 0
+        speed = self._speed or self.speed  # the cache, filled by the property when empty
         self._completion_event = engine.schedule(
-            max(1e-9, request.work / self.speed), self._finish_current, engine, on_complete
+            max(1e-9, request.work / speed), self._finish_current, engine, on_complete
         )
 
     def _finish_current(
@@ -355,12 +361,15 @@ class Container:
         engine: "SimulationEngine",
         on_complete: Optional[Callable[[Request, "Container"], None]],
     ) -> None:
-        """Complete the in-flight request and pull the next queued one."""
+        """Complete the in-flight request (``Request.mark_completed``, inline) and pull the next."""
         request = self._current
         if request is None:  # pragma: no cover - defensive
             return
-        now = engine._now
-        request.mark_completed(now)
+        if request.status is not RequestStatus.RUNNING:
+            raise ValueError(
+                f"request {request.request_id} is {request.status.value}, expected running")
+        request.status = RequestStatus.COMPLETED
+        request.completion_time = engine._now
         self.completed_requests += 1
         self._current = None
         self._completion_event = None

@@ -155,8 +155,14 @@ class LassController(SharedQueuePolicy):
         default_service_rates: Optional[Dict[str, float]] = None,
     ) -> None:
         """Wire the controller to the cluster and build its per-function state."""
-        super().__init__(engine, cluster, metrics)
         self.config = config or ControllerConfig()
+        #: the per-function rate windows and (online learning only) the
+        #: service-time estimators: the data path folds into these, and the
+        #: control loop reads them; the completion map goes to the dispatcher
+        self.arrival_folds: Dict[str, DualWindowRateEstimator] = {}
+        self.completion_folds: Optional[Dict[str, OnlineServiceTimeEstimator]] = (
+            {} if self.config.online_learning else None)
+        super().__init__(engine, cluster, metrics)
         self.balancer = self.dispatcher.balancer
         self.invokers = InvokerPool(cluster)
         self.solver = SizingSolver()
@@ -172,13 +178,6 @@ class LassController(SharedQueuePolicy):
         #: voluntary scale-downs are suppressed until this simulation time
         #: (pushed forward by node failure/recovery notifications)
         self._suppress_reclamation_until = -float("inf")
-        #: the per-function rate windows and (online learning only) the
-        #: service-time estimators: the data path folds into these, and the
-        #: control loop reads them
-        self.arrival_folds: Dict[str, DualWindowRateEstimator] = {}
-        self.completion_folds: Optional[Dict[str, OnlineServiceTimeEstimator]] = (
-            {} if self.config.online_learning else None)
-
         service_profiles = service_profiles or {}
         default_service_rates = default_service_rates or {}
         for deployment in cluster.deployments:

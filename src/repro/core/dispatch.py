@@ -79,21 +79,23 @@ class SharedQueueDispatcher:
     ----------
     engine:
         The simulation engine requests execute on.
-    on_complete:
-        Optional callback invoked with ``(request, container)`` after each
-        completion (after the dispatcher's own bookkeeping).
+    metrics, completion_folds:
+        Where each completion is counted (a fresh collector if omitted) and
+        folded (function name → estimator, or ``None`` to fold nothing).
     """
 
     def __init__(
         self,
         engine: SimulationEngine,
-        on_complete: Optional[Callable[[Request, Container], None]] = None,
+        metrics: Optional[MetricsCollector] = None,
+        completion_folds: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Create an empty dispatcher and bind the completion callback."""
+        """Create an empty dispatcher counting completions in ``metrics``."""
         self.engine = engine
         self.balancer = WeightedRoundRobinBalancer()
         self._queues: Dict[str, Deque[Request]] = {}
-        self._on_complete = on_complete
+        self.metrics = metrics if metrics is not None else MetricsCollector()
+        self.completion_folds = completion_folds
         #: Optional fault hook consulted at the single dispatch choke
         #: point (:meth:`_dispatch_to`).  Returning ``False`` means the
         #: container crashed on dispatch: the interceptor has already
@@ -174,9 +176,10 @@ class SharedQueueDispatcher:
         Every path that moves a request onto a container (fresh submits,
         queue drains, completion-driven pulls) goes through here, so the
         fault injector's crash-on-dispatch interceptor sees *every*
-        dispatch exactly once.  Returns ``False`` when the interceptor
+        dispatch exactly once.  Each has proved ``container`` warm and
+        empty, so the request starts at once.  Returns ``False`` when the interceptor
         reports a crash (the request is already disposed of); ``True``
-        when the request was submitted.
+        when the request started.
         """
         interceptor = self.interceptor
         if interceptor is not None and not interceptor(request, container):
@@ -184,7 +187,7 @@ class SharedQueueDispatcher:
         index = self._idle.get(container.function_name)
         if index is not None:
             index.pop(container.container_id, None)
-        container.submit(request, self.engine, self._completion_hook)
+        container._start(request, self.engine, self._completion_hook)
         return True
 
     def submit(self, request: Request) -> bool:
@@ -250,9 +253,19 @@ class SharedQueueDispatcher:
             self._queues.setdefault(request.function_name, deque()).appendleft(request)
 
     def _completion_hook(self, request: Request, container: Container) -> None:
-        """Completion callback: notify the owner, then reuse the freed container."""
-        if self._on_complete is not None:
-            self._on_complete(request, container)
+        """The one completion body (both planes): count, fold, reuse the container."""
+        counters = self.metrics.counters
+        counters["completions"] += 1
+        if request.cold_start:
+            counters["cold_starts"] += 1
+        folds = self.completion_folds
+        if folds is not None:
+            estimator = folds.get(request.function_name)
+            # the fields behind ``Request.service_time`` and ``Container.cpu_fraction``
+            start, completion = request.start_time, request.completion_time
+            if estimator is not None and start is not None and completion is not None:
+                estimator.observe(container.current_cpu / container.standard_cpu,
+                                  completion - start)
         # the container just went idle: pull the next queued request onto it
         queue = self._queues.get(request.function_name)
         while (queue and container.state is _WARM and container._current is None
@@ -268,9 +281,9 @@ class SharedQueuePolicy(ControlPolicy):
     """A control policy behind the shared-queue data path.
 
     The base wires a :class:`SharedQueueDispatcher` to the cluster, and
-    its :meth:`dispatch`, completion callback and warm hook are the whole
-    per-request path; :meth:`columnar_plan` describes the same hooks to
-    the columnar kernel.  A subclass declares only what differs:
+    its :meth:`dispatch`, warm hook and the dispatcher's completion body are
+    the whole per-request path; :meth:`columnar_plan` describes the same
+    hooks to the columnar kernel.  A subclass declares only what differs:
 
     ``arrival_folds``
         Function name → the estimator each arrival is folded into
@@ -282,6 +295,7 @@ class SharedQueuePolicy(ControlPolicy):
         Function name → the estimator each completion is folded into
         (``observe(cpu_fraction, service_time)`` /
         ``observe_many(cpu_fractions, service_times)``), or ``None``.
+        The dispatcher folds it: set it before calling ``__init__``.
     ``creates_on_empty``
         Whether an arrival that queues against a function with no
         container gets one created (:meth:`_create_on_empty`).
@@ -301,7 +315,7 @@ class SharedQueuePolicy(ControlPolicy):
         self.engine = engine
         self.cluster = cluster
         self.metrics = metrics or MetricsCollector()
-        self.dispatcher = SharedQueueDispatcher(engine, on_complete=self._on_request_complete)
+        self.dispatcher = SharedQueueDispatcher(engine, self.metrics, self.completion_folds)
         self.dispatcher.attach_cluster(cluster)
         cluster.on_container_warm(self._on_container_warm)
 
@@ -316,24 +330,12 @@ class SharedQueuePolicy(ControlPolicy):
             estimator.record_arrival(request.arrival_time)
         self.metrics.record_request(request)
         if (not self.dispatcher.submit(request) and self.creates_on_empty
-                and not self.cluster.has_containers(request.function_name)):
+                and not self.cluster._by_function.get(request.function_name)):  # has_containers
             self._create_on_empty(request.function_name)
 
     def _on_container_warm(self, container: Container) -> None:
         """A container finished cold start: drain its function's queue onto it."""
         self.dispatcher.drain(container.function_name)
-
-    def _on_request_complete(self, request: Request, container: Container) -> None:
-        """Completion callback: record it, and fold its service time where learned."""
-        self.metrics.record_completion(request)
-        folds = self.completion_folds
-        if folds is not None:
-            estimator = folds.get(request.function_name)
-            # the fields behind ``Request.service_time`` and ``Container.cpu_fraction``
-            start, completion = request.start_time, request.completion_time
-            if estimator is not None and start is not None and completion is not None:
-                estimator.observe(container.current_cpu / container.standard_cpu,
-                                  completion - start)
 
     @staticmethod
     def _unregistered(name: str) -> KeyError:

@@ -118,6 +118,13 @@ _SCHEDULE_KINDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
 #: The values of :class:`~repro.core.allocation.reclamation.ReclamationPolicy`.
 _RECLAMATION_POLICIES = ("termination", "deflation")
 
+#: The names of :data:`repro.core.allocation.placement._STRATEGIES`.
+_PLACEMENT_STRATEGIES = ("worst_fit", "best_fit", "first_fit")
+
+#: The ``params`` of a ``deflation_curve`` scenario (each optional: the runner has defaults).
+_DEFLATION_CURVE_PARAMS = {"functions": Many(Text(nonempty=True)),
+                           "deflation_ratios": Many(Number("in [0, 1)")), "measured": Flag()}
+
 
 #: The ``params`` of a ``trace_replay`` scenario, by kind (the population apart).
 _REPLAY_PARAMS = {"trace_seed": Count(0), "duration_minutes": Count(1),
@@ -342,22 +349,26 @@ class ControllerSpec(Spec):
     policy_params: Mapping[str, Any] = spec_field(Table(ANY), {}, omit_default=True)
     epoch_length: float = spec_field(Number("positive"), 10.0)
     rate_sample_interval: float = spec_field(Number("positive"), 5.0)
-    long_window: float = spec_field(Number(), 120.0)
-    short_window: float = spec_field(Number(), 10.0)
-    burst_factor: float = spec_field(Number(), 2.0)
-    ewma_alpha: float = spec_field(Number(), 0.7)
+    long_window: float = spec_field(Number("positive"), 120.0)
+    short_window: float = spec_field(Number("positive"), 10.0)
+    burst_factor: float = spec_field(Number("greater than 1"), 2.0)
+    ewma_alpha: float = spec_field(Number("in (0, 1]"), 0.7)
     percentile: float = spec_field(Number("in (0, 1)"), 0.95)
     reclamation: str = spec_field(Text(choices=_RECLAMATION_POLICIES), "deflation")
-    deflation_threshold: float = spec_field(Number(), 0.3)
-    deflation_increment: float = spec_field(Number(), 0.05)
+    deflation_threshold: float = spec_field(Number("in (0, 1)"), 0.3)
+    deflation_increment: float = spec_field(Number("positive"), 0.05)
     lazy_termination: bool = spec_field(Flag(), True)
-    placement_strategy: str = spec_field(Text(), "best_fit")
+    placement_strategy: str = spec_field(Text(choices=_PLACEMENT_STRATEGIES), "best_fit")
     subtract_service_percentile: bool = spec_field(Flag(), False)
     online_learning: bool = spec_field(Flag(), True)
 
     def __post_init__(self) -> None:
-        """Parse the fields; the policy must accept its params."""
+        """Parse the fields; check the window and deflation pairs and the policy's params."""
         super().__post_init__()
+        if not self.short_window < self.long_window:
+            raise ValueError("controller.short_window must be shorter than controller.long_window")
+        if not self.deflation_increment <= self.deflation_threshold:
+            raise ValueError("controller.deflation_increment must not exceed deflation_threshold")
         validate_policy(self.policy, self.policy_params)
 
     def build(self) -> ControllerConfig:
@@ -551,6 +562,10 @@ class ScenarioSpec(Spec):
             if self.workloads:
                 raise ValueError("kind 'trace_replay' synthesises its own workloads")
             _validate_trace_replay_params(self.params)
+        elif self.kind == "deflation_curve":   # a misspelt key would run on the defaults
+            check_keys("deflation_curve params", self.params, (), tuple(_DEFLATION_CURVE_PARAMS))
+            for key, value in self.params.items():
+                _DEFLATION_CURVE_PARAMS[key].parse(value, f"deflation_curve {key}")
         if self.faults is not None:
             if self.faults.is_empty():
                 # normalise: an empty schedule IS the healthy scenario, and

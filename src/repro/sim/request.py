@@ -27,6 +27,10 @@ class RequestStatus(enum.Enum):
     DROPPED = "dropped"          #: rejected (queue overflow / node failure)
     TIMED_OUT = "timed_out"      #: exceeded the platform's hard execution limit
 
+    #: singletons compared by identity; ``Enum.__hash__`` is a Python frame per
+    #: lookup.  No set of statuses is iterated, so the per-process hash orders nothing.
+    __hash__ = object.__hash__
+
 
 @dataclass(slots=True)
 class Request:
@@ -116,11 +120,13 @@ class Request:
     # ------------------------------------------------------------------
     def mark_queued(self) -> None:
         """Transition PENDING → QUEUED."""
-        self._require_status(RequestStatus.PENDING)
+        if self.status is not RequestStatus.PENDING:
+            raise ValueError(
+                f"request {self.request_id} is {self.status.value}, expected pending")
         self.status = RequestStatus.QUEUED
 
     def mark_running(self, time: float, container_id: str, node_name: str, cold_start: bool = False) -> None:
-        """Transition QUEUED/PENDING → RUNNING and record the start timestamp."""
+        """Transition QUEUED/PENDING → RUNNING (``Container._start`` writes it inline too)."""
         if self.status not in (RequestStatus.PENDING, RequestStatus.QUEUED):
             raise ValueError(f"cannot start request in state {self.status}")
         self.status = RequestStatus.RUNNING
@@ -130,8 +136,10 @@ class Request:
         self.cold_start = cold_start
 
     def mark_completed(self, time: float) -> None:
-        """Transition RUNNING → COMPLETED."""
-        self._require_status(RequestStatus.RUNNING)
+        """Transition RUNNING → COMPLETED (``Container._finish_current`` writes it inline too)."""
+        if self.status is not RequestStatus.RUNNING:
+            raise ValueError(
+                f"request {self.request_id} is {self.status.value}, expected running")
         self.status = RequestStatus.COMPLETED
         self.completion_time = time
 
@@ -146,13 +154,6 @@ class Request:
         """Mark the request as having exceeded the hard execution limit."""
         self.status = RequestStatus.TIMED_OUT
         self.completion_time = time
-
-    def _require_status(self, expected: RequestStatus) -> None:
-        """Raise unless the request is in the expected status."""
-        if self.status is not expected:
-            raise ValueError(
-                f"request {self.request_id} is {self.status.value}, expected {expected.value}"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         """Debugging summary of id, function, status, and arrival time."""

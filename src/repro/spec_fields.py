@@ -120,8 +120,10 @@ class Count(Kind):
 _RANGES = {
     None: lambda v: True,
     "positive": lambda v: v > 0,
+    "greater than 1": lambda v: v > 1,
     "non-negative": lambda v: v >= 0,
     "in (0, 1)": lambda v: 0 < v < 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
     "in [0, 1)": lambda v: 0 <= v < 1,
     "in [0, 1]": lambda v: 0 <= v <= 1,
 }

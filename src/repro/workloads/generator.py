@@ -322,9 +322,8 @@ class ArrivalGenerator:
         # does not change a seeded realisation (see sample_work_many)
         works = self.profile.sample_work_many(self.work_rng, len(times))
         emit = self._emit
-        self.engine.schedule_many(
-            (t, emit, (t, w)) for t, w in zip(times, works.tolist())
-        )
+        # a list, not a generator: a generator is resumed (a frame) per arrival
+        self.engine.schedule_many([(t, emit, (t, w)) for t, w in zip(times, works.tolist())])
         self.engine.call_at(times[-1], self._pump)
 
     def _emit(self, arrival_time: float, work: float) -> None:

@@ -1,5 +1,7 @@
 """Unit tests for the container model: lifecycle, execution, deflation."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.container import Container, ContainerError, ContainerState
@@ -326,6 +328,90 @@ class TestHandOff:
         container.terminate(engine.now); note()  # TERMINATED
         assert states == [(False, False, False), (True, True, True), (True, False, False),
                           (True, True, True), (False, False, False), (False, False, False)]
+
+
+def request_in(status: RequestStatus) -> Request:
+    """A fresh request brought to ``status`` through the Request's own transitions."""
+    request = make_request()
+    if status is RequestStatus.QUEUED:
+        request.mark_queued()
+    elif status in (RequestStatus.RUNNING, RequestStatus.COMPLETED):
+        request.mark_running(0.0, "elsewhere", "n9")
+        if status is RequestStatus.COMPLETED:
+            request.mark_completed(0.1)
+    elif status is RequestStatus.DROPPED:
+        request.mark_dropped(0.0)
+    elif status is RequestStatus.TIMED_OUT:
+        request.mark_timed_out(0.0)
+    return request
+
+
+class TestInlineTransitions:
+    """``_start`` and ``_finish_current`` write the Request's transitions inline.
+
+    Each must test the status as ``Request.mark_running`` /
+    ``mark_completed`` do and refuse with the same error, leaving the
+    container and the request as they were.
+    """
+
+    @pytest.mark.parametrize("status", [RequestStatus.DROPPED, RequestStatus.RUNNING,
+                                        RequestStatus.COMPLETED, RequestStatus.TIMED_OUT])
+    def test_start_refuses_what_mark_running_refuses(self, engine, status):
+        request, twin = request_in(status), request_in(status)
+        with pytest.raises(ValueError) as expected:
+            twin.mark_running(0.0, "c", "n")
+        container = make_container()
+        container.mark_warm(0.0)
+        before = (request.status, request.start_time, request.container_id)
+        with pytest.raises(ValueError) as refused:
+            container._start(request, engine, None)
+        assert str(refused.value) == str(expected.value) == f"cannot start request in state {status}"
+        assert container.current_request is None and engine.pending_events == 0
+        assert (request.status, request.start_time, request.container_id) == before
+
+    @pytest.mark.parametrize("status", [RequestStatus.PENDING, RequestStatus.QUEUED])
+    def test_start_writes_what_mark_running_writes(self, engine, status):
+        request, twin = request_in(status), request_in(status)
+        container = make_container()
+        container.mark_warm(0.0)
+        container._start(request, engine, None)
+        twin.mark_running(engine.now, container.container_id, container.node_name,
+                          cold_start=True)
+        fields = ("status", "start_time", "container_id", "node_name", "cold_start")
+        assert [getattr(request, f) for f in fields] == [getattr(twin, f) for f in fields]
+        engine.run()
+        twin.mark_completed(engine.now)
+        fields += ("completion_time",)
+        assert [getattr(request, f) for f in fields] == [getattr(twin, f) for f in fields]
+
+    @pytest.mark.parametrize("status", [RequestStatus.PENDING, RequestStatus.QUEUED,
+                                        RequestStatus.COMPLETED, RequestStatus.DROPPED,
+                                        RequestStatus.TIMED_OUT])
+    def test_a_completion_refuses_a_request_that_is_not_running(self, engine, status):
+        container = make_container()
+        container.mark_warm(0.0)
+        request = make_request(work=1.0)
+        container.submit(request, engine)
+        request.status = status             # changed under the container's feet
+        twin = dataclasses.replace(request)  # same id, same fields
+        with pytest.raises(ValueError) as expected:
+            twin.mark_completed(1.0)
+        with pytest.raises(ValueError) as refused:
+            engine.run()
+        assert str(refused.value) == str(expected.value) == (
+            f"request {request.request_id} is {status.value}, expected running")
+        assert request.status is status and request.completion_time is None
+        assert container.completed_requests == 0 and container.current_request is request
+
+    @pytest.mark.parametrize("status", [RequestStatus.QUEUED, RequestStatus.RUNNING,
+                                        RequestStatus.COMPLETED, RequestStatus.DROPPED])
+    def test_mark_queued_refuses_a_request_that_is_not_pending(self, status):
+        request = request_in(status)
+        with pytest.raises(ValueError) as refused:
+            request.mark_queued()
+        assert str(refused.value) == (
+            f"request {request.request_id} is {status.value}, expected pending")
+        assert request.status is status
 
 
 class TestValidation:

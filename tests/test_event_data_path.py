@@ -10,8 +10,11 @@ over the same two.  Consumed by
 ``test_submit_takes_the_container_the_frozen_path_would``,
 ``test_drain_starts_what_the_frozen_drain_would`` and
 ``test_public_pick_scores_warm_containers_in_the_order_given``.
+``test_dispatch_starts_work_only_on_a_warm_empty_container`` holds the
+three dispatch routes to the precondition ``_dispatch_to`` relies on.
 """
 
+import sys
 from collections import deque
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
@@ -19,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.container import Container
+from repro.cluster.container import Container, ContainerState
 from repro.cluster.loadbalancer import WeightedRoundRobinBalancer
 from repro.core.dispatch import SharedQueueDispatcher
 from repro.sim.engine import SimulationEngine
@@ -294,3 +297,61 @@ def test_public_pick_scores_warm_containers_in_the_order_given():
         assert new.pick("fn", containers) is old.pick("fn", containers)
         assert new._scores == old._scores
     assert new.pick("fn", containers[2:3]) is None and old.pick("fn", containers[2:3]) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=entries, stale=stale_scores, shuffle_seed=st.integers(0, 7),
+       arrivals=st.lists(st.floats(0.0, 4.0), max_size=12),
+       crash_every=st.sampled_from([0, 0, 2, 3]))
+def test_dispatch_starts_work_only_on_a_warm_empty_container(drawn, stale, shuffle_seed,
+                                                             arrivals, crash_every):
+    """``_dispatch_to`` starts the request on the container without a second look.
+
+    So each of its three routes — a fresh submit, a drain when a container
+    warms, the pull after a completion — must hand it a container that is
+    warm, running nothing and queueing nothing, whatever stale entries the
+    index holds and whatever crashes on dispatch evict on the way.
+    """
+    engine = SimulationEngine()
+    index, _ = build_case(engine, drawn, stale, shuffle_seed)
+    dispatcher = SharedQueueDispatcher(engine)
+    dispatcher._attached = True
+    dispatcher._idle["fn"] = index
+    for container in index.values():
+        container.state_observer = dispatcher._on_container_state
+    handed = []
+    dispatch_to = dispatcher._dispatch_to
+
+    def checked(container, request):
+        handed.append((sys._getframe(1).f_code.co_name, container.state,
+                       container._current, len(container._queue)))
+        return dispatch_to(container, request)
+
+    dispatcher._dispatch_to = checked
+    dispatches = []
+
+    def interceptor(request, container):   # every ``crash_every``-th dispatch crashes
+        dispatches.append(request.request_id)
+        if crash_every and len(dispatches) % crash_every == 0:
+            request.mark_dropped(engine.now)
+            container.evict(engine.now)
+            return False
+        return True
+
+    dispatcher.interceptor = interceptor
+    for container in index.values():
+        if container.state is ContainerState.STARTING:   # warms mid-run and drains the queue
+            engine.call_at(1.0, container.mark_warm, 1.0)
+            engine.call_at(1.0, dispatcher.drain, "fn")
+    requests = [Request("fn", t, work=0.75, request_id=i) for i, t in enumerate(sorted(arrivals))]
+    for request in requests:
+        engine.call_at(request.arrival_time, dispatcher.submit, request)
+    engine.run()
+    assert all(state is ContainerState.WARM and current is None and queued == 0
+               for _, state, current, queued in handed), handed
+    assert {route for route, *_ in handed} <= {"submit", "drain", "_completion_hook"}
+    # no container ran two requests at once
+    runs = sorted((r.container_id, r.start_time, r.completion_time) for r in requests
+                  if r.completion_time is not None and r.status is RequestStatus.COMPLETED)
+    for (cid, _, end), (next_cid, start, _) in zip(runs, runs[1:]):
+        assert cid != next_cid or end <= start

@@ -1,5 +1,7 @@
 """Unit tests for the WRR load balancer, invokers, and the shared-queue dispatcher."""
 
+import collections
+
 import pytest
 
 from repro.cluster.cluster import ClusterConfig, EdgeCluster, FunctionDeployment
@@ -7,6 +9,7 @@ from repro.cluster.container import Container
 from repro.cluster.invoker import InvokerCommand, InvokerPool
 from repro.cluster.loadbalancer import WeightedRoundRobinBalancer, proportional_split
 from repro.core.dispatch import SharedQueueDispatcher
+from repro.metrics.collector import MetricsCollector
 from repro.sim.request import Request, RequestStatus
 
 
@@ -179,13 +182,28 @@ class TestSharedQueueDispatcher:
         engine.run()
         assert request.status is RequestStatus.COMPLETED
 
-    def test_completion_callback_fires(self, engine):
-        seen = []
-        dispatcher = SharedQueueDispatcher(engine, on_complete=lambda r, c: seen.append(r))
-        watched_container(dispatcher)
-        dispatcher.submit(make_request())
+    def test_a_completion_is_counted_and_folded_by_the_dispatcher(self, engine):
+        observed = []
+
+        class Estimator:
+            def observe(self, cpu_fraction, service_time):
+                observed.append((cpu_fraction, service_time))
+
+        metrics = MetricsCollector()
+        dispatcher = SharedQueueDispatcher(engine, metrics, {"fn": Estimator()})
+        assert dispatcher.metrics is metrics
+        watched_container(dispatcher, cpu=2.0).deflate_to(1.0)
+        request = make_request(work=0.1)
+        dispatcher.submit(request)
         engine.run()
-        assert len(seen) == 1
+        assert metrics.counters["completions"] == 1
+        assert observed == [(0.5, request.service_time)]
+        # a bare dispatcher counts in a collector of its own and folds nothing
+        bare = SharedQueueDispatcher(engine)
+        watched_container(bare)
+        bare.submit(make_request())
+        engine.run()
+        assert bare.metrics.counters["completions"] == 1 and bare.completion_folds is None
 
     def test_skips_requests_dropped_while_queued(self, engine):
         dispatcher = SharedQueueDispatcher(engine)
@@ -208,16 +226,12 @@ class TestSharedQueueDispatcher:
         small = watched_container(dispatcher, cpu=1.0)
         small.deflate_to(1.0)
         # submit many short requests with gaps so both are idle each time
-        completions = {big.container_id: 0, small.container_id: 0}
-
-        def count(request, container):
-            completions[container.container_id] += 1
-
-        dispatcher._on_complete = count
-        for i in range(30):
-            request = make_request(work=0.001, arrival=i * 1.0)
+        requests = [make_request(work=0.001, arrival=i * 1.0) for i in range(30)]
+        for i, request in enumerate(requests):
             engine.schedule_at(i * 1.0, lambda r=request: dispatcher.submit(r))
         engine.run()
+        assert all(r.status is RequestStatus.COMPLETED for r in requests)
+        completions = collections.Counter(r.container_id for r in requests)
         assert completions[big.container_id] == 20
         assert completions[small.container_id] == 10
 

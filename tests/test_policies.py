@@ -391,8 +391,7 @@ class TestOneSharedQueueDataPath:
 
     #: what the data path is made of: a policy that defines one of these
     #: writes its own dispatch (or its columnar replica of it) again
-    DATA_PATH = ("dispatch", "columnar_plan", "_on_container_warm",
-                 "_on_request_complete", "_create")
+    DATA_PATH = ("dispatch", "columnar_plan", "_on_container_warm", "_create")
 
     @staticmethod
     def _built(name):
@@ -418,6 +417,9 @@ class TestOneSharedQueueDataPath:
         overridden = [attr for attr in self.DATA_PATH
                       if getattr(type(policy), attr) is not getattr(SharedQueuePolicy, attr)]
         assert overridden == [], f"{name} writes its own {overridden}"
+        # the completion body is the dispatcher's: it counts and folds into the policy's own
+        assert policy.dispatcher.metrics is policy.metrics
+        assert policy.dispatcher.completion_folds is policy.completion_folds
         plan = policy.columnar_plan()
         assert plan.dispatcher is policy.dispatcher and plan.collector is policy.metrics
         # the plan's hooks are the same folds the event plane calls

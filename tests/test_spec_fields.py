@@ -221,7 +221,41 @@ MALFORMED_FILES = {
         "kind": "lognormal", "params": {"mu": NAN, "sigma": 0.5}}}), "mu"),
     "workloads-a-number": (lambda: _with("workloads", 5), "workloads"),
     "schedule-a-string": (lambda: _with("workloads.0.schedule", "static"), "schedule"),
+    # controller knobs the run refused only inside the run, or ran on
+    "placement-nope": (lambda: _with("controller.placement_strategy", "nope"),
+                       "placement_strategy"),
+    "ewma-alpha-5": (lambda: _with("controller.ewma_alpha", 5.0), "ewma_alpha"),
+    "ewma-alpha-0": (lambda: _with("controller.ewma_alpha", 0), "ewma_alpha"),
+    "negative-long-window": (lambda: _with("controller.long_window", -10.0), "long_window"),
+    "zero-short-window": (lambda: _with("controller.short_window", 0.0), "short_window"),
+    "short-window-not-shorter": (lambda: _with("controller.short_window", 120.0),
+                                 "short_window"),
+    "burst-factor-1": (lambda: _with("controller.burst_factor", 1.0), "burst_factor"),
+    "negative-deflation-threshold": (lambda: _with("controller.deflation_threshold", -1.0),
+                                     "deflation_threshold"),
+    "deflation-threshold-1": (lambda: _with("controller.deflation_threshold", 1.0),
+                              "deflation_threshold"),
+    "zero-deflation-increment": (lambda: _with("controller.deflation_increment", 0.0),
+                                 "deflation_increment"),
+    "increment-above-threshold": (lambda: _with("controller.deflation_increment", 0.5),
+                                  "deflation_increment"),
+    # a deflation curve's params, which the runner read with defaults
+    "fig7-deflation-ratio": (lambda: _fig7_with("deflation_ratio", (0.0, 0.3),
+                                                drop="deflation_ratios"), "deflation_ratio"),
+    "fig7-mesured": (lambda: _fig7_with("mesured", True), "mesured"),
+    "fig7-measured-1": (lambda: _fig7_with("measured", 1), "measured"),
+    "fig7-ratio-1": (lambda: _fig7_with("deflation_ratios", [0.0, 1.0]), "deflation_ratios"),
+    "fig7-function-a-number": (lambda: _fig7_with("functions", [5]), "functions"),
 }
+
+
+def _fig7_with(key, value, drop=None):
+    """The registered fig7 as plain data, with ``params[key]`` set (and ``drop`` removed)."""
+    data = build("fig7").to_dict()
+    if drop is not None:
+        del data["params"][drop]
+    data["params"][key] = value
+    return data
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
@@ -276,6 +310,26 @@ def test_the_reclamation_choices_are_the_reclamation_policies():
     from repro.scenarios.spec import _RECLAMATION_POLICIES
 
     assert set(_RECLAMATION_POLICIES) == {policy.value for policy in ReclamationPolicy}
+
+
+def test_the_placement_choices_are_the_placement_strategies():
+    from repro.core.allocation.placement import _STRATEGIES
+    from repro.scenarios.spec import _PLACEMENT_STRATEGIES
+
+    assert set(_PLACEMENT_STRATEGIES) == set(_STRATEGIES)
+
+
+def test_the_controller_and_deflation_curve_edges_load():
+    """The closed ends of the new ranges, and the params a deflation curve may leave out."""
+    spec = ControllerSpec.from_dict({"ewma_alpha": 1, "deflation_increment": 0.3,
+                                     "short_window": 119.5, "burst_factor": 1.001,
+                                     "placement_strategy": "worst_fit"})
+    assert spec.ewma_alpha == 1.0 and spec.deflation_increment == spec.deflation_threshold
+    data = build("fig7").to_dict()
+    data["params"] = {"deflation_ratios": [0, 0.999]}
+    ScenarioSpec.from_dict(data)
+    data["params"] = {}
+    ScenarioSpec.from_dict(data)
 
 
 # ----------------------------------------------------------------------
