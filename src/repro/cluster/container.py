@@ -341,7 +341,7 @@ class Container:
         engine: "SimulationEngine",
         on_complete: Optional[Callable[[Request, "Container"], None]],
     ) -> None:
-        """Begin executing ``request`` (``Request.mark_running``, inline) on a free container."""
+        """Begin executing ``request`` on a free container: its PENDING/QUEUED → RUNNING transition."""
         if request.status not in (RequestStatus.PENDING, RequestStatus.QUEUED):
             raise ValueError(f"cannot start request in state {request.status}")
         now = engine._now  # the clock's field: the property is a frame per request
@@ -361,7 +361,7 @@ class Container:
         engine: "SimulationEngine",
         on_complete: Optional[Callable[[Request, "Container"], None]],
     ) -> None:
-        """Complete the in-flight request (``Request.mark_completed``, inline) and pull the next."""
+        """Complete the in-flight request (RUNNING → COMPLETED) and pull the next."""
         request = self._current
         if request is None:  # pragma: no cover - defensive
             return

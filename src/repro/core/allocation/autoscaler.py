@@ -20,9 +20,10 @@ queries one after another.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import List, NamedTuple, Optional, Sequence
 
-from repro.core.queueing.sizing import SizingResult, wait_budget_from_slo
+from repro.core.queueing.sizing import wait_budget_from_slo
 from repro.core.queueing.solver import HeterogeneousQuery, SizingQuery, SizingSolver
 
 
@@ -148,19 +149,6 @@ class Autoscaler:
     # ------------------------------------------------------------------
     # Sizing
     # ------------------------------------------------------------------
-    def wait_budget(
-        self,
-        slo_deadline: float,
-        service_rate: float,
-        service_time_percentile: Optional[float] = None,
-    ) -> float:
-        """The waiting-time budget ``t`` for a function."""
-        if self.subtract_service_percentile:
-            return wait_budget_from_slo(
-                slo_deadline, service_rate, self.percentile, service_time_percentile
-            )
-        return wait_budget_from_slo(slo_deadline, service_rate, self.percentile, 0.0)
-
     def desired_containers(
         self,
         function_name: str,
@@ -201,6 +189,7 @@ class Autoscaler:
         fleet_queries: List[HeterogeneousQuery] = []
         fleet_slots: List[int] = []
         percentile, max_containers = self.percentile, self.max_containers
+        subtract = self.subtract_service_percentile
 
         for i, (name, rate, mu, deadline, current, existing, service_percentile,
                 min_containers) in enumerate(queries):
@@ -208,18 +197,15 @@ class Autoscaler:
                 raise ValueError("arrival rate must be non-negative")
             if mu <= 0:
                 raise ValueError("service rate must be positive")
-            budget = budgets[i] = self.wait_budget(deadline, mu, service_percentile)
+            # the waiting-time budget t: d − s_p, or the whole deadline
+            budget = budgets[i] = wait_budget_from_slo(
+                deadline, mu, percentile, service_percentile if subtract else 0.0)
 
+            # rows are built positionally, in field order: keywords cost more
+            # than the row itself, once per function-epoch
             if rate <= 0:
-                decisions[i] = ScalingDecision(
-                    function_name=name,
-                    desired_containers=max(min_containers, 0),
-                    current_containers=current,
-                    arrival_rate=0.0,
-                    service_rate=mu,
-                    wait_budget=budget,
-                    achieved_probability=1.0,
-                )
+                decisions[i] = ScalingDecision(name, max(min_containers, 0), current, 0.0, mu,
+                                               budget, 1.0)
             elif existing is not None and len(existing) > 0 and (
                     max(existing) - min(existing) > 1e-9
                     or any(abs(m - mu) > 1e-9 for m in existing)):
@@ -228,41 +214,23 @@ class Autoscaler:
                                                         percentile, max_containers))
                 fleet_slots.append(i)
             else:
-                solver_queries.append(SizingQuery(
-                    lam=float(rate),
-                    mu=float(mu),
-                    wait_budget=float(budget),
-                    percentile=percentile,
-                    current_containers=0,
-                    max_containers=max_containers,
-                ))
+                # λ, μ, budget, percentile, current containers, cap
+                solver_queries.append(SizingQuery(float(rate), float(mu), float(budget),
+                                                  percentile, 0, max_containers))
                 solver_slots.append(i)
 
+        solved = []
         if fleet_queries:
-            results = self.solver.solve_heterogeneous_batch(fleet_queries)
-            for slot, result in zip(fleet_slots, results):
-                decisions[slot] = self._decision(queries[slot], budgets[slot], result, True)
+            solved += zip(fleet_slots, self.solver.solve_heterogeneous_batch(fleet_queries),
+                          repeat(True))
         if solver_queries:
-            results = self.solver.solve_batch(solver_queries)
-            for slot, result in zip(solver_slots, results):
-                decisions[slot] = self._decision(
-                    queries[slot], budgets[slot], result, heterogeneous=False
-                )
+            solved += zip(solver_slots, self.solver.solve_batch(solver_queries), repeat(False))
+        for slot, result, heterogeneous in solved:
+            name, rate, mu, _, current, _, _, min_containers = queries[slot]
+            decisions[slot] = ScalingDecision(
+                name, max(result.containers, min_containers), current, rate, mu,
+                budgets[slot], result.achieved_probability, heterogeneous)
         return decisions  # type: ignore[return-value]
-
-    def _decision(self, query: ScalingQuery, budget: float, result: SizingResult,
-                  heterogeneous: bool) -> ScalingDecision:
-        """Wrap a sizing result in a :class:`ScalingDecision` (with the floor)."""
-        return ScalingDecision(
-            function_name=query.function_name,
-            desired_containers=max(result.containers, query.min_containers),
-            current_containers=query.current_containers,
-            arrival_rate=query.arrival_rate,
-            service_rate=query.service_rate,
-            wait_budget=budget,
-            achieved_probability=result.achieved_probability,
-            used_heterogeneous_model=heterogeneous,
-        )
 
     def minimum_stable_containers(self, arrival_rate: float, service_rate: float) -> int:
         """The smallest container count for which the queue is stable (ρ < 1)."""

@@ -136,7 +136,7 @@ def fair_share_allocation(
         )
 
     well_behaved = tuple(sorted(n for n in demands if demands[n] <= guaranteed[n] + 1e-9))
-    overloaded = tuple(sorted(n for n in demands if n not in well_behaved))
+    overloaded = tuple(sorted(set(demands).difference(well_behaved)))
 
     allocations: Dict[str, float] = {}
     for name in well_behaved:
@@ -144,7 +144,7 @@ def fair_share_allocation(
 
     remaining = capacity - sum(allocations.values())
     remaining = max(0.0, remaining)
-    overload_weight = sum(weights[n] for n in overloaded)
+    overload_weight = sum(map(weights.__getitem__, overloaded))
     for name in overloaded:
         share = weights[name] / overload_weight * remaining if overload_weight > 0 else 0.0
         allocations[name] = float(math.floor(share + 1e-9)) if discrete else share
@@ -197,7 +197,7 @@ def progressive_filling(
     rounds = 0
     while unsatisfied and remaining > 1e-12 and rounds < max_rounds:
         rounds += 1
-        round_weight = sum(weights[n] for n in unsatisfied)
+        round_weight = sum(map(weights.__getitem__, unsatisfied))
         satisfied_this_round = set()
         consumed = 0.0
         for name in sorted(unsatisfied):
@@ -217,7 +217,7 @@ def progressive_filling(
         allocations = {name: float(math.floor(v + 1e-9)) for name, v in allocations.items()}
 
     well_behaved = tuple(sorted(n for n in demands if demands[n] <= guaranteed[n] + 1e-9))
-    overloaded = tuple(sorted(n for n in demands if n not in well_behaved))
+    overloaded = tuple(sorted(set(demands).difference(well_behaved)))
     return FairShareResult(
         allocations=allocations,
         guaranteed=guaranteed,

@@ -19,9 +19,13 @@ the flat case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.core.allocation.fair_share import progressive_filling
+
+_weight = attrgetter("weight")
 
 
 @dataclass
@@ -53,12 +57,15 @@ class SchedulingNode:
         return child
 
     def leaves(self) -> List["SchedulingNode"]:
-        """All leaf nodes in this subtree, in depth-first order."""
-        if self.is_leaf:
-            return [self]
+        """All leaf nodes in this subtree, in depth-first order (one walk, no recursion)."""
         result: List[SchedulingNode] = []
-        for child in self.children:
-            result.extend(child.leaves())
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(reversed(node.children))
+            else:
+                result.append(node)
         return result
 
     def find(self, name: str) -> Optional["SchedulingNode"]:
@@ -103,8 +110,6 @@ class SchedulingTree:
         parent = self.root if user is None else self.root.find(user)
         if parent is None:
             raise KeyError(f"unknown user {user!r}")
-        if parent.is_leaf and parent is not self.root:
-            pass  # a user with no functions yet is fine
         return parent.add_child(SchedulingNode(name, weight=weight))
 
     @classmethod
@@ -159,7 +164,7 @@ class SchedulingTree:
             if node.is_leaf and node is not self.root:
                 result[node.name] = multiplier
                 return
-            total = sum(child.weight for child in node.children)
+            total = sum(map(_weight, node.children))
             for child in node.children:
                 descend(child, multiplier * child.weight / total)
 
@@ -183,8 +188,7 @@ class SchedulingTree:
         """
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
-        known = set(self.function_names())
-        unknown = set(demands) - known
+        unknown = set(demands).difference(self.function_names())
         if unknown:
             raise KeyError(f"demands for functions not in the tree: {sorted(unknown)}")
         allocations: Dict[str, float] = {}
@@ -192,10 +196,10 @@ class SchedulingTree:
         return allocations
 
     def _subtree_demand(self, node: SchedulingNode, demands: Mapping[str, float]) -> float:
-        """Total demand of all leaves under ``node``."""
-        if node.is_leaf and node is not self.root:
+        """Total demand of all leaves under ``node`` (a child, never the root)."""
+        if not node.children:
             return float(demands.get(node.name, 0.0))
-        return sum(self._subtree_demand(child, demands) for child in node.children)
+        return sum(map(self._subtree_demand, node.children, repeat(demands)))
 
     def _allocate_node(
         self,
@@ -204,23 +208,32 @@ class SchedulingTree:
         capacity: float,
         out: Dict[str, float],
     ) -> None:
-        """Recursively water-fill a node's capacity over its children."""
-        if node.is_leaf and node is not self.root:
-            out[node.name] = min(capacity, float(demands.get(node.name, 0.0)))
-            return
-        if not node.children:
+        """Recursively water-fill a node's capacity over its children.
+
+        A leaf child is granted ``min(capacity, demand)`` here rather than
+        in a frame of its own.
+        """
+        children = node.children
+        if not children:
+            if node is not self.root:
+                out[node.name] = min(capacity, float(demands.get(node.name, 0.0)))
             return
         child_demands = {
-            child.name: self._subtree_demand(child, demands) for child in node.children
+            child.name: (self._subtree_demand(child, demands) if child.children
+                         else float(demands.get(child.name, 0.0)))
+            for child in children
         }
-        child_weights = {child.name: child.weight for child in node.children}
         if sum(child_demands.values()) == 0:
-            for child in node.children:
-                self._allocate_node(child, demands, 0.0, out)
-            return
-        result = progressive_filling(child_demands, child_weights, capacity, discrete=False)
-        for child in node.children:
-            self._allocate_node(child, demands, result.allocations[child.name], out)
+            granted = dict.fromkeys(child_demands, 0.0)
+        else:
+            child_weights = {child.name: child.weight for child in children}
+            granted = progressive_filling(child_demands, child_weights, capacity,
+                                          discrete=False).allocations
+        for child in children:
+            if child.children:
+                self._allocate_node(child, demands, granted[child.name], out)
+            else:
+                out[child.name] = min(granted[child.name], child_demands[child.name])
 
 
 __all__ = ["SchedulingNode", "SchedulingTree"]

@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Protocol, Sequence
 
 
@@ -87,29 +88,14 @@ class CreateAction:
     cpu: float
 
 
-Action = object  # union of the four dataclasses above
-
-
 @dataclass
 class ReclamationPlan:
-    """An ordered action list plus bookkeeping for tests and metrics."""
+    """The four action lists of a plan, each in execution order."""
 
     terminations: List[TerminateAction] = field(default_factory=list)
     deflations: List[DeflateAction] = field(default_factory=list)
     inflations: List[InflateAction] = field(default_factory=list)
     creations: List[CreateAction] = field(default_factory=list)
-
-    @property
-    def actions(self) -> List[Action]:
-        """All actions in execution order: reclaim first, then give back."""
-        return [*self.deflations, *self.terminations, *self.inflations, *self.creations]
-
-    @property
-    def cpu_reclaimed(self) -> float:
-        """CPU freed by terminations and deflations (requires planner to fill deltas)."""
-        return self._cpu_reclaimed
-
-    _cpu_reclaimed: float = 0.0
 
     def is_empty(self) -> bool:
         """Whether the plan contains no actions at all."""
@@ -119,14 +105,20 @@ class ReclamationPlan:
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
+_current_cpu = attrgetter("current_cpu")
+_standard_cpu = attrgetter("standard_cpu")
+#: (current CPU, id): the order ``EdgeCluster.containers_of`` sorts by too
+_smallest_first = attrgetter("current_cpu", "container_id")
+
+
 def _total_cpu(containers: Sequence[ContainerLike]) -> float:
     """Sum of the containers' current CPU allocations."""
-    return sum(c.current_cpu for c in containers)
+    return sum(map(_current_cpu, containers))
 
 
 def _sorted_smallest_first(containers: Sequence[ContainerLike]) -> List[ContainerLike]:
     """Containers ordered smallest current CPU first (id as tie-break)."""
-    return sorted(containers, key=lambda c: (c.current_cpu, c.container_id))
+    return sorted(containers, key=_smallest_first)
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +184,8 @@ class TerminationPolicy:
             std = float(standard_cpu.get(name, containers[0].standard_cpu if containers else 1.0))
             if std <= 0:
                 continue
-            surviving = [c for c in containers if c.container_id not in terminated]
+            surviving = ([c for c in containers if c.container_id not in terminated]
+                         if terminated else list(containers))
             current = _total_cpu(surviving)
             target_count = int(math.floor(target / std + 1e-9))
             missing = target_count - len(surviving)
@@ -203,7 +196,6 @@ class TerminationPolicy:
                 available -= std
                 current += std
 
-        plan._cpu_reclaimed = reclaimed
         return plan
 
 
@@ -271,8 +263,8 @@ class DeflationPolicy:
             live = list(containers)
             if not live:
                 continue
-            target = float(target_cpu.get(name, _total_cpu(live)))
             total = _total_cpu(live)
+            target = float(target_cpu.get(name, total))
             if total <= target + 1e-9:
                 continue
 
@@ -295,7 +287,7 @@ class DeflationPolicy:
             if survivors:
                 # distribute the target over the survivors in proportion to
                 # their standard sizes, capped at the standard size
-                standard_total = sum(c.standard_cpu for c in survivors)
+                standard_total = sum(map(_standard_cpu, survivors))
                 budget = min(target, standard_total)
                 for c in survivors:
                     share = c.standard_cpu / standard_total * budget
@@ -311,7 +303,8 @@ class DeflationPolicy:
         available = free_cpu + reclaimed
         terminated = {t.container_id for t in plan.terminations}
         for name, containers in sorted(containers_by_function.items()):
-            live = [c for c in containers if c.container_id not in terminated]
+            live = ([c for c in containers if c.container_id not in terminated]
+                    if terminated else list(containers))
             target = float(target_cpu.get(name, 0.0))
             std = float(standard_cpu.get(name, live[0].standard_cpu if live else 1.0))
             current = _total_cpu(live)
@@ -349,7 +342,6 @@ class DeflationPolicy:
                     deficit -= size
                     available -= size
 
-        plan._cpu_reclaimed = reclaimed
         return plan
 
 

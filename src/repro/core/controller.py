@@ -28,7 +28,8 @@ produces an immediate action plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import EdgeCluster, FunctionDeployment
 from repro.cluster.container import Container, ContainerState
@@ -50,6 +51,8 @@ from repro.core.estimation.sliding_window import DualWindowRateEstimator
 from repro.metrics.collector import EpochSnapshot, FunctionEpochStats, MetricsCollector
 from repro.sim.engine import SimulationEngine
 from repro.sim.request import Request
+
+_current_cpu = attrgetter("current_cpu")
 
 
 @dataclass
@@ -311,8 +314,11 @@ class LassController(SharedQueuePolicy):
         # estimation first (stateful: EWMA updates, burst counters), then all
         # model solves in one epoch-batched call to the sizing solver
         states = list(self._functions.items())
+        # each function's live containers as its query read them: unchanged
+        # until the epoch acts (reclaiming draining containers touches none)
+        live: Dict[str, List[Container]] = {}
         batch = self.autoscaler.decide_batch(
-            [self._scaling_query(name, state, now) for name, state in states]
+            [self._scaling_query(name, state, now, live) for name, state in states]
         )
 
         decisions: Dict[str, ScalingDecision] = {}
@@ -327,12 +333,12 @@ class LassController(SharedQueuePolicy):
 
         if overloaded:
             targets = self.scheduling_tree.allocate(demands_cpu, total_cpu)
-            self._apply_overload_plan(targets, decisions)
+            self._apply_overload_plan(targets, live)
         else:
             # during the post-fault grace window only voluntary scale-downs
             # are withheld; scale-ups and inflation proceed normally
             allow_scale_down = now >= self._suppress_reclamation_until
-            self._apply_normal_scaling(decisions, allow_scale_down=allow_scale_down)
+            self._apply_normal_scaling(decisions, live, allow_scale_down=allow_scale_down)
 
         # any queued work that can start on the (possibly changed) container
         # set should start now rather than wait for the next completion
@@ -340,12 +346,14 @@ class LassController(SharedQueuePolicy):
         return self._record_epoch(self._epoch_stats(decisions), overloaded)
 
     # -- model-driven decision per function ----------------------------
-    def _scaling_query(self, name: str, state: _FunctionState, now: float) -> ScalingQuery:
+    def _scaling_query(self, name: str, state: _FunctionState, now: float,
+                       live: Dict[str, List[Container]]) -> ScalingQuery:
         """Rate estimation (stateful) + model inputs for one function.
 
         The returned query carries everything the autoscaler needs; the
         actual queueing-model solves happen in one batched call per
-        epoch (:meth:`Autoscaler.decide_batch`).
+        epoch (:meth:`Autoscaler.decide_batch`).  The live containers it
+        read are left in ``live[name]``.
         """
         observation = self.arrival_folds[name].estimate(now)
         if observation.burst_detected:
@@ -353,7 +361,7 @@ class LassController(SharedQueuePolicy):
         smoothed = state.ewma.update(observation.rate)
 
         service_rate = self._service_rate(state)
-        current = self.cluster.containers_of(name, include_draining=False)
+        current = live[name] = self.cluster.containers_of(name, include_draining=False)
         # the per-container rates matter only to the heterogeneous model,
         # i.e. only once some live container is deflated
         existing_rates = None
@@ -366,24 +374,19 @@ class LassController(SharedQueuePolicy):
         if self.config.subtract_service_percentile:
             service_percentile = self._service_time_percentile(state)
 
-        return ScalingQuery(
-            function_name=name,
-            arrival_rate=smoothed,
-            service_rate=service_rate,
-            slo_deadline=state.deployment.slo_deadline or 1.0,
-            current_containers=len(current),
-            existing_service_rates=existing_rates,
-            service_time_percentile=service_percentile,
-            min_containers=state.deployment.min_containers,
-        )
+        # positional, in field order: keywords cost more than the row itself
+        deployment = state.deployment
+        return ScalingQuery(name, smoothed, service_rate, deployment.slo_deadline or 1.0,
+                            len(current), existing_rates, service_percentile,
+                            deployment.min_containers)
 
     def _service_rate(self, state: _FunctionState) -> float:
         """Best current estimate of a standard-size container's service rate."""
         if self.config.online_learning:
-            online = self.completion_folds[state.deployment.name]
-            learned = online.service_rate(1.0)
-            if learned is not None and online.observations(1.0) >= 20:
-                return learned
+            # the learned mean at full size, once 20 completions there are in
+            count, total = self.completion_folds[state.deployment.name].bucket_totals(1.0)
+            if count >= 20 and (mean := total / count) > 0:
+                return 1.0 / mean
         return state.offline_service_rate
 
     def _service_time_percentile(self, state: _FunctionState) -> Optional[float]:
@@ -396,35 +399,41 @@ class LassController(SharedQueuePolicy):
 
     # -- no-pressure path (§3.3) ----------------------------------------
     def _apply_normal_scaling(self, decisions: Dict[str, ScalingDecision],
+                              live: Dict[str, List[Container]],
                               allow_scale_down: bool = True) -> None:
         # Scale down first (lazily), so freed capacity is visible to scale-ups.
         """Apply the epoch's decisions when the cluster is not overloaded.
 
-        ``allow_scale_down=False`` (the post-fault grace window) skips
-        the lazy termination marks but still inflates and scales up.
+        ``live`` (the queries' lists) is re-read only for a function whose
+        own scale-down changed it.  ``allow_scale_down=False`` (the
+        post-fault grace window) skips the lazy termination marks but
+        still inflates and scales up.
         """
         for name, decision in decisions.items():
-            if decision.scale_down:
+            if decision.desired_containers < decision.current_containers:  # decision.scale_down
                 if not allow_scale_down:
                     self.metrics.increment("reclamations_suppressed")
                     continue
                 self._scale_down(name, -decision.delta)
+                del live[name]
         for name, decision in decisions.items():
-            live = self.cluster.containers_of(name, include_draining=False)
+            current = live.get(name)
+            if current is None:
+                current = self.cluster.containers_of(name, include_draining=False)
             # re-inflate any deflated containers: there is no pressure
-            for container in live:
-                if container.cpu_fraction < 1.0 - 1e-9:
+            for container in current:
+                if container.current_cpu / container.standard_cpu < 1.0 - 1e-9:
                     gained = self.cluster.inflate_container(container.container_id)
                     if gained > 0:
                         self.metrics.increment("inflations")
-            needed = decision.desired_containers - len(live)
+            needed = decision.desired_containers - len(current)
             if needed > 0:
                 self._scale_up(name, needed)
 
     def _scale_down(self, name: str, count: int) -> None:
         """Lazily mark ``count`` of a function's containers for termination."""
         live = self.cluster.containers_of(name, include_draining=False)
-        victims = sorted(live, key=lambda c: (c.current_cpu, c.container_id))[:count]
+        victims = sorted(live, key=attrgetter("current_cpu", "container_id"))[:count]
         for container in victims:
             if self.config.lazy_termination:
                 container.mark_draining()
@@ -480,17 +489,13 @@ class LassController(SharedQueuePolicy):
 
     # -- overload path (§4) ----------------------------------------------
     def _apply_overload_plan(
-        self, targets_cpu: Dict[str, float], decisions: Dict[str, ScalingDecision]
+        self, targets_cpu: Dict[str, float], containers_by_function: Dict[str, List[Container]]
     ) -> None:
         # Under pressure there is no room for lazy termination: draining
         # containers are real capacity that must be reclaimed immediately.
-        """Enforce the fair-share CPU targets through the reclamation policy."""
+        """Enforce the fair-share CPU targets on the queries' live containers."""
         self._reclaim_draining()
 
-        containers_by_function = {
-            name: self.cluster.containers_of(name, include_draining=False)
-            for name in self._functions
-        }
         standard_cpu = {name: st.deployment.cpu for name, st in self._functions.items()}
         policy = self._reclamation_policy()
         plan = policy.plan(
@@ -636,14 +641,10 @@ class LassController(SharedQueuePolicy):
         functions: Dict[str, FunctionEpochStats] = {}
         for name, decision in decisions.items():
             live = self.cluster.containers_of(name, include_draining=False)
+            # positional, in field order
             functions[name] = FunctionEpochStats(
-                function_name=name,
-                containers=len(live),
-                cpu=sum([c.current_cpu for c in live]),
-                desired_containers=decision.desired_containers,
-                arrival_rate_estimate=decision.arrival_rate,
-                service_rate_estimate=decision.service_rate,
-            )
+                name, len(live), sum(map(_current_cpu, live)), decision.desired_containers,
+                decision.arrival_rate, decision.service_rate)
         return functions
 
 

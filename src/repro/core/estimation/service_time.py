@@ -343,8 +343,17 @@ class OnlineServiceTimeEstimator:
 
     def observations(self, cpu_fraction: float = 1.0) -> int:
         """Number of observations for the bucket containing ``cpu_fraction``."""
-        key = self._bucket(cpu_fraction)
-        return self._totals.get(key, (0, 0.0))[0]
+        return self.bucket_totals(cpu_fraction)[0]
+
+    def bucket_totals(self, cpu_fraction: float = 1.0) -> Tuple[int, float]:
+        """``(count, total)`` of the bucket containing ``cpu_fraction``, in one frame."""
+        if cpu_fraction <= 0:
+            raise ValueError("cpu_fraction must be positive")
+        if self._pending_times:
+            self._fold()
+        key = int(round(min(1.0, cpu_fraction) / self.bucket_width))
+        count, total = self._folded_totals.get(key, (0, 0.0))
+        return count, total
 
     def mean_service_time(self, cpu_fraction: float = 1.0) -> Optional[float]:
         """Learned mean service time at a CPU fraction, or ``None`` if unseen.

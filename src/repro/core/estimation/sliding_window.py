@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -136,7 +136,8 @@ class SlidingWindowCounter:
     def record_many(self, timestamps: "List[float]") -> None:
         """Record a batch of events; equivalent to :meth:`record` per element.
 
-        Short batches are recorded per element.  From
+        Short batches are bucketed in one loop with :meth:`record`'s checks
+        and partial state on a refusal.  From
         ``_VECTOR_RECORD_MIN`` on, the fast path requires a
         non-decreasing batch (which per-element recording would demand
         anyway) and folds the batch bucket by bucket instead of event by
@@ -144,8 +145,24 @@ class SlidingWindowCounter:
         error behaviour matches exactly.
         """
         if len(timestamps) < _VECTOR_RECORD_MIN:
-            for timestamp in timestamps:
-                self.record(timestamp)
+            # record()'s body in one loop, its state kept in locals and
+            # written back even when an element is refused
+            width, n_buckets, last = self.bucket_width, self._n_buckets, self._last_timestamp
+            try:
+                for timestamp in timestamps:
+                    timestamp = float(timestamp)
+                    if timestamp < last - 1e-9:
+                        raise ValueError("timestamps must be non-decreasing")
+                    last = timestamp
+                    index = int(timestamp // width)
+                    head = self._head
+                    if head is None or index > head:
+                        self._advance(index)
+                    elif index <= head - n_buckets:
+                        continue  # record()'s stale-bucket drop
+                    self._counts[index % n_buckets] += 1
+            finally:
+                self._last_timestamp = last
             return
         first = float(timestamps[0])
         if first < self._last_timestamp - 1e-9:
@@ -249,8 +266,8 @@ class DualWindowRateEstimator:
     Pending-block contract (§5 keeps the controller's bookkeeping off the
     data path): :meth:`record_arrival` validates the timestamp at the call
     and notes it; the block is folded through ``record_many`` — state for
-    state what per-arrival ``record`` calls leave — by whatever touches
-    :attr:`long` or :attr:`short` next (every read, and
+    state what per-arrival ``record`` calls leave — by whatever reads next
+    (:meth:`estimate`, :attr:`long`, :attr:`short`, and
     :meth:`record_arrivals_many`, so the two entry points interleave), or
     by itself at ``_PENDING_BLOCK`` entries.
     """
@@ -312,20 +329,55 @@ class DualWindowRateEstimator:
             return
         if self._start_time is None:
             self._start_time = timestamps[0]
-        self.long.record_many(timestamps)
-        self.short.record_many(timestamps)
+        if self._pending:
+            self._fold()
+        self._long.record_many(timestamps)
+        self._short.record_many(timestamps)
 
     def estimate(self, now: float) -> RateObservation:
-        """Produce a rate estimate at time ``now`` (paper: sampled every 5 s)."""
+        """Produce a rate estimate at time ``now`` (paper: sampled every 5 s).
+
+        Each window's rate is :meth:`SlidingWindowCounter.rate` with the
+        time since the first arrival as ``elapsed``, worked out here in one
+        frame: the pending block is folded, then each ring is advanced to
+        ``now`` and its buckets overlapping ``(now − window, now]`` summed.
+        """
+        if self._pending:
+            self._fold()
         elapsed = None if self._start_time is None else now - self._start_time
-        long_rate = self.long.rate(now, elapsed)
-        short_rate = self.short.rate(now, elapsed)
+        least = None if elapsed is None else max(elapsed, 1e-9)  # rate()'s start-up divisor
+        rates = []
+        for window in (self._long, self._short):
+            head = window._head
+            if head is None or (elapsed is not None and elapsed <= 0):
+                rates.append(0.0)
+                continue
+            width, n, counts = window.bucket_width, window._n_buckets, window._counts
+            newest = int(now // width)
+            if newest > head:  # window._advance(newest)
+                if newest - head >= n:
+                    counts[:] = [0] * n
+                else:
+                    for i in range(head + 1, newest + 1):
+                        counts[i % n] = 0
+                window._head = head = newest
+            # window.count(now); max() and min() of two ints as comparisons
+            first = math.floor((now - window.window_length) / width)
+            if first < head - n + 1:
+                first = head - n + 1
+            last = newest if newest < head else head
+            count = 0
+            if last >= first:
+                start, stop = first % n, last % n + 1
+                count = (sum(counts[start:stop]) if start < stop
+                         else sum(counts[start:]) + sum(counts[:stop]))
+            horizon = window.window_length
+            rates.append(count / (horizon if least is None else min(horizon, least)))
+        long_rate, short_rate = rates
         burst = short_rate >= self.burst_factor * long_rate and short_rate > 0
-        rate = short_rate if burst else long_rate
-        observation = RateObservation(
-            time=now, long_rate=long_rate, short_rate=short_rate,
-            burst_detected=burst, rate=rate,
-        )
+        # time, long_rate, short_rate, burst_detected, rate
+        observation = RateObservation(now, long_rate, short_rate, burst,
+                                      short_rate if burst else long_rate)
         self._last_observation = observation
         return observation
 
@@ -333,11 +385,6 @@ class DualWindowRateEstimator:
     def last_observation(self) -> Optional[RateObservation]:
         """The most recent :class:`RateObservation`, if any."""
         return self._last_observation
-
-    def rates(self, now: float) -> Tuple[float, float]:
-        """Convenience accessor returning ``(long_rate, short_rate)``."""
-        elapsed = None if self._start_time is None else now - self._start_time
-        return self.long.rate(now, elapsed), self.short.rate(now, elapsed)
 
 
 __all__ = [

@@ -125,24 +125,6 @@ class Request:
                 f"request {self.request_id} is {self.status.value}, expected pending")
         self.status = RequestStatus.QUEUED
 
-    def mark_running(self, time: float, container_id: str, node_name: str, cold_start: bool = False) -> None:
-        """Transition QUEUED/PENDING → RUNNING (``Container._start`` writes it inline too)."""
-        if self.status not in (RequestStatus.PENDING, RequestStatus.QUEUED):
-            raise ValueError(f"cannot start request in state {self.status}")
-        self.status = RequestStatus.RUNNING
-        self.start_time = time
-        self.container_id = container_id
-        self.node_name = node_name
-        self.cold_start = cold_start
-
-    def mark_completed(self, time: float) -> None:
-        """Transition RUNNING → COMPLETED (``Container._finish_current`` writes it inline too)."""
-        if self.status is not RequestStatus.RUNNING:
-            raise ValueError(
-                f"request {self.request_id} is {self.status.value}, expected running")
-        self.status = RequestStatus.COMPLETED
-        self.completion_time = time
-
     def mark_dropped(self, time: float) -> None:
         """Mark the request as dropped (e.g. its container was terminated)."""
         if self.status in (RequestStatus.COMPLETED, RequestStatus.TIMED_OUT):

@@ -1,7 +1,5 @@
 """Unit tests for the container model: lifecycle, execution, deflation."""
 
-import dataclasses
-
 import pytest
 
 from repro.cluster.container import Container, ContainerError, ContainerState
@@ -301,11 +299,7 @@ class TestHandOff:
         container.mark_warm(0.0)
         if busy:
             container.submit(make_request(work=5.0), engine)
-        running = make_request()
-        running.mark_running(0.0, "elsewhere", "n9")
-        finished = make_request()
-        finished.mark_running(0.0, "elsewhere", "n9")
-        finished.mark_completed(0.1)
+        running, finished = request_in(RequestStatus.RUNNING), request_in(RequestStatus.COMPLETED)
         before = (container.current_request, container.queue_length)
         for request in (running, finished):
             with pytest.raises(ContainerError):
@@ -331,14 +325,15 @@ class TestHandOff:
 
 
 def request_in(status: RequestStatus) -> Request:
-    """A fresh request brought to ``status`` through the Request's own transitions."""
+    """A fresh request brought to ``status``: RUNNING and COMPLETED as a container elsewhere writes them."""
     request = make_request()
     if status is RequestStatus.QUEUED:
         request.mark_queued()
     elif status in (RequestStatus.RUNNING, RequestStatus.COMPLETED):
-        request.mark_running(0.0, "elsewhere", "n9")
+        request.status, request.start_time = status, 0.0
+        request.container_id, request.node_name = "elsewhere", "n9"
         if status is RequestStatus.COMPLETED:
-            request.mark_completed(0.1)
+            request.completion_time = 0.1
     elif status is RequestStatus.DROPPED:
         request.mark_dropped(0.0)
     elif status is RequestStatus.TIMED_OUT:
@@ -347,42 +342,40 @@ def request_in(status: RequestStatus) -> Request:
 
 
 class TestInlineTransitions:
-    """``_start`` and ``_finish_current`` write the Request's transitions inline.
+    """``_start`` and ``_finish_current`` write the request's RUNNING and COMPLETED transitions.
 
-    Each must test the status as ``Request.mark_running`` /
-    ``mark_completed`` do and refuse with the same error, leaving the
-    container and the request as they were.
+    Each tests the request's status first and refuses with its own
+    message, leaving the container and the request as they were.
     """
 
     @pytest.mark.parametrize("status", [RequestStatus.DROPPED, RequestStatus.RUNNING,
                                         RequestStatus.COMPLETED, RequestStatus.TIMED_OUT])
-    def test_start_refuses_what_mark_running_refuses(self, engine, status):
-        request, twin = request_in(status), request_in(status)
-        with pytest.raises(ValueError) as expected:
-            twin.mark_running(0.0, "c", "n")
+    def test_start_refuses_a_request_that_is_not_pending_or_queued(self, engine, status):
+        request = request_in(status)
         container = make_container()
         container.mark_warm(0.0)
         before = (request.status, request.start_time, request.container_id)
         with pytest.raises(ValueError) as refused:
             container._start(request, engine, None)
-        assert str(refused.value) == str(expected.value) == f"cannot start request in state {status}"
+        assert str(refused.value) == f"cannot start request in state {status}"
         assert container.current_request is None and engine.pending_events == 0
         assert (request.status, request.start_time, request.container_id) == before
 
     @pytest.mark.parametrize("status", [RequestStatus.PENDING, RequestStatus.QUEUED])
-    def test_start_writes_what_mark_running_writes(self, engine, status):
-        request, twin = request_in(status), request_in(status)
+    def test_start_and_finish_write_the_running_and_completed_fields(self, engine, status):
+        request = request_in(status)
         container = make_container()
         container.mark_warm(0.0)
         container._start(request, engine, None)
-        twin.mark_running(engine.now, container.container_id, container.node_name,
-                          cold_start=True)
-        fields = ("status", "start_time", "container_id", "node_name", "cold_start")
-        assert [getattr(request, f) for f in fields] == [getattr(twin, f) for f in fields]
+        fields = ("status", "start_time", "container_id", "node_name", "cold_start",
+                  "completion_time")
+        assert [getattr(request, f) for f in fields] == [
+            RequestStatus.RUNNING, 0.0, container.container_id, "node-0", True, None]
         engine.run()
-        twin.mark_completed(engine.now)
-        fields += ("completion_time",)
-        assert [getattr(request, f) for f in fields] == [getattr(twin, f) for f in fields]
+        assert engine.now == pytest.approx(request.work)
+        assert [getattr(request, f) for f in fields] == [
+            RequestStatus.COMPLETED, 0.0, container.container_id, "node-0", True, engine.now]
+        assert container.completed_requests == 1 and container.current_request is None
 
     @pytest.mark.parametrize("status", [RequestStatus.PENDING, RequestStatus.QUEUED,
                                         RequestStatus.COMPLETED, RequestStatus.DROPPED,
@@ -393,12 +386,9 @@ class TestInlineTransitions:
         request = make_request(work=1.0)
         container.submit(request, engine)
         request.status = status             # changed under the container's feet
-        twin = dataclasses.replace(request)  # same id, same fields
-        with pytest.raises(ValueError) as expected:
-            twin.mark_completed(1.0)
         with pytest.raises(ValueError) as refused:
             engine.run()
-        assert str(refused.value) == str(expected.value) == (
+        assert str(refused.value) == (
             f"request {request.request_id} is {status.value}, expected running")
         assert request.status is status and request.completion_time is None
         assert container.completed_requests == 0 and container.current_request is request

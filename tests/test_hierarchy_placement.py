@@ -1,6 +1,10 @@
 """Tests for the scheduling hierarchy and container placement."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles.scheduling_tree import allocate_reference
 
 from repro.cluster.node import Node
 from repro.core.allocation.hierarchy import SchedulingNode, SchedulingTree
@@ -108,6 +112,95 @@ class TestSchedulingTree:
         assert set(tree.function_names()) == {"a", "b"}
         assert tree.root.find("a").name == "a"
         assert tree.root.find("zzz") is None
+
+    def test_function_names_walk_depth_first(self):
+        tree = SchedulingTree()
+        org = tree.root.add_child(SchedulingNode("org"))
+        org.add_child(SchedulingNode("team")).add_child(SchedulingNode("f1"))
+        org.add_child(SchedulingNode("f2"))
+        tree.add_function("f3")
+        assert tree.function_names() == ["f1", "f2", "f3"]
+        assert [leaf.name for leaf in org.leaves()] == ["f1", "f2"]
+        assert SchedulingTree().function_names() == ["cluster"]   # a bare root is a leaf
+
+
+class TestAllocateExactValues:
+    """Exact answers of ``SchedulingTree.allocate`` at its boundaries (``==``, not approx)."""
+
+    @staticmethod
+    def two_level():
+        return SchedulingTree.two_level(
+            users={"u1": 1.0, "u2": 2.0},
+            functions={"a": "u1", "b": "u1", "c": "u2", "d": "u2"},
+        )
+
+    def test_flat_weighted_split(self):
+        tree = SchedulingTree.flat({"a": 1.0, "b": 3.0})
+        assert tree.allocate({"a": 10.0, "b": 10.0}, 8.0) == {"a": 2.0, "b": 6.0}
+        # b needs less than its slice: the surplus goes to a in a second round
+        assert tree.allocate({"a": 10.0, "b": 1.0}, 8.0) == {"a": 7.0, "b": 1.0}
+
+    @pytest.mark.parametrize("build", ["flat", "two_level"])
+    def test_capacity_zero_grants_nothing(self, build):
+        tree = (SchedulingTree.flat({"a": 1.0, "b": 3.0, "c": 1.0, "d": 1.0})
+                if build == "flat" else self.two_level())
+        demands = {"a": 2.0, "b": 5.0, "c": 0.0, "d": 1.0}
+        allocations = tree.allocate(demands, 0.0)
+        assert allocations == dict.fromkeys("abcd", 0.0)
+        assert list(allocations) == tree.function_names()
+
+    def test_a_user_whose_functions_demand_nothing_cedes_its_share(self):
+        tree = self.two_level()
+        # overloaded: u2 takes the whole 6.0 and splits it evenly, c capped at its demand
+        allocations = tree.allocate({"a": 0.0, "b": 0.0, "c": 3.0, "d": 5.0}, 6.0)
+        assert allocations == {"a": 0.0, "b": 0.0, "c": 3.0, "d": 3.0}
+        # not overloaded: everyone gets exactly the demand
+        allocations = tree.allocate({"a": 0.0, "b": 0.0, "c": 3.0, "d": 5.0}, 9.0)
+        assert allocations == {"a": 0.0, "b": 0.0, "c": 3.0, "d": 5.0}
+        # a function missing from the demands demands nothing
+        assert tree.allocate({"c": 3.0, "d": 5.0}, 6.0) == allocations | {"d": 3.0}
+
+    def test_every_demand_zero(self):
+        assert self.two_level().allocate(dict.fromkeys("abcd", 0.0), 6.0) == dict.fromkeys(
+            "abcd", 0.0)
+
+
+_WEIGHT = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+_DEMAND = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=20.0),
+                    st.integers(min_value=0, max_value=8))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(shape=st.lists(st.lists(st.tuples(_WEIGHT, _DEMAND), min_size=0, max_size=4),
+                      min_size=1, max_size=4),
+       user_weights=st.lists(_WEIGHT, min_size=4, max_size=4),
+       depth=st.sampled_from(["flat", "two_level", "three_level"]),
+       capacity=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=40.0)),
+       extra=st.one_of(st.none(), st.sampled_from(["ghost", "negative"])))
+def test_allocate_equals_the_recursive_reference(shape, user_weights, depth, capacity, extra):
+    """The same allocations, in the same order, bit for bit; the same errors first."""
+    tree, demands = SchedulingTree(), {}
+    parent = tree.root
+    if depth == "three_level":
+        parent = tree.root.add_child(SchedulingNode("org", weight=2.0))
+    for u, functions in enumerate(shape):
+        user = parent if depth == "flat" else parent.add_child(
+            SchedulingNode(f"u{u}", weight=user_weights[u]))
+        for f, (weight, demand) in enumerate(functions):
+            user.add_child(SchedulingNode(f"f{u}{f}", weight=weight))
+            if f % 3 != 2:                      # some functions have no demand entry at all
+                demands[f"f{u}{f}"] = demand
+    if extra == "ghost":
+        demands["ghost"] = 1.0
+    elif extra == "negative" and demands:
+        demands[next(iter(demands))] = -1.0
+    try:
+        expected = allocate_reference(tree, demands, capacity)
+    except (KeyError, ValueError) as error:
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            tree.allocate(demands, capacity)
+    else:
+        assert list(tree.allocate(demands, capacity).items()) == list(expected.items())
 
 
 class TestPlacement:

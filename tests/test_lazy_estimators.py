@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.estimation import service_time as service_time_module
 from repro.core.estimation import sliding_window as sliding_window_module
 from repro.core.estimation.service_time import OnlineServiceTimeEstimator, StreamingQuantile
-from repro.core.estimation.sliding_window import DualWindowRateEstimator
+from repro.core.estimation.sliding_window import DualWindowRateEstimator, SlidingWindowCounter
 
 PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -34,14 +34,31 @@ BLOCK_SIZES = (3, 64, 65, 100, 4096)
 # ----------------------------------------------------------------------
 # Frozen oracles (the bodies as of PR 19)
 # ----------------------------------------------------------------------
+def rates(estimator, now):
+    """``(long_rate, short_rate)`` through each window's own ``rate`` (the estimator's old ``rates()``)."""
+    elapsed = None if estimator._start_time is None else now - estimator._start_time
+    return estimator.long.rate(now, elapsed), estimator.short.rate(now, elapsed)
+
+
 class EagerRateEstimator(DualWindowRateEstimator):
-    """Folds every arrival into both windows at the call."""
+    """Folds every arrival into both windows at the call, and estimates through ``rate``."""
 
     def record_arrival(self, timestamp):
         if self._start_time is None:
             self._start_time = timestamp
         self.long.record(timestamp)
         self.short.record(timestamp)
+
+    def estimate(self, now):
+        # the body before the windows' arithmetic was inlined into ``estimate``
+        long_rate, short_rate = rates(self, now)
+        burst = short_rate >= self.burst_factor * long_rate and short_rate > 0
+        observation = sliding_window_module.RateObservation(
+            time=now, long_rate=long_rate, short_rate=short_rate,
+            burst_detected=burst, rate=short_rate if burst else long_rate,
+        )
+        self._last_observation = observation
+        return observation
 
 
 class EagerServiceEstimator(OnlineServiceTimeEstimator):
@@ -83,8 +100,9 @@ def service_state(estimator):
 # ----------------------------------------------------------------------
 _GAP = st.floats(min_value=0.0, max_value=3.0, allow_nan=False, allow_infinity=False)
 # how far past the newest arrival a read looks: aligned, just ahead, or so far
-# that the ring advances beyond what later (still non-decreasing) arrivals can reach
-_AHEAD = st.sampled_from([0.0, 0.5, 4.0, 30.0, 500.0])
+# that the ring advances beyond what later (still non-decreasing) arrivals can
+# reach; or behind it, a read of the past (the ring does not move back)
+_AHEAD = st.sampled_from([-30.0, -3.0, 0.0, 0.5, 4.0, 30.0, 500.0])
 _RATE_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("arrival"), _GAP),
@@ -123,7 +141,7 @@ def test_rate_estimator_lazy_equals_eager(ops, block, windows):
             elif op == "estimate":
                 assert lazy.estimate(now + argument) == eager.estimate(now + argument)
             else:
-                assert lazy.rates(now + argument) == eager.rates(now + argument)
+                assert rates(lazy, now + argument) == rates(eager, now + argument)
         assert rate_state(lazy) == rate_state(eager)
         assert eager._pending == []
 
@@ -138,7 +156,7 @@ def test_rate_estimator_hits_the_stale_bucket_drop_like_the_eager_one():
         for timestamp in (2.5, 3.0):                  # still non-decreasing, long out of window
             estimator.record_arrival(timestamp)
     assert lazy._pending == [2.5, 3.0]
-    assert lazy.rates(500.0) == eager.rates(500.0) == (0.0, 0.0)
+    assert rates(lazy, 500.0) == rates(eager, 500.0) == (0.0, 0.0)
     assert rate_state(lazy) == rate_state(eager)
     assert sum(lazy.long._counts) == 0                # dropped, not aliased into a live slot
 
@@ -175,6 +193,48 @@ def test_rate_estimator_rejects_at_the_call_and_leaves_nothing_pending(bad, fold
     assert rate_state(lazy) == rate_state(eager)
 
 
+def test_estimate_matches_hand_counted_buckets_at_an_unaligned_now():
+    """Windows 20 s / 4 s in 2 s buckets, first arrival at 0.5 s, read at 21.3 s.
+
+    The long window's ring keeps 11 buckets: at 21.3 s (bucket 10) it starts
+    at bucket 0, and the window ``(1.3, 21.3]`` reaches back to bucket 0 too,
+    so all 7 arrivals count; the short window ``(17.3, 21.3]`` covers buckets
+    8–10 (16–22 s): 14.0 falls out, 17.0, 19.5 and 21.0 count.  Elapsed is
+    20.8 s, longer than both windows, so each divides by its own length.
+    """
+    estimator = DualWindowRateEstimator(20.0, 4.0, bucket_width=2.0)
+    for timestamp in (0.5, 3.0, 3.5, 14.0, 17.0, 19.5, 21.0):
+        estimator.record_arrival(timestamp)
+    observation = estimator.estimate(21.3)
+    assert (observation.long_rate, observation.short_rate) == (7 / 20.0, 3 / 4.0)
+    assert observation.burst_detected and observation.rate == 3 / 4.0
+    assert rates(estimator, 21.3) == (7 / 20.0, 3 / 4.0)      # each window's own ``rate``
+
+
+def test_estimate_divides_by_the_elapsed_time_during_start_up():
+    """Less history than a window: the divisor is the time since the first arrival."""
+    estimator = DualWindowRateEstimator(20.0, 4.0, bucket_width=2.0)
+    for timestamp in (10.0, 10.5, 11.0, 12.5):
+        estimator.record_arrival(timestamp)
+    observation = estimator.estimate(13.0)             # elapsed 3 s: under both windows
+    assert (observation.long_rate, observation.short_rate) == (4 / 3.0, 4 / 3.0)
+    assert not observation.burst_detected
+    # at the instant of the first arrival there is no elapsed history, so no rate
+    fresh = DualWindowRateEstimator(20.0, 4.0, bucket_width=2.0)
+    fresh.record_arrival(10.0)
+    observation = fresh.estimate(10.0)
+    assert (observation.long_rate, observation.short_rate) == (0.0, 0.0)
+    assert fresh.long._counts[5] == fresh.short._counts[5 % 3] == 1   # folded all the same
+
+
+@pytest.mark.parametrize("window, width", [
+    (0.0, None), (-5.0, None), (10.0, 0.0), (10.0, -1.0), (10.0, 10.5),
+])
+def test_sliding_window_counter_refuses_a_bad_geometry(window, width):
+    with pytest.raises(ValueError):
+        SlidingWindowCounter(window, width)
+
+
 # ----------------------------------------------------------------------
 # Service-time estimator
 # ----------------------------------------------------------------------
@@ -185,7 +245,8 @@ _SERVICE_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("observe"), st.lists(_OBSERVATION, min_size=1, max_size=90)),
         st.tuples(st.just("many"), st.lists(_OBSERVATION, min_size=0, max_size=90)),
-        st.tuples(st.sampled_from(["observations", "mean_service_time", "service_rate"]),
+        st.tuples(st.sampled_from(["observations", "bucket_totals", "mean_service_time",
+                                   "service_rate"]),
                   st.sampled_from([0.25, 0.6, 1.0])),
         st.tuples(st.just("percentile"), st.sampled_from([0.25, 0.6, 1.0])),
     ),
@@ -196,7 +257,7 @@ _SERVICE_OPS = st.lists(
 @PROPERTY_SETTINGS
 @given(ops=_SERVICE_OPS, block=st.sampled_from(BLOCK_SIZES))
 def test_service_estimator_lazy_equals_eager(ops, block):
-    """Any interleaving of observe / observe_many / the four reads: same state, same answers."""
+    """Any interleaving of observe / observe_many / the five reads: same state, same answers."""
     # 16 slots a bucket: streams this long reach the reservoir's replacement (RNG) phase
     lazy = OnlineServiceTimeEstimator(max_samples_per_bucket=16)
     eager = EagerServiceEstimator(max_samples_per_bucket=16)

@@ -22,13 +22,19 @@ from repro.metrics.utilization import UtilizationTracker, time_weighted_mean
 from repro.sim.request import Request, RequestStatus
 
 
+def finish(request, start, completion):
+    """Write a container's RUNNING and COMPLETED transitions onto ``request``."""
+    request.status = RequestStatus.COMPLETED
+    request.start_time, request.completion_time = start, completion
+    request.container_id, request.node_name = "c", "n"
+    return request
+
+
 def completed_request(name="fn", arrival=0.0, wait=0.05, service=0.1, deadline=0.1):
     request = Request(function_name=name, arrival_time=arrival,
                       deadline=None if deadline is None else arrival + deadline, work=service)
     request.mark_queued()
-    request.mark_running(arrival + wait, "c", "n")
-    request.mark_completed(arrival + wait + service)
-    return request
+    return finish(request, arrival + wait, arrival + wait + service)
 
 
 def dropped_request(name="fn", arrival=0.0):
@@ -564,8 +570,7 @@ class TestTablePathEqualsObjectLoops:
         request = Request(function_name="fn", arrival_time=0.0)
         collector.record_request(request)
         assert collector.throughput() == 0
-        request.mark_running(0.02, "c", "n")
-        request.mark_completed(0.1)               # mutated without telling the collector
+        finish(request, 0.02, 0.1)                # mutated without telling the collector
         assert collector.throughput() == collector.throughput("fn") == 1
         assert collector.throughput("other") == 0
         assert collector.slo({"fn": 0.05})["fn"].within_deadline == 1

@@ -25,7 +25,8 @@ the suite stays deterministic run-to-run.
 
 import math
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.estimation.sliding_window import SlidingWindowCounter
 from repro.core.queueing.sizing import required_containers
@@ -380,35 +381,86 @@ _DELTAS = st.floats(min_value=0.0, max_value=12.0,
                     allow_nan=False, allow_infinity=False)
 
 
+#: steps of at least one ring: a window of at most 60 s in buckets of at most
+#: 5 s keeps ``ceil(60 / 5) + 1`` buckets, 65 s
+_RING_GAPS = st.floats(min_value=70.0, max_value=200.0)
+_STEPS = st.one_of(st.just(0.0), _DELTAS, _DELTAS, _RING_GAPS)
+
+
+def _ring_state(counter):
+    return counter._counts, counter._head, counter._last_timestamp
+
+
 @PROPERTY_SETTINGS
 @given(
     # batches on both sides of sliding_window._VECTOR_RECORD_MIN (64): the
-    # per-element loop below it, the numpy bucket fold from it on
-    deltas=st.one_of(st.lists(_DELTAS, min_size=0, max_size=60),
-                     st.lists(_DELTAS, min_size=64, max_size=200)),
+    # short-batch loop below it, the numpy bucket fold from it on
+    deltas=st.one_of(st.lists(_STEPS, min_size=0, max_size=60),
+                     st.lists(_STEPS, min_size=64, max_size=200)),
     window=st.floats(min_value=4.0, max_value=60.0,
                      allow_nan=False, allow_infinity=False),
-    split=st.integers(min_value=0, max_value=200),
+    # where the stream is cut into batches, as shares of its length
+    cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
+    # how far past the newest event both counters are read after each batch:
+    # some seconds, or a ring give or take a bucket (a read one ring ahead
+    # puts the next event on the stale-bucket drop's boundary)
+    reads=st.lists(st.one_of(st.none(),
+                             st.tuples(st.just("seconds"),
+                                       st.floats(min_value=0.0, max_value=150.0)),
+                             st.tuples(st.just("ring"), st.sampled_from([-1, 0, 0, 1]))),
+                   min_size=5, max_size=5),
+    # (position, amount): one element that steps back mid-stream
+    backstep=st.one_of(st.none(), st.tuples(st.integers(min_value=1, max_value=200),
+                                            st.floats(min_value=1e-6, max_value=30.0))),
 )
-def test_record_many_is_batch_split_invariant(deltas, window, split):
-    """``record_many`` ≡ per-element ``record`` across arbitrary splits."""
+# on the drop's boundary: a read one ring (3 buckets of 5 s) past 1.0 s, then
+# events back in bucket 0, which the ring now holds in the slot of bucket 3
+@example(deltas=[1.0, 0.0, 0.5], window=10.0, cuts=[0.4],
+         reads=[("ring", 0), None, None, None, None], backstep=None)
+def test_record_many_is_batch_split_invariant(deltas, window, cuts, reads, backstep):
+    """``record_many`` ≡ per-element ``record`` across arbitrary splits.
+
+    Reads between batches advance both rings, so later events can land on a
+    bucket the ring has already left (the stale-bucket drop); steps of a
+    ring or more zero it whole; and an element that steps back makes its
+    batch raise ``record``'s ``ValueError`` and leave ``record``'s partial
+    state: counts, head and last timestamp as of the element before it.
+    """
     timestamps = []
     now = 0.0
     for delta in deltas:
         now += delta
         timestamps.append(now)
-    split = min(split, len(timestamps))
+    if backstep is not None and timestamps:
+        at = min(backstep[0], len(timestamps))
+        timestamps.insert(at, timestamps[at - 1] - backstep[1])
+    bounds = sorted({0, len(timestamps), *(int(cut * len(timestamps)) for cut in cuts)})
 
     reference = SlidingWindowCounter(window)
-    for timestamp in timestamps:
-        reference.record(timestamp)
-
     batched = SlidingWindowCounter(window)
-    batched.record_many(timestamps[:split])
-    batched.record_many(timestamps[split:])
-
-    assert batched._counts == reference._counts
-    assert batched._head == reference._head
+    refused = None
+    for (start, stop), ahead in zip(zip(bounds, bounds[1:]), reads):
+        batch = timestamps[start:stop]
+        try:
+            for timestamp in batch:
+                reference.record(timestamp)
+        except ValueError as error:
+            refused = error
+        if refused is None:
+            batched.record_many(batch)
+        else:
+            with pytest.raises(ValueError, match=str(refused)):
+                batched.record_many(batch)
+        assert _ring_state(batched) == _ring_state(reference)
+        if refused is not None:
+            break
+        if ahead is not None:
+            unit, amount = ahead
+            if unit == "ring":
+                amount = (reference._n_buckets + amount) * reference.bucket_width
+            query = max(reference._last_timestamp, 0.0) + amount
+            assert batched.count(query) == reference.count(query)
+    assert (refused is not None) == (backstep is not None and len(timestamps) > 1)
     query = (timestamps[-1] if timestamps else 0.0) + 1.0
     assert batched.count(query) == reference.count(query)
 

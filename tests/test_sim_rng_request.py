@@ -62,6 +62,13 @@ class TestRngStreams:
         assert set(rng.names()) == {"x", "y"}
 
 
+def run_and_complete(request, start, completion):
+    """Write what a container's ``_start`` and ``_finish_current`` write."""
+    request.status = RequestStatus.COMPLETED
+    request.start_time, request.completion_time = start, completion
+    request.container_id, request.node_name = "c1", "node-0"
+
+
 class TestRequestLifecycle:
     def make(self, **kwargs) -> Request:
         defaults = dict(function_name="fn", arrival_time=1.0, deadline=1.1, work=0.05)
@@ -78,8 +85,7 @@ class TestRequestLifecycle:
     def test_full_lifecycle_metrics(self):
         request = self.make()
         request.mark_queued()
-        request.mark_running(1.2, "c1", "node-0")
-        request.mark_completed(1.3)
+        run_and_complete(request, 1.2, 1.3)
         assert request.waiting_time == pytest.approx(0.2)
         assert request.service_time == pytest.approx(0.1)
         assert request.response_time == pytest.approx(0.3)
@@ -87,35 +93,16 @@ class TestRequestLifecycle:
     def test_deadline_checks(self):
         request = self.make(deadline=1.25)
         request.mark_queued()
-        request.mark_running(1.2, "c1", "node-0")
-        request.mark_completed(1.3)
+        run_and_complete(request, 1.2, 1.3)
         assert request.met_deadline is False
         assert request.waiting_met_deadline is True
 
     def test_no_deadline_returns_none(self):
         request = self.make(deadline=None)
         request.mark_queued()
-        request.mark_running(1.2, "c1", "node-0")
-        request.mark_completed(1.3)
+        run_and_complete(request, 1.2, 1.3)
         assert request.met_deadline is None
         assert request.waiting_met_deadline is None
-
-    def test_running_directly_from_pending(self):
-        request = self.make()
-        request.mark_running(1.0, "c1", "node-0", cold_start=True)
-        assert request.status is RequestStatus.RUNNING
-        assert request.cold_start is True
-
-    def test_cannot_complete_before_running(self):
-        request = self.make()
-        with pytest.raises(ValueError):
-            request.mark_completed(2.0)
-
-    def test_cannot_run_twice(self):
-        request = self.make()
-        request.mark_running(1.0, "c1", "node-0")
-        with pytest.raises(ValueError):
-            request.mark_running(1.1, "c2", "node-1")
 
     def test_drop_records_completion_time(self):
         request = self.make()
@@ -126,8 +113,7 @@ class TestRequestLifecycle:
 
     def test_cannot_drop_completed_request(self):
         request = self.make()
-        request.mark_running(1.0, "c1", "node-0")
-        request.mark_completed(1.1)
+        run_and_complete(request, 1.0, 1.1)
         with pytest.raises(ValueError):
             request.mark_dropped(1.2)
 
