@@ -22,8 +22,9 @@ Two entry points are provided:
   either discrete (container-count) or continuous (CPU) units.
 * :func:`progressive_filling` — an iterative water-filling variant that
   additionally redistributes capacity an overloaded function cannot use
-  (demand below its proportional slice of ``Ĉ``); used by the
-  hierarchical scheduler and available for ablations.
+  (demand below its proportional slice of ``Ĉ``); available for
+  ablations, and used by the hierarchical scheduler through
+  :func:`water_fill`, which returns its allocations alone.
 """
 
 from __future__ import annotations
@@ -176,20 +177,36 @@ def progressive_filling(
     The guarantees of Lemmas 1 and 2 continue to hold because every
     function's allocation is monotonically non-decreasing across rounds
     and starts at the single-pass value capped by its own demand.
+    The allocations are :func:`water_fill`'s.
     """
-    _validate(demands, weights, capacity)
+    allocations = water_fill(demands, weights, capacity, discrete, max_rounds)
     guaranteed = guaranteed_shares({n: weights[n] for n in demands}, capacity, discrete=discrete)
-    total_demand = sum(demands.values())
-    if total_demand <= capacity + 1e-9:
-        allocations = {name: float(demand) for name, demand in demands.items()}
-        return FairShareResult(
-            allocations=allocations,
-            guaranteed=guaranteed,
-            overloaded=tuple(),
-            well_behaved=tuple(sorted(demands)),
-            capacity=float(capacity),
-            is_overloaded=False,
-        )
+    contended = sum(demands.values()) > capacity + 1e-9
+    if contended:
+        well_behaved = tuple(sorted(n for n in demands if demands[n] <= guaranteed[n] + 1e-9))
+    else:
+        well_behaved = tuple(sorted(demands))
+    return FairShareResult(
+        allocations=allocations,
+        guaranteed=guaranteed,
+        overloaded=tuple(sorted(set(demands).difference(well_behaved))),
+        well_behaved=well_behaved,
+        capacity=float(capacity),
+        is_overloaded=contended,
+    )
+
+
+def water_fill(
+    demands: Mapping[str, float],
+    weights: Mapping[str, float],
+    capacity: float,
+    discrete: bool = False,
+    max_rounds: int = 64,
+) -> Dict[str, float]:
+    """:func:`progressive_filling`'s allocations alone: no guaranteed shares, no classes."""
+    _validate(demands, weights, capacity)
+    if sum(demands.values()) <= capacity + 1e-9:
+        return {name: float(demand) for name, demand in demands.items()}
 
     allocations = {name: 0.0 for name in demands}
     unsatisfied = {name for name in demands if demands[name] > 0}
@@ -215,17 +232,7 @@ def progressive_filling(
 
     if discrete:
         allocations = {name: float(math.floor(v + 1e-9)) for name, v in allocations.items()}
-
-    well_behaved = tuple(sorted(n for n in demands if demands[n] <= guaranteed[n] + 1e-9))
-    overloaded = tuple(sorted(set(demands).difference(well_behaved)))
-    return FairShareResult(
-        allocations=allocations,
-        guaranteed=guaranteed,
-        overloaded=overloaded,
-        well_behaved=well_behaved,
-        capacity=float(capacity),
-        is_overloaded=True,
-    )
+    return allocations
 
 
 def is_overloaded(demands: Mapping[str, float], capacity: float) -> bool:
@@ -240,5 +247,6 @@ __all__ = [
     "guaranteed_shares",
     "fair_share_allocation",
     "progressive_filling",
+    "water_fill",
     "is_overloaded",
 ]

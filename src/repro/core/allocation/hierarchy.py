@@ -10,7 +10,7 @@ The tree's leaves are functions; internal nodes are users (namespaces)
 or arbitrary grouping levels.  Fair-share capacity flows top-down: at
 every internal node the available capacity is divided among the
 children with the same demand-aware weighted algorithm used for flat
-fair share (:func:`repro.core.allocation.fair_share.progressive_filling`),
+fair share (:func:`repro.core.allocation.fair_share.water_fill`),
 where a child's demand is the total demand of its subtree.  Capacity a
 subtree cannot use is therefore available to its siblings, exactly as in
 the flat case.
@@ -23,7 +23,7 @@ from itertools import repeat
 from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional
 
-from repro.core.allocation.fair_share import progressive_filling
+from repro.core.allocation.fair_share import water_fill
 
 _weight = attrgetter("weight")
 
@@ -227,8 +227,7 @@ class SchedulingTree:
             granted = dict.fromkeys(child_demands, 0.0)
         else:
             child_weights = {child.name: child.weight for child in children}
-            granted = progressive_filling(child_demands, child_weights, capacity,
-                                          discrete=False).allocations
+            granted = water_fill(child_demands, child_weights, capacity)
         for child in children:
             if child.children:
                 self._allocate_node(child, demands, granted[child.name], out)

@@ -50,8 +50,8 @@ DEFAULT_BUCKET_SECONDS = 5.0
 #: ``floor_divide`` + ``unique`` + ``tolist``) is 13–19 µs up to this
 #: length, against 0.7 µs for two :meth:`~SlidingWindowCounter.record`
 #: calls, 3.7 µs for 16 and 16.7 µs for 64, where the two paths cross (at
-#: 128 the fold takes 21 µs and the loop 32 µs).  Function-scoped kernel
-#: boundaries keep a busy control plane's batches far below it (median 2).
+#: 128 the fold takes 21 µs and the loop 32 µs).  A busy control plane's
+#: batches stay far below it (``burst_control``: median 2, at most 44).
 _VECTOR_RECORD_MIN = 64
 
 #: Most arrivals :meth:`DualWindowRateEstimator.record_arrival` holds back
@@ -187,47 +187,6 @@ class SlidingWindowCounter:
                 continue
             self._advance(index)
             self._counts[index % n_buckets] += batched
-
-    def count(self, now: float) -> int:
-        """Number of events in buckets overlapping ``(now − window, now]``."""
-        head = self._head
-        if head is None:
-            return 0
-        newest = int(now // self.bucket_width)
-        self._advance(newest)
-        head = self._head
-        oldest_kept = head - self._n_buckets + 1
-        # floor: the oldest *partially* covered bucket is included, so an
-        # unaligned query over-approximates (never misses in-window events —
-        # under-counting the short window would delay burst detection)
-        first = int(math.floor((now - self.window_length) / self.bucket_width))
-        first = max(first, oldest_kept)
-        last = min(newest, head)
-        if last < first:
-            return 0
-        # at most one lap of the ring (first >= oldest_kept), so the span is
-        # one slice or two; the counts are integers, so the order is immaterial
-        counts = self._counts
-        n = self._n_buckets
-        start, stop = first % n, last % n + 1
-        if start < stop:
-            return sum(counts[start:stop])
-        return sum(counts[start:]) + sum(counts[:stop])
-
-    def rate(self, now: float, elapsed: Optional[float] = None) -> float:
-        """Arrival rate over the window (events per second).
-
-        ``elapsed`` caps the divisor for the start-up transient when less
-        than a full window of history exists.  With no elapsed history (an
-        estimate at the instant of the first event) there is no rate to
-        tell, and the answer is 0.
-        """
-        horizon = self.window_length
-        if elapsed is not None:
-            if elapsed <= 0:
-                return 0.0
-            horizon = min(horizon, max(elapsed, 1e-9))
-        return self.count(now) / horizon
 
     def clear(self) -> None:
         """Drop all recorded events."""

@@ -102,6 +102,7 @@ class FaultInjector:
 
         if spec.crash_probability > 0.0:
             self._crash_rng = rng.stream("faults:crash")
+            self._drawn_ahead: Optional[float] = None
             self._crash_functions = (set(spec.crash_functions)
                                      if spec.crash_functions is not None else None)
             controller.set_dispatch_interceptor(self._intercept_dispatch)
@@ -201,7 +202,25 @@ class FaultInjector:
         if (self._crash_functions is not None
                 and function_name not in self._crash_functions):
             return False
-        return float(self._crash_rng.random()) < self.spec.crash_probability
+        draw = self._drawn_ahead
+        if draw is None:
+            draw = float(self._crash_rng.random())
+        else:
+            self._drawn_ahead = None
+        return draw < self.spec.crash_probability
+
+    def peek_crash(self, function_name: str) -> bool:
+        """What the next :meth:`crash_decision` for ``function_name`` returns.
+
+        The draw is taken ahead and held for that call, so the stream
+        advances exactly as without the peek.
+        """
+        if (self._crash_functions is not None
+                and function_name not in self._crash_functions):
+            return False
+        if self._drawn_ahead is None:
+            self._drawn_ahead = float(self._crash_rng.random())
+        return self._drawn_ahead < self.spec.crash_probability
 
     def apply_crash(self, request: Request, container: Container) -> None:
         """Execute a confirmed crash: fail the request, evict, re-provision.

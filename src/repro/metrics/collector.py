@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,9 +24,13 @@ from repro.metrics.utilization import UtilizationTracker
 from repro.sim.request import Request, RequestStatus
 
 
-@dataclass(frozen=True)
-class FunctionEpochStats:
-    """Per-function statistics captured at the end of one controller epoch."""
+class FunctionEpochStats(NamedTuple):
+    """Per-function statistics captured at the end of one controller epoch.
+
+    A row rather than a frozen dataclass: every policy builds one per
+    function per epoch, and a tuple costs no per-field
+    ``object.__setattr__``.
+    """
 
     function_name: str
     containers: int

@@ -40,35 +40,35 @@ Control plane at boundaries
 Everything that is *not* the per-request hot path still runs the real
 code: controller epoch/rate ticks, container warm-ups, node
 failures/recoveries, and draining-container completions are ordinary
-engine events.  Each is a *boundary*: the kernel *flushes* folded
-metrics and *materializes* columns back into real objects (queued
-``Request`` deques, busy containers with scheduled completion events,
-the dispatcher's idle index) for the functions the event can touch —
-its *scope* — lets the engine execute it, then *absorbs* the resulting
-object state of those functions back into columns and continues.
-Container crash-on-dispatch faults are handled the same way at request
-granularity: the kernel draws from the injector's own RNG at every
-dispatch and hands confirmed crashes to the injector's real crash path.
+engine events.  Every one but a warm-up is a *boundary*: the kernel
+*flushes* folded metrics and *materializes* columns back into real
+objects (queued ``Request`` deques, busy containers with scheduled
+completion events, the dispatcher's idle index), lets the engine
+execute every event at that timestamp, then *absorbs* the resulting
+object state back into columns and continues.  Container
+crash-on-dispatch faults are handled at request granularity: the kernel
+draws from the injector's own RNG at every dispatch and hands confirmed
+crashes to the injector's real crash path.
 
-Boundary scopes
----------------
-The scope is read off the next engine event.  A container warm-up
-(``EdgeCluster._finish_cold_start(container)``) reaches only that
-container's function — ``mark_warm`` → the dispatcher's idle index for
-the function → the policy's warm hook, which the :class:`ColumnarPlan`
-contract limits to draining that function's queue — so only that
-function is flushed, materialized and absorbed, exactly one event is
-stepped, and every other function's columns, slots and completion-heap
-entries stay untouched.  Their pending folds ride to the next full
-boundary in larger batches, which is exact because per-function
-estimators are independent and their batch folds are split-invariant.
-Every other event (epoch tick, fault, draining completion) gets the
-full scope and, as before, every event at its timestamp runs inside
-one boundary; same-timestamp warm-ups are taken one scope at a time in
-engine order.  One thing widens a scoped boundary to the full one: a
-crash-on-dispatch drawn while the warm hook drains (the policy's crash
-hook may read and resize any function, so the rest is flushed and
-materialized before it runs).
+Warm-ups
+--------
+A container warm-up (``EdgeCluster._finish_cold_start(container)``)
+adds one idle container, which pulls the function's queued requests.
+The kernel steps that real event — ``mark_warm``, the cluster's
+indexes, every warm hook — with the object-side queue empty
+(:meth:`_absorb` clears the dispatcher's deques after reading them), so
+the policy's warm hook, which the :class:`ColumnarPlan` contract limits
+to ``dispatcher.drain`` of that function, starts nothing.  The kernel
+then adopts the container as a slot and does the drain itself: dead rows
+leave the queue, and the head queued row starts on the container, a
+cold start, after the same WRR pick (``forced_pick``: one candidate) and
+crash draw as any in-kernel dispatch.  Pending folds ride to the next
+boundary in larger batches, exact because per-function estimators are
+independent and their batch folds are split-invariant.  A warm-up whose
+drain would see other idle containers, or whose crash draw will hit
+(:meth:`~repro.faults.injector.FaultInjector.peek_crash`), is a full
+boundary instead: on the event plane that crash runs inside the warm
+hooks, ahead of the injector's recovery check, which must see it.
 
 Fallback conditions
 -------------------
@@ -124,9 +124,10 @@ class ColumnarPlan:
     (``create_on_empty``), and observe completions via
     ``fold_completions`` — which is precisely what the kernel replays
     columnar — and that its container-warm hook does nothing but
-    ``dispatcher.drain(container.function_name)``: the kernel
-    synchronizes only that function's state around a warm-up (see
-    "Boundary scopes" in the module docstring).
+    ``dispatcher.drain(container.function_name)``: the kernel steps a
+    warm-up with that function's object-side queue empty, so the hook
+    starts nothing, and does the drain itself (see "Warm-ups" in the
+    module docstring).
 
     :class:`~repro.core.dispatch.SharedQueuePolicy` is the one place that
     holds a policy to this: its event-plane ``dispatch``, completion
@@ -159,10 +160,10 @@ class _Slot:
     """The kernel's per-container mirror: hot fields of one warm container.
 
     A function's slots are rebuilt from its live
-    :class:`~repro.cluster.container.Container` objects whenever a
-    boundary's scope includes the function.  Sizes and speeds only
-    change at full-scope boundaries (deflation is a controller action),
-    so the values snapshotted here are always current.
+    :class:`~repro.cluster.container.Container` objects at every
+    boundary, and a warm-up adds one.  Sizes and speeds only change at
+    boundaries (deflation is a controller action), so the values
+    snapshotted here are always current.
     """
 
     __slots__ = (
@@ -354,18 +355,14 @@ class ColumnarKernel:
         self._seq = itertools.count()
         self._has_live = False
         self._row_by_rid: Dict[int, Tuple[_FnState, int]] = {}
-        # whose state is object-side during a boundary (full list outside one)
-        self._scope: List[_FnState] = fn_list
-        self._warm_up = cluster._finish_cold_start
-        #: Exact counts of the protocol's work: engine boundaries by the
-        #: scope they ended with and, over every synchronization (crash
-        #: syncs and the final one included), functions absorbed, slots
-        #: rebuilt, queued + running rows written back into live objects.
+        #: Exact counts of the protocol's work: engine boundaries,
+        #: warm-ups taken in-kernel and, over every synchronization
+        #: (crash syncs and the final one included), slots rebuilt and
+        #: queued + running rows written back into live objects.
         #: Repeatable, but deliberately not part of any results envelope.
         self.stats: Dict[str, int] = dict.fromkeys(
-            ("boundaries_full", "boundaries_scoped", "functions_visited",
-             "slots_rebuilt", "rows_materialized"), 0)
-        self._absorb(fn_list)
+            ("boundaries_full", "warm_ups", "slots_rebuilt", "rows_materialized"), 0)
+        self._absorb()
 
     # ------------------------------------------------------------------
     # Main loop
@@ -374,74 +371,92 @@ class ColumnarKernel:
         """Advance the run to ``until`` (workload horizon plus drain).
 
         Alternates columnar draining with real engine boundaries: every
-        pending engine event (control tick, warm-up, fault, draining
-        completion) executes against materialized object state for
-        everything it can touch, exactly as on the event-level plane.
+        pending engine event (control tick, fault, draining completion)
+        executes against materialized object state, exactly as on the
+        event-level plane, and a warm-up is taken in-kernel
+        (:meth:`_warm`).
         """
         engine = self.engine
-        fn_list = self._fn_list
-        dispatcher = self.dispatcher
-        interceptor = dispatcher.interceptor
-        if self.injector is not None:
-            dispatcher.interceptor = self._intercept
-        try:
-            while True:
-                event = engine.peek()
-                if event is None or event[0] > until:
-                    if self._drain(until, inclusive=True):
-                        continue  # a sync scheduled new engine events; re-peek
-                    break
-                boundary = event[0]
-                if self._drain(boundary, inclusive=False):
-                    continue
-                scope = self._scope = self._event_scope(event)
-                self._flush(scope)
-                self._materialize(scope)
-                # a scoped boundary is exactly its one event; the full scope
-                # (from the start, or widened by a crash) takes the timestamp
+        warm_up = self.cluster._finish_cold_start
+        while True:
+            event = engine.peek()
+            if event is None or event[0] > until:
+                if self._drain(until, inclusive=True):
+                    continue  # a sync scheduled new engine events; re-peek
+                break
+            boundary = event[0]
+            if self._drain(boundary, inclusive=False):
+                continue
+            if event[1] == warm_up and self._warm(event[2][0]):
+                continue
+            self._flush()
+            self._materialize()
+            engine.step()
+            while engine.peek_time() == boundary:
                 engine.step()
-                while self._scope is fn_list and engine.peek_time() == boundary:
-                    engine.step()
-                full = self._scope is fn_list
-                self.stats["boundaries_full" if full else "boundaries_scoped"] += 1
-                self._absorb(self._scope)
-                self._scope = fn_list
-        finally:
-            dispatcher.interceptor = interceptor
-        self._flush(fn_list)
-        self._materialize(fn_list)
+            self.stats["boundaries_full"] += 1
+            self._absorb()
+        self._flush()
+        self._materialize()
         self.collector.defer_requests(self._fill, self._export())
         # settle the clock (and any past-horizon events) like the event plane
         engine.run(until=until)
 
-    def _event_scope(self, event: Tuple[float, Callable[..., Any], tuple]) -> List[_FnState]:
-        """The functions the next engine event can touch (the full list if unknown)."""
-        if event[1] != self._warm_up:
-            return self._fn_list
-        fs = self._fn_by_name.get(event[2][0].function_name)
-        return [] if fs is None else [fs]
+    def _warm(self, container: Any) -> bool:
+        """Take the next engine event, ``container``'s warm-up, without a boundary.
 
-    def _widen(self) -> None:
-        """Turn the boundary in progress into a full one, mid-event."""
-        scope = self._scope
-        if scope is not self._fn_list:
-            rest = [fs for fs in self._fn_list if fs not in scope]
-            self._scope = self._fn_list
-            self._flush(rest)
-            self._materialize(rest)
-
-    def _intercept(self, request: Request, container: Any) -> bool:
-        """The injector's dispatch interceptor, widening the scope before a crash.
-
-        Installed while the kernel runs: a crash drawn inside a scoped
-        boundary (the warm hook's drain) reaches the policy's crash
-        hook, which may read estimators and resize any function.
+        Steps the real ``_finish_cold_start``, then does its warm hook's
+        drain in-kernel (see "Warm-ups" in the module docstring).
+        Returns ``False``, stepping nothing, when the warm-up must be a
+        full boundary instead: the drain would have other idle
+        candidates, or its crash draw will hit.
         """
-        if not self.injector.crash_decision(request.function_name):
+        fs = self._fn_by_name.get(container.function_name)
+        if container.state is not ContainerState.STARTING:
+            fs = None  # terminated, or rescued from draining: the event warms nothing
+        elif fs is not None:
+            status = fs.status
+            queue = fs.queue
+            head = next((i for i in queue if status[i] == _QUEUED), None)
+            injector = self.injector
+            if head is not None and (fs.idle or (injector is not None
+                                                 and injector.peek_crash(fs.name))):
+                return False
+        engine = self.engine
+        engine.step()
+        self.stats["warm_ups"] += 1
+        if fs is None:
             return True
-        self._widen()
-        self.injector.apply_crash(request, container)
-        return False
+        slot = _Slot(container)
+        fs.slots.append(slot)
+        insort(fs.idle, slot)
+        fs.idle_ids.add(slot.cid)
+        if head is None:
+            queue.clear()
+            return True
+        while queue.popleft() != head:
+            pass
+        self._pick(fs)
+        if injector is not None:
+            injector.crash_decision(fs.name)  # the peeked miss
+        now = engine._now
+        status[head] = _RUNNING
+        fs.start[head] = now
+        fs.ccid[head] = slot.cid
+        fs.cnode[head] = slot.node_name
+        fs.cold[head] = 1
+        heappush(self._comp, (now + max(1e-9, fs.works[head] / slot.speed),
+                              next(self._seq), slot))
+        slot.busy_fs = fs
+        slot.busy_row = head
+        obj = fs.obj[head]
+        if obj is not None:
+            obj.status = RequestStatus.RUNNING
+            obj.start_time = now
+            obj.container_id = slot.cid
+            obj.node_name = slot.node_name
+            obj.cold_start = True
+        return True
 
     # ------------------------------------------------------------------
     # Columnar draining
@@ -509,8 +524,8 @@ class ColumnarKernel:
                         if crash_decision is not None and crash_decision(fs.name):
                             self._crash_sync(fs, i, slot, at, queued=False)
                             return True
-                        # dispatch (cold starts only happen at warm
-                        # boundaries, which the engine handles)
+                        # dispatch (cold starts only happen at warm-ups,
+                        # which _warm handles)
                         fs.status[i] = _RUNNING
                         fs.start[i] = at
                         fs.ccid[i] = slot.cid
@@ -680,19 +695,20 @@ class ColumnarKernel:
     # ------------------------------------------------------------------
     # Metric folds
     # ------------------------------------------------------------------
-    def _flush(self, fns: List[_FnState]) -> None:
-        """Fold the pending arrivals and completions of ``fns`` into policy/collector state.
+    def _flush(self) -> None:
+        """Fold every function's pending arrivals and completions into policy/collector state.
 
-        Runs before every engine boundary over the boundary's scope, so
-        everything its event can observe (rate estimators, epoch arrival
-        counts, counters) is exactly as the event-level plane would have
-        left it at that timestamp; what a scoped boundary leaves pending
-        folds at the next full one.  Per-function estimators are
-        independent, so folding each function's completions as one batch
-        (in its own completion order) is exact.
+        Runs before every engine boundary, so everything its events can
+        observe (rate estimators, epoch arrival counts, counters) is
+        exactly as the event-level plane would have left it at that
+        timestamp; what a warm-up leaves pending folds at the next
+        boundary.  Per-function estimators are independent, so folding
+        each function's completions as one batch (in its own completion
+        order) is exact.
         """
         plan = self.plan
         collector = self.collector
+        fns = self._fn_list
         fold_arrivals = plan.fold_arrivals
         for fs in fns:
             pos = fs.pos
@@ -745,46 +761,34 @@ class ColumnarKernel:
             fs.live.append(i)
         return obj
 
-    def _materialize(self, fns: List[_FnState]) -> None:
-        """Write the columnar state of ``fns`` back into the real objects.
+    def _materialize(self) -> None:
+        """Write the columnar state back into the real objects.
 
-        After this, those functions' dispatcher queues and idle index,
-        their containers' in-flight requests + scheduled completion
-        events, and the per-container counters look exactly as if the
-        event-level plane had run — so an engine event that touches
-        only them may execute real code.  Their completion-heap entries
-        leave the heap (the engine owns them until the absorb); every
-        other function's entries stay where they are.
+        After this, the dispatcher's queues and idle index, the
+        containers' in-flight requests + scheduled completion events,
+        and the per-container counters look exactly as if the
+        event-level plane had run — so an engine event may execute real
+        code.  The completion heap empties: the engine owns its entries
+        until the absorb.  Every deque it fills is empty beforehand,
+        because :meth:`_absorb` leaves it so.
         """
         dispatcher = self.dispatcher
         engine = self.engine
         queues = dispatcher._queues
         idle_index = dispatcher._idle
         rows = 0
-        for fs in fns:
+        for fs in self._fn_list:
             if fs.queue:
                 dq = queues.get(fs.name)
                 if dq is None:
                     dq = queues[fs.name] = deque()
-                else:
-                    dq.clear()
-                for j in fs.queue:
-                    dq.append(self._request_for(fs, j))
+                dq.extend([self._request_for(fs, j) for j in fs.queue])
                 rows += len(fs.queue)
-            else:
-                dq = queues.get(fs.name)
-                if dq:
-                    dq.clear()
             idle_index[fs.name] = {slot.cid: slot.container for slot in fs.idle}
-        scope = set(fns)
-        busy = []
-        rest = []
-        for entry in self._comp:
-            (busy if entry[2].busy_fs in scope else rest).append(entry)
+        busy = self._comp
         if busy:
             busy.sort()
-            heapify(rest)
-            self._comp = rest
+            self._comp = []
             rows += len(busy)
             entries = []
             completion_hook = dispatcher._completion_hook
@@ -805,21 +809,21 @@ class ColumnarKernel:
             events = engine.schedule_many_events(entries)
             for (_, _, slot), event in zip(busy, events):
                 slot.container._completion_event = event
-        for fs in fns:
+        for fs in self._fn_list:
             for slot in fs.slots:
                 slot.container.completed_requests = slot.completed
         self.stats["rows_materialized"] += rows
 
-    def _absorb(self, fns: List[_FnState]) -> None:
-        """Re-adopt the object state of ``fns`` into columns after an engine boundary.
+    def _absorb(self) -> None:
+        """Re-adopt the object state into columns after an engine boundary.
 
-        Syncs their previously materialized requests' status back into
-        the columns, takes over each of their warm containers
-        (cancelling its pending completion event in favour of the
-        kernel's heap), and rebuilds their queues, idle sets and slots
-        from the live dispatcher state.  Containers in STARTING or
-        DRAINING states stay object-side — their transitions are real
-        engine events and therefore future boundaries.
+        Syncs previously materialized requests' status back into the
+        columns, takes over each warm container (cancelling its pending
+        completion event in favour of the kernel's heap), and rebuilds
+        queues, idle sets and slots from the live dispatcher state,
+        leaving the dispatcher's deques empty (see "Warm-ups" in the
+        module docstring).  Containers in STARTING or DRAINING states
+        stay object-side — their transitions are real engine events.
         """
         completed = RequestStatus.COMPLETED
         running = RequestStatus.RUNNING
@@ -831,7 +835,7 @@ class ColumnarKernel:
         comp = self._comp
         next_seq = self._seq.__next__
         warm = ContainerState.WARM
-        for fs in fns:
+        for fs in self._fn_list:
             still_live: List[int] = []
             for i in fs.live:
                 obj = fs.obj[i]
@@ -889,18 +893,14 @@ class ColumnarKernel:
             if dq:
                 for obj in dq:
                     fs.queue.append(row_by_rid[obj.request_id][1])
+                dq.clear()
             fs.has_containers = cluster.has_containers(fs.name)
             fs.scores = scores.setdefault(fs.name, {})
             # boundary code may have touched balancer state arbitrarily:
             # every key is suspect until the next pick prunes
             fs.prune_pending = set(fs.scores)
         heapify(comp)
-        self.stats["functions_visited"] += len(fns)
-        # out-of-scope rows that finished in-kernel since their last absorb
-        # are still listed; they must not keep _drain's object-sync branch on
-        self._has_live = any(
-            fs.status[i] < _COMPLETED for fs in self._fn_list for i in fs.live
-        )
+        self._has_live = any(fs.live for fs in self._fn_list)
 
     def _crash_sync(self, fs: _FnState, i: int, slot: _Slot, time: float,
                     queued: bool) -> None:
@@ -916,15 +916,15 @@ class ColumnarKernel:
         estimators, queues, and container state.
         """
         self.engine._now = time
-        self._flush(self._fn_list)
-        self._materialize(self._fn_list)
+        self._flush()
+        self._materialize()
         obj = self._request_for(fs, i)
         self.injector.apply_crash(obj, slot.container)
         if not queued:
             create = self.plan.create_on_empty
             if create is not None and not self.cluster.has_containers(fs.name):
                 create(fs.name)
-        self._absorb(self._fn_list)
+        self._absorb()
 
     # ------------------------------------------------------------------
     # Deferred per-request records

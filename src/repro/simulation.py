@@ -43,8 +43,8 @@ class SimulationResult:
     :class:`~repro.core.controller.LassController` by default, or
     whichever registered :class:`~repro.core.policy.ControlPolicy` the
     runner was asked for.  ``kernel_stats`` holds the columnar kernel's
-    exact boundary counts
-    (:attr:`~repro.sim.columnar.ColumnarKernel.stats`), or ``None`` when
+    exact counts of boundaries, in-kernel warm-ups and synchronized
+    state (:attr:`~repro.sim.columnar.ColumnarKernel.stats`), or ``None`` when
     the run executed on the event plane; ``fallback_reason`` says why a
     run asked to be columnar executed on the event plane instead
     (``None`` when the plane asked for is the plane that ran).  Both

@@ -1,18 +1,18 @@
-"""Function-scoped kernel boundaries: warm-up-dense runs, byte-for-byte.
+"""Warm-ups taken inside the columnar kernel: warm-up-dense runs, byte-for-byte.
 
-A container warm-up synchronizes only its own function between the
-columnar kernel and the real objects (see "Boundary scopes" in
-:mod:`repro.sim.columnar`).  The registered scenarios of
-``test_columnar_differential.py`` warm a few dozen containers each; the
-cases here are *dense* in warm-ups — an overloaded cluster under bursty
-step schedules, where the controller creates and reclaims containers
-every epoch — and run them through both planes, healthy and with
-crash-on-dispatch plus a node failure, so the injector's recovery check
-and crash path execute inside scoped boundaries.
+A container warm-up costs the columnar kernel no boundary: it steps
+the real event with the object-side queue empty and does the warm
+hook's drain itself (see "Warm-ups" in :mod:`repro.sim.columnar`).
+The registered scenarios of ``test_columnar_differential.py`` warm a
+few dozen containers each; the cases here are *dense* in warm-ups — an
+overloaded cluster under bursty step schedules, where the controller
+creates and reclaims containers every epoch — and run them through both
+planes, healthy and with crash-on-dispatch plus a node failure, so the
+injector's recovery check and crash draws meet in-kernel warm-ups.
 
-Every case also asserts, from the kernel's own boundary counters, that
-the scoped path actually fired: none of them can pass by falling back
-to full boundaries.
+Every case also asserts, from the kernel's own counters, that the
+in-kernel path actually fired: none of them can pass by falling back to
+full boundaries.
 """
 
 from __future__ import annotations
@@ -28,9 +28,12 @@ from hypothesis import strategies as st
 
 import repro.sim.request as request_module
 from repro.cluster.cluster import ClusterConfig
+from repro.cluster.container import ContainerState
 from repro.core.controller import ControllerConfig
+from repro.core.dispatch import SharedQueueDispatcher
 from repro.faults.spec import ColdStartSpec, FaultSpec, NodeFailureSpec
 from repro.scenarios.spec import canonical_json
+from repro.sim.columnar import ColumnarKernel
 from repro.simulation import SimulationRunner
 from repro.workloads.functions import FUNCTION_CATALOG
 from repro.workloads.generator import WorkloadBinding
@@ -142,38 +145,111 @@ STORM_CREATIONS = {"lass": 200, "reactive": 90, "hybrid": 30}
 @pytest.mark.parametrize("faults", (None, FAULTS), ids=("healthy", "faulted"))
 @pytest.mark.parametrize("policy", sorted(STORM_CREATIONS))
 def test_cold_start_storm_matches_event_plane(policy, faults):
-    """Hundreds of warm-ups, each synchronizing one function, change no byte.
+    """Hundreds of warm-ups, each taken inside the kernel, change no byte.
 
-    LaSS learns online (completion folds are deferred across scoped
-    boundaries); reactive and hybrid do not, and hybrid's crash hook
-    re-evaluates every function — the one that notices a scoped boundary
-    failing to widen before a crash.
+    LaSS learns online (completion folds are deferred across warm-ups);
+    reactive and hybrid do not, and hybrid's crash hook re-evaluates
+    every function.
     """
     stats, counters = _assert_identical(policy=policy, faults=faults)
     assert counters["creations"] >= STORM_CREATIONS[policy]
-    # every warm-up is a scoped boundary, bar the few that share their
-    # timestamp with an earlier full-scope event (a draining completion)
-    # or were widened by a crash drawn inside the warm hook's drain
-    assert 0.9 * counters["creations"] <= stats["boundaries_scoped"] <= counters["creations"]
-    if faults is None:
-        # a scoped boundary visits one function; full ones (and the
-        # initial absorb) visit all 48
-        assert stats["functions_visited"] == (
-            48 * (stats["boundaries_full"] + 1) + stats["boundaries_scoped"]
-        )
-    else:
+    # every warm-up is taken in-kernel, bar the few that share their
+    # timestamp with an earlier boundary event, whose drain sees another
+    # idle container, or whose pull draws a crash
+    assert 0.9 * counters["creations"] <= stats["warm_ups"] <= counters["creations"]
+    if faults is not None:
         assert counters["container_crashes"] > 0
         assert counters["node_failures"] == 1
 
 
+def _spy_run(monkeypatch, **kwargs):
+    """A columnar storm run that records what every in-kernel warm-up did.
+
+    Returns ``(kernel_stats, counters, drains, warmed, absorbs)``: the
+    value of every ``SharedQueueDispatcher.drain`` called while
+    ``ColumnarKernel._warm`` ran, how many in-kernel warm-ups found
+    their container starting, and how many times
+    ``ColumnarKernel._absorb`` ran.
+    """
+    drains, absorbs, warmed = [], [], []
+    inside = []
+    real_warm, real_drain = ColumnarKernel._warm, SharedQueueDispatcher.drain
+    real_absorb = ColumnarKernel._absorb
+
+    def warm(self, container):
+        starting = container.state is ContainerState.STARTING
+        inside.append(True)
+        try:
+            taken = real_warm(self, container)
+        finally:
+            inside.pop()
+        if taken and starting:
+            warmed.append(container.container_id)
+        return taken
+
+    def drain(self, function_name):
+        started = real_drain(self, function_name)
+        if inside:
+            drains.append(started)
+        return started
+
+    def absorb(self):
+        absorbs.append(True)
+        return real_absorb(self)
+
+    monkeypatch.setattr(ColumnarKernel, "_warm", warm)
+    monkeypatch.setattr(ColumnarKernel, "_absorb", absorb)
+    monkeypatch.setattr(SharedQueueDispatcher, "drain", drain)
+    _, stats, counters = _run("columnar", **kwargs)
+    return stats, counters, drains, len(warmed), len(absorbs)
+
+
 @pytest.mark.parametrize("faults", (None, FAULTS), ids=("healthy", "faulted"))
-def test_folds_deferred_by_scoped_boundaries_are_current_at_the_next_full_one(faults):
+def test_in_kernel_warm_ups_find_the_object_side_queue_empty(monkeypatch, faults):
+    """The real warm hook's drain starts nothing: the kernel's absorb emptied its deque.
+
+    If ``_absorb`` left the requests it read in the dispatcher's deque,
+    the warm hook would start stale copies of rows the kernel already
+    dispatched or still queues.  Healthy, a warm-up also synchronizes
+    nothing: the only absorbs are the initial one and one per boundary.
+    """
+    stats, counters, drains, warmed, absorbs = _spy_run(monkeypatch, policy="lass",
+                                                        faults=faults)
+    # every in-kernel warm-up of a starting container reaches the hook once
+    assert len(drains) == warmed >= 0.8 * counters["creations"]
+    assert set(drains) == {0}
+    if faults is None:
+        assert absorbs == stats["boundaries_full"] + 1
+    else:
+        assert absorbs > stats["boundaries_full"] + 1  # crash syncs absorb too
+
+
+#: Storms whose crash on a warm-up's pull decides a recovery time: on the
+#: event plane the warm hooks run the drain (and its crash) before the
+#: injector's recovery check, which must count the evicted container out.
+RESTORING_CRASHES = ((8, 0.1), (9, 0.3), (10, 0.3), (12, 0.3))
+
+
+@pytest.mark.parametrize("seed,crash_probability", RESTORING_CRASHES)
+def test_crash_on_a_warm_up_runs_before_the_recovery_check(seed, crash_probability):
+    """A warm-up whose pull will crash is a full boundary, so recovery times stay exact."""
+    faults = FaultSpec(
+        crash_probability=crash_probability,
+        node_failures=(NodeFailureSpec("node-1", fail_at=4.0, recover_at=7.0),),
+    )
+    stats, counters = _assert_identical(seed=seed, faults=faults, functions=8,
+                                        duration=12.0, load=0.08)
+    assert counters["container_crashes"] > 0
+    assert stats["warm_ups"] > 0
+
+
+@pytest.mark.parametrize("faults", (None, FAULTS), ids=("healthy", "faulted"))
+def test_folds_deferred_by_warm_ups_are_current_at_the_next_boundary(faults):
     """Counters an event reads between epoch ticks equal the event plane's.
 
-    A warm-up's scoped boundary leaves every other function's arrival
-    and completion folds pending; each probe is a full boundary, so it
-    must find all of them folded (with faults, crashes widen some scopes
-    on the way).
+    A warm-up leaves every function's arrival and completion folds
+    pending; each probe is a full boundary, so it must find all of them
+    folded.
     """
     probes = [2.5 * k + 0.123 for k in range(1, 12)]
     event, _, _ = _run("event", faults=faults, probes=probes)
@@ -183,7 +259,7 @@ def test_folds_deferred_by_scoped_boundaries_are_current_at_the_next_full_one(fa
     assert len(seen) == len(probes)
     assert 0 < seen[0]["completions"] < seen[-1]["completions"]
     assert counters["creations"] >= 200
-    assert stats["boundaries_scoped"] >= 0.9 * counters["creations"] - len(probes)
+    assert stats["warm_ups"] >= 0.9 * counters["creations"] - len(probes)
 
 
 # ----------------------------------------------------------------------
@@ -199,13 +275,13 @@ def _static_bindings(rates):
     ]
 
 
-def test_same_instant_warm_ups_are_taken_one_scope_at_a_time():
+def test_same_instant_warm_ups_are_taken_one_at_a_time():
     """Containers of one function and of two functions warming at the same float.
 
     The static policy creates its whole allocation at ``start()``, so
     all five cold starts end at exactly the same timestamp while
-    requests are already queued behind them: five scoped boundaries in
-    engine order, each draining one function onto one container.
+    requests are already queued behind them: five in-kernel warm-ups in
+    engine order, each pulling one queued row onto its container.
     """
     stats, counters = _assert_identical(
         policy="static", policy_params={"allocations": {"a": 3, "b": 2}},
@@ -213,20 +289,20 @@ def test_same_instant_warm_ups_are_taken_one_scope_at_a_time():
     )
     assert counters["creations"] == 5
     assert counters["cold_starts"] == 5
-    assert stats["boundaries_scoped"] == 5
+    assert stats["warm_ups"] == 5
 
 
 def test_warm_up_landing_on_an_epoch_tick():
     """cold start == epoch length: every epoch's creations warm exactly on the next tick.
 
     Warm-ups run at data priority, the tick at control priority, so each
-    such timestamp is a run of scoped boundaries followed by a full one.
+    such timestamp is a run of in-kernel warm-ups followed by a boundary.
     """
     stats, counters = _assert_identical(
         epoch_length=1.0, cold_start_latency=1.0,
     )
     assert counters["creations"] >= 100
-    assert stats["boundaries_scoped"] == counters["creations"]
+    assert stats["warm_ups"] == counters["creations"]
     assert stats["boundaries_full"] >= 30  # one per epoch tick
 
 
@@ -259,4 +335,4 @@ def test_random_cold_start_storms_byte_for_byte(seed, functions, load, epoch_len
     )
     # every function bootstraps one container on its first arrival
     assert counters["creations"] >= functions
-    assert stats["boundaries_scoped"] > 0
+    assert stats["warm_ups"] > 0

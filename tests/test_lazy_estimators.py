@@ -18,6 +18,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.sliding_window import rate as window_rate
 from repro.core.estimation import service_time as service_time_module
 from repro.core.estimation import sliding_window as sliding_window_module
 from repro.core.estimation.service_time import OnlineServiceTimeEstimator, StreamingQuantile
@@ -35,9 +36,9 @@ BLOCK_SIZES = (3, 64, 65, 100, 4096)
 # Frozen oracles (the bodies as of PR 19)
 # ----------------------------------------------------------------------
 def rates(estimator, now):
-    """``(long_rate, short_rate)`` through each window's own ``rate`` (the estimator's old ``rates()``)."""
+    """``(long_rate, short_rate)`` through each window's reference ``rate`` (the estimator's old ``rates()``)."""
     elapsed = None if estimator._start_time is None else now - estimator._start_time
-    return estimator.long.rate(now, elapsed), estimator.short.rate(now, elapsed)
+    return window_rate(estimator.long, now, elapsed), window_rate(estimator.short, now, elapsed)
 
 
 class EagerRateEstimator(DualWindowRateEstimator):
@@ -208,7 +209,7 @@ def test_estimate_matches_hand_counted_buckets_at_an_unaligned_now():
     observation = estimator.estimate(21.3)
     assert (observation.long_rate, observation.short_rate) == (7 / 20.0, 3 / 4.0)
     assert observation.burst_detected and observation.rate == 3 / 4.0
-    assert rates(estimator, 21.3) == (7 / 20.0, 3 / 4.0)      # each window's own ``rate``
+    assert rates(estimator, 21.3) == (7 / 20.0, 3 / 4.0)      # each window's reference ``rate``
 
 
 def test_estimate_divides_by_the_elapsed_time_during_start_up():
