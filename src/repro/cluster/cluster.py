@@ -357,11 +357,13 @@ class EdgeCluster:
 
     def _finish_cold_start(self, container: Container) -> None:
         """Engine callback: mark a STARTING container warm and notify observers."""
-        if container.state != ContainerState.STARTING:
-            return  # terminated while starting
-        container.mark_warm(self.engine.now)
-        for callback in self._on_container_warm:
-            callback(container)
+        if container.state is ContainerState.DRAINING:
+            # marked while starting: the cold start ends, but it takes no work (no hooks)
+            container.warm_since = self.engine.now
+        elif container.state is ContainerState.STARTING:
+            container.mark_warm(self.engine.now)
+            for callback in self._on_container_warm:
+                callback(container)
 
     def terminate_container(self, container_id: str) -> List:
         """Terminate a container immediately; returns the dropped requests."""

@@ -198,10 +198,14 @@ class Container:
         self._notify_state()
 
     def unmark_draining(self) -> None:
-        """Rescue a draining container (load rose again before it was reclaimed)."""
+        """Rescue a draining container (load rose again before it was reclaimed).
+
+        One whose cold start has not ended returns to ``STARTING``, to warm
+        at its cold-start event as any other (warm hooks, a cold first request).
+        """
         if self.state != ContainerState.DRAINING:
             raise ContainerError("container is not draining")
-        self.state = ContainerState.WARM
+        self.state = ContainerState.STARTING if self.warm_since is None else ContainerState.WARM
         self._notify_state()
 
     def _teardown(self, time: float, drop_queued: bool) -> Tuple[List[Request], List[Request]]:

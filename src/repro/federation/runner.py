@@ -57,7 +57,7 @@ from repro.metrics.slo import SloReport
 from repro.sim.engine import SimulationEngine
 from repro.sim.request import Request
 from repro.sim.rng import RngStreams
-from repro.workloads.generator import ArrivalGenerator, WorkloadBinding
+from repro.workloads.generator import ArrivalGenerator, WorkloadBinding, stream_arrivals
 
 
 class RouterStats:
@@ -357,8 +357,7 @@ class FederatedSimulationRunner:
         for generator in self.generators:
             if generator.horizon is None or generator.horizon > duration:
                 generator.horizon = duration
-        for generator in self.generators:
-            generator.start()
+        stream_arrivals(self.engine, self.generators)
         self.engine.run(until=duration + extra_drain)
         generated = {g.profile.name: g.generated for g in self.generators}
         return FederatedSimulationResult(

@@ -7,12 +7,12 @@ the oracle — and, since PR 1/PR 3 made the control plane fast, the
 dominant cost of every simulated second.
 
 This module executes the same lifecycle *columnar*: all arrival times
-and per-request work are materialized up front (batch-size-invariant
-RNG consumption, see
-:meth:`~repro.workloads.generator.ArrivalGenerator.materialize_arrivals`),
-request state lives in parallel per-function columns
-(arrival/start/finish/status/container), and the kernel advances a
-merged arrival pointer against a completion heap instead of pumping
+and per-request work are materialized up front and merged across
+functions by :func:`~repro.workloads.generator.merge_arrivals` — the
+same merge the event plane streams beside its heap — request state
+lives in parallel per-function columns
+(arrival/start/finish/status/container), and the kernel advances that
+merged arrival pointer against a completion heap instead of running
 per-request engine events.  Metrics are folded into the existing
 :class:`~repro.metrics.collector.MetricsCollector` at *epoch
 granularity* (right before every engine event boundary).  The
@@ -99,6 +99,7 @@ from repro.cluster.container import ContainerState
 from repro.metrics.table import RequestTable, code_dtype
 from repro.sim import request as request_module
 from repro.sim.request import Request, RequestStatus
+from repro.workloads.generator import merge_arrivals
 
 #: Idle-candidate count at which the WRR pick switches to the
 #: vectorized scoring path; below it, list/array setup costs more than
@@ -245,7 +246,7 @@ def build_kernel(engine: Any, cluster: Any, policy: Any, generators: Sequence[An
                  ) -> Tuple[Optional["ColumnarKernel"], Optional[str]]:
     """Build a :class:`ColumnarKernel` for a run: ``(kernel, None)``, or ``(None, why not)``.
 
-    Falling back leaves every generator unstarted and consumes no RNG,
+    Falling back leaves every generator unmaterialized and consumes no RNG,
     so the caller can run the event-level path untouched; the reason is
     a sentence for :attr:`~repro.simulation.SimulationResult.fallback_reason`.
     See the module docstring for the fallback conditions.
@@ -283,9 +284,9 @@ def _policy_name(policy: Any) -> str:
 class ColumnarKernel:
     """Drives one simulation run through the columnar data plane.
 
-    Constructing the kernel materializes every generator's arrivals
-    (the RNG point of no return); :meth:`run` then replaces the
-    runner's ``generator.start()`` + ``engine.run()`` pair.
+    Constructing the kernel materializes and merges every generator's
+    arrivals (the RNG point of no return); :meth:`run` then replaces the
+    event plane's ``stream_arrivals()`` + ``engine.run()`` pair.
     """
 
     def __init__(self, engine: Any, cluster: Any, plan: ColumnarPlan,
@@ -298,51 +299,29 @@ class ColumnarKernel:
         self.collector = plan.collector
         self.injector = injector
 
-        fn_list: List[_FnState] = []
-        per_times: List[List[float]] = []
-        per_works: List[List[float]] = []
-        for generator in generators:
-            times, works = generator.materialize_arrivals()
-            fn_list.append(_FnState(generator.profile.name, generator.slo_deadline))
-            per_times.append(times)
-            per_works.append(works)
+        per_times, per_works, order, sorted_gen, g_times = merge_arrivals(generators)
+        fn_list = [_FnState(g.profile.name, g.slo_deadline) for g in generators]
         counts = [len(times) for times in per_times]
-        total = sum(counts)
+        total = len(g_times)
 
         # Reserve the exact request-id block the event-level plane would
-        # hand out: _emit draws ids in global arrival-execution order,
-        # which is the merged time order built here.
+        # hand out: it draws ids in arrival-execution order, which is the
+        # merged order.
         rid0 = self._rid0 = next(request_module._request_counter)
         request_module._request_counter = itertools.count(rid0 + total)
 
-        if total:
-            cat = np.concatenate(
-                [np.asarray(times, dtype=np.float64) for times in per_times]
-            )
-            gen_of = np.repeat(np.arange(len(fn_list)), counts)
-            # stable sort by (time, generator); within both, original order
-            # — i.e. the per-generator local index, which is already time-
-            # sorted.  Exactly the (t, gen, local) merge the event plane's
-            # engine ordering produces.
-            order = np.lexsort((gen_of, cat))
-            offsets = np.zeros(len(fn_list), dtype=np.int64)
-            np.cumsum(counts[:-1], out=offsets[1:])
-            sorted_gen = gen_of[order]
-            merged_pos = np.empty(total, dtype=np.int64)
-            merged_pos[order] = np.arange(total)
-            g_times = cat[order].tolist()
-            g_fs = [fn_list[g] for g in sorted_gen.tolist()]
-            g_row = (order - offsets[sorted_gen]).tolist()
-            for gi, fs in enumerate(fn_list):
-                lo, hi = int(offsets[gi]), int(offsets[gi]) + counts[gi]
-                fs.times = per_times[gi]
-                fs.works = per_works[gi]
-                fs.rid = (rid0 + merged_pos[lo:hi]).tolist()
-                fs._allocate()
-        else:
-            g_times, g_fs, g_row = [], [], []
-            for fs in fn_list:
-                fs._allocate()
+        offsets = np.zeros(len(fn_list), dtype=np.int64)
+        np.cumsum(counts[:-1], out=offsets[1:])
+        merged_pos = np.empty(total, dtype=np.int64)
+        merged_pos[order] = np.arange(total)
+        g_fs = [fn_list[g] for g in sorted_gen.tolist()]
+        g_row = (order - offsets[sorted_gen]).tolist()
+        for gi, fs in enumerate(fn_list):
+            lo, hi = int(offsets[gi]), int(offsets[gi]) + counts[gi]
+            fs.times = per_times[gi]
+            fs.works = per_works[gi]
+            fs.rid = (rid0 + merged_pos[lo:hi]).tolist()
+            fs._allocate()
 
         self._fn_list = fn_list
         self._fn_by_name = {fs.name: fs for fs in fn_list}
@@ -413,7 +392,7 @@ class ColumnarKernel:
         """
         fs = self._fn_by_name.get(container.function_name)
         if container.state is not ContainerState.STARTING:
-            fs = None  # terminated, or rescued from draining: the event warms nothing
+            fs = None  # terminated or draining: the event warms nothing
         elif fs is not None:
             status = fs.status
             queue = fs.queue

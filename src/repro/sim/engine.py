@@ -14,9 +14,9 @@ come in two shapes, distinguished by the ``args`` slot:
 
 * **Bare events** — ``target`` is the callback itself and ``args`` is
   its (possibly empty) positional-argument tuple.  Created by
-  :meth:`SimulationEngine.call_later`, :meth:`SimulationEngine.call_at`
-  and :meth:`SimulationEngine.schedule_many`; no :class:`Event` record,
-  no kwargs dict, no cancellation handle — one tuple per event, total.
+  :meth:`SimulationEngine.call_later` and :meth:`SimulationEngine.call_at`;
+  no :class:`Event` record, no kwargs dict, no cancellation handle —
+  one tuple per event, total.
 * **Event records** — ``target`` is an :class:`Event` (``__slots__``)
   and ``args`` is ``None``.  Created by
   :meth:`SimulationEngine.schedule` / :meth:`SimulationEngine.schedule_at`
@@ -27,11 +27,23 @@ discarded when it reaches the top of the heap, never by re-heapifying.
 The engine counts those discards (:attr:`SimulationEngine.events_cancelled`)
 so cancellation-heavy workloads can be diagnosed.
 
+The stream
+----------
+Events whose times are all known up front (a run's pre-sampled
+arrivals) need no heap: :meth:`SimulationEngine.merge_stream` takes
+them as one time-sorted stream, event *i* calling
+``targets[i](times[i])``, which :meth:`~SimulationEngine.run`,
+:meth:`~SimulationEngine.step` and :meth:`~SimulationEngine.peek` read
+beside the heap: an index step an event instead of a push and a pop.
+**Tie rule:** at equal time a stream event runs before every heap entry,
+whatever its priority and whenever it was scheduled; stream events run
+in stream order.
+
 Determinism guarantees
 ----------------------
-* Events with identical ``(time, priority)`` are executed in the order
-  they were scheduled (the sequence number breaks ties), regardless of
-  entry shape.
+* Heap events with identical ``(time, priority)`` are executed in the
+  order they were scheduled (the sequence number breaks ties),
+  regardless of entry shape; stream events follow the tie rule above.
 * All randomness must come from :class:`repro.sim.rng.RngStreams`, which
   is seeded explicitly, so a simulation run is a pure function of its
   configuration and seed.
@@ -39,17 +51,22 @@ Determinism guarantees
 Counting semantics
 ------------------
 ``events_processed`` counts every event whose callback was *invoked*,
-including an event whose callback raised :class:`_StopSimulation` (via
-:func:`stop_simulation`) — the callback did run, so it is counted, by
-both :meth:`SimulationEngine.run` and :meth:`SimulationEngine.step`.
-Cancelled events are never invoked and never counted.
+stream events included, and including an event whose callback raised
+:class:`_StopSimulation` (via :func:`stop_simulation`) — the callback
+did run, so it is counted, by both :meth:`SimulationEngine.run` and
+:meth:`SimulationEngine.step`.  Cancelled events are never invoked and
+never counted.  ``pending_events`` is the heap's length (cancelled
+entries included); the stream's unread events are not in it.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Iterable, Optional, Tuple
+from functools import partial
+from itertools import islice
+from operator import le
+from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 _INF = math.inf
 
@@ -148,6 +165,7 @@ class SimulationEngine:
         self._events_processed = 0
         self._events_cancelled = 0
         self._running = False
+        self._clear_stream()
 
     # ------------------------------------------------------------------
     # Clock
@@ -256,12 +274,11 @@ class SimulationEngine:
     ) -> list:
         """Batch variant of :meth:`schedule_at` returning cancellable events.
 
-        Like :meth:`schedule_many` this reads engine state once and keeps
-        scheduling order as the tie-break at equal ``(time, priority)``,
-        but each entry gets an :class:`Event` record so the caller can
-        cancel it later — the shape the columnar data plane needs when it
-        re-materializes in-flight service completions at a control-plane
-        boundary.
+        It reads engine state once and keeps scheduling order as the
+        tie-break at equal ``(time, priority)``, and each entry gets an
+        :class:`Event` record so the caller can cancel it later — the
+        shape the columnar data plane needs when it re-materializes
+        in-flight service completions at a control-plane boundary.
 
         Returns the list of :class:`Event` handles, in entry order.
         """
@@ -282,43 +299,37 @@ class SimulationEngine:
             self._sequence = sequence
         return events
 
-    def schedule_many(
-        self,
-        entries: Iterable[Tuple[float, Callable[..., Any], tuple]],
-        priority: int = PRIORITY_DATA,
-    ) -> int:
-        """Schedule a batch of ``(absolute_time, callback, args)`` entries.
+    def merge_stream(self, times: Sequence[float],
+                     targets: Sequence[Callable[[float], Any]]) -> None:
+        """Run ``targets[i](times[i])``, for every ``i``, beside the heap (module docstring).
 
-        The batch API exists for producers that pre-compute many future
-        timestamps at once (the vectorized arrival generator): it skips
-        the per-call argument packing of :meth:`call_at` and reads
-        engine state once.  Entries keep scheduling order as the
-        tie-break order at equal ``(time, priority)``.  Like
-        :meth:`call_later` the events are fire-and-forget.
-
-        Returns the number of events scheduled.
+        ``times`` must be sorted, finite and not before :attr:`now`, one
+        target per time.  One stream at a time: a stream merged while the
+        last has unread events, or while the engine runs, is refused with
+        a :class:`SimulationError` that leaves the engine as it was.  The
+        engine reads both lists as given until their last event has run.
         """
-        now = self._now
-        queue = self._queue
-        push = heapq.heappush
-        sequence = self._sequence
-        count = 0
-        try:
-            for time, callback, args in entries:
-                if not now <= time < _INF:
-                    raise SimulationError(f"cannot schedule at {time!r}; now={now:.6f}")
-                push(queue, (time, priority, sequence, callback, args))
-                sequence += 1
-                count += 1
-        finally:
-            self._sequence = sequence
-        return count
+        if self._running:
+            raise SimulationError("cannot merge a stream into a running engine")
+        if self._stream_pos < self._stream_end:
+            raise SimulationError("the engine still holds unread stream events")
+        count = len(times)
+        if len(targets) != count:
+            raise SimulationError(f"stream lengths differ: {count} times, {len(targets)} targets")
+        # NaN fails every comparison, so it fails one of the three tests
+        if count and not (self._now <= times[0] and times[-1] < _INF
+                          and all(map(le, times, islice(times, 1, None)))):
+            raise SimulationError(
+                f"stream times must be sorted, finite and not before now={self._now:.6f}")
+        self._stream_times = times
+        self._stream_targets = targets
+        self._stream_end = count
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run the event loop.
+        """Run the event loop over the heap and the stream.
 
         Parameters
         ----------
@@ -340,61 +351,82 @@ class SimulationEngine:
         budget = _INF if max_events is None else max_events
         queue = self._queue
         pop = heapq.heappop
-        push = heapq.heappush
+        times = self._stream_times
+        targets = self._stream_targets
+        end = self._stream_end
+        pos = self._stream_pos
+        next_time = times[pos] if pos < end else _INF  # the stream's next event
         executed = 0
         cancelled = 0
         try:
-            while queue:
-                entry = pop(queue)
-                time = entry[0]
-                if time > horizon:
-                    push(queue, entry)  # the popped entry was the heap minimum
-                    self._now = horizon
-                    break
-                target = entry[3]
-                args = entry[4]
+            while True:
                 try:
-                    if args is not None:  # bare fast-path event
-                        self._now = time
-                        target(*args)
-                    else:  # Event record: cancellable, may carry kwargs
-                        if target.cancelled:
+                    if queue and queue[0][0] < next_time:  # the heap's top runs first
+                        entry = pop(queue)
+                        time = entry[0]
+                        if time > horizon:
+                            heapq.heappush(queue, entry)  # the popped entry was the heap minimum
+                            self._now = horizon
+                            break
+                        target = entry[3]
+                        args = entry[4]
+                        if args is not None:  # bare fast-path event
+                            self._now = time
+                            target(*args)
+                        elif target.cancelled:  # Event record: cancellable, may carry kwargs
                             cancelled += 1
                             continue
-                        self._now = time
-                        kwargs = target.kwargs
-                        if kwargs is None:
-                            target.callback(*target.args)
                         else:
-                            target.callback(*target.args, **kwargs)
+                            self._now = time
+                            kwargs = target.kwargs
+                            if kwargs is None:
+                                target.callback(*target.args)
+                            else:
+                                target.callback(*target.args, **kwargs)
+                    elif next_time < _INF:  # the stream's event runs first
+                        time = next_time
+                        if time > horizon:
+                            self._now = horizon
+                            break
+                        self._now = time
+                        target = targets[pos]
+                        pos += 1
+                        next_time = times[pos] if pos < end else _INF
+                        target(time)
+                    else:
+                        # both drained; if an 'until' horizon was given, advance to it
+                        if until is not None and until > self._now:
+                            self._now = until
+                        break
                 except _StopSimulation:
                     executed += 1
                     break
                 executed += 1
                 if executed >= budget:
                     break
-            else:
-                # queue drained; if an 'until' horizon was given, advance to it
-                if until is not None and until > self._now:
-                    self._now = until
         finally:
+            self._stream_pos = pos
+            if pos == end:
+                self._clear_stream()  # read whole: let the lists go
             self._events_processed += executed
             self._events_cancelled += cancelled
             self._running = False
         return self._now
 
     def peek(self) -> Optional[Tuple[float, Callable[..., Any], tuple]]:
-        """``(time, callback, args)`` of the next live event, or ``None`` if the queue is empty.
+        """``(time, callback, args)`` of the next live event, heap or stream, or ``None``.
 
-        Cancelled :class:`Event` records sitting at the top of the heap
-        are discarded (and counted) exactly as :meth:`run` would discard
-        them, so the returned event is the one :meth:`step` would
-        execute.  The clock is not advanced and no callback runs.  Both
-        entry shapes read the same way (an :class:`Event` record's
-        keyword arguments are not reported).
+        Cancelled :class:`Event` records at the top of the heap ahead of
+        it are discarded (and counted) exactly as :meth:`run` would
+        discard them, so the returned event is the one :meth:`step` would
+        execute.  The clock is not advanced and no callback runs.  Every
+        entry shape reads the same way (an :class:`Event` record's keyword
+        arguments are not reported).
         """
         queue = self._queue
-        while queue:
+        pos = self._stream_pos
+        next_time = self._stream_times[pos] if pos < self._stream_end else _INF
+        while queue and queue[0][0] < next_time:
             entry = queue[0]
             target = entry[3]
             args = entry[4]
@@ -405,6 +437,8 @@ class SimulationEngine:
                 self._events_cancelled += 1
                 continue
             return entry[0], target.callback, target.args
+        if next_time < _INF:
+            return next_time, self._stream_targets[pos], (next_time,)
         return None
 
     def peek_time(self) -> Optional[float]:
@@ -413,47 +447,57 @@ class SimulationEngine:
         return None if event is None else event[0]
 
     def step(self) -> bool:
-        """Execute a single event.  Returns ``False`` if the queue is empty.
+        """Execute a single event.  Returns ``False`` if there is none.
 
         An event that stops the simulation (see :func:`stop_simulation`)
         is still counted in :attr:`events_processed` — its callback ran —
         but ``step`` returns ``False``, mirroring :meth:`run`.
         """
         queue = self._queue
-        while queue:
-            entry = heapq.heappop(queue)
-            target = entry[3]
-            args = entry[4]
-            try:
-                if args is not None:
-                    self._now = entry[0]
-                    target(*args)
-                else:
-                    if target.cancelled:
-                        self._events_cancelled += 1
-                        continue
-                    self._now = entry[0]
-                    kwargs = target.kwargs
-                    if kwargs is None:
-                        target.callback(*target.args)
-                    else:
-                        target.callback(*target.args, **kwargs)
-            except _StopSimulation:
-                self._events_processed += 1
+        pos = self._stream_pos
+        next_time = self._stream_times[pos] if pos < self._stream_end else _INF
+        while queue and queue[0][0] < next_time:  # the heap's top runs first
+            time, _, _, target, args = heapq.heappop(queue)
+            if args is None:  # an Event record
+                if target.cancelled:
+                    self._events_cancelled += 1
+                    continue
+                args, kwargs, target = target.args, target.kwargs, target.callback
+                if kwargs is not None:
+                    target = partial(target, **kwargs)
+            break
+        else:
+            if next_time == _INF:
                 return False
+            time, target, args = next_time, self._stream_targets[pos], (next_time,)
+            self._stream_pos = pos + 1
+            if pos + 1 == self._stream_end:
+                self._clear_stream()  # read whole: let the lists go
+        self._now = time
+        try:
+            target(*args)
+        except _StopSimulation:
             self._events_processed += 1
-            return True
-        return False
+            return False
+        self._events_processed += 1
+        return True
 
     def reset(self, start_time: float = 0.0) -> None:
-        """Drop all pending events and rewind the clock."""
+        """Drop all pending events, heap and stream, and rewind the clock."""
         if self._running:
             raise SimulationError("cannot reset a running engine")
         self._queue.clear()
+        self._clear_stream()
         self._now = float(start_time)
         self._sequence = 0
         self._events_processed = 0
         self._events_cancelled = 0
+
+    def _clear_stream(self) -> None:
+        """Hold an empty stream."""
+        self._stream_times: Sequence[float] = ()
+        self._stream_targets: Sequence[Callable[[float], Any]] = ()
+        self._stream_end = self._stream_pos = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         """Debugging summary of the clock and event counters."""

@@ -32,7 +32,7 @@ from repro.metrics.percentiles import WaitingTimeSummary
 from repro.metrics.slo import SloReport
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RngStreams
-from repro.workloads.generator import ArrivalGenerator, WorkloadBinding
+from repro.workloads.generator import ArrivalGenerator, WorkloadBinding, stream_arrivals
 
 
 @dataclass
@@ -123,13 +123,6 @@ class SimulationRunner:
         Per-function number of containers to create before the workload
         starts, so experiments that study steady-state behaviour do not
         measure the very first cold start.
-    arrival_batch_size:
-        Arrivals scheduled per engine batch by each generator (see
-        :class:`~repro.workloads.generator.ArrivalGenerator`); results
-        are independent of this value because each function gets
-        separate arrival and work RNG streams.  ``1`` reproduces the
-        seed's per-event cadence and is used by the determinism
-        regression test.
     fault_spec:
         Optional :class:`~repro.faults.spec.FaultSpec`; when given (and
         non-empty) a :class:`~repro.faults.injector.FaultInjector` is
@@ -166,7 +159,6 @@ class SimulationRunner:
         seed: int = 1,
         use_offline_profiles: bool = True,
         warm_start_containers: Optional[Mapping[str, int]] = None,
-        arrival_batch_size: int = 256,
         fault_spec: Optional["FaultSpec"] = None,
         policy: Union[str, Callable[[PolicyContext], ControlPolicy]] = "lass",
         policy_params: Optional[Mapping[str, Any]] = None,
@@ -230,7 +222,6 @@ class SimulationRunner:
                 dispatch=self.policy.dispatch,
                 rng=self.rng.stream(f"arrivals:{binding.profile.name}"),
                 slo_deadline=binding.slo_deadline,
-                batch_size=arrival_batch_size,
                 work_rng=self.rng.stream(f"work:{binding.profile.name}"),
             )
             self.generators.append(generator)
@@ -299,8 +290,7 @@ class SimulationRunner:
         if kernel is not None:
             kernel.run(until=duration + extra_drain)
         else:
-            for generator in self.generators:
-                generator.start()
+            stream_arrivals(self.engine, self.generators)
             self.engine.run(until=duration + extra_drain)
             self.metrics.seal_requests()
         generated = {g.profile.name: g.generated for g in self.generators}

@@ -30,24 +30,26 @@ left-to-right sum and so is the walk's ``elapsed +=``, every concrete
 overshooting pair, so which pass ran is invisible in the arrivals, in
 ``(pos, t, window_end)`` and in the generator's state
 (``tests/test_arrival_sampler.py`` holds both to the single-pass body
-they replaced).  The generator injects each batch of accepted arrivals
-through the engine's ``schedule_many`` — one batch call instead of one
-engine event per arrival.
+they replaced).
 
-The sampler's RNG consumption is a pure function of the schedule and
-the chunk size — it does not depend on ``batch_size`` (how many
-arrivals the generator schedules per engine batch).  Per-request work
-comes from a second, dedicated ``work_rng`` stream, so a run's arrival
-*and* work realisations are identical for every ``batch_size``,
-including the ``batch_size=1`` per-event mode that mirrors the seed
-implementation's one-event-per-arrival cadence.  The determinism
-regression test relies on exactly this property.
+A run's arrivals are sampled whole before it starts
+(:meth:`ArrivalGenerator.materialize_arrivals`) and merged across
+generators by :func:`merge_arrivals`.  Both data planes read that one
+merge: the event plane as the engine's stream beside its heap
+(:func:`stream_arrivals`: no pump, no heap push per arrival, one frame,
+:meth:`ArrivalGenerator._arrive`), the columnar kernel as its arrival
+pointer.  The sampler's RNG consumption does not depend on how many
+arrivals a caller asks for at a time, and per-request work comes from a
+dedicated ``work_rng`` stream, so the stream equals what the deleted
+batch pump (``tests/oracles/arrival_pump.py``) drew at any batch size,
+the seed implementation's one event per arrival included.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -221,7 +223,7 @@ class _ThinningSampler:
 
 
 class ArrivalGenerator:
-    """Generates Poisson arrivals for one function and injects them into the engine.
+    """Generates Poisson arrivals for one function; each one becomes a dispatched request.
 
     Parameters
     ----------
@@ -243,17 +245,10 @@ class ArrivalGenerator:
     horizon:
         Stop generating at this simulation time even if the schedule
         continues (defaults to the schedule's own end).  May be assigned
-        up to the moment :meth:`start` is called.
+        until :meth:`materialize_arrivals` is called.
     thinning_window:
         Length of the look-ahead window used to bound the rate for
         thinning; small enough that step changes are picked up promptly.
-    batch_size:
-        Target number of arrivals scheduled per engine batch.  The
-        default injects arrivals in vectorized batches through
-        ``schedule_many``; ``batch_size=1`` reproduces the seed
-        implementation's one-event-per-arrival cadence (used by the
-        determinism regression test).  Results are independent of
-        ``batch_size``.
     """
 
     def __init__(
@@ -267,13 +262,10 @@ class ArrivalGenerator:
         slo_deadline: Optional[float] = 0.1,
         horizon: Optional[float] = None,
         thinning_window: float = 5.0,
-        batch_size: int = 256,
     ) -> None:
         """Wire the generator's sampler and RNG streams (see the class docstring for parameter semantics)."""
         if thinning_window <= 0:
             raise ValueError("thinning_window must be positive")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.engine = engine
         self.profile = profile
         self.schedule = schedule
@@ -283,90 +275,82 @@ class ArrivalGenerator:
         self.slo_deadline = slo_deadline
         self.horizon = horizon if horizon is not None else schedule.end_time
         self.thinning_window = float(thinning_window)
-        self.batch_size = int(batch_size)
         self.generated: int = 0
-        self._started = False
         self._sampler: Optional[_ThinningSampler] = None
+        #: the works of the arrivals still to come, in order (event plane)
+        self._works: Iterator[float] = iter(())
 
-    # ------------------------------------------------------------------
-    # Driving the process
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Sample and schedule the first batch of arrivals."""
-        if self._started:
-            return
-        self._started = True
-        self._sampler = _ThinningSampler(
-            self.schedule,
-            self.rng,
-            start=self.engine.now,
-            horizon=self.horizon,
-            thinning_window=self.thinning_window,
-        )
-        self._pump()
+    def _arrive(self, arrival_time: float) -> None:
+        """Create the next request at its arrival time and hand it to dispatch.
 
-    def _pump(self) -> None:
-        """Schedule the next batch of arrivals plus the follow-up pump.
-
-        The pump event is scheduled at the batch's last arrival time with
-        the same (data) priority but a later sequence number, so it fires
-        after that arrival's dispatch — the next batch is then sampled
-        with the RNG positioned exactly as in per-event mode.
+        Its work is the next of the works :func:`stream_arrivals` set aside.
         """
-        assert self._sampler is not None
-        times = self._sampler.next_arrivals(self.batch_size)
-        if not times:
-            return
-        # pre-sample the whole batch's work in one vectorized draw; the RNG
-        # stream consumption is identical to per-emit scalar draws, so this
-        # does not change a seeded realisation (see sample_work_many)
-        works = self.profile.sample_work_many(self.work_rng, len(times))
-        emit = self._emit
-        # a list, not a generator: a generator is resumed (a frame) per arrival
-        self.engine.schedule_many([(t, emit, (t, w)) for t, w in zip(times, works.tolist())])
-        self.engine.call_at(times[-1], self._pump)
-
-    def _emit(self, arrival_time: float, work: float) -> None:
-        """Create one request at its arrival time and hand it to dispatch."""
         deadline = None if self.slo_deadline is None else arrival_time + self.slo_deadline
-        self.generated += 1
         # the id is drawn here, as the dataclass default would, without its
         # factory frame; through the module, because the counter is rebound
-        self.dispatch(Request(self.profile.name, arrival_time, deadline, work,
+        self.dispatch(Request(self.profile.name, arrival_time, deadline, next(self._works),
                               next(request_module._request_counter)))
 
     def materialize_arrivals(self) -> "tuple[List[float], List[float]]":
-        """Sample the whole run's arrivals up front (columnar data plane).
+        """Sample the whole run's arrivals up front.
 
         Returns ``(times, works)`` — every arrival time up to the
-        horizon plus each request's sampled work — instead of pumping
-        them through engine events.  The realisation is *identical* to
-        the event-driven path's: the sampler's draws do not depend on
-        how many arrivals are asked for at a time, and the works are one
-        ``sample_work_many`` call on the dedicated ``work_rng``, which
-        draws the same values as :meth:`_pump`'s per-batch calls.  Marks
-        the generator as started; a generator can drive exactly one of
-        the two data planes.
+        horizon plus each request's sampled work (one
+        ``sample_work_many`` call on the dedicated ``work_rng``).  A
+        generator materialises once: a second call is refused.
         """
-        if self._started:
+        if self._sampler is not None:
             raise RuntimeError("generator already started")
-        self._started = True
-        sampler = _ThinningSampler(
+        sampler = self._sampler = _ThinningSampler(
             self.schedule,
             self.rng,
             start=self.engine.now,
             horizon=self.horizon,
             thinning_window=self.thinning_window,
         )
-        self._sampler = sampler
-        times: List[float] = []
-        while True:
-            batch = sampler.next_arrivals(self.batch_size)
-            if not batch:
-                break
-            times.extend(batch)
+        times = sampler.next_arrivals(math.inf)
         self.generated = len(times)
         return times, self.profile.sample_work_many(self.work_rng, len(times)).tolist()
+
+
+def merge_arrivals(generators: Sequence[ArrivalGenerator]) -> Tuple[
+        List[List[float]], List[List[float]], np.ndarray, np.ndarray, List[float]]:
+    """Materialise every generator's arrivals and merge them in ``(time, generator)`` order.
+
+    Returns ``(times, works, order, source, merged)``: per generator, the
+    times and works :meth:`ArrivalGenerator.materialize_arrivals` returned;
+    per merged position, the position in the concatenation of ``times``
+    and the generator's index; and the merged times.  The merge is a
+    stable sort by time, then by generator, then by the generator's own
+    order — the order the engine ran per-arrival events in when each
+    generator scheduled its own, so both data planes dispatch, and draw
+    request ids, in it.
+    """
+    times, works = [], []
+    for generator in generators:
+        generator_times, generator_works = generator.materialize_arrivals()
+        times.append(generator_times)
+        works.append(generator_works)
+    flat = np.concatenate([np.asarray(t, dtype=np.float64) for t in times] or [np.empty(0)])
+    source = np.repeat(np.arange(len(times)), [len(t) for t in times])
+    order = np.lexsort((source, flat))
+    return times, works, order, source[order], flat[order].tolist()
+
+
+def stream_arrivals(engine: SimulationEngine, generators: Sequence[ArrivalGenerator]) -> None:
+    """Merge the generators' arrivals and give them to ``engine`` as its stream.
+
+    The event plane's arrival path: each arrival of the merge runs its
+    generator's :meth:`ArrivalGenerator._arrive` at its time, beside the
+    heap (:meth:`~repro.sim.engine.SimulationEngine.merge_stream`).  A
+    generator's works stay in its own list, read in arrival order.
+    """
+    _, works, _, source, merged = merge_arrivals(generators)
+    arrive = []
+    for generator, generator_works in zip(generators, works):
+        generator._works = iter(generator_works)  # drops the list once read whole
+        arrive.append(generator._arrive)
+    engine.merge_stream(merged, list(map(arrive.__getitem__, source.tolist())))
 
 
 def generate_arrival_times(
@@ -384,12 +368,8 @@ def generate_arrival_times(
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     sampler = _ThinningSampler(schedule, rng, start=0.0, horizon=horizon, thinning_window=thinning_window)
-    times: List[float] = []
-    while True:
-        batch = sampler.next_arrivals(1024)
-        if not batch:
-            return times
-        times.extend(batch)
+    return sampler.next_arrivals(math.inf)
 
 
-__all__ = ["ArrivalGenerator", "WorkloadBinding", "generate_arrival_times"]
+__all__ = ["ArrivalGenerator", "WorkloadBinding", "generate_arrival_times", "merge_arrivals",
+           "stream_arrivals"]

@@ -10,7 +10,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RngStreams
 from repro.workloads.functions import get_function, microbenchmark
-from repro.workloads.generator import ArrivalGenerator
+from repro.workloads.generator import ArrivalGenerator, stream_arrivals
 from repro.workloads.schedules import StaticRate, StepSchedule
 
 
@@ -23,13 +23,15 @@ def build(controller_factory, bindings, duration, cluster_config=None, seed=31):
     controller = controller_factory(engine, cluster, metrics)
     controller.start()
     rng = RngStreams(seed)
-    for profile, schedule, slo, user in bindings:
+    stream_arrivals(engine, [
         ArrivalGenerator(
             engine=engine, profile=profile, schedule=schedule,
             dispatch=controller.dispatch, rng=rng.stream(f"a:{profile.name}"),
             work_rng=rng.stream(f"w:{profile.name}"),
             slo_deadline=slo, horizon=duration,
-        ).start()
+        )
+        for profile, schedule, slo, user in bindings
+    ])
     engine.run(until=duration + 5.0)
     return controller, metrics, cluster
 

@@ -23,11 +23,15 @@ than an ``attrgetter`` call), and left them.
 The 30.28 became 20.65 once the container wrote the request's
 transitions inline, the dispatcher started work on the container it had
 proved free, and the dispatcher's completion hook became the one
-completion body (count, fold, pull the next request).
+completion body (count, fold, pull the next request).  It reads 20.49
+since the arrivals come from one merged stream beside the engine's heap
+instead of a batch pump; the same run also gates the heap's work, which
+that change halved (pushes per request) and cut 67-fold (peak size).
 """
 
 import collections
 import gc
+import heapq
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -44,6 +48,13 @@ SRC = str(Path(__file__).resolve().parents[1] / "src") + "/"
 #: About 5 % above what the tree achieves (20.65).  Raise it only with a
 #: reason in the commit that does; lower it when a change earns it.
 FRAMES_PER_REQUEST_CEILING = 21.7
+
+#: About 5 % above what the tree reads on the same run: 1.005 heap pushes a
+#: request (the completion, plus the control events) and a peak of 53
+#: pending heap entries.  With each arrival pushed into the heap, as the
+#: batch pump did, they read 2.008 and 3,547.
+HEAP_PUSHES_PER_REQUEST_CEILING = 1.06
+PEAK_PENDING_EVENTS_CEILING = 56
 
 DURATION = 15.0
 
@@ -65,19 +76,27 @@ def build_runner(data_plane: str = "event") -> SimulationRunner:
 
 
 def count_frames():
-    """Run the scenario under ``sys.setprofile``: (generated requests, ``call`` events by file).
+    """Run the scenario under ``sys.setprofile``: (generated requests, ``call`` events by file, heap).
 
-    The collector is off for the run, as in ``test_epoch_budget.py``: a
-    collection would add the frames of whatever ``gc.callbacks`` the test
-    process carries (hypothesis installs one the first time a ``@given``
-    test runs), and when collections fall depends on what ran before.
+    ``heap`` is ``(pushes, peak)``: the calls of ``heapq.heappush`` (on
+    the event plane only the engine's heap is pushed to) and the largest
+    ``engine.pending_events`` read after one.  The collector is off for
+    the run, as in ``test_epoch_budget.py``: a collection would add the
+    frames of whatever ``gc.callbacks`` the test process carries
+    (hypothesis installs one the first time a ``@given`` test runs), and
+    when collections fall depends on what ran before.
     """
     runner = build_runner()
+    engine = runner.engine
     frames = collections.Counter()
+    heap = [0, 0]
 
-    def profile(frame, event, _arg):
+    def profile(frame, event, arg):
         if event == "call":
             frames[frame.f_code.co_filename] += 1
+        elif event == "c_return" and arg is heapq.heappush:
+            heap[0] += 1
+            heap[1] = max(heap[1], engine.pending_events)
 
     previous, collecting = sys.getprofile(), gc.isenabled()
     gc.collect()
@@ -89,7 +108,7 @@ def count_frames():
         sys.setprofile(previous)
         if collecting:
             gc.enable()
-    return sum(result.generated_requests.values()), frames
+    return sum(result.generated_requests.values()), frames, tuple(heap)
 
 
 def split_by_module(frames, generated):
@@ -101,8 +120,8 @@ def split_by_module(frames, generated):
 
 def test_frames_per_request_repeat_exactly_and_stay_under_the_ceiling():
     build_runner().run(duration=DURATION)   # process-wide caches (the log-factorial table) fill once
-    generated, frames = count_frames()
-    again_generated, again = count_frames()
+    generated, frames, _ = count_frames()
+    again_generated, again, _ = count_frames()
     assert generated == again_generated > 10_000
     assert frames == again, "the frame count is not a pure function of the scenario"
     per_request = sum(frames.values()) / generated
@@ -110,3 +129,20 @@ def test_frames_per_request_repeat_exactly_and_stay_under_the_ceiling():
         f"{per_request:.2f} Python frames per simulated request, ceiling "
         f"{FRAMES_PER_REQUEST_CEILING}\n{split_by_module(frames, generated)}"
     )
+
+
+def test_an_arrival_costs_no_heap_push():
+    """Heap pushes per request and the heap's peak stay under their ceilings.
+
+    Arrivals are read from the engine's stream beside the heap, so the
+    heap holds completions and control events only.  A pre-sampled
+    arrival pushed back into the heap adds a push per request and
+    thousands of entries to the peak, and fails here.
+    """
+    build_runner().run(duration=DURATION)
+    generated, _, (pushes, peak) = count_frames()
+    assert pushes / generated <= HEAP_PUSHES_PER_REQUEST_CEILING, (
+        f"{pushes / generated:.3f} heap pushes per simulated request, ceiling "
+        f"{HEAP_PUSHES_PER_REQUEST_CEILING}")
+    assert peak <= PEAK_PENDING_EVENTS_CEILING, (
+        f"engine.pending_events peaked at {peak}, ceiling {PEAK_PENDING_EVENTS_CEILING}")

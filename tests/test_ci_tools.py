@@ -7,12 +7,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+from bench_pairs import main as bench_pairs  # noqa: E402
 from chaos_sweep import _preset_sweep  # noqa: E402
 from check_replay import main as check_replay  # noqa: E402
 from envelope_digests import compare as compare_digests  # noqa: E402
 from repro.cli import main as repro  # noqa: E402
 from repro.scenarios import build  # noqa: E402
 from repro.scenarios.sweep import apply_overrides  # noqa: E402
+from test_bench_pairs import fake_tree  # noqa: E402
 
 
 def test_the_columnar_preset_is_fig3_with_a_columnar_base():
@@ -82,3 +84,26 @@ def test_the_digest_comparison_counts_echo_differences_without_failing_on_them(
     assert compare_digests(str(base), str(head)) == 0   # an echo alone is not fatal
     assert capsys.readouterr().out.splitlines()[-1] == (
         "2 shared runs, 0 payload digest(s) differ, 1 echo digest(s) differ")
+
+
+def test_bench_pairs_refuses_a_pair_of_trees_of_which_only_one_is_compiled(tmp_path, capsys):
+    """A warm ``__pycache__`` on one side only reads as a ``setup_s`` difference: exit 2, no run."""
+    base = fake_tree(tmp_path, "base-tree", 1.0, declaration=False)
+    head = fake_tree(tmp_path, "head-tree", 1.0, declaration=True)
+    (base / "src" / "repro" / "__pycache__").mkdir(parents=True)
+    argv = ["--base", str(base), "--head", str(head), "--workload", "steady_event",
+            "--pairs", "1", "--seconds", "1"]
+    assert bench_pairs(argv) == 2
+    assert str(base) in capsys.readouterr().err
+    assert not (tmp_path / "order.log").exists()  # neither harness ran
+
+    # a cache under benchmarks/ counts too, and names that tree
+    (base / "src" / "repro" / "__pycache__").rmdir()
+    (head / "benchmarks" / "e2e" / "__pycache__").mkdir()
+    assert bench_pairs(argv) == 2
+    assert str(head) in capsys.readouterr().err
+
+    # both compiled (or neither): the pairs run
+    (base / "benchmarks" / "e2e" / "__pycache__").mkdir()
+    assert bench_pairs(argv) == 0
+    assert (tmp_path / "order.log").read_text().count("\n") == 2

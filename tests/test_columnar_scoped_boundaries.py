@@ -26,11 +26,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.cluster.container as container_module
 import repro.sim.request as request_module
 from repro.cluster.cluster import ClusterConfig
-from repro.cluster.container import ContainerState
+from repro.cluster.container import Container, ContainerState
 from repro.core.controller import ControllerConfig
 from repro.core.dispatch import SharedQueueDispatcher
+from repro.faults.injector import FaultInjector
 from repro.faults.spec import ColdStartSpec, FaultSpec, NodeFailureSpec
 from repro.scenarios.spec import canonical_json
 from repro.sim.columnar import ColumnarKernel
@@ -241,6 +243,73 @@ def test_crash_on_a_warm_up_runs_before_the_recovery_check(seed, crash_probabili
                                         duration=12.0, load=0.08)
     assert counters["container_crashes"] > 0
     assert stats["warm_ups"] > 0
+
+
+#: The storm in which LaSS marks two starting containers draining: ``c35``
+#: (created at 1.98 s) is rescued before its cold start ends, ``c30``
+#: (created at 1.60 s) after it.  Container ids count from 0.
+RESCUE_STORM = dict(
+    seed=1, functions=8, duration=12.0, load=0.08,
+    faults=FaultSpec(
+        crash_probability=0.1,
+        node_failures=(NodeFailureSpec("node-1", fail_at=4.0, recover_at=7.0),),
+    ),
+)
+
+
+@pytest.mark.parametrize("plane", ("event", "columnar"))
+def test_a_container_marked_draining_while_starting_keeps_its_cold_start(monkeypatch, plane):
+    """Rescued before its cold start ends, a container warms at the end, once, cold.
+
+    ``_scale_down`` may pick a STARTING container; its rescue used to set
+    WARM at once, so the container served requests before its cold start
+    ended, its warm hooks never ran and no request on it counted as a
+    cold start.  Rescued after the end, it returns WARM with the end on
+    record and no hook (a draining container takes no work).
+    """
+    monkeypatch.setattr(container_module, "_container_counter", itertools.count())
+    marked, rescued_starting, hooks = {}, set(), {}
+    real_mark, real_unmark = Container.mark_draining, Container.unmark_draining
+    real_check = FaultInjector._check_recovery
+
+    def mark_draining(self):
+        if self.state is ContainerState.STARTING:
+            marked[self.container_id] = self
+        real_mark(self)
+
+    def unmark_draining(self):
+        real_unmark(self)
+        if self.state is ContainerState.STARTING:
+            rescued_starting.add(self.container_id)
+
+    def check_recovery(self, container):
+        hooks[container.container_id] = hooks.get(container.container_id, 0) + 1
+        real_check(self, container)
+
+    monkeypatch.setattr(Container, "mark_draining", mark_draining)
+    monkeypatch.setattr(Container, "unmark_draining", unmark_draining)
+    monkeypatch.setattr(FaultInjector, "_check_recovery", check_recovery)
+    fingerprint, _, _ = _run(plane, **RESCUE_STORM)
+    rows = json.loads(fingerprint)["requests"]
+
+    assert set(marked) == {"c30", "c35"} and rescued_starting == {"c35"}
+    for cid, container in marked.items():
+        cold_start_end = container.created_at + 0.5
+        assert container.warm_since == cold_start_end
+        served = sorted((row[6], row[10]) for row in rows if row[8] == cid)
+        assert served and served[0][0] >= cold_start_end
+        if cid in rescued_starting:
+            assert hooks[cid] == 1
+            assert served[0] == (cold_start_end, True)  # the first request pays the cold start
+        else:
+            assert cid not in hooks
+            assert not any(cold for _, cold in served)
+
+
+def test_the_rescue_storm_matches_across_planes():
+    """The same storm, byte for byte, with its rescues."""
+    stats, counters = _assert_identical(**RESCUE_STORM)
+    assert counters["lazy_rescues"] >= 2 and stats["warm_ups"] > 0
 
 
 @pytest.mark.parametrize("faults", (None, FAULTS), ids=("healthy", "faulted"))

@@ -1,23 +1,26 @@
 """Determinism regression tests for the fast-path simulation core.
 
-The PR-1 refactor (tuple-keyed event heap, vectorized batched arrivals,
-bucketized rate windows, incremental idle sets) must not change what a
-seeded run computes:
+The fast paths (tuple-keyed event heap, materialised arrivals merged
+into one stream beside the heap, bucketized rate windows, incremental
+idle sets) must not change what a seeded run computes:
 
 * the same seed must produce bit-identical metrics run-to-run, and
-* the vectorized arrival path (``arrival_batch_size=256``) must produce
-  **identical per-epoch metrics** to the old-equivalent per-event path
-  (``arrival_batch_size=1``, one scheduled event per arrival, exactly
-  the cadence of the seed implementation).
+* the merged arrival stream must produce **identical per-epoch
+  metrics** to the batch pump the event plane used to run
+  (``oracles/arrival_pump.py``) at every batch size, including
+  ``batch_size=1``: one scheduled event per arrival, exactly the
+  cadence of the seed implementation.
 
 The second property holds for every registered policy — the vanilla
 OpenWhisk baseline included — because the thinning sampler's RNG
-consumption is independent of the batch size and per-request work is
-always drawn from a dedicated ``work:<function>`` stream (see
-``repro/workloads/generator.py``).
+consumption is independent of how many arrivals are asked for at a
+time and per-request work is always drawn from a dedicated
+``work:<function>`` stream (see ``repro/workloads/generator.py``).
 """
 
 import pytest
+
+from oracles.arrival_pump import run_pumped
 
 from repro.simulation import SimulationRunner
 from repro.workloads.functions import microbenchmark
@@ -25,7 +28,11 @@ from repro.workloads.generator import WorkloadBinding
 from repro.workloads.schedules import StaticRate, StepSchedule
 
 
-def _fig3_style_runner(seed: int, batch_size: int) -> SimulationRunner:
+#: Batch sizes the pump oracle runs at: the seed cadence, an odd split, the old default.
+PUMP_BATCH_SIZES = (1, 7, 256)
+
+
+def _fig3_style_runner(seed: int) -> SimulationRunner:
     """A Figure 3-style scenario: one function under a static Poisson load."""
     return SimulationRunner(
         workloads=[
@@ -36,7 +43,6 @@ def _fig3_style_runner(seed: int, batch_size: int) -> SimulationRunner:
             )
         ],
         seed=seed,
-        arrival_batch_size=batch_size,
     )
 
 
@@ -68,39 +74,41 @@ def _epoch_fingerprint(result):
 
 class TestSeededReproducibility:
     def test_same_seed_same_metrics(self):
-        first = _fig3_style_runner(seed=11, batch_size=256).run(duration=120.0)
-        second = _fig3_style_runner(seed=11, batch_size=256).run(duration=120.0)
+        first = _fig3_style_runner(seed=11).run(duration=120.0)
+        second = _fig3_style_runner(seed=11).run(duration=120.0)
         assert first.generated_requests == second.generated_requests
         assert _epoch_fingerprint(first) == _epoch_fingerprint(second)
         assert first.waiting_summary().as_dict() == second.waiting_summary().as_dict()
 
     def test_different_seed_different_realisation(self):
-        first = _fig3_style_runner(seed=11, batch_size=256).run(duration=120.0)
-        second = _fig3_style_runner(seed=12, batch_size=256).run(duration=120.0)
+        first = _fig3_style_runner(seed=11).run(duration=120.0)
+        second = _fig3_style_runner(seed=12).run(duration=120.0)
         assert first.generated_requests != second.generated_requests or (
             _epoch_fingerprint(first) != _epoch_fingerprint(second)
         )
 
 
 class TestBatchSizeInvariance:
-    """Fast path vs. old-equivalent per-event path: identical numbers."""
+    """The merged arrival stream vs. the batch pump it replaced: identical numbers."""
 
+    @pytest.mark.parametrize("batch_size", PUMP_BATCH_SIZES)
     @pytest.mark.parametrize("seed", [1, 7])
-    def test_fig3_per_epoch_metrics_identical(self, seed):
-        fast = _fig3_style_runner(seed=seed, batch_size=256).run(duration=120.0)
-        per_event = _fig3_style_runner(seed=seed, batch_size=1).run(duration=120.0)
-        assert fast.generated_requests == per_event.generated_requests
-        assert _epoch_fingerprint(fast) == _epoch_fingerprint(per_event)
-        assert fast.waiting_summary().as_dict() == per_event.waiting_summary().as_dict()
+    def test_fig3_per_epoch_metrics_identical(self, seed, batch_size):
+        fast = _fig3_style_runner(seed=seed).run(duration=120.0)
+        pumped = run_pumped(_fig3_style_runner(seed=seed), 120.0, batch_size)
+        assert fast.generated_requests == pumped.generated_requests
+        assert _epoch_fingerprint(fast) == _epoch_fingerprint(pumped)
+        assert fast.waiting_summary().as_dict() == pumped.waiting_summary().as_dict()
         assert (
-            fast.metrics.counters["completions"] == per_event.metrics.counters["completions"]
+            fast.metrics.counters["completions"] == pumped.metrics.counters["completions"]
         )
 
+    @pytest.mark.parametrize("batch_size", PUMP_BATCH_SIZES)
     @pytest.mark.parametrize("policy", ["lass", "openwhisk"])
-    def test_step_schedule_and_multiple_functions(self, policy):
+    def test_step_schedule_and_multiple_functions(self, policy, batch_size):
         from dataclasses import replace
 
-        def build(batch_size):
+        def build():
             return SimulationRunner(
                 workloads=[
                     WorkloadBinding(
@@ -116,13 +124,12 @@ class TestBatchSizeInvariance:
                 ],
                 seed=5,
                 policy=policy,
-                arrival_batch_size=batch_size,
             )
 
-        fast = build(256).run(duration=120.0)
-        per_event = build(1).run(duration=120.0)
-        assert fast.generated_requests == per_event.generated_requests
+        fast = build().run(duration=120.0)
+        pumped = run_pumped(build(), 120.0, batch_size)
+        assert fast.generated_requests == pumped.generated_requests
         assert fast.metrics.epochs
-        assert _epoch_fingerprint(fast) == _epoch_fingerprint(per_event)
-        assert dict(fast.metrics.counters) == dict(per_event.metrics.counters)
-        assert fast.waiting_summary().as_dict() == per_event.waiting_summary().as_dict()
+        assert _epoch_fingerprint(fast) == _epoch_fingerprint(pumped)
+        assert dict(fast.metrics.counters) == dict(pumped.metrics.counters)
+        assert fast.waiting_summary().as_dict() == pumped.waiting_summary().as_dict()

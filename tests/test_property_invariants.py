@@ -475,44 +475,47 @@ def test_record_many_is_batch_split_invariant(deltas, window, cuts, reads, backs
 )
 def test_materialized_arrivals_match_event_driven_pump(rate, duration, seed,
                                                        batch_size):
-    """Bulk arrival materialization draws exactly what the pump draws.
+    """The merged arrival stream dispatches exactly what the batch pump did.
 
-    The columnar plane samples every arrival time for a generation up
-    front, then every work in one draw; the event plane draws both one
-    batch at a time through engine events.  For every batch size — 1
-    reproduces the seed cadence — both must yield the identical
-    (time, work) stream from the same arrival and work streams.
+    Both data planes now materialise a generator's arrival times up
+    front, then every work in one draw, and the event plane dispatches
+    them from the engine's stream; the deleted pump
+    (``oracles/arrival_pump.py``) drew both one batch at a time through
+    engine events.  For every batch size — 1 reproduces the seed
+    cadence — all three must yield the identical (time, work) stream
+    from the same arrival and work streams.
     """
     from dataclasses import replace
 
     import numpy as np
 
+    from oracles.arrival_pump import ArrivalPump
     from repro.workloads.functions import microbenchmark
-    from repro.workloads.generator import ArrivalGenerator
+    from repro.workloads.generator import ArrivalGenerator, stream_arrivals
     from repro.workloads.schedules import StaticRate
 
     profile = replace(microbenchmark(0.05), name="prop-fn")
 
-    bulk = ArrivalGenerator(
-        SimulationEngine(), profile, StaticRate(rate, duration=duration),
-        dispatch=lambda request: None, rng=np.random.default_rng(seed),
-        work_rng=np.random.default_rng(seed + 1),
-        slo_deadline=0.1, batch_size=batch_size,
-    )
-    times, works = bulk.materialize_arrivals()
+    def generator(engine, dispatch):
+        return ArrivalGenerator(
+            engine, profile, StaticRate(rate, duration=duration), dispatch=dispatch,
+            rng=np.random.default_rng(seed), work_rng=np.random.default_rng(seed + 1),
+            slo_deadline=0.1,
+        )
 
-    pumped = []
-    engine = SimulationEngine()
-    generator = ArrivalGenerator(
-        engine, profile, StaticRate(rate, duration=duration),
-        dispatch=lambda request: pumped.append(
-            (request.arrival_time, request.work)),
-        rng=np.random.default_rng(seed),
-        work_rng=np.random.default_rng(seed + 1), slo_deadline=0.1,
-        batch_size=batch_size,
-    )
-    generator.start()
-    engine.run()
+    times, works = generator(SimulationEngine(), lambda request: None).materialize_arrivals()
+
+    def dispatched(drive):
+        seen = []
+        engine = SimulationEngine()
+        drive(engine, generator(engine, lambda request: seen.append(
+            (request.arrival_time, request.work))))
+        engine.run()
+        return seen
+
+    pumped = dispatched(lambda engine, g: ArrivalPump(g, batch_size).start())
+    streamed = dispatched(lambda engine, g: stream_arrivals(engine, [g]))
 
     assert times == [t for t, _ in pumped]
     assert works == [w for _, w in pumped]
+    assert streamed == pumped

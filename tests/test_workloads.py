@@ -19,7 +19,7 @@ from repro.workloads.functions import (
     slack_speed_curve,
     table1_rows,
 )
-from repro.workloads.generator import generate_arrival_times
+from repro.workloads.generator import generate_arrival_times, merge_arrivals
 from repro.workloads.schedules import (
     CompositeSchedule,
     RampSchedule,
@@ -195,6 +195,46 @@ class TestArrivalGeneration:
         rng = np.random.default_rng(seed)
         times = generate_arrival_times(StaticRate(rate, duration=100.0), rng, horizon=100.0)
         assert len(times) == pytest.approx(rate * 100, rel=0.35, abs=30)
+
+
+class _Materialized:
+    """Stands in for a generator: ``merge_arrivals`` only materialises it."""
+
+    def __init__(self, times):
+        self.times = times
+
+    def materialize_arrivals(self):
+        return self.times, [10.0 * t for t in self.times]
+
+
+class TestMergeArrivals:
+    def test_merge_is_by_time_then_generator_then_own_order(self):
+        times, works, order, source, merged = merge_arrivals([
+            _Materialized([1.0, 2.0, 2.0]), _Materialized([0.5, 2.0]), _Materialized([2.0])])
+        assert merged == [0.5, 1.0, 2.0, 2.0, 2.0, 2.0]
+        assert source.tolist() == [1, 0, 0, 0, 1, 2]
+        assert order.tolist() == [3, 0, 1, 2, 4, 5]   # positions in the concatenation
+        assert works == [[10.0, 20.0, 20.0], [5.0, 20.0], [20.0]]
+        assert times == [[1.0, 2.0, 2.0], [0.5, 2.0], [2.0]]
+
+    def test_nothing_to_merge(self):
+        for generators in ([], [_Materialized([])], [_Materialized([]), _Materialized([3.0])]):
+            times, works, order, source, merged = merge_arrivals(generators)
+            assert merged == [t for ts in times for t in ts]
+            assert len(order) == len(source) == len(merged)
+
+    @pytest.mark.parametrize("plane", ["event", "columnar"])
+    def test_a_run_with_no_arrivals(self, plane):
+        from repro.simulation import SimulationRunner
+        from repro.workloads.generator import WorkloadBinding
+
+        result = SimulationRunner(
+            workloads=[WorkloadBinding(microbenchmark(0.1), StaticRate(0.0, duration=10.0))],
+            seed=3, data_plane=plane,
+        ).run(duration=10.0)
+        assert result.data_plane_used == plane
+        assert result.generated_requests == {"microbenchmark": 0}
+        assert result.metrics.counters["arrivals"] == 0
 
 
 class TestAzureTraces:

@@ -11,7 +11,11 @@ that goes first alternates from pair to pair so a host that drifts
 charges both sides alike.  Give both sides a fresh export (``git
 worktree add``, ``git archive``): a checkout that has run its tests
 carries ``.git``, ``.hypothesis`` and a warm ``__pycache__``, which has
-read as a lopsided +2-5 % on workloads whose code had not changed.  Per end-to-end metric of ``BENCHMARK.json``
+read as a lopsided +2-5 % on workloads whose code had not changed.  The
+tool refuses to start (exit 2, naming the tree) when only one of the two
+trees has a ``__pycache__`` under ``src/`` or ``benchmarks/``: on a host
+that compiles every launch from source, the warm side reads a
+``setup_s`` gain no code change earned.  Per end-to-end metric of ``BENCHMARK.json``
 it prints each side's median, quartiles and n, the pairs head won (ties
 count for neither side) and a verdict:
 
@@ -146,6 +150,12 @@ def compare(base: Path, head: Path, workload: str, pairs: int, seed: int, second
     return {"failed": failed, "attempted": attempted, "metrics": judged}
 
 
+def has_bytecode(tree: Path) -> bool:
+    """Whether ``tree`` holds a ``__pycache__`` under ``src/`` or ``benchmarks/``."""
+    return any(next((tree / top).rglob("__pycache__"), None) is not None
+               for top in ("src", "benchmarks"))
+
+
 def tree_identity(tree: Path) -> str:
     """The commit SHA checked out in ``tree`` when it has a ``.git``, else its path."""
     if (tree / ".git").exists():
@@ -195,6 +205,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     unknown = set(args.metric) - {m["name"] for m in declared}
     if unknown or args.pairs < 1:
         parser.error(f"unknown metric(s) {sorted(unknown)}" if unknown else "--pairs must be >= 1")
+    warm = [tree for tree in (args.base, args.head) if has_bytecode(tree)]
+    if len(warm) == 1:
+        print(f"refusing to start: only {warm[0]} has a __pycache__ under src/ or benchmarks/, "
+              "so its launches skip compiling what the other tree compiles; remove it, or "
+              "give both trees a fresh export", file=sys.stderr)
+        return 2
     seconds = float(declaration["run_seconds"]) if args.seconds is None else args.seconds
     regressed = []
     compared = {}
