@@ -1,7 +1,8 @@
 """Geo-distributed federation: N edge sites under one global router.
 
-This package layers a federation on top of the single-cluster
-simulation stack:
+A federated run is a :class:`~repro.simulation.SimulationRunner` given
+a :class:`FederationSpec`: the runner wires each site as it wires one
+cluster, and this package supplies what N sites add on top:
 
 * :mod:`repro.federation.spec` — declarative topology
   (:class:`SiteSpec`, :class:`FederationSpec`), carried as
@@ -15,8 +16,9 @@ simulation stack:
 * :mod:`repro.federation.health` — deterministic probe-based health
   beliefs with exponential retry backoff;
 * :mod:`repro.federation.injector` — site blackouts and WAN partitions;
-* :mod:`repro.federation.runner` — the
-  :class:`FederatedSimulationRunner` gluing it all together.
+* :mod:`repro.federation.runner` — the :class:`GlobalPlane` every
+  arrival enters through (routing, bounces, redirects, drops) and its
+  :class:`RouterStats`.
 
 Everything follows the repo's determinism contract: no new RNG streams,
 spec-order iteration everywhere, runs are pure functions of
@@ -40,21 +42,16 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "router_names",
         "validate_router",
     ),
-    "repro.federation.runner": (
-        "FederatedSimulationResult",
-        "FederatedSimulationRunner",
-        "RouterStats",
-    ),
+    "repro.federation.runner": ("GlobalPlane", "RouterStats"),
     "repro.federation.spec": ("FederationSpec", "SiteSpec"),
 })
 
 __all__ = [
     "FederatedCluster",
     "FederatedSite",
-    "FederatedSimulationResult",
-    "FederatedSimulationRunner",
     "FederationFaultInjector",
     "FederationSpec",
+    "GlobalPlane",
     "GlobalRouterPolicy",
     "RouterContext",
     "RouterDescriptor",

@@ -2,7 +2,8 @@
 
 :class:`FederatedSite` wraps one :class:`~repro.cluster.cluster.EdgeCluster`
 with the federation-level runtime state the router and fault layers act
-on — the site's own metrics collector and control policy, plus two
+on — the site's own metrics collector and control policy (set when
+:class:`~repro.simulation.SimulationRunner` wires the site), plus two
 independent liveness flags:
 
 * ``alive`` — the site's hardware is up.  A blackout clears it: every
@@ -24,7 +25,7 @@ iteration over sites is deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Mapping, TYPE_CHECKING
 
 from repro.cluster.cluster import ClusterConfig, EdgeCluster
 from repro.cluster.node import Node
@@ -39,11 +40,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class FederatedSite:
     """One edge site: its cluster, metrics, policy, and liveness flags."""
 
-    def __init__(self, engine: "SimulationEngine", spec: SiteSpec, index: int) -> None:
+    def __init__(self, engine: "SimulationEngine", spec: SiteSpec,
+                 service_rates: Mapping[str, float]) -> None:
         """Build the site's cluster with site-prefixed node names."""
         self.spec = spec
         self.name = spec.name
-        self.index = index
         config = ClusterConfig(
             node_count=spec.node_count,
             cpu_per_node=spec.cpu_per_node,
@@ -56,19 +57,14 @@ class FederatedSite:
         ]
         self.cluster = EdgeCluster(engine, config, nodes=nodes)
         self.metrics = MetricsCollector()
-        #: Attached by the runner once the policy registry has built it.
-        self.policy: Optional["ControlPolicy"] = None
-        self.default_service_rates: Dict[str, float] = {}
+        #: The site's control policy, built from the registry when the runner wires the site.
+        self.policy: "ControlPolicy"
+        #: Each function's standard-container service rate, for :meth:`expected_wait`.
+        self.service_rates = service_rates
         #: Hardware liveness — cleared by a site blackout.
         self.alive = True
         #: WAN liveness — cleared by a partition; the site keeps running.
         self.reachable = True
-
-    def attach_policy(self, policy: "ControlPolicy",
-                      default_service_rates: Dict[str, float]) -> None:
-        """Bind the site's control policy and its service-rate table."""
-        self.policy = policy
-        self.default_service_rates = dict(default_service_rates)
 
     # ------------------------------------------------------------------
     # State the routers score on
@@ -98,7 +94,7 @@ class FederatedSite:
         makes the latency-aware router prefer warm remote sites over
         cold local ones once the WAN gap is smaller than a cold start.
         """
-        rate = self.default_service_rates.get(function_name, 1.0)
+        rate = self.service_rates.get(function_name, 1.0)
         pending = self.queue_depth(function_name) + 1
         warm = self.warm_count(function_name)
         if warm > 0:
@@ -109,13 +105,12 @@ class FederatedSite:
 class FederatedCluster:
     """Ordered sites plus the WAN latency view, under one engine."""
 
-    def __init__(self, engine: "SimulationEngine", spec: FederationSpec) -> None:
+    def __init__(self, engine: "SimulationEngine", spec: FederationSpec,
+                 service_rates: Mapping[str, float]) -> None:
         """Instantiate every site in spec order."""
-        self.engine = engine
         self.spec = spec
         self.sites: List[FederatedSite] = [
-            FederatedSite(engine, site_spec, index)
-            for index, site_spec in enumerate(spec.sites)
+            FederatedSite(engine, site_spec, service_rates) for site_spec in spec.sites
         ]
         self._by_name: Dict[str, FederatedSite] = {s.name: s for s in self.sites}
 

@@ -154,13 +154,12 @@ class FederationFaultInjector:
         self.federation_availability.record_capacity(
             now, self.federation.available_cpu, self.federation.configured_cpu)
         parked = self._parked.pop(blackout.site, [])
-        if parked and site.policy is not None:
+        if parked:
             self.counters["requeued_requests"] += len(parked)
             site.metrics.increment("requeued_requests", len(parked))
             site.policy._requeue_salvaged(parked)
         for node in recovered_nodes:
-            if site.policy is not None:
-                site.policy.on_node_recovered(node.name)
+            site.policy.on_node_recovered(node.name)
 
     def _on_warm(self, site_name: str) -> None:
         """Close the site's open recovery records once warm targets are met."""
@@ -192,23 +191,20 @@ class FederationFaultInjector:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def parked_count(self) -> int:
-        """Requests currently parked for dark sites."""
-        return sum(len(requests) for requests in self._parked.values())
-
-    def report(self, duration: float,
-               merged_counters: Counter) -> Dict[str, Any]:
+    def report(self, duration: float) -> Dict[str, Any]:
         """The ``faults`` group of a federated results envelope.
 
-        ``merged_counters`` is the federation-wide merged metrics
-        counter set (completions/failures/drops across every site) from
-        which request availability is computed; per-site recovery time
-        — the acceptance-criterion number — comes from each site's own
-        tracker.
+        Request availability is computed from every site's counters
+        summed (completions, failures and drops across the federation);
+        per-site recovery time — the acceptance-criterion number — comes
+        from each site's own tracker.
         """
-        completions = merged_counters.get("completions", 0)
-        failed = merged_counters.get("failed_requests", 0)
-        dropped = merged_counters.get("drops", 0)
+        totals: Counter = Counter()
+        for site in self.federation.sites:
+            totals.update(site.metrics.counters)
+        completions = totals.get("completions", 0)
+        failed = totals.get("failed_requests", 0)
+        dropped = totals.get("drops", 0)
         attempted = completions + failed + dropped
         sites: Dict[str, Any] = {}
         for name in self.federation.site_names():
@@ -229,7 +225,7 @@ class FederationFaultInjector:
             "failed_requests": self.counters.get("failed_requests", 0),
             "parked_requests": self.counters.get("parked_requests", 0),
             "requeued_requests": self.counters.get("requeued_requests", 0),
-            "unrecovered_parked": self.parked_count(),
+            "unrecovered_parked": sum(len(parked) for parked in self._parked.values()),
             "sites": sites,
         }
 

@@ -6,7 +6,7 @@ registered strategy that decides *which site* serves each request,
 while the site's own control policy decides *which container* runs it.
 
 The division of labour with the runtime
-(:class:`~repro.federation.runner.FederatedSimulationRunner`) is strict:
+(:class:`~repro.federation.runner.GlobalPlane`) is strict:
 
 * the **runtime** owns failover mechanics — health filtering (a router
   never sees a site the health monitor believes is down), WAN transit

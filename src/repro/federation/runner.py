@@ -1,7 +1,10 @@
-"""Runs one federated simulation: N sites, one engine, one global router.
+"""The federation's global plane: one router over N sites, one engine.
 
-The federated analogue of :class:`~repro.simulation.SimulationRunner`.
-One :class:`~repro.sim.engine.SimulationEngine` drives every site, so
+:class:`~repro.simulation.SimulationRunner` wires each site as it wires
+one cluster, then builds a :class:`GlobalPlane` over the sites, and
+every arrival enters through :meth:`GlobalPlane.ingress`.  The plane
+routes requests; only a site's own policy touches its containers.  One
+:class:`~repro.sim.engine.SimulationEngine` drives every site, so
 cross-site causality (WAN transit, bounced deliveries, probe timing)
 is totally ordered and the whole run stays a pure function of
 ``(scenario, seed)``.
@@ -40,24 +43,13 @@ recording.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
-from repro.core.controller import ControllerConfig
-from repro.core.estimation.service_time import ServiceTimeProfile
-from repro.core.policy import PolicyContext, get_policy
-from repro.faults.spec import FaultSpec
-from repro.federation.cluster import FederatedCluster, FederatedSite
+from repro.federation.cluster import FederatedCluster
 from repro.federation.health import SiteHealthMonitor
-from repro.federation.injector import FederationFaultInjector
 from repro.federation.router import RouterContext, build_router
-from repro.federation.spec import FederationSpec
-from repro.metrics.collector import MetricsCollector
-from repro.metrics.percentiles import WaitingTimeSummary
-from repro.metrics.slo import SloReport
 from repro.sim.engine import SimulationEngine
 from repro.sim.request import Request
-from repro.sim.rng import RngStreams
-from repro.workloads.generator import ArrivalGenerator, WorkloadBinding, stream_arrivals
 
 
 class RouterStats:
@@ -86,178 +78,45 @@ class RouterStats:
         }
 
 
-class FederatedSimulationResult:
-    """Everything a finished federated run exposes for analysis.
+class GlobalPlane:
+    """The router, health monitor and router counters over a wired federation.
 
-    Interface-compatible with :class:`~repro.simulation.SimulationResult`
-    for the metric-collection paths the scenario layer uses
-    (``waiting_summary`` / ``slo`` / ``mean_utilization`` /
-    ``generated_requests`` / ``.metrics``): the per-site request lists
-    are merged in site order into one collector, and utilisation is the
-    configured-CPU-weighted mean over sites.
+    Built by :class:`~repro.simulation.SimulationRunner` once every
+    site of ``federation`` has its policy; :meth:`ingress` is the
+    dispatch target of every arrival generator, and :meth:`start` arms
+    the probes and the router beside the site policies.
     """
 
-    def __init__(self, federation: FederatedCluster, duration: float,
-                 generated_requests: Dict[str, int]) -> None:
-        """Merge per-site metrics into one federation-wide collector."""
+    def __init__(self, engine: SimulationEngine, federation: FederatedCluster) -> None:
+        """Build the health monitor, the router and its counters."""
+        spec = federation.spec
+        self.engine = engine
         self.federation = federation
-        self.duration = duration
-        self.generated_requests = dict(generated_requests)
-        merged = MetricsCollector()
-        requests: List[Request] = []
-        for site in federation.sites:
-            requests.extend(site.metrics.requests)
-            merged.counters.update(site.metrics.counters)
-        merged.requests = requests
-        merged.seal_requests()
-        self.metrics = merged
-
-    def waiting_summary(self, function_name: Optional[str] = None,
-                        warmup: float = 0.0) -> WaitingTimeSummary:
-        """Federation-wide waiting-time percentiles for one function (or all)."""
-        return self.metrics.waiting_summary(function_name, warmup)
-
-    def slo(self, deadlines: Mapping[str, float], percentile: float = 0.95,
-            warmup: float = 0.0) -> Dict[str, SloReport]:
-        """Federation-wide SLO attainment per function."""
-        return self.metrics.slo(deadlines, percentile, warmup)
-
-    def mean_utilization(self, start: float = 0.0,
-                         end: Optional[float] = None) -> float:
-        """Configured-CPU-weighted mean utilisation across all sites."""
-        total = 0.0
-        weight = 0.0
-        for site in self.federation.sites:
-            w = site.cluster.configured_cpu
-            total += w * site.metrics.mean_utilization(start, end)
-            weight += w
-        return total / weight if weight else 0.0
-
-
-class FederatedSimulationRunner:
-    """Builds and runs one complete federated simulation.
-
-    Parameters
-    ----------
-    workloads:
-        One :class:`~repro.workloads.generator.WorkloadBinding` per
-        function; every function is deployed on every site (traffic may
-        be routed anywhere), and originates at
-        ``federation.origin_of(name)``.
-    federation:
-        The :class:`~repro.federation.spec.FederationSpec` topology.
-    controller_config:
-        Shared per-site controller parameters (epoch length, ...).
-    seed:
-        Master seed; arrival/work streams are per function, exactly as
-        in the single-cluster runner.
-    warm_start_containers:
-        Per-function warm containers, created at the function's origin
-        site before the workload starts.
-    fault_spec:
-        Optional :class:`~repro.faults.spec.FaultSpec` whose
-        *site-level* faults (blackouts, partitions) are armed via
-        :class:`~repro.federation.injector.FederationFaultInjector`.
-    """
-
-    def __init__(
-        self,
-        workloads: Sequence[WorkloadBinding],
-        federation: FederationSpec,
-        controller_config: Optional[ControllerConfig] = None,
-        seed: int = 1,
-        use_offline_profiles: bool = True,
-        warm_start_containers: Optional[Mapping[str, int]] = None,
-        fault_spec: Optional[FaultSpec] = None,
-    ) -> None:
-        """Build the engine, sites, per-site policies, router, and generators."""
-        if not workloads:
-            raise ValueError("at least one workload binding is required")
-        names = [w.profile.name for w in workloads]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate function names in workload bindings")
-        self.spec = federation
-        self.bindings = list(workloads)
-        self.engine = SimulationEngine()
-        self.rng = RngStreams(seed)
-        self.federation = FederatedCluster(self.engine, federation)
-
-        profiles: Dict[str, ServiceTimeProfile] = {}
-        default_rates: Dict[str, float] = {}
-        for binding in self.bindings:
-            default_rates[binding.profile.name] = binding.profile.service_rate
-            if use_offline_profiles:
-                profiles[binding.profile.name] = binding.profile.to_service_profile()
-
-        config = controller_config or ControllerConfig()
-        for site in self.federation.sites:
-            for binding in self.bindings:
-                site.cluster.deploy(binding.profile.to_deployment(
-                    weight=binding.weight,
-                    user=binding.user,
-                    slo_deadline=binding.slo_deadline,
-                ))
-            context = PolicyContext(
-                engine=self.engine,
-                cluster=site.cluster,
-                metrics=site.metrics,
-                config=config,
-                service_profiles=profiles,
-                default_service_rates=default_rates,
-            )
-            site.attach_policy(
-                get_policy(site.spec.policy).factory(
-                    context, dict(site.spec.policy_params)),
-                default_rates,
-            )
-
+        self.spec = spec
         self.monitor = SiteHealthMonitor(
-            self.engine, self.federation,
-            probe_interval=federation.probe_interval,
-            backoff_base=federation.probe_backoff_base,
-            backoff_cap=federation.probe_backoff_cap,
+            engine, federation,
+            probe_interval=spec.probe_interval,
+            backoff_base=spec.probe_backoff_base,
+            backoff_cap=spec.probe_backoff_cap,
         )
         self.router = build_router(
-            federation.router,
-            RouterContext(engine=self.engine, federation=self.federation,
-                          spec=federation),
-            federation.router_params,
+            spec.router,
+            RouterContext(engine=engine, federation=federation, spec=spec),
+            spec.router_params,
         )
-        self.stats = RouterStats(self.federation.site_names())
-        self._origins: Dict[str, str] = {
-            binding.profile.name: federation.origin_of(binding.profile.name)
-            for binding in self.bindings
-        }
+        self.stats = RouterStats(federation.site_names())
 
-        self.generators: List[ArrivalGenerator] = []
-        for binding in self.bindings:
-            self.generators.append(ArrivalGenerator(
-                engine=self.engine,
-                profile=binding.profile,
-                schedule=binding.schedule,
-                dispatch=self._ingress,
-                rng=self.rng.stream(f"arrivals:{binding.profile.name}"),
-                slo_deadline=binding.slo_deadline,
-                work_rng=self.rng.stream(f"work:{binding.profile.name}"),
-            ))
-
-        self._warm_start = dict(warm_start_containers or {})
-        self.fault_injector: Optional[FederationFaultInjector] = None
-        if fault_spec is not None and not fault_spec.is_empty():
-            if fault_spec.has_node_faults():
-                raise ValueError(
-                    "federated runs take site-level faults only "
-                    "(site_blackouts / wan_partitions)"
-                )
-            self.fault_injector = FederationFaultInjector(
-                self.engine, self.federation, fault_spec)
+    def start(self) -> None:
+        """Schedule the first health probes and start the router."""
+        self.monitor.start()
+        self.router.start()
 
     # ------------------------------------------------------------------
     # Ingress / routing / delivery
     # ------------------------------------------------------------------
-    def _ingress(self, request: Request) -> None:
+    def ingress(self, request: Request) -> None:
         """Entry point for every arrival: autonomy check, then routing."""
-        origin_name = self._origins[request.function_name]
+        origin_name = self.spec.origin_of(request.function_name)
         origin = self.federation.site(origin_name)
         if origin.alive and not origin.reachable:
             # Edge autonomy: the partitioned site cannot be seen by the
@@ -328,45 +187,6 @@ class FederatedSimulationRunner:
         self.stats.drops[reason] += 1
 
     # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def prewarm(self) -> None:
-        """Create warm-start containers at each function's origin site."""
-        max_latency = 0.0
-        created = 0
-        for name, count in self._warm_start.items():
-            site = self.federation.site(self._origins.get(
-                name, self.spec.sites[0].name))
-            for _ in range(count):
-                site.cluster.create_container(name)
-                created += 1
-            max_latency = max(max_latency, site.spec.cold_start_latency)
-        if created:
-            self.engine.run(until=self.engine.now + max_latency + 1e-6)
-
-    def run(self, duration: float,
-            extra_drain: float = 5.0) -> FederatedSimulationResult:
-        """Run the federated simulation for ``duration`` seconds of workload."""
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        self.prewarm()
-        for site in self.federation.sites:
-            site.policy.start()
-        self.monitor.start()
-        self.router.start()
-        for generator in self.generators:
-            if generator.horizon is None or generator.horizon > duration:
-                generator.horizon = duration
-        stream_arrivals(self.engine, self.generators)
-        self.engine.run(until=duration + extra_drain)
-        generated = {g.profile.name: g.generated for g in self.generators}
-        return FederatedSimulationResult(
-            federation=self.federation,
-            duration=duration,
-            generated_requests=generated,
-        )
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def federation_report(self) -> Dict[str, Any]:
@@ -392,8 +212,4 @@ class FederatedSimulationRunner:
         }
 
 
-__all__ = [
-    "FederatedSimulationRunner",
-    "FederatedSimulationResult",
-    "RouterStats",
-]
+__all__ = ["GlobalPlane", "RouterStats"]

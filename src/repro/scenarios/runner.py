@@ -33,7 +33,7 @@ Results schema (``repro/scenario-result@1``)
                                # per-failure recovery times
       "federation": {...}      # federated scenarios only: router stats,
                                # health-belief transitions, per-site
-                               # summaries (see repro.federation.runner)
+                               # summaries (GlobalPlane.federation_report)
       "replay": {...}          # kind="trace_replay" only: one shard's
                                # integer counters + per-minute histogram
                                # (see repro.scenarios.trace_shard)
@@ -147,12 +147,14 @@ def _run_simulate(spec: ScenarioSpec) -> ScenarioOutcome:
     same workloads, cluster, seed, and fault schedule.  Policies may
     contribute an extra results group (``ControlPolicy.results_extra``)
     — the OpenWhisk policy's invoker-failure report arrives this way.
+    A federated spec runs its sites under the global router instead and
+    adds a ``federation`` group (router stats, health-belief
+    transitions, per-site summaries); ``metrics`` then comes from the
+    per-site collectors merged in site order.
     """
     from repro.core.allocation.hierarchy import SchedulingTree
     from repro.simulation import SimulationRunner
 
-    if spec.federation is not None:
-        return _run_federated(spec)
     bindings = [w.build() for w in spec.workloads]
     tree = None
     if spec.user_weights is not None:
@@ -169,6 +171,7 @@ def _run_simulate(spec: ScenarioSpec) -> ScenarioOutcome:
         policy=spec.controller.policy,
         policy_params=dict(spec.controller.policy_params),
         data_plane=spec.data_plane,
+        federation=spec.federation,
     )
     if "guaranteed_cpu" in spec.metrics and not hasattr(runner.policy, "guaranteed_cpu_shares"):
         # fail fast instead of silently omitting the requested group
@@ -178,50 +181,17 @@ def _run_simulate(spec: ScenarioSpec) -> ScenarioOutcome:
         )
     result = runner.run(duration=spec.duration, extra_drain=spec.extra_drain)
     data = _envelope(spec, metrics=_collect_metrics(spec, result, runner.policy))
-    extra = runner.policy.results_extra()
-    if extra is not None:
-        group, payload = extra
-        data[group] = payload
+    if runner.plane is not None:
+        data["federation"] = runner.plane.federation_report()
+    else:
+        extra = runner.policy.results_extra()
+        if extra is not None:
+            group, payload = extra
+            data[group] = payload
     if runner.fault_injector is not None:
         # present exactly when the (normalised) spec carries faults, so a
         # faults-disabled run stays byte-identical to the healthy scenario
         data["faults"] = runner.fault_injector.report(spec.duration)
-    return ScenarioOutcome(spec=spec, data=data, sim=result)
-
-
-# ----------------------------------------------------------------------
-# kind = "simulate" with a federation spec
-# ----------------------------------------------------------------------
-def _run_federated(spec: ScenarioSpec) -> ScenarioOutcome:
-    """Federated run: N sites under a global router.
-
-    Rides the same envelope machinery as the single-cluster executor —
-    ``metrics`` comes from the merged per-site collectors — plus a
-    ``federation`` group (router stats, health-belief transitions,
-    per-site summaries) and, when site faults are armed, a ``faults``
-    group with per-site + federation-level availability and recovery
-    times.
-    """
-    from repro.federation.runner import FederatedSimulationRunner
-
-    bindings = [w.build() for w in spec.workloads]
-    runner = FederatedSimulationRunner(
-        workloads=bindings,
-        federation=spec.federation,
-        controller_config=spec.controller.build(),
-        seed=spec.seed,
-        warm_start_containers=dict(spec.warm_start) or None,
-        fault_spec=spec.faults,
-    )
-    result = runner.run(duration=spec.duration, extra_drain=spec.extra_drain)
-    data = _envelope(
-        spec,
-        metrics=_collect_metrics(spec, result),
-        federation=runner.federation_report(),
-    )
-    if runner.fault_injector is not None:
-        data["faults"] = runner.fault_injector.report(
-            spec.duration, result.metrics.counters)
     return ScenarioOutcome(spec=spec, data=data, sim=result)
 
 

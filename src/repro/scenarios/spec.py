@@ -490,8 +490,9 @@ class ScenarioSpec(Spec):
         Optional :class:`~repro.federation.spec.FederationSpec`
         (``simulate`` kind, event data plane only): run the workloads
         across N federated edge sites under a global router instead of
-        one cluster.  Federated scenarios size their clusters per site
-        (``cluster`` must stay ``None``), take only *site-level* faults
+        one cluster.  Federated scenarios size their clusters and name
+        their policies per site (``cluster`` must stay ``None`` and
+        ``controller.policy`` ``"lass"``), take only *site-level* faults
         (``site_blackouts`` / ``wan_partitions``), and do not support
         the ``timeline`` / ``guaranteed_cpu`` metric groups or
         ``user_weights``.  Echoed only when set.
@@ -594,6 +595,11 @@ class ScenarioSpec(Spec):
             )
         if self.user_weights is not None:
             raise ValueError("federated scenarios do not support user_weights")
+        if self.controller.policy != "lass" or self.controller.policy_params:
+            raise ValueError(
+                "federated scenarios name their policies per site "
+                "(federation.sites[i].policy); controller.policy must stay 'lass'"
+            )
         unsupported = [m for m in self.metrics if m in ("timeline", "guaranteed_cpu")]
         if unsupported:
             raise ValueError(f"federated scenarios do not support metrics {unsupported}")

@@ -1,4 +1,13 @@
-"""High-level simulation runner: wire workloads, cluster, and controller together.
+"""High-level simulation runner: wire workloads, sites, and control planes together.
+
+A run has one site or N.  One site is one
+:class:`~repro.cluster.cluster.EdgeCluster` under one control policy,
+and the arrival generators dispatch straight to that policy.  N sites
+are a :class:`~repro.federation.spec.FederationSpec`: each is wired the
+same way (its own cluster, collector and policy), and the arrivals
+enter through the federation's
+:class:`~repro.federation.runner.GlobalPlane`, which routes each to a
+site.
 
 This is the main entry point for examples and experiments::
 
@@ -18,7 +27,8 @@ This is the main entry point for examples and experiments::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Union)
 
 from repro.cluster.cluster import ClusterConfig, EdgeCluster
 from repro.core.controller import ControllerConfig
@@ -34,6 +44,12 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RngStreams
 from repro.workloads.generator import ArrivalGenerator, WorkloadBinding, stream_arrivals
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.federation.cluster import FederatedCluster
+    from repro.federation.injector import FederationFaultInjector
+    from repro.federation.runner import GlobalPlane
+    from repro.federation.spec import FederationSpec
+
 
 @dataclass
 class SimulationResult:
@@ -42,7 +58,11 @@ class SimulationResult:
     ``controller`` is the run's control-plane policy — a
     :class:`~repro.core.controller.LassController` by default, or
     whichever registered :class:`~repro.core.policy.ControlPolicy` the
-    runner was asked for.  ``kernel_stats`` holds the columnar kernel's
+    runner was asked for.  A federated run sets ``federation`` (its
+    sites, each with its own cluster, collector and policy); then
+    ``cluster`` and ``controller`` are the first site's, and ``metrics``
+    merges every site's requests and counters in site order.
+    ``kernel_stats`` holds the columnar kernel's
     exact counts of boundaries, in-kernel warm-ups and synchronized
     state (:attr:`~repro.sim.columnar.ColumnarKernel.stats`), or ``None`` when
     the run executed on the event plane; ``fallback_reason`` says why a
@@ -59,6 +79,7 @@ class SimulationResult:
     generated_requests: Dict[str, int] = field(default_factory=dict)
     kernel_stats: Optional[Dict[str, int]] = None
     fallback_reason: Optional[str] = None
+    federation: Optional["FederatedCluster"] = None
 
     @property
     def data_plane_used(self) -> str:
@@ -88,8 +109,16 @@ class SimulationResult:
         return self.metrics.slo(deadlines, percentile, warmup)
 
     def mean_utilization(self, start: float = 0.0, end: Optional[float] = None) -> float:
-        """Time-weighted mean cluster utilisation over the run."""
-        return self.metrics.mean_utilization(start, end)
+        """Time-weighted mean cluster utilisation over the run.
+
+        Over N > 1 sites, the sites' means weighted by configured CPU.
+        """
+        sites = self.federation.sites if self.federation is not None else ()
+        if len(sites) < 2:
+            return self.metrics.mean_utilization(start, end)
+        weighted = sum(site.cluster.configured_cpu * site.metrics.mean_utilization(start, end)
+                       for site in sites)
+        return weighted / self.federation.configured_cpu
 
     def container_timeline(self, function_name: str):
         """``(times, container counts)`` series for a function."""
@@ -128,7 +157,9 @@ class SimulationRunner:
         non-empty) a :class:`~repro.faults.injector.FaultInjector` is
         armed against the run — node failures/recoveries, container
         crash-on-dispatch, and cold-start latency distributions, all
-        deterministic under the run's master seed.  ``None`` (or an
+        deterministic under the run's master seed (a federation's
+        :class:`~repro.federation.injector.FederationFaultInjector` arms
+        site blackouts and WAN partitions).  ``None`` (or an
         empty spec) leaves the healthy event stream byte-identical.
     policy:
         The control plane to run: a registered policy name
@@ -148,6 +179,14 @@ class SimulationRunner:
         supports it, falling back to the event plane otherwise.  Both
         planes produce byte-identical results (the differential test
         suite enforces it).
+    federation:
+        Optional :class:`~repro.federation.spec.FederationSpec`: run on
+        its N sites under its global router, on the event plane.  Every
+        function is deployed on every site and warm-started at
+        ``federation.origin_of(name)``.  Sites size their clusters and
+        name their policies, so ``cluster_config``, ``scheduling_tree``,
+        ``policy`` and ``policy_params`` stay unset.  Site-level faults
+        need a federation, and a federation takes no other faults.
     """
 
     def __init__(
@@ -163,8 +202,9 @@ class SimulationRunner:
         policy: Union[str, Callable[[PolicyContext], ControlPolicy]] = "lass",
         policy_params: Optional[Mapping[str, Any]] = None,
         data_plane: str = "event",
+        federation: Optional["FederationSpec"] = None,
     ) -> None:
-        """Build the engine, cluster, controller, and arrival generators (see the class docstring for parameter semantics)."""
+        """Wire every site, the arrival generators and the fault injector (see the class docstring)."""
         if not workloads:
             raise ValueError("at least one workload binding is required")
         if data_plane not in ("event", "columnar"):
@@ -175,69 +215,110 @@ class SimulationRunner:
         names = [w.profile.name for w in workloads]
         if len(set(names)) != len(names):
             raise ValueError("duplicate function names in workload bindings")
+        if fault_spec is not None and fault_spec.is_empty():
+            fault_spec = None
 
         self.engine = SimulationEngine()
         self.rng = RngStreams(seed)
-        self.cluster = EdgeCluster(self.engine, cluster_config or ClusterConfig())
-        self.metrics = MetricsCollector()
         self.bindings = list(workloads)
 
-        profiles: Dict[str, ServiceTimeProfile] = {}
-        default_rates: Dict[str, float] = {}
-        for binding in self.bindings:
-            deployment = binding.profile.to_deployment(
-                weight=binding.weight,
-                user=binding.user,
-                slo_deadline=binding.slo_deadline,
-            )
-            self.cluster.deploy(deployment)
-            default_rates[binding.profile.name] = binding.profile.service_rate
-            if use_offline_profiles:
-                profiles[binding.profile.name] = binding.profile.to_service_profile()
+        default_rates = {b.profile.name: b.profile.service_rate for b in self.bindings}
+        profiles: Dict[str, ServiceTimeProfile] = (
+            {b.profile.name: b.profile.to_service_profile() for b in self.bindings}
+            if use_offline_profiles else {})
 
-        context = PolicyContext(
-            engine=self.engine,
-            cluster=self.cluster,
-            metrics=self.metrics,
-            config=controller_config or ControllerConfig(),
-            scheduling_tree=scheduling_tree,
-            service_profiles=profiles,
-            default_service_rates=default_rates,
-        )
-        if isinstance(policy, str):
-            self.policy: ControlPolicy = get_policy(policy).factory(
-                context, dict(policy_params or {})
-            )
+        self.federation: Optional["FederatedCluster"] = None
+        if federation is None:
+            if fault_spec is not None and fault_spec.has_site_faults():
+                raise ValueError(
+                    "site-level faults (site_blackouts / wan_partitions) require "
+                    "a federation"
+                )
+            self.cluster = EdgeCluster(self.engine, cluster_config or ClusterConfig())
+            self.metrics = MetricsCollector()
+            sites = [(self.cluster, self.metrics, policy, policy_params)]
         else:
-            if policy_params:
-                raise ValueError("policy_params require a registered policy name")
-            self.policy = policy(context)
+            if (cluster_config is not None or scheduling_tree is not None
+                    or policy != "lass" or policy_params):
+                raise ValueError(
+                    "a federation sizes its clusters and names its policies per site; "
+                    "cluster_config, scheduling_tree, policy and policy_params stay unset"
+                )
+            if data_plane != "event":
+                raise ValueError("federated runs require data_plane='event'")
+            if fault_spec is not None and fault_spec.has_node_faults():
+                raise ValueError(
+                    "federated runs take site-level faults only "
+                    "(site_blackouts / wan_partitions)"
+                )
+            from repro.federation.cluster import FederatedCluster
 
-        self.generators: List[ArrivalGenerator] = []
-        for binding in self.bindings:
-            generator = ArrivalGenerator(
+            self.federation = FederatedCluster(self.engine, federation, default_rates)
+            sites = [(site.cluster, site.metrics, site.spec.policy, site.spec.policy_params)
+                     for site in self.federation.sites]
+
+        config = controller_config or ControllerConfig()
+        self.policies: List[ControlPolicy] = []
+        for cluster, metrics, site_policy, params in sites:
+            for binding in self.bindings:
+                cluster.deploy(binding.profile.to_deployment(
+                    weight=binding.weight,
+                    user=binding.user,
+                    slo_deadline=binding.slo_deadline,
+                ))
+            context = PolicyContext(
+                engine=self.engine,
+                cluster=cluster,
+                metrics=metrics,
+                config=config,
+                scheduling_tree=scheduling_tree,
+                service_profiles=profiles,
+                default_service_rates=default_rates,
+            )
+            if isinstance(site_policy, str):
+                self.policies.append(get_policy(site_policy).factory(context, dict(params or {})))
+            elif params:
+                raise ValueError("policy_params require a registered policy name")
+            else:
+                self.policies.append(site_policy(context))
+        #: The (first) site's cluster, collector and policy.
+        self.cluster, self.metrics, self.policy = sites[0][0], sites[0][1], self.policies[0]
+
+        dispatch = self.policy.dispatch
+        #: The federation's router over the wired sites; ``None`` for one cluster.
+        self.plane: Optional["GlobalPlane"] = None
+        if self.federation is not None:
+            from repro.federation.runner import GlobalPlane
+
+            for site, site_policy in zip(self.federation.sites, self.policies):
+                site.policy = site_policy
+            self.plane = GlobalPlane(self.engine, self.federation)
+            dispatch = self.plane.ingress
+
+        self.generators: List[ArrivalGenerator] = [
+            ArrivalGenerator(
                 engine=self.engine,
                 profile=binding.profile,
                 schedule=binding.schedule,
-                dispatch=self.policy.dispatch,
+                dispatch=dispatch,
                 rng=self.rng.stream(f"arrivals:{binding.profile.name}"),
                 slo_deadline=binding.slo_deadline,
                 work_rng=self.rng.stream(f"work:{binding.profile.name}"),
             )
-            self.generators.append(generator)
+            for binding in self.bindings
+        ]
 
         self._warm_start = dict(warm_start_containers or {})
 
-        self.fault_injector: Optional[FaultInjector] = None
-        if fault_spec is not None and not fault_spec.is_empty():
-            self.fault_injector = FaultInjector(
-                engine=self.engine,
-                cluster=self.cluster,
-                controller=self.policy,
-                metrics=self.metrics,
-                rng=self.rng,
-                spec=fault_spec,
-            )
+        self.fault_injector: Optional[Union[FaultInjector, "FederationFaultInjector"]] = None
+        if fault_spec is not None and self.federation is None:
+            self.fault_injector = FaultInjector(self.engine, self.cluster, self.policy,
+                                                self.metrics, self.rng, fault_spec)
+        elif fault_spec is not None:
+            from repro.federation.injector import FederationFaultInjector
+
+            self.fault_injector = FederationFaultInjector(
+                self.engine, self.federation, fault_spec)
 
     # ------------------------------------------------------------------
     # Execution
@@ -245,19 +326,25 @@ class SimulationRunner:
     def prewarm(self) -> None:
         """Create the requested warm-start containers and let them finish cold start.
 
-        Idempotent: the request is consumed, so a caller may prewarm
-        explicitly, adjust the warm fleet, and :meth:`run` creates
-        nothing more.
+        Each function's containers are created on its origin site (the
+        one cluster of a single-site run).  Idempotent: the request is
+        consumed, so a caller may prewarm explicitly, adjust the warm
+        fleet, and :meth:`run` creates nothing more.
         """
         warm_start, self._warm_start = self._warm_start, {}
         created = []
+        latency = 0.0
         for name, count in warm_start.items():
+            cluster = self.cluster
+            if self.federation is not None:
+                cluster = self.federation.site(self.federation.spec.origin_of(name)).cluster
             for _ in range(count):
-                created.append(self.cluster.create_container(name))
+                created.append(cluster.create_container(name))
+            latency = max(latency, cluster.config.cold_start_latency)
         if not created:
             return
         if self.cluster.cold_start_sampler is None:
-            self.engine.run(until=self.engine.now + self.cluster.config.cold_start_latency + 1e-6)
+            self.engine.run(until=self.engine.now + latency + 1e-6)
         else:
             # cold-start latencies are sampled per container: step until every
             # warm-start container left STARTING (fault-injected runs only,
@@ -277,7 +364,10 @@ class SimulationRunner:
         if duration <= 0:
             raise ValueError("duration must be positive")
         self.prewarm()
-        self.policy.start()
+        for policy in self.policies:
+            policy.start()
+        if self.plane is not None:
+            self.plane.start()
         for generator in self.generators:
             if generator.horizon is None or generator.horizon > duration:
                 generator.horizon = duration
@@ -287,21 +377,29 @@ class SimulationRunner:
 
             kernel, fallback_reason = build_kernel(self.engine, self.cluster, self.policy,
                                                    self.generators)
+        metrics = self.metrics
         if kernel is not None:
             kernel.run(until=duration + extra_drain)
         else:
             stream_arrivals(self.engine, self.generators)
             self.engine.run(until=duration + extra_drain)
-            self.metrics.seal_requests()
+            if self.federation is not None and len(self.federation.sites) > 1:
+                metrics = MetricsCollector()
+                metrics.requests = [request for site in self.federation.sites
+                                    for request in site.metrics.requests]
+                for site in self.federation.sites:
+                    metrics.counters.update(site.metrics.counters)
+            metrics.seal_requests()
         generated = {g.profile.name: g.generated for g in self.generators}
         return SimulationResult(
-            metrics=self.metrics,
+            metrics=metrics,
             cluster=self.cluster,
             controller=self.policy,
             duration=duration,
             generated_requests=generated,
             kernel_stats=None if kernel is None else dict(kernel.stats),
             fallback_reason=fallback_reason,
+            federation=self.federation,
         )
 
 

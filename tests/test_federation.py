@@ -15,7 +15,11 @@ Four clusters of coverage:
   sweep is byte-identical run-to-run, and the federated sweep is
   byte-identical across worker counts — plus hypothesis properties
   (no request ever runs on a blacked-out site; the redirect chain
-  never exceeds ``max_redirects``).
+  never exceeds ``max_redirects``);
+* one runner: a federation of one site under ``nearest-site`` gives
+  the single cluster's ``metrics`` group byte for byte, a fault spec
+  whose kind does not match the run is refused, and no site's cluster
+  ever touches a container on another site's nodes.
 """
 
 from __future__ import annotations
@@ -24,20 +28,32 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.faults.spec import FaultSpec, SiteBlackoutSpec, WanPartitionSpec
+from repro.cluster.cluster import EdgeCluster
+from repro.faults.spec import (
+    ColdStartSpec,
+    FaultSpec,
+    SiteBlackoutSpec,
+    WanPartitionSpec,
+    node_outage,
+)
 from repro.federation.router import (
     describe_routers,
     get_router,
     router_names,
     validate_router,
 )
+from repro.federation.runner import GlobalPlane
 from repro.federation.spec import FederationSpec
 from repro.metrics.availability import AvailabilityTracker, RecoveryRecord
 from repro.scenarios.executor import ResilientSweepRunner
 from repro.scenarios.registry import FIG12_ROUTERS, build
 from repro.scenarios.runner import run_scenario
-from repro.scenarios.spec import ScenarioSpec, canonical_json
+from repro.scenarios.spec import ClusterSpec, ScenarioSpec, canonical_json
+from repro.simulation import SimulationRunner
 from repro.sim.request import RequestStatus
+from repro.workloads.functions import get_function
+from repro.workloads.generator import WorkloadBinding
+from repro.workloads.schedules import StaticRate
 
 #: Simulation-backed hypothesis examples are expensive; keep the count
 #: modest and derandomized so CI time is predictable.
@@ -446,12 +462,16 @@ def _arm_specs(duration=30.0):
     return build("fig12", duration=duration).expand()
 
 
+def _arm_mode(spec):
+    """A fig12 arm's failure mode: healthy, blackout or partition."""
+    if spec.faults is None or spec.faults.is_empty():
+        return "healthy"
+    return "blackout" if spec.faults.site_blackouts else "partition"
+
+
 def test_fig12_covers_every_router_and_failure_mode():
     specs = _arm_specs()
-    arms = {(s.federation.router,
-             "healthy" if s.faults is None or s.faults.is_empty()
-             else "blackout" if s.faults.site_blackouts else "partition")
-            for s in specs}
+    arms = {(s.federation.router, _arm_mode(s)) for s in specs}
     assert arms == {(router, mode) for router in FIG12_ROUTERS
                     for mode in ("healthy", "blackout", "partition")}
 
@@ -542,3 +562,146 @@ def test_redirect_chain_never_exceeds_the_bound(seed, max_redirects, fail_at):
     assert router["max_redirect_hops"] <= max_redirects
     assert set(router["drops"]) <= {"no_healthy_site", "router_refused",
                                     "redirect_exhausted"}
+
+
+# ----------------------------------------------------------------------
+# One runner: a federation of one is the single cluster
+# ----------------------------------------------------------------------
+#: The CI-size builder kwargs of ``tools/envelope_digests.py``.
+ONE_SITE_CASES = {
+    "quickstart": {"duration": 30.0},
+    "fig6": {"step_duration": 20.0},
+    "overload-fair-share": {"phase_duration": 20.0},
+}
+ONE_SITE_POLICIES = ("lass", "openwhisk", "hybrid", "reactive", "noop")
+
+
+def _single_and_one_site(name, policy):
+    """The single-cluster spec under ``policy`` and its federation of one site."""
+    data = build(name, **ONE_SITE_CASES[name]).to_dict()
+    # the two groups a federated spec refuses
+    data["metrics"] = [m for m in data["metrics"] if m not in ("timeline", "guaranteed_cpu")]
+    data["controller"]["policy"] = policy
+    single = ScenarioSpec.from_dict(data)
+    cluster = single.cluster or ClusterSpec()
+    assert cluster.resize_latency == 0.0  # a site has no resize latency
+    data["cluster"] = None
+    data["controller"]["policy"] = "lass"
+    data["federation"] = {
+        "sites": [{"name": "edge", "node_count": cluster.node_count,
+                   "cpu_per_node": cluster.cpu_per_node,
+                   "memory_per_node_mb": cluster.memory_per_node_mb,
+                   "cold_start_latency": cluster.cold_start_latency,
+                   "policy": policy}],
+        "router": "nearest-site",
+    }
+    return single, ScenarioSpec.from_dict(data)
+
+
+@pytest.mark.parametrize("policy", ONE_SITE_POLICIES)
+@pytest.mark.parametrize("name", sorted(ONE_SITE_CASES))
+def test_a_federation_of_one_site_is_the_single_cluster(name, policy):
+    single, federated = _single_and_one_site(name, policy)
+    alone = run_scenario(single).data["metrics"]
+    assert alone["counters"]["arrivals"] > 0
+    assert canonical_json(run_scenario(federated).data["metrics"]) == canonical_json(alone)
+
+
+def _squeezenet():
+    return [WorkloadBinding(get_function("squeezenet"), StaticRate(20.0, duration=20.0),
+                            slo_deadline=0.1)]
+
+
+@pytest.mark.parametrize("faults", [
+    FaultSpec(site_blackouts=(SiteBlackoutSpec(site="edge-a", fail_at=5.0,
+                                               recover_at=10.0),)),
+    FaultSpec(wan_partitions=(WanPartitionSpec(site="edge-a", start_at=5.0,
+                                               heal_at=10.0),)),
+], ids=["blackout", "partition"])
+def test_a_single_cluster_refuses_site_faults(faults):
+    """A site fault on one cluster would arm nothing and run healthy."""
+    with pytest.raises(ValueError, match="require a federation"):
+        SimulationRunner(_squeezenet(), fault_spec=faults)
+
+
+@pytest.mark.parametrize("faults", [
+    node_outage("edge-a/node-0", 5.0, 10.0),
+    FaultSpec(crash_probability=0.1),
+    FaultSpec(cold_start=ColdStartSpec(kind="constant", params={"latency": 1.0})),
+], ids=["node", "crash", "cold-start"])
+def test_a_federation_refuses_node_faults(faults):
+    federation = FederationSpec.from_dict(_federation_dict())
+    with pytest.raises(ValueError, match="site-level faults only"):
+        SimulationRunner(_squeezenet(), federation=federation, fault_spec=faults)
+
+
+def test_a_federation_refuses_single_cluster_arguments():
+    federation = FederationSpec.from_dict(_federation_dict())
+    with pytest.raises(ValueError, match="per site"):
+        SimulationRunner(_squeezenet(), federation=federation, policy="reactive")
+    with pytest.raises(ValueError, match="data_plane='event'"):
+        SimulationRunner(_squeezenet(), federation=federation, data_plane="columnar")
+    data = _scenario_dict()
+    data["controller"] = {"policy": "reactive"}
+    with pytest.raises(ValueError, match="per site"):
+        ScenarioSpec.from_dict(data)
+
+
+#: The cluster operations a control plane mutates containers with.
+CONTAINER_MUTATORS = ("create_container", "deflate_container", "inflate_container",
+                      "terminate_container", "evict_container")
+
+
+@pytest.mark.parametrize("mode", ["healthy", "blackout", "partition"])
+def test_no_site_touches_another_sites_containers(mode, monkeypatch):
+    """One control plane over N edges: two agents never manage one node.
+
+    Every container mutation on a site's cluster touches a container on
+    that site's nodes, and every request that started ran on a site
+    that received it from the global plane.
+    """
+    touched = []   # (cluster, mutator, node name)
+
+    def spy(mutator):
+        original = getattr(EdgeCluster, mutator)
+
+        def recording(cluster, *args, **kwargs):
+            if mutator == "create_container":
+                container = original(cluster, *args, **kwargs)
+                touched.append((cluster, mutator, container.node_name))
+                return container
+            container = cluster._containers.get(args[0])
+            if container is not None:
+                touched.append((cluster, mutator, container.node_name))
+            return original(cluster, *args, **kwargs)
+        return recording
+
+    for mutator in CONTAINER_MUTATORS:
+        monkeypatch.setattr(EdgeCluster, mutator, spy(mutator))
+
+    received = {}   # request id -> the sites whose policy it was dispatched to
+    start = GlobalPlane.start
+
+    def recording_start(plane):
+        for site in plane.federation.sites:
+            def dispatch(request, name=site.name, inner=site.policy.dispatch):
+                received.setdefault(request.request_id, set()).add(name)
+                inner(request)
+            site.policy.dispatch = dispatch
+        start(plane)
+
+    monkeypatch.setattr(GlobalPlane, "start", recording_start)
+    (spec,) = [s for s in _arm_specs() if s.federation.router == "latency-aware"
+               and _arm_mode(s) == mode]
+    outcome = run_scenario(spec)
+
+    site_of = {id(site.cluster): site.name for site in outcome.sim.federation.sites}
+    assert {mutator for _, mutator, _ in touched} >= {"create_container"}
+    if mode == "blackout":
+        assert any(mutator == "evict_container" for _, mutator, _ in touched)
+    for cluster, mutator, node_name in touched:
+        assert node_name.split("/")[0] == site_of[id(cluster)], (mutator, node_name)
+    started = [r for r in outcome.sim.metrics.requests if r.node_name is not None]
+    assert started
+    for request in started:
+        assert request.node_name.split("/")[0] in received[request.request_id]

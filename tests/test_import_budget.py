@@ -135,6 +135,28 @@ print({LOADED})
     assert after_shard == set_up
 
 
+def test_a_single_cluster_run_loads_no_federation_module():
+    # the CI-size quickstart scenario, built as the benchmark builds its
+    # runners: straight through repro.simulation (the scenario layer's
+    # spec module imports repro.federation.spec to validate federations)
+    out = run_fresh(f"""
+import sys
+from repro.simulation import SimulationRunner
+from repro.workloads.functions import get_function
+from repro.workloads.generator import WorkloadBinding
+from repro.workloads.schedules import StaticRate
+
+binding = WorkloadBinding(get_function("squeezenet"), StaticRate(20.0, duration=30.0),
+                          slo_deadline=0.1)
+result = SimulationRunner([binding], seed=7).run(duration=30.0)
+assert result.metrics.counters["completions"] > 0
+print({LOADED})
+""")
+    loaded = eval(out)
+    assert "repro.simulation" in loaded
+    assert [m for m in loaded if m.startswith("repro.federation")] == []
+
+
 def test_the_policy_registry_answers_as_before_without_loading_the_policies():
     out = run_fresh("""
 import sys
