@@ -3,9 +3,11 @@
 This package models the execution environment of the paper's prototype:
 worker nodes with fixed CPU/memory capacity, OS containers that host
 serverless functions and can be created, terminated, and *deflated*
-in place, a simplified per-node invoker that executes controller
-commands, and the weighted-round-robin load balancer that LaSS uses on
-its data path.
+in place, and the weighted-round-robin load balancer that LaSS uses on
+its data path.  The paper's per-node invokers only execute the
+controller's commands (§5), so there is no invoker here: the controller
+calls :class:`EdgeCluster`'s create, terminate and resize operations
+itself.
 
 Everything is simulated (see DESIGN.md §4 for the substitution from the
 paper's OpenWhisk/Docker testbed), but the accounting is real: a node
@@ -21,7 +23,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.cluster.node": ("Node", "InsufficientCapacityError"),
     "repro.cluster.cluster": ("EdgeCluster", "ClusterConfig"),
     "repro.cluster.loadbalancer": ("WeightedRoundRobinBalancer",),
-    "repro.cluster.invoker": ("Invoker", "InvokerCommand"),
 })
 
 __all__ = [
@@ -32,6 +33,4 @@ __all__ = [
     "EdgeCluster",
     "ClusterConfig",
     "WeightedRoundRobinBalancer",
-    "Invoker",
-    "InvokerCommand",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.container import Container, ContainerState
-from repro.cluster.node import InsufficientCapacityError, Node
+from repro.cluster.node import InsufficientCapacityError, Node, best_fit
 from repro.sim.engine import SimulationEngine
 
 
@@ -468,11 +468,8 @@ class EdgeCluster:
         return None
 
     def find_node_for(self, cpu: float, memory_mb: float) -> Optional[Node]:
-        """Best-fit placement: the feasible node with the least free CPU."""
-        candidates = [n for n in self.nodes if n.can_fit(cpu, memory_mb) and n.available]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda n: (n.cpu_free, n.memory_free_mb, n.name))
+        """Best-fit placement: the feasible node with the least free CPU (:func:`best_fit`)."""
+        return best_fit(self.nodes, cpu, memory_mb)
 
     def room_for(self, function_name: str) -> int:
         """How many additional standard containers of a function fit right now."""

@@ -105,8 +105,8 @@ class Container:
         #: ledger invariant in docs/architecture.md, "Control path").
         self.state_observer: Optional[Callable[["Container"], None]] = None
         #: the node hosting the container (``Node.add_container`` sets it,
-        #: ``remove_container`` clears it); the same writes drop its cached
-        #: allocation sums
+        #: ``remove_container`` clears it); a resize and the transition to
+        #: ``TERMINATED`` drop its cached allocation sums
         self.host: Optional["Node"] = None
 
         self._queue: Deque[Request] = deque()
@@ -174,10 +174,11 @@ class Container:
     # Lifecycle
     # ------------------------------------------------------------------
     def _notify_state(self) -> None:
-        """``state`` or ``current_cpu`` was written: tell the hosting node and the observer."""
-        host = self.host
-        if host is not None:
-            host.drop_sums()
+        """``state`` or ``current_cpu`` was written: tell the observer.
+
+        The hosting node's sums move only with a resize or termination,
+        and those two writes drop them themselves.
+        """
         observer = self.state_observer
         if observer is not None:
             observer(self)
@@ -236,6 +237,8 @@ class Container:
             dropped.extend(salvaged)
             salvaged = []
         self.state = ContainerState.TERMINATED
+        if self.host is not None:
+            self.host.drop_sums()
         self._notify_state()
         return dropped, salvaged
 
@@ -274,6 +277,8 @@ class Container:
         released = self.current_cpu - new_cpu
         self.current_cpu = new_cpu
         self._speed = None
+        if self.host is not None:
+            self.host.drop_sums()
         self._notify_state()
         return released
 

@@ -8,19 +8,30 @@ vs. total capacity).
 
 The two allocation sums are a ledger kept at the write: placement reads
 them thousands of times between two changes, so each is computed once
-and dropped by whatever can change it — :meth:`Node.add_container`,
-:meth:`Node.remove_container`, and every write to a hosted container's
-``state`` or ``current_cpu`` (through ``Container.host``).  What is
-cached is the value the sum over the hosted containers returns, never a
+and dropped by exactly the writes that can change it —
+:meth:`Node.add_container`, :meth:`Node.remove_container`, a hosted
+container's resize (``current_cpu``) and its transition to
+``TERMINATED`` (both through ``Container.host``).  The other lifecycle
+writes (warm, draining mark, rescue) keep them: the sums count every
+container that is not terminated, at its current size.  What is cached
+is the value the sum over the hosted containers returns, never a
 running total: float addition is not associative, and ``cpu_free``
 decides placements to within ``1e-9``.
+
+:func:`best_fit` is the one best-fit body: the controller's placement
+planner and :meth:`~repro.cluster.cluster.EdgeCluster.find_node_for`
+both choose through it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.container import Container, ContainerState
+
+_current_cpu = attrgetter("current_cpu")
+_memory_mb = attrgetter("memory_mb")
 
 
 class InsufficientCapacityError(RuntimeError):
@@ -62,9 +73,15 @@ class Node:
         self._memory_allocated_mb: Optional[float] = None
 
     def drop_sums(self) -> None:
-        """A container came or went, or a hosted one's ``state`` / ``current_cpu`` was written."""
+        """A container came or went, or a hosted one was resized or terminated."""
         self._cpu_allocated = None
         self._memory_allocated_mb = None
+
+    def _fill_sums(self) -> None:
+        """Compute both allocation sums over the live containers, in hosting order."""
+        live = self.containers
+        self._cpu_allocated = sum(map(_current_cpu, live))
+        self._memory_allocated_mb = sum(map(_memory_mb, live))
 
     @property
     def available(self) -> bool:
@@ -82,18 +99,16 @@ class Node:
     @property
     def cpu_allocated(self) -> float:
         """Sum of the *current* (possibly deflated) CPU allocations."""
-        allocated = self._cpu_allocated
-        if allocated is None:
-            allocated = self._cpu_allocated = sum(c.current_cpu for c in self.containers)
-        return allocated
+        if self._cpu_allocated is None:
+            self._fill_sums()
+        return self._cpu_allocated
 
     @property
     def memory_allocated_mb(self) -> float:
         """Sum of memory allocations of live containers."""
-        allocated = self._memory_allocated_mb
-        if allocated is None:
-            allocated = self._memory_allocated_mb = sum(c.memory_mb for c in self.containers)
-        return allocated
+        if self._memory_allocated_mb is None:
+            self._fill_sums()
+        return self._memory_allocated_mb
 
     @property
     def cpu_free(self) -> float:
@@ -182,6 +197,44 @@ class Node:
             f"mem={self.memory_allocated_mb:.0f}/{self.memory_capacity_mb:.0f} MB, "
             f"containers={len(self.containers)})"
         )
+
+
+def best_fit(nodes: Iterable[Node], cpu: float, memory_mb: float,
+             reserved: Optional[Dict[str, Tuple[float, float]]] = None) -> Optional[Node]:
+    """The available node that fits ``cpu`` / ``memory_mb`` with the least free CPU.
+
+    ``reserved`` maps a node name to the ``(cpu, memory_mb)`` a placement
+    plan has already promised on it; the fit is checked net of it, and
+    the choice is the least ``(free CPU net of reservations, free
+    memory, name)``.  One pass, reading each node's free capacity once;
+    ``None`` when no node fits.  It reads the node's cached sums as
+    fields (``cpu_free`` is ``cpu_capacity - cpu_allocated``), not through
+    the properties: a placement reads every node, and a failed
+    create-on-empty is nothing else.
+    """
+    best = None
+    best_cpu = best_memory = 0.0
+    need_cpu = cpu - 1e-9
+    need_memory = memory_mb - 1e-9
+    for node in nodes:
+        if node.failed or node.unresponsive:
+            continue
+        if node._cpu_allocated is None:
+            node._fill_sums()
+        free_cpu = node.cpu_capacity - node._cpu_allocated
+        free_memory = node.memory_capacity_mb - node._memory_allocated_mb
+        held_memory = 0.0
+        held = reserved.get(node.name) if reserved else None
+        if held is not None:
+            free_cpu -= held[0]
+            held_memory = held[1]
+        if free_cpu < need_cpu or free_memory - held_memory < need_memory:
+            continue
+        if (best is None or free_cpu < best_cpu
+                or (free_cpu == best_cpu and (free_memory < best_memory or (
+                    free_memory == best_memory and node.name < best.name)))):
+            best, best_cpu, best_memory = node, free_cpu, free_memory
+    return best
 
 
 def total_capacity(nodes: Iterable[Node]) -> Dict[str, float]:

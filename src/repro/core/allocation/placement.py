@@ -12,9 +12,10 @@ containers); worst-fit and first-fit are provided for ablations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.node import Node
+from repro.cluster.node import best_fit as node_best_fit
 
 
 @dataclass(frozen=True)
@@ -46,52 +47,49 @@ class PlacementPlan:
         return not self.unplaced
 
 
-def _feasible(nodes: Iterable[Node], request: PlacementRequest,
-              reserved: Dict[str, Tuple[float, float]]) -> List[Node]:
-    """Nodes that still fit the request after the plan's prior reservations."""
-    feasible = []
+def worst_fit(nodes: Sequence[Node], request: PlacementRequest,
+              reserved: Optional[Dict[str, Tuple[float, float]]] = None) -> Optional[Node]:
+    """The feasible node with the most remaining CPU (spreads load).
+
+    The mirror of :func:`best_fit`: the greatest ``(free CPU net of
+    reservations, free memory, name)``, first in order on a tie.
+    """
+    best = None
+    best_key = None
     for node in nodes:
         if not node.available:
             continue
-        reserved_cpu, reserved_mem = reserved.get(node.name, (0.0, 0.0))
-        if (node.cpu_free - reserved_cpu >= request.cpu - 1e-9 and
-                node.memory_free_mb - reserved_mem >= request.memory_mb - 1e-9):
-            feasible.append(node)
-    return feasible
-
-
-def worst_fit(nodes: Sequence[Node], request: PlacementRequest,
-              reserved: Optional[Dict[str, Tuple[float, float]]] = None) -> Optional[Node]:
-    """The feasible node with the most remaining CPU (spreads load)."""
-    reserved = reserved or {}
-    feasible = _feasible(nodes, request, reserved)
-    if not feasible:
-        return None
-    def free_cpu(node: Node) -> float:
-        """Free CPU on a node net of in-plan reservations."""
-        return node.cpu_free - reserved.get(node.name, (0.0, 0.0))[0]
-    return max(feasible, key=lambda n: (free_cpu(n), n.memory_free_mb, n.name))
+        held_cpu, held_memory = reserved.get(node.name, (0.0, 0.0)) if reserved else (0.0, 0.0)
+        free_cpu = node.cpu_free - held_cpu
+        free_memory = node.memory_free_mb
+        if free_cpu >= request.cpu - 1e-9 and free_memory - held_memory >= request.memory_mb - 1e-9:
+            key = (free_cpu, free_memory, node.name)
+            if best_key is None or key > best_key:
+                best, best_key = node, key
+    return best
 
 
 def best_fit(nodes: Sequence[Node], request: PlacementRequest,
              reserved: Optional[Dict[str, Tuple[float, float]]] = None) -> Optional[Node]:
-    """The feasible node with the least remaining CPU (packs tightly)."""
-    reserved = reserved or {}
-    feasible = _feasible(nodes, request, reserved)
-    if not feasible:
-        return None
-    def free_cpu(node: Node) -> float:
-        """Free CPU on a node net of in-plan reservations."""
-        return node.cpu_free - reserved.get(node.name, (0.0, 0.0))[0]
-    return min(feasible, key=lambda n: (free_cpu(n), n.memory_free_mb, n.name))
+    """The feasible node with the least remaining CPU (packs tightly).
+
+    The cluster layer's one best-fit body (:func:`repro.cluster.node.best_fit`),
+    which :meth:`~repro.cluster.cluster.EdgeCluster.find_node_for` uses too.
+    """
+    return node_best_fit(nodes, request.cpu, request.memory_mb, reserved)
 
 
 def first_fit(nodes: Sequence[Node], request: PlacementRequest,
               reserved: Optional[Dict[str, Tuple[float, float]]] = None) -> Optional[Node]:
     """The first feasible node in the given order."""
-    reserved = reserved or {}
-    feasible = _feasible(nodes, request, reserved)
-    return feasible[0] if feasible else None
+    for node in nodes:
+        if not node.available:
+            continue
+        held_cpu, held_memory = reserved.get(node.name, (0.0, 0.0)) if reserved else (0.0, 0.0)
+        if (node.cpu_free - held_cpu >= request.cpu - 1e-9
+                and node.memory_free_mb - held_memory >= request.memory_mb - 1e-9):
+            return node
+    return None
 
 
 _STRATEGIES = {
@@ -119,8 +117,9 @@ def plan_placements(
     reserved: Dict[str, Tuple[float, float]] = {}
     placements: List[Tuple[PlacementRequest, str]] = []
     unplaced: List[PlacementRequest] = []
-    ordered = sorted(requests, key=lambda r: (r.cpu, r.memory_mb), reverse=True)
-    for request in ordered:
+    if len(requests) > 1:
+        requests = sorted(requests, key=lambda r: (r.cpu, r.memory_mb), reverse=True)
+    for request in requests:
         node = chooser(nodes, request, reserved)
         if node is None:
             unplaced.append(request)

@@ -3,8 +3,8 @@
 Both policies are *planners*: pure functions from (the containers each
 function currently has, the adjusted CPU allocation each function
 should have) to an ordered list of actions — terminate, deflate,
-inflate, create — that the controller then executes through the
-invokers.  Keeping them pure makes the two policies directly comparable
+inflate, create — that the controller then executes on the cluster.
+Keeping them pure makes the two policies directly comparable
 in tests and ablation benchmarks.
 
 Termination policy

@@ -15,7 +15,9 @@ OpenWhisk controller (§5, Figure 2b).  It owns:
   (:class:`repro.core.queueing.solver.SizingSolver` — stateless, with
   the reference Algorithm 1's container counts), detects
   overload, applies weighted fair sharing, and executes the resulting
-  scaling / reclamation actions through the per-node invokers.
+  scaling / reclamation actions on the cluster itself (create, terminate
+  and resize containers: the paper's invokers only carry these commands
+  out, so no layer stands for them here).
 
 In the absence of resource pressure, over-provisioned functions are
 scaled down *lazily* (containers are only marked for termination and
@@ -33,7 +35,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import EdgeCluster, FunctionDeployment
 from repro.cluster.container import Container, ContainerState
-from repro.cluster.invoker import InvokerPool
 from repro.core.allocation.autoscaler import Autoscaler, ScalingDecision, ScalingQuery
 from repro.core.queueing.solver import SizingSolver
 from repro.core.allocation.hierarchy import SchedulingTree
@@ -167,7 +168,6 @@ class LassController(SharedQueuePolicy):
             {} if self.config.online_learning else None)
         super().__init__(engine, cluster, metrics)
         self.balancer = self.dispatcher.balancer
-        self.invokers = InvokerPool(cluster)
         self.solver = SizingSolver()
         self.autoscaler = Autoscaler(
             percentile=self.config.percentile,
@@ -470,13 +470,12 @@ class LassController(SharedQueuePolicy):
         state = self._state(name)
         dep = state.deployment
         requests = [PlacementRequest(name, dep.cpu, dep.memory_mb) for _ in range(count)]
-        plan = plan_placements(self.cluster.nodes, requests, self.config.placement_strategy)
-        created = 0
-        for request, node_name in plan.placements:
-            self.invokers[node_name].create_container(name)
+        cluster = self.cluster
+        plan = plan_placements(cluster.nodes, requests, self.config.placement_strategy)
+        for _, node_name in plan.placements:
+            cluster.create_container(name, node=cluster.node(node_name))
             self.metrics.increment("creations")
-            created += 1
-        return created
+        return len(plan.placements)
 
     def _reclaim_draining(self, exclude: Optional[str] = None) -> None:
         """Terminate draining containers to free capacity for other functions."""
@@ -519,30 +518,29 @@ class LassController(SharedQueuePolicy):
         """Execute a plan's terminate, deflate, inflate, and create actions."""
         for action in plan.terminations:
             self._terminate(action.container_id)
+        cluster = self.cluster
         for action in plan.deflations:
-            invoker = self.invokers.invoker_for_container(action.container_id)
-            if invoker is not None:
-                invoker.resize_container(action.container_id, action.cpu)
+            if cluster.get_container(action.container_id) is not None:
+                cluster.deflate_container(action.container_id, action.cpu)
                 self.metrics.increment("deflations")
         for action in plan.inflations:
-            container = self.cluster.get_container(action.container_id)
+            container = cluster.get_container(action.container_id)
             if container is None:
                 continue
-            node = self.cluster.node(container.node_name)
+            node = cluster.node(container.node_name)
             if node is None:
                 continue
             target = min(action.cpu, container.current_cpu + node.cpu_free)
             if target > container.current_cpu + 1e-9:
-                invoker = self.invokers.invoker_for_container(action.container_id)
-                if invoker is not None:
-                    invoker.resize_container(action.container_id, target)
-                    self.metrics.increment("inflations")
+                cluster.deflate_container(action.container_id, target)
+                self.metrics.increment("inflations")
         for action in plan.creations:
             dep = self._state(action.function_name).deployment
             requests = [PlacementRequest(action.function_name, action.cpu, dep.memory_mb)]
-            placed = plan_placements(self.cluster.nodes, requests, self.config.placement_strategy)
-            for request, node_name in placed.placements:
-                self.invokers[node_name].create_container(action.function_name, cpu=action.cpu)
+            placed = plan_placements(cluster.nodes, requests, self.config.placement_strategy)
+            for _, node_name in placed.placements:
+                cluster.create_container(action.function_name, node=cluster.node(node_name),
+                                         cpu=action.cpu)
                 self.metrics.increment("creations")
 
     # -- fault path (driven by repro.faults.injector) --------------------
@@ -607,14 +605,9 @@ class LassController(SharedQueuePolicy):
 
     def _terminate(self, container_id: str) -> None:
         """Terminate one container by id (immediately, not lazily)."""
-        container = self.cluster.get_container(container_id)
-        if container is None:
+        if self.cluster.get_container(container_id) is None:
             return
-        invoker = self.invokers.invoker_for_container(container_id)
-        if invoker is not None:
-            dropped = invoker.terminate_container(container_id)
-        else:
-            dropped = self.cluster.terminate_container(container_id)
+        dropped = self.cluster.terminate_container(container_id)
         self.metrics.increment("terminations")
         self.metrics.record_drop(len(dropped))
 

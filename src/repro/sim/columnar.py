@@ -50,6 +50,15 @@ crash-on-dispatch faults are handled at request granularity: the kernel
 draws from the injector's own RNG at every dispatch and hands confirmed
 crashes to the injector's real crash path.
 
+An arrival that queues against a function with no container calls the
+plan's ``create_on_empty`` hook, as the event plane's ``dispatch`` does,
+but at most once per function between two boundaries: until the next
+:meth:`~ColumnarKernel._absorb` the only capacity changes are the
+kernel's own creations, which can only shrink free capacity, so a
+create that placed nothing would place nothing again.  A create that
+placed a container returns to the engine, whose queue now holds its
+warm-up.
+
 Warm-ups
 --------
 A container warm-up (``EdgeCluster._finish_cold_start(container)``)
@@ -197,7 +206,7 @@ class _FnState:
         "name", "slo", "times", "works", "rid", "status", "start",
         "finish", "cold", "ccid", "cnode", "obj", "pos", "flush_pos",
         "queue", "idle", "idle_ids", "scores", "prune_pending",
-        "has_containers", "done_rows", "done_fracs", "slots", "live",
+        "may_create", "done_rows", "done_fracs", "slots", "live",
     )
 
     def __init__(self, name: str, slo_deadline: Optional[float]) -> None:
@@ -224,7 +233,8 @@ class _FnState:
         # idle set) since the last pick pruned; the event-level balancer
         # scans the whole dict at every pick, the kernel only these
         self.prune_pending: set = set()
-        self.has_containers = False
+        # no container at the last absorb, and no create-on-empty tried since
+        self.may_create = False
         self.done_rows: List[int] = []     # completions since last flush
         self.done_fracs: List[float] = []  # their containers' CPU fractions
         self.slots: List[_Slot] = []       # every warm container's mirror
@@ -527,11 +537,15 @@ class ColumnarKernel:
                     else:
                         fs.status[i] = _QUEUED
                         fs.queue.append(i)
-                        if not fs.has_containers and create is not None:
+                        if fs.may_create and create is not None:
+                            # tried once per boundary: until the next one the
+                            # only capacity changes are these creations,
+                            # which shrink it, so a retry cannot fit
+                            fs.may_create = False
                             self.engine._now = at
                             create(fs.name)
-                            fs.has_containers = self.cluster.has_containers(fs.name)
-                            return True
+                            if self.cluster.has_containers(fs.name):
+                                return True  # its warm-up is an engine event
                     at = g_times[pos] if pos < n_total else inf
                 else:
                     if (ct > limit) if inclusive else (ct >= limit):
@@ -873,7 +887,7 @@ class ColumnarKernel:
                 for obj in dq:
                     fs.queue.append(row_by_rid[obj.request_id][1])
                 dq.clear()
-            fs.has_containers = cluster.has_containers(fs.name)
+            fs.may_create = not cluster.has_containers(fs.name)
             fs.scores = scores.setdefault(fs.name, {})
             # boundary code may have touched balancer state arbitrarily:
             # every key is suspect until the next pick prunes

@@ -9,6 +9,12 @@ cascade and ``run_fixed_allocation`` do — under LaSS's CPU-enforcing
 placement and under the baseline's memory-only packing, and after every
 step compares each cached value, bit for bit, with the body it replaced
 (frozen below from commit 7af6479, where every read recomputed).
+
+A node's sums are dropped only by the writes that can move them — a
+container added or removed, a resize, a transition to ``TERMINATED`` —
+and kept across a warm-up, a draining mark and a rescue; the machine
+reads the sums before each of those, so a kept value that went stale
+would fail its invariant, and the unit tests below pin which writes drop.
 """
 
 import pytest
@@ -136,6 +142,13 @@ class LedgerMachine(RuleBasedStateMachine):
             container.mark_draining()
 
     @rule(data=st.data())
+    def warm_now(self, data):
+        """The cold start ends outside the engine (``mark_warm`` straight on the container)."""
+        container = self._pick(data, (ContainerState.STARTING,))
+        if container is not None:
+            container.mark_warm(self.engine.now)
+
+    @rule(data=st.data())
     def rescue(self, data):
         container = self._pick(data, (ContainerState.DRAINING,))
         if container is not None:
@@ -220,3 +233,74 @@ def test_a_standalone_node_follows_its_containers_without_a_cluster():
     assert second.host is None and node.cpu_allocated == 0
     with pytest.raises(InsufficientCapacityError):
         node.add_container(Container("fn", "", standard_cpu=4.5, memory_mb=1.0))
+
+
+def _node_with_two_containers():
+    node = Node("n0", 4.0, 4096.0)
+    first = Container("fn", "", standard_cpu=0.7, memory_mb=512.0)
+    second = Container("fn", "", standard_cpu=0.3, memory_mb=256.0)
+    node.add_container(first)
+    node.add_container(second)
+    return node, first, second
+
+
+def _cached(node):
+    """The node's sums as cached, read first so there is a cache to keep or drop."""
+    node.cpu_allocated, node.memory_allocated_mb
+    return node._cpu_allocated, node._memory_allocated_mb
+
+
+def test_a_warm_up_a_draining_mark_and_a_rescue_keep_the_sums():
+    """No lifecycle write short of termination can move a sum, so none drops it."""
+    node, first, second = _node_with_two_containers()
+    cached = _cached(node)
+    first.mark_warm(0.0)
+    first.mark_draining()
+    second.mark_draining()
+    first.unmark_draining()   # back to WARM
+    second.unmark_draining()  # its cold start never ended: back to STARTING
+    assert (node._cpu_allocated, node._memory_allocated_mb) == cached
+    assert cached[0] is not None and cached[1] is not None
+    assert cached == (sum(c.current_cpu for c in (first, second)), 768.0)
+
+
+WRITES_THAT_MOVE_A_SUM = {
+    "add": lambda node, first, second: node.add_container(
+        Container("fn", "", standard_cpu=0.5, memory_mb=64.0)),
+    "remove": lambda node, first, second: node.remove_container(first.container_id),
+    "deflate": lambda node, first, second: first.deflate_to(0.5),
+    "inflate": lambda node, first, second: (first.deflate_to(0.5), _cached(node), first.inflate()),
+    "terminate": lambda node, first, second: first.terminate(1.0),
+    "evict": lambda node, first, second: first.evict(1.0),
+    "terminate-while-draining": lambda node, first, second: (
+        first.mark_draining(), _cached(node), first.terminate(1.0)),
+}
+
+
+@pytest.mark.parametrize("write", sorted(WRITES_THAT_MOVE_A_SUM))
+def test_each_write_that_can_move_a_sum_drops_it(write):
+    node, first, second = _node_with_two_containers()
+    _cached(node)
+    WRITES_THAT_MOVE_A_SUM[write](node, first, second)
+    assert (node._cpu_allocated, node._memory_allocated_mb) == (None, None)
+    assert same_bits(node.cpu_allocated, fresh_node_sums(node)[0])
+    assert same_bits(node.memory_allocated_mb, fresh_node_sums(node)[1])
+
+
+@pytest.mark.parametrize("operation", ["terminate_container", "evict_container", "deflate_container",
+                                       "fail_node", "create_container"])
+def test_each_cluster_operation_that_can_move_a_sum_drops_it(operation):
+    engine = SimulationEngine()
+    cluster = EdgeCluster(engine, ClusterConfig(node_count=1))
+    cluster.deploy(FunctionDeployment(name="fn", cpu=0.7, memory_mb=128.0))
+    container = cluster.create_container("fn")
+    node = cluster.nodes[0]
+    _cached(node)
+    {
+        "terminate_container": lambda: cluster.terminate_container(container.container_id),
+        "evict_container": lambda: cluster.evict_container(container.container_id),
+        "deflate_container": lambda: cluster.deflate_container(container.container_id, 0.35),
+        "fail_node": lambda: cluster.fail_node(node.name),
+        "create_container": lambda: cluster.create_container("fn"),
+    }[operation]()
+    assert (node._cpu_allocated, node._memory_allocated_mb) == (None, None)

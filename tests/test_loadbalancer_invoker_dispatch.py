@@ -1,4 +1,4 @@
-"""Unit tests for the WRR load balancer, invokers, and the shared-queue dispatcher."""
+"""Unit tests for the WRR load balancer and the shared-queue dispatcher."""
 
 import collections
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig, EdgeCluster, FunctionDeployment
 from repro.cluster.container import Container
-from repro.cluster.invoker import InvokerCommand, InvokerPool
 from repro.cluster.loadbalancer import WeightedRoundRobinBalancer, proportional_split
 from repro.core.dispatch import SharedQueueDispatcher
 from repro.metrics.collector import MetricsCollector
@@ -97,45 +96,6 @@ class TestProportionalSplit:
             proportional_split([1.0], -1)
         with pytest.raises(ValueError):
             proportional_split([-1.0], 1)
-
-
-class TestInvokers:
-    @pytest.fixture
-    def cluster(self, engine):
-        cluster = EdgeCluster(engine, ClusterConfig())
-        cluster.deploy(FunctionDeployment(name="fn", cpu=1.0, memory_mb=256))
-        return cluster
-
-    def test_create_terminate_resize_logged(self, engine, cluster):
-        pool = InvokerPool(cluster)
-        invoker = pool["node-0"]
-        container = invoker.create_container("fn")
-        invoker.resize_container(container.container_id, 0.7)
-        invoker.terminate_container(container.container_id)
-        counts = invoker.command_counts()
-        assert counts[InvokerCommand.CREATE] == 1
-        assert counts[InvokerCommand.RESIZE] == 1
-        assert counts[InvokerCommand.TERMINATE] == 1
-
-    def test_pool_routes_by_container_node(self, engine, cluster):
-        pool = InvokerPool(cluster)
-        container = pool["node-1"].create_container("fn")
-        assert pool.invoker_for_container(container.container_id).node_name == "node-1"
-
-    def test_terminate_returns_dropped_requests(self, engine, cluster):
-        pool = InvokerPool(cluster)
-        container = pool["node-0"].create_container("fn")
-        engine.run(until=1.0)
-        container.submit(make_request(work=10.0), engine)
-        dropped = pool["node-0"].terminate_container(container.container_id)
-        assert len(dropped) == 1
-
-    def test_total_command_counts(self, engine, cluster):
-        pool = InvokerPool(cluster)
-        pool["node-0"].create_container("fn")
-        pool["node-1"].create_container("fn")
-        totals = pool.total_command_counts()
-        assert totals[InvokerCommand.CREATE] == 2
 
 
 class TestSharedQueueDispatcher:
