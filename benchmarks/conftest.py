@@ -17,3 +17,7 @@ from pathlib import Path
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+# the paper-finding verdicts live with the test oracles (``oracles.paper_checks``)
+_TESTS = Path(__file__).resolve().parent.parent / "tests"
+if str(_TESTS) not in sys.path:
+    sys.path.append(str(_TESTS))

@@ -4,7 +4,6 @@ These are not figures from the paper; they quantify the contribution of
 individual LaSS components by swapping them out:
 
 * queueing-model sizing vs. a Knative-style concurrency autoscaler,
-* best-fit vs. worst-fit container placement under mixed container sizes,
 * the paper's single-pass fair share vs. iterative progressive filling.
 """
 
@@ -14,7 +13,7 @@ from repro.cluster.cluster import ClusterConfig
 from repro.core.allocation.fair_share import fair_share_allocation, progressive_filling
 from repro.core.controller import ControllerConfig
 from repro.simulation import SimulationRunner
-from repro.workloads.functions import get_function, microbenchmark
+from repro.workloads.functions import microbenchmark
 from repro.workloads.generator import WorkloadBinding
 from repro.workloads.schedules import StaticRate
 
@@ -38,34 +37,6 @@ def test_model_driven_vs_reactive_scaling(benchmark):
     # the model never allocates wildly more than the offered load requires
     _, counts = result.container_timeline("microbenchmark")
     assert max(counts) <= 10
-
-
-@pytest.mark.parametrize("strategy", ["best_fit", "worst_fit"])
-def test_placement_strategy_fragmentation(benchmark, strategy):
-    """Best-fit packing leaves room for 2-vCPU MobileNet containers; worst-fit fragments."""
-    def run():
-        runner = SimulationRunner(
-            workloads=[
-                WorkloadBinding(get_function("binaryalert"), StaticRate(50.0, duration=90.0),
-                                slo_deadline=0.1, user="u1"),
-                WorkloadBinding(get_function("mobilenet"), StaticRate(11.0, duration=90.0),
-                                slo_deadline=0.5, user="u2"),
-            ],
-            cluster_config=ClusterConfig(),
-            controller_config=ControllerConfig(placement_strategy=strategy),
-            seed=17,
-        )
-        result = runner.run(duration=90.0)
-        return result.metrics.timeline.mean_cpu("mobilenet", start=45.0)
-
-    mobilenet_cpu = benchmark.pedantic(run, rounds=1, iterations=1)
-    if strategy == "best_fit":
-        # packing the small containers leaves whole nodes for MobileNet
-        assert mobilenet_cpu >= 8.0
-    else:
-        # worst-fit spreads small containers and strands MobileNet below
-        # what best-fit achieves
-        assert mobilenet_cpu <= 8.0
 
 
 def test_single_pass_vs_progressive_filling(benchmark):

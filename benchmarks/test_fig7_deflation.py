@@ -1,11 +1,7 @@
 """Figure 7: effect of CPU deflation on service time for all six functions."""
 
-from repro.experiments.fig7_deflation import (
-    FIG7_FUNCTIONS,
-    run_fig7,
-    slowdown_at,
-    small_penalty_at_threshold,
-)
+from oracles.paper_checks import small_penalty_at_threshold
+from repro.experiments.fig7_deflation import FIG7_FUNCTIONS, run_fig7, slowdown_at
 
 
 def test_fig7_deflation_response_curves(benchmark):

@@ -1,6 +1,7 @@
 """Benchmark / regeneration of Table 1: the function catalogue."""
 
-from repro.experiments.table1_functions import catalogue_consistency_checks, run_table1
+from oracles.paper_checks import catalogue_consistency_checks
+from repro.experiments.table1_functions import run_table1
 
 
 def test_table1_catalogue(benchmark):

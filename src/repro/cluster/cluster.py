@@ -371,7 +371,7 @@ class EdgeCluster:
         if container is None or container.state == ContainerState.TERMINATED:
             return []
         dropped = container.terminate(self.engine.now)
-        node = self.node(container.node_name)
+        node = container.host
         if node is not None:
             node.remove_container(container_id)
         return dropped
@@ -391,7 +391,7 @@ class EdgeCluster:
         if container is None or container.state == ContainerState.TERMINATED:
             return [], []
         interrupted, salvaged = container.evict(self.engine.now)
-        node = self.node(container.node_name)
+        node = container.host
         if node is not None:
             node.remove_container(container_id)
         return interrupted, salvaged
@@ -448,7 +448,7 @@ class EdgeCluster:
         container = self.get_container(container_id)
         if container is None:
             raise KeyError(f"unknown container {container_id!r}")
-        node = self.node(container.node_name)
+        node = container.host
         if node is None:
             return 0.0
         headroom = node.cpu_free
@@ -475,11 +475,3 @@ class EdgeCluster:
         """How many additional standard containers of a function fit right now."""
         dep = self.deployment(function_name)
         return sum(n.room_for(dep.cpu, dep.memory_mb) for n in self.nodes if n.available)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        """Debugging summary of nodes, functions, and containers."""
-        return (
-            f"EdgeCluster(nodes={len(self.nodes)}, functions={len(self._deployments)}, "
-            f"containers={len(self.all_containers())}, "
-            f"cpu={self.cpu_allocated:.1f}/{self.total_cpu:.1f})"
-        )

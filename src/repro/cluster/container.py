@@ -136,11 +136,6 @@ class Container:
         return speed
 
     @property
-    def effective_service_rate_scale(self) -> float:
-        """Multiplier to apply to the function's standard service rate μ."""
-        return self.speed
-
-    @property
     def is_available(self) -> bool:
         """Whether the load balancer may dispatch new requests to this container."""
         return self.state is ContainerState.WARM
@@ -387,10 +382,3 @@ class Container:
         # whatever ``on_complete`` handed over has started on its own
         if self._queue and self.state in (ContainerState.WARM, ContainerState.DRAINING):
             self._try_start_next(engine, on_complete)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        """Debugging summary of id, function, node, CPU, and state."""
-        return (
-            f"Container({self.container_id}, fn={self.function_name!r}, node={self.node_name!r}, "
-            f"cpu={self.current_cpu:.2f}/{self.standard_cpu:.2f}, state={self.state.value})"
-        )

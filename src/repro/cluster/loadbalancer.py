@@ -134,47 +134,3 @@ class WeightedRoundRobinBalancer:
             self._scores.clear()
         else:
             self._scores.pop(function_name, None)
-
-    def dispatch_counts(
-        self, function_name: str, containers: Sequence[Container], n: int
-    ) -> Dict[str, int]:
-        """Simulate ``n`` consecutive picks and count picks per container.
-
-        A pure helper used by tests and by the model-validation experiments
-        to check that dispatch proportions converge to CPU proportions.
-        """
-        counts: Dict[str, int] = {c.container_id: 0 for c in containers}
-        for _ in range(n):
-            chosen = self.pick(function_name, containers)
-            if chosen is None:
-                break
-            counts[chosen.container_id] += 1
-        return counts
-
-
-def proportional_split(weights: Sequence[float], total: int) -> List[int]:
-    """Split ``total`` discrete items across ``weights`` proportionally.
-
-    Largest-remainder method; the result always sums to ``total``.  Used
-    by the fair-share allocator when converting fractional CPU shares to
-    whole containers.
-    """
-    if total < 0:
-        raise ValueError("total must be non-negative")
-    if not weights:
-        return []
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be non-negative")
-    weight_sum = sum(weights)
-    if weight_sum <= 0:
-        base = [total // len(weights)] * len(weights)
-        for i in range(total - sum(base)):
-            base[i] += 1
-        return base
-    raw = [w / weight_sum * total for w in weights]
-    floors = [int(x) for x in raw]
-    remainder = total - sum(floors)
-    order = sorted(range(len(weights)), key=lambda i: raw[i] - floors[i], reverse=True)
-    for i in order[:remainder]:
-        floors[i] += 1
-    return floors

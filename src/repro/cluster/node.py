@@ -190,14 +190,6 @@ class Node:
         by_mem = int(self.memory_free_mb / memory_mb + 1e-9) if memory_mb > 0 else 10**9
         return max(0, min(by_cpu, by_mem))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        """Debugging summary of allocated vs. total capacity."""
-        return (
-            f"Node({self.name!r}, cpu={self.cpu_allocated:.2f}/{self.cpu_capacity:.2f}, "
-            f"mem={self.memory_allocated_mb:.0f}/{self.memory_capacity_mb:.0f} MB, "
-            f"containers={len(self.containers)})"
-        )
-
 
 def best_fit(nodes: Iterable[Node], cpu: float, memory_mb: float,
              reserved: Optional[Dict[str, Tuple[float, float]]] = None) -> Optional[Node]:

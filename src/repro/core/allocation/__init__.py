@@ -39,9 +39,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     "repro.core.allocation.placement": (
         "best_fit",
-        "first_fit",
         "plan_placements",
-        "worst_fit",
     ),
     "repro.core.allocation.autoscaler": ("Autoscaler", "ScalingDecision"),
 })
@@ -60,9 +58,7 @@ __all__ = [
     "DeflateAction",
     "InflateAction",
     "CreateAction",
-    "worst_fit",
     "best_fit",
-    "first_fit",
     "plan_placements",
     "Autoscaler",
     "ScalingDecision",

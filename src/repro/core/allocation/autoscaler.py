@@ -23,7 +23,6 @@ import math
 from itertools import repeat
 from typing import List, NamedTuple, Optional, Sequence
 
-from repro.core.queueing.sizing import wait_budget_from_slo
 from repro.core.queueing.solver import HeterogeneousQuery, SizingQuery, SizingSolver
 
 
@@ -49,8 +48,6 @@ class ScalingQuery(NamedTuple):
     existing_service_rates:
         Per-container service rates when the fleet is heterogeneous
         (some containers deflated); ``None`` for the homogeneous model.
-    service_time_percentile:
-        High-percentile service time used to tighten the wait budget.
     min_containers:
         A floor on the answer (e.g. keep-warm minimum).
     """
@@ -61,7 +58,6 @@ class ScalingQuery(NamedTuple):
     slo_deadline: float
     current_containers: int = 0
     existing_service_rates: Optional[Sequence[float]] = None
-    service_time_percentile: Optional[float] = None
     min_containers: int = 0
 
 
@@ -81,7 +77,8 @@ class ScalingDecision(NamedTuple):
     service_rate:
         The standard-container service rate that was fed to the model.
     wait_budget:
-        The waiting-time budget ``t`` used for the percentile bound.
+        The waiting-time budget ``t`` used for the percentile bound: the
+        whole SLO deadline, since the SLO is defined on waiting time.
     achieved_probability:
         The model's ``P(wait <= t)`` at the desired allocation.
     used_heterogeneous_model:
@@ -102,16 +99,6 @@ class ScalingDecision(NamedTuple):
         """Positive when the function needs more containers, negative when fewer."""
         return self.desired_containers - self.current_containers
 
-    @property
-    def scale_up(self) -> bool:
-        """Whether the function is under-provisioned."""
-        return self.delta > 0
-
-    @property
-    def scale_down(self) -> bool:
-        """Whether the function is over-provisioned."""
-        return self.delta < 0
-
 
 class Autoscaler:
     """Computes desired container counts from workload and SLO parameters.
@@ -120,12 +107,9 @@ class Autoscaler:
     ----------
     percentile:
         The SLO percentile (paper default: 95 %; model validation also
-        uses 99 %).
-    subtract_service_percentile:
-        If true, the waiting-time budget is ``d − s_p`` (the paper's
-        conservative rule).  If false the full deadline is used as the
-        waiting budget, matching experiments whose SLO is defined on
-        waiting time only.
+        uses 99 %).  The waiting-time budget is the full deadline: the
+        experiments define their SLO on waiting time ("95 % of requests
+        should start being processed within 100 ms").
     solver:
         The :class:`SizingSolver` (or interface-compatible object) used
         for model evaluations; defaults to a new one.
@@ -134,15 +118,13 @@ class Autoscaler:
     def __init__(
         self,
         percentile: float = 0.95,
-        subtract_service_percentile: bool = False,
         max_containers: int = 100_000,
         solver: Optional[SizingSolver] = None,
     ) -> None:
-        """Configure the SLO percentile, the wait-budget rule and the solver."""
+        """Configure the SLO percentile and the solver."""
         if not 0 < percentile < 1:
             raise ValueError("percentile must be in (0, 1)")
         self.percentile = float(percentile)
-        self.subtract_service_percentile = bool(subtract_service_percentile)
         self.max_containers = int(max_containers)
         self.solver = solver if solver is not None else SizingSolver()
 
@@ -157,7 +139,6 @@ class Autoscaler:
         slo_deadline: float,
         current_containers: int = 0,
         existing_service_rates: Optional[Sequence[float]] = None,
-        service_time_percentile: Optional[float] = None,
         min_containers: int = 0,
     ) -> ScalingDecision:
         """Compute ``c_new`` for one function (see :class:`ScalingQuery`)."""
@@ -168,7 +149,6 @@ class Autoscaler:
             slo_deadline=slo_deadline,
             current_containers=current_containers,
             existing_service_rates=existing_service_rates,
-            service_time_percentile=service_time_percentile,
             min_containers=min_containers,
         )
         return self.decide_batch((query,))[0]
@@ -189,17 +169,16 @@ class Autoscaler:
         fleet_queries: List[HeterogeneousQuery] = []
         fleet_slots: List[int] = []
         percentile, max_containers = self.percentile, self.max_containers
-        subtract = self.subtract_service_percentile
 
-        for i, (name, rate, mu, deadline, current, existing, service_percentile,
-                min_containers) in enumerate(queries):
+        for i, (name, rate, mu, deadline, current, existing, min_containers) in enumerate(queries):
             if rate < 0:
                 raise ValueError("arrival rate must be non-negative")
             if mu <= 0:
                 raise ValueError("service rate must be positive")
-            # the waiting-time budget t: d − s_p, or the whole deadline
-            budget = budgets[i] = wait_budget_from_slo(
-                deadline, mu, percentile, service_percentile if subtract else 0.0)
+            if deadline <= 0:
+                raise ValueError("SLO deadline must be positive")
+            # the waiting-time budget t is the whole deadline
+            budget = budgets[i] = float(deadline)
 
             # rows are built positionally, in field order: keywords cost more
             # than the row itself, once per function-epoch
@@ -226,7 +205,7 @@ class Autoscaler:
         if solver_queries:
             solved += zip(solver_slots, self.solver.solve_batch(solver_queries), repeat(False))
         for slot, result, heterogeneous in solved:
-            name, rate, mu, _, current, _, _, min_containers = queries[slot]
+            name, rate, mu, _, current, _, min_containers = queries[slot]
             decisions[slot] = ScalingDecision(
                 name, max(result.containers, min_containers), current, rate, mu,
                 budgets[slot], result.achieved_probability, heterogeneous)

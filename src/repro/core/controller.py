@@ -78,8 +78,6 @@ class ControllerConfig:
     deflation_threshold: float = 0.3
     deflation_increment: float = 0.05
     lazy_termination: bool = True
-    placement_strategy: str = "best_fit"
-    subtract_service_percentile: bool = False
     #: learn service times online from completed requests (otherwise only
     #: offline profiles / deployment defaults are used)
     online_learning: bool = True
@@ -109,7 +107,6 @@ class _FunctionState:
 
     deployment: FunctionDeployment
     ewma: EwmaEstimator
-    profile: Optional[ServiceTimeProfile] = None
     #: what ``_service_rate`` answers until enough completions are learned:
     #: the profile's standard-size rate (a frozen table, read once at
     #: registration) or, without a profile, the configured default
@@ -169,11 +166,7 @@ class LassController(SharedQueuePolicy):
         super().__init__(engine, cluster, metrics)
         self.balancer = self.dispatcher.balancer
         self.solver = SizingSolver()
-        self.autoscaler = Autoscaler(
-            percentile=self.config.percentile,
-            subtract_service_percentile=self.config.subtract_service_percentile,
-            solver=self.solver,
-        )
+        self.autoscaler = Autoscaler(percentile=self.config.percentile, solver=self.solver)
         self._tree = scheduling_tree
         self._functions: Dict[str, _FunctionState] = {}
         self._started = False
@@ -205,17 +198,13 @@ class LassController(SharedQueuePolicy):
         self._functions[deployment.name] = _FunctionState(
             deployment=deployment,
             ewma=EwmaEstimator(self.config.ewma_alpha),
-            profile=profile,
             offline_service_rate=default_service_rate if profile is None else profile.service_rate(1.0),
         )
         self.arrival_folds[deployment.name] = DualWindowRateEstimator(
             self.config.long_window, self.config.short_window, self.config.burst_factor
         )
         if self.completion_folds is not None:
-            # a reservoir only where _service_time_percentile can read it
-            self.completion_folds[deployment.name] = OnlineServiceTimeEstimator(
-                max_samples_per_bucket=1024
-                if self.config.subtract_service_percentile and profile is None else 0)
+            self.completion_folds[deployment.name] = OnlineServiceTimeEstimator()
 
     def start(self) -> None:
         """Begin the periodic epoch loop and the faster rate-sampling loop."""
@@ -370,15 +359,10 @@ class LassController(SharedQueuePolicy):
                 existing_rates = [service_rate * c.speed for c in current]
                 break
 
-        service_percentile = None
-        if self.config.subtract_service_percentile:
-            service_percentile = self._service_time_percentile(state)
-
         # positional, in field order: keywords cost more than the row itself
         deployment = state.deployment
         return ScalingQuery(name, smoothed, service_rate, deployment.slo_deadline or 1.0,
-                            len(current), existing_rates, service_percentile,
-                            deployment.min_containers)
+                            len(current), existing_rates, deployment.min_containers)
 
     def _service_rate(self, state: _FunctionState) -> float:
         """Best current estimate of a standard-size container's service rate."""
@@ -388,14 +372,6 @@ class LassController(SharedQueuePolicy):
             if count >= 20 and (mean := total / count) > 0:
                 return 1.0 / mean
         return state.offline_service_rate
-
-    def _service_time_percentile(self, state: _FunctionState) -> Optional[float]:
-        """Service-time percentile used to tighten the wait budget, if known."""
-        if state.profile is not None:
-            return state.profile.percentile(self.config.percentile)
-        if self.config.online_learning:
-            return self.completion_folds[state.deployment.name].percentile(self.config.percentile)
-        return None
 
     # -- no-pressure path (§3.3) ----------------------------------------
     def _apply_normal_scaling(self, decisions: Dict[str, ScalingDecision],
@@ -410,7 +386,7 @@ class LassController(SharedQueuePolicy):
         still inflates and scales up.
         """
         for name, decision in decisions.items():
-            if decision.desired_containers < decision.current_containers:  # decision.scale_down
+            if decision.desired_containers < decision.current_containers:
                 if not allow_scale_down:
                     self.metrics.increment("reclamations_suppressed")
                     continue
@@ -471,9 +447,9 @@ class LassController(SharedQueuePolicy):
         dep = state.deployment
         requests = [PlacementRequest(name, dep.cpu, dep.memory_mb) for _ in range(count)]
         cluster = self.cluster
-        plan = plan_placements(cluster.nodes, requests, self.config.placement_strategy)
-        for _, node_name in plan.placements:
-            cluster.create_container(name, node=cluster.node(node_name))
+        plan = plan_placements(cluster.nodes, requests)
+        for _, node in plan.placements:
+            cluster.create_container(name, node=node)
             self.metrics.increment("creations")
         return len(plan.placements)
 
@@ -527,7 +503,7 @@ class LassController(SharedQueuePolicy):
             container = cluster.get_container(action.container_id)
             if container is None:
                 continue
-            node = cluster.node(container.node_name)
+            node = container.host
             if node is None:
                 continue
             target = min(action.cpu, container.current_cpu + node.cpu_free)
@@ -537,10 +513,9 @@ class LassController(SharedQueuePolicy):
         for action in plan.creations:
             dep = self._state(action.function_name).deployment
             requests = [PlacementRequest(action.function_name, action.cpu, dep.memory_mb)]
-            placed = plan_placements(cluster.nodes, requests, self.config.placement_strategy)
-            for _, node_name in placed.placements:
-                cluster.create_container(action.function_name, node=cluster.node(node_name),
-                                         cpu=action.cpu)
+            placed = plan_placements(cluster.nodes, requests)
+            for _, node in placed.placements:
+                cluster.create_container(action.function_name, node=node, cpu=action.cpu)
                 self.metrics.increment("creations")
 
     # -- fault path (driven by repro.faults.injector) --------------------
@@ -620,10 +595,6 @@ class LassController(SharedQueuePolicy):
             return self._functions[name]
         except KeyError:
             raise self._unregistered(name) from None
-
-    def last_decision(self, name: str) -> Optional[ScalingDecision]:
-        """The most recent scaling decision for a function."""
-        return self._state(name).last_decision
 
     def guaranteed_cpu_shares(self) -> Dict[str, float]:
         """Per-function guaranteed CPU shares implied by the scheduling tree."""

@@ -9,8 +9,8 @@
   used whenever it detects a burst (short-window rate at least twice the
   long-window rate).
 * :mod:`repro.core.estimation.service_time` — per-function service-time
-  knowledge: offline profiles (mean + percentiles per container size)
-  and an online streaming estimator that learns them from completed
+  knowledge: offline profiles (mean service time per container size)
+  and an online estimator that learns the means from completed
   requests.
 """
 
@@ -25,7 +25,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.core.estimation.service_time": (
         "OnlineServiceTimeEstimator",
         "ServiceTimeProfile",
-        "StreamingQuantile",
     ),
 })
 
@@ -35,5 +34,4 @@ __all__ = [
     "SlidingWindowCounter",
     "ServiceTimeProfile",
     "OnlineServiceTimeEstimator",
-    "StreamingQuantile",
 ]

@@ -13,21 +13,18 @@ distribution(s) over time."
 times (and a distributional shape) per container size, interpolated for
 intermediate deflation levels.  :class:`OnlineServiceTimeEstimator` is
 the online path: it ingests ``(cpu_fraction, service_time)`` samples
-from completed requests and keeps a running mean per CPU bucket, plus
-a streaming-quantile reservoir where a learned percentile is read —
+from completed requests and keeps a running mean per CPU bucket —
 noted at the completion, folded at the next read (see its pending-block
 contract).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
-import random
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,109 +106,6 @@ class ServiceTimeProfile:
         """Service rate μ at a CPU fraction."""
         return 1.0 / self.mean_service_time(cpu_fraction)
 
-    def percentile(self, p: float, cpu_fraction: float = 1.0) -> float:
-        """The ``p``-th percentile of the service time at a CPU fraction."""
-        scale = self.mean_service_time(cpu_fraction) / self.distribution.mean
-        return self.distribution.scaled(scale).percentile(p)
-
-    def distribution_at(self, cpu_fraction: float = 1.0) -> ServiceTimeDistribution:
-        """The service-time distribution at a CPU fraction."""
-        scale = self.mean_service_time(cpu_fraction) / self.distribution.mean
-        return self.distribution.scaled(scale)
-
-
-class StreamingQuantile:
-    """A bounded, deterministic reservoir of observations with quantile queries.
-
-    Vitter's algorithm R with a seeded stdlib RNG: every observation is
-    kept while the reservoir fills; afterwards observation ``n`` replaces
-    a random resident with probability ``k/n``.  The sample stays sorted,
-    so a quantile is one interpolation, and an atom (the exact zeros of
-    idle-container hits) keeps its true mass, which marker-based
-    estimators such as P² cannot cross.  For the request volumes in these
-    experiments (thousands to hundreds of thousands) the reservoir is
-    effectively exact; the bound keeps memory constant in very long runs.
-
-    Every observation must be a non-negative number; a rejected call
-    leaves the state as it found it.  :meth:`add_many` is :meth:`add`'s
-    bulk form, not a second algorithm: no RNG draw while the reservoir
-    fills, then one ``random()`` per observation for the accept test and
-    a second, for the evicted slot, only when it is accepted.  Samples,
-    count and RNG state end as ``add`` once per element leaves them,
-    however the stream is cut into batches (a hypothesis property in
-    ``tests/test_metrics.py``), so the two may be mixed on one reservoir.
-    """
-
-    __slots__ = ("max_samples", "_sorted", "_count", "_rng")
-
-    def __init__(self, max_samples: int = 4096, seed: int = 17) -> None:
-        """Configure the reservoir size and its deterministic RNG seed."""
-        if max_samples < 10:
-            raise ValueError("max_samples must be at least 10")
-        self.max_samples = int(max_samples)
-        self._sorted: List[float] = []
-        self._count = 0
-        self._rng = random.Random(seed)
-
-    @property
-    def count(self) -> int:
-        """Total observations seen (not the reservoir size)."""
-        return self._count
-
-    def add(self, value: float) -> None:
-        """Add one observation."""
-        value = float(value)
-        if math.isnan(value) or value < 0:
-            raise ValueError("observations must be non-negative numbers")
-        self._count += 1
-        if len(self._sorted) < self.max_samples:
-            bisect.insort(self._sorted, value)
-        elif self._rng.random() * self._count < self.max_samples:
-            self._sorted.pop(int(self._rng.random() * len(self._sorted)))
-            bisect.insort(self._sorted, value)
-
-    def add_many(self, values: Iterable[float]) -> None:
-        """Add a batch of observations, state for state what :meth:`add` on each leaves.
-
-        The whole batch is validated before any of it is folded.  While
-        the reservoir fills, the batch is appended and sorted once.
-        """
-        values = [float(value) for value in values]
-        # a NaN can hide a negative from min() but never itself from sum()
-        if values and (min(values) < 0 or math.isnan(sum(values))):
-            raise ValueError("observations must be non-negative numbers")
-        samples = self._sorted
-        size = self.max_samples
-        room = size - len(samples)
-        if room > 0:
-            samples.extend(values[:room])
-            samples.sort()
-            self._count += min(room, len(values))
-            values = values[room:]
-        count = self._count
-        draw = self._rng.random
-        for value in values:
-            count += 1
-            if draw() * count < size:
-                samples.pop(int(draw() * size))
-                bisect.insort(samples, value)
-        self._count = count
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-th quantile of the observations seen so far."""
-        if not 0 < q < 1:
-            raise ValueError("q must be in (0, 1)")
-        if not self._sorted:
-            raise ValueError("no observations yet")
-        return float(np.quantile(self._sorted, q))
-
-    @property
-    def mean(self) -> float:
-        """Mean of the reservoir sample."""
-        if not self._sorted:
-            raise ValueError("no observations yet")
-        return float(np.mean(self._sorted))
-
 
 class OnlineServiceTimeEstimator:
     """Learns per-CPU-fraction service-time statistics from completed requests.
@@ -221,43 +115,27 @@ class OnlineServiceTimeEstimator:
     contribute to separate estimates, which is what the deflation policy
     needs (§5).
 
-    Each bucket keeps a running ``[count, total]`` for the mean (so μ)
-    and, unless ``max_samples_per_bucket`` is ``0``, a reservoir of that
-    many samples for :meth:`percentile` (1–9 and negatives are refused).  The
-    controller asks for 1024 only where it reads a learned percentile —
-    the ``d − s_p`` wait budget of a function with no offline profile;
-    without a reservoir :meth:`percentile` answers the exponential prior.
+    Each bucket keeps a running ``[count, total]`` for the mean (so μ).
 
     Pending-block contract: :meth:`observe` validates its arguments at the
     call and notes them; the block goes through :meth:`observe_many` —
-    state for state what per-observation folding leaves, reservoir RNG
-    included — when anything next reads ``_buckets`` or ``_totals`` (every
-    read method, and :meth:`observe_many` itself, so the two entry points
-    interleave), or by itself at ``_PENDING_BLOCK`` entries.  A rejected
-    call, on either entry point, leaves the estimator as it found it.
+    state for state what per-observation folding leaves — when anything
+    next reads ``_totals`` (every read method, and :meth:`observe_many`
+    itself, so the two entry points interleave), or by itself at
+    ``_PENDING_BLOCK`` entries.  A rejected call, on either entry point,
+    leaves the estimator as it found it.
     """
 
-    def __init__(self, bucket_width: float = 0.1, max_samples_per_bucket: int = 1024) -> None:
-        """Configure the CPU-fraction bucketing and per-bucket reservoirs."""
+    def __init__(self, bucket_width: float = 0.1) -> None:
+        """Configure the CPU-fraction bucketing."""
         if not 0 < bucket_width <= 1:
             raise ValueError("bucket_width must be in (0, 1]")
-        if max_samples_per_bucket != 0 and not max_samples_per_bucket >= 10:
-            raise ValueError("max_samples_per_bucket must be 0 (no reservoir) or at least 10")
         self.bucket_width = float(bucket_width)
-        self.max_samples_per_bucket = int(max_samples_per_bucket)
-        self._folded_buckets: Dict[int, StreamingQuantile] = {}
         # [count, total] mutated in place (a fresh tuple per observation
         # showed up in hot-path profiles)
         self._folded_totals: Dict[int, List[float]] = {}
         self._pending_fractions: List[float] = []
         self._pending_times: List[float] = []
-
-    @property
-    def _buckets(self) -> Dict[int, StreamingQuantile]:
-        """Per-bucket reservoirs, with every noted observation folded in."""
-        if self._pending_times:
-            self._fold()
-        return self._folded_buckets
 
     @property
     def _totals(self) -> Dict[int, List[float]]:
@@ -295,8 +173,8 @@ class OnlineServiceTimeEstimator:
         """Record a batch of completions, state-for-state identical to ``observe``.
 
         Observations are grouped by CPU-fraction bucket (preserving
-        per-bucket order, which is all the reservoirs and running totals
-        can see) so each bucket is touched once per batch.  Running
+        per-bucket order, which is all the running totals can see) so
+        each bucket is touched once per batch.  Running
         totals still accumulate element by element in order — float
         addition is not associative, and the totals must stay bit-equal
         to the per-observation path.  The whole batch is validated before
@@ -326,17 +204,11 @@ class OnlineServiceTimeEstimator:
                 if group is None:
                     group = groups[key] = []
                 group.append(service_time)
-        buckets, totals_of = self._buckets, self._totals  # older pending observations go first
-        size = self.max_samples_per_bucket
+        totals_of = self._totals  # older pending observations go first
         for key, values in groups.items():
             totals = totals_of.get(key)
             if totals is None:
                 totals = totals_of[key] = [0, 0.0]
-            if size:
-                bucket = buckets.get(key)
-                if bucket is None:
-                    bucket = buckets[key] = StreamingQuantile(size)
-                bucket.add_many(values)
             totals[0] += len(values)
             # the loop's left-to-right additions, made in C
             totals[1] = reduce(operator.add, values, totals[1])
@@ -382,17 +254,5 @@ class OnlineServiceTimeEstimator:
         mean = self.mean_service_time(cpu_fraction)
         return None if mean is None or mean <= 0 else 1.0 / mean
 
-    def percentile(self, p: float, cpu_fraction: float = 1.0) -> Optional[float]:
-        """Learned percentile of the service time, or ``None`` if unseen."""
-        key = self._bucket(cpu_fraction)
-        bucket = self._buckets.get(key)
-        if bucket is None or bucket.count == 0:
-            mean = self.mean_service_time(cpu_fraction)
-            if mean is None:
-                return None
-            # exponential assumption as a prior when only the mean is known
-            return -mean * math.log(1.0 - p)
-        return bucket.quantile(p)
 
-
-__all__ = ["ServiceTimeProfile", "OnlineServiceTimeEstimator", "StreamingQuantile"]
+__all__ = ["ServiceTimeProfile", "OnlineServiceTimeEstimator"]

@@ -38,7 +38,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "Exponential",
         "LogNormal",
         "ServiceTimeDistribution",
-        "ShiftedExponential",
     ),
 })
 
@@ -58,5 +57,4 @@ __all__ = [
     "Exponential",
     "Deterministic",
     "LogNormal",
-    "ShiftedExponential",
 ]

@@ -37,10 +37,6 @@ class ServiceTimeDistribution(abc.ABC):
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         """Draw one sample (or ``size`` samples) of the service time."""
 
-    @abc.abstractmethod
-    def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (``p`` in (0, 1)) of the distribution."""
-
     def scaled(self, factor: float) -> "ServiceTimeDistribution":
         """Return a copy whose mean is multiplied by ``factor``.
 
@@ -49,10 +45,6 @@ class ServiceTimeDistribution(abc.ABC):
         ``s`` has service times ``factor = 1/s`` times longer.
         """
         raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        """Debugging summary with the distribution's mean."""
-        return f"{type(self).__name__}(mean={self.mean:.4f})"
 
 
 class Exponential(ServiceTimeDistribution):
@@ -72,11 +64,6 @@ class Exponential(ServiceTimeDistribution):
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         """Draw one value (or ``size`` values) from the distribution."""
         return rng.exponential(self._mean, size=size)
-
-    def percentile(self, p: float) -> float:
-        """The ``p``-th quantile."""
-        _check_percentile(p)
-        return -self._mean * math.log(1.0 - p)
 
     def scaled(self, factor: float) -> "Exponential":
         """A copy with the mean scaled by ``factor``."""
@@ -102,11 +89,6 @@ class Deterministic(ServiceTimeDistribution):
         if size is None:
             return self._mean
         return np.full(size, self._mean)
-
-    def percentile(self, p: float) -> float:
-        """The ``p``-th quantile (the constant itself)."""
-        _check_percentile(p)
-        return self._mean
 
     def scaled(self, factor: float) -> "Deterministic":
         """A copy with the mean scaled by ``factor``."""
@@ -144,69 +126,9 @@ class LogNormal(ServiceTimeDistribution):
         """Draw one value (or ``size`` values) from the distribution."""
         return rng.lognormal(self._mu, math.sqrt(self._sigma2), size=size)
 
-    def percentile(self, p: float) -> float:
-        """The ``p``-th quantile, ``exp(μ + σ Φ⁻¹(p))``.
-
-        ``Φ⁻¹`` is the standard library's ``NormalDist().inv_cdf`` (imported
-        here: only ``ControllerConfig.subtract_service_percentile`` on a
-        log-normal profile reaches it, and ``statistics`` is not otherwise
-        loaded); it is within a few ulp of other normal quantile routines,
-        not bit-equal to them.
-        """
-        _check_percentile(p)
-        from statistics import NormalDist
-
-        return math.exp(self._mu + math.sqrt(self._sigma2) * NormalDist().inv_cdf(p))
-
     def scaled(self, factor: float) -> "LogNormal":
         """A copy with the mean scaled by ``factor`` (same CV)."""
         return LogNormal(self._mean * factor, self._cv)
-
-
-class ShiftedExponential(ServiceTimeDistribution):
-    """A constant base cost plus an exponential tail.
-
-    Models functions with a fixed setup component (model loading, image
-    decode) followed by variable compute.  ``mean = shift + tail_mean``.
-    """
-
-    def __init__(self, shift: float, tail_mean: float) -> None:
-        """Constant ``shift`` plus an exponential tail with mean ``tail_mean``."""
-        if shift < 0:
-            raise ValueError("shift must be non-negative")
-        if tail_mean <= 0:
-            raise ValueError("tail_mean must be positive")
-        self._shift = float(shift)
-        self._tail_mean = float(tail_mean)
-
-    @property
-    def mean(self) -> float:
-        """Mean service time (shift plus tail mean)."""
-        return self._shift + self._tail_mean
-
-    @property
-    def shift(self) -> float:
-        """The deterministic component of the service time."""
-        return self._shift
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        """Draw one value (or ``size`` values) from the distribution."""
-        return self._shift + rng.exponential(self._tail_mean, size=size)
-
-    def percentile(self, p: float) -> float:
-        """The ``p``-th quantile."""
-        _check_percentile(p)
-        return self._shift - self._tail_mean * math.log(1.0 - p)
-
-    def scaled(self, factor: float) -> "ShiftedExponential":
-        """A copy with both shift and tail mean scaled by ``factor``."""
-        return ShiftedExponential(self._shift * factor, self._tail_mean * factor)
-
-
-def _check_percentile(p: float) -> None:
-    """Validate that ``p`` lies strictly inside (0, 1)."""
-    if not 0 < p < 1:
-        raise ValueError("percentile must be in (0, 1)")
 
 
 __all__ = [
@@ -214,5 +136,4 @@ __all__ = [
     "Exponential",
     "Deterministic",
     "LogNormal",
-    "ShiftedExponential",
 ]

@@ -135,11 +135,6 @@ class MMcQueue:
     # Basic quantities
     # ------------------------------------------------------------------
     @property
-    def offered_load(self) -> float:
-        """``r = λ/μ``, the offered load in Erlangs."""
-        return self.lam / self.mu
-
-    @property
     def utilization(self) -> float:
         """``ρ = λ/(cμ)``."""
         return self.lam / (self.c * self.mu)
@@ -168,39 +163,6 @@ class MMcQueue:
             return math.inf
         return self.probability_of_waiting / (self.c * self.mu - self.lam)
 
-    @property
-    def mean_queue_length(self) -> float:
-        """Expected number waiting in queue (Little's law: ``L_q = λ W_q``)."""
-        return self.lam * self.mean_wait
-
-    @property
-    def mean_response_time(self) -> float:
-        """Expected sojourn time ``W = W_q + 1/μ``."""
-        return self.mean_wait + 1.0 / self.mu
-
-    def wait_cdf_exact(self, t: float) -> float:
-        """Exact FCFS waiting-time CDF: ``P(W_q <= t) = 1 − C(c,r) e^{−(cμ−λ)t}``."""
-        if t < 0:
-            return 0.0
-        if not self.is_stable:
-            return 0.0
-        return 1.0 - self.probability_of_waiting * math.exp(-(self.c * self.mu - self.lam) * t)
-
-    def wait_percentile_exact(self, percentile: float) -> float:
-        """Exact percentile of the FCFS waiting-time distribution.
-
-        Returns 0 when the percentile is already met by requests that do
-        not wait at all.
-        """
-        if not 0 < percentile < 1:
-            raise ValueError("percentile must be in (0, 1)")
-        if not self.is_stable:
-            return math.inf
-        pw = self.probability_of_waiting
-        if 1.0 - pw >= percentile:
-            return 0.0
-        return -math.log((1.0 - percentile) / pw) / (self.c * self.mu - self.lam)
-
     def wait_bound_probability(self, t: float) -> float:
         """The paper's bound (Eq. 3–4): ``P(Q <= t) ≈ Σ_{n=0}^{L} P_n``.
 
@@ -216,37 +178,6 @@ class MMcQueue:
             return 0.0
         probs = self.state_probabilities(L)
         return float(min(1.0, probs.sum()))
-
-    def wait_bound_percentile(self, percentile: float, resolution: float = 1e-4) -> float:
-        """Smallest ``t`` such that the paper's bound reaches ``percentile``.
-
-        Found by bisection on :meth:`wait_bound_probability` (which is a
-        non-decreasing step function of ``t``).
-        """
-        if not 0 < percentile < 1:
-            raise ValueError("percentile must be in (0, 1)")
-        if not self.is_stable:
-            return math.inf
-        if self.wait_bound_probability(0.0) >= percentile:
-            return 0.0
-        lo, hi = 0.0, 1.0 / self.mu
-        while self.wait_bound_probability(hi) < percentile:
-            hi *= 2.0
-            if hi > 1e7:  # pragma: no cover - pathological
-                return math.inf
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            if self.wait_bound_probability(mid) >= percentile:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    def expected_busy_containers(self) -> float:
-        """Mean number of busy containers, ``λ/μ`` for a stable system."""
-        if not self.is_stable:
-            return float(self.c)
-        return self.offered_load
 
 
 __all__ = [

@@ -25,7 +25,7 @@ This module is a thin renderer over the registry scenario ``"fig7"``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.scenarios import build, run_scenario
 from repro.scenarios.registry import FIG7_FUNCTIONS
@@ -98,27 +98,10 @@ def slowdown_at(points: Sequence[Fig7Point], function_name: str, ratio: float) -
     raise KeyError(f"no point for {function_name!r} at ratio {ratio}")
 
 
-def small_penalty_at_threshold(points: Sequence[Fig7Point], threshold: float = 0.3,
-                               max_penalty: float = 0.2) -> Dict[str, bool]:
-    """Whether each non-MobileNet function's slowdown at ``threshold`` deflation is small.
-
-    The paper's claim: "for 5 of the functions tested, deflating the CPU by
-    30 % only yields a small penalty on service time."
-    """
-    verdicts: Dict[str, bool] = {}
-    for name in {p.function_name for p in points}:
-        if name == "mobilenet":
-            continue
-        slowdown = slowdown_at(points, name, threshold)
-        verdicts[name] = slowdown <= 1.0 + max_penalty
-    return verdicts
-
-
 __all__ = [
     "Fig7Point",
     "FIG7_FUNCTIONS",
     "run_fig7",
     "format_fig7",
     "slowdown_at",
-    "small_penalty_at_threshold",
 ]

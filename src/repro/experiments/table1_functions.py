@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.scenarios import build, run_scenario
-from repro.workloads.functions import FUNCTION_CATALOG
 
 
 def run_table1() -> Tuple[Tuple[str, str, str], ...]:
@@ -34,28 +33,4 @@ def format_table1() -> str:
     return "\n".join(lines)
 
 
-def catalogue_consistency_checks() -> List[str]:
-    """Sanity checks the table must satisfy; returns a list of violations (empty = OK)."""
-    problems: List[str] = []
-    expected_sizes = {
-        "microbenchmark": (0.4, 256),
-        "mobilenet": (2.0, 1024),
-        "shufflenet": (1.0, 512),
-        "squeezenet": (1.0, 512),
-        "binaryalert": (0.5, 256),
-        "geofence": (0.3, 128),
-        "image-resizer": (0.8, 256),
-    }
-    for name, (cpu, memory) in expected_sizes.items():
-        profile = FUNCTION_CATALOG.get(name)
-        if profile is None:
-            problems.append(f"missing function {name!r}")
-            continue
-        if abs(profile.cpu - cpu) > 1e-9:
-            problems.append(f"{name}: cpu {profile.cpu} != Table 1 value {cpu}")
-        if abs(profile.memory_mb - memory) > 1e-9:
-            problems.append(f"{name}: memory {profile.memory_mb} != Table 1 value {memory}")
-    return problems
-
-
-__all__ = ["run_table1", "format_table1", "catalogue_consistency_checks"]
+__all__ = ["run_table1", "format_table1"]

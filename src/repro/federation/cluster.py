@@ -141,10 +141,5 @@ class FederatedCluster:
         """Total CPU on non-failed nodes across all sites."""
         return sum(site.cluster.total_cpu for site in self.sites)
 
-    def __repr__(self) -> str:
-        """Debugging summary of the federation topology."""
-        return (f"FederatedCluster(sites={self.site_names()}, "
-                f"router={self.spec.router!r})")
-
 
 __all__ = ["FederatedCluster", "FederatedSite"]

@@ -53,14 +53,6 @@ class AllocationTimeline:
             if stats is not None:
                 yield epoch.time, stats
 
-    def _names(self) -> List[str]:
-        """Functions that have at least one point, in first-recorded order."""
-        return list(dict.fromkeys(name for epoch in self._epochs for name in epoch.functions))
-
-    def functions(self) -> List[str]:
-        """Functions that have at least one point."""
-        return sorted(self._names())
-
     def series(self, function_name: str) -> List[TimelinePoint]:
         """All points of a function."""
         return [
@@ -75,32 +67,10 @@ class AllocationTimeline:
             for time, stats in self._samples(function_name)
         ]
 
-    def cpu_series(self, function_name: str) -> Tuple[List[float], List[float]]:
-        """``(times, cpu)`` arrays for plotting a function's CPU allocation."""
-        samples = list(self._samples(function_name))
-        return [time for time, _ in samples], [stats.cpu for _, stats in samples]
-
     def container_series(self, function_name: str) -> Tuple[List[float], List[int]]:
         """``(times, container counts)`` arrays for plotting."""
         samples = list(self._samples(function_name))
         return [time for time, _ in samples], [stats.containers for _, stats in samples]
-
-    def cpu_at(self, function_name: str, time: float) -> float:
-        """The function's CPU allocation at (the last point not after) ``time``."""
-        best = 0.0
-        for sampled, stats in self._samples(function_name):
-            if sampled <= time + 1e-9:
-                best = stats.cpu
-            else:
-                break
-        return best
-
-    def total_cpu_series(self) -> Tuple[List[float], List[float]]:
-        """Cluster-wide allocated CPU over the union of all sample times."""
-        times = sorted({epoch.time for epoch in self._epochs if epoch.functions})
-        names = self._names()  # a fixed order: the float sums must repeat
-        totals = [sum(self.cpu_at(fn, t) for fn in names) for t in times]
-        return times, totals
 
     def _window(self, function_name: str, start: float, end: Optional[float]) -> List[float]:
         """The function's CPU samples with ``start <= time <= end``."""
@@ -108,20 +78,6 @@ class AllocationTimeline:
             stats.cpu for time, stats in self._samples(function_name)
             if time >= start and (end is None or time <= end)
         ]
-
-    def fraction_below(
-        self, function_name: str, threshold_cpu: float, start: float = 0.0, end: Optional[float] = None
-    ) -> float:
-        """Fraction of sampled epochs in which the function held less CPU than ``threshold_cpu``.
-
-        Used to verify the fair-share guarantee: under overload this should
-        be (close to) zero when ``threshold_cpu`` is the guaranteed share.
-        """
-        cpus = self._window(function_name, start, end)
-        if not cpus:
-            return 0.0
-        below = sum(1 for cpu in cpus if cpu < threshold_cpu - 1e-9)
-        return below / len(cpus)
 
     def mean_cpu(self, function_name: str, start: float = 0.0, end: Optional[float] = None) -> float:
         """Unweighted mean CPU allocation of a function over the sampled epochs."""

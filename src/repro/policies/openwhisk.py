@@ -148,6 +148,11 @@ class VanillaOpenWhiskController(ControlPolicy):
         self.metrics.record_request(request)
         name = request.function_name
         self._check_node_health()
+        if self.all_invokers_failed:
+            # the §6.6 end state: no invoker is responsive and none recovers,
+            # so no idle container, creation or queue could take the request
+            self._strand(name, request)
+            return
 
         container = self._find_idle_container(name)
         if container is not None:
@@ -170,9 +175,13 @@ class VanillaOpenWhiskController(ControlPolicy):
             self._submit_to(target, request)
         else:
             # every invoker hosting this function has failed: the request is lost
-            self._pending.setdefault(name, []).append(request)
-            request.mark_queued()
-            self.metrics.increment("stranded_requests")
+            self._strand(name, request)
+
+    def _strand(self, name: str, request: Request) -> None:
+        """Park a request no responsive invoker can take; it is counted as stranded."""
+        self._pending.setdefault(name, []).append(request)
+        request.mark_queued()
+        self.metrics.increment("stranded_requests")
 
     def _find_idle_container(self, name: str) -> Optional[Container]:
         """First available warm container of the function with no in-flight work."""
@@ -264,7 +273,7 @@ class VanillaOpenWhiskController(ControlPolicy):
 
     def _node_of(self, container: Container) -> Optional[Node]:
         """The node hosting a container (``None`` if it is gone)."""
-        return self.cluster.node(container.node_name)
+        return container.host
 
     def _node_unresponsive(self, container: Container) -> bool:
         """Whether the container's hosting node is gone or unresponsive."""

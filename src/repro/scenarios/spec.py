@@ -66,7 +66,6 @@ from repro.spec_fields import (
     spec_field,
 )
 from repro.workloads.schedules import (
-    RampSchedule,
     RateSchedule,
     StaticRate,
     StepSchedule,
@@ -110,16 +109,12 @@ _SCHEDULE_KINDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "static": (("rate",), ("duration",)),
     "steps": (("steps",), ("duration",)),
     "staircase": (("rates", "step_duration"), ("start",)),
-    "ramp": (("points",), ("duration",)),
     "trace": (("counts",), ("interval", "start")),
     "azure": (("config", "duration_minutes", "seed", "index"), ()),
 }
 
 #: The values of :class:`~repro.core.allocation.reclamation.ReclamationPolicy`.
 _RECLAMATION_POLICIES = ("termination", "deflation")
-
-#: The names of :data:`repro.core.allocation.placement._STRATEGIES`.
-_PLACEMENT_STRATEGIES = ("worst_fit", "best_fit", "first_fit")
 
 #: The ``params`` of a ``deflation_curve`` scenario (each optional: the runner has defaults).
 _DEFLATION_CURVE_PARAMS = {"functions": Many(Text(nonempty=True)),
@@ -244,8 +239,6 @@ class ScheduleSpec(Spec):
         if self.kind == "staircase":
             return StepSchedule.staircase(list(p["rates"]), float(p["step_duration"]),
                                           start=float(p.get("start", 0.0)))
-        if self.kind == "ramp":
-            return RampSchedule([tuple(pt) for pt in p["points"]], duration=p.get("duration"))
         if self.kind == "trace":
             return TraceSchedule(list(p["counts"]), interval=float(p.get("interval", 60.0)),
                                  start=float(p.get("start", 0.0)))
@@ -342,8 +335,10 @@ class ControllerSpec(Spec):
     """
 
     PREFIX = "controller."
-    #: the sizing switches every echo carried until they were deleted
-    RETIRED = ("use_fast_sizing", "sizing_cache", "sizing_warm_start")
+    #: what echoes carried until the field was deleted: the sizing switches
+    #: at any value, the two retired modes at their one value in use
+    RETIRED = {"use_fast_sizing": ANY, "sizing_cache": ANY, "sizing_warm_start": ANY,
+               "placement_strategy": "best_fit", "subtract_service_percentile": False}
 
     policy: str = spec_field(Text(), "lass", omit_default=True)
     policy_params: Mapping[str, Any] = spec_field(Table(ANY), {}, omit_default=True)
@@ -358,8 +353,6 @@ class ControllerSpec(Spec):
     deflation_threshold: float = spec_field(Number("in (0, 1)"), 0.3)
     deflation_increment: float = spec_field(Number("positive"), 0.05)
     lazy_termination: bool = spec_field(Flag(), True)
-    placement_strategy: str = spec_field(Text(choices=_PLACEMENT_STRATEGIES), "best_fit")
-    subtract_service_percentile: bool = spec_field(Flag(), False)
     online_learning: bool = spec_field(Flag(), True)
 
     def __post_init__(self) -> None:

@@ -121,11 +121,6 @@ class Event:
         """Mark the event as cancelled; it will be skipped when popped."""
         self.cancelled = True
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        """Debugging summary of the event's time and target."""
-        flag = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time:.6f}, prio={self.priority}, seq={self.sequence}{flag})"
-
 
 class SimulationEngine:
     """A minimal but complete discrete-event simulation engine.
@@ -498,10 +493,3 @@ class SimulationEngine:
         self._stream_times: Sequence[float] = ()
         self._stream_targets: Sequence[Callable[[float], Any]] = ()
         self._stream_end = self._stream_pos = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        """Debugging summary of the clock and event counters."""
-        return (
-            f"SimulationEngine(now={self._now:.3f}, pending={len(self._queue)}, "
-            f"processed={self._events_processed})"
-        )

@@ -85,36 +85,6 @@ class Request:
             return None
         return self.completion_time - self.start_time
 
-    @property
-    def response_time(self) -> Optional[float]:
-        """End-to-end latency (waiting + service)."""
-        if self.completion_time is None:
-            return None
-        return self.completion_time - self.arrival_time
-
-    @property
-    def met_deadline(self) -> Optional[bool]:
-        """Whether the request finished by its SLO deadline.
-
-        Returns ``None`` when the request has no deadline or has not
-        completed.
-        """
-        if self.deadline is None or self.completion_time is None:
-            return None
-        return self.completion_time <= self.deadline
-
-    @property
-    def waiting_met_deadline(self) -> Optional[bool]:
-        """Whether the request *started* by its SLO deadline.
-
-        The paper's default SLO ("95% of requests should start being
-        processed within 100 ms") is about waiting time, not response
-        time; this property implements that interpretation.
-        """
-        if self.deadline is None or self.start_time is None:
-            return None
-        return self.start_time <= self.deadline
-
     # ------------------------------------------------------------------
     # Lifecycle transitions
     # ------------------------------------------------------------------
@@ -136,10 +106,3 @@ class Request:
         """Mark the request as having exceeded the hard execution limit."""
         self.status = RequestStatus.TIMED_OUT
         self.completion_time = time
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        """Debugging summary of id, function, status, and arrival time."""
-        return (
-            f"Request(id={self.request_id}, fn={self.function_name!r}, "
-            f"status={self.status.value}, t_arr={self.arrival_time:.3f})"
-        )

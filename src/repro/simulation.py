@@ -124,10 +124,6 @@ class SimulationResult:
         """``(times, container counts)`` series for a function."""
         return self.metrics.timeline.container_series(function_name)
 
-    def cpu_timeline(self, function_name: str):
-        """``(times, allocated CPU)`` series for a function."""
-        return self.metrics.timeline.cpu_series(function_name)
-
 
 class SimulationRunner:
     """Builds and runs one complete LaSS simulation.

@@ -288,8 +288,10 @@ class Spec:
     SCHEMA: ClassVar[Optional[str]] = None
     #: what an error message puts before a field's name
     PREFIX: ClassVar[str] = ""
-    #: keys of deleted fields that older echoes still carry: loaded and dropped
-    RETIRED: ClassVar[Tuple[str, ...]] = ()
+    #: deleted fields that older echoes still carry, each with the one value
+    #: that still loads (and is dropped); :data:`ANY` drops any value.  Any
+    #: other value is refused by the field's name, never silently dropped
+    RETIRED: ClassVar[Mapping[str, Any]] = {}
 
     def _label(self, name: str) -> str:
         """How a refusal names field ``name``."""
@@ -317,8 +319,11 @@ class Spec:
             if schema != cls.SCHEMA:
                 raise ValueError(f"unsupported {cls.__name__} schema {schema!r}; "
                                  f"expected {cls.SCHEMA!r}")
-        for key in cls.RETIRED:
-            data.pop(key, None)
+        for key, kept in cls.RETIRED.items():
+            value = data.pop(key, kept)
+            if kept is not ANY and not (type(value) is type(kept) and value == kept):
+                raise ValueError(f"{cls.PREFIX}{key} was removed; only its old value "
+                                 f"{kept!r} still loads, got {value!r}")
         rows = _table(cls)
         known = [row.name for row in rows]
         unknown = sorted((key for key in data if key not in known), key=str)

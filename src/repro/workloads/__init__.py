@@ -27,8 +27,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     "repro.workloads.generator": ("ArrivalGenerator", "WorkloadBinding"),
     "repro.workloads.schedules": (
-        "CompositeSchedule",
-        "RampSchedule",
         "RateSchedule",
         "StaticRate",
         "StepSchedule",
@@ -57,9 +55,7 @@ __all__ = [
     "RateSchedule",
     "StaticRate",
     "StepSchedule",
-    "RampSchedule",
     "TraceSchedule",
-    "CompositeSchedule",
     "AzureTraceConfig",
     "PopulationFunction",
     "azure_rate_series",

@@ -353,23 +353,4 @@ def stream_arrivals(engine: SimulationEngine, generators: Sequence[ArrivalGenera
     engine.merge_stream(merged, list(map(arrive.__getitem__, source.tolist())))
 
 
-def generate_arrival_times(
-    schedule: RateSchedule,
-    rng: np.random.Generator,
-    horizon: float,
-    thinning_window: float = 5.0,
-) -> List[float]:
-    """Stand-alone sampling of arrival times (no engine), used by tests.
-
-    Samples a non-homogeneous Poisson process over ``[0, horizon]`` by
-    thinning, identical in distribution to what :class:`ArrivalGenerator`
-    injects into the simulation (it runs the same sampler).
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    sampler = _ThinningSampler(schedule, rng, start=0.0, horizon=horizon, thinning_window=thinning_window)
-    return sampler.next_arrivals(math.inf)
-
-
-__all__ = ["ArrivalGenerator", "WorkloadBinding", "generate_arrival_times", "merge_arrivals",
-           "stream_arrivals"]
+__all__ = ["ArrivalGenerator", "WorkloadBinding", "merge_arrivals", "stream_arrivals"]

@@ -1,13 +1,15 @@
 """Arrival-rate schedules: how a function's request rate varies over time.
 
-The paper's IoT workload generator supports three modes (§6.1):
+The paper's IoT workload generator supports three modes (§6.1); two are
+reproduced:
 
 * **Static** — a constant arrival rate (:class:`StaticRate`).
 * **Discrete change** — the rate changes at discrete instants and is
   constant in between (:class:`StepSchedule`); this is also the mode
   used to replay the per-minute Azure traces (:class:`TraceSchedule`).
-* **Continuous change** — the rate is adjusted continuously
-  (:class:`RampSchedule` provides piecewise-linear ramps).
+
+The third mode, **continuous change** (the rate adjusted continuously),
+drives none of the reproduced figures and has no schedule here.
 
 A schedule is a deterministic function ``rate(t)`` plus enough
 structure (``max_rate``) for the thinning-based Poisson generator to
@@ -57,17 +59,6 @@ class RateSchedule(abc.ABC):
         (``tests/test_arrival_sampler.py`` holds every in-tree kind to it).
         """
         return np.array([self.rate(float(t)) for t in np.asarray(times).ravel()], dtype=float)
-
-    def mean_rate(self, start: float, end: float, samples: int = 1000) -> float:
-        """Numerical average of λ(t) over an interval (for tests and reports)."""
-        if end <= start:
-            raise ValueError("end must exceed start")
-        ts = np.linspace(start, end, samples, endpoint=False)
-        return float(np.mean([self.rate(float(t)) for t in ts]))
-
-    def expected_arrivals(self, start: float, end: float, samples: int = 1000) -> float:
-        """Approximate ∫λ(t)dt over an interval."""
-        return self.mean_rate(start, end, samples) * (end - start)
 
 
 @dataclass(frozen=True)
@@ -186,59 +177,6 @@ class StepSchedule(RateSchedule):
         return cls(steps, duration=start + len(rates) * step_duration)
 
 
-class RampSchedule(RateSchedule):
-    """Piecewise-linear rate: the paper's "continuous change" mode.
-
-    Parameters
-    ----------
-    points:
-        ``(time, rate)`` knots; the rate is linearly interpolated between
-        consecutive knots and constant outside the knot range (until
-        ``duration``).
-    """
-
-    def __init__(self, points: Sequence[Tuple[float, float]], duration: Optional[float] = None) -> None:
-        """Validate and sort the interpolation knots."""
-        if len(points) < 2:
-            raise ValueError("at least two points are required")
-        ordered = sorted((float(t), float(r)) for t, r in points)
-        if any(r < 0 for _, r in ordered):
-            raise ValueError("rates must be non-negative")
-        self._times = np.array([t for t, _ in ordered])
-        self._rates = np.array([r for _, r in ordered])
-        self._duration = duration
-
-    def rate(self, t: float) -> float:
-        """The instantaneous rate at time ``t``."""
-        if t < 0:
-            return 0.0
-        if self._duration is not None and t >= self._duration:
-            return 0.0
-        return float(np.interp(t, self._times, self._rates))
-
-    def rate_many(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized λ(t) evaluation."""
-        times = np.asarray(times, dtype=float)
-        rates = np.interp(times, self._times, self._rates)
-        dead = times < 0
-        if self._duration is not None:
-            dead |= times >= self._duration
-        return np.where(dead, 0.0, rates)
-
-    def max_rate(self, start: float, end: float) -> float:
-        """Upper bound on the rate over ``[start, end]``."""
-        candidates = [self.rate(start), self.rate(end)]
-        for t, r in zip(self._times, self._rates):
-            if start <= t <= end:
-                candidates.append(float(r))
-        return max(candidates)
-
-    @property
-    def end_time(self) -> Optional[float]:
-        """Time after which the rate is zero forever (``None`` = never)."""
-        return self._duration
-
-
 class TraceSchedule(RateSchedule):
     """Replay of per-interval invocation counts (e.g. Azure per-minute traces).
 
@@ -300,45 +238,9 @@ class TraceSchedule(RateSchedule):
         return float(self._counts.sum())
 
 
-class CompositeSchedule(RateSchedule):
-    """The sum of several schedules (e.g. a base load plus bursts)."""
-
-    def __init__(self, schedules: Sequence[RateSchedule]) -> None:
-        """Validate and store the child schedules."""
-        if not schedules:
-            raise ValueError("at least one schedule is required")
-        self._schedules = list(schedules)
-
-    def rate(self, t: float) -> float:
-        """The instantaneous rate at time ``t`` (sum of the children)."""
-        return sum(s.rate(t) for s in self._schedules)
-
-    def rate_many(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized λ(t) evaluation (sum of the children)."""
-        times = np.asarray(times, dtype=float)
-        total = np.zeros_like(times)
-        for schedule in self._schedules:
-            total += schedule.rate_many(times)
-        return total
-
-    def max_rate(self, start: float, end: float) -> float:
-        """Upper bound on the rate over ``[start, end]`` (sum of bounds)."""
-        return sum(s.max_rate(start, end) for s in self._schedules)
-
-    @property
-    def end_time(self) -> Optional[float]:
-        """Latest child end time (``None`` if any child never ends)."""
-        ends = [s.end_time for s in self._schedules]
-        if any(e is None for e in ends):
-            return None
-        return max(ends)  # type: ignore[arg-type]
-
-
 __all__ = [
     "RateSchedule",
     "StaticRate",
     "StepSchedule",
-    "RampSchedule",
     "TraceSchedule",
-    "CompositeSchedule",
 ]

@@ -4,8 +4,7 @@ The paper sizes a function by its waiting-time bound (Eq. 3–4,
 :meth:`MMcQueue.wait_bound_probability
 <repro.core.queueing.mmc.MMcQueue.wait_bound_probability>`).  The bound is
 not the FCFS tail ``P(W_q ≤ t) = 1 − C(c, r)·e^{−(cμ−λ)t}``
-(:meth:`MMcQueue.wait_cdf_exact
-<repro.core.queueing.mmc.MMcQueue.wait_cdf_exact>`), so on some inputs
+(``wait_cdf_exact`` in ``tests/oracles/mmc_closed_forms.py``), so on some inputs
 :func:`required_containers` provisions one container fewer than the exact
 tail needs, and on others one more.
 
@@ -22,6 +21,7 @@ moves any of them fails here.  Tier-1 cost: well under 0.1 s.
 
 import pytest
 
+import oracles.mmc_closed_forms as closed
 from repro.core.queueing.mmc import MMcQueue
 from repro.core.queueing.sizing import required_containers
 
@@ -72,7 +72,7 @@ DISAGREEMENTS = {
 def exact_containers(lam: float, t: float, p: float) -> int:
     """The smallest stable ``c`` whose exact FCFS tail reaches ``p`` at ``t``."""
     c = int(lam // MU) + 1
-    while MMcQueue(lam, MU, c).wait_cdf_exact(t) < p:
+    while closed.wait_cdf_exact(MMcQueue(lam, MU, c), t) < p:
         c += 1
     return c
 
@@ -102,7 +102,7 @@ def test_algorithm1_under_provisions_21_cells_and_over_provisions_12(table):
 
 def test_the_worst_achieved_probability_is_pinned(table):
     achieved = {
-        cell: MMcQueue(cell[0], MU, alg1).wait_cdf_exact(cell[1])
+        cell: closed.wait_cdf_exact(MMcQueue(cell[0], MU, alg1), cell[1])
         for cell, (alg1, _) in table.items()
     }
     worst = min(achieved, key=achieved.get)

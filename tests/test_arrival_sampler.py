@@ -24,8 +24,6 @@ from oracles.thinning_sampler import FrozenThinningSampler
 from repro.workloads import generator as generator_module
 from repro.workloads.generator import _ThinningSampler
 from repro.workloads.schedules import (
-    CompositeSchedule,
-    RampSchedule,
     RateSchedule,
     StaticRate,
     StepSchedule,
@@ -93,8 +91,8 @@ def _times(durations: List[float]) -> List[float]:
 
 @st.composite
 def plain_schedules(draw) -> RateSchedule:
-    """One of the four concrete leaf schedules."""
-    kind = draw(st.sampled_from(["static", "step", "ramp", "trace"]))
+    """One of the three concrete leaf schedules."""
+    kind = draw(st.sampled_from(["static", "step", "trace"]))
     segs = draw(segments)
     total = sum(d for d, _ in segs)
     if kind == "static":
@@ -102,9 +100,6 @@ def plain_schedules(draw) -> RateSchedule:
     if kind == "step":
         steps = list(zip(_times([d for d, _ in segs]), [r for _, r in segs]))
         return StepSchedule(steps, duration=draw(st.sampled_from([None, total])))
-    if kind == "ramp":
-        knots = list(zip(_times([d for d, _ in segs]), [r for _, r in segs])) + [(total, draw(rates))]
-        return RampSchedule(knots, duration=draw(st.sampled_from([None, total])))
     interval = draw(st.sampled_from([0.3, 1.0, 60.0]))
     return TraceSchedule([r * interval for _, r in segs], interval=interval,
                          start=draw(st.sampled_from([0.0, 0.4])))
@@ -112,10 +107,8 @@ def plain_schedules(draw) -> RateSchedule:
 
 @st.composite
 def schedules(draw) -> RateSchedule:
-    """Every kind the issue names: the four leaves, their sum, and a ``rate``-only subclass."""
-    shape = draw(st.sampled_from(["plain", "plain", "composite", "rate_only"]))
-    if shape == "composite":
-        return CompositeSchedule(draw(st.lists(plain_schedules(), min_size=1, max_size=3)))
+    """Every schedule kind: the three leaves, and a ``rate``-only subclass."""
+    shape = draw(st.sampled_from(["plain", "plain", "rate_only"]))
     inner = draw(plain_schedules())
     return RateOnly(inner) if shape == "rate_only" else inner
 
@@ -178,8 +171,8 @@ PINNED_CASES = [
     (StepSchedule([(0.0, 4.0), (1.0, 8.0), (2.0, 4.0)], duration=40.0), 0.5, 40.0, 5.0, 7),
     (StaticRate(2000.0, duration=2.0), 0.0, 2.0, 5.0, 256),
     (StaticRate(0.5), 0.137, 60.0, 5.0, 2),
-    (CompositeSchedule([StaticRate(4.0, duration=30.0), StepSchedule([(0.0, 0.0), (10.0, 4.0)])]), 0.0, 30.0, 1.0, 256),
-    (RateOnly(RampSchedule([(0.0, 0.0), (5.0, 40.0), (10.0, 400.0)], duration=10.0)), 0.0, 10.0, 1.0, 256),
+    (StepSchedule([(0.0, 4.0), (10.0, 8.0)], duration=30.0), 0.0, 30.0, 1.0, 256),
+    (RateOnly(StepSchedule([(0.0, 0.0), (5.0, 40.0), (7.5, 400.0)], duration=10.0)), 0.0, 10.0, 1.0, 256),
     (TraceSchedule([3.0, 0.0, 240.0, 12.0], interval=1.0, start=0.4), 0.0, 5.0, 0.25, 7),
 ]
 

@@ -21,19 +21,19 @@ class TestAutoscaler:
         scaler = Autoscaler()
         decision = scaler.desired_containers("fn", 0.0, 10.0, 0.1, current_containers=4)
         assert decision.desired_containers == 0
-        assert decision.scale_down
+        assert decision.delta == -4
 
     def test_min_containers_floor(self):
         scaler = Autoscaler()
         decision = scaler.desired_containers("fn", 0.0, 10.0, 0.1, min_containers=2)
         assert decision.desired_containers == 2
 
-    def test_scale_up_down_flags_and_delta(self):
+    def test_delta(self):
         scaler = Autoscaler()
         up = scaler.desired_containers("fn", 50.0, 10.0, 0.1, current_containers=2)
-        assert up.scale_up and up.delta > 0
+        assert up.delta > 0
         down = scaler.desired_containers("fn", 5.0, 10.0, 0.1, current_containers=10)
-        assert down.scale_down and down.delta < 0
+        assert down.delta < 0
 
     def test_heterogeneous_path_used_when_rates_differ(self):
         scaler = Autoscaler()
@@ -53,14 +53,12 @@ class TestAutoscaler:
         ).desired_containers
         assert het >= hom
 
-    def test_subtract_service_percentile_is_more_conservative(self):
-        plain = Autoscaler(subtract_service_percentile=False).desired_containers(
-            "fn", 30.0, 10.0, 0.5
-        ).desired_containers
-        conservative = Autoscaler(subtract_service_percentile=True).desired_containers(
-            "fn", 30.0, 10.0, 0.5
-        ).desired_containers
-        assert conservative >= plain
+    def test_the_wait_budget_is_the_whole_deadline(self):
+        # the SLO is defined on waiting time: nothing is subtracted from d
+        for rate in (0.0, 30.0):
+            assert Autoscaler().desired_containers("fn", rate, 10.0, 0.5).wait_budget == 0.5
+        with pytest.raises(ValueError, match="SLO deadline must be positive"):
+            Autoscaler().desired_containers("fn", 30.0, 10.0, 0.0)
 
     def test_decide_batch_agrees_with_the_reference_sizing(self):
         # one epoch batch mixing homogeneous fleets and deflated ones, against

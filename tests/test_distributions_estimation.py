@@ -1,8 +1,5 @@
 """Tests for service-time distributions and the estimation layer."""
 
-import math
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,14 +10,12 @@ from repro.core.estimation.ewma import EwmaEstimator
 from repro.core.estimation.service_time import (
     OnlineServiceTimeEstimator,
     ServiceTimeProfile,
-    StreamingQuantile,
 )
 from repro.core.estimation.sliding_window import DualWindowRateEstimator, SlidingWindowCounter
 from repro.core.queueing.distributions import (
     Deterministic,
     Exponential,
     LogNormal,
-    ShiftedExponential,
 )
 
 
@@ -29,7 +24,6 @@ class TestDistributions:
         Exponential(0.1),
         Deterministic(0.1),
         LogNormal(0.1, cv=0.3),
-        ShiftedExponential(0.04, 0.06),
     ])
     def test_sample_mean_matches_declared_mean(self, dist, rng):
         samples = dist.sample(rng, size=20000)
@@ -39,17 +33,6 @@ class TestDistributions:
         Exponential(0.1),
         Deterministic(0.1),
         LogNormal(0.1, cv=0.3),
-        ShiftedExponential(0.04, 0.06),
-    ])
-    def test_percentile_matches_empirical(self, dist, rng):
-        samples = dist.sample(rng, size=20000)
-        assert dist.percentile(0.9) == pytest.approx(float(np.quantile(samples, 0.9)), rel=0.08)
-
-    @pytest.mark.parametrize("dist", [
-        Exponential(0.1),
-        Deterministic(0.1),
-        LogNormal(0.1, cv=0.3),
-        ShiftedExponential(0.04, 0.06),
     ])
     def test_scaled_doubles_the_mean(self, dist):
         assert dist.scaled(2.0).mean == pytest.approx(2 * dist.mean)
@@ -57,45 +40,11 @@ class TestDistributions:
     def test_rate_is_inverse_mean(self):
         assert Exponential(0.25).rate == pytest.approx(4.0)
 
-    def test_exponential_percentile_closed_form(self):
-        assert Exponential(0.1).percentile(0.95) == pytest.approx(-0.1 * math.log(0.05))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Exponential(0.0)
         with pytest.raises(ValueError):
             LogNormal(0.1, cv=0.0)
-        with pytest.raises(ValueError):
-            ShiftedExponential(-0.1, 0.1)
-        with pytest.raises(ValueError):
-            Exponential(0.1).percentile(1.0)
-
-    def test_lognormal_percentile_runs_with_scipy_unimportable(self, monkeypatch):
-        # reached only through ControllerConfig.subtract_service_percentile
-        # on a log-normal profile; the quantile is the standard library's
-        dist = LogNormal(0.1, cv=0.3)
-        monkeypatch.setitem(sys.modules, "scipy", None)
-        monkeypatch.setitem(sys.modules, "scipy.stats", None)
-        assert dist.percentile(0.5) == pytest.approx(0.1 / math.sqrt(1.09))
-        z = 1.6448536269514715          # NormalDist().inv_cdf(0.95)
-        assert dist.percentile(0.95) == math.exp(dist._mu + math.sqrt(dist._sigma2) * z)
-
-    def test_the_stdlib_normal_quantile_is_within_six_ulp_of_scipy(self):
-        # not bit-equal: 0.95 itself is 3 ulp off (…715 here, …722 in
-        # scipy); nothing serialised reads LogNormal.percentile
-        from scipy.stats import norm
-        from statistics import NormalDist
-
-        inv_cdf = NormalDist().inv_cdf
-        ps = np.concatenate([np.linspace(0.0, 1.0, 30_001)[1:-1],
-                             [1e-300, 1e-12, 1e-6, 0.0912966, 0.95, 0.99, 1 - 1e-6, 1 - 1e-12]])
-        ours = np.array([inv_cdf(float(p)) for p in ps])
-        theirs = norm.ppf(ps)
-        ulps = np.abs(ours - theirs) / np.array([math.ulp(x) for x in theirs])
-        assert ulps.max() <= 6.0
-        assert (ours != theirs).any()
-        assert inv_cdf(0.95) == 1.6448536269514715
-        assert abs(inv_cdf(0.95) - norm.ppf(0.95)) == 3 * math.ulp(1.6448536269514715)
 
 
 class TestEwma:
@@ -301,10 +250,6 @@ class TestServiceTimeProfile:
     def test_service_rate_inverse(self):
         assert self.make_profile().service_rate(1.0) == pytest.approx(10.0)
 
-    def test_percentile_scales_with_size(self):
-        profile = self.make_profile()
-        assert profile.percentile(0.95, 0.5) == pytest.approx(2 * profile.percentile(0.95, 1.0))
-
     def test_from_speed_curve(self):
         profile = ServiceTimeProfile.from_speed_curve("fn", 0.1, lambda f: f)
         assert profile.mean_service_time(0.5) == pytest.approx(0.2)
@@ -318,26 +263,7 @@ class TestServiceTimeProfile:
             ServiceTimeProfile("fn", (0.5,), (-0.1,))
 
 
-class TestStreamingQuantileAndOnlineEstimator:
-    def test_quantile_matches_numpy_for_small_samples(self, rng):
-        sq = StreamingQuantile(max_samples=5000)
-        data = rng.exponential(0.1, size=2000)
-        for x in data:
-            sq.add(float(x))
-        assert sq.quantile(0.95) == pytest.approx(float(np.quantile(data, 0.95)), rel=0.02)
-        assert sq.count == 2000
-
-    def test_reservoir_bounds_memory(self, rng):
-        sq = StreamingQuantile(max_samples=100)
-        for x in rng.exponential(0.1, size=5000):
-            sq.add(float(x))
-        assert len(sq._sorted) == 100
-        assert sq.count == 5000
-
-    def test_quantile_requires_data(self):
-        with pytest.raises(ValueError):
-            StreamingQuantile().quantile(0.5)
-
+class TestOnlineEstimator:
     def test_online_estimator_learns_per_bucket(self):
         estimator = OnlineServiceTimeEstimator(bucket_width=0.1)
         for _ in range(50):
@@ -359,20 +285,11 @@ class TestStreamingQuantileAndOnlineEstimator:
         assert estimator.mean_service_time(1.0) is None
         assert estimator.service_rate(1.0) is None
 
-    def test_percentile_from_observations(self, rng):
-        estimator = OnlineServiceTimeEstimator()
-        data = rng.exponential(0.1, size=2000)
-        for x in data:
-            estimator.observe(1.0, float(x))
-        assert estimator.percentile(0.95, 1.0) == pytest.approx(float(np.quantile(data, 0.95)), rel=0.05)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             OnlineServiceTimeEstimator(bucket_width=0.0)
         with pytest.raises(ValueError):
             OnlineServiceTimeEstimator().observe(1.0, -0.1)
-        with pytest.raises(ValueError):
-            StreamingQuantile(max_samples=2)
 
 
 class TestBucketizedWindowStaleRecords:

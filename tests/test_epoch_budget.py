@@ -300,3 +300,24 @@ def test_a_create_on_empty_that_placed_nothing_is_not_retried_before_the_next_bo
     assert len(counts["event"]) > len(counts["columnar"])
     assert (sum(created for *_, created in counts["event"])
             == sum(created for *_, created in counts["columnar"]))
+
+
+def test_no_lifecycle_path_looks_a_node_up_by_name(monkeypatch):
+    """Creation, termination, eviction and inflation reach a container's node through
+    ``Container.host`` and the node the planner chose, never ``EdgeCluster.node``'s scan."""
+    from repro.cluster.cluster import EdgeCluster
+
+    lookups = []
+    node = EdgeCluster.node
+
+    def spy(cluster, name):
+        lookups.append(name)
+        return node(cluster, name)
+
+    for plane in ("event", "columnar"):
+        runner = build_runner(OVERLOADED_CPU, plane)
+        monkeypatch.setattr(EdgeCluster, "node", spy)
+        counters = runner.run(duration=DURATION).metrics.counters
+        monkeypatch.undo()
+        assert counters["creations"] > 0 and counters["terminations"] > 0
+        assert lookups == [], f"{len(lookups)} lookups by name on the {plane} plane"

@@ -8,6 +8,7 @@ EXPERIMENTS.md.
 
 import pytest
 
+from oracles.paper_checks import catalogue_consistency_checks, small_penalty_at_threshold
 from repro.experiments.fig3_homogeneous import format_fig3, fraction_meeting_slo, run_fig3
 from repro.experiments.fig4_heterogeneous import run_fig4
 from repro.experiments.fig4_heterogeneous import fraction_meeting_slo as fig4_fraction
@@ -17,19 +18,10 @@ from repro.experiments.fig6_autoscaling import (
     run_fig6,
     tracking_correlation,
 )
-from repro.experiments.fig7_deflation import (
-    FIG7_FUNCTIONS,
-    run_fig7,
-    slowdown_at,
-    small_penalty_at_threshold,
-)
+from repro.experiments.fig7_deflation import FIG7_FUNCTIONS, run_fig7, slowdown_at
 from repro.experiments.fig8_reclamation import build_workloads, run_fig8
 from repro.experiments.fig9_azure import build_tree, run_fig9
-from repro.experiments.table1_functions import (
-    catalogue_consistency_checks,
-    format_table1,
-    run_table1,
-)
+from repro.experiments.table1_functions import format_table1, run_table1
 
 
 class TestTable1:

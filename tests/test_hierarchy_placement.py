@@ -11,9 +11,7 @@ from repro.core.allocation.hierarchy import SchedulingNode, SchedulingTree
 from repro.core.allocation.placement import (
     PlacementRequest,
     best_fit,
-    first_fit,
     plan_placements,
-    worst_fit,
 )
 
 
@@ -207,21 +205,10 @@ class TestPlacement:
     def make_nodes(self):
         return [Node("n0", 4.0, 16384), Node("n1", 4.0, 16384), Node("n2", 4.0, 16384)]
 
-    def test_worst_fit_picks_emptiest(self):
-        nodes = self.make_nodes()
-        nodes[0].add_container(_container(2.0))
-        chosen = worst_fit(nodes, PlacementRequest("fn", 1.0, 256))
-        assert chosen.name in ("n1", "n2")
-
     def test_best_fit_picks_fullest_that_fits(self):
         nodes = self.make_nodes()
         nodes[0].add_container(_container(2.0))
         chosen = best_fit(nodes, PlacementRequest("fn", 1.0, 256))
-        assert chosen.name == "n0"
-
-    def test_first_fit_respects_order(self):
-        nodes = self.make_nodes()
-        chosen = first_fit(nodes, PlacementRequest("fn", 1.0, 256))
         assert chosen.name == "n0"
 
     def test_infeasible_returns_none(self):
@@ -232,17 +219,17 @@ class TestPlacement:
         nodes = self.make_nodes()
         for node in nodes[:2]:
             node.unresponsive = True
-        chosen = worst_fit(nodes, PlacementRequest("fn", 1.0, 256))
+        chosen = best_fit(nodes, PlacementRequest("fn", 1.0, 256))
         assert chosen.name == "n2"
 
     def test_plan_reserves_capacity_across_batch(self):
         nodes = self.make_nodes()
         requests = [PlacementRequest("fn", 2.0, 1024)] * 6
-        plan = plan_placements(nodes, requests, strategy="worst_fit")
-        assert plan.fully_placed
+        plan = plan_placements(nodes, requests)
+        assert not plan.unplaced
         per_node = {}
-        for request, node_name in plan.placements:
-            per_node[node_name] = per_node.get(node_name, 0) + 1
+        for request, node in plan.placements:
+            per_node[node.name] = per_node.get(node.name, 0) + 1
         assert all(count == 2 for count in per_node.values())
 
     def test_plan_reports_unplaced(self):
@@ -255,16 +242,11 @@ class TestPlacement:
     def test_best_fit_packing_leaves_room_for_large_containers(self):
         nodes = self.make_nodes()
         small = [PlacementRequest("small", 0.5, 256)] * 4
-        plan = plan_placements(nodes, small, strategy="best_fit")
-        for request, node_name in plan.placements:
-            node = next(n for n in nodes if n.name == node_name)
+        plan = plan_placements(nodes, small)
+        for request, node in plan.placements:
             node.add_container(_container(request.cpu))
         # a 4-vCPU container must still fit somewhere
         assert any(n.can_fit(4.0, 1024) for n in nodes)
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            plan_placements(self.make_nodes(), [], strategy="bogus")
 
     def test_invalid_request_rejected(self):
         with pytest.raises(ValueError):

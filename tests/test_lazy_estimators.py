@@ -8,8 +8,7 @@ oracles — subclasses that override nothing but those two methods — and
 hypothesis drives both through arbitrary interleavings of the per-element
 entry point, the batch entry point and every read, comparing the full
 state: ring counts and heads, last timestamps, start time, every
-``RateObservation``; reservoir samples, counts, RNG states and float
-totals, bit for bit.
+``RateObservation``; per-bucket counts and float totals, bit for bit.
 """
 
 import math
@@ -21,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from oracles.sliding_window import rate as window_rate
 from repro.core.estimation import service_time as service_time_module
 from repro.core.estimation import sliding_window as sliding_window_module
-from repro.core.estimation.service_time import OnlineServiceTimeEstimator, StreamingQuantile
+from repro.core.estimation.service_time import OnlineServiceTimeEstimator
 from repro.core.estimation.sliding_window import DualWindowRateEstimator, SlidingWindowCounter
 
 PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
@@ -69,12 +68,7 @@ class EagerServiceEstimator(OnlineServiceTimeEstimator):
         if service_time < 0:
             raise ValueError("service_time must be non-negative")
         key = self._bucket(cpu_fraction)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = self._buckets[key] = StreamingQuantile(self.max_samples_per_bucket)
-            self._totals[key] = [0, 0.0]
-        bucket.add(service_time)
-        totals = self._totals[key]
+        totals = self._totals.setdefault(key, [0, 0.0])
         totals[0] += 1
         totals[1] += service_time
 
@@ -88,9 +82,8 @@ def rate_state(estimator):
 
 
 def service_state(estimator):
-    """Everything a service-time estimator holds, reservoir RNG included."""
+    """Everything a service-time estimator holds."""
     return (
-        {key: quantile_state(bucket) for key, bucket in estimator._buckets.items()},
         {key: list(totals) for key, totals in estimator._totals.items()},
         estimator._pending_fractions, estimator._pending_times,
     )
@@ -249,7 +242,6 @@ _SERVICE_OPS = st.lists(
         st.tuples(st.sampled_from(["observations", "bucket_totals", "mean_service_time",
                                    "service_rate"]),
                   st.sampled_from([0.25, 0.6, 1.0])),
-        st.tuples(st.just("percentile"), st.sampled_from([0.25, 0.6, 1.0])),
     ),
     min_size=1, max_size=12,
 )
@@ -258,10 +250,9 @@ _SERVICE_OPS = st.lists(
 @PROPERTY_SETTINGS
 @given(ops=_SERVICE_OPS, block=st.sampled_from(BLOCK_SIZES))
 def test_service_estimator_lazy_equals_eager(ops, block):
-    """Any interleaving of observe / observe_many / the five reads: same state, same answers."""
-    # 16 slots a bucket: streams this long reach the reservoir's replacement (RNG) phase
-    lazy = OnlineServiceTimeEstimator(max_samples_per_bucket=16)
-    eager = EagerServiceEstimator(max_samples_per_bucket=16)
+    """Any interleaving of observe / observe_many / the four reads: same state, same answers."""
+    lazy = OnlineServiceTimeEstimator()
+    eager = EagerServiceEstimator()
     with mock.patch.object(service_time_module, "_PENDING_BLOCK", block):
         for op, argument in ops:
             if op == "observe":
@@ -273,8 +264,6 @@ def test_service_estimator_lazy_equals_eager(ops, block):
                 batch = [f for f, _ in argument], [s for _, s in argument]
                 lazy.observe_many(*batch)
                 eager.observe_many(*batch)
-            elif op == "percentile":
-                assert lazy.percentile(0.95, argument) == eager.percentile(0.95, argument)
             else:
                 assert getattr(lazy, op)(argument) == getattr(eager, op)(argument)
         assert service_state(lazy) == service_state(eager)
@@ -359,55 +348,14 @@ class TestValidateBeforeMutate:
         estimator.observe_many([1.0, 1.0], [math.inf, math.inf])
         assert estimator.observations(1.0) == 2
 
-    @pytest.mark.parametrize("batch", [
-        [1.0, 2.0, float("nan"), 3.0],      # used to raise with count == 2 and two samples folded
-        [1.0, 2.0, -3.0],
-        [float("nan"), -1.0],               # a NaN hiding a negative from min()
-        [1.0, "two"],                       # not a number at all
-    ])
-    @pytest.mark.parametrize("seen", [0, 4, 25])    # empty, filling, full (draws would have moved the RNG)
-    def test_rejected_add_many_leaves_the_reservoir_as_it_was(self, batch, seen):
-        quantile = StreamingQuantile(max_samples=10)
-        quantile.add_many([0.1 * k for k in range(seen)])
-        before = quantile_state(quantile)
-        with pytest.raises(ValueError):
-            quantile.add_many(batch)
-        assert quantile_state(quantile) == before
-        with pytest.raises(ValueError):
-            quantile.add(float("nan"))
-        assert quantile_state(quantile) == before
-
-
-def quantile_state(quantile):
-    """Everything a :class:`StreamingQuantile` holds: samples, count, RNG state."""
-    return list(quantile._sorted), quantile._count, quantile._rng.getstate()
-
-
-@PROPERTY_SETTINGS
-@given(batches=st.lists(
-    st.lists(st.one_of(st.floats(min_value=0.0, max_value=5.0), st.sampled_from([0.0, -0.0, 1, True])),
-             min_size=0, max_size=30),
-    min_size=1, max_size=6))
-def test_streaming_quantile_add_many_equals_add_per_element(batches):
-    """However the stream is cut — across the fill boundary too — samples, count and RNG agree."""
-    bulk, single = StreamingQuantile(max_samples=10), StreamingQuantile(max_samples=10)
-    for batch in batches:
-        bulk.add_many(batch)
-        for value in batch:
-            single.add(value)
-        assert quantile_state(bulk) == quantile_state(single)
-        assert all(type(sample) is float for sample in bulk._sorted)
-    # -0.0 == 0.0, so compare the ties' order by representation as well
-    assert [repr(v) for v in bulk._sorted] == [repr(v) for v in single._sorted]
-
 
 # ----------------------------------------------------------------------
 # Both planes end on the same estimator contents
 # ----------------------------------------------------------------------
 def test_estimators_and_balancer_scores_end_equal_on_both_planes():
     """The oracle contract of ``columnar.py``: what the event plane noted per request and
-    folded at its reads equals what the kernel folded in batches — windows, reservoirs,
-    RNG states, float totals, WRR scores — including what was still pending at the end."""
+    folded at its reads equals what the kernel folded in batches — windows,
+    float totals, WRR scores — including what was still pending at the end."""
     from dataclasses import replace
 
     from repro.cluster.cluster import ClusterConfig
@@ -446,4 +394,4 @@ def test_estimators_and_balancer_scores_end_equal_on_both_planes():
     assert event_pending > 0 and columnar_pending == 0      # only the event plane defers
     assert event_estimators == columnar_estimators
     assert event_scores == columnar_scores
-    assert any(len(totals) > 0 for _, (_, totals, _, _) in event_estimators.values())
+    assert any(len(totals) > 0 for _, (totals, _, _) in event_estimators.values())

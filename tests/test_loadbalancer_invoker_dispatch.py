@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig, EdgeCluster, FunctionDeployment
 from repro.cluster.container import Container
-from repro.cluster.loadbalancer import WeightedRoundRobinBalancer, proportional_split
+from repro.cluster.loadbalancer import WeightedRoundRobinBalancer
 from repro.core.dispatch import SharedQueueDispatcher
 from repro.metrics.collector import MetricsCollector
 from repro.sim.request import Request, RequestStatus
@@ -29,17 +29,28 @@ def make_request(name="fn", work=0.1, arrival=0.0) -> Request:
     return Request(function_name=name, arrival_time=arrival, work=work)
 
 
+def dispatch_counts(balancer, function_name, containers, n):
+    """``n`` consecutive picks, counted per container id."""
+    counts = {c.container_id: 0 for c in containers}
+    for _ in range(n):
+        chosen = balancer.pick(function_name, containers)
+        if chosen is None:
+            break
+        counts[chosen.container_id] += 1
+    return counts
+
+
 class TestWeightedRoundRobin:
     def test_equal_weights_round_robin_evenly(self):
         balancer = WeightedRoundRobinBalancer()
         containers = [warm_container() for _ in range(3)]
-        counts = balancer.dispatch_counts("fn", containers, 300)
+        counts = dispatch_counts(balancer, "fn", containers, 300)
         assert all(count == 100 for count in counts.values())
 
     def test_weights_follow_cpu_allocation(self):
         balancer = WeightedRoundRobinBalancer()
         big, small = warm_container(cpu=2.0), warm_container(cpu=1.0)
-        counts = balancer.dispatch_counts("fn", [big, small], 300)
+        counts = dispatch_counts(balancer, "fn", [big, small], 300)
         assert counts[big.container_id] == 200
         assert counts[small.container_id] == 100
 
@@ -47,7 +58,7 @@ class TestWeightedRoundRobin:
         balancer = WeightedRoundRobinBalancer()
         a, b = warm_container(), warm_container()
         b.deflate_to(0.5)
-        counts = balancer.dispatch_counts("fn", [a, b], 300)
+        counts = dispatch_counts(balancer, "fn", [a, b], 300)
         assert counts[a.container_id] == 200
         assert counts[b.container_id] == 100
 
@@ -77,25 +88,6 @@ class TestWeightedRoundRobin:
         balancer.pick("fn", [warm_container()])
         balancer.reset("fn")
         assert "fn" not in balancer._scores
-
-
-class TestProportionalSplit:
-    def test_sums_to_total(self):
-        assert sum(proportional_split([1, 2, 3], 17)) == 17
-
-    def test_exact_proportions(self):
-        assert proportional_split([1.0, 1.0], 10) == [5, 5]
-        assert proportional_split([2.0, 1.0], 9) == [6, 3]
-
-    def test_zero_weights_split_evenly(self):
-        assert sum(proportional_split([0.0, 0.0, 0.0], 7)) == 7
-
-    def test_empty_and_invalid(self):
-        assert proportional_split([], 5) == []
-        with pytest.raises(ValueError):
-            proportional_split([1.0], -1)
-        with pytest.raises(ValueError):
-            proportional_split([-1.0], 1)
 
 
 class TestSharedQueueDispatcher:

@@ -1,6 +1,5 @@
 """Tests for the metrics package: percentiles, SLO reports, utilisation, timelines."""
 
-import random
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from repro.metrics.percentiles import (
 )
 from repro.metrics.percentiles import WaitingTimeSummary
 from repro.metrics.slo import SloReport, overall_attainment, slo_report
-from repro.core.estimation.service_time import StreamingQuantile
 from repro.metrics.table import RequestTable
 from repro.metrics.timeline import TimelinePoint
 from repro.metrics.utilization import UtilizationTracker, time_weighted_mean
@@ -180,31 +178,17 @@ def collector_with(*samples) -> MetricsCollector:
 class TestTimeline:
     def test_series_and_lookup(self):
         timeline = collector_with((0.0, "fn", 2, 2.0), (10.0, "fn", 4, 4.0)).timeline
-        times, cpus = timeline.cpu_series("fn")
-        assert times == [0.0, 10.0]
-        assert cpus == [2.0, 4.0]
         assert timeline.container_series("fn") == ([0.0, 10.0], [2, 4])
         assert timeline.series("fn") == [
             TimelinePoint(0.0, "fn", containers=2, cpu=2.0, desired_containers=2, arrival_rate=0.0),
             TimelinePoint(10.0, "fn", containers=4, cpu=4.0, desired_containers=4, arrival_rate=0.0),
         ]
-        assert timeline.cpu_at("fn", 5.0) == 2.0
-        assert timeline.cpu_at("fn", 15.0) == 4.0
-        assert timeline.functions() == ["fn"]
-        assert timeline.series("missing") == [] and timeline.cpu_at("missing", 5.0) == 0.0
+        assert timeline.series("missing") == []
 
-    def test_fraction_below_threshold(self):
-        timeline = collector_with(
-            *((t, "fn", 1, cpu) for t, cpu in ((0.0, 6.0), (10.0, 4.0), (20.0, 6.0), (30.0, 2.0)))
-        ).timeline
-        assert timeline.fraction_below("fn", 6.0) == pytest.approx(0.5)
-        assert timeline.fraction_below("fn", 6.0, start=0.0, end=10.0) == pytest.approx(0.5)
-
-    def test_mean_cpu_and_total_series(self):
+    def test_mean_cpu(self):
         timeline = collector_with((0.0, "a", 1, 2.0), (0.0, "b", 1, 1.0), (10.0, "a", 2, 4.0)).timeline
         assert timeline.mean_cpu("a") == pytest.approx(3.0)
-        times, totals = timeline.total_cpu_series()
-        assert totals == [3.0, 5.0]
+        assert timeline.mean_cpu("a", start=5.0) == pytest.approx(4.0)
 
     def test_out_of_order_rejected(self):
         collector = collector_with((10.0, "fn", 1, 1.0))
@@ -216,7 +200,7 @@ class TestTimeline:
             collector.record_epoch(late)
         # the rejected epoch left nothing behind
         assert len(collector.epochs) == 1 and len(collector.utilization.samples) == 1
-        assert collector.timeline.cpu_series("fn") == ([10.0], [1.0])
+        assert [point.cpu for point in collector.timeline.series("fn")] == [1.0]
 
     def test_a_record_filed_under_another_name_is_rejected(self):
         """The view looks functions up by key: a key that is not its record's name would hide it."""
@@ -237,7 +221,7 @@ class TestCollector:
         )
         collector.record_epoch(snapshot)
         assert collector.epochs[0].utilization == pytest.approx(0.5)
-        assert collector.timeline.cpu_at("fn", 10.0) == 3.0
+        assert collector.timeline.series("fn")[-1].cpu == 3.0
         assert collector.mean_utilization() == pytest.approx(0.5)
 
     def test_request_accounting_and_summary(self):
@@ -266,44 +250,6 @@ class TestCollector:
 
 class TestStreamingPercentiles:
     """The reservoir sketch, and the collector's one record mode beside it."""
-
-    def test_reservoir_robust_to_zero_wait_atom(self):
-        # >50% of simulated waits are exactly zero (idle-container hits); the
-        # quantile sketch must not get stranded below the true p95 the way a
-        # marker-based (P²) estimator does on such an atom
-        rng = np.random.default_rng(13)
-        positives = rng.exponential(1.0, 5_000)
-        waits = np.concatenate([np.zeros(6_000), positives])
-        rng.shuffle(waits)
-        sketch = StreamingQuantile(16384, seed=2029)
-        sketch.add_many(waits.tolist())
-        exact95 = float(np.quantile(waits, 0.95))
-        assert sketch.quantile(0.95) == pytest.approx(exact95, rel=0.15)
-        assert sketch.quantile(0.5) == 0.0
-
-    def test_reservoir_quantiles_validation(self):
-        with pytest.raises(ValueError):
-            StreamingQuantile(max_samples=5)
-        sketch = StreamingQuantile()
-        with pytest.raises(ValueError, match="no observations yet"):
-            sketch.quantile(0.5)  # empty sketch
-        with pytest.raises(ValueError, match="no observations yet"):
-            sketch.mean
-        sketch.add_many([1.0, 3.0])
-        assert sketch.mean == 2.0
-        with pytest.raises(ValueError):
-            sketch.quantile(1.5)
-        with pytest.raises(ValueError, match="non-negative"):
-            sketch.add(-1.0)
-
-    def test_reservoir_quantiles_match_exact_ones(self):
-        rng = np.random.default_rng(7)
-        waits = rng.exponential(0.05, 20_000)
-        sketch = StreamingQuantile(16384, seed=2029)
-        sketch.add_many(waits.tolist())
-        assert sketch.count == waits.size
-        assert sketch.quantile(0.95) == pytest.approx(float(np.quantile(waits, 0.95)), rel=0.05)
-        assert sketch.quantile(0.99) == pytest.approx(float(np.quantile(waits, 0.99)), rel=0.05)
 
     def test_collector_keeps_every_request_and_summarises_the_table(self):
         collector = MetricsCollector()
@@ -377,6 +323,13 @@ class TestStreamingPercentiles:
 # The three functions below are the per-request loops of metrics/slo.py
 # and metrics/percentiles.py as they stood before the analysis moved
 # onto RequestTable, frozen verbatim as the reference.
+def _response_time(request):
+    """End-to-end latency (waiting + service), ``None`` before completion."""
+    if request.completion_time is None:
+        return None
+    return request.completion_time - request.arrival_time
+
+
 def _oracle_slo_report(requests, deadlines, target_percentile=0.95, on_waiting_time=True,
                        warmup=0.0, count_drops_as_violations=True):
     if not 0 < target_percentile < 1:
@@ -394,7 +347,7 @@ def _oracle_slo_report(requests, deadlines, target_percentile=0.95, on_waiting_t
         stats["total"] += 1
         if request.status is RequestStatus.COMPLETED:
             stats["completed"] += 1
-            metric = request.waiting_time if on_waiting_time else request.response_time
+            metric = request.waiting_time if on_waiting_time else _response_time(request)
             if metric is not None and metric <= deadlines[name] + 1e-12:
                 stats["within"] += 1
         elif request.status in (RequestStatus.DROPPED, RequestStatus.TIMED_OUT):
@@ -458,7 +411,7 @@ def _oracle_summarize_response_times(requests, function_name=None, warmup=0.0):
             continue
         if request.status is not RequestStatus.COMPLETED:
             continue
-        rt = request.response_time
+        rt = _response_time(request)
         if rt is not None:
             values.append(rt)
     return _oracle_summary(values)
@@ -582,102 +535,3 @@ class TestTablePathEqualsObjectLoops:
         assert collector.request_table() is not sealed
         assert collector.slo({"late": 0.1})["late"].dropped_requests == 1
         assert collector.requests == [request, late]
-
-
-# ----------------------------------------------------------------------
-# StreamingQuantile.add_many ≡ add, the service-time reservoir's batch contract
-# ----------------------------------------------------------------------
-def _reservoir(sketch):
-    """A sketch's retained samples and count: everything a quantile query reads."""
-    return list(sketch._sorted), sketch.count
-
-
-def _reference_reservoir(values, max_samples, seed=2029):
-    """Algorithm R written out independently of the sketch class.
-
-    Keep the first ``max_samples``; observation ``n`` after that is
-    accepted when ``U1 * n < max_samples`` and then evicts the resident
-    at sorted position ``int(U2 * max_samples)``.  Returns the sorted
-    sample and the RNG end state.
-    """
-    rng = random.Random(seed)
-    kept = []
-    for n, value in enumerate(values, start=1):
-        if n > max_samples:
-            if not rng.random() * n < max_samples:
-                continue
-            del kept[int(rng.random() * max_samples)]
-        kept.append(value)
-        kept.sort()
-    return kept, rng.getstate()
-
-
-#: Waiting times are >50 % exact zeros: draw mostly from a handful of
-#: values so ties dominate, with the odd continuous one.
-_TIED_VALUES = st.one_of(
-    st.sampled_from([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 7.0]),
-    st.floats(min_value=0.0, max_value=50.0),
-)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    values=st.lists(_TIED_VALUES, max_size=80),
-    max_samples=st.integers(min_value=10, max_value=30),
-    cuts=st.lists(st.integers(min_value=0, max_value=80), max_size=6),
-)
-def test_add_many_equals_add_loop(values, max_samples, cuts):
-    """``add_many`` over any split of the stream ≡ ``add`` per element.
-
-    Samples, count *and* the stdlib RNG state agree — so the two can be
-    interleaved freely — for batches that are empty, end exactly on
-    ``max_samples``, or straddle it, and both agree with an independent
-    reference on a sampled (overflowed) sketch.
-    """
-    one_by_one = StreamingQuantile(max_samples=max_samples, seed=2029)
-    for value in values:
-        one_by_one.add(value)
-
-    batched = StreamingQuantile(max_samples=max_samples, seed=2029)
-    edges = [0] + sorted(min(c, len(values)) for c in cuts) + [len(values)]
-    for lo, hi in zip(edges, edges[1:]):
-        batched.add_many(values[lo:hi])
-    batched.add_many([])
-
-    assert _reservoir(batched) == _reservoir(one_by_one)
-    assert batched._rng.getstate() == one_by_one._rng.getstate()
-    assert batched.count == len(values)
-    for p in (0.5, 0.95, 0.99):
-        if values:
-            assert batched.quantile(p) == one_by_one.quantile(p)
-        else:  # an empty reservoir answers no quantile, on either path
-            for sketch in (batched, one_by_one):
-                with pytest.raises(ValueError):
-                    sketch.quantile(p)
-
-    # the cut that lands exactly on the fill boundary, every example
-    at_boundary = StreamingQuantile(max_samples=max_samples, seed=2029)
-    at_boundary.add_many(values[:max_samples])
-    at_boundary.add_many(values[max_samples:])
-    assert _reservoir(at_boundary) == _reservoir(one_by_one)
-    assert at_boundary._rng.getstate() == one_by_one._rng.getstate()
-
-    kept, rng_state = _reference_reservoir(values, max_samples)
-    assert _reservoir(batched)[0] == kept
-    assert batched._rng.getstate() == rng_state
-
-
-def test_add_many_accepts_any_iterable_and_interleaves_with_add():
-    """A generator is consumed once; ``add`` and ``add_many`` share one stream."""
-    values = [float(v % 7) for v in range(200)]
-    reference = StreamingQuantile(max_samples=16, seed=2029)
-    for value in values:
-        reference.add(value)
-    mixed = StreamingQuantile(max_samples=16, seed=2029)
-    mixed.add_many(v for v in values[:5])
-    mixed.add(values[5])
-    mixed.add_many(iter(values[6:150]))
-    for value in values[150:]:
-        mixed.add(value)
-    assert _reservoir(mixed) == _reservoir(reference)
-    assert reference.count == 200 and len(reference._sorted) == 16

@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles.mmc_closed_forms as closed
 from repro.cli import main
 from repro.core.queueing.distributions import Deterministic, Exponential, LogNormal
 from repro.core.queueing.mgc import MGcQueue, required_containers_mgc
@@ -15,7 +16,7 @@ class TestMGcQueue:
         mmc = MMcQueue(20.0, 10.0, 4)
         assert mgc.mean_wait == pytest.approx(mmc.mean_wait)
         assert mgc.probability_of_waiting == pytest.approx(mmc.probability_of_waiting)
-        assert mgc.wait_percentile(0.95) == pytest.approx(mmc.wait_percentile_exact(0.95), rel=1e-6)
+        assert mgc.wait_percentile(0.95) == pytest.approx(closed.wait_percentile_exact(mmc, 0.95), rel=1e-6)
 
     def test_deterministic_service_halves_the_wait(self):
         exponential = MGcQueue(20.0, 0.1, scv=1.0, c=4)

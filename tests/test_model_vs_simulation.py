@@ -7,7 +7,8 @@ not write: a fixed fleet of ``c`` identical containers under the
 ``"noop"`` policy (one shared FCFS queue, no control loop), Poisson
 arrivals (``StaticRate``) and exponential service (``microbenchmark``)
 is an M/M/c queue, whose probability of waiting, mean wait and waiting-time
-percentiles ``repro.core.queueing.mmc`` gives in closed form.
+percentiles ``repro.core.queueing.mmc`` and ``tests/oracles/mmc_closed_forms.py``
+give in closed form.
 
 Each cell of the grid is simulated ``len(SEEDS)`` times on each data
 plane; the mean over the replications of the simulated P(wait > 0), of
@@ -31,6 +32,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles.mmc_closed_forms as closed
 from repro.cluster.cluster import ClusterConfig
 from repro.core.queueing.mmc import MMcQueue, erlang_c
 from repro.metrics.table import COMPLETED
@@ -86,7 +88,7 @@ def test_simulated_mmc_lands_within_the_stated_interval_of_erlang_c(c, rho, data
 
     model_p_wait = erlang_c(lam, MU, c)
     model_mean_wait = MMcQueue(lam, MU, c).mean_wait
-    model_p95_wait = MMcQueue(lam, MU, c).wait_percentile_exact(0.95)
+    model_p95_wait = closed.wait_percentile_exact(MMcQueue(lam, MU, c), 0.95)
     # more than 5 % of arrivals wait in every cell, so the P95 is on the exponential tail:
     # P(W > t) = C(c, a) · exp(−(c μ − λ) t)
     assert model_p95_wait == pytest.approx(

@@ -1,9 +1,9 @@
-"""The one-pass placement choosers pick what the list-and-key bodies picked.
+"""The one-pass best-fit chooser picks what the list-and-key body picked.
 
-``worst_fit``, ``best_fit`` and ``first_fit`` (``core/allocation/placement.py``)
-and ``EdgeCluster.find_node_for`` each read a node's free capacity once,
-in one pass, with no feasible list and no key function; best fit is one
-body, :func:`repro.cluster.node.best_fit`, shared by the planner and the
+``best_fit`` (``core/allocation/placement.py``) and
+``EdgeCluster.find_node_for`` read a node's free capacity once, in one
+pass, with no feasible list and no key function; best fit is one body,
+:func:`repro.cluster.node.best_fit`, shared by the planner and the
 cluster.  Hypothesis holds them, and ``plan_placements``, to the bodies
 frozen in ``tests/oracles/placement.py``: the same node, or ``None``.
 
@@ -28,9 +28,7 @@ from repro.cluster.node import InsufficientCapacityError, Node
 from repro.core.allocation.placement import (
     PlacementRequest,
     best_fit,
-    first_fit,
     plan_placements,
-    worst_fit,
 )
 from repro.sim.engine import SimulationEngine
 
@@ -39,9 +37,6 @@ SIZES = (0.1, 0.3, 0.7, 1.0, 1.9)
 FRACTIONS = (0.31, 0.5, 0.77, 0.95, 1.0)
 MEMORY = (128.0, 192.5, 512.0)
 NAMES = ("n0", "n1", "n2", "n3", "n4")
-CHOOSERS = {"worst_fit": (worst_fit, frozen.worst_fit),
-            "best_fit": (best_fit, frozen.best_fit),
-            "first_fit": (first_fit, frozen.first_fit)}
 PROPERTY_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True)
 
 
@@ -114,13 +109,12 @@ def chooser_cases(draw):
     return nodes, reserved, PlacementRequest("fn", cpu, memory)
 
 
-@given(case=chooser_cases(), strategy=st.sampled_from(sorted(CHOOSERS)))
+@given(case=chooser_cases())
 @PROPERTY_SETTINGS
-def test_each_chooser_picks_the_frozen_bodys_node(case, strategy):
+def test_best_fit_picks_the_frozen_bodys_node(case):
     nodes, reserved, request = case
-    chooser, oracle = CHOOSERS[strategy]
-    expected = oracle(nodes, request, None if reserved is None else dict(reserved))
-    assert chooser(nodes, request, reserved) is expected
+    expected = frozen.best_fit(nodes, request, None if reserved is None else dict(reserved))
+    assert best_fit(nodes, request, reserved) is expected
 
 
 @given(nodes=clusters(), data=st.data())
@@ -134,15 +128,16 @@ def test_find_node_for_picks_what_its_own_body_and_best_fit_picked(nodes, data):
     assert chosen is frozen.best_fit(nodes, PlacementRequest("fn", cpu, memory))
 
 
-@given(nodes=clusters(), strategy=st.sampled_from(sorted(CHOOSERS)), data=st.data())
+@given(nodes=clusters(), data=st.data())
 @PROPERTY_SETTINGS
-def test_a_plan_places_what_the_frozen_planner_placed(nodes, strategy, data):
+def test_a_plan_places_what_the_frozen_planner_placed(nodes, data):
     """Batches of one (no sort) and of several (largest first), reservations accumulating."""
     requests = [PlacementRequest("fn", *data.draw(sizes_near_a_margin(nodes, {})))
                 for _ in range(data.draw(st.integers(1, 4)))]
-    plan = plan_placements(nodes, requests, strategy)
-    expected = frozen.plan_placements(nodes, requests, strategy)
-    assert [(r, name) for r, name in plan.placements] == expected.placements
+    plan = plan_placements(nodes, requests)
+    expected = frozen.plan_placements(nodes, requests, "best_fit")
+    assert [(r, node.name) for r, node in plan.placements] == expected.placements
+    assert all(node in nodes for _, node in plan.placements)
     assert plan.unplaced == expected.unplaced
 
 

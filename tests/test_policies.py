@@ -299,6 +299,26 @@ class TestOpenWhiskAlias:
                     "arrivals", "drops"):
             assert key in data["openwhisk"]
 
+    def test_a_post_cascade_arrival_is_stranded_without_a_container_scan(self, monkeypatch):
+        """Once every invoker is unresponsive, ``dispatch`` strands at once (§6.6)."""
+        from repro.policies.openwhisk import VanillaOpenWhiskController
+
+        scans_after_cascade = []
+        find_idle = VanillaOpenWhiskController._find_idle_container
+
+        def spy(controller, name):
+            if controller.all_invokers_failed:
+                scans_after_cascade.append(name)
+            return find_idle(controller, name)
+
+        monkeypatch.setattr(VanillaOpenWhiskController, "_find_idle_container", spy)
+        sweep = build("fig8", phase_duration=30.0)
+        arm = [s for s in sweep.expand() if s.controller.policy == "openwhisk"][0]
+        data = run_scenario(arm).data
+        assert data["openwhisk"]["all_invokers_failed"]
+        assert data["metrics"]["counters"]["stranded_requests"] > 0
+        assert scans_after_cascade == []
+
 
 class TestShootout:
     def test_fig11_arms_cover_policies_times_fault_status(self):

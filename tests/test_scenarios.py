@@ -414,3 +414,28 @@ class TestRemovedSizingSwitches:
         for key in self.REMOVED:
             with pytest.raises(KeyError, match="does not resolve"):
                 apply_overrides(spec, {f"controller.{key}": False})
+
+
+class TestRetiredControllerModes:
+    """Two modes had one value in use; an echo at that value loads, any other is refused."""
+
+    #: the two fields every echo carried before they went, at their one value in use
+    RETIRED = {"placement_strategy": "best_fit", "subtract_service_percentile": False}
+
+    def test_an_echo_at_the_old_values_loads_and_runs(self):
+        spec = build("quickstart", duration=30.0)
+        echo = spec.to_dict()
+        echo["controller"] = {**echo["controller"], **self.RETIRED}
+        old = ScenarioSpec.from_dict(json.loads(json.dumps(echo)))
+        assert old == spec
+        assert run_scenario(old).data["scenario"] == spec.to_dict()
+
+    @pytest.mark.parametrize("key, value", [
+        ("placement_strategy", "worst_fit"), ("placement_strategy", "first_fit"),
+        ("subtract_service_percentile", True), ("subtract_service_percentile", 0),
+    ])
+    def test_any_other_value_is_refused_by_name(self, key, value):
+        echo = build("quickstart", duration=30.0).to_dict()
+        echo["controller"] = {**echo["controller"], key: value}
+        with pytest.raises(ValueError, match=f"controller.{key} was removed"):
+            ScenarioSpec.from_dict(echo)

@@ -80,7 +80,6 @@ class TestRequestLifecycle:
         assert request.status is RequestStatus.PENDING
         assert request.waiting_time is None
         assert request.service_time is None
-        assert request.response_time is None
 
     def test_full_lifecycle_metrics(self):
         request = self.make()
@@ -88,21 +87,6 @@ class TestRequestLifecycle:
         run_and_complete(request, 1.2, 1.3)
         assert request.waiting_time == pytest.approx(0.2)
         assert request.service_time == pytest.approx(0.1)
-        assert request.response_time == pytest.approx(0.3)
-
-    def test_deadline_checks(self):
-        request = self.make(deadline=1.25)
-        request.mark_queued()
-        run_and_complete(request, 1.2, 1.3)
-        assert request.met_deadline is False
-        assert request.waiting_met_deadline is True
-
-    def test_no_deadline_returns_none(self):
-        request = self.make(deadline=None)
-        request.mark_queued()
-        run_and_complete(request, 1.2, 1.3)
-        assert request.met_deadline is None
-        assert request.waiting_met_deadline is None
 
     def test_drop_records_completion_time(self):
         request = self.make()

@@ -312,18 +312,10 @@ def test_the_reclamation_choices_are_the_reclamation_policies():
     assert set(_RECLAMATION_POLICIES) == {policy.value for policy in ReclamationPolicy}
 
 
-def test_the_placement_choices_are_the_placement_strategies():
-    from repro.core.allocation.placement import _STRATEGIES
-    from repro.scenarios.spec import _PLACEMENT_STRATEGIES
-
-    assert set(_PLACEMENT_STRATEGIES) == set(_STRATEGIES)
-
-
 def test_the_controller_and_deflation_curve_edges_load():
     """The closed ends of the new ranges, and the params a deflation curve may leave out."""
     spec = ControllerSpec.from_dict({"ewma_alpha": 1, "deflation_increment": 0.3,
-                                     "short_window": 119.5, "burst_factor": 1.001,
-                                     "placement_strategy": "worst_fit"})
+                                     "short_window": 119.5, "burst_factor": 1.001})
     assert spec.ewma_alpha == 1.0 and spec.deflation_increment == spec.deflation_threshold
     data = build("fig7").to_dict()
     data["params"] = {"deflation_ratios": [0, 0.999]}

@@ -45,42 +45,9 @@ class EagerTimeline:
     def series(self, function_name: str) -> List[TimelinePoint]:
         return list(self._points.get(function_name, []))
 
-    def cpu_series(self, function_name: str) -> Tuple[List[float], List[float]]:
-        points = self._points.get(function_name, [])
-        return [p.time for p in points], [p.cpu for p in points]
-
     def container_series(self, function_name: str) -> Tuple[List[float], List[int]]:
         points = self._points.get(function_name, [])
         return [p.time for p in points], [p.containers for p in points]
-
-    def cpu_at(self, function_name: str, time: float) -> float:
-        points = self._points.get(function_name, [])
-        best = 0.0
-        for point in points:
-            if point.time <= time + 1e-9:
-                best = point.cpu
-            else:
-                break
-        return best
-
-    def total_cpu_series(self) -> Tuple[List[float], List[float]]:
-        times = sorted({p.time for series in self._points.values() for p in series})
-        totals = [
-            sum(self.cpu_at(fn, t) for fn in self._points) for t in times
-        ]
-        return times, totals
-
-    def fraction_below(
-        self, function_name: str, threshold_cpu: float, start: float = 0.0, end: Optional[float] = None
-    ) -> float:
-        points = [
-            p for p in self._points.get(function_name, [])
-            if p.time >= start and (end is None or p.time <= end)
-        ]
-        if not points:
-            return 0.0
-        below = sum(1 for p in points if p.cpu < threshold_cpu - 1e-9)
-        return below / len(points)
 
     def mean_cpu(self, function_name: str, start: float = 0.0, end: Optional[float] = None) -> float:
         points = [
@@ -142,21 +109,13 @@ def test_every_read_over_the_view_equals_the_eager_points(policy, data_plane):
     assert len(epochs) >= 4
     view, eager = result.metrics.timeline, eager_timeline(epochs)
 
-    assert view.functions() == eager.functions() == ["microbenchmark", "squeezenet"]
-    assert view.total_cpu_series() == eager.total_cpu_series()
-    probes = [-1.0, 0.0, 4.999, 5.0, 12.5, 20.0, DURATION, 1e6] + [e.time for e in epochs]
-    for name in view.functions() + ["never-deployed"]:
+    assert eager.functions() == ["microbenchmark", "squeezenet"]
+    for name in eager.functions() + ["never-deployed"]:
         assert view.series(name) == eager.series(name)
-        assert view.cpu_series(name) == eager.cpu_series(name)
         assert view.container_series(name) == eager.container_series(name)
-        assert [view.cpu_at(name, t) for t in probes] == [eager.cpu_at(name, t) for t in probes]
         for start, end in ((0.0, None), (10.0, None), (10.0, 30.0), (50.0, 60.0)):
             assert view.mean_cpu(name, start, end) == eager.mean_cpu(name, start, end)
-            for threshold in (0.0, 1.0, 2.5):
-                assert (view.fraction_below(name, threshold, start, end)
-                        == eager.fraction_below(name, threshold, start, end))
     assert result.container_timeline("squeezenet") == eager.container_series("squeezenet")
-    assert result.cpu_timeline("squeezenet") == eager.cpu_series("squeezenet")
 
 
 def test_the_view_follows_epochs_recorded_after_it_was_handed_out():
@@ -164,10 +123,10 @@ def test_the_view_follows_epochs_recorded_after_it_was_handed_out():
 
     collector = MetricsCollector()
     view = collector.timeline
-    assert view.functions() == [] and view.total_cpu_series() == ([], [])
+    assert view.series("fn") == []
     for time, cpu in ((5.0, 1.0), (10.0, 2.0)):
         collector.record_epoch(EpochSnapshot(
             time=time, overloaded=False, total_cpu=8.0, allocated_cpu=cpu,
             functions={"fn": FunctionEpochStats("fn", 1, cpu, 1, 3.0, 10.0)}))
-    assert view.cpu_series("fn") == ([5.0, 10.0], [1.0, 2.0])
+    assert [(point.time, point.cpu) for point in view.series("fn")] == [(5.0, 1.0), (10.0, 2.0)]
     assert view.series("fn")[-1] == TimelinePoint(10.0, "fn", 1, 2.0, 1, 3.0)

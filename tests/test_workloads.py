@@ -1,5 +1,7 @@
 """Tests for the function catalogue, rate schedules, generators, and Azure traces."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,14 +21,18 @@ from repro.workloads.functions import (
     slack_speed_curve,
     table1_rows,
 )
-from repro.workloads.generator import generate_arrival_times, merge_arrivals
+from repro.workloads.generator import _ThinningSampler, merge_arrivals
 from repro.workloads.schedules import (
-    CompositeSchedule,
-    RampSchedule,
     StaticRate,
     StepSchedule,
     TraceSchedule,
 )
+
+
+def generate_arrival_times(schedule, rng, horizon, thinning_window=5.0):
+    """Arrival times over ``[0, horizon]`` from the sampler the generator runs (no engine)."""
+    return _ThinningSampler(schedule, rng, start=0.0, horizon=horizon,
+                            thinning_window=thinning_window).next_arrivals(math.inf)
 
 
 class TestFunctionCatalog:
@@ -126,11 +132,6 @@ class TestSchedules:
         assert schedule.rate(150.0) == 15
         assert schedule.end_time == 180.0
 
-    def test_ramp_schedule(self):
-        schedule = RampSchedule([(0.0, 0.0), (100.0, 50.0)])
-        assert schedule.rate(50.0) == pytest.approx(25.0)
-        assert schedule.max_rate(0.0, 100.0) == pytest.approx(50.0)
-
     def test_trace_schedule(self):
         schedule = TraceSchedule([60, 120, 0], interval=60.0)
         assert schedule.rate(30.0) == pytest.approx(1.0)
@@ -141,24 +142,11 @@ class TestSchedules:
         assert schedule.end_time == 180.0
         assert schedule.max_rate(0.0, 180.0) == pytest.approx(2.0)
 
-    def test_composite_schedule(self):
-        composite = CompositeSchedule([StaticRate(5.0, duration=10.0), StaticRate(3.0, duration=20.0)])
-        assert composite.rate(5.0) == 8.0
-        assert composite.rate(15.0) == 3.0
-        assert composite.end_time == 20.0
-
-    def test_mean_rate_and_expected_arrivals(self):
-        schedule = StepSchedule([(0.0, 10.0), (50.0, 20.0)], duration=100.0)
-        assert schedule.mean_rate(0.0, 100.0) == pytest.approx(15.0, rel=0.05)
-        assert schedule.expected_arrivals(0.0, 100.0) == pytest.approx(1500.0, rel=0.05)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             StaticRate(-1.0)
         with pytest.raises(ValueError):
             StepSchedule([])
-        with pytest.raises(ValueError):
-            RampSchedule([(0.0, 1.0)])
         with pytest.raises(ValueError):
             TraceSchedule([])
         with pytest.raises(ValueError):
