@@ -110,3 +110,25 @@ class TestAutoscaler:
             Autoscaler().desired_containers("fn", 1.0, 0.0, 0.1)
         with pytest.raises(ValueError):
             Autoscaler().minimum_stable_containers(1.0, 0.0)
+
+
+def _build_removed(target, option, value):
+    from repro.core.controller import ControllerConfig
+    from repro.core.estimation.service_time import OnlineServiceTimeEstimator
+
+    cls = {"Autoscaler": Autoscaler, "ControllerConfig": ControllerConfig,
+           "OnlineServiceTimeEstimator": OnlineServiceTimeEstimator}[target]
+    return cls(**{option: value})
+
+
+@pytest.mark.parametrize("target, option, value", [
+    ("Autoscaler", "subtract_service_percentile", True),
+    ("Autoscaler", "subtract_service_percentile", False),
+    ("ControllerConfig", "subtract_service_percentile", False),
+    ("ControllerConfig", "placement_strategy", "best_fit"),
+    ("OnlineServiceTimeEstimator", "max_samples_per_bucket", 64),
+])
+def test_a_removed_option_is_not_accepted(target, option, value):
+    """The learned service-percentile subtraction and the placement choice are gone."""
+    with pytest.raises(TypeError, match=option):
+        _build_removed(target, option, value)

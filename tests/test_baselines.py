@@ -190,3 +190,45 @@ class TestVanillaOpenWhisk:
         arrivals = result.metrics.counters["arrivals"]
         assert completions >= 0.9 * arrivals
         assert all(not node.unresponsive for node in runner.cluster.nodes)
+
+
+class TestOpenWhiskStranding:
+    """After the §6.6 cascade an arrival is parked at once, with no container scan."""
+
+    def controller(self, unresponsive):
+        engine = SimulationEngine()
+        cluster = EdgeCluster(engine, ClusterConfig())
+        cluster.deploy(microbenchmark(0.1).to_deployment(user="u", slo_deadline=0.1))
+        controller = VanillaOpenWhiskController(engine, cluster, OpenWhiskConfig(), MetricsCollector())
+        for node in cluster.nodes[:unresponsive]:
+            node.unresponsive = True
+        return controller, cluster
+
+    def requests(self, n):
+        from repro.sim.request import Request
+
+        return [Request(microbenchmark(0.1).name, arrival_time=0.0, work=0.1) for _ in range(n)]
+
+    def test_every_arrival_after_the_cascade_is_stranded(self, monkeypatch):
+        from repro.sim.request import RequestStatus
+
+        controller, cluster = self.controller(unresponsive=3)
+        for method in ("_find_idle_container", "_create_container"):
+            monkeypatch.setattr(VanillaOpenWhiskController, method,
+                                lambda *args, method=method: pytest.fail(f"{method} after the cascade"))
+        arrivals = self.requests(5)
+        for request in arrivals:
+            controller.dispatch(request)
+        assert controller.all_invokers_failed
+        assert controller.metrics.counters["stranded_requests"] == 5
+        assert all(request.status is RequestStatus.QUEUED for request in arrivals)
+        assert controller._pending[arrivals[0].function_name] == arrivals
+        assert cluster.all_containers() == []
+        assert controller.results_extra()[1]["drops"] == 5
+
+    def test_one_responsive_invoker_still_takes_an_arrival(self):
+        controller, cluster = self.controller(unresponsive=2)
+        controller.dispatch(self.requests(1)[0])
+        assert not controller.all_invokers_failed
+        assert controller.metrics.counters.get("stranded_requests", 0) == 0
+        assert [c.host for c in cluster.all_containers()] == [cluster.nodes[2]]

@@ -46,6 +46,32 @@ class TestDistributions:
         with pytest.raises(ValueError):
             LogNormal(0.1, cv=0.0)
 
+    @pytest.mark.parametrize("dist", [
+        Exponential(0.1),
+        Deterministic(0.1),
+        LogNormal(0.1, cv=0.3),
+    ])
+    def test_scaled_keeps_the_family_and_its_shape(self, dist, rng):
+        # a deflated container's service times are the standard ones stretched
+        scaled = dist.scaled(2.5)
+        assert type(scaled) is type(dist) and scaled.rate == pytest.approx(dist.rate / 2.5)
+        samples = scaled.sample(rng, size=20000)
+        cv = float(np.std(samples) / np.mean(samples))
+        expected_cv = {Exponential: 1.0, Deterministic: 0.0, LogNormal: 0.3}[type(dist)]
+        assert cv == pytest.approx(expected_cv, abs=0.03)
+
+    def test_deterministic_sample_consumes_no_randomness(self, rng):
+        state = rng.bit_generator.state
+        dist = Deterministic(0.2)
+        assert dist.sample(rng) == 0.2
+        assert dist.sample(rng, size=3).tolist() == [0.2, 0.2, 0.2]
+        assert rng.bit_generator.state == state
+
+    def test_deterministic_validation(self):
+        for mean in (0.0, -0.1):
+            with pytest.raises(ValueError, match="mean must be positive"):
+                Deterministic(mean)
+
 
 class TestEwma:
     def test_first_observation_seeds_value(self):

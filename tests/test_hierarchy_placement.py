@@ -252,6 +252,59 @@ class TestPlacement:
         with pytest.raises(ValueError):
             PlacementRequest("fn", 0.0, 128)
 
+    def test_plan_hands_back_the_nodes_it_was_given(self):
+        nodes = self.make_nodes()
+        plan = plan_placements(nodes, [PlacementRequest("fn", 1.0, 256)] * 5)
+        assert len(plan.placements) == 5
+        assert all(any(node is given for given in nodes) for _, node in plan.placements)
+
+    def test_plan_leaves_the_nodes_untouched(self):
+        nodes = self.make_nodes()
+        nodes[1].add_container(_container(1.5))
+        before = [(n.cpu_allocated, n.memory_allocated_mb, len(n.containers)) for n in nodes]
+        plan_placements(nodes, [PlacementRequest("fn", 1.0, 256)] * 7)
+        assert [(n.cpu_allocated, n.memory_allocated_mb, len(n.containers)) for n in nodes] == before
+
+    def test_plan_places_the_largest_first(self):
+        # arrival order would fill the node with the two small ones first
+        nodes = [Node("n0", 4.0, 16384)]
+        small = PlacementRequest("small", 1.0, 256)
+        large = PlacementRequest("large", 4.0, 256)
+        plan = plan_placements(nodes, [small, small, large])
+        assert [request for request, _ in plan.placements] == [large]
+        assert plan.unplaced == [small, small]
+
+    def test_plan_reserves_memory_across_the_batch(self):
+        nodes = [Node("n0", 4.0, 1024)]
+        request = PlacementRequest("fn", 0.5, 512)
+        plan = plan_placements(nodes, [request] * 3)
+        assert len(plan.placements) == 2 and plan.unplaced == [request]
+
+    def test_plan_skips_failed_and_unresponsive_nodes(self):
+        nodes = self.make_nodes()
+        nodes[0].failed = True
+        nodes[1].unresponsive = True
+        plan = plan_placements(nodes, [PlacementRequest("fn", 1.0, 256)] * 5)
+        assert {node.name for _, node in plan.placements} == {"n2"}
+        assert len(plan.placements) == 4 and len(plan.unplaced) == 1
+
+    def test_an_empty_batch_is_an_empty_plan(self):
+        plan = plan_placements(self.make_nodes(), [])
+        assert plan.placements == [] and plan.unplaced == []
+
+    def test_best_fit_breaks_cpu_ties_by_memory_then_name(self):
+        nodes = [Node("n2", 4.0, 16384), Node("n1", 4.0, 16384), Node("n0", 4.0, 16384)]
+        assert best_fit(nodes, PlacementRequest("fn", 1.0, 256)).name == "n0"
+        nodes.append(Node("n9", 4.0, 8192))
+        assert best_fit(nodes, PlacementRequest("fn", 1.0, 256)).name == "n9"
+
+    def test_a_strategy_argument_is_refused(self):
+        # best fit is the one placement; the planner takes no strategy
+        with pytest.raises(TypeError):
+            plan_placements(self.make_nodes(), [], "best_fit")
+        with pytest.raises(TypeError):
+            plan_placements(self.make_nodes(), [], strategy="best_fit")
+
 
 def _container(cpu: float):
     from repro.cluster.container import Container

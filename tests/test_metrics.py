@@ -190,6 +190,20 @@ class TestTimeline:
         assert timeline.mean_cpu("a") == pytest.approx(3.0)
         assert timeline.mean_cpu("a", start=5.0) == pytest.approx(4.0)
 
+    def test_mean_cpu_window_is_closed_at_both_ends(self):
+        timeline = collector_with(
+            *((t, "fn", 1, cpu) for t, cpu in ((0.0, 6.0), (10.0, 4.0), (20.0, 2.0), (30.0, 8.0)))
+        ).timeline
+        assert timeline.mean_cpu("fn", start=10.0, end=20.0) == pytest.approx(3.0)
+        assert timeline.mean_cpu("fn", end=10.0) == pytest.approx(5.0)
+        assert timeline.mean_cpu("fn", start=30.0) == pytest.approx(8.0)
+
+    def test_mean_cpu_of_an_empty_window_is_zero(self):
+        timeline = collector_with((0.0, "fn", 1, 2.0), (10.0, "fn", 1, 4.0)).timeline
+        assert timeline.mean_cpu("fn", start=11.0) == 0.0
+        assert timeline.mean_cpu("fn", start=2.0, end=8.0) == 0.0
+        assert timeline.mean_cpu("never-deployed") == 0.0
+
     def test_out_of_order_rejected(self):
         collector = collector_with((10.0, "fn", 1, 1.0))
         with pytest.raises(ValueError):

@@ -205,3 +205,49 @@ class TestEdgeCluster:
     def test_cluster_requires_nodes(self, engine):
         with pytest.raises(ValueError):
             EdgeCluster(engine, ClusterConfig(), nodes=[])
+
+
+class TestLifecycleThroughHost:
+    """A lifecycle action reaches a container's node through ``Container.host``."""
+
+    @pytest.fixture
+    def no_lookup_by_name(self, monkeypatch):
+        def refuse(cluster, name):
+            raise AssertionError(f"looked node {name!r} up by name")
+
+        monkeypatch.setattr(EdgeCluster, "node", refuse)
+
+    def test_host_is_the_node_a_container_was_placed_on(self, paper_cluster, simple_deployment):
+        paper_cluster.deploy(simple_deployment)
+        target = paper_cluster.nodes[2]
+        container = paper_cluster.create_container("fn", node=target)
+        assert container.host is target and container.node_name == target.name
+        paper_cluster.terminate_container(container.container_id)
+        assert container.host is None
+
+    def test_a_failed_node_is_refused_as_an_explicit_target(self, paper_cluster, simple_deployment):
+        paper_cluster.deploy(simple_deployment)
+        paper_cluster.nodes[1].failed = True
+        with pytest.raises(InsufficientCapacityError, match="is failed"):
+            paper_cluster.create_container("fn", node=paper_cluster.nodes[1])
+
+    @pytest.mark.parametrize("action", ["terminate", "evict"])
+    def test_removal_frees_the_hosting_node(self, paper_cluster, simple_deployment,
+                                            no_lookup_by_name, action):
+        paper_cluster.deploy(simple_deployment)
+        node = paper_cluster.nodes[1]
+        container = paper_cluster.create_container("fn", node=node)
+        getattr(paper_cluster, f"{action}_container")(container.container_id)
+        assert node.cpu_allocated == 0.0 and node.containers == []
+        assert paper_cluster.get_container(container.container_id) is None
+
+    def test_inflation_reads_the_hosting_node_headroom(self, paper_cluster, no_lookup_by_name):
+        paper_cluster.deploy(FunctionDeployment(name="fn", cpu=2.0, memory_mb=512))
+        node = paper_cluster.nodes[0]
+        deflated = paper_cluster.create_container("fn", node=node)
+        paper_cluster.deflate_container(deflated.container_id, 1.0)
+        paper_cluster.create_container("fn", node=node)
+        # one vCPU of headroom on the host: the deflated container gets all of it
+        assert paper_cluster.inflate_container(deflated.container_id) == pytest.approx(1.0)
+        assert deflated.current_cpu == pytest.approx(2.0)
+        assert paper_cluster.inflate_container(deflated.container_id) == 0.0

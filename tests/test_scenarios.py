@@ -433,9 +433,27 @@ class TestRetiredControllerModes:
     @pytest.mark.parametrize("key, value", [
         ("placement_strategy", "worst_fit"), ("placement_strategy", "first_fit"),
         ("subtract_service_percentile", True), ("subtract_service_percentile", 0),
+        ("placement_strategy", "Best_Fit"), ("placement_strategy", None),
+        ("subtract_service_percentile", "false"), ("subtract_service_percentile", None),
     ])
     def test_any_other_value_is_refused_by_name(self, key, value):
         echo = build("quickstart", duration=30.0).to_dict()
         echo["controller"] = {**echo["controller"], key: value}
         with pytest.raises(ValueError, match=f"controller.{key} was removed"):
             ScenarioSpec.from_dict(echo)
+
+    def test_a_loaded_echo_writes_neither_field_back(self):
+        echo = build("quickstart", duration=30.0).to_dict()
+        echo["controller"] = {**echo["controller"], **self.RETIRED}
+        written = ScenarioSpec.from_dict(echo).to_dict()["controller"]
+        assert not self.RETIRED.keys() & written.keys()
+
+    @pytest.mark.parametrize("key", sorted(RETIRED))
+    def test_overriding_a_retired_field_does_not_resolve(self, key):
+        spec = build("quickstart", duration=30.0)
+        with pytest.raises(KeyError, match="does not resolve"):
+            apply_overrides(spec, {f"controller.{key}": self.RETIRED[key]})
+
+    def test_the_ramp_schedule_kind_is_refused(self):
+        with pytest.raises(ValueError, match="ramp"):
+            ScheduleSpec("ramp", {"points": [[0.0, 0.0], [100.0, 50.0]]})

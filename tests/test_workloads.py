@@ -152,6 +152,57 @@ class TestSchedules:
         with pytest.raises(ValueError):
             TraceSchedule([-1.0])
 
+    #: one of each in-tree kind, with a start offset and a zero stretch
+    KINDS = {
+        "static": StaticRate(7.0, duration=90.0),
+        "steps": StepSchedule([(0.0, 3.0), (20.0, 9.0), (50.0, 0.0), (60.0, 1.0)], duration=80.0),
+        "trace": TraceSchedule([30, 0, 90, 12], interval=20.0, start=5.0),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(start=st.floats(-10.0, 100.0), width=st.floats(0.0, 50.0),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_max_rate_bounds_the_rate_over_its_window(self, kind, start, width, fractions):
+        # the thinning sampler's acceptance ratio rate/max_rate must stay <= 1
+        schedule = self.KINDS[kind]
+        bound = schedule.max_rate(start, start + width)
+        for fraction in fractions:
+            assert schedule.rate(start + fraction * width) <= bound
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_the_rate_is_zero_from_end_time_on(self, kind):
+        schedule = self.KINDS[kind]
+        after = [schedule.end_time, schedule.end_time + 0.5, schedule.end_time + 1e6]
+        assert [schedule.rate(t) for t in after] == [0.0, 0.0, 0.0]
+        assert schedule.rate_many(np.array(after)).tolist() == [0.0, 0.0, 0.0]
+        assert schedule.rate(schedule.end_time - 1e-6) > 0.0
+
+    def test_step_schedule_sorts_its_steps_and_hands_out_a_copy(self):
+        schedule = StepSchedule([(60.0, 30.0), (0.0, 5.0)])
+        steps = schedule.steps
+        assert steps == [(0.0, 5.0), (60.0, 30.0)]
+        steps.append((90.0, 1.0))
+        assert schedule.steps == [(0.0, 5.0), (60.0, 30.0)] and schedule.end_time is None
+
+    def test_staircase_needs_a_positive_step(self):
+        with pytest.raises(ValueError, match="step_duration"):
+            StepSchedule.staircase([5, 10], step_duration=0.0)
+        assert StepSchedule.staircase([5, 10], 30.0, start=15.0).steps == [(15.0, 5), (45.0, 10)]
+
+    def test_trace_schedule_offsets_by_its_start_and_hands_out_a_copy(self):
+        schedule = TraceSchedule([60, 120], interval=60.0, start=30.0)
+        assert schedule.rate(29.0) == 0.0 and schedule.rate(30.0) == pytest.approx(1.0)
+        assert schedule.end_time == 150.0
+        counts = schedule.counts
+        counts[0] = 0.0
+        assert schedule.total_invocations() == 180.0
+
+    def test_static_rate_validation(self):
+        with pytest.raises(ValueError, match="duration"):
+            StaticRate(1.0, duration=0.0)
+        assert StaticRate(0.0).rate(1e9) == 0.0 and StaticRate(3.0).end_time is None
+
 
 class TestArrivalGeneration:
     def test_static_rate_count_matches_expectation(self, rng):
