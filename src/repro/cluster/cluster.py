@@ -113,6 +113,10 @@ class EdgeCluster:
         self.nodes: List[Node] = list(nodes) if nodes is not None else self.config.build_nodes()
         if not self.nodes:
             raise ValueError("cluster must have at least one node")
+        #: moves whenever free capacity may have grown: ``Node.drop_sums``, a node's recovery
+        self.capacity_changes = 0
+        for node in self.nodes:
+            node.cluster = self
         self._deployments: Dict[str, FunctionDeployment] = {}
         self._containers: Dict[str, Container] = {}
         #: per-cluster container id sequence.  Ids must NOT come from the
@@ -432,6 +436,7 @@ class EdgeCluster:
         if node is None:
             raise KeyError(f"unknown node {node_name!r}")
         node.failed = False
+        self.capacity_changes += 1
 
     def deflate_container(self, container_id: str, cpu: float) -> float:
         """Resize a container in place to ``cpu`` vCPUs; returns CPU released."""

@@ -111,7 +111,8 @@ class Container:
 
         self._queue: Deque[Request] = deque()
         self._current: Optional[Request] = None
-        self._completion_event = None
+        #: when ``_current`` completes, as scheduled (``None`` once torn down)
+        self._finish_time: Optional[float] = None
         self.completed_requests = 0
 
     # ------------------------------------------------------------------
@@ -207,8 +208,8 @@ class Container:
     def _teardown(self, time: float, drop_queued: bool) -> Tuple[List[Request], List[Request]]:
         """Shared terminate/evict teardown: stop work, release state, notify.
 
-        Cancels the in-flight completion event, drops the running
-        request, transitions to ``TERMINATED`` and notifies the state
+        Drops the running request, which voids its completion entry,
+        transitions to ``TERMINATED`` and notifies the state
         observer.  ``drop_queued`` selects what happens to the FCFS queue:
         mark everything dropped (orderly termination) or hand the requests
         back untouched, still ``QUEUED`` (failure eviction).  Returns
@@ -216,9 +217,7 @@ class Container:
         """
         if self.state == ContainerState.TERMINATED:
             return [], []
-        if self._completion_event is not None:
-            self._completion_event.cancel()
-            self._completion_event = None
+        self._finish_time = None
         dropped: List[Request] = []
         if self._current is not None:
             self._current.mark_dropped(time)
@@ -345,7 +344,10 @@ class Container:
         engine: "SimulationEngine",
         on_complete: Optional[Callable[[Request, "Container"], None]],
     ) -> None:
-        """Begin executing ``request`` on a free container: its PENDING/QUEUED → RUNNING transition."""
+        """Begin executing ``request`` on a free container: its PENDING/QUEUED → RUNNING transition.
+
+        Its completion is one bare ``engine.call_at`` entry, with no handle to cancel it.
+        """
         if request.status not in (RequestStatus.PENDING, RequestStatus.QUEUED):
             raise ValueError(f"cannot start request in state {request.status}")
         now = engine._now  # the clock's field: the property is a frame per request
@@ -356,18 +358,21 @@ class Container:
         request.node_name = self.node_name
         request.cold_start = now == self.warm_since and self.completed_requests == 0
         speed = self._speed or self.speed  # the cache, filled by the property when empty
-        self._completion_event = engine.schedule(
-            max(1e-9, request.work / speed), self._finish_current, engine, on_complete
-        )
+        finish = self._finish_time = now + max(1e-9, request.work / speed)
+        engine.call_at(finish, self._finish_current, request, engine, on_complete)
 
     def _finish_current(
         self,
+        request: Request,
         engine: "SimulationEngine",
         on_complete: Optional[Callable[[Request, "Container"], None]],
     ) -> None:
-        """Complete the in-flight request (RUNNING → COMPLETED) and pull the next."""
-        request = self._current
-        if request is None:  # pragma: no cover - defensive
+        """Complete ``request`` (RUNNING → COMPLETED) and pull the next.
+
+        A no-op once ``request`` is not the one running: the container was
+        torn down, or the columnar kernel took the request over.
+        """
+        if self._current is not request:
             return
         if request.status is not RequestStatus.RUNNING:
             raise ValueError(
@@ -376,7 +381,6 @@ class Container:
         request.completion_time = engine._now
         self.completed_requests += 1
         self._current = None
-        self._completion_event = None
         if on_complete is not None:
             on_complete(request, self)
         # whatever ``on_complete`` handed over has started on its own

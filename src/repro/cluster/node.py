@@ -71,11 +71,16 @@ class Node:
         #: made them stale
         self._cpu_allocated: Optional[float] = None
         self._memory_allocated_mb: Optional[float] = None
+        #: the owning ``EdgeCluster``, whose ``capacity_changes`` counts every drop of the sums
+        self.cluster = None
 
     def drop_sums(self) -> None:
         """A container came or went, or a hosted one was resized or terminated."""
         self._cpu_allocated = None
         self._memory_allocated_mb = None
+        cluster = self.cluster
+        if cluster is not None:
+            cluster.capacity_changes += 1
 
     def _fill_sums(self) -> None:
         """Compute both allocation sums over the live containers, in hosting order."""

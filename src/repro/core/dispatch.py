@@ -298,7 +298,8 @@ class SharedQueuePolicy(ControlPolicy):
         The dispatcher folds it: set it before calling ``__init__``.
     ``creates_on_empty``
         Whether an arrival that queues against a function with no
-        container gets one created (:meth:`_create_on_empty`).
+        container gets one created (:meth:`_create_on_empty`), retried only
+        once the cluster's ``capacity_changes`` has moved since the last try.
 
     and its control loop (:meth:`start`, :meth:`run_epoch`, fault hooks).
     """
@@ -318,6 +319,8 @@ class SharedQueuePolicy(ControlPolicy):
         self.dispatcher = SharedQueueDispatcher(engine, self.metrics, self.completion_folds)
         self.dispatcher.attach_cluster(cluster)
         cluster.on_container_warm(self._on_container_warm)
+        #: function → ``cluster.capacity_changes`` after its last create-on-empty
+        self._created_at: Dict[str, int] = {}
 
     # -- data path (event plane) ----------------------------------------
     def dispatch(self, request: Request) -> None:
@@ -329,9 +332,12 @@ class SharedQueuePolicy(ControlPolicy):
                 raise self._unregistered(request.function_name)
             estimator.record_arrival(request.arrival_time)
         self.metrics.record_request(request)
-        if (not self.dispatcher.submit(request) and self.creates_on_empty
-                and not self.cluster._by_function.get(request.function_name)):  # has_containers
-            self._create_on_empty(request.function_name)
+        if not self.dispatcher.submit(request) and self.creates_on_empty:
+            name, cluster = request.function_name, self.cluster
+            if (not cluster._by_function.get(name)  # has_containers
+                    and self._created_at.get(name) != cluster.capacity_changes):
+                self._create_on_empty(name)
+                self._created_at[name] = cluster.capacity_changes
 
     def _on_container_warm(self, container: Container) -> None:
         """A container finished cold start: drain its function's queue onto it."""

@@ -42,10 +42,12 @@ code: controller epoch/rate ticks, container warm-ups, node
 failures/recoveries, and draining-container completions are ordinary
 engine events.  Every one but a warm-up is a *boundary*: the kernel
 *flushes* folded metrics and *materializes* columns back into real
-objects (queued ``Request`` deques, busy containers with scheduled
-completion events, the dispatcher's idle index), lets the engine
+objects (queued ``Request`` deques, busy containers with their bare
+completion entries, the dispatcher's idle index), lets the engine
 execute every event at that timestamp, then *absorbs* the resulting
-object state back into columns and continues.  Container
+object state back into columns and continues; the absorb drops every
+completion entry no container runs any more, which would otherwise be
+a boundary of its own.  Container
 crash-on-dispatch faults are handled at request granularity: the kernel
 draws from the injector's own RNG at every dispatch and hands confirmed
 crashes to the injector's real crash path.
@@ -104,7 +106,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.container import ContainerState
+from repro.cluster.container import Container, ContainerState
 from repro.metrics.table import RequestTable, code_dtype
 from repro.sim import request as request_module
 from repro.sim.request import Request, RequestStatus
@@ -203,16 +205,15 @@ class _FnState:
     """Per-function columns plus queue/idle bookkeeping."""
 
     __slots__ = (
-        "name", "slo", "times", "works", "rid", "status", "start",
+        "name", "times", "works", "rid", "status", "start",
         "finish", "cold", "ccid", "cnode", "obj", "pos", "flush_pos",
         "queue", "idle", "idle_ids", "scores", "prune_pending",
         "may_create", "done_rows", "done_fracs", "slots", "live",
     )
 
-    def __init__(self, name: str, slo_deadline: Optional[float]) -> None:
+    def __init__(self, name: str) -> None:
         """Create empty columns for one function."""
         self.name = name
-        self.slo = slo_deadline
         self.times: List[float] = []
         self.works: List[float] = []
         self.rid: List[int] = []
@@ -250,6 +251,12 @@ class _FnState:
         self.ccid = [None] * n
         self.cnode = [None] * n
         self.obj = [None] * n
+
+
+def _void_completion(callback: Callable[..., Any], args: tuple) -> bool:
+    """Whether a heap entry is a container's completion of a request it no longer runs."""
+    return (getattr(callback, "__func__", None) is Container._finish_current
+            and callback.__self__._current is not args[0])
 
 
 def build_kernel(engine: Any, cluster: Any, policy: Any, generators: Sequence[Any],
@@ -310,7 +317,7 @@ class ColumnarKernel:
         self.injector = injector
 
         per_times, per_works, order, sorted_gen, g_times = merge_arrivals(generators)
-        fn_list = [_FnState(g.profile.name, g.slo_deadline) for g in generators]
+        fn_list = [_FnState(g.profile.name) for g in generators]
         counts = [len(times) for times in per_times]
         total = len(g_times)
 
@@ -739,11 +746,9 @@ class ColumnarKernel:
         """Materialize (or fetch) the live ``Request`` object for one row."""
         obj = fs.obj[i]
         if obj is None:
-            times = fs.times
             obj = Request(
                 function_name=fs.name,
-                arrival_time=times[i],
-                deadline=None if fs.slo is None else times[i] + fs.slo,
+                arrival_time=fs.times[i],
                 work=fs.works[i],
                 request_id=fs.rid[i],
             )
@@ -758,7 +763,8 @@ class ColumnarKernel:
         """Write the columnar state back into the real objects.
 
         After this, the dispatcher's queues and idle index, the
-        containers' in-flight requests + scheduled completion events,
+        containers' in-flight requests, finish times and completion
+        entries (pushed in finish order, as bare ``call_at`` entries),
         and the per-container counters look exactly as if the
         event-level plane had run — so an engine event may execute real
         code.  The completion heap empties: the engine owns its entries
@@ -783,7 +789,7 @@ class ColumnarKernel:
             busy.sort()
             self._comp = []
             rows += len(busy)
-            entries = []
+            call_at = engine.call_at
             completion_hook = dispatcher._completion_hook
             for finish, _, slot in busy:
                 fs = slot.busy_fs
@@ -796,12 +802,8 @@ class ColumnarKernel:
                 obj.cold_start = bool(fs.cold[i])
                 container = slot.container
                 container._current = obj
-                entries.append(
-                    (finish, container._finish_current, (engine, completion_hook))
-                )
-            events = engine.schedule_many_events(entries)
-            for (_, _, slot), event in zip(busy, events):
-                slot.container._completion_event = event
+                container._finish_time = finish
+                call_at(finish, container._finish_current, obj, engine, completion_hook)
         for fs in self._fn_list:
             for slot in fs.slots:
                 slot.container.completed_requests = slot.completed
@@ -811,8 +813,8 @@ class ColumnarKernel:
         """Re-adopt the object state into columns after an engine boundary.
 
         Syncs previously materialized requests' status back into the
-        columns, takes over each warm container (cancelling its pending
-        completion event in favour of the kernel's heap), and rebuilds
+        columns, takes over each warm container (its request moves to the
+        kernel's heap at its ``_finish_time``; the engine drops the entry), and rebuilds
         queues, idle sets and slots from the live dispatcher state,
         leaving the dispatcher's deques empty (see "Warm-ups" in the
         module docstring).  Containers in STARTING or DRAINING states
@@ -861,16 +863,12 @@ class ColumnarKernel:
             for container in cluster.containers_of(fs.name):
                 if container.state is not warm:
                     continue
-                if container._current is not None:
-                    event = container._completion_event
-                    finish = event.time
-                    event.cancel()
-                    container._completion_event = None
-                    request = container._current
+                request = container._current
+                if request is not None:
                     container._current = None
                     slot = _Slot(container)
                     slot.busy_fs, slot.busy_row = row_by_rid[request.request_id]
-                    comp.append((finish, next_seq(), slot))
+                    comp.append((container._finish_time, next_seq(), slot))
                     slots.append(slot)
                 elif container.is_dispatchable:
                     slot = _Slot(container)
@@ -893,6 +891,7 @@ class ColumnarKernel:
             # every key is suspect until the next pick prunes
             fs.prune_pending = set(fs.scores)
         heapify(comp)
+        self.engine.drop_calls(_void_completion)
         self._has_live = any(fs.live for fs in self._fn_list)
 
     def _crash_sync(self, fs: _FnState, i: int, slot: _Slot, time: float,
@@ -976,18 +975,16 @@ class ColumnarKernel:
         completed = RequestStatus.COMPLETED
         for fs in self._fn_list:
             name = fs.name
-            slo = fs.slo
             objs = fs.obj
             rows = zip(fs.rid, objs, fs.times, fs.works, fs.status, fs.start,
                        fs.finish, fs.ccid, fs.cnode, fs.cold)
             for i, (rid, obj, time, work, status, start, finish, ccid, cnode, cold) in enumerate(rows):
                 if obj is None:
-                    deadline = None if slo is None else time + slo
                     if status == _COMPLETED:
-                        obj = Request(name, time, deadline, work, rid, completed,
+                        obj = Request(name, time, work, rid, completed,
                                       start, finish, ccid, cnode, bool(cold))
                     else:
-                        obj = Request(name, time, deadline, work, rid)
+                        obj = Request(name, time, work, rid)
                         if status == _QUEUED:  # pragma: no cover - queued rows are materialized
                             obj.status = RequestStatus.QUEUED
                     objs[i] = obj

@@ -16,7 +16,10 @@ come in two shapes, distinguished by the ``args`` slot:
   its (possibly empty) positional-argument tuple.  Created by
   :meth:`SimulationEngine.call_later` and :meth:`SimulationEngine.call_at`;
   no :class:`Event` record, no kwargs dict, no cancellation handle —
-  one tuple per event, total.
+  one tuple per event, total.  Every request's completion is one
+  (``Container._start``); a callback that must not run any more either
+  returns at once by itself (a torn-down container's completion) or is
+  removed with :meth:`SimulationEngine.drop_calls`.
 * **Event records** — ``target`` is an :class:`Event` (``__slots__``)
   and ``args`` is ``None``.  Created by
   :meth:`SimulationEngine.schedule` / :meth:`SimulationEngine.schedule_at`
@@ -24,8 +27,9 @@ come in two shapes, distinguished by the ``args`` slot:
 
 Cancellation is lazy: :meth:`Event.cancel` flips a flag and the event is
 discarded when it reaches the top of the heap, never by re-heapifying.
-The engine counts those discards (:attr:`SimulationEngine.events_cancelled`)
-so cancellation-heavy workloads can be diagnosed.
+The engine counts those discards (:attr:`SimulationEngine.events_cancelled`),
+and the bare entries :meth:`SimulationEngine.drop_calls` removes, so
+cancellation-heavy workloads can be diagnosed.
 
 The stream
 ----------
@@ -55,8 +59,9 @@ stream events included, and including an event whose callback raised
 :class:`_StopSimulation` (via :func:`stop_simulation`) — the callback
 did run, so it is counted, by both :meth:`SimulationEngine.run` and
 :meth:`SimulationEngine.step`.  Cancelled events are never invoked and
-never counted.  ``pending_events`` is the heap's length (cancelled
-entries included); the stream's unread events are not in it.
+never counted, nor are entries removed by ``drop_calls``.
+``pending_events`` is the heap's length (cancelled entries included);
+the stream's unread events are not in it.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ import math
 from functools import partial
 from itertools import islice
 from operator import le
-from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 _INF = math.inf
 
@@ -177,7 +182,7 @@ class SimulationEngine:
 
     @property
     def events_cancelled(self) -> int:
-        """Cancelled events discarded (lazily) from the top of the heap so far."""
+        """Cancelled events discarded so far, plus the entries :meth:`drop_calls` removed."""
         return self._events_cancelled
 
     @property
@@ -262,37 +267,19 @@ class SimulationEngine:
         self._sequence = sequence + 1
         heapq.heappush(self._queue, (time, priority, sequence, callback, args))
 
-    def schedule_many_events(
-        self,
-        entries: Iterable[Tuple[float, Callable[..., Any], tuple]],
-        priority: int = PRIORITY_DATA,
-    ) -> list:
-        """Batch variant of :meth:`schedule_at` returning cancellable events.
+    def drop_calls(self, stale: Callable[[Callable[..., Any], tuple], bool]) -> int:
+        """Remove every bare heap entry for which ``stale(callback, args)`` holds; return how many.
 
-        It reads engine state once and keeps scheduling order as the
-        tie-break at equal ``(time, priority)``, and each entry gets an
-        :class:`Event` record so the caller can cancel it later — the
-        shape the columnar data plane needs when it re-materializes
-        in-flight service completions at a control-plane boundary.
-
-        Returns the list of :class:`Event` handles, in entry order.
+        They count in :attr:`events_cancelled`; the rest keep their order.
         """
-        now = self._now
         queue = self._queue
-        push = heapq.heappush
-        sequence = self._sequence
-        events = []
-        try:
-            for time, callback, args in entries:
-                if not now <= time < _INF:
-                    raise SimulationError(f"cannot schedule at {time!r}; now={now:.6f}")
-                event = Event(time, priority, sequence, callback, args, None)
-                push(queue, (time, priority, sequence, event, None))
-                sequence += 1
-                events.append(event)
-        finally:
-            self._sequence = sequence
-        return events
+        kept = [entry for entry in queue if entry[4] is None or not stale(entry[3], entry[4])]
+        dropped = len(queue) - len(kept)
+        if dropped:
+            heapq.heapify(kept)
+            queue[:] = kept  # in place: a running loop holds the list
+            self._events_cancelled += dropped
+        return dropped
 
     def merge_stream(self, times: Sequence[float],
                      targets: Sequence[Callable[[float], Any]]) -> None:

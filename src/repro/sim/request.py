@@ -2,9 +2,10 @@
 
 A :class:`Request` records every timestamp relevant to the paper's
 metrics: arrival at the dispatcher, the moment a container begins
-executing it (end of queueing), completion, and whether it was dropped or
-violated its SLO deadline.  The paper's headline metric — the 95th/99th
-percentile of *waiting* time — is ``start_time - arrival_time``.
+executing it (end of queueing), completion, and whether it was dropped;
+whether it met its SLO is asked of the function's relative deadline
+(:func:`repro.metrics.slo.slo_report`).  The paper's headline metric —
+the 95th/99th percentile of *waiting* time — is ``start_time - arrival_time``.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ class Request:
         The function this request invokes.
     arrival_time:
         Simulation time at which the request reached the dispatcher.
-    deadline:
-        Absolute SLO deadline (arrival time + relative deadline), or
-        ``None`` if the function has no SLO.
     work:
         Amount of work in "standard-container seconds".  A container with
         relative speed ``s`` executes the request in ``work / s`` seconds.
@@ -57,7 +55,6 @@ class Request:
 
     function_name: str
     arrival_time: float
-    deadline: Optional[float] = None
     work: float = 0.0
     request_id: int = field(default_factory=lambda: next(_request_counter))
 

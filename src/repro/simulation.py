@@ -298,7 +298,6 @@ class SimulationRunner:
                 schedule=binding.schedule,
                 dispatch=dispatch,
                 rng=self.rng.stream(f"arrivals:{binding.profile.name}"),
-                slo_deadline=binding.slo_deadline,
                 work_rng=self.rng.stream(f"work:{binding.profile.name}"),
             )
             for binding in self.bindings

@@ -240,8 +240,6 @@ class ArrivalGenerator:
         Random generator for inter-arrival times.
     work_rng:
         Dedicated random generator for per-request work sampling.
-    slo_deadline:
-        Relative SLO deadline stamped onto each request (``None`` for no SLO).
     horizon:
         Stop generating at this simulation time even if the schedule
         continues (defaults to the schedule's own end).  May be assigned
@@ -259,7 +257,6 @@ class ArrivalGenerator:
         dispatch: Callable[[Request], None],
         rng: np.random.Generator,
         work_rng: np.random.Generator,
-        slo_deadline: Optional[float] = 0.1,
         horizon: Optional[float] = None,
         thinning_window: float = 5.0,
     ) -> None:
@@ -272,7 +269,6 @@ class ArrivalGenerator:
         self.dispatch = dispatch
         self.rng = rng
         self.work_rng = work_rng
-        self.slo_deadline = slo_deadline
         self.horizon = horizon if horizon is not None else schedule.end_time
         self.thinning_window = float(thinning_window)
         self.generated: int = 0
@@ -285,10 +281,9 @@ class ArrivalGenerator:
 
         Its work is the next of the works :func:`stream_arrivals` set aside.
         """
-        deadline = None if self.slo_deadline is None else arrival_time + self.slo_deadline
         # the id is drawn here, as the dataclass default would, without its
         # factory frame; through the module, because the counter is rebound
-        self.dispatch(Request(self.profile.name, arrival_time, deadline, next(self._works),
+        self.dispatch(Request(self.profile.name, arrival_time, next(self._works),
                               next(request_module._request_counter)))
 
     def materialize_arrivals(self) -> "tuple[List[float], List[float]]":

@@ -66,10 +66,8 @@ class ArrivalPump:
     def _emit(self, arrival_time: float, work: float) -> None:
         """Create one request at its arrival time and hand it to dispatch."""
         generator = self.generator
-        slo_deadline = generator.slo_deadline
-        deadline = None if slo_deadline is None else arrival_time + slo_deadline
         self.generated += 1
-        generator.dispatch(Request(generator.profile.name, arrival_time, deadline, work,
+        generator.dispatch(Request(generator.profile.name, arrival_time, work,
                                    next(request_module._request_counter)))
 
 

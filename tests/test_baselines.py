@@ -28,7 +28,7 @@ def build(controller_factory, bindings, duration, cluster_config=None, seed=31):
             engine=engine, profile=profile, schedule=schedule,
             dispatch=controller.dispatch, rng=rng.stream(f"a:{profile.name}"),
             work_rng=rng.stream(f"w:{profile.name}"),
-            slo_deadline=slo, horizon=duration,
+            horizon=duration,
         )
         for profile, schedule, slo, user in bindings
     ])

@@ -61,7 +61,7 @@ def _record_rows(outcome):
     """The per-request lifecycle table, sorted by request id."""
     rows = [
         (
-            r.request_id, r.function_name, r.arrival_time, r.deadline, r.work,
+            r.request_id, r.function_name, r.arrival_time, r.work,
             r.status.value, r.start_time, r.completion_time, r.container_id,
             r.node_name, r.cold_start,
         )

@@ -103,7 +103,7 @@ def _run(plane: str, *, seed: int = 11, policy: str = "lass", faults=None,
     deadlines = {name: 0.1 for name in names}
     fingerprint = {
         "requests": sorted(
-            (r.request_id, r.function_name, r.arrival_time, r.deadline, r.work,
+            (r.request_id, r.function_name, r.arrival_time, r.work,
              r.status.value, r.start_time, r.completion_time, r.container_id,
              r.node_name, r.cold_start)
             for r in result.metrics.requests
@@ -296,7 +296,7 @@ def test_a_container_marked_draining_while_starting_keeps_its_cold_start(monkeyp
     for cid, container in marked.items():
         cold_start_end = container.created_at + 0.5
         assert container.warm_since == cold_start_end
-        served = sorted((row[6], row[10]) for row in rows if row[8] == cid)
+        served = sorted((row[5], row[9]) for row in rows if row[7] == cid)
         assert served and served[0][0] >= cold_start_end
         if cid in rescued_starting:
             assert hooks[cid] == 1

@@ -28,15 +28,14 @@ def finish(request, start, completion):
     return request
 
 
-def completed_request(name="fn", arrival=0.0, wait=0.05, service=0.1, deadline=0.1):
-    request = Request(function_name=name, arrival_time=arrival,
-                      deadline=None if deadline is None else arrival + deadline, work=service)
+def completed_request(name="fn", arrival=0.0, wait=0.05, service=0.1):
+    request = Request(function_name=name, arrival_time=arrival, work=service)
     request.mark_queued()
     return finish(request, arrival + wait, arrival + wait + service)
 
 
 def dropped_request(name="fn", arrival=0.0):
-    request = Request(function_name=name, arrival_time=arrival, deadline=arrival + 0.1, work=0.1)
+    request = Request(function_name=name, arrival_time=arrival, work=0.1)
     request.mark_queued()
     request.mark_dropped(arrival + 1.0)
     return request

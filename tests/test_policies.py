@@ -447,6 +447,32 @@ class TestOneSharedQueueDataPath:
         assert (plan.fold_completions is None) == (policy.completion_folds is None)
         assert (plan.create_on_empty is not None) == policy.creates_on_empty
 
+    @pytest.mark.parametrize("name", ["lass", "hybrid", "reactive"])
+    def test_a_create_on_empty_that_placed_nothing_waits_for_a_capacity_change(
+            self, name, monkeypatch):
+        """No retry while the cluster's ``capacity_changes`` stands; a node's recovery moves it."""
+        from repro.sim.request import Request
+
+        policy = self._built(name)
+        cluster = policy.cluster
+        calls = []
+        create_on_empty = type(policy)._create_on_empty
+
+        def spy(policy, function):
+            calls.append(function)
+            create_on_empty(policy, function)
+
+        monkeypatch.setattr(type(policy), "_create_on_empty", spy)
+        for node in cluster.nodes:
+            cluster.fail_node(node.name)
+        for t in (0.0, 0.1, 0.2):
+            policy.dispatch(Request("squeezenet", t, work=0.1))
+        assert calls == ["squeezenet"] and not cluster.has_containers("squeezenet")
+        cluster.recover_node(cluster.nodes[0].name)
+        policy.dispatch(Request("squeezenet", 0.3, work=0.1))
+        assert calls == ["squeezenet"] * 2 and cluster.has_containers("squeezenet")
+        assert policy.metrics.counters["creations"] == 1
+
     def test_an_untracked_function_is_refused_on_both_planes(self):
         from repro.sim.request import Request
 

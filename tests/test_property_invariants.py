@@ -243,67 +243,6 @@ def _estimator_state(estimator):
 
 @PROPERTY_SETTINGS
 @given(
-    entries=st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=100.0,
-                      allow_nan=False, allow_infinity=False),
-            st.sampled_from([SimulationEngine.PRIORITY_DATA,
-                             SimulationEngine.PRIORITY_FAULT,
-                             SimulationEngine.PRIORITY_CONTROL]),
-        ),
-        min_size=1, max_size=50,
-    ),
-    split=st.integers(min_value=0, max_value=50),
-    cancel_stride=st.integers(min_value=2, max_value=7),
-)
-def test_schedule_many_events_matches_one_at_a_time(entries, split, cancel_stride):
-    """Batched completion scheduling ≡ per-event scheduling, exactly.
-
-    ``schedule_many_events`` must preserve ``(time, priority, seq)`` heap
-    order relative to one-at-a-time insertion — including when the batch
-    is split into two consecutive calls at an arbitrary point — and its
-    Event handles must cancel exactly like individually scheduled ones.
-    Per-priority runs are scheduled in the same order on both engines, so
-    sequence numbers line up and the execution orders must be identical.
-    """
-    split = min(split, len(entries))
-
-    batched_engine = SimulationEngine()
-    batched_order = []
-    batched_events = []
-    serial_engine = SimulationEngine()
-    serial_order = []
-    serial_events = []
-
-    for sub, base in ((entries[:split], 0), (entries[split:], split)):
-        for priority in (SimulationEngine.PRIORITY_FAULT,
-                         SimulationEngine.PRIORITY_DATA,
-                         SimulationEngine.PRIORITY_CONTROL):
-            run = [(base + offset, time) for offset, (time, p) in enumerate(sub)
-                   if p == priority]
-            if not run:
-                continue
-            batched_events.extend(batched_engine.schedule_many_events(
-                [(time, batched_order.append, (index,)) for index, time in run],
-                priority=priority,
-            ))
-            for index, time in run:
-                serial_events.append(serial_engine.schedule(
-                    time, serial_order.append, index, priority=priority))
-
-    # cancel the same subset of handles on both engines
-    for position in range(0, len(batched_events), cancel_stride):
-        batched_events[position].cancel()
-        serial_events[position].cancel()
-
-    batched_engine.run()
-    serial_engine.run()
-    assert batched_order == serial_order
-    assert batched_engine.events_processed == serial_engine.events_processed
-
-
-@PROPERTY_SETTINGS
-@given(
     observations=st.lists(
         st.tuples(
             st.sampled_from([0.25, 0.5, 0.75, 1.0]),
@@ -456,7 +395,6 @@ def test_materialized_arrivals_match_event_driven_pump(rate, duration, seed,
         return ArrivalGenerator(
             engine, profile, StaticRate(rate, duration=duration), dispatch=dispatch,
             rng=np.random.default_rng(seed), work_rng=np.random.default_rng(seed + 1),
-            slo_deadline=0.1,
         )
 
     times, works = generator(SimulationEngine(), lambda request: None).materialize_arrivals()

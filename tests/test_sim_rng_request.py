@@ -71,7 +71,7 @@ def run_and_complete(request, start, completion):
 
 class TestRequestLifecycle:
     def make(self, **kwargs) -> Request:
-        defaults = dict(function_name="fn", arrival_time=1.0, deadline=1.1, work=0.05)
+        defaults = dict(function_name="fn", arrival_time=1.0, work=0.05)
         defaults.update(kwargs)
         return Request(**defaults)
 
