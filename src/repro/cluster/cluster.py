@@ -21,6 +21,9 @@ from repro.cluster.container import Container, ContainerState
 from repro.cluster.node import InsufficientCapacityError, Node, best_fit
 from repro.sim.engine import SimulationEngine
 
+_STARTING, _WARM, _DRAINING, _TERMINATED = (ContainerState.STARTING, ContainerState.WARM,
+                                             ContainerState.DRAINING, ContainerState.TERMINATED)
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -254,7 +257,7 @@ class EdgeCluster:
                 # the sort key is unique per container, so filtering the
                 # sorted list is sorting the filtered one
                 result = [c for c in self.containers_of(function_name)
-                          if c.state != ContainerState.DRAINING]
+                          if c.state is not _DRAINING]
             cache[function_name] = result
         return list(result)
 
@@ -264,7 +267,7 @@ class EdgeCluster:
 
     def warm_containers_of(self, function_name: str) -> List[Container]:
         """Containers of a function that are warm (dispatchable)."""
-        return [c for c in self.containers_of(function_name) if c.state == ContainerState.WARM]
+        return [c for c in self.containers_of(function_name) if c.state is _WARM]
 
     def all_containers(self) -> List[Container]:
         """All live containers in the cluster."""
@@ -273,7 +276,7 @@ class EdgeCluster:
     def get_container(self, container_id: str) -> Optional[Container]:
         """Look up a container by id (returns ``None`` for unknown or terminated)."""
         container = self._containers.get(container_id)
-        if container is None or container.state == ContainerState.TERMINATED:
+        if container is None or container.state is _TERMINATED:
             return None
         return container
 
@@ -298,7 +301,7 @@ class EdgeCluster:
         """Observer hook: drop the function's sorted lists, keep its index in sync."""
         self._sorted_all.pop(container.function_name, None)
         self._sorted_live.pop(container.function_name, None)
-        if container.state == ContainerState.TERMINATED:
+        if container.state is _TERMINATED:
             self._containers.pop(container.container_id, None)
             index = self._by_function.get(container.function_name)
             if index is not None:
@@ -361,10 +364,10 @@ class EdgeCluster:
 
     def _finish_cold_start(self, container: Container) -> None:
         """Engine callback: mark a STARTING container warm and notify observers."""
-        if container.state is ContainerState.DRAINING:
+        if container.state is _DRAINING:
             # marked while starting: the cold start ends, but it takes no work (no hooks)
             container.warm_since = self.engine.now
-        elif container.state is ContainerState.STARTING:
+        elif container.state is _STARTING:
             container.mark_warm(self.engine.now)
             for callback in self._on_container_warm:
                 callback(container)
@@ -372,7 +375,7 @@ class EdgeCluster:
     def terminate_container(self, container_id: str) -> List:
         """Terminate a container immediately; returns the dropped requests."""
         container = self._containers.get(container_id)
-        if container is None or container.state == ContainerState.TERMINATED:
+        if container is None or container.state is _TERMINATED:
             return []
         dropped = container.terminate(self.engine.now)
         node = container.host
@@ -392,7 +395,7 @@ class EdgeCluster:
         Returns ``(interrupted, salvaged)``.
         """
         container = self._containers.get(container_id)
-        if container is None or container.state == ContainerState.TERMINATED:
+        if container is None or container.state is _TERMINATED:
             return [], []
         interrupted, salvaged = container.evict(self.engine.now)
         node = container.host

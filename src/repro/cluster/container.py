@@ -41,6 +41,14 @@ class ContainerState(enum.Enum):
     TERMINATED = "terminated"  #: gone; resources released
 
 
+#: the members the hot paths read, bound once: ``EnumType`` defines ``__getattr__``,
+#: so every ``ContainerState.X`` / ``RequestStatus.X`` read takes the hooked slot
+_STARTING, _WARM, _DRAINING, _TERMINATED = (ContainerState.STARTING, ContainerState.WARM,
+                                             ContainerState.DRAINING, ContainerState.TERMINATED)
+_PENDING, _QUEUED, _RUNNING, _COMPLETED = (
+    RequestStatus.PENDING, RequestStatus.QUEUED, RequestStatus.RUNNING, RequestStatus.COMPLETED)
+
+
 class ContainerError(RuntimeError):
     """Raised on invalid container operations (e.g. running work on a terminated container)."""
 
@@ -92,7 +100,7 @@ class Container:
         self.memory_mb = float(memory_mb)
         self.created_at = created_at
         self.warm_since: Optional[float] = None
-        self.state = ContainerState.STARTING
+        self.state = _STARTING
         self._speed_of_cpu = speed_of_cpu or (lambda fraction: fraction)
         #: cached speed; the response curve is a pure function of the CPU
         #: fraction, so it only needs re-evaluating after a resize
@@ -139,12 +147,12 @@ class Container:
     @property
     def is_available(self) -> bool:
         """Whether the load balancer may dispatch new requests to this container."""
-        return self.state is ContainerState.WARM
+        return self.state is _WARM
 
     @property
     def is_idle(self) -> bool:
         """Warm and with no running or queued request."""
-        return self.state is ContainerState.WARM and self._current is None and not self._queue
+        return self.state is _WARM and self._current is None and not self._queue
 
     #: ``is_available and is_idle``; idle already implies warm, so it is the same test.
     #: The dispatcher and the balancer's ``pick_idle`` read the same three
@@ -181,17 +189,17 @@ class Container:
 
     def mark_warm(self, time: float) -> None:
         """Finish the cold start; the container can now execute requests."""
-        if self.state != ContainerState.STARTING:
+        if self.state is not _STARTING:
             raise ContainerError(f"container {self.container_id} is {self.state.value}, cannot warm")
-        self.state = ContainerState.WARM
+        self.state = _WARM
         self.warm_since = time
         self._notify_state()
 
     def mark_draining(self) -> None:
         """Lazily mark for termination; existing work drains, no new work accepted."""
-        if self.state == ContainerState.TERMINATED:
+        if self.state is _TERMINATED:
             raise ContainerError("container already terminated")
-        self.state = ContainerState.DRAINING
+        self.state = _DRAINING
         self._notify_state()
 
     def unmark_draining(self) -> None:
@@ -200,9 +208,9 @@ class Container:
         One whose cold start has not ended returns to ``STARTING``, to warm
         at its cold-start event as any other (warm hooks, a cold first request).
         """
-        if self.state != ContainerState.DRAINING:
+        if self.state is not _DRAINING:
             raise ContainerError("container is not draining")
-        self.state = ContainerState.STARTING if self.warm_since is None else ContainerState.WARM
+        self.state = _STARTING if self.warm_since is None else _WARM
         self._notify_state()
 
     def _teardown(self, time: float, drop_queued: bool) -> Tuple[List[Request], List[Request]]:
@@ -215,7 +223,7 @@ class Container:
         back untouched, still ``QUEUED`` (failure eviction).  Returns
         ``(dropped, salvaged)``.
         """
-        if self.state == ContainerState.TERMINATED:
+        if self.state is _TERMINATED:
             return [], []
         self._finish_time = None
         dropped: List[Request] = []
@@ -230,7 +238,7 @@ class Container:
                 request.mark_dropped(time)
             dropped.extend(salvaged)
             salvaged = []
-        self.state = ContainerState.TERMINATED
+        self.state = _TERMINATED
         if self.host is not None:
             self.host.drop_sums()
         self._notify_state()
@@ -265,7 +273,7 @@ class Container:
 
         Returns the amount of CPU released (negative if inflating).
         """
-        if self.state == ContainerState.TERMINATED:
+        if self.state is _TERMINATED:
             raise ContainerError("cannot resize a terminated container")
         new_cpu = min(self.standard_cpu, max(1e-6, float(cpu)))
         released = self.current_cpu - new_cpu
@@ -303,22 +311,22 @@ class Container:
         waited in a controller-level shared queue (``QUEUED``).
         """
         state = self.state
-        if state is ContainerState.TERMINATED:
+        if state is _TERMINATED:
             raise ContainerError(
                 f"cannot submit to container {self.container_id} in state {state.value}"
             )
         status = request.status
-        if status is not RequestStatus.PENDING and status is not RequestStatus.QUEUED:
+        if status is not _PENDING and status is not _QUEUED:
             raise ContainerError(
                 f"cannot submit request in state {status.value} to {self.container_id}"
             )
-        if state is ContainerState.WARM and self._current is None and not self._queue:
+        if state is _WARM and self._current is None and not self._queue:
             self._start(request, engine, on_complete)
             return
-        if status is RequestStatus.PENDING:
+        if status is _PENDING:
             request.mark_queued()
         self._queue.append(request)
-        if state is ContainerState.WARM:
+        if state is _WARM:
             self._try_start_next(engine, on_complete)
 
     def on_warm_start(
@@ -348,11 +356,12 @@ class Container:
 
         Its completion is one bare ``engine.call_at`` entry, with no handle to cancel it.
         """
-        if request.status not in (RequestStatus.PENDING, RequestStatus.QUEUED):
-            raise ValueError(f"cannot start request in state {request.status}")
+        status = request.status
+        if status is not _PENDING and status is not _QUEUED:
+            raise ValueError(f"cannot start request in state {status}")
         now = engine._now  # the clock's field: the property is a frame per request
         self._current = request
-        request.status = RequestStatus.RUNNING
+        request.status = _RUNNING
         request.start_time = now
         request.container_id = self.container_id
         request.node_name = self.node_name
@@ -374,15 +383,15 @@ class Container:
         """
         if self._current is not request:
             return
-        if request.status is not RequestStatus.RUNNING:
+        if request.status is not _RUNNING:
             raise ValueError(
                 f"request {request.request_id} is {request.status.value}, expected running")
-        request.status = RequestStatus.COMPLETED
+        request.status = _COMPLETED
         request.completion_time = engine._now
         self.completed_requests += 1
         self._current = None
         if on_complete is not None:
             on_complete(request, self)
         # whatever ``on_complete`` handed over has started on its own
-        if self._queue and self.state in (ContainerState.WARM, ContainerState.DRAINING):
+        if self._queue and ((state := self.state) is _WARM or state is _DRAINING):
             self._try_start_next(engine, on_complete)

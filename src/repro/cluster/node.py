@@ -32,6 +32,7 @@ from repro.cluster.container import Container, ContainerState
 
 _current_cpu = attrgetter("current_cpu")
 _memory_mb = attrgetter("memory_mb")
+_TERMINATED = ContainerState.TERMINATED
 
 
 class InsufficientCapacityError(RuntimeError):
@@ -99,7 +100,7 @@ class Node:
     @property
     def containers(self) -> List[Container]:
         """Live (non-terminated) containers hosted on this node."""
-        return [c for c in self._containers.values() if c.state != ContainerState.TERMINATED]
+        return [c for c in self._containers.values() if c.state is not _TERMINATED]
 
     @property
     def cpu_allocated(self) -> float:

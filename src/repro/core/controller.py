@@ -54,6 +54,8 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.request import Request
 
 _current_cpu = attrgetter("current_cpu")
+_DRAINING = ContainerState.DRAINING
+_TERMINATION = ReclamationPolicy.TERMINATION
 
 
 @dataclass
@@ -423,7 +425,7 @@ class LassController(SharedQueuePolicy):
         # 1) rescue draining containers of this function first (cheapest)
         draining = [
             c for c in self.cluster.containers_of(name)
-            if c.state == ContainerState.DRAINING
+            if c.state is _DRAINING
         ]
         for container in draining:
             if count <= 0:
@@ -456,7 +458,7 @@ class LassController(SharedQueuePolicy):
     def _reclaim_draining(self, exclude: Optional[str] = None) -> None:
         """Terminate draining containers to free capacity for other functions."""
         for container in self.cluster.all_containers():
-            if container.state != ContainerState.DRAINING:
+            if container.state is not _DRAINING:
                 continue
             if exclude is not None and container.function_name == exclude:
                 continue
@@ -483,7 +485,7 @@ class LassController(SharedQueuePolicy):
 
     def _reclamation_policy(self):
         """The policy object for the configured reclamation mechanism."""
-        if self.config.reclamation is ReclamationPolicy.TERMINATION:
+        if self.config.reclamation is _TERMINATION:
             return TerminationPolicy()
         return DeflationPolicy(
             threshold=self.config.deflation_threshold,

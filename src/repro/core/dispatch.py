@@ -70,6 +70,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.request import Request, RequestStatus
 
 _WARM = ContainerState.WARM
+_QUEUED = RequestStatus.QUEUED
 
 
 class SharedQueueDispatcher:
@@ -231,7 +232,7 @@ class SharedQueueDispatcher:
         # stale entries are found by the first pick, not before the loop
         while queue and index:
             request = queue.popleft()
-            if request.status is not RequestStatus.QUEUED:
+            if request.status is not _QUEUED:
                 continue  # dropped while waiting (e.g. container terminated it)
             chosen = self.balancer.pick_idle(function_name, index)
             if chosen is None:  # only stale entries, and the pick discarded them
@@ -248,7 +249,7 @@ class SharedQueueDispatcher:
         should be retried elsewhere.
         """
         for request in reversed(list(requests)):
-            if request.status is not RequestStatus.QUEUED:
+            if request.status is not _QUEUED:
                 continue
             self._queues.setdefault(request.function_name, deque()).appendleft(request)
 
@@ -271,7 +272,7 @@ class SharedQueueDispatcher:
         while (queue and container.state is _WARM and container._current is None
                and not container._queue):
             next_request = queue.popleft()
-            if (next_request.status is RequestStatus.QUEUED
+            if (next_request.status is _QUEUED
                     and self._dispatch_to(container, next_request)):
                 return  # busy again, and _dispatch_to took it out of the idle index
         self._on_container_state(container)

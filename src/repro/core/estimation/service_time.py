@@ -10,9 +10,9 @@ approaches for this purpose: 1) load offline profiling results ... and
 distribution(s) over time."
 
 :class:`ServiceTimeProfile` is the offline path: a table of mean service
-times (and a distributional shape) per container size, interpolated for
-intermediate deflation levels.  :class:`OnlineServiceTimeEstimator` is
-the online path: it ingests ``(cpu_fraction, service_time)`` samples
+times per container size, interpolated for intermediate deflation
+levels.  :class:`OnlineServiceTimeEstimator` is the online path: it
+ingests ``(cpu_fraction, service_time)`` samples
 from completed requests and keeps a running mean per CPU bucket —
 noted at the completion, folded at the next read (see its pending-block
 contract).
@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.core.queueing.distributions import Exponential, ServiceTimeDistribution
 
 #: Most completions :meth:`OnlineServiceTimeEstimator.observe` holds back
 #: before folding them itself: a memory bound for runs that never read the
@@ -49,15 +47,11 @@ class ServiceTimeProfile:
         the function was profiled, e.g. ``(0.3, 0.5, 0.7, 1.0)``.
     mean_service_times:
         Mean service time measured at each profiled CPU fraction.
-    distribution:
-        Distribution family of the service time at the standard size;
-        scaled copies are returned for other sizes.
     """
 
     function_name: str
     cpu_fractions: Tuple[float, ...]
     mean_service_times: Tuple[float, ...]
-    distribution: ServiceTimeDistribution = field(default_factory=lambda: Exponential(0.1))
 
     def __post_init__(self) -> None:
         """Validate the profile table's shape and ordering."""
@@ -79,7 +73,6 @@ class ServiceTimeProfile:
         standard_mean: float,
         speed_of_cpu,
         cpu_fractions: Sequence[float] = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-        distribution: Optional[ServiceTimeDistribution] = None,
     ) -> "ServiceTimeProfile":
         """Build a profile from a deflation response curve.
 
@@ -88,8 +81,7 @@ class ServiceTimeProfile:
         """
         fractions = tuple(sorted(float(f) for f in cpu_fractions))
         means = tuple(standard_mean / max(1e-9, speed_of_cpu(f)) for f in fractions)
-        dist = distribution or Exponential(standard_mean)
-        return cls(function_name, fractions, means, dist)
+        return cls(function_name, fractions, means)
 
     # ------------------------------------------------------------------
     # Lookups

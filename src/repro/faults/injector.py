@@ -50,6 +50,8 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.request import Request
 from repro.sim.rng import RngStreams
 
+_WARM = ContainerState.WARM
+
 
 class FaultInjector:
     """Schedules and executes one scenario's fault plan.
@@ -129,7 +131,7 @@ class FaultInjector:
         # functions that actually lose warm capacity constrain recovery
         lost_warm: Dict[str, int] = {}
         for container in node.containers:
-            if container.state is ContainerState.WARM:
+            if container.state is _WARM:
                 lost_warm[container.function_name] = (
                     lost_warm.get(container.function_name, 0) + 1
                 )

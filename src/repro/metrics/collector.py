@@ -23,6 +23,9 @@ from repro.metrics.timeline import AllocationTimeline
 from repro.metrics.utilization import UtilizationTracker
 from repro.sim.request import Request, RequestStatus
 
+_COMPLETED, _DROPPED, _TIMED_OUT = (
+    RequestStatus.COMPLETED, RequestStatus.DROPPED, RequestStatus.TIMED_OUT)
+
 
 class FunctionEpochStats(NamedTuple):
     """Per-function statistics captured at the end of one controller epoch.
@@ -185,7 +188,7 @@ class MetricsCollector:
         return [
             r
             for r in self.requests
-            if r.status is RequestStatus.COMPLETED
+            if r.status is _COMPLETED
             and (function_name is None or r.function_name == function_name)
         ]
 
@@ -194,7 +197,7 @@ class MetricsCollector:
         return [
             r
             for r in self.requests
-            if r.status in (RequestStatus.DROPPED, RequestStatus.TIMED_OUT)
+            if (r.status is _DROPPED or r.status is _TIMED_OUT)
             and (function_name is None or r.function_name == function_name)
         ]
 

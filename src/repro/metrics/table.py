@@ -29,6 +29,7 @@ from repro.sim.request import Request, RequestStatus
 #: :class:`~repro.sim.request.RequestStatus` in definition order.
 PENDING, QUEUED, RUNNING, COMPLETED, DROPPED, TIMED_OUT = range(6)
 _STATUS_CODE = {status: code for code, status in enumerate(RequestStatus)}
+_COMPLETED_STATUS = RequestStatus.COMPLETED  # bound once: a member read is a hooked lookup
 
 
 def code_dtype(count: int) -> np.dtype:
@@ -94,7 +95,6 @@ class RequestTable:
             requests = list(requests)
         n = len(requests)
         nan = np.nan
-        completed = RequestStatus.COMPLETED
         code_of: Dict[str, int] = {}
         codes = np.fromiter(
             (code_of.setdefault(r.function_name, len(code_of)) for r in requests), np.intp, n)
@@ -108,7 +108,7 @@ class RequestTable:
                          for r in requests), np.float64, n),
             # almost every request of a finished run is COMPLETED, and an
             # identity test is much cheaper than hashing an enum member
-            np.fromiter((COMPLETED if r.status is completed else _STATUS_CODE[r.status]
+            np.fromiter((COMPLETED if r.status is _COMPLETED_STATUS else _STATUS_CODE[r.status]
                          for r in requests), np.uint8, n),
         )
 

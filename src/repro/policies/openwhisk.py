@@ -50,6 +50,9 @@ from repro.metrics.collector import EpochSnapshot, FunctionEpochStats, MetricsCo
 from repro.sim.engine import SimulationEngine
 from repro.sim.request import Request, RequestStatus
 
+_WARM, _DRAINING = ContainerState.WARM, ContainerState.DRAINING
+_DROPPED = RequestStatus.DROPPED
+
 
 @dataclass
 class OpenWhiskConfig:
@@ -238,7 +241,7 @@ class VanillaOpenWhiskController(ControlPolicy):
         if node is not None and node.unresponsive:
             # completions on a failed node do not count: the invoker never
             # reports them back, so the record says dropped, like the counter
-            request.status = RequestStatus.DROPPED
+            request.status = _DROPPED
             self.metrics.record_drop()
             return
         self.metrics.record_completion(request)
@@ -258,7 +261,7 @@ class VanillaOpenWhiskController(ControlPolicy):
                 self.metrics.increment("invoker_failures")
                 # containers on a dead invoker stop making progress
                 for container in node.containers:
-                    if container.state in (ContainerState.WARM, ContainerState.DRAINING):
+                    if container.state is _WARM or container.state is _DRAINING:
                         for dropped in container.terminate(self.engine.now):
                             self.metrics.record_drop()
 

@@ -124,6 +124,12 @@ _RUNNING = 2    #: executing on a container
 _COMPLETED = 3  #: finished successfully
 _DROPPED = 4    #: dropped or timed out (faults)
 
+#: the enum members the boundary code reads, bound once (an ``Enum`` member
+#: read is a hooked ``EnumType`` lookup); not the column codes above
+_STARTING, _WARM = ContainerState.STARTING, ContainerState.WARM
+_STATUS_PENDING, _STATUS_QUEUED, _STATUS_RUNNING, _STATUS_COMPLETED = (
+    RequestStatus.PENDING, RequestStatus.QUEUED, RequestStatus.RUNNING, RequestStatus.COMPLETED)
+
 
 @dataclass
 class ColumnarPlan:
@@ -408,7 +414,7 @@ class ColumnarKernel:
         candidates, or its crash draw will hit.
         """
         fs = self._fn_by_name.get(container.function_name)
-        if container.state is not ContainerState.STARTING:
+        if container.state is not _STARTING:
             fs = None  # terminated or draining: the event warms nothing
         elif fs is not None:
             status = fs.status
@@ -447,7 +453,7 @@ class ColumnarKernel:
         slot.busy_row = head
         obj = fs.obj[head]
         if obj is not None:
-            obj.status = RequestStatus.RUNNING
+            obj.status = _STATUS_RUNNING
             obj.start_time = now
             obj.container_id = slot.cid
             obj.node_name = slot.node_name
@@ -479,8 +485,8 @@ class ColumnarKernel:
         create = self.plan.create_on_empty
         pick = self._pick
         next_seq = self._seq.__next__
-        running = RequestStatus.RUNNING
-        completed_status = RequestStatus.COMPLETED
+        running = _STATUS_RUNNING
+        completed_status = _STATUS_COMPLETED
         # rows only carry live Request objects after a boundary
         # materialized them; in the steady state between boundaries the
         # object-sync branches are dead and skipped wholesale
@@ -753,7 +759,7 @@ class ColumnarKernel:
                 request_id=fs.rid[i],
             )
             if fs.status[i] == _QUEUED:
-                obj.status = RequestStatus.QUEUED
+                obj.status = _STATUS_QUEUED
             fs.obj[i] = obj
             self._row_by_rid[obj.request_id] = (fs, i)
             fs.live.append(i)
@@ -795,7 +801,7 @@ class ColumnarKernel:
                 fs = slot.busy_fs
                 i = slot.busy_row
                 obj = self._request_for(fs, i)
-                obj.status = RequestStatus.RUNNING
+                obj.status = _STATUS_RUNNING
                 obj.start_time = fs.start[i]
                 obj.container_id = slot.cid
                 obj.node_name = slot.node_name
@@ -820,39 +826,35 @@ class ColumnarKernel:
         module docstring).  Containers in STARTING or DRAINING states
         stay object-side — their transitions are real engine events.
         """
-        completed = RequestStatus.COMPLETED
-        running = RequestStatus.RUNNING
-        queued = RequestStatus.QUEUED
         row_by_rid = self._row_by_rid
         queues = self.dispatcher._queues
         scores = self.dispatcher.balancer._scores
         cluster = self.cluster
         comp = self._comp
         next_seq = self._seq.__next__
-        warm = ContainerState.WARM
         for fs in self._fn_list:
             still_live: List[int] = []
             for i in fs.live:
                 obj = fs.obj[i]
                 status = obj.status
-                if status is completed:
+                if status is _STATUS_COMPLETED:
                     fs.status[i] = _COMPLETED
                     fs.start[i] = obj.start_time
                     fs.finish[i] = obj.completion_time
                     fs.ccid[i] = obj.container_id
                     fs.cnode[i] = obj.node_name
                     fs.cold[i] = 1 if obj.cold_start else 0
-                elif status is running:
+                elif status is _STATUS_RUNNING:
                     fs.status[i] = _RUNNING
                     fs.start[i] = obj.start_time
                     fs.ccid[i] = obj.container_id
                     fs.cnode[i] = obj.node_name
                     fs.cold[i] = 1 if obj.cold_start else 0
                     still_live.append(i)
-                elif status is queued:
+                elif status is _STATUS_QUEUED:
                     fs.status[i] = _QUEUED
                     still_live.append(i)
-                elif status is RequestStatus.PENDING:
+                elif status is _STATUS_PENDING:
                     still_live.append(i)
                 else:  # dropped / timed out
                     fs.status[i] = _DROPPED
@@ -861,7 +863,7 @@ class ColumnarKernel:
             idle: List[_Slot] = []
             slots: List[_Slot] = []
             for container in cluster.containers_of(fs.name):
-                if container.state is not warm:
+                if container.state is not _WARM:
                     continue
                 request = container._current
                 if request is not None:
@@ -972,7 +974,6 @@ class ColumnarKernel:
         """
         out: List[Optional[Request]] = [None] * len(self._g_times)
         rid0 = self._rid0
-        completed = RequestStatus.COMPLETED
         for fs in self._fn_list:
             name = fs.name
             objs = fs.obj
@@ -981,12 +982,12 @@ class ColumnarKernel:
             for i, (rid, obj, time, work, status, start, finish, ccid, cnode, cold) in enumerate(rows):
                 if obj is None:
                     if status == _COMPLETED:
-                        obj = Request(name, time, work, rid, completed,
+                        obj = Request(name, time, work, rid, _STATUS_COMPLETED,
                                       start, finish, ccid, cnode, bool(cold))
                     else:
                         obj = Request(name, time, work, rid)
                         if status == _QUEUED:  # pragma: no cover - queued rows are materialized
-                            obj.status = RequestStatus.QUEUED
+                            obj.status = _STATUS_QUEUED
                     objs[i] = obj
                 out[rid - rid0] = obj
         return out

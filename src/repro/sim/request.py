@@ -26,11 +26,18 @@ class RequestStatus(enum.Enum):
     RUNNING = "running"          #: executing inside a container
     COMPLETED = "completed"      #: finished successfully
     DROPPED = "dropped"          #: rejected (queue overflow / node failure)
-    TIMED_OUT = "timed_out"      #: exceeded the platform's hard execution limit
+    TIMED_OUT = "timed_out"      #: exceeded the platform's hard execution limit (no run sets it)
 
     #: singletons compared by identity; ``Enum.__hash__`` is a Python frame per
     #: lookup.  No set of statuses is iterated, so the per-process hash orders nothing.
     __hash__ = object.__hash__
+
+
+#: the members the transitions read, bound once: ``EnumType`` defines
+#: ``__getattr__``, so every ``RequestStatus.X`` read takes the hooked slot
+_PENDING, _QUEUED = RequestStatus.PENDING, RequestStatus.QUEUED
+_COMPLETED, _DROPPED, _TIMED_OUT = (
+    RequestStatus.COMPLETED, RequestStatus.DROPPED, RequestStatus.TIMED_OUT)
 
 
 @dataclass(slots=True)
@@ -87,19 +94,15 @@ class Request:
     # ------------------------------------------------------------------
     def mark_queued(self) -> None:
         """Transition PENDING → QUEUED."""
-        if self.status is not RequestStatus.PENDING:
+        if self.status is not _PENDING:
             raise ValueError(
                 f"request {self.request_id} is {self.status.value}, expected pending")
-        self.status = RequestStatus.QUEUED
+        self.status = _QUEUED
 
     def mark_dropped(self, time: float) -> None:
         """Mark the request as dropped (e.g. its container was terminated)."""
-        if self.status in (RequestStatus.COMPLETED, RequestStatus.TIMED_OUT):
-            raise ValueError(f"cannot drop request in state {self.status}")
-        self.status = RequestStatus.DROPPED
-        self.completion_time = time
-
-    def mark_timed_out(self, time: float) -> None:
-        """Mark the request as having exceeded the hard execution limit."""
-        self.status = RequestStatus.TIMED_OUT
+        status = self.status
+        if status is _COMPLETED or status is _TIMED_OUT:
+            raise ValueError(f"cannot drop request in state {status}")
+        self.status = _DROPPED
         self.completion_time = time

@@ -198,7 +198,6 @@ class FunctionProfile:
             self.mean_service_time,
             self.speed_curve(),
             cpu_fractions=cpu_fractions,
-            distribution=self.distribution,
         )
 
     def with_service_time(self, mean_service_time: float) -> "FunctionProfile":

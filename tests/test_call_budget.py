@@ -3,8 +3,11 @@
 A count, not a timing, so it can gate in tier-1 (like
 ``test_import_budget.py``): the event plane is the default of every
 ``python -m repro run`` and the oracle the columnar kernel is tested
-against, and its cost is almost entirely the number of Python-level
-frames one request walks through.  The micro-benchmarks that used to
+against, and most of its cost is the number of Python-level frames one
+request walks through.  Not all of it: work that runs no frame is
+invisible to a frame count, and one such cost, an attribute read off an
+``Enum`` class, is gated here by a count of its own (the last paragraph
+below).  The micro-benchmarks that used to
 watch this (``event_loop`` 3.84x → 3.40x, ``dispatch_incremental``
 2.32x → 1.96x between BENCH_PR1 and BENCH_PR9) drifted in a JSON file
 nobody diffed; this fails instead.
@@ -32,9 +35,22 @@ It read 19.97 once a node refilled both allocation sums in one pass of
 and kept them across warm-ups and draining marks, and reads 18.96 since
 a request's completion is one bare ``engine.call_at`` entry instead of a
 cancellable ``Event`` record (no ``schedule`` frame, no ``Event.__init__``).
+
+The frame count stayed 18.96 when the hot paths stopped reading enum
+members off their class: ``EnumType`` defines ``__getattr__`` on CPython
+3.11, so each ``RequestStatus.X`` / ``ContainerState.X`` read takes the
+hooked attribute slot, about 10x a module global, with no frame to count.
+An opcode trace of this scenario counted 7.45 such reads a request
+(``Container._start`` 3.00, ``_finish_current`` 2.00, ``mark_queued``
+1.57, the completion hook's pull 0.78) before each module bound the
+members it reads to constants at import; it counts 0 now.
+:func:`enum_member_loads` keeps that at 0 for every function the run
+enters, naming the function and line of any read that comes back.
 """
 
 import collections
+import dis
+import enum
 import gc
 import heapq
 import sys
@@ -81,11 +97,13 @@ def build_runner(data_plane: str = "event") -> SimulationRunner:
 
 
 def count_frames():
-    """Run the scenario under ``sys.setprofile``: (generated requests, ``call`` events by file, heap).
+    """Run the scenario under ``sys.setprofile``: (requests, ``call`` events by file, heap, entered).
 
     ``heap`` is ``(pushes, peak)``: the calls of ``heapq.heappush`` (on
     the event plane only the engine's heap is pushed to) and the largest
-    ``engine.pending_events`` read after one.  The collector is off for
+    ``engine.pending_events`` read after one.  ``entered`` maps each code
+    object the run entered to its frame's globals (for
+    :func:`enum_member_loads`).  The collector is off for
     the run, as in ``test_epoch_budget.py``: a collection would add the
     frames of whatever ``gc.callbacks`` the test process carries
     (hypothesis installs one the first time a ``@given`` test runs), and
@@ -95,10 +113,12 @@ def count_frames():
     engine = runner.engine
     frames = collections.Counter()
     heap = [0, 0]
+    entered = {}
 
     def profile(frame, event, arg):
         if event == "call":
             frames[frame.f_code.co_filename] += 1
+            entered[frame.f_code] = frame.f_globals
         elif event == "c_return" and arg is heapq.heappush:
             heap[0] += 1
             heap[1] = max(heap[1], engine.pending_events)
@@ -113,7 +133,7 @@ def count_frames():
         sys.setprofile(previous)
         if collecting:
             gc.enable()
-    return sum(result.generated_requests.values()), frames, tuple(heap)
+    return sum(result.generated_requests.values()), frames, tuple(heap), entered
 
 
 def split_by_module(frames, generated):
@@ -125,8 +145,8 @@ def split_by_module(frames, generated):
 
 def test_frames_per_request_repeat_exactly_and_stay_under_the_ceiling():
     build_runner().run(duration=DURATION)   # process-wide caches (the log-factorial table) fill once
-    generated, frames, _ = count_frames()
-    again_generated, again, _ = count_frames()
+    generated, frames, *_ = count_frames()
+    again_generated, again, *_ = count_frames()
     assert generated == again_generated > 10_000
     assert frames == again, "the frame count is not a pure function of the scenario"
     per_request = sum(frames.values()) / generated
@@ -145,9 +165,47 @@ def test_an_arrival_costs_no_heap_push():
     thousands of entries to the peak, and fails here.
     """
     build_runner().run(duration=DURATION)
-    generated, _, (pushes, peak) = count_frames()
+    generated, _, (pushes, peak), _ = count_frames()
     assert pushes / generated <= HEAP_PUSHES_PER_REQUEST_CEILING, (
         f"{pushes / generated:.3f} heap pushes per simulated request, ceiling "
         f"{HEAP_PUSHES_PER_REQUEST_CEILING}")
     assert peak <= PEAK_PENDING_EVENTS_CEILING, (
         f"engine.pending_events peaked at {peak}, ceiling {PEAK_PENDING_EVENTS_CEILING}")
+
+
+def enum_member_loads(entered):
+    """Where the repo's entered code reads a member off an ``enum.Enum`` class.
+
+    ``entered`` maps code objects to their globals.  A site is a
+    ``LOAD_GLOBAL`` whose name resolves, in those globals, to an
+    ``enum.EnumType`` instance, followed by a ``LOAD_ATTR``: on CPython
+    3.11 ``EnumType`` defines ``__getattr__``, so that read takes the
+    hooked attribute slot every time (about 10x a module global), and it
+    runs no Python frame, so no frame count sees it.  Returns one
+    ``"qualname (file:line) Class.MEMBER"`` line per site.
+    """
+    sites = []
+    for code, f_globals in entered.items():
+        if not code.co_filename.startswith(SRC):
+            continue
+        previous = None
+        for instruction in dis.get_instructions(code):
+            if instruction.opname == "EXTENDED_ARG":
+                continue
+            if (instruction.opname == "LOAD_ATTR" and previous is not None
+                    and previous.opname == "LOAD_GLOBAL"
+                    and isinstance(f_globals.get(previous.argval), enum.EnumType)):
+                path = code.co_filename.replace(SRC, "")
+                sites.append(f"{code.co_qualname} ({path}:{instruction.positions.lineno}) "
+                             f"{previous.argval}.{instruction.argval}")
+            previous = instruction
+    return sorted(sites)
+
+
+def test_no_function_the_event_plane_enters_reads_an_enum_member_off_its_class():
+    """Each enum member a hot path reads is bound to a module constant once, at import."""
+    *_, entered = count_frames()
+    sites = enum_member_loads(entered)
+    assert not sites, (
+        "enum members read off their class on the event plane's path; bind each to a "
+        "module constant (``_WARM = ContainerState.WARM``):\n  " + "\n  ".join(sites))

@@ -336,8 +336,8 @@ def request_in(status: RequestStatus) -> Request:
             request.completion_time = 0.1
     elif status is RequestStatus.DROPPED:
         request.mark_dropped(0.0)
-    elif status is RequestStatus.TIMED_OUT:
-        request.mark_timed_out(0.0)
+    elif status is RequestStatus.TIMED_OUT:  # no run sets it; the record keeps its code
+        request.status, request.completion_time = status, 0.0
     return request
 
 
@@ -394,7 +394,8 @@ class TestInlineTransitions:
         assert container.completed_requests == 0 and container.current_request is request
 
     @pytest.mark.parametrize("status", [RequestStatus.QUEUED, RequestStatus.RUNNING,
-                                        RequestStatus.COMPLETED, RequestStatus.DROPPED])
+                                        RequestStatus.COMPLETED, RequestStatus.DROPPED,
+                                        RequestStatus.TIMED_OUT])
     def test_mark_queued_refuses_a_request_that_is_not_pending(self, status):
         request = request_in(status)
         with pytest.raises(ValueError) as refused:

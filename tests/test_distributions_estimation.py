@@ -264,7 +264,6 @@ class TestServiceTimeProfile:
             function_name="fn",
             cpu_fractions=(0.5, 0.7, 1.0),
             mean_service_times=(0.2, 0.15, 0.1),
-            distribution=Exponential(0.1),
         )
 
     def test_interpolates_mean(self):

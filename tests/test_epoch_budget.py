@@ -60,6 +60,13 @@ between two boundaries (a create that placed nothing cannot place
 anything until a boundary frees capacity).  The event plane made 584 of
 those calls until it, too, retried a function's create-on-empty only once
 the cluster's ``capacity_changes`` had moved since the last try: 177 now.
+
+The overloaded cell also gates, on both planes, the enum-member reads no
+frame count sees (``test_call_budget.enum_member_loads``): every
+function the run enters, in an epoch or not, binds the members it reads
+at import.  Before they did, the columnar cell read 2.09 members a
+function-epoch inside ``run_epoch`` (``_reclaim_draining``'s test for
+DRAINING, the teardown's status writes) and 2,921 over the whole run.
 """
 
 import collections
@@ -70,6 +77,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from repro.cluster.cluster import ClusterConfig
 import repro.sim.request as request_module
 from repro.core.controller import ControllerConfig, LassController
@@ -78,6 +87,7 @@ from repro.simulation import SimulationRunner
 from repro.workloads.functions import FUNCTION_CATALOG
 from repro.workloads.generator import WorkloadBinding
 from repro.workloads.schedules import StepSchedule
+from test_call_budget import enum_member_loads
 
 SRC = str(Path(__file__).resolve().parents[1] / "src") + "/"
 
@@ -125,21 +135,25 @@ def build_runner(cpu_per_node: float = OVERLOADED_CPU, plane: str = "columnar") 
     )
 
 
-def count_frames(cpu_per_node: float):
-    """Run the scenario under ``sys.setprofile``: (epochs, overloaded epochs, frames by file).
+def count_frames(cpu_per_node: float, plane: str = "columnar"):
+    """Run the scenario under ``sys.setprofile``: (epochs, overloaded epochs, frames by file, entered).
 
     Only ``call`` events raised while ``run_epoch`` is on the stack count,
-    ``run_epoch``'s own frame included.  The collector is off for the run:
+    ``run_epoch``'s own frame included.  ``entered`` maps every code object
+    the whole run entered, in an epoch or not, to its frame's globals.  The collector is off for the run:
     a collection inside an epoch would add the frames of whatever
     ``gc.callbacks`` the test process carries (hypothesis installs one).
     """
-    runner = build_runner(cpu_per_node)
+    runner = build_runner(cpu_per_node, plane)
     frames = collections.Counter()
     epoch_code = LassController.run_epoch.__code__
     inside = 0
+    entered = {}
 
     def profile(frame, event, _arg):
         nonlocal inside
+        if event == "call":
+            entered[frame.f_code] = frame.f_globals
         if frame.f_code is epoch_code:
             if event == "call":
                 inside += 1
@@ -160,7 +174,7 @@ def count_frames(cpu_per_node: float):
         if collecting:
             gc.enable()
     epochs = result.metrics.epochs
-    return len(epochs), sum(e.overloaded for e in epochs), frames
+    return len(epochs), sum(e.overloaded for e in epochs), frames, entered
 
 
 def split_by_module(frames, function_epochs):
@@ -173,8 +187,8 @@ def split_by_module(frames, function_epochs):
 def measure(cpu_per_node: float):
     """(overloaded epochs, frames per function-epoch, split), checked to repeat exactly."""
     build_runner(cpu_per_node).run(duration=DURATION)   # process-wide caches (the log-factorial table) fill once
-    epochs, overloaded, frames = count_frames(cpu_per_node)
-    again_epochs, again_overloaded, again = count_frames(cpu_per_node)
+    epochs, overloaded, frames, _ = count_frames(cpu_per_node)
+    again_epochs, again_overloaded, again, _ = count_frames(cpu_per_node)
     assert epochs == again_epochs == int((DURATION + 5.0) / EPOCH)
     assert overloaded == again_overloaded
     assert frames == again, "the frame count is not a pure function of the scenario"
@@ -200,6 +214,16 @@ def test_frames_per_uncontended_function_epoch_stay_under_their_ceiling():
         f"{per_function_epoch:.2f} Python frames per uncontended function-epoch, ceiling "
         f"{UNCONTENDED_FRAMES_CEILING}\n{split}"
     )
+
+
+@pytest.mark.parametrize("plane", ["event", "columnar"])
+def test_no_function_the_overloaded_cell_enters_reads_an_enum_member_off_its_class(plane):
+    """The control path, the lifecycle and the kernel's boundary code bind their members at import."""
+    *_, entered = count_frames(OVERLOADED_CPU, plane)
+    sites = enum_member_loads(entered)
+    assert not sites, (
+        f"enum members read off their class on the {plane} plane's path; bind each to a "
+        "module constant (``_WARM = ContainerState.WARM``):\n  " + "\n  ".join(sites))
 
 
 def count_churn():

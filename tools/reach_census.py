@@ -110,7 +110,6 @@ KEPT: Dict[str, str] = {
     "federation/runner.py::GlobalPlane._drop": _REFUSAL,
     "scenarios/executor.py::ShardError.__init__": _REFUSAL,
     "cli.py::_sigterm_as_interrupt": _REFUSAL,
-    "sim/request.py::Request.mark_timed_out": _REFUSAL,
     "scenarios/journal.py::RunJournal.__enter__":
         "context-manager form of the journal; the executor closes it itself",
     "scenarios/journal.py::RunJournal.__exit__":
